@@ -1,0 +1,8 @@
+"""``python -m kernelcomp``: the same command line as the ``kernelcomp`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

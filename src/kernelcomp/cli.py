@@ -804,6 +804,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     records, trace, extras = cmd.runner(cfg.params, cfg.tolerances, cfg.seed)
     wall = time.perf_counter() - start
+    if not records:
+        # a report with no checks would pass vacuously
+        raise ConfigError(f"{cfg.name} ran no checks with these params")
     # the config echo deliberately omits output_path so identical experiments
     # emit identical bytes regardless of where they are written
     config_echo = {"name": cfg.name, "params": cfg.params, "seed": cfg.seed,

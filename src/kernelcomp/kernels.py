@@ -9,6 +9,7 @@ eigenvector).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ NEGATIVE = "NEGATIVE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 MIN_POINT_SEPARATION = 1e-9
+# rejections after which sample_point_set gives up by default
+MAX_REJECTS = 10000
 
 
 class DomainError(ValueError):
@@ -179,36 +182,36 @@ class KernelSpec:
         return out
 
 
-def _pair_products(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    # ip[i, j] = <z_i, z_j> with the second slot conjugated
-    return pts @ pts.conj().T
+def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """Hermitized kernel values K(z_i, z_j) for point stacks (..., m, dim).
+
+    The one place the kernel formulas live: ``gram`` passes a single (m, dim)
+    set, the witness screen a (trials, m, dim) stack.
+    """
+    den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
+    if spec.kind == "szego":
+        g = 1.0 / den
+    elif spec.kind in ("bergman", "ball"):
+        g = den ** (-spec.alpha)
+    elif spec.kind in ("dbr", "dbr_power"):
+        bv = spec.b_disk(pts[..., 0])
+        g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
+        if spec.kind == "dbr_power":
+            g = g ** int(spec.alpha)
+    else:
+        bz = spec.b_ball(pts)
+        ratio = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
+        g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+            else ratio ** spec.alpha
+    return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
 
 
 def gram(spec: KernelSpec, point_set: PointSet) -> "GramMatrix":
     """Gram matrix G[i, j] = K(w_i, w_j), hermitized on assembly."""
     if point_set.dim != spec.space_dim:
         raise DomainError("point set dimension does not match the kernel")
-    pts = point_set.points
-    ip = _pair_products(spec, pts)
-    den = 1.0 - ip
-    if spec.kind == "szego":
-        g = 1.0 / den
-    elif spec.kind in ("bergman", "ball"):
-        g = den ** (-spec.alpha)
-    elif spec.kind == "dbr":
-        bv = spec.b_disk(pts[:, 0])
-        g = (1.0 - np.outer(bv, bv.conj())) / den
-    elif spec.kind == "dbr_power":
-        bv = spec.b_disk(pts[:, 0])
-        g = ((1.0 - np.outer(bv, bv.conj())) / den) ** int(spec.alpha)
-    else:
-        bz = spec.b_ball(pts)
-        num = 1.0 - bz @ bz.conj().T
-        ratio = num / den
-        g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
-            else ratio ** spec.alpha
-    g = 0.5 * (g + g.conj().T)
-    return GramMatrix(spec=spec, point_set=point_set, entries=g)
+    return GramMatrix(spec=spec, point_set=point_set,
+                      entries=_kernel_matrix(spec, point_set.points))
 
 
 def eval_kernel(spec: KernelSpec, z, w) -> complex:
@@ -315,13 +318,30 @@ def check_psd(g: GramMatrix, tol_scale: float = 100.0) -> PositivityCertificate:
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
 
 
+def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
+    """Candidate points from uniforms of shape (..., 2 * dim).
+
+    A candidate takes its dim angles from its first dim uniforms and its dim
+    area-uniform radii from the last dim, the order in which
+    ``sample_point_set`` draws them.  ``Generator.uniform(0, 2 pi)`` is
+    exactly ``2 pi * random()``, so blocks drawn with ``random`` give the same
+    candidates bit for bit.
+    """
+    dim = u.shape[-1] // 2
+    theta = 2.0 * np.pi * u[..., :dim]
+    rad = radius * np.sqrt(u[..., dim:])
+    return rad * np.exp(1j * theta)
+
+
 def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
-                     count: int, max_rejects: int = 10000) -> PointSet:
+                     count: int, max_rejects: int = MAX_REJECTS) -> PointSet:
     """Draw ``count`` points from the ball of the given radius.
 
     Each coordinate gets a uniform angle and an area-uniform radius; in
     dimension above one, draws landing outside the radius cap are rejected.
-    Re-draws also resolve (vanishingly rare) pair collisions.
+    Re-draws also resolve (vanishingly rare) pair collisions.  Exactly
+    2 * dim variates are consumed per candidate, so callers may share one
+    generator across draws.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
@@ -329,9 +349,7 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     have = 0
     rejects = 0
     while have < count:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-        rad = radius * np.sqrt(rng.uniform(0.0, 1.0, size=dim))
-        cand = rad * np.exp(1j * theta)
+        cand = _candidates(rng.random(2 * dim), radius)
         ok = float(np.linalg.norm(cand)) < radius
         if ok and have > 0:
             sep = np.min(np.linalg.norm(pts[:have] - cand[None, :], axis=1))
@@ -353,6 +371,50 @@ def seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
+# Trials screened together, and a cap on the values one screened chunk holds
+# (uniforms per trial, or Gram entries per trial, times trials).
+_CHUNK_TRIALS = 1024
+_CHUNK_VALUES = 1 << 21
+
+
+def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
+            count: int, draws: int, tol_scale: float) -> list:
+    """Trials of a chunk that the batched screen cannot clear, in order.
+
+    Each trial draws ``draws`` candidates from its own substream, keeps
+    the first ``count`` inside the radius cap, and has its Gram's smallest
+    eigenvalue computed in one batched ``eigvalsh``.  A trial is returned
+    when that eigenvalue is below -tol / 2, when its block holds fewer than
+    ``count`` admissible candidates, or when ``sample_point_set`` could
+    decide its candidates differently: a norm within a few ulps of the
+    radius, or two kept points closer than 2 * MIN_POINT_SEPARATION.
+    """
+    if not 0.0 < radius < 1.0 or count < 1:
+        return list(trials)  # the serial path raises the caller's error
+    dim = spec.dim
+    u = np.stack([np.random.default_rng(base + (t,)).random(draws * 2 * dim)
+                  for t in trials])
+    cand = _candidates(u.reshape(len(trials), draws, 2 * dim), radius)
+    norm = np.linalg.norm(cand, axis=-1)
+    inside = norm < radius
+    rank = np.cumsum(inside, axis=1)
+    full = rank[:, -1] >= count
+    looked_at = rank - inside < count
+    near = np.abs(norm - radius) <= 4.0 * np.spacing(radius)
+    defer = ~full | np.any(near & looked_at, axis=1)
+
+    pts = cand[inside & (rank <= count) & full[:, None]].reshape(-1, count, dim)
+    sep2 = sum(np.abs(pts[:, :, None, k] - pts[:, None, :, k]) ** 2
+               for k in range(dim))
+    sep2[:, np.arange(count), np.arange(count)] = np.inf
+    close = np.min(sep2, axis=(1, 2)) <= (2.0 * MIN_POINT_SEPARATION) ** 2
+    lam = np.linalg.eigvalsh(_kernel_matrix(spec, pts))
+    nrm = np.maximum(np.abs(lam[:, 0]), np.abs(lam[:, -1]))
+    tol = tol_scale * count * nrm * float(np.finfo(float).eps)
+    defer[full] |= close | (lam[:, 0] < -tol / 2)
+    return [t for t, d in zip(trials, defer) if d]
+
+
 def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
                           set_size: int, budget: int,
                           tol_scale: float = 100.0):
@@ -361,13 +423,34 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     Trial t draws from the substream (seed, t), so the outcome is independent
     of scheduling and restart.  Returns the first (PointSet, certificate) with
     a NEGATIVE verdict, or None when the budget is exhausted.
+
+    Trials run in chunks of up to 1024.  ``_screen`` draws a chunk's point
+    sets from the same substreams, stacks their Grams and bounds every
+    smallest eigenvalue with one batched ``eigvalsh``.  The trials it cannot
+    clear are decided again, in order, by the serial ``sample_point_set``,
+    ``gram`` and ``check_psd``, and the first NEGATIVE one is returned, so
+    the witness and its certificate are exactly those of a one-at-a-time
+    search.  Clearing a trial at -tol / 2 is safe: its screened Gram differs
+    from the serial one by a few ulps, ``eigvalsh`` is backward stable, and
+    so the two smallest eigenvalues differ by O(m * eps * ||G||), far below
+    tol / 2, which is 50 * m * eps * ||G|| at the default tol_scale.
     """
     base = seed_tuple(seed)
-    for trial in range(budget):
-        rng = np.random.default_rng(base + (trial,))
-        pts = sample_point_set(rng, spec.space_dim, radius, set_size)
-        cert = check_psd(gram(spec, pts), tol_scale=tol_scale)
-        if cert.verdict == NEGATIVE:
-            cert.seed = seed
-            return pts, cert
+    # about twice the candidates a set needs, as a fraction 1 / dim! of the
+    # polydisk draws lands inside the radius cap; a screened set never needs
+    # more rejections than sample_point_set allows
+    draws = min(2 * set_size * math.factorial(spec.dim) + 16,
+                set_size + MAX_REJECTS)
+    per_trial = max(set_size * set_size, 2 * spec.dim * draws)
+    chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // per_trial))
+    for start in range(0, budget, chunk):
+        trials = range(start, min(start + chunk, budget))
+        for trial in _screen(spec, base, trials, radius, set_size, draws,
+                             tol_scale):
+            rng = np.random.default_rng(base + (trial,))
+            pts = sample_point_set(rng, spec.dim, radius, set_size)
+            cert = check_psd(gram(spec, pts), tol_scale=tol_scale)
+            if cert.verdict == NEGATIVE:
+                cert.seed = seed
+                return pts, cert
     return None

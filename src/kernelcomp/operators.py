@@ -294,11 +294,15 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     degrees = sorted(set(int(d) for d in trace_degrees))
     if not degrees or degrees[0] < 0 or degrees[-1] > section.col_degree:
         raise ValueError("trace degrees must lie between 0 and col_degree")
+    nonzero = section.entries != 0
+    # first column each row reaches; rows reaching none fall outside every prefix
+    first = np.where(np.any(nonzero, axis=1), np.argmax(nonzero, axis=1),
+                     nonzero.shape[1])
+    del nonzero  # one byte per entry; free it before the SVDs
     trace = []
     for d in degrees:
         cols = _monomial_count(section.space.dim, d)
-        block = section.entries[:, :cols]
-        block = block[np.any(block != 0, axis=1)]
+        block = section.entries[first < cols, :cols]
         sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
         trace.append((d, sigma))
     upper = None

@@ -1,7 +1,10 @@
 """Command-line interface: configs, reports, determinism, exit codes."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,15 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_with_no_checks_exits_two(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "theorem1", params={"trials": 0})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "no checks" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig.from_dict(
+            {"name": "br", "params": {"r_values": []}}))
+
+
 def test_exit_one_when_a_check_fails(tmp_path, capsys):
     # expecting a negativity witness from a kernel that is actually positive
     cfg = _cfg(tmp_path, "psd", params={"expect": "negative",
@@ -228,5 +240,16 @@ def test_report_csv_falls_back_to_records():
 def test_installed_entry_point():
     proc = subprocess.run(["kernelcomp", "list"], capture_output=True,
                           text=True)
+    assert proc.returncode == 0
+    assert "hardy-bound" in proc.stdout
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "kernelcomp", "list"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "hardy-bound" in proc.stdout

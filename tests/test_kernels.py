@@ -1,10 +1,12 @@
 """Gram assembly, positivity certificates, and counterexample search."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from kernelcomp import kernels
 from kernelcomp.kernels import (
     NEGATIVE,
     PSD,
@@ -211,3 +213,228 @@ def test_seed_tuple_normalization():
     assert seed_tuple((2, 3)) == (2, 3)
     assert seed_tuple([2, 3]) == (2, 3)
     assert seed_tuple(np.int64(4)) == (4,)
+
+
+# --- the batched witness search against the one-trial-at-a-time search ----
+#
+# The functions below are the sampler, the Gram assembly and the search loop
+# as they were before the search was batched.  They are the reference the
+# batched search must reproduce bit for bit.
+
+
+def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
+    pts = np.zeros((count, dim), dtype=complex)
+    have = 0
+    rejects = 0
+    while have < count:
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+        rad = radius * np.sqrt(rng.uniform(0.0, 1.0, size=dim))
+        cand = rad * np.exp(1j * theta)
+        ok = float(np.linalg.norm(cand)) < radius
+        if ok and have > 0:
+            sep = np.min(np.linalg.norm(pts[:have] - cand[None, :], axis=1))
+            ok = sep > kernels.MIN_POINT_SEPARATION
+        if ok:
+            pts[have] = cand
+            have += 1
+        else:
+            rejects += 1
+            if rejects > max_rejects:
+                raise RuntimeError("point sampling failed to fill the set")
+    return PointSet(pts, dim=dim)
+
+
+def _serial_gram_entries(spec, pts):
+    ip = pts @ pts.conj().T
+    den = 1.0 - ip
+    if spec.kind == "szego":
+        g = 1.0 / den
+    elif spec.kind in ("bergman", "ball"):
+        g = den ** (-spec.alpha)
+    elif spec.kind == "dbr":
+        bv = spec.b_disk(pts[:, 0])
+        g = (1.0 - np.outer(bv, bv.conj())) / den
+    elif spec.kind == "dbr_power":
+        bv = spec.b_disk(pts[:, 0])
+        g = ((1.0 - np.outer(bv, bv.conj())) / den) ** int(spec.alpha)
+    else:
+        bz = spec.b_ball(pts)
+        num = 1.0 - bz @ bz.conj().T
+        ratio = num / den
+        g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+            else ratio ** spec.alpha
+    return 0.5 * (g + g.conj().T)
+
+
+def _serial_search(spec, *, seed, radius, set_size, budget, tol_scale=100.0):
+    """Returns (trial, points, certificate JSON) of the first NEGATIVE trial."""
+    base = seed_tuple(seed)
+    for trial in range(budget):
+        rng = np.random.default_rng(base + (trial,))
+        pts = _serial_sample_point_set(rng, spec.dim, radius, set_size)
+        g = GramMatrix(spec, pts, _serial_gram_entries(spec, pts.points))
+        cert = check_psd(g, tol_scale=tol_scale)
+        if cert.verdict == NEGATIVE:
+            cert.seed = seed
+            return trial, pts.points, json.dumps(cert.to_json_dict())
+    return None
+
+
+def _batched_search(spec, **kw):
+    found = find_negative_witness(spec, **kw)
+    if found is None:
+        return None
+    pts, cert = found
+    base = seed_tuple(kw["seed"])
+    trial = next(t for t in range(kw["budget"])
+                 if np.array_equal(_serial_sample_point_set(
+                     np.random.default_rng(base + (t,)), spec.dim,
+                     kw["radius"], kw["set_size"]).points, pts.points))
+    return trial, pts.points, json.dumps(cert.to_json_dict())
+
+
+def _assert_same_search(spec, **kw):
+    expect = _serial_search(spec, **kw)
+    got = _batched_search(spec, **kw)
+    if expect is None:
+        assert got is None
+        return None
+    assert got is not None
+    assert got[0] == expect[0]
+    assert np.array_equal(got[1], expect[1])
+    assert got[2] == expect[2]
+    return expect[0]
+
+
+_DISK_B = SelfMapDisk(DiskPoly([0.1, 0.5, 0.3]))
+
+_KIND_SPECS = {
+    "szego": KernelSpec.szego(),
+    "bergman": KernelSpec.bergman(2.5),
+    "dbr": KernelSpec.dbr(_DISK_B),
+    "dbr_power": KernelSpec.dbr_power(_DISK_B, 3),
+    "ball": KernelSpec.ball(3, 2.0),
+    "ball_map": KernelSpec.ball_map(
+        BallMap([BallPoly(2, {(1, 1): 2.0}), BallPoly(2, {})]), 2),
+    "ball_map_fractional": KernelSpec.ball_map(
+        BallMap([BallPoly(2, {(1, 1): 1.2}), BallPoly(2, {})]), 1.5),
+}
+
+
+def _br_spec(r):
+    return KernelSpec.ball_map(
+        BallMap([BallPoly(2, {(1, 1): 2.0 * r}), BallPoly(2, {})]), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_KIND_SPECS))
+def test_gram_bytes_unchanged_for_every_kind(name):
+    spec = _KIND_SPECS[name]
+    pts = sample_point_set(np.random.default_rng(31), spec.dim, 0.9, 7)
+    entries = gram(spec, pts).entries
+    assert entries.tobytes() == _serial_gram_entries(spec, pts.points).tobytes()
+
+
+def test_sample_point_set_consumes_the_same_draws_as_before():
+    for dim, radius, count in ((1, 0.5, 50), (2, 0.95, 8), (2, 0.3, 20),
+                               (3, 0.9, 6)):
+        new = np.random.default_rng((dim, count))
+        old = np.random.default_rng((dim, count))
+        # several sets from one shared generator, as ball-lemma draws them
+        for _ in range(4):
+            a = sample_point_set(new, dim, radius, count)
+            b = _serial_sample_point_set(old, dim, radius, count)
+            assert np.array_equal(a.points, b.points)
+        assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("name", sorted(_KIND_SPECS))
+def test_batched_search_matches_serial_for_every_kind(name):
+    spec = _KIND_SPECS[name]
+    radius = 0.95 if spec.dim == 2 else 0.9
+    _assert_same_search(spec, seed=(4, 1), radius=radius, set_size=6,
+                        budget=40)
+
+
+@pytest.mark.parametrize("r, expect", [(0.5, None), (0.75, 177), (1.0, 0)])
+def test_batched_search_matches_serial_on_the_product_map(r, expect):
+    # seed 0: no witness at r = 0.5, one in the middle of the first
+    # chunk at r = 0.75, and one at trial 0 at r = 1
+    budget = 200 if r == 0.5 else 1100
+    trial = _assert_same_search(_br_spec(r), seed=0, radius=0.95, set_size=8,
+                                budget=budget)
+    assert trial == expect
+
+
+def test_batched_search_with_zero_budget():
+    for r in (0.5, 1.0):
+        assert find_negative_witness(_br_spec(r), seed=0, radius=0.95,
+                                     set_size=8, budget=0) is None
+
+
+@pytest.mark.parametrize("seed, budget, expect", [
+    (5, 40, 1),       # first chunk
+    (0, 40, 3),       # first chunk, past trial 0
+    (8, 40, 20),      # second chunk
+    (3, 40, 34),      # last, partial chunk
+    (3, 30, None),    # budget ends inside a chunk, before the witness
+])
+def test_batched_search_across_chunk_boundaries(monkeypatch, seed, budget,
+                                                expect):
+    monkeypatch.setattr(kernels, "_CHUNK_TRIALS", 16)
+    trial = _assert_same_search(_br_spec(0.8), seed=seed, radius=0.95,
+                                set_size=8, budget=budget)
+    assert trial == expect
+
+
+def test_batched_search_reruns_trials_it_cannot_screen(monkeypatch):
+    # a wide separation makes the serial sampler reject candidates that the
+    # screen keeps, so most trials fall back to the serial path
+    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.3)
+    reruns = []
+    serial = kernels.sample_point_set
+
+    def counted(*args, **kwargs):
+        reruns.append(1)
+        return serial(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "sample_point_set", counted)
+    for r in (0.5, 0.8):
+        _assert_same_search(_br_spec(r), seed=2, radius=0.95, set_size=8,
+                            budget=30)
+    assert len(reruns) > 10
+
+
+def test_screen_never_clears_a_negative_trial():
+    spec = _br_spec(0.8)
+    base = (6,)
+    trials = range(64)
+    negative = set()
+    for t in trials:
+        pts = _serial_sample_point_set(np.random.default_rng(base + (t,)), 2,
+                                       0.95, 8)
+        if check_psd(gram(spec, pts)).verdict == NEGATIVE:
+            negative.add(t)
+    assert negative
+    # 12 draws hold 6 admissible candidates on average, 48 hold 24
+    for draws in (12, 20, 48):
+        deferred = kernels._screen(spec, base, trials, 0.95, 8, draws, 100.0)
+        assert negative <= set(deferred)
+        assert deferred == sorted(deferred)
+        for t in trials:
+            rng = np.random.default_rng(base + (t,))
+            inside = 0
+            for _ in range(draws):
+                theta = rng.uniform(0.0, 2.0 * np.pi, size=2)
+                rad = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, size=2))
+                inside += float(np.linalg.norm(rad * np.exp(1j * theta))) < 0.95
+            if inside < 8:
+                assert t in deferred
+
+
+def test_batched_search_gives_up_where_the_serial_sampler_does():
+    # in dim 7 one polydisk draw in 5040 lands in the ball, so filling 8
+    # points takes more rejections than sample_point_set allows
+    spec = KernelSpec.ball(7, 1.0)
+    for search in (_serial_search, find_negative_witness):
+        with pytest.raises(RuntimeError):
+            search(spec, seed=0, radius=0.9, set_size=8, budget=3)
