@@ -346,7 +346,8 @@ def run_theorem1(params: dict, tol: dict, seed: int):
                                     max_nodes=int(params["node_max"]),
                                     node_radius=float(params["node_radius"]))
         f = combo_to_poly(combo, int(params["combo_degree"]))
-        section = weighted_comp_matrix(f, b, H2, int(params["section_degree"]))
+        comp = comp_matrix(b, H2, int(params["section_degree"]))
+        section = weighted_comp_matrix(f, comp)
         lower = op_norm_lower(section,
                               trace_degrees=[int(params["section_degree"])]).lower
         records.append(make_record(
@@ -438,13 +439,14 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
             rng = np.random.default_rng((seed, ai, t))
             b = random_disk_symbol(rng, int(params["symbol_degree_max"]),
                                    float(params["boundary_max"]))
-            nb = op_norm_lower(comp_matrix(b, space, n), trace_degrees=[n])
+            comp = comp_matrix(b, space, n)
+            nb = op_norm_lower(comp, trace_degrees=[n])
             worst_gap = max(worst_gap, nb.lower - nb.upper)
             combo = random_kernel_combo(rng, b, alpha=alpha,
                                         max_nodes=int(params["node_max"]),
                                         node_radius=float(params["node_radius"]))
             f = combo_to_poly(combo, int(params["combo_degree"]))
-            w = weighted_comp_matrix(f, b, space, n)
+            w = weighted_comp_matrix(f, comp)
             lw = op_norm_lower(w, trace_degrees=[n]).lower
             worst_weighted = max(worst_weighted, lw)
             rows.append([alpha, t, nb.lower, nb.upper, lw])
@@ -761,6 +763,39 @@ COMMANDS = {
 }
 
 
+# the documented type of each parameter whose default is None
+_NONE_DEFAULT_LIKE = {"trace_degrees": [0], "mode_count": 0, "rank_tol": 0.0}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", dict: "a json object", list: "a list"}
+
+
+def _same_type(value, like) -> bool:
+    """Whether ``value`` has the json type of ``like``: a bool is not a
+    number, an int stands in for a float, and list items match like[0]."""
+    if isinstance(value, bool) or isinstance(like, bool):
+        return isinstance(value, bool) and isinstance(like, bool)
+    if isinstance(like, float):
+        return isinstance(value, (int, float))
+    if not isinstance(value, type(like)):
+        return False
+    if isinstance(like, list) and like:
+        return all(_same_type(v, like[0]) for v in value)
+    return True
+
+
+def _check_type(what: str, value, default, key: str) -> None:
+    like = _NONE_DEFAULT_LIKE[key] if default is None else default
+    if (value is None and default is None) or _same_type(value, like):
+        return
+    expect = _TYPE_NAMES[type(like)]
+    if isinstance(like, list) and like:
+        expect += " of " + _TYPE_NAMES[type(like[0])].split()[-1] + "s"
+    if default is None:
+        expect += " or null"
+    raise ConfigError(f"{what} {key!r} must be {expect}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -783,11 +818,13 @@ class ExperimentConfig:
         for k, v in (obj.get("params") or {}).items():
             if k not in cmd.defaults:
                 raise ConfigError(f"unknown parameter {k!r} for {name}")
+            _check_type(f"{name} parameter", v, cmd.defaults[k], k)
             params[k] = v
         tolerances = dict(cmd.tol_defaults)
         for k, v in (obj.get("tolerances") or {}).items():
             if k not in cmd.tol_defaults:
                 raise ConfigError(f"unknown tolerance {k!r} for {name}")
+            _check_type(f"{name} tolerance", v, cmd.tol_defaults[k], k)
             tolerances[k] = float(v)
         seed = obj.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

@@ -23,7 +23,7 @@ from .kernels import (
     check_psd,
     gram,
 )
-from .operators import SpaceSpec, mult_matrix, weighted_comp_matrix
+from .operators import SpaceSpec, comp_matrix, mult_matrix, weighted_comp_matrix
 from .series import DiskPoly, SelfMapDisk, inf_modulus_circle
 
 __all__ = [
@@ -289,8 +289,9 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None
     # modes may have different degrees, so their sections have different row
     # counts; the accumulated action is padded to the largest possible
     act = np.zeros((degree * b.degree() + degree + 1, m_test), dtype=complex)
+    comp = comp_matrix(b, space, degree)
     for f in modes:
-        z = weighted_comp_matrix(f, b, space, degree).entries
+        z = weighted_comp_matrix(f, comp).entries
         x = z[:m_test, :]
         s = s + x @ x.conj().T
         act[: z.shape[0], :] += z @ x.conj().T

@@ -29,7 +29,11 @@ __all__ = [
     "op_norm_lower",
     "adjoint_kernel_check",
     "adjoint_mult_check",
+    "MAX_SECTION_BYTES",
 ]
+
+# largest section, in bytes, that comp_matrix and mult_matrix will allocate
+MAX_SECTION_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,47 @@ def grlex_monomials(dim: int, max_degree: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _monomial_count(dim: int, max_degree: int) -> int:
-    return len(grlex_monomials(dim, max_degree))
+    return math.comb(max_degree + dim, dim)
+
+
+def _binom(n: np.ndarray, k: int) -> np.ndarray:
+    """C(n, k) elementwise for integer n >= 0, exact in int64."""
+    out = np.ones_like(n)
+    for t in range(1, k + 1):
+        out = out * (n - k + t) // t  # C(n - k + t, t), an integer
+    return out
+
+
+def _grlex_rank(exps) -> np.ndarray:
+    """Position of each multi-index (last axis) in ``grlex_monomials`` order.
+
+    The C(k - 1 + d, d) monomials of lower degree come first; within degree
+    k, coordinate i with r_i of the degree left to place passes over the
+    C(r_i - m_i - 1 + d - i - 1, d - i - 1) monomials that put more there.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    d = exps.shape[-1]
+    left = exps.sum(axis=-1)
+    rank = _binom(left - 1 + d, d)
+    for i in range(d - 1):
+        rank += _binom(left - exps[..., i] - 1 + d - i - 1, d - i - 1)
+        left -= exps[..., i]
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _monomial_norms(dim: int, alpha: float, max_degree: int) -> np.ndarray:
+    mons = grlex_monomials(dim, max_degree)
+    lg_alpha = math.lgamma(alpha)
+    out = np.empty(len(mons))
+    for i, m in enumerate(mons):
+        k = sum(m)
+        log_sq = sum(math.lgamma(e + 1) for e in m)
+        log_sq -= math.lgamma(alpha + k) - lg_alpha
+        out[i] = math.exp(0.5 * log_sq)
+    out.flags.writeable = False
+    return out
 
 
 def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
@@ -81,17 +123,34 @@ def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
 
     ||z^m||^2 = m! / rising(alpha, |m|) where rising is the rising factorial;
     evaluated through log-gamma so large degrees neither overflow nor lose
-    the exact value 1 when alpha = 1.
+    the exact value 1 when alpha = 1.  Each (dim, alpha, max_degree) is
+    computed once; the caller gets its own copy.
     """
-    mons = grlex_monomials(space.dim, max_degree)
-    lg_alpha = math.lgamma(space.alpha)
-    out = np.empty(len(mons))
-    for i, m in enumerate(mons):
-        k = sum(m)
-        log_sq = sum(math.lgamma(e + 1) for e in m)
-        log_sq -= math.lgamma(space.alpha + k) - lg_alpha
-        out[i] = math.exp(0.5 * log_sq)
-    return out
+    return _monomial_norms(space.dim, space.alpha, max_degree).copy()
+
+
+def _section_zeros(dim: int, row_degree: int, col_degree: int) -> np.ndarray:
+    """Zero complex section, refused before allocation above MAX_SECTION_BYTES."""
+    rows = _monomial_count(dim, row_degree)
+    cols = _monomial_count(dim, col_degree)
+    nbytes = rows * cols * np.dtype(complex).itemsize
+    if nbytes > MAX_SECTION_BYTES:
+        raise ValueError(f"a {rows}x{cols} section needs {nbytes} bytes, "
+                         f"above the {MAX_SECTION_BYTES}-byte limit")
+    return np.zeros((rows, cols), dtype=complex)
+
+
+def _place(entries: np.ndarray, rows, cols, coefs, norms: np.ndarray) -> None:
+    """entries[rows, cols] = coefs * norms[rows] / norms[cols], rounded as
+    Python rounds ``c * x / y`` for a complex c and floats x, y: each float
+    is promoted to a complex with zero imaginary part, which decides the
+    sign of zero results."""
+    x, y = norms[rows], norms[cols]
+    cr, ci = coefs.real, coefs.imag
+    real = cr * x - ci * 0.0
+    imag = cr * 0.0 + ci * x
+    entries.real[rows, cols] = (real + imag * 0.0) / y
+    entries.imag[rows, cols] = (imag - real * 0.0) / y
 
 
 @dataclass
@@ -116,10 +175,9 @@ class SectionMatrix:
         assert self.entries.shape == (rows, cols), "degree bookkeeping violation"
 
 
-def _comp_entries_disk(coeffs: np.ndarray, norms: np.ndarray, col_degree: int,
-                       row_degree: int) -> np.ndarray:
-    """Columns are the Taylor coefficients of b**j, norm-corrected."""
-    a = np.zeros((row_degree + 1, col_degree + 1), dtype=complex)
+def _comp_entries_disk(a: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
+                       col_degree: int) -> None:
+    """Fill ``a`` with the Taylor coefficients of b**j, norm-corrected."""
     power = np.ones(1, dtype=complex)
     a[0, 0] = 1.0
     for j in range(1, col_degree + 1):
@@ -127,7 +185,6 @@ def _comp_entries_disk(coeffs: np.ndarray, norms: np.ndarray, col_degree: int,
         a[: power.size, j] = power
     a *= norms[:, None]
     a /= norms[: col_degree + 1][None, :]
-    return a
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -177,27 +234,27 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
 
     deg_b = b.degree()
     row_degree = col_degree * deg_b
-    norms = monomial_norms(space, row_degree)
+    entries = _section_zeros(space.dim, row_degree, col_degree)
+    norms = _monomial_norms(space.dim, space.alpha, row_degree)
 
     if coeffs is not None:
-        entries = _comp_entries_disk(coeffs[0], norms, col_degree, row_degree)
+        _comp_entries_disk(entries, coeffs[0], norms, col_degree)
         return SectionMatrix(space, col_degree, row_degree, entries,
                              kind="composition", center_modulus=center)
 
-    cols = grlex_monomials(space.dim, col_degree)
-    rows = grlex_monomials(space.dim, row_degree)
-    row_index = {m: i for i, m in enumerate(rows)}
-    entries = np.zeros((len(rows), len(cols)), dtype=complex)
     zero = (0,) * space.dim
     powers = {zero: {zero: 1.0 + 0.0j}}
-    for j, m in enumerate(cols):
+    rows, cols, coefs = [], [], []
+    for j, m in enumerate(grlex_monomials(space.dim, col_degree)):
         if m != zero:
             i_var = next(i for i, e in enumerate(m) if e > 0)
             prev = tuple(e - (1 if i == i_var else 0) for i, e in enumerate(m))
             powers[m] = _dict_mul(powers[prev], b.coords[i_var].terms)
-        for mi, c in powers[m].items():
-            i = row_index[mi]
-            entries[i, j] = c * norms[i] / norms[j]
+        rows.extend(powers[m])
+        cols.extend([j] * len(powers[m]))
+        coefs.extend(powers[m].values())
+    _place(entries, _grlex_rank(np.reshape(rows, (-1, space.dim))),
+           np.array(cols), np.array(coefs, dtype=complex), norms)
     return SectionMatrix(space, col_degree, row_degree, entries,
                          kind="composition", center_modulus=center)
 
@@ -208,7 +265,8 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
 
     Rows default to col_degree + deg(f), which holds every column exactly; a
     larger row_degree may be passed so sections of different symbols become
-    conformable for sums.
+    conformable for sums.  Column m_j holds f's term c_t in row m_j + t, so
+    every entry is placed in one scatter.
     """
     if col_degree < 0:
         raise ValueError("col_degree must be nonnegative")
@@ -225,29 +283,25 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
         row_degree = needed
     elif row_degree < needed:
         raise ValueError("row_degree too small to hold the columns exactly")
-    cols = grlex_monomials(space.dim, col_degree)
-    rows = grlex_monomials(space.dim, row_degree)
-    row_index = {m: i for i, m in enumerate(rows)}
-    norms = monomial_norms(space, row_degree)
-    entries = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, mj in enumerate(cols):
-        for t, c in f.terms.items():
-            mi = tuple(x + y for x, y in zip(mj, t))
-            i = row_index[mi]
-            entries[i, j] = c * norms[i] / norms[j]
+    entries = _section_zeros(space.dim, row_degree, col_degree)
+    norms = _monomial_norms(space.dim, space.alpha, row_degree)
+    col_exps = np.array(grlex_monomials(space.dim, col_degree))
+    term_exps = np.reshape(list(f.terms), (-1, space.dim))
+    coefs = np.array(list(f.terms.values()), dtype=complex)
+    rows = _grlex_rank(term_exps[:, None, :] + col_exps[None, :, :])
+    cols = np.arange(len(col_exps))[None, :]
+    _place(entries, rows, cols, coefs[:, None], norms)
     return SectionMatrix(space, col_degree, row_degree, entries,
                          kind="multiplication")
 
 
-def weighted_comp_matrix(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
-    """Section of g -> f * (g o b), the multiplication section times the
-    composition section, with exact intermediate degree."""
-    comp = comp_matrix(b, space, col_degree)
-    mult = mult_matrix(f, space, comp.row_degree)
-    assert mult.entries.shape[1] == comp.entries.shape[0], "degree bookkeeping violation"
-    entries = mult.entries @ comp.entries
-    return SectionMatrix(space, col_degree, mult.row_degree, entries,
-                         kind="weighted")
+def weighted_comp_matrix(f, comp: SectionMatrix) -> SectionMatrix:
+    """Section of g -> f * (g o b) from the composition section ``comp`` of
+    b: the multiplication section of f times ``comp``, with exact
+    intermediate degree."""
+    mult = mult_matrix(f, comp.space, comp.row_degree)
+    return SectionMatrix(comp.space, comp.col_degree, mult.row_degree,
+                         mult.entries @ comp.entries, kind="weighted")
 
 
 @dataclass
@@ -320,7 +374,7 @@ def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:
     """Coefficients of the reproducing kernel at w against the normalized
     monomials: conj(w^m) / ||z^m||, truncated at max_degree."""
     mons = grlex_monomials(space.dim, max_degree)
-    norms = monomial_norms(space, max_degree)
+    norms = _monomial_norms(space.dim, space.alpha, max_degree)
     wv = np.atleast_1d(np.asarray(w, dtype=complex))
     if wv.size != space.dim:
         raise ValueError("point dimension mismatch")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,70 @@ def test_exit_one_when_a_check_fails(tmp_path, capsys):
 def test_config_rejects_unknown_tolerance(tmp_path):
     cfg = _cfg(tmp_path, "psd", tolerances={"unknown_knob": 1e-6})
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def _from_params(name, **params):
+    return ExperimentConfig.from_dict({"name": name, "params": params})
+
+
+def test_config_rejects_bool_where_an_integer_is_expected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="'trials' must be an integer"):
+        _from_params("theorem1", trials=True)
+    with pytest.raises(ConfigError, match="'alphas' must be a list of integers"):
+        _from_params("bergman-bound", alphas=[True])
+    with pytest.raises(ConfigError, match="'check_sharp' must be true or false"):
+        _from_params("hardy-bound", check_sharp=1)
+    cfg = _cfg(tmp_path, "theorem1", params={"trials": True})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "'trials' must be an integer" in capsys.readouterr().err
+
+
+def test_config_rejects_float_where_an_integer_is_expected():
+    with pytest.raises(ConfigError, match="'section_degree' must be an integer"):
+        _from_params("theorem1", section_degree=16.9)
+    with pytest.raises(ConfigError, match="'alphas' must be a list of integers"):
+        _from_params("bergman-bound", alphas=[2.5])
+    with pytest.raises(ConfigError, match="'r_values' must be a list of numbers"):
+        _from_params("br", r_values=["0.5"])
+
+
+def test_config_accepts_an_integer_where_a_float_is_expected():
+    cfg = _from_params("br", radius=1, r_values=[0, 0.5])
+    assert cfg.params["radius"] == 1
+    assert cfg.params["r_values"] == [0, 0.5]
+    tol = ExperimentConfig.from_dict(
+        {"name": "br", "tolerances": {"saturation_tol": 1}})
+    assert tol.tolerances["saturation_tol"] == 1.0
+    with pytest.raises(ConfigError, match="'saturation_tol' must be a number"):
+        ExperimentConfig.from_dict(
+            {"name": "br", "tolerances": {"saturation_tol": True}})
+
+
+def test_config_none_default_accepts_none_or_its_documented_type():
+    assert _from_params("summation", mode_count=None).params["mode_count"] is None
+    assert _from_params("summation", mode_count=3).params["mode_count"] == 3
+    assert _from_params("summation", rank_tol=1e-9).params["rank_tol"] == 1e-9
+    assert _from_params("hardy-bound", trace_degrees=[4, 16]) \
+        .params["trace_degrees"] == [4, 16]
+    with pytest.raises(ConfigError, match="'mode_count' must be an integer or null"):
+        _from_params("summation", mode_count=2.5)
+    with pytest.raises(ConfigError, match="'rank_tol' must be a number or null"):
+        _from_params("summation", rank_tol="1e-9")
+    with pytest.raises(ConfigError, match="'trace_degrees' must be a list of integers"):
+        _from_params("hardy-bound", trace_degrees=[4.5])
+
+
+def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "hardy-bound", params={"section_degree": 100000})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "byte limit" in capsys.readouterr().err
+    assert peak < 2**24
 
 
 def test_stable_json_formatting():

@@ -7,6 +7,8 @@ import pytest
 
 from kernelcomp.operators import (
     SpaceSpec,
+    _dict_mul,
+    _grlex_rank,
     adjoint_kernel_check,
     adjoint_mult_check,
     comp_matrix,
@@ -188,12 +190,130 @@ def test_mult_matrix_row_degree_control():
 
 def test_weighted_comp_entries_for_monomial_pair():
     # f = z, b = z^2 sends e_j to e_{2j+1}
-    sec = weighted_comp_matrix(DiskPoly.identity(),
-                               SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), H2, 5)
+    comp = comp_matrix(SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), H2, 5)
+    sec = weighted_comp_matrix(DiskPoly.identity(), comp)
     expect = np.zeros((sec.row_degree + 1, 6), dtype=complex)
     for j in range(6):
         expect[2 * j + 1, j] = 1.0
     assert np.array_equal(sec.entries, expect)
+
+
+def _mult_reference(f, space, col_degree, row_degree=None):
+    # oracle: the per-entry loop with a row dict that assembled sections
+    # before the vectorized scatter
+    if isinstance(f, DiskPoly):
+        f = BallPoly(1, {(n,): c for n, c in enumerate(f.coeffs) if c != 0})
+    if row_degree is None:
+        row_degree = col_degree + f.degree()
+    cols = grlex_monomials(space.dim, col_degree)
+    rows = grlex_monomials(space.dim, row_degree)
+    row_index = {m: i for i, m in enumerate(rows)}
+    norms = monomial_norms(space, row_degree)
+    entries = np.zeros((len(rows), len(cols)), dtype=complex)
+    for j, mj in enumerate(cols):
+        for t, c in f.terms.items():
+            i = row_index[tuple(x + y for x, y in zip(mj, t))]
+            entries[i, j] = c * norms[i] / norms[j]
+    return entries
+
+
+def _comp_reference(b, space, col_degree):
+    # oracle: the same coordinate powers, placed entry by entry through a
+    # row dict as sections were assembled before the vectorized scatter
+    row_degree = col_degree * b.degree()
+    cols = grlex_monomials(space.dim, col_degree)
+    rows = grlex_monomials(space.dim, row_degree)
+    row_index = {m: i for i, m in enumerate(rows)}
+    norms = monomial_norms(space, row_degree)
+    entries = np.zeros((len(rows), len(cols)), dtype=complex)
+    zero = (0,) * space.dim
+    powers = {zero: {zero: 1.0 + 0.0j}}
+    for j, m in enumerate(cols):
+        if m != zero:
+            i_var = next(i for i, e in enumerate(m) if e > 0)
+            prev = tuple(e - (i == i_var) for i, e in enumerate(m))
+            powers[m] = _dict_mul(powers[prev], b.coords[i_var].terms)
+        for mi, c in powers[m].items():
+            i = row_index[mi]
+            entries[i, j] = c * norms[i] / norms[j]
+    return entries
+
+
+def _random_ball_poly(rng, dim, degree, count):
+    mons = grlex_monomials(dim, degree)
+    picks = rng.choice(len(mons), size=min(count, len(mons)), replace=False)
+    return BallPoly(dim, {mons[k]: complex(*rng.standard_normal(2))
+                          for k in picks})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
+def test_mult_matrix_matches_per_entry_reference(dim, alpha):
+    rng = np.random.default_rng([dim, int(2 * alpha)])
+    space = SpaceSpec(dim, alpha)
+    for col_degree in (0, 3, 6):
+        f = _random_ball_poly(rng, dim, 4, 7)
+        sec = mult_matrix(f, space, col_degree)
+        assert sec.entries.tobytes() == _mult_reference(f, space, col_degree).tobytes()
+        wide = mult_matrix(f, space, col_degree, row_degree=col_degree + 7)
+        assert wide.entries.tobytes() == \
+            _mult_reference(f, space, col_degree, col_degree + 7).tobytes()
+
+
+def test_mult_matrix_matches_reference_for_disk_weights_and_underflow():
+    for space in (H2, SpaceSpec(1, 2.0), SpaceSpec(1, 3.5)):
+        f = DiskPoly([0.3, -0.5 + 0.25j, 0.0, 1e-3j, -2.0])
+        assert mult_matrix(f, space, 9, row_degree=20).entries.tobytes() == \
+            _mult_reference(f, space, 9, 20).tobytes()
+        # a part that underflows to -0 takes the sign Python's complex
+        # product gives it, not the sign of the part alone
+        g = BallPoly(1, {(0,): complex(-5e-324, 0.5), (1,): complex(0.5, -5e-324),
+                         (2,): complex(-5e-324, -5e-324)})
+        assert mult_matrix(g, space, 5).entries.tobytes() == \
+            _mult_reference(g, space, 5).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_comp_matrix_matches_per_entry_reference(dim):
+    rng = np.random.default_rng(dim)
+    space = SpaceSpec(dim, 2.0)
+    for _ in range(3):
+        coords = [_random_ball_poly(rng, dim, 2, 3) for _ in range(dim)]
+        # coefficient sums below 1 / dim keep the map inside the ball
+        b = BallMap([(0.3 / dim / sum(abs(v) for v in c.terms.values())) * c
+                     for c in coords])
+        sec = comp_matrix(b, space, 4)
+        assert sec.entries.tobytes() == _comp_reference(b, space, 4).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_grlex_rank_inverts_grlex_monomials(dim):
+    mons = grlex_monomials(dim, 7)
+    assert np.array_equal(_grlex_rank(np.array(mons)), np.arange(len(mons)))
+    # any leading shape: rank a (2, n/2, dim) stack
+    half = len(mons) // 2
+    stack = np.array(mons[: 2 * half]).reshape(2, half, dim)
+    assert np.array_equal(_grlex_rank(stack),
+                          np.arange(2 * half).reshape(2, half))
+
+
+def test_monomial_norms_returns_a_fresh_array():
+    space = SpaceSpec(2, 2.5)
+    first = monomial_norms(space, 5)
+    expect = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(monomial_norms(space, 5), expect)
+
+
+def test_sections_above_the_size_limit_are_refused():
+    with pytest.raises(ValueError, match="byte limit"):
+        mult_matrix(DiskPoly.identity(), H2, 2**20)
+    with pytest.raises(ValueError, match="byte limit"):
+        comp_matrix(SelfMapDisk(DiskPoly([0.0, 0.0, 0.5])), H2, 2**16)
+    with pytest.raises(ValueError, match="byte limit"):
+        comp_matrix(BallMap([BallPoly(3, {(1, 1, 0): 0.5}),
+                             BallPoly(3, {(0, 0, 1): 0.5}),
+                             BallPoly(3, {})]), SpaceSpec(3, 1.0), 60)
 
 
 def test_op_norm_lower_trace_monotone():
