@@ -39,6 +39,7 @@ from .kernels import (  # noqa: F401
     KernelSpec,
     PointSet,
     PositivityCertificate,
+    SamplingError,
     check_psd,
     eval_kernel,
     find_negative_witness,

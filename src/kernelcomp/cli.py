@@ -19,9 +19,16 @@ import numpy as np
 
 from . import __version__
 from .ball import br_experiment, inv_kernel_mult_norm, row_mult_norm
-from .dbr import combo_to_poly, onb_defect, summation_partial, szego_residual
+from .dbr import (
+    KernelPositivityError,
+    combo_to_poly,
+    onb_defect,
+    summation_partial,
+    szego_residual,
+)
 from .kernels import (
     KernelSpec,
+    SamplingError,
     check_psd,
     eval_kernel,
     gram,
@@ -225,6 +232,13 @@ def _as_complex(v, what: str) -> complex:
     return complex(float(v[0]), float(v[1]))
 
 
+def _as_int(v, what: str) -> int:
+    # json integers only: a bool or a float is refused, not rounded
+    if not _same_type(v, 0):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def symbol_from_json(obj: dict) -> SelfMapDisk:
     """Disk symbols: explicit taylor coefficients, a disk automorphism
     factor, or a scaled monomial."""
@@ -242,16 +256,20 @@ def symbol_from_json(obj: dict) -> SelfMapDisk:
     if kind == "monomial":
         _require_keys(obj, {"type", "degree"}, {"scale"}, "monomial symbol")
         scale = _as_complex(obj.get("scale", [1.0, 0.0]), "monomial scale")
-        return SelfMapDisk(DiskPoly.monomial(int(obj["degree"]), scale))
+        return SelfMapDisk(DiskPoly.monomial(_as_int(obj["degree"], "monomial degree"),
+                                             scale))
     raise ConfigError(f"unknown symbol type {kind!r}")
 
 
 def ballmap_from_json(obj: dict) -> BallMap:
     _require_keys(obj, {"dim", "coords"}, set(), "ball map")
-    dim = int(obj["dim"])
+    dim = _as_int(obj["dim"], "ball map dim")
     coords = []
     for c in obj["coords"]:
-        p = poly_from_json_dict(c)
+        try:
+            p = poly_from_json_dict(c)
+        except ValueError as exc:
+            raise ConfigError(f"ball map coordinate: {exc}") from exc
         if isinstance(p, DiskPoly):
             p = BallPoly(1, {(n,): v for n, v in enumerate(p.coeffs) if v != 0})
         coords.append(p)
@@ -275,10 +293,11 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
         return KernelSpec.dbr(symbol_from_json(obj["b"]))
     if kind == "dbr_power":
         _require_keys(obj, {"kind", "b", "alpha"}, set(), "dbr_power spec")
-        return KernelSpec.dbr_power(symbol_from_json(obj["b"]), int(obj["alpha"]))
+        return KernelSpec.dbr_power(symbol_from_json(obj["b"]),
+                                    _as_int(obj["alpha"], "dbr_power alpha"))
     if kind == "ball":
         _require_keys(obj, {"kind", "dim", "alpha"}, set(), "ball spec")
-        return KernelSpec.ball(int(obj["dim"]), float(obj["alpha"]))
+        return KernelSpec.ball(_as_int(obj["dim"], "ball spec dim"), float(obj["alpha"]))
     if kind == "ball_map":
         _require_keys(obj, {"kind", "b", "alpha"}, set(), "ball_map spec")
         return KernelSpec.ball_map(ballmap_from_json(obj["b"]), float(obj["alpha"]))
@@ -908,6 +927,7 @@ def main(argv=None) -> int:
         print(f"{cfg.name}: {passed}/{len(report.records)} checks passed "
               f"in {report.wall_time:.2f} s", file=summary_stream)
         return 0 if report.all_pass() else 1
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError,
+            SamplingError, KernelPositivityError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

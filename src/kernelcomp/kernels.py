@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operators import MAX_SECTION_BYTES
 from .series import BallMap, SelfMapDisk
 
 __all__ = [
     "DomainError",
+    "SamplingError",
     "PointSet",
     "KernelSpec",
     "GramMatrix",
@@ -46,6 +48,10 @@ MAX_REJECTS = 10000
 
 class DomainError(ValueError):
     """Points outside the open unit ball (or disk)."""
+
+
+class SamplingError(RuntimeError):
+    """A random draw could not produce a usable input."""
 
 
 class PointSet:
@@ -341,10 +347,16 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     dimension above one, draws landing outside the radius cap are rejected.
     Re-draws also resolve (vanishingly rare) pair collisions.  Exactly
     2 * dim variates are consumed per candidate, so callers may share one
-    generator across draws.
+    generator across draws.  A set whose separation check would need more
+    than MAX_SECTION_BYTES is refused before anything is drawn.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
+    # PointSet checks separation on a (count, count, dim) complex tensor
+    nbytes = count * count * dim * np.dtype(complex).itemsize
+    if nbytes > MAX_SECTION_BYTES:
+        raise ValueError(f"{count} points in dim {dim} need {nbytes} bytes to "
+                         f"check, above the {MAX_SECTION_BYTES}-byte limit")
     pts = np.zeros((count, dim), dtype=complex)
     have = 0
     rejects = 0
@@ -360,7 +372,7 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
         else:
             rejects += 1
             if rejects > max_rejects:
-                raise RuntimeError("point sampling failed to fill the set")
+                raise SamplingError("point sampling failed to fill the set")
     return PointSet(pts, dim=dim)
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import BallMap, BallPoly, DiskPoly, SelfMapDisk
+from .series import BallMap, BallPoly, DiskPoly, SelfMapDisk, _combine, _pair_terms
 
 __all__ = [
     "SpaceSpec",
@@ -32,7 +32,8 @@ __all__ = [
     "MAX_SECTION_BYTES",
 ]
 
-# largest section, in bytes, that comp_matrix and mult_matrix will allocate
+# largest section, in bytes, that comp_matrix and mult_matrix will allocate;
+# sample_point_set holds its separation check to the same limit
 MAX_SECTION_BYTES = 2**30
 
 
@@ -187,13 +188,40 @@ def _comp_entries_disk(a: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
     a /= norms[: col_degree + 1][None, :]
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
+def _comp_entries_ball(b: BallMap, col_degree: int):
+    """Rows, columns and coefficients of the coordinate powers b^(m_j).
+
+    Column m is b^(m - e_i) * b_i for the first coordinate i with m_i > 0,
+    with like terms summed as ``BallPoly`` products sum them (power terms
+    outer, b_i terms inner) but without dropping exact zeros.  The columns of
+    one degree that share i are multiplied together: a leading exponent
+    holding the column index keeps their terms apart.
+    """
+    dim = b.dim
+    mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
+    lead = np.argmax(mons > 0, axis=1)
+    prev = _grlex_rank(mons - np.eye(dim, dtype=np.int64)[lead])
+    factors = [(np.column_stack([np.zeros(len(c.exps), dtype=np.int64), c.exps]),
+                c.coefs) for c in b.coords]
+    # (column, exps...) rows and coefficients of the powers of one degree
+    terms, coefs = np.zeros((1, dim + 1), dtype=np.int64), np.ones(1, dtype=complex)
+    out = [(terms, coefs)]
+    for k in range(1, col_degree + 1):
+        lo, hi = _monomial_count(dim, k - 1), _monomial_count(dim, k)
+        parts = []
+        for i, factor in enumerate(factors):
+            cols = lo + np.flatnonzero(lead[lo:hi] == i)
+            dest = np.full(lo, -1)
+            dest[prev[cols]] = cols
+            to = dest[terms[:, 0]]
+            keep = to >= 0
+            parts.append(_pair_terms(np.column_stack([to[keep], terms[keep, 1:]]),
+                                     coefs[keep], *factor))
+        terms, coefs = _combine(np.concatenate([p[0] for p in parts]),
+                                np.concatenate([p[1] for p in parts]))
+        out.append((terms, coefs))
+    terms = np.concatenate([t for t, _ in out])
+    return _grlex_rank(terms[:, 1:]), terms[:, 0], np.concatenate([c for _, c in out])
 
 
 def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
@@ -226,10 +254,8 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
 
     if isinstance(b, BallMap) and b.dim == 1:
         # dim-1 ball maps reduce to the disk path bit for bit
-        deg = b.degree()
-        c = np.zeros(deg + 1, dtype=complex)
-        for m, v in b.coords[0].terms.items():
-            c[m[0]] = v
+        c = np.zeros(b.degree() + 1, dtype=complex)
+        c[b.coords[0].exps[:, 0]] = b.coords[0].coefs
         coeffs = [c]
 
     deg_b = b.degree()
@@ -242,19 +268,7 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         return SectionMatrix(space, col_degree, row_degree, entries,
                              kind="composition", center_modulus=center)
 
-    zero = (0,) * space.dim
-    powers = {zero: {zero: 1.0 + 0.0j}}
-    rows, cols, coefs = [], [], []
-    for j, m in enumerate(grlex_monomials(space.dim, col_degree)):
-        if m != zero:
-            i_var = next(i for i, e in enumerate(m) if e > 0)
-            prev = tuple(e - (1 if i == i_var else 0) for i, e in enumerate(m))
-            powers[m] = _dict_mul(powers[prev], b.coords[i_var].terms)
-        rows.extend(powers[m])
-        cols.extend([j] * len(powers[m]))
-        coefs.extend(powers[m].values())
-    _place(entries, _grlex_rank(np.reshape(rows, (-1, space.dim))),
-           np.array(cols), np.array(coefs, dtype=complex), norms)
+    _place(entries, *_comp_entries_ball(b, col_degree), norms)
     return SectionMatrix(space, col_degree, row_degree, entries,
                          kind="composition", center_modulus=center)
 
@@ -273,7 +287,8 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     if isinstance(f, DiskPoly):
         if space.dim != 1:
             raise ValueError("a disk weight needs a dim-1 space")
-        f = BallPoly(1, {(n,): c for n, c in enumerate(f.coeffs) if c != 0})
+        n = np.flatnonzero(f.coeffs)
+        f = BallPoly._of(1, n[:, None], f.coeffs[n])
     if not isinstance(f, BallPoly):
         raise TypeError("f must be a DiskPoly or a BallPoly")
     if f.dim != space.dim:
@@ -286,11 +301,9 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     entries = _section_zeros(space.dim, row_degree, col_degree)
     norms = _monomial_norms(space.dim, space.alpha, row_degree)
     col_exps = np.array(grlex_monomials(space.dim, col_degree))
-    term_exps = np.reshape(list(f.terms), (-1, space.dim))
-    coefs = np.array(list(f.terms.values()), dtype=complex)
-    rows = _grlex_rank(term_exps[:, None, :] + col_exps[None, :, :])
+    rows = _grlex_rank(f.exps[:, None, :] + col_exps[None, :, :])
     cols = np.arange(len(col_exps))[None, :]
-    _place(entries, rows, cols, coefs[:, None], norms)
+    _place(entries, rows, cols, f.coefs[:, None], norms)
     return SectionMatrix(space, col_degree, row_degree, entries,
                          kind="multiplication")
 

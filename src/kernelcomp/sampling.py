@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dbr import KernelCombo, hb_norm_combo
-from .kernels import sample_point_set
+from .kernels import SamplingError, sample_point_set
 from .operators import grlex_monomials
 from .series import BallMap, BallPoly, DiskPoly, SelfMapDisk, sup_norm_circle
 
@@ -55,7 +55,7 @@ def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,
     if normalize:
         value = hb_norm_combo(combo).value
         if value < 1e-8:
-            raise RuntimeError("degenerate combo draw; use another substream")
+            raise SamplingError("degenerate combo draw; use another substream")
         combo = KernelCombo(b=b, alpha=alpha, nodes=nodes,
                             coeffs=coeffs / value)
     return combo

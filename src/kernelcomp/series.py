@@ -1,7 +1,7 @@
 """Truncated power series on the disk and on the ball.
 
 Symbols and weights are polynomials with complex coefficients: dense arrays in
-one variable, sparse multi-index maps in several.  Composition and reciprocal
+one variable, sparse multi-index arrays in several.  Composition and reciprocal
 go through circle sampling plus discrete Fourier inversion, which stays
 accurate at finite truncation even when the inner symbol moves the origin.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,12 +42,6 @@ class ParameterError(ValueError):
 
 class SingularSymbolError(ValueError):
     """A symbol vanishes (numerically) where it must not."""
-
-
-def _grlex_key(m):
-    # degree first, then lexicographically descending exponents,
-    # so e.g. (2,0) sorts before (1,1) before (0,2)
-    return (sum(m), tuple(-e for e in m))
 
 
 class DiskPoly:
@@ -142,26 +137,93 @@ class DiskPoly:
         return f"DiskPoly(degree={self.degree()})"
 
 
-class BallPoly:
-    """Polynomial in ``dim`` complex variables as a sparse multi-index map."""
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise a * b for complex arrays or scalars, rounded as Python
+    rounds ``complex * complex``; numpy's complex multiply may round
+    otherwise."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    __slots__ = ("dim", "terms")
+
+def _combine(exps: np.ndarray, coefs: np.ndarray):
+    """Sum the coefficients of equal multi-indices (rows of ``exps``).
+
+    Returns the distinct multi-indices in order of first appearance and their
+    sums, each rounded exactly as ``acc[m] = acc.get(m, 0.0) + c`` run term by
+    term: ``np.add.at`` adds in input order, where ``sum`` and ``reduceat``
+    would add pairwise.
+    """
+    base = exps.max(axis=0, initial=0) + 1
+    if math.prod(base.tolist()) < 2**63:
+        # mixed-radix key, one integer per multi-index
+        keys = exps @ np.cumprod(np.concatenate(([1], base[:-1])))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(exps, axis=0, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)  # distinct multi-indices by first appearance
+    sums = np.zeros(order.size, dtype=complex)
+    np.add.at(sums, np.argsort(order)[inverse.reshape(-1)], coefs)
+    return exps[first[order]], sums
+
+
+def _pair_terms(exps_a, coefs_a, exps_b, coefs_b):
+    """Every term of a product before like terms are combined: the terms of
+    ``a`` are the outer loop and those of ``b`` the inner one."""
+    exps = exps_a[:, None, :] + exps_b[None, :, :]
+    coefs = _cmul(coefs_a[:, None], coefs_b[None, :])
+    return exps.reshape(-1, exps_a.shape[1]), coefs.reshape(-1)
+
+
+def _is_natural(v) -> bool:
+    """A nonnegative integer; a bool or a float is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+
+
+class BallPoly:
+    """Polynomial in ``dim`` complex variables.
+
+    Stored as two read-only arrays in order of first appearance: ``exps``, an
+    (n, dim) int64 array of distinct multi-indices, and ``coefs``, their n
+    nonzero complex coefficients.  Sums and products add like terms one at a
+    time, in the order a term-by-term dict accumulation would, so they round
+    exactly as that loop does.
+    """
+
+    __slots__ = ("dim", "exps", "coefs")
 
     def __init__(self, dim: int, terms):
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        clean = {}
-        for m, c in dict(terms).items():
-            m = tuple(int(e) for e in m)
-            if len(m) != dim or any(e < 0 for e in m):
+        terms = dict(terms)
+        for m in terms:
+            if len(m) != dim or not all(_is_natural(e) for e in m):
                 raise ValueError(f"bad multi-index {m} for dim {dim}")
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("coefficients must be finite")
-            if c != 0:
-                clean[m] = clean.get(m, 0.0) + c
-        self.dim = int(dim)
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+        exps = np.array(list(terms), dtype=np.int64).reshape(-1, dim)
+        coefs = np.array([complex(c) for c in terms.values()], dtype=complex)
+        self._assign(int(dim), exps, coefs)
+
+    def _assign(self, dim: int, exps: np.ndarray, coefs: np.ndarray) -> None:
+        # exps must be distinct; ``0.0 + c`` turns -0.0 parts into +0.0, as
+        # the dict accumulation's first addition does
+        if not np.all(np.isfinite(coefs)):
+            raise ValueError("coefficients must be finite")
+        coefs = 0.0 + coefs
+        keep = coefs != 0
+        self.dim = dim
+        self.exps = exps[keep]
+        self.coefs = coefs[keep]
+        self.exps.flags.writeable = False
+        self.coefs.flags.writeable = False
+
+    @classmethod
+    def _of(cls, dim: int, exps: np.ndarray, coefs: np.ndarray) -> "BallPoly":
+        """Polynomial from arrays of distinct multi-indices."""
+        out = cls.__new__(cls)
+        out._assign(dim, exps, coefs)
+        return out
 
     @classmethod
     def zero(cls, dim: int) -> "BallPoly":
@@ -179,71 +241,81 @@ class BallPoly:
         m[index] = 1
         return cls(dim, {tuple(m): 1.0})
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only map from multi-index tuples to coefficients."""
+        return MappingProxyType(dict(zip(map(tuple, self.exps.tolist()),
+                                         self.coefs.tolist())))
+
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return int(self.exps.sum(axis=1).max(initial=0))
 
     def constant_term(self) -> complex:
-        return self.terms.get((0,) * self.dim, 0.0 + 0.0j)
+        hit = np.flatnonzero(~self.exps.any(axis=1))
+        return complex(self.coefs[hit[0]]) if hit.size else 0.0 + 0.0j
 
     def __call__(self, z):
         pts = np.asarray(z, dtype=complex)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
         out = np.zeros(pts.shape[:-1], dtype=complex)
-        for m, c in self.terms.items():
-            out = out + c * np.prod(pts ** np.array(m), axis=-1)
+        for i, c in enumerate(self.coefs.tolist()):
+            out = out + c * np.prod(pts ** self.exps[i], axis=-1)
         return out
 
     def __add__(self, other: "BallPoly") -> "BallPoly":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0.0) + c
-        return BallPoly(self.dim, acc)
+        return BallPoly._of(self.dim, *_combine(
+            np.concatenate([self.exps, other.exps]),
+            np.concatenate([self.coefs, other.coefs])))
 
     def __mul__(self, other):
         if isinstance(other, BallPoly):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            acc: dict = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ma, mb))
-                    acc[key] = acc.get(key, 0.0) + ca * cb
-            return BallPoly(self.dim, acc)
-        return BallPoly(self.dim, {m: c * complex(other) for m, c in self.terms.items()})
+            return BallPoly._of(self.dim, *_combine(*_pair_terms(
+                self.exps, self.coefs, other.exps, other.coefs)))
+        return BallPoly._of(self.dim, self.exps, _cmul(self.coefs, complex(other)))
 
     __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
-        items = sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-        terms = [
-            [[int(e) for e in m], [float(c.real), float(c.imag)]] for m, c in items
-        ]
+        # graded lexicographic: degree first, then exponents descending,
+        # so (2,0) comes before (1,1) before (0,2)
+        order = np.lexsort(np.vstack([-self.exps[:, ::-1].T, self.exps.sum(axis=1)]))
+        terms = [[m, [c.real, c.imag]] for m, c in
+                 zip(self.exps[order].tolist(), self.coefs[order].tolist())]
         return {"dim": self.dim, "terms": terms}
 
     def __repr__(self):
-        return f"BallPoly(dim={self.dim}, terms={len(self.terms)})"
+        return f"BallPoly(dim={self.dim}, terms={len(self.coefs)})"
 
 
 def poly_from_json_dict(obj: dict):
-    """Inverse of ``to_json_dict``; returns DiskPoly for dim 1, else BallPoly."""
+    """Inverse of ``to_json_dict``; returns DiskPoly for dim 1, else BallPoly.
+
+    ``dim`` and the exponents must be json integers: a float or a bool is
+    refused, not rounded.
+    """
     if set(obj) != {"dim", "terms"}:
         raise ValueError("polynomial json needs exactly the keys 'dim' and 'terms'")
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if not _is_natural(dim):
+        raise ValueError(f"polynomial dim must be an integer, got {dim!r}")
     pairs = []
     for entry in obj["terms"]:
         if len(entry) != 2:
             raise ValueError("each term must be [multi_index, [re, im]]")
         m, (re, im) = entry
-        pairs.append((tuple(int(e) for e in m), complex(float(re), float(im))))
+        if len(m) != dim or not all(_is_natural(e) for e in m):
+            raise ValueError(f"a multi-index must hold {dim} nonnegative "
+                             f"integers, got {m!r}")
+        pairs.append((tuple(m), complex(float(re), float(im))))
     if dim == 1:
         deg = max((m[0] for m, _ in pairs), default=0)
         c = np.zeros(deg + 1, dtype=complex)
         for m, v in pairs:
-            if len(m) != 1 or m[0] < 0:
-                raise ValueError(f"bad multi-index {m} for dim 1")
             c[m[0]] += v
         return DiskPoly(c)
     return BallPoly(dim, dict(pairs))

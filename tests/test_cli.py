@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernelcomp import cli
 from kernelcomp.cli import (
     CLAIM_ANCHORS,
     COMMANDS,
     ConfigError,
     ExperimentConfig,
     ballmap_from_json,
+    kernel_spec_from_json,
     main,
     make_record,
     report_csv,
@@ -222,6 +224,83 @@ def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
     assert code == 2
     assert "byte limit" in capsys.readouterr().err
     assert peak < 2**24
+
+
+def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "psd", params={"point_count": 100000})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "byte limit" in capsys.readouterr().err
+    assert peak < 2**24
+
+
+def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys):
+    # a radius-0.95 ball in dim 9 is too rare a draw from the polydisk
+    cfg = _cfg(tmp_path, "psd", params={
+        "spec": {"kind": "ball", "dim": 9, "alpha": 1.0}, "point_count": 40})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: point sampling failed to fill the set\n"
+
+
+@pytest.mark.parametrize("exc", [
+    cli.SamplingError("degenerate combo draw; use another substream"),
+    cli.KernelPositivityError("defect is not positive"),
+    np.linalg.LinAlgError("SVD did not converge"),
+])
+def test_numerical_failures_exit_two_with_a_message(tmp_path, capsys,
+                                                    monkeypatch, exc):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    cfg = _cfg(tmp_path, "psd")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+_MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
+               {"dim": 2, "terms": []}]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "dbr", "b": {"type": "monomial", "degree": 2.7}},
+     "monomial degree must be an integer, got 2.7"),
+    ({"kind": "dbr", "b": {"type": "monomial", "degree": True}},
+     "monomial degree must be an integer, got True"),
+    ({"kind": "ball", "dim": 2.9, "alpha": 1.0},
+     "ball spec dim must be an integer, got 2.9"),
+    ({"kind": "ball", "dim": True, "alpha": 1.0},
+     "ball spec dim must be an integer, got True"),
+    ({"kind": "dbr_power", "alpha": 2.5,
+      "b": {"type": "monomial", "degree": 1, "scale": [0.5, 0.0]}},
+     "dbr_power alpha must be an integer, got 2.5"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2.0, "coords": _MAP_COORDS}},
+     "ball map dim must be an integer, got 2.0"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2.0, "terms": []}, _MAP_COORDS[1]]}},
+     "polynomial dim must be an integer, got 2.0"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[1.5, 1], [0.5, 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "must hold 2 nonnegative integers, got [1.5, 1]"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[1, False], [0.5, 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "must hold 2 nonnegative integers, got [1, False]"),
+])
+def test_nested_spec_values_must_be_integers(tmp_path, capsys, spec, message):
+    with pytest.raises(ConfigError) as err:
+        kernel_spec_from_json(spec)
+    assert message in str(err.value)
+    cfg = _cfg(tmp_path, "psd", params={"spec": spec, "point_count": 4})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_stable_json_formatting():

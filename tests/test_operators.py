@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from kernelcomp.ball import br_map
 from kernelcomp.operators import (
     SpaceSpec,
-    _dict_mul,
     _grlex_rank,
     adjoint_kernel_check,
     adjoint_mult_check,
@@ -217,6 +217,17 @@ def _mult_reference(f, space, col_degree, row_degree=None):
     return entries
 
 
+def _dict_mul(a: dict, b: dict) -> dict:
+    # oracle: the dict product that built ball composition powers before
+    # the array product; like terms summed term by term, zeros kept
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
 def _comp_reference(b, space, col_degree):
     # oracle: the same coordinate powers, placed entry by entry through a
     # row dict as sections were assembled before the vectorized scatter
@@ -262,7 +273,8 @@ def test_mult_matrix_matches_per_entry_reference(dim, alpha):
 
 def test_mult_matrix_matches_reference_for_disk_weights_and_underflow():
     for space in (H2, SpaceSpec(1, 2.0), SpaceSpec(1, 3.5)):
-        f = DiskPoly([0.3, -0.5 + 0.25j, 0.0, 1e-3j, -2.0])
+        f = DiskPoly([0.3, -0.5 + 0.25j, 0.0, 1e-3j, -2.0, complex(-0.0, 0.5),
+                      complex(0.25, -0.0)])
         assert mult_matrix(f, space, 9, row_degree=20).entries.tobytes() == \
             _mult_reference(f, space, 9, 20).tobytes()
         # a part that underflows to -0 takes the sign Python's complex
@@ -273,17 +285,35 @@ def test_mult_matrix_matches_reference_for_disk_weights_and_underflow():
             _mult_reference(g, space, 5).tobytes()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_comp_matrix_matches_per_entry_reference(dim):
     rng = np.random.default_rng(dim)
     space = SpaceSpec(dim, 2.0)
-    for _ in range(3):
+    for trial in range(4):
         coords = [_random_ball_poly(rng, dim, 2, 3) for _ in range(dim)]
+        if trial == 3:
+            coords[-1] = BallPoly(dim, {})
         # coefficient sums below 1 / dim keep the map inside the ball
-        b = BallMap([(0.3 / dim / sum(abs(v) for v in c.terms.values())) * c
-                     for c in coords])
+        b = BallMap([(0.3 / dim / (sum(abs(v) for v in c.terms.values()) or 1.0))
+                     * c for c in coords])
         sec = comp_matrix(b, space, 4)
         assert sec.entries.tobytes() == _comp_reference(b, space, 4).tobytes()
+
+
+def test_comp_matrix_matches_reference_with_cancelling_powers():
+    # (z1 + z2) (z1 - z2) cancels to exact zeros that the dict product kept;
+    # the product map has a zero coordinate and one-term powers
+    s = 0.25
+    plus = BallPoly(2, {(1, 0): s, (0, 1): s})
+    minus = BallPoly(2, {(1, 0): s, (0, 1): -s})
+    for b, degree in [(BallMap([plus, minus]), 6),
+                      (BallMap([minus, plus]), 5),
+                      (br_map(0.75), 20)]:
+        for alpha in (1.0, 3.5):
+            space = SpaceSpec(2, alpha)
+            sec = comp_matrix(b, space, degree)
+            assert sec.entries.tobytes() == \
+                _comp_reference(b, space, degree).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

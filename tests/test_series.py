@@ -72,6 +72,157 @@ def test_ball_poly_drops_zero_terms_and_validates():
         BallPoly(2, {(-1, 0): 1.0})
 
 
+def test_ball_poly_rejects_non_integer_exponents():
+    for m in [(1.5, 0), (1.0, 0), (True, 0), ("1", 0)]:
+        with pytest.raises(ValueError, match="bad multi-index"):
+            BallPoly(2, {m: 1.0})
+    p = BallPoly(2, {(np.int64(2), 1): 1.0})
+    assert p.terms == {(2, 1): 1.0}
+    assert p.exps.dtype == np.int64 and p.coefs.dtype == complex
+
+
+def test_ball_poly_arrays_are_read_only():
+    p = BallPoly(2, {(1, 0): 1.0, (0, 1): 2.0})
+    with pytest.raises(ValueError):
+        p.exps[0, 0] = 3
+    with pytest.raises(ValueError):
+        p.coefs[0] = 3.0
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 3.0
+
+
+# oracles: the dict arithmetic BallPoly ran before it stored arrays.  Each
+# result went through the dict constructor, which checked every coefficient,
+# added it to 0.0 and dropped exact zeros, keeping insertion order.
+
+def _ref_poly(acc: dict) -> dict:
+    clean = {}
+    for m, c in acc.items():
+        c = complex(c)
+        if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+            raise ValueError("coefficients must be finite")
+        if c != 0:
+            clean[m] = clean.get(m, 0.0) + c
+    return {m: c for m, c in clean.items() if c != 0}
+
+
+def _ref_add(p: dict, q: dict) -> dict:
+    acc = dict(p)
+    for m, c in q.items():
+        acc[m] = acc.get(m, 0.0) + c
+    return _ref_poly(acc)
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    acc: dict = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            acc[key] = acc.get(key, 0.0) + ca * cb
+    return _ref_poly(acc)
+
+
+def _ref_scale(p: dict, s) -> dict:
+    return _ref_poly({m: c * complex(s) for m, c in p.items()})
+
+
+def _assert_matches(poly, ref: dict):
+    exps = np.array(list(ref), dtype=np.int64).reshape(-1, poly.dim)
+    coefs = np.array(list(ref.values()), dtype=complex)
+    assert poly.exps.shape == exps.shape
+    assert poly.exps.tobytes() == exps.tobytes()
+    assert poly.coefs.tobytes() == coefs.tobytes()
+
+
+def _random_terms(rng, dim, count, degree):
+    # signed coefficients over six decades, so the summation order shows in
+    # the last bits; some exact zeros and some -0.0 parts
+    terms = {}
+    for _ in range(count):
+        m = tuple(int(e) for e in rng.integers(0, degree + 1, dim))
+        re, im = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        kind = rng.integers(8)
+        if kind == 0:
+            re = -0.0
+        elif kind == 1:
+            im = -0.0
+        elif kind == 2:
+            re = im = 0.0
+        terms[m] = complex(re, im)
+    return terms
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_ball_poly_arithmetic_matches_dict_reference(dim):
+    rng = np.random.default_rng([dim, 7])
+    scalars = [2.5, -3, 0, -0.0, complex(0.5, -1.25), complex(-0.0, 2.0),
+               np.complex128(0.3 - 0.7j), np.float64(-1.5)]
+    for _ in range(12):
+        a = _random_terms(rng, dim, int(rng.integers(0, 12)), 3)
+        b = _random_terms(rng, dim, int(rng.integers(0, 12)), 3)
+        p, q = BallPoly(dim, a), BallPoly(dim, b)
+        _assert_matches(p, _ref_poly(a))
+        ra, rb = _ref_poly(a), _ref_poly(b)
+        _assert_matches(p + q, _ref_add(ra, rb))
+        _assert_matches(q + p, _ref_add(rb, ra))
+        _assert_matches(p * q, _ref_mul(ra, rb))
+        _assert_matches(q * p, _ref_mul(rb, ra))
+        _assert_matches(p * q * p, _ref_mul(_ref_mul(ra, rb), ra))
+        for s in scalars:
+            _assert_matches(p * s, _ref_scale(ra, s))
+            _assert_matches(s * p, _ref_scale(ra, s))
+
+
+def test_ball_poly_sums_that_cancel_drop_the_terms():
+    x, y = BallPoly.coordinate(2, 0), BallPoly.coordinate(2, 1)
+    diff = (x + y) * (x + (-1.0) * y)
+    _assert_matches(diff, {(2, 0): 1.0 + 0j, (0, 2): -1.0 + 0j})
+    p = BallPoly(3, _random_terms(np.random.default_rng(11), 3, 20, 4))
+    gone = p + (-1) * p
+    assert gone.exps.shape == (0, 3) and gone.coefs.shape == (0,)
+    assert gone.degree() == 0 and gone.constant_term() == 0
+    _assert_matches(gone * p, {})
+    # Python's 1j * -1 is (-0.0, -1.0); the dict constructor's 0.0 + c
+    # stored its real part as +0.0
+    flipped = BallPoly(1, {(1,): 1j}) * -1
+    _assert_matches(flipped, {(1,): complex(0.0, -1.0)})
+    assert not np.signbit(flipped.coefs.real[0])
+
+
+def test_ball_poly_huge_exponents_match_dict_reference():
+    # exponent ranges whose mixed-radix key would not fit in 64 bits
+    big = 2**20
+    a = {(big, 0, 1, big): 1.5 - 2j, (0, big, big, 3): 0.25j,
+         (1, 1, 1, 1): -1.0}
+    b = {(big, big, 0, 0): 2.0, (1, 1, 1, 1): 1.0, (0, 0, 0, 0): 3 - 1j}
+    p, q = BallPoly(4, a), BallPoly(4, b)
+    _assert_matches(p + q, _ref_add(_ref_poly(a), _ref_poly(b)))
+    _assert_matches(p * q, _ref_mul(_ref_poly(a), _ref_poly(b)))
+
+
+def test_ball_poly_overflow_to_inf_raises():
+    big = BallPoly(2, {(1, 0): 1e300, (0, 1): 1.0})
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        big * BallPoly(2, {(0, 1): 1e300})
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        big * 1e10
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        BallPoly(2, {(1, 0): 1.7e308}) + BallPoly(2, {(1, 0): 1.7e308})
+    with pytest.raises(ValueError, match="finite"):
+        BallPoly(2, {(1, 0): complex(1.0, np.inf)})
+
+
+def test_poly_json_rejects_non_integer_dim_and_exponents():
+    good = {"dim": 2, "terms": [[[1, 0], [1.0, 0.0]]]}
+    assert poly_from_json_dict(good).terms == {(1, 0): 1.0}
+    for bad in [{"dim": 2.0, "terms": []}, {"dim": True, "terms": []},
+                {"dim": 2, "terms": [[[1.5, 0], [1.0, 0.0]]]},
+                {"dim": 2, "terms": [[[1.0, 0], [1.0, 0.0]]]},
+                {"dim": 1, "terms": [[[True], [1.0, 0.0]]]}]:
+        with pytest.raises(ValueError, match="integer"):
+            poly_from_json_dict(bad)
+
+
 def test_poly_json_round_trip_and_golden_shape():
     p = DiskPoly([1.0, 0.0, 2.0j])
     d = p.to_json_dict()
