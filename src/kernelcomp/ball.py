@@ -10,7 +10,6 @@ observable at desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ class RowCheckResult:
     nonnegative up to rounding.
     """
 
-    w: np.ndarray
     row_norm_lower: float
     bound: float
     margin: float
@@ -71,7 +69,7 @@ def row_mult_norm(b: BallMap, alpha: float, w, col_degree: int) -> RowCheckResul
     acc = acc[np.any(acc != 0, axis=1)]
     sigma = float(np.linalg.svd(acc, compute_uv=False)[0]) if acc.size else 0.0
     bound = float(np.linalg.norm(bw))
-    return RowCheckResult(w=wv, row_norm_lower=sigma, bound=bound,
+    return RowCheckResult(row_norm_lower=sigma, bound=bound,
                           margin=bound - sigma)
 
 
@@ -133,14 +131,10 @@ class BrResult:
     """Outcome of the product-map experiment at one parameter value."""
 
     r: float
-    alpha: float
     bracket: NormBound
     witness: tuple[PointSet, PositivityCertificate] | None
     probe: PositivityCertificate
-    seed: object
     budget: int
-    set_size: int
-    radius: float
 
     def verdict(self) -> str:
         if self.witness is not None:
@@ -153,18 +147,9 @@ class BrResult:
             return self.witness[1].min_eigenvalue
         return self.probe.min_eigenvalue
 
-    def csv_rows(self) -> list:
-        verdict = self.verdict()
-        lam = self.min_eigenvalue()
-        label = "-".join(str(s) for s in seed_tuple(self.seed))
-        return [
-            [self.r, n, lo, verdict, lam, label]
-            for n, lo in self.bracket.trace
-        ]
 
-
-def br_experiment(r: float, *, alpha: float = 1.0, section_degree: int = 60,
-                  trace_degrees=None, witness_budget: int = 10000,
+def br_experiment(r: float, *, trace_degrees, alpha: float = 1.0,
+                  section_degree: int = 60, witness_budget: int = 10000,
                   set_size: int = 8, radius: float = 0.95,
                   seed=0) -> BrResult:
     """Growth trace and positivity scan for the product map at parameter r.
@@ -175,15 +160,10 @@ def br_experiment(r: float, *, alpha: float = 1.0, section_degree: int = 60,
     is constant and the composition operator has norm exactly 1, so the trace
     is reported flat without building sections.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    alpha = float(alpha)
     b = br_map(r)
-    if trace_degrees is None:
-        trace_degrees = sorted(set(range(0, section_degree + 1, 4))
-                               | {section_degree})
+    alpha = float(alpha)
     if r == 0.0:
-        bracket = NormBound(lower=1.0, upper=1.0, col_degree=section_degree,
+        bracket = NormBound(lower=1.0, upper=1.0,
                             trace=[(int(d), 1.0) for d in sorted(trace_degrees)])
     else:
         section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
@@ -195,6 +175,5 @@ def br_experiment(r: float, *, alpha: float = 1.0, section_degree: int = 60,
     probe_pts = sample_point_set(probe_rng, 2, radius, set_size)
     probe = check_psd(gram(spec, probe_pts))
     probe.seed = seed
-    return BrResult(r=float(r), alpha=alpha, bracket=bracket, witness=witness,
-                    probe=probe, seed=seed, budget=witness_budget,
-                    set_size=set_size, radius=radius)
+    return BrResult(r=float(r), bracket=bracket, witness=witness, probe=probe,
+                    budget=witness_budget)

@@ -34,8 +34,8 @@ from .kernels import (
     gram,
     sample_point_set,
 )
-from .operators import SpaceSpec, comp_matrix, mult_matrix, op_norm_lower, \
-    weighted_comp_matrix
+from .operators import SpaceSpec, comp_matrix, comp_norm_bound, mult_matrix, \
+    op_norm_lower, weighted_comp_matrix
 from .sampling import (
     random_ball_row_contraction,
     random_disk_symbol,
@@ -46,8 +46,8 @@ from .series import (
     BallMap,
     DiskPoly,
     SelfMapDisk,
+    _circle_points,
     blaschke_factor,
-    poly_from_json_dict,
 )
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "ConfigError",
@@ -229,7 +229,7 @@ def _require_keys(obj: dict, required: set, optional: set, what: str) -> None:
 def _as_complex(v, what: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"{what} must be a [re, im] pair")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_as_float(v[0], what), _as_float(v[1], what))
 
 
 def _as_int(v, what: str) -> int:
@@ -237,6 +237,49 @@ def _as_int(v, what: str) -> int:
     if not _same_type(v, 0):
         raise ConfigError(f"{what} must be an integer, got {v!r}")
     return v
+
+
+def _as_float(v, what: str) -> float:
+    # finite json numbers only: a bool or a string is refused, not converted
+    if _same_type(v, 0.0):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {v!r}")
+
+
+def poly_from_json_dict(obj: dict):
+    """Inverse of ``to_json_dict``; returns DiskPoly for dim 1, else BallPoly.
+
+    ``dim`` and the exponents must be json integers (a float or a bool is
+    refused, not rounded) and the coefficients finite json numbers.
+    """
+    _require_keys(obj, {"dim", "terms"}, set(), "polynomial json")
+    dim = _as_int(obj["dim"], "polynomial dim")
+    if not isinstance(obj["terms"], list):
+        raise ConfigError("polynomial terms must be a list")
+    pairs = []
+    for entry in obj["terms"]:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ConfigError("each term must be [multi_index, [re, im]]")
+        m, c = entry
+        if not (isinstance(m, list) and len(m) == dim
+                and all(_same_type(e, 0) and e >= 0 for e in m)):
+            raise ConfigError(f"a multi-index must hold {dim} nonnegative "
+                              f"integers, got {m!r}")
+        if max(m, default=0) >= 2**63:
+            raise ConfigError(f"exponents must be below 2**63, got {m!r}")
+        pairs.append((tuple(m), _as_complex(c, "polynomial coefficient")))
+    if dim == 1:
+        deg = max((m[0] for m, _ in pairs), default=0)
+        c = np.zeros(deg + 1, dtype=complex)
+        for m, v in pairs:
+            c[m[0]] += v
+        return DiskPoly(c)
+    return BallPoly(dim, dict(pairs))
 
 
 def symbol_from_json(obj: dict) -> SelfMapDisk:
@@ -247,12 +290,15 @@ def symbol_from_json(obj: dict) -> SelfMapDisk:
     kind = obj["type"]
     if kind == "taylor":
         _require_keys(obj, {"type", "coeffs"}, set(), "taylor symbol")
+        if not isinstance(obj["coeffs"], list):
+            raise ConfigError("taylor coefficients must be a list")
         coeffs = [_as_complex(c, "taylor coefficient") for c in obj["coeffs"]]
         return SelfMapDisk(DiskPoly(coeffs))
     if kind == "blaschke":
         _require_keys(obj, {"type", "a"}, {"tail_tol"}, "blaschke symbol")
         a = _as_complex(obj["a"], "blaschke parameter")
-        return blaschke_factor(a, tail_tol=float(obj.get("tail_tol", 1e-13)))
+        return blaschke_factor(
+            a, tail_tol=_as_float(obj.get("tail_tol", 1e-13), "blaschke tail_tol"))
     if kind == "monomial":
         _require_keys(obj, {"type", "degree"}, {"scale"}, "monomial symbol")
         scale = _as_complex(obj.get("scale", [1.0, 0.0]), "monomial scale")
@@ -264,6 +310,8 @@ def symbol_from_json(obj: dict) -> SelfMapDisk:
 def ballmap_from_json(obj: dict) -> BallMap:
     _require_keys(obj, {"dim", "coords"}, set(), "ball map")
     dim = _as_int(obj["dim"], "ball map dim")
+    if not isinstance(obj["coords"], list):
+        raise ConfigError("ball map coords must be a list")
     coords = []
     for c in obj["coords"]:
         try:
@@ -287,7 +335,7 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
         return KernelSpec.szego()
     if kind == "bergman":
         _require_keys(obj, {"kind", "alpha"}, set(), "bergman spec")
-        return KernelSpec.bergman(float(obj["alpha"]))
+        return KernelSpec.bergman(_as_float(obj["alpha"], "bergman alpha"))
     if kind == "dbr":
         _require_keys(obj, {"kind", "b"}, set(), "dbr spec")
         return KernelSpec.dbr(symbol_from_json(obj["b"]))
@@ -297,10 +345,12 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
                                     _as_int(obj["alpha"], "dbr_power alpha"))
     if kind == "ball":
         _require_keys(obj, {"kind", "dim", "alpha"}, set(), "ball spec")
-        return KernelSpec.ball(_as_int(obj["dim"], "ball spec dim"), float(obj["alpha"]))
+        return KernelSpec.ball(_as_int(obj["dim"], "ball spec dim"),
+                               _as_float(obj["alpha"], "ball spec alpha"))
     if kind == "ball_map":
         _require_keys(obj, {"kind", "b", "alpha"}, set(), "ball_map spec")
-        return KernelSpec.ball_map(ballmap_from_json(obj["b"]), float(obj["alpha"]))
+        return KernelSpec.ball_map(ballmap_from_json(obj["b"]),
+                                   _as_float(obj["alpha"], "ball_map alpha"))
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 
@@ -311,35 +361,19 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
 H2 = SpaceSpec(1, 1.0)
 
 
-def _disk_bound(center_modulus: float, alpha: float) -> float:
-    return float(((1.0 + center_modulus) / (1.0 - center_modulus)) ** (alpha / 2.0))
-
-
-def _hardy_trace_degrees(n: int) -> list:
-    ds = {n, (3 * n) // 4}
-    d = 1
-    while d < n:
-        ds.add(d)
-        d *= 2
-    return sorted(x for x in ds if 1 <= x <= n)
-
-
 def run_hardy_bound(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
-    n = int(params["section_degree"])
+    n = params["section_degree"]
     if b.is_constant():
         c = abs(b.center)
         exact = float((1.0 - c * c) ** -0.5)
-        bound = _disk_bound(c, 1.0)
+        bound = comp_norm_bound(c, 1.0)
         records = [make_record(
             "rank-one composition norm stays within the closed-form bound",
             "hardy-composition-bound", exact, bound, tol["bound_slack"])]
         trace = {"columns": ["N", "lower", "upper"], "rows": [[n, exact, bound]]}
         return records, trace, {}
-    degrees = params["trace_degrees"]
-    if degrees is None:
-        degrees = _hardy_trace_degrees(n)
-    nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=degrees)
+    nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=params["trace_degrees"])
     records = [make_record(
         "certified lower bounds stay within the closed-form composition bound",
         "hardy-composition-bound", max(lo for _, lo in nb.trace), nb.upper,
@@ -354,21 +388,20 @@ def run_hardy_bound(params: dict, tol: dict, seed: int):
 
 
 def run_theorem1(params: dict, tol: dict, seed: int):
-    trials = int(params["trials"])
+    n = params["section_degree"]
     records = []
     rows = []
-    for t in range(trials):
+    for t in range(params["trials"]):
         rng = np.random.default_rng((seed, t))
-        b = random_disk_symbol(rng, int(params["symbol_degree_max"]),
-                               float(params["boundary_max"]))
+        b = random_disk_symbol(rng, params["symbol_degree_max"],
+                               params["boundary_max"])
         combo = random_kernel_combo(rng, b, alpha=1,
-                                    max_nodes=int(params["node_max"]),
-                                    node_radius=float(params["node_radius"]))
-        f = combo_to_poly(combo, int(params["combo_degree"]))
-        comp = comp_matrix(b, H2, int(params["section_degree"]))
+                                    max_nodes=params["node_max"],
+                                    node_radius=params["node_radius"])
+        f = combo_to_poly(combo, params["combo_degree"])
+        comp = comp_matrix(b, H2, n)
         section = weighted_comp_matrix(f, comp)
-        lower = op_norm_lower(section,
-                              trace_degrees=[int(params["section_degree"])]).lower
+        lower = op_norm_lower(section, trace_degrees=[n]).lower
         records.append(make_record(
             f"trial {t}: weighted section stays below the unit combo norm",
             "weighted-composition-contraction", lower, 1.0, tol["rel_slack"]))
@@ -379,12 +412,11 @@ def run_theorem1(params: dict, tol: dict, seed: int):
 
 def run_szego_identity(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
-    degrees = [int(d) for d in params["degrees"]]
+    degrees = params["degrees"]
     if len(degrees) < 2 or sorted(degrees) != degrees:
         raise ConfigError("degrees must be at least two increasing values")
     rng = np.random.default_rng((seed, 0))
-    pts = sample_point_set(rng, 1, float(params["point_radius"]),
-                           int(params["point_count"]))
+    pts = sample_point_set(rng, 1, params["point_radius"], params["point_count"])
     residuals = []
     for d in degrees:
         onb = onb_defect(b, d, rank_tol=params["rank_tol"])
@@ -404,10 +436,9 @@ def run_szego_identity(params: dict, tol: dict, seed: int):
 
 def run_summation(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
-    mode_count = params["mode_count"]
-    sp = summation_partial(b, int(params["section_degree"]),
-                           mode_count=None if mode_count is None else int(mode_count),
-                           test_degree=int(params["test_degree"]),
+    sp = summation_partial(b, params["section_degree"],
+                           mode_count=params["mode_count"],
+                           test_degree=params["test_degree"],
                            rank_tol=params["rank_tol"])
     worst_drop = 0.0
     worst_top = 0.0
@@ -443,28 +474,26 @@ def run_summation(params: dict, tol: dict, seed: int):
 
 
 def run_bergman_bound(params: dict, tol: dict, seed: int):
-    alphas = [int(a) for a in params["alphas"]]
-    trials = int(params["trials"])
-    n = int(params["section_degree"])
+    n = params["section_degree"]
     records = []
     rows = []
-    for ai, alpha in enumerate(alphas):
+    for ai, alpha in enumerate(params["alphas"]):
         if alpha < 1:
             raise ConfigError("alphas must be integers at least 1")
         space = SpaceSpec(1, float(alpha))
         worst_gap = -math.inf
         worst_weighted = -math.inf
-        for t in range(trials):
+        for t in range(params["trials"]):
             rng = np.random.default_rng((seed, ai, t))
-            b = random_disk_symbol(rng, int(params["symbol_degree_max"]),
-                                   float(params["boundary_max"]))
+            b = random_disk_symbol(rng, params["symbol_degree_max"],
+                                   params["boundary_max"])
             comp = comp_matrix(b, space, n)
             nb = op_norm_lower(comp, trace_degrees=[n])
             worst_gap = max(worst_gap, nb.lower - nb.upper)
             combo = random_kernel_combo(rng, b, alpha=alpha,
-                                        max_nodes=int(params["node_max"]),
-                                        node_radius=float(params["node_radius"]))
-            f = combo_to_poly(combo, int(params["combo_degree"]))
+                                        max_nodes=params["node_max"],
+                                        node_radius=params["node_radius"])
+            f = combo_to_poly(combo, params["combo_degree"])
             w = weighted_comp_matrix(f, comp)
             lw = op_norm_lower(w, trace_degrees=[n]).lower
             worst_weighted = max(worst_weighted, lw)
@@ -485,20 +514,20 @@ def run_inf_estimate(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
     if b.is_constant():
         raise ConfigError("the estimate needs a non-constant symbol")
-    n = int(params["section_degree"])
-    grid = int(params["grid_size"])
+    n = params["section_degree"]
     nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=[n])
     rng = np.random.default_rng((seed, 0))
     centers = [0.0 + 0.0j]
-    extra = int(params["family_size"]) - 1
+    extra = params["family_size"] - 1
     if extra > 0:
-        pts = sample_point_set(rng, 1, float(params["family_radius"]), extra)
+        pts = sample_point_set(rng, 1, params["family_radius"], extra)
         centers.extend(complex(z) for z in pts.points[:, 0])
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    circle = np.exp(1j * theta)
+    circle = _circle_points(params["grid_size"])
     bz = b(circle)
     rows = []
     best = math.inf
+    # the norm of the kernel k_w times the grid max of 1 / |k_w|: an estimate
+    # of the reciprocal-weight bound, not a certificate
     for w in centers:
         norm_w = math.sqrt(float(np.real(
             eval_kernel(KernelSpec.dbr(b), w, w))))
@@ -516,24 +545,22 @@ def run_inf_estimate(params: dict, tol: dict, seed: int):
 
 
 def run_ball_lemma(params: dict, tol: dict, seed: int):
-    alphas = [int(a) for a in params["alphas"]]
-    maps = int(params["maps"])
-    dim = int(params["dim"])
-    n = int(params["section_degree"])
+    alphas = params["alphas"]
+    dim = params["dim"]
+    n = params["section_degree"]
     records = []
     rows = []
     worst = {(a, key): -math.inf for a in alphas
              for key in ("psd", "coord", "margin", "inv")}
-    for mi in range(maps):
+    for mi in range(params["maps"]):
         rng = np.random.default_rng((seed, mi))
-        bmap = random_ball_row_contraction(rng, dim,
-                                           int(params["coord_degree"]),
-                                           float(params["row_target"]))
+        bmap = random_ball_row_contraction(rng, dim, params["coord_degree"],
+                                           params["row_target"])
         for alpha in alphas:
             space = SpaceSpec(dim, float(alpha))
-            spec = KernelSpec.ball_map(bmap, float(alpha))
-            pts = sample_point_set(rng, dim, float(params["cert_radius"]),
-                                   int(params["cert_points"]))
+            spec = KernelSpec.ball_map(bmap, alpha)
+            pts = sample_point_set(rng, dim, params["cert_radius"],
+                                   params["cert_points"])
             cert = check_psd(gram(spec, pts))
             worst[(alpha, "psd")] = max(worst[(alpha, "psd")],
                                         -cert.min_eigenvalue - cert.tolerance)
@@ -544,13 +571,13 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
                 coord_top = max(coord_top, lo)
             worst[(alpha, "coord")] = max(worst[(alpha, "coord")], coord_top)
             min_margin = math.inf
-            for _ in range(int(params["row_points"])):
-                wpt = sample_point_set(rng, dim, float(params["row_radius"]), 1)
-                rc = row_mult_norm(bmap, float(alpha), wpt.points[0], n)
+            for _ in range(params["row_points"]):
+                wpt = sample_point_set(rng, dim, params["row_radius"], 1)
+                rc = row_mult_norm(bmap, alpha, wpt.points[0], n)
                 min_margin = min(min_margin, rc.margin)
             worst[(alpha, "margin")] = max(worst[(alpha, "margin")], -min_margin)
-            inv = inv_kernel_mult_norm(bmap, float(alpha), n,
-                                       tail_tol=float(params["inv_tail_tol"]))
+            inv = inv_kernel_mult_norm(bmap, alpha, n,
+                                       tail_tol=params["inv_tail_tol"])
             worst[(alpha, "inv")] = max(worst[(alpha, "inv")],
                                         inv.lower - inv.upper)
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
@@ -577,22 +604,19 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
 
 
 def run_ball_bound(params: dict, tol: dict, seed: int):
-    alphas = [int(a) for a in params["alphas"]]
-    maps = int(params["maps"])
-    dim = int(params["dim"])
-    n = int(params["section_degree"])
+    dim = params["dim"]
+    n = params["section_degree"]
     records = []
     rows = []
-    for alpha in alphas:
+    for alpha in params["alphas"]:
         worst = -math.inf
         space = SpaceSpec(dim, float(alpha))
-        for mi in range(maps):
+        for mi in range(params["maps"]):
             rng = np.random.default_rng((seed, mi))
-            bmap = random_ball_row_contraction(rng, dim,
-                                               int(params["coord_degree"]),
-                                               float(params["row_target"]))
+            bmap = random_ball_row_contraction(rng, dim, params["coord_degree"],
+                                               params["row_target"])
             beta = float(np.linalg.norm(bmap.center))
-            bound = _disk_bound(beta, float(alpha))
+            bound = comp_norm_bound(beta, alpha)
             lo = op_norm_lower(comp_matrix(bmap, space, n),
                                trace_degrees=[n]).lower
             worst = max(worst, lo - bound)
@@ -605,19 +629,17 @@ def run_ball_bound(params: dict, tol: dict, seed: int):
 
 
 def run_br(params: dict, tol: dict, seed: int):
-    r_values = [float(r) for r in params["r_values"]]
-    n = int(params["section_degree"])
-    step = int(params["trace_step"])
-    degrees = sorted(set(range(0, n + 1, step)) | {n})
+    n = params["section_degree"]
+    degrees = sorted(set(range(0, n + 1, params["trace_step"])) | {n})
     records = []
     rows = []
     certificates = []
-    for idx, r in enumerate(r_values):
+    for idx, r in enumerate(params["r_values"]):
         res = br_experiment(
-            r, alpha=float(params["alpha"]), section_degree=n,
+            r, alpha=params["alpha"], section_degree=n,
             trace_degrees=degrees,
-            witness_budget=int(params["witness_budget"]),
-            set_size=int(params["set_size"]), radius=float(params["radius"]),
+            witness_budget=params["witness_budget"],
+            set_size=params["set_size"], radius=params["radius"],
             seed=(seed, idx))
         rows.extend([[res.r, nn, lo, res.verdict(), res.min_eigenvalue(), seed]
                      for nn, lo in res.bracket.trace])
@@ -629,11 +651,11 @@ def run_br(params: dict, tol: dict, seed: int):
             records.append(make_record(
                 "degenerate parameter: lower bounds strictly increase",
                 "product-map-unbounded-growth", -min(diffs),
-                -float(params["strict_increase_min"]), 0.0))
+                -params["strict_increase_min"], 0.0))
             records.append(make_record(
                 "degenerate parameter: final lower bound beats the frozen threshold",
                 "product-map-unbounded-growth",
-                float(params["growth_threshold"]) - res.bracket.lower, 0.0, 0.0))
+                params["growth_threshold"] - res.bracket.lower, 0.0, 0.0))
         else:
             last = res.bracket.trace[-1][1]
             prev = res.bracket.trace[-2][1]
@@ -641,12 +663,12 @@ def run_br(params: dict, tol: dict, seed: int):
                 f"contractive parameter r={r}: trace saturates",
                 "product-map-saturation", abs(last - prev), 0.0,
                 tol["saturation_tol"]))
-        if r >= float(params["negative_expect_min_r"]):
+        if r >= params["negative_expect_min_r"]:
             measured = res.witness[1].min_eigenvalue if res.witness else 1.0
             records.append(make_record(
                 f"negativity witness found at r={r}",
                 "product-map-negativity", measured,
-                -float(tol["witness_level"]), 0.0))
+                -tol["witness_level"], 0.0))
         else:
             records.append(make_record(
                 f"no negativity witness within budget at r={r}",
@@ -660,8 +682,7 @@ def run_br(params: dict, tol: dict, seed: int):
 def run_psd(params: dict, tol: dict, seed: int):
     spec = kernel_spec_from_json(params["spec"])
     rng = np.random.default_rng((seed, 0))
-    pts = sample_point_set(rng, spec.space_dim, float(params["radius"]),
-                           int(params["point_count"]))
+    pts = sample_point_set(rng, spec.dim, params["radius"], params["point_count"])
     cert = check_psd(gram(spec, pts))
     cert.seed = seed
     expect = params["expect"]
@@ -803,10 +824,18 @@ def _same_type(value, like) -> bool:
     return True
 
 
-def _check_type(what: str, value, default, key: str) -> None:
+def _check_type(what: str, value, default, key: str):
+    """``value`` with the json type of the default, numbers as floats where
+    the default is a float; anything else is a ConfigError."""
     like = _NONE_DEFAULT_LIKE[key] if default is None else default
-    if (value is None and default is None) or _same_type(value, like):
-        return
+    if value is None and default is None:
+        return None
+    if _same_type(value, like):
+        if isinstance(like, float):
+            return _as_float(value, f"{what} {key!r}")
+        if isinstance(like, list) and like and isinstance(like[0], float):
+            return [_as_float(v, f"{what} {key!r}") for v in value]
+        return value
     expect = _TYPE_NAMES[type(like)]
     if isinstance(like, list) and like:
         expect += " of " + _TYPE_NAMES[type(like[0])].split()[-1] + "s"
@@ -837,14 +866,13 @@ class ExperimentConfig:
         for k, v in (obj.get("params") or {}).items():
             if k not in cmd.defaults:
                 raise ConfigError(f"unknown parameter {k!r} for {name}")
-            _check_type(f"{name} parameter", v, cmd.defaults[k], k)
-            params[k] = v
+            params[k] = _check_type(f"{name} parameter", v, cmd.defaults[k], k)
         tolerances = dict(cmd.tol_defaults)
         for k, v in (obj.get("tolerances") or {}).items():
             if k not in cmd.tol_defaults:
                 raise ConfigError(f"unknown tolerance {k!r} for {name}")
-            _check_type(f"{name} tolerance", v, cmd.tol_defaults[k], k)
-            tolerances[k] = float(v)
+            tolerances[k] = _check_type(f"{name} tolerance", v,
+                                        cmd.tol_defaults[k], k)
         seed = obj.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
@@ -927,7 +955,7 @@ def main(argv=None) -> int:
         print(f"{cfg.name}: {passed}/{len(report.records)} checks passed "
               f"in {report.wall_time:.2f} s", file=summary_stream)
         return 0 if report.all_pass() else 1
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError,
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError, OverflowError,
             SamplingError, KernelPositivityError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

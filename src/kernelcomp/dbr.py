@@ -24,7 +24,7 @@ from .kernels import (
     gram,
 )
 from .operators import SpaceSpec, comp_matrix, mult_matrix, weighted_comp_matrix
-from .series import DiskPoly, SelfMapDisk, inf_modulus_circle
+from .series import DiskPoly, SelfMapDisk
 
 __all__ = [
     "KernelPositivityError",
@@ -42,11 +42,12 @@ __all__ = [
     "onb_defect",
     "szego_residual",
     "summation_partial",
-    "weight_upper_estimate",
 ]
 
 HB_COMBO = "COMBO_EXACT"
 HB_DEFECT = "DEFECT_PSEUDOINVERSE"
+# largest residual outside the numerical range of a function in the space
+RANGE_TOL = 1e-6
 
 
 class KernelPositivityError(RuntimeError):
@@ -111,11 +112,8 @@ def hb_norm_combo(combo: KernelCombo) -> HbNorm:
         raise KernelPositivityError(
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
-    lam = np.linalg.eigvalsh(g.entries)
-    rank = int(np.sum(lam > cert.tolerance))
     q = float(np.real(np.vdot(combo.coeffs, g.entries @ combo.coeffs)))
-    return HbNorm(value=math.sqrt(max(q, 0.0)), method=HB_COMBO,
-                  diagnostics={"rank": rank, "residual": 0.0})
+    return HbNorm(value=math.sqrt(max(q, 0.0)), method=HB_COMBO)
 
 
 def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
@@ -173,20 +171,17 @@ def _defect_eigs(b: SelfMapDisk, degree: int, rank_tol: float | None):
     return lam, u, rank_tol
 
 
-def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int,
-                   rank_tol: float | None = None,
-                   range_tol: float = 1e-6) -> HbNorm:
+def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> HbNorm:
     """Range norm of a polynomial via the defect pseudoinverse.
 
     Solves the defect against f in the eigenbasis, keeping modes above the
     rank tolerance.  The component of f outside the numerical range shows up
-    as a residual; a residual above range_tol marks f as (numerically) not in
+    as a residual; a residual above RANGE_TOL marks f as (numerically) not in
     the space, and the value is still reported for diagnosis.
     """
-    _require_nonconstant(b)
     if f.degree() > degree:
         raise ValueError("f must have degree at most the section degree")
-    lam, u, rank_tol = _defect_eigs(b, degree, rank_tol)
+    lam, u, rank_tol = _defect_eigs(b, degree, None)
     y = u.conj().T @ f.padded(degree)
     kept = lam > rank_tol
     value = math.sqrt(float(np.sum(np.abs(y[kept]) ** 2 / lam[kept]))) \
@@ -194,7 +189,7 @@ def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int,
     residual = float(np.linalg.norm(y[~kept]))
     return HbNorm(value=value, method=HB_DEFECT,
                   diagnostics={"rank": int(np.sum(kept)), "residual": residual,
-                               "in_range": bool(residual <= range_tol)})
+                               "in_range": bool(residual <= RANGE_TOL)})
 
 
 @dataclass
@@ -207,16 +202,8 @@ class OnbApprox:
     """
 
     b: SelfMapDisk
-    degree: int
     eigenvalues: np.ndarray
     basis: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "basis": [p.to_json_dict() for p in self.basis],
-        }
 
 
 def onb_defect(b: SelfMapDisk, degree: int,
@@ -227,7 +214,7 @@ def onb_defect(b: SelfMapDisk, degree: int,
     u = u[:, order]
     kept = int(np.sum(lam > rank_tol))
     basis = [DiskPoly(math.sqrt(float(lam[m])) * u[:, m]) for m in range(kept)]
-    return OnbApprox(b=b, degree=degree, eigenvalues=lam[:kept], basis=basis)
+    return OnbApprox(b=b, eigenvalues=lam[:kept], basis=basis)
 
 
 def szego_residual(onb: OnbApprox, test_points: PointSet) -> float:
@@ -259,7 +246,6 @@ class SummationPartials:
     the worst distance from the identity on the monitored basis vectors.
     """
 
-    test_degree: int
     partials: list
     defects: list
 
@@ -274,7 +260,6 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None
     the monitored degrees; their compressions and identity defects are
     returned for every k.
     """
-    _require_nonconstant(b)
     if test_degree > degree:
         raise ValueError("test_degree must not exceed the section degree")
     onb = onb_defect(b, degree, rank_tol)
@@ -299,18 +284,5 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None
         resid = -act
         resid[:m_test, :] += np.eye(m_test)
         defects.append(float(np.max(np.linalg.norm(resid, axis=0))))
-    return SummationPartials(test_degree=test_degree, partials=partials,
-                             defects=defects)
+    return SummationPartials(partials=partials, defects=defects)
 
-
-def weight_upper_estimate(f: DiskPoly, hb_value: float,
-                          grid_size: int = 4096) -> float:
-    """Upper estimate ||1/f||_sup * ||f||_range from a boundary grid.
-
-    The sup of 1/|f| is estimated from below by the grid, so the product is
-    an estimate (tight for smooth f), not a certificate.
-    """
-    low = inf_modulus_circle(f, grid_size)
-    if low <= 0.0:
-        raise ValueError("f vanishes on the boundary grid")
-    return hb_value / low

@@ -10,7 +10,7 @@ eigenvector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,9 @@ NEGATIVE = "NEGATIVE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 MIN_POINT_SEPARATION = 1e-9
-# rejections after which sample_point_set gives up by default
+# tolerance = TOL_SCALE * size * ||G|| * eps in every positivity verdict
+TOL_SCALE = 100.0
+# rejections after which sample_point_set gives up
 MAX_REJECTS = 10000
 
 
@@ -63,14 +65,12 @@ class PointSet:
 
     __slots__ = ("points",)
 
-    def __init__(self, points, dim: int | None = None):
+    def __init__(self, points):
         arr = np.asarray(points, dtype=complex)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("points must form a nonempty (m, dim) array")
-        if dim is not None and arr.shape[1] != dim:
-            raise ValueError(f"expected dim {dim}, got {arr.shape[1]}")
         radii = np.linalg.norm(arr, axis=1)
         if np.any(radii >= 1.0):
             raise DomainError(f"max |point| = {float(np.max(radii)):.6g}; need < 1")
@@ -88,14 +88,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def min_separation(self) -> float:
-        if len(self) < 2:
-            return float("inf")
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        dist[np.diag_indices_from(dist)] = np.inf
-        return float(np.min(dist))
 
     def to_json_list(self) -> list:
         return [
@@ -172,10 +164,6 @@ class KernelSpec:
     def ball_map(cls, b: BallMap, alpha: float) -> "KernelSpec":
         return cls(kind="ball_map", dim=b.dim, alpha=float(alpha), b_ball=b)
 
-    @property
-    def space_dim(self) -> int:
-        return self.dim
-
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "alpha": float(self.alpha), "dim": self.dim}
         if self.b_disk is not None:
@@ -214,7 +202,7 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
 
 def gram(spec: KernelSpec, point_set: PointSet) -> "GramMatrix":
     """Gram matrix G[i, j] = K(w_i, w_j), hermitized on assembly."""
-    if point_set.dim != spec.space_dim:
+    if point_set.dim != spec.dim:
         raise DomainError("point set dimension does not match the kernel")
     return GramMatrix(spec=spec, point_set=point_set,
                       entries=_kernel_matrix(spec, point_set.points))
@@ -224,7 +212,7 @@ def eval_kernel(spec: KernelSpec, z, w) -> complex:
     """Kernel value at a single pair of points."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ws = np.atleast_1d(np.asarray(w, dtype=complex))
-    if zs.size != spec.space_dim or ws.size != spec.space_dim:
+    if zs.size != spec.dim or ws.size != spec.dim:
         raise DomainError("point dimension does not match the kernel")
     if np.linalg.norm(zs) >= 1.0 or np.linalg.norm(ws) >= 1.0:
         raise DomainError("points must lie strictly inside the ball")
@@ -282,13 +270,12 @@ class PositivityCertificate:
     """Spectral verdict on a Gram matrix.
 
     verdict is PSD when the smallest eigenvalue clears -tolerance, NEGATIVE
-    otherwise; tolerance = tol_scale * size * ||G|| * eps.  INCONCLUSIVE is
+    otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.  INCONCLUSIVE is
     reserved and never produced by this rule.
     """
 
     spec: KernelSpec
     min_eigenvalue: float
-    matrix_norm: float
     tolerance: float
     verdict: str
     witness: Witness | None = None
@@ -305,7 +292,7 @@ class PositivityCertificate:
         }
 
 
-def check_psd(g: GramMatrix, tol_scale: float = 100.0) -> PositivityCertificate:
+def check_psd(g: GramMatrix) -> PositivityCertificate:
     """Eigenvalue test with a scale-aware tolerance.
 
     The tolerance grows with the matrix size and spectral norm so that honest
@@ -315,12 +302,12 @@ def check_psd(g: GramMatrix, tol_scale: float = 100.0) -> PositivityCertificate:
     lam, vec = np.linalg.eigh(g.entries)
     lo = float(lam[0])
     nrm = float(max(abs(lam[0]), abs(lam[-1])))
-    tol = tol_scale * g.entries.shape[0] * nrm * float(np.finfo(float).eps)
+    tol = TOL_SCALE * g.entries.shape[0] * nrm * float(np.finfo(float).eps)
     if lo >= -tol:
         return PositivityCertificate(spec=g.spec, min_eigenvalue=lo,
-                                     matrix_norm=nrm, tolerance=tol, verdict=PSD)
+                                     tolerance=tol, verdict=PSD)
     wit = Witness(point_set=g.point_set, coeffs=vec[:, 0])
-    return PositivityCertificate(spec=g.spec, min_eigenvalue=lo, matrix_norm=nrm,
+    return PositivityCertificate(spec=g.spec, min_eigenvalue=lo,
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
 
 
@@ -340,7 +327,7 @@ def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
 
 
 def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
-                     count: int, max_rejects: int = MAX_REJECTS) -> PointSet:
+                     count: int) -> PointSet:
     """Draw ``count`` points from the ball of the given radius.
 
     Each coordinate gets a uniform angle and an area-uniform radius; in
@@ -371,9 +358,9 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
             have += 1
         else:
             rejects += 1
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise SamplingError("point sampling failed to fill the set")
-    return PointSet(pts, dim=dim)
+    return PointSet(pts)
 
 
 def seed_tuple(seed) -> tuple:
@@ -390,7 +377,7 @@ _CHUNK_VALUES = 1 << 21
 
 
 def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
-            count: int, draws: int, tol_scale: float) -> list:
+            count: int, draws: int) -> list:
     """Trials of a chunk that the batched screen cannot clear, in order.
 
     Each trial draws ``draws`` candidates from its own substream, keeps
@@ -422,14 +409,13 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
     close = np.min(sep2, axis=(1, 2)) <= (2.0 * MIN_POINT_SEPARATION) ** 2
     lam = np.linalg.eigvalsh(_kernel_matrix(spec, pts))
     nrm = np.maximum(np.abs(lam[:, 0]), np.abs(lam[:, -1]))
-    tol = tol_scale * count * nrm * float(np.finfo(float).eps)
+    tol = TOL_SCALE * count * nrm * float(np.finfo(float).eps)
     defer[full] |= close | (lam[:, 0] < -tol / 2)
     return [t for t, d in zip(trials, defer) if d]
 
 
 def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
-                          set_size: int, budget: int,
-                          tol_scale: float = 100.0):
+                          set_size: int, budget: int):
     """Randomized search for a point set whose Gram fails positivity.
 
     Trial t draws from the substream (seed, t), so the outcome is independent
@@ -445,7 +431,7 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     search.  Clearing a trial at -tol / 2 is safe: its screened Gram differs
     from the serial one by a few ulps, ``eigvalsh`` is backward stable, and
     so the two smallest eigenvalues differ by O(m * eps * ||G||), far below
-    tol / 2, which is 50 * m * eps * ||G|| at the default tol_scale.
+    tol / 2, which is 50 * m * eps * ||G||.
     """
     base = seed_tuple(seed)
     # about twice the candidates a set needs, as a fraction 1 / dim! of the
@@ -457,11 +443,10 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // per_trial))
     for start in range(0, budget, chunk):
         trials = range(start, min(start + chunk, budget))
-        for trial in _screen(spec, base, trials, radius, set_size, draws,
-                             tol_scale):
+        for trial in _screen(spec, base, trials, radius, set_size, draws):
             rng = np.random.default_rng(base + (trial,))
             pts = sample_point_set(rng, spec.dim, radius, set_size)
-            cert = check_psd(gram(spec, pts), tol_scale=tol_scale)
+            cert = check_psd(gram(spec, pts))
             if cert.verdict == NEGATIVE:
                 cert.seed = seed
                 return pts, cert

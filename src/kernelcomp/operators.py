@@ -27,8 +27,7 @@ __all__ = [
     "mult_matrix",
     "weighted_comp_matrix",
     "op_norm_lower",
-    "adjoint_kernel_check",
-    "adjoint_mult_check",
+    "comp_norm_bound",
     "MAX_SECTION_BYTES",
 ]
 
@@ -328,7 +327,6 @@ class NormBound:
 
     lower: float
     upper: float | None
-    col_degree: int
     trace: list = field(default_factory=list)
 
     def csv_rows(self) -> list:
@@ -336,15 +334,20 @@ class NormBound:
         return [[n, lo, up] for n, lo in self.trace]
 
 
+def comp_norm_bound(center_modulus: float, alpha: float) -> float:
+    """Closed-form composition norm bound ((1 + c) / (1 - c)) ** (alpha / 2)
+    for a symbol with |b(0)| = c."""
+    return float(((1.0 + center_modulus) / (1.0 - center_modulus)) ** (alpha / 2.0))
+
+
 def _default_trace_degrees(col_degree: int) -> list:
-    if col_degree <= 32:
-        return list(range(col_degree + 1))
-    ds = {0, col_degree}
+    """Powers of two below col_degree, 3 * col_degree // 4, and col_degree."""
+    ds = {col_degree, (3 * col_degree) // 4}
     d = 1
     while d < col_degree:
         ds.add(d)
         d *= 2
-    return sorted(ds)
+    return sorted(x for x in ds if 1 <= x <= col_degree)
 
 
 def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
@@ -377,54 +380,5 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
             and section.space.dim == 1):
         # valid because disk symbols always have a positive symbol kernel;
         # ball sections must certify positivity before claiming this bound
-        c = section.center_modulus
-        upper = float(((1.0 + c) / (1.0 - c)) ** (section.space.alpha / 2.0))
-    return NormBound(lower=trace[-1][1], upper=upper,
-                     col_degree=degrees[-1], trace=trace)
-
-
-def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:
-    """Coefficients of the reproducing kernel at w against the normalized
-    monomials: conj(w^m) / ||z^m||, truncated at max_degree."""
-    mons = grlex_monomials(space.dim, max_degree)
-    norms = _monomial_norms(space.dim, space.alpha, max_degree)
-    wv = np.atleast_1d(np.asarray(w, dtype=complex))
-    if wv.size != space.dim:
-        raise ValueError("point dimension mismatch")
-    vals = np.array([np.prod(wv ** np.array(m)) for m in mons])
-    return np.conj(vals) / norms
-
-
-def adjoint_kernel_check(b, space: SpaceSpec, col_degree: int, w) -> float:
-    """Residual of the identity: the composition adjoint sends the kernel at w
-    to the kernel at b(w).  Truncated sections make this exact through the
-    column degree, so the residual is pure rounding for |w| <= 0.7."""
-    wv = np.atleast_1d(np.asarray(w, dtype=complex))
-    if float(np.linalg.norm(wv)) > 0.7:
-        raise ValueError("check points must satisfy |w| <= 0.7")
-    section = comp_matrix(b, space, col_degree)
-    kv_rows = _kernel_coeff_vector(space, section.row_degree, wv)
-    if isinstance(b, SelfMapDisk):
-        bw = b(complex(wv[0]))
-    else:
-        bw = b(wv)
-    target = _kernel_coeff_vector(space, col_degree, bw)
-    resid = section.entries.conj().T @ kv_rows - target
-    return float(np.max(np.abs(resid)))
-
-
-def adjoint_mult_check(f, space: SpaceSpec, col_degree: int, w) -> float:
-    """Residual of the identity: the multiplication adjoint scales the kernel
-    at w by conj(f(w)).  Exact through the column degree."""
-    wv = np.atleast_1d(np.asarray(w, dtype=complex))
-    if float(np.linalg.norm(wv)) > 0.7:
-        raise ValueError("check points must satisfy |w| <= 0.7")
-    section = mult_matrix(f, space, col_degree)
-    kv_rows = _kernel_coeff_vector(space, section.row_degree, wv)
-    if isinstance(f, DiskPoly):
-        fw = f(complex(wv[0]))
-    else:
-        fw = f(wv)
-    target = np.conj(complex(fw)) * _kernel_coeff_vector(space, col_degree, wv)
-    resid = section.entries.conj().T @ kv_rows - target
-    return float(np.max(np.abs(resid)))
+        upper = comp_norm_bound(section.center_modulus, section.space.alpha)
+    return NormBound(lower=trace[-1][1], upper=upper, trace=trace)

@@ -12,7 +12,8 @@ import numpy as np
 from .dbr import KernelCombo, hb_norm_combo
 from .kernels import SamplingError, sample_point_set
 from .operators import grlex_monomials
-from .series import BallMap, BallPoly, DiskPoly, SelfMapDisk, sup_norm_circle
+from .series import SELF_MAP_GRID, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
+    sup_norm_circle
 
 __all__ = [
     "random_disk_symbol",
@@ -22,8 +23,7 @@ __all__ = [
 
 
 def random_disk_symbol(rng: np.random.Generator, max_degree: int = 4,
-                       boundary_max: float = 0.95,
-                       grid_size: int = 1024) -> SelfMapDisk:
+                       boundary_max: float = 0.95) -> SelfMapDisk:
     """Random polynomial self-map with boundary modulus at most boundary_max.
 
     Gaussian coefficients are rescaled by the sampled boundary maximum, so
@@ -34,9 +34,9 @@ def random_disk_symbol(rng: np.random.Generator, max_degree: int = 4,
     degree = int(rng.integers(1, max_degree + 1))
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     raw = DiskPoly(coeffs)
-    top = sup_norm_circle(raw, grid_size)
+    top = sup_norm_circle(raw, SELF_MAP_GRID)
     scale = boundary_max * float(rng.uniform(0.5, 1.0)) / top
-    return SelfMapDisk(scale * raw, grid_size=grid_size)
+    return SelfMapDisk(scale * raw)
 
 
 def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,

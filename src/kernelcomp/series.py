@@ -1,15 +1,13 @@
 """Truncated power series on the disk and on the ball.
 
 Symbols and weights are polynomials with complex coefficients: dense arrays in
-one variable, sparse multi-index arrays in several.  Composition and reciprocal
-go through circle sampling plus discrete Fourier inversion, which stays
-accurate at finite truncation even when the inner symbol moves the origin.
+one variable, sparse multi-index arrays in several.  Self-maps are admitted
+on sampled boundary evidence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -19,29 +17,18 @@ __all__ = [
     "BallPoly",
     "SelfMapDisk",
     "BallMap",
-    "SupCheck",
     "ParameterError",
-    "SingularSymbolError",
     "blaschke_factor",
-    "compose",
-    "reciprocal",
     "sup_norm_circle",
-    "inf_modulus_circle",
-    "h2_norm",
-    "poly_from_json_dict",
 ]
 
-DEFAULT_SAMPLE_RADIUS = 0.9
 SELF_MAP_GRID = 1024
+BALL_MAP_GRID = 2048
 SELF_MAP_SLACK = 1e-12
 
 
 class ParameterError(ValueError):
     """Sampling parameters outside their usable range."""
-
-
-class SingularSymbolError(ValueError):
-    """A symbol vanishes (numerically) where it must not."""
 
 
 class DiskPoly:
@@ -105,9 +92,6 @@ class DiskPoly:
         a[: self.coeffs.size] = self.coeffs
         a[: other.coeffs.size] += other.coeffs
         return DiskPoly(a)
-
-    def __sub__(self, other: "DiskPoly") -> "DiskPoly":
-        return self + (-1.0) * other
 
     def __mul__(self, other):
         if isinstance(other, DiskPoly):
@@ -233,14 +217,6 @@ class BallPoly:
     def constant(cls, dim: int, value: complex) -> "BallPoly":
         return cls(dim, {(0,) * dim: value})
 
-    @classmethod
-    def coordinate(cls, dim: int, index: int) -> "BallPoly":
-        if not 0 <= index < dim:
-            raise ValueError("coordinate index out of range")
-        m = [0] * dim
-        m[index] = 1
-        return cls(dim, {tuple(m): 1.0})
-
     @property
     def terms(self) -> MappingProxyType:
         """Read-only map from multi-index tuples to coefficients."""
@@ -292,46 +268,9 @@ class BallPoly:
         return f"BallPoly(dim={self.dim}, terms={len(self.coefs)})"
 
 
-def poly_from_json_dict(obj: dict):
-    """Inverse of ``to_json_dict``; returns DiskPoly for dim 1, else BallPoly.
-
-    ``dim`` and the exponents must be json integers: a float or a bool is
-    refused, not rounded.
-    """
-    if set(obj) != {"dim", "terms"}:
-        raise ValueError("polynomial json needs exactly the keys 'dim' and 'terms'")
-    dim = obj["dim"]
-    if not _is_natural(dim):
-        raise ValueError(f"polynomial dim must be an integer, got {dim!r}")
-    pairs = []
-    for entry in obj["terms"]:
-        if len(entry) != 2:
-            raise ValueError("each term must be [multi_index, [re, im]]")
-        m, (re, im) = entry
-        if len(m) != dim or not all(_is_natural(e) for e in m):
-            raise ValueError(f"a multi-index must hold {dim} nonnegative "
-                             f"integers, got {m!r}")
-        pairs.append((tuple(m), complex(float(re), float(im))))
-    if dim == 1:
-        deg = max((m[0] for m, _ in pairs), default=0)
-        c = np.zeros(deg + 1, dtype=complex)
-        for m, v in pairs:
-            c[m[0]] += v
-        return DiskPoly(c)
-    return BallPoly(dim, dict(pairs))
-
-
-@dataclass(frozen=True)
-class SupCheck:
-    """Boundary-grid evidence recorded when a self-map is admitted."""
-
-    grid_size: int
-    max_modulus: float
-
-
-def _circle_points(grid_size: int, radius: float = 1.0) -> np.ndarray:
+def _circle_points(grid_size: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return radius * np.exp(1j * theta)
+    return np.exp(1j * theta)
 
 
 def sup_norm_circle(f: DiskPoly, grid_size: int) -> float:
@@ -339,18 +278,6 @@ def sup_norm_circle(f: DiskPoly, grid_size: int) -> float:
     if grid_size < 16:
         raise ParameterError("grid_size must be at least 16")
     return float(np.max(np.abs(f(_circle_points(grid_size)))))
-
-
-def inf_modulus_circle(f: DiskPoly, grid_size: int) -> float:
-    """Min of |f| over a uniform grid on the unit circle."""
-    if grid_size < 16:
-        raise ParameterError("grid_size must be at least 16")
-    return float(np.min(np.abs(f(_circle_points(grid_size)))))
-
-
-def h2_norm(f: DiskPoly) -> float:
-    """Square-summable coefficient norm."""
-    return float(np.linalg.norm(f.coeffs))
 
 
 class SelfMapDisk:
@@ -361,21 +288,19 @@ class SelfMapDisk:
     Non-constant maps must satisfy |b(0)| < 1.
     """
 
-    __slots__ = ("series", "sup_check")
+    __slots__ = ("series",)
 
-    def __init__(self, series: DiskPoly, grid_size: int = SELF_MAP_GRID,
-                 slack: float = SELF_MAP_SLACK):
+    def __init__(self, series: DiskPoly):
         if not isinstance(series, DiskPoly):
             raise TypeError("series must be a DiskPoly")
-        top = sup_norm_circle(series, grid_size)
-        if top > 1.0 + slack:
+        top = sup_norm_circle(series, SELF_MAP_GRID)
+        if top > 1.0 + SELF_MAP_SLACK:
             raise ValueError(
                 f"boundary samples reach modulus {top:.6g}; not a disk self-map"
             )
         if series.degree() > 0 and abs(series.coeffs[0]) >= 1.0:
             raise ValueError("a non-constant self-map needs |b(0)| < 1")
         self.series = series
-        self.sup_check = SupCheck(grid_size, top)
 
     @property
     def center(self) -> complex:
@@ -395,8 +320,8 @@ class SelfMapDisk:
         return f"SelfMapDisk(degree={self.degree()}, center={self.center:.4g})"
 
 
-def _sphere_samples(dim: int, count: int, seed: int = 20240814) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _sphere_samples(dim: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(20240814)
     x = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
@@ -405,13 +330,13 @@ class BallMap:
     """Polynomial self-map of the unit ball, admitted on sampled sphere evidence.
 
     ``coords`` holds one BallPoly per ambient coordinate.  Admission checks
-    that the squared coordinate moduli sum to at most 1 + slack on a fixed
-    deterministic sphere sample and that |b(0)| < 1.
+    that the squared coordinate moduli sum to at most 1 + SELF_MAP_SLACK on a
+    fixed deterministic sphere sample and that |b(0)| < 1.
     """
 
-    __slots__ = ("dim", "coords", "sup_check")
+    __slots__ = ("dim", "coords")
 
-    def __init__(self, coords, grid_size: int = 2048, slack: float = SELF_MAP_SLACK):
+    def __init__(self, coords):
         coords = list(coords)
         if not coords:
             raise ValueError("a ball map needs at least one coordinate")
@@ -421,12 +346,12 @@ class BallMap:
                 raise TypeError("coordinates must be BallPoly instances")
             if c.dim != dim:
                 raise ValueError("each coordinate must be a polynomial in dim variables")
-        pts = _sphere_samples(dim, grid_size)
-        total = np.zeros(grid_size)
+        pts = _sphere_samples(dim, BALL_MAP_GRID)
+        total = np.zeros(BALL_MAP_GRID)
         for c in coords:
             total += np.abs(c(pts)) ** 2
         top = float(np.sqrt(np.max(total)))
-        if top > 1.0 + slack:
+        if top > 1.0 + SELF_MAP_SLACK:
             raise ValueError(
                 f"sphere samples reach modulus {top:.6g}; not a ball self-map"
             )
@@ -435,7 +360,6 @@ class BallMap:
             raise ValueError("a ball self-map needs |b(0)| < 1")
         self.dim = dim
         self.coords = coords
-        self.sup_check = SupCheck(grid_size, top)
 
     @property
     def center(self) -> np.ndarray:
@@ -468,6 +392,8 @@ def blaschke_factor(a: complex, tail_tol: float = 1e-13) -> SelfMapDisk:
     r = abs(a)
     if r >= 1.0:
         raise ValueError("the parameter must lie in the open disk")
+    if not tail_tol > 0.0:
+        raise ValueError("tail_tol must be positive")
     if r == 0.0:
         return SelfMapDisk(DiskPoly.identity())
     # tail after degree T sums to (1 - r^2) r^T / (1 - r)
@@ -478,63 +404,3 @@ def blaschke_factor(a: complex, tail_tol: float = 1e-13) -> SelfMapDisk:
     c[0] = a
     c[1:] = (1.0 - r * r) * (-np.conj(a)) ** np.arange(T)
     return SelfMapDisk(DiskPoly(c))
-
-
-def compose(f: DiskPoly, b: SelfMapDisk, out_degree: int,
-            sample_radius: float = DEFAULT_SAMPLE_RADIUS,
-            samples: int | None = None) -> DiskPoly:
-    """Taylor coefficients of f(b(z)) through ``out_degree``.
-
-    Samples f(b(z)) on a circle of radius ``sample_radius``, inverts the
-    discrete Fourier transform, and unscales by powers of the radius.  The
-    recovery is exact (up to rounding) when f(b(z)) is a polynomial of degree
-    below the sample count; otherwise the aliasing error decays like
-    sample_radius ** (samples - out_degree).
-    """
-    if not isinstance(b, SelfMapDisk):
-        raise TypeError("b must be a SelfMapDisk")
-    if out_degree < 1:
-        raise ParameterError("out_degree must be at least 1")
-    if not 0.0 < sample_radius < 1.0:
-        raise ParameterError("sample_radius must lie strictly between 0 and 1")
-    scale = sample_radius ** np.arange(out_degree + 1)
-    if scale[-1] == 0.0:
-        raise ParameterError("sample_radius ** out_degree underflows")
-    count = samples if samples is not None else max(4 * (out_degree + 1), 256)
-    if count < 2 * (out_degree + 1):
-        raise ParameterError("need at least 2 * (out_degree + 1) samples")
-    zs = _circle_points(count, sample_radius)
-    vals = f(b(zs))
-    hat = np.fft.fft(vals) / count
-    return DiskPoly(hat[: out_degree + 1] / scale)
-
-
-def reciprocal(f: DiskPoly, out_degree: int,
-               sample_radius: float = DEFAULT_SAMPLE_RADIUS,
-               samples: int | None = None,
-               min_modulus: float = 1e-8) -> DiskPoly:
-    """Taylor coefficients of 1 / f through ``out_degree``.
-
-    Same circle-sampling scheme as ``compose``; fails if any sample of |f|
-    drops to ``min_modulus`` or below, since the reciprocal is then unusable
-    at this truncation.
-    """
-    if out_degree < 1:
-        raise ParameterError("out_degree must be at least 1")
-    if not 0.0 < sample_radius < 1.0:
-        raise ParameterError("sample_radius must lie strictly between 0 and 1")
-    scale = sample_radius ** np.arange(out_degree + 1)
-    if scale[-1] == 0.0:
-        raise ParameterError("sample_radius ** out_degree underflows")
-    count = samples if samples is not None else max(4 * (out_degree + 1), 256)
-    if count < 2 * (out_degree + 1):
-        raise ParameterError("need at least 2 * (out_degree + 1) samples")
-    zs = _circle_points(count, sample_radius)
-    vals = f(zs)
-    worst = int(np.argmin(np.abs(vals)))
-    if abs(vals[worst]) <= min_modulus:
-        raise SingularSymbolError(
-            f"|f({zs[worst]:.6g})| = {abs(vals[worst]):.3g} on the sample circle"
-        )
-    hat = np.fft.fft(1.0 / vals) / count
-    return DiskPoly(hat[: out_degree + 1] / scale)

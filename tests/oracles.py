@@ -1,0 +1,94 @@
+"""Independent oracles that only the tests use.
+
+``compose`` expands f(b(z)) by circle sampling and discrete Fourier inversion,
+a route independent of the convolution powers in the composition sections.
+The adjoint checks verify that section adjoints act on reproducing kernels as
+the theory says they must.
+"""
+
+import numpy as np
+
+from kernelcomp.operators import (
+    SpaceSpec,
+    _monomial_norms,
+    comp_matrix,
+    grlex_monomials,
+    mult_matrix,
+)
+from kernelcomp.series import DiskPoly, ParameterError, SelfMapDisk
+
+
+def compose(f: DiskPoly, b: SelfMapDisk, out_degree: int,
+            sample_radius: float = 0.9,
+            samples: int | None = None) -> DiskPoly:
+    """Taylor coefficients of f(b(z)) through ``out_degree``.
+
+    Samples f(b(z)) on a circle of radius ``sample_radius``, inverts the
+    discrete Fourier transform, and unscales by powers of the radius.  The
+    recovery is exact (up to rounding) when f(b(z)) is a polynomial of degree
+    below the sample count; otherwise the aliasing error decays like
+    sample_radius ** (samples - out_degree).
+    """
+    if not isinstance(b, SelfMapDisk):
+        raise TypeError("b must be a SelfMapDisk")
+    if out_degree < 1:
+        raise ParameterError("out_degree must be at least 1")
+    if not 0.0 < sample_radius < 1.0:
+        raise ParameterError("sample_radius must lie strictly between 0 and 1")
+    scale = sample_radius ** np.arange(out_degree + 1)
+    if scale[-1] == 0.0:
+        raise ParameterError("sample_radius ** out_degree underflows")
+    count = samples if samples is not None else max(4 * (out_degree + 1), 256)
+    if count < 2 * (out_degree + 1):
+        raise ParameterError("need at least 2 * (out_degree + 1) samples")
+    zs = sample_radius * np.exp(2j * np.pi * np.arange(count) / count)
+    vals = f(b(zs))
+    hat = np.fft.fft(vals) / count
+    return DiskPoly(hat[: out_degree + 1] / scale)
+
+
+def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:
+    """Coefficients of the reproducing kernel at w against the normalized
+    monomials: conj(w^m) / ||z^m||, truncated at max_degree."""
+    mons = grlex_monomials(space.dim, max_degree)
+    norms = _monomial_norms(space.dim, space.alpha, max_degree)
+    wv = np.atleast_1d(np.asarray(w, dtype=complex))
+    if wv.size != space.dim:
+        raise ValueError("point dimension mismatch")
+    vals = np.array([np.prod(wv ** np.array(m)) for m in mons])
+    return np.conj(vals) / norms
+
+
+def adjoint_kernel_check(b, space: SpaceSpec, col_degree: int, w) -> float:
+    """Residual of the identity: the composition adjoint sends the kernel at w
+    to the kernel at b(w).  Truncated sections make this exact through the
+    column degree, so the residual is pure rounding for |w| <= 0.7."""
+    wv = np.atleast_1d(np.asarray(w, dtype=complex))
+    if float(np.linalg.norm(wv)) > 0.7:
+        raise ValueError("check points must satisfy |w| <= 0.7")
+    section = comp_matrix(b, space, col_degree)
+    kv_rows = _kernel_coeff_vector(space, section.row_degree, wv)
+    if isinstance(b, SelfMapDisk):
+        bw = b(complex(wv[0]))
+    else:
+        bw = b(wv)
+    target = _kernel_coeff_vector(space, col_degree, bw)
+    resid = section.entries.conj().T @ kv_rows - target
+    return float(np.max(np.abs(resid)))
+
+
+def adjoint_mult_check(f, space: SpaceSpec, col_degree: int, w) -> float:
+    """Residual of the identity: the multiplication adjoint scales the kernel
+    at w by conj(f(w)).  Exact through the column degree."""
+    wv = np.atleast_1d(np.asarray(w, dtype=complex))
+    if float(np.linalg.norm(wv)) > 0.7:
+        raise ValueError("check points must satisfy |w| <= 0.7")
+    section = mult_matrix(f, space, col_degree)
+    kv_rows = _kernel_coeff_vector(space, section.row_degree, wv)
+    if isinstance(f, DiskPoly):
+        fw = f(complex(wv[0]))
+    else:
+        fw = f(wv)
+    target = np.conj(complex(fw)) * _kernel_coeff_vector(space, col_degree, wv)
+    resid = section.entries.conj().T @ kv_rows - target
+    return float(np.max(np.abs(resid)))

@@ -113,19 +113,19 @@ def test_criterion_6_ball_row_contractions():
 
 
 def test_criterion_7_product_map_regimes():
-    neg = br_experiment(0.95, section_degree=8, witness_budget=10000,
-                        set_size=8, radius=0.95, seed=7)
+    neg = br_experiment(0.95, section_degree=8, trace_degrees=range(0, 9, 4),
+                        witness_budget=10000, set_size=8, radius=0.95, seed=7)
     witness_ok = (neg.witness is not None
                   and neg.witness[1].min_eigenvalue < -1e-6)
 
-    grow = br_experiment(1.0, section_degree=60, witness_budget=1,
-                         set_size=4, seed=7)
+    grow = br_experiment(1.0, section_degree=60, trace_degrees=range(0, 61, 4),
+                         witness_budget=1, set_size=4, seed=7)
     trace = [v for _, v in grow.bracket.trace]
     growth_ok = (all(b > a for a, b in zip(trace, trace[1:]))
                  and trace[-1] > 3.353367)
 
-    flat = br_experiment(0.5, section_degree=60, witness_budget=1,
-                         set_size=4, seed=7)
+    flat = br_experiment(0.5, section_degree=60, trace_degrees=range(0, 61, 4),
+                         witness_budget=1, set_size=4, seed=7)
     fvals = [v for _, v in flat.bracket.trace]
     saturation_ok = abs(fvals[-1] - fvals[-2]) <= 1e-3
 

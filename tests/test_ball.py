@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelcomp.cli import ExperimentConfig, run_experiment
 from kernelcomp.ball import (
     br_experiment,
     br_map,
@@ -13,7 +14,7 @@ from kernelcomp.ball import (
 )
 from kernelcomp.operators import SpaceSpec, comp_matrix, op_norm_lower
 from kernelcomp.sampling import random_ball_row_contraction
-from kernelcomp.series import BallMap, BallPoly
+from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
 
 rising = lambda a, k: math.gamma(a + k) / math.gamma(a)
 
@@ -96,7 +97,8 @@ def test_br_composition_trace_matches_closed_form():
 
 
 def test_br_experiment_flat_at_zero():
-    out = br_experiment(0.0, section_degree=8, witness_budget=5, set_size=4)
+    out = br_experiment(0.0, section_degree=8, trace_degrees=range(0, 9, 4),
+                        witness_budget=5, set_size=4)
     values = [v for _, v in out.bracket.trace]
     assert values == [1.0] * len(values)
     assert out.verdict() == "no-counterexample-at-budget-5"
@@ -105,8 +107,8 @@ def test_br_experiment_flat_at_zero():
 
 
 def test_br_experiment_saturates_below_half_root_two():
-    out = br_experiment(0.5, section_degree=24, witness_budget=50,
-                        set_size=6, seed=3)
+    out = br_experiment(0.5, section_degree=24, trace_degrees=range(0, 25, 4),
+                        witness_budget=50, set_size=6, seed=3)
     values = [v for _, v in out.bracket.trace]
     assert abs(values[-1] - values[-2]) <= 1e-6
     assert out.witness is None
@@ -114,8 +116,8 @@ def test_br_experiment_saturates_below_half_root_two():
 
 
 def test_br_experiment_finds_negative_witness():
-    out = br_experiment(0.95, section_degree=8, witness_budget=50,
-                        set_size=8, radius=0.95, seed=0)
+    out = br_experiment(0.95, section_degree=8, trace_degrees=range(0, 9, 4),
+                        witness_budget=50, set_size=8, radius=0.95, seed=0)
     assert out.verdict() == "certified-negative"
     assert out.witness is not None
     _, cert = out.witness
@@ -134,17 +136,20 @@ def test_br_experiment_growth_at_one():
 
 def test_br_experiment_rejects_bad_r():
     with pytest.raises(ValueError):
-        br_experiment(1.5)
+        br_experiment(1.5, trace_degrees=[8])
 
 
 def test_br_csv_rows_shape():
-    out = br_experiment(0.5, section_degree=8, witness_budget=5, set_size=4,
-                        seed=(7, 2))
-    rows = out.csv_rows()
+    cfg = ExperimentConfig.from_dict(
+        {"name": "br", "seed": 7,
+         "params": {"r_values": [0.5], "section_degree": 8, "witness_budget": 5,
+                    "set_size": 4}})
+    rows = run_experiment(cfg).trace["rows"]
     assert all(len(row) == 6 for row in rows)
     assert rows[0][0] == 0.5
     assert rows[-1][1] == 8
-    assert rows[0][5] == "7-2"
+    assert rows[0][3] == "no-counterexample-at-budget-5"
+    assert rows[0][5] == 7
 
 
 def test_random_ball_row_contraction_margins():
@@ -153,7 +158,8 @@ def test_random_ball_row_contraction_margins():
         b = random_ball_row_contraction(rng, dim=2, coord_degree=2,
                                         row_target=0.9)
         assert b.dim == 2
-        assert b.sup_check.max_modulus <= 1.0 + 1e-9
+        top = np.sum(np.abs(b(_sphere_samples(2, BALL_MAP_GRID))) ** 2, axis=-1)
+        assert np.sqrt(np.max(top)) <= 1.0 + 1e-9
         w = np.array([0.3, -0.25])
         for alpha in (1.0, 2.0):
             out = row_mult_norm(b, alpha, w, 8)

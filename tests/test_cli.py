@@ -1,6 +1,8 @@
 """Command-line interface: configs, reports, determinism, exit codes."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcomp import cli
 from kernelcomp.cli import (
@@ -199,6 +203,17 @@ def test_config_accepts_an_integer_where_a_float_is_expected():
             {"name": "br", "tolerances": {"saturation_tol": True}})
 
 
+def test_config_rejects_numbers_too_large_for_a_float(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="'rel_slack' must be a finite number"):
+        ExperimentConfig.from_dict(
+            {"name": "theorem1", "tolerances": {"rel_slack": 10**400}})
+    with pytest.raises(ConfigError, match="'r_values' must be a finite number"):
+        _from_params("br", r_values=[0.5, 10**400])
+    cfg = _cfg(tmp_path, "theorem1", params={"boundary_max": 10**400})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "'boundary_max' must be a finite number" in capsys.readouterr().err
+
+
 def test_config_none_default_accepts_none_or_its_documented_type():
     assert _from_params("summation", mode_count=None).params["mode_count"] is None
     assert _from_params("summation", mode_count=3).params["mode_count"] == 3
@@ -293,6 +308,34 @@ _MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
       "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[1, False], [0.5, 0.0]]]},
                                  _MAP_COORDS[1]]}},
      "must hold 2 nonnegative integers, got [1, False]"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[1, [0.5, 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "must hold 2 nonnegative integers, got 1"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[2**63, 0], [0.5, 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "exponents must be below 2**63"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[1, 1], [True, 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "polynomial coefficient must be a finite number, got True"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[1, 1], ["2", 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "polynomial coefficient must be a finite number, got '2'"),
+    ({"kind": "dbr", "b": {"type": "taylor", "coeffs": 5}},
+     "taylor coefficients must be a list"),
+    ({"kind": "bergman", "alpha": False},
+     "bergman alpha must be a finite number, got False"),
+    ({"kind": "ball", "dim": 2, "alpha": "2"},
+     "ball spec alpha must be a finite number, got '2'"),
+    ({"kind": "ball_map", "alpha": True, "b": {"dim": 2, "coords": _MAP_COORDS}},
+     "ball_map alpha must be a finite number, got True"),
+    ({"kind": "dbr", "b": {"type": "blaschke", "a": [0.5, 0.0], "tail_tol": True}},
+     "blaschke tail_tol must be a finite number, got True"),
+    ({"kind": "dbr", "b": {"type": "blaschke", "a": [0.5, 0.0], "tail_tol": "2"}},
+     "blaschke tail_tol must be a finite number, got '2'"),
 ])
 def test_nested_spec_values_must_be_integers(tmp_path, capsys, spec, message):
     with pytest.raises(ConfigError) as err:
@@ -301,6 +344,91 @@ def test_nested_spec_values_must_be_integers(tmp_path, capsys, spec, message):
     cfg = _cfg(tmp_path, "psd", params={"spec": spec, "point_count": 4})
     assert main(["run", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+# every kind of nested spec the psd and hardy-bound configs take, each valid
+_FUZZ_BASES = [
+    ("psd", "spec", {"kind": "szego"}),
+    ("psd", "spec", {"kind": "bergman", "alpha": 2.0}),
+    ("psd", "spec", {"kind": "dbr", "b": {"type": "blaschke", "a": [0.5, 0.0],
+                                          "tail_tol": 1e-13}}),
+    ("psd", "spec", {"kind": "dbr_power", "alpha": 2,
+                     "b": {"type": "taylor", "coeffs": [[0.0, 0.0], [0.5, 0.0]]}}),
+    ("psd", "spec", {"kind": "ball", "dim": 2, "alpha": 1.0}),
+    ("psd", "spec", {"kind": "ball_map", "alpha": 1.0,
+                     "b": {"dim": 2, "coords": _MAP_COORDS}}),
+    ("hardy-bound", "symbol", {"type": "monomial", "degree": 2,
+                               "scale": [0.5, 0.0]}),
+    ("hardy-bound", "symbol", {"type": "taylor",
+                               "coeffs": [[0.1, 0.0], [0.5, 0.0]]}),
+]
+_FUZZ_SIZES = {"psd": {"point_count": 4},
+               "hardy-bound": {"section_degree": 8, "check_sharp": False}}
+# wrong types, bools, strings and huge integers
+_ODD_VALUES = [True, False, None, "2", 2.5, -1, 2**63, 10**400, [], {}, [1, 2, 3]]
+
+
+def _nodes(node, path=()):
+    """Paths to every value of a json tree, the root first."""
+    yield path
+    children = ()
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    name, key, base = draw(st.sampled_from(_FUZZ_BASES))
+    root = {key: copy.deepcopy(base)}
+    for _ in range(draw(st.integers(1, 2))):
+        *parent, last = draw(st.sampled_from(list(_nodes(root[key], (key,)))))
+        holder = root
+        for k in parent:
+            holder = holder[k]
+        old = holder[last]
+        change = draw(st.sampled_from(["odd", "shorter", "longer"]))
+        if change == "shorter" and isinstance(old, (list, dict)) and old:
+            new = old[:-1] if isinstance(old, list) else dict(list(old.items())[1:])
+        elif change == "longer" and isinstance(old, list):
+            new = old + (old[-1:] or [0])
+        elif change == "longer" and isinstance(old, dict):
+            new = dict(old, extra=0)
+        else:
+            new = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        holder[last] = new
+    return {"name": name, "params": dict(_FUZZ_SIZES[name], **root)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_configs())
+def test_mutated_nested_specs_never_raise(tmp_path_factory, config):
+    # exit 0 or 1 for a config that still runs, 2 with a message for one
+    # that is refused; any exception escaping main fails the test
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(base / "fuzz.out")])
+    assert code in (0, 1, 2)
+
+
+def test_inf_estimate_reciprocal_weight_blaschke_half():
+    # at w = 0 the weight is 1 - b / 2 for the Blaschke factor b with a = 1/2:
+    # its modulus is at least 1/2 on the circle, with equality at the grid
+    # point z = 1, and its symbol-space norm is sqrt(1 - 1/4), so the
+    # estimate is sqrt(3)
+    cfg = ExperimentConfig.from_dict(
+        {"name": "inf-estimate", "params": {"section_degree": 16, "family_size": 1}})
+    rows = run_experiment(cfg).trace["rows"]
+    assert len(rows) == 1
+    w_re, w_im, weight_norm, inv_sup, estimate = rows[0]
+    assert (w_re, w_im) == (0.0, 0.0)
+    assert weight_norm == pytest.approx(math.sqrt(1 - 0.25), rel=1e-12)
+    assert inv_sup == pytest.approx(2.0, rel=1e-12)
+    assert estimate == pytest.approx(math.sqrt(3.0), rel=1e-6)
 
 
 def test_stable_json_formatting():

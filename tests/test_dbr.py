@@ -18,11 +18,10 @@ from kernelcomp.dbr import (
     onb_defect,
     summation_partial,
     szego_residual,
-    weight_upper_estimate,
 )
 from kernelcomp.kernels import KernelSpec, PointSet, eval_kernel
 from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
-from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor
+from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor, sup_norm_circle
 
 
 def _symbols():
@@ -210,30 +209,11 @@ def test_summation_partial_validates_test_degree():
         summation_partial(b, 16, test_degree=17)
 
 
-def test_weight_upper_estimate_blaschke_half():
-    # f = 1 - b / 2 has |f| >= 1/2 on the circle with equality at z = 1, and
-    # the symbol-space norm of the kernel section at 0 is sqrt(3) / 2
-    b = blaschke_factor(0.5)
-    f = DiskPoly(-0.5 * b.series.padded(b.degree()))
-    f = DiskPoly(f.coeffs + np.eye(1, b.degree() + 1, 0).ravel())
-    combo = KernelCombo(b, 1, PointSet([0.0]), [1.0])
-    hb = hb_norm_combo(combo).value
-    assert hb == pytest.approx(math.sqrt(1 - 0.25), rel=1e-12)
-    est = weight_upper_estimate(f, hb, grid_size=8192)
-    assert est == pytest.approx(math.sqrt(3.0), rel=1e-6)
-
-
-def test_weight_upper_estimate_rejects_vanishing_weight():
-    f = DiskPoly([1.0, -1.0])
-    with pytest.raises(ValueError):
-        weight_upper_estimate(f, 1.0)
-
-
 def test_random_disk_symbol_is_admissible():
     rng = np.random.default_rng(33)
     for _ in range(10):
         b = random_disk_symbol(rng, max_degree=5, boundary_max=0.95)
-        assert b.sup_check.max_modulus <= 0.95 + 1e-9
+        assert sup_norm_circle(b.series, 1024) <= 0.95 + 1e-9
         assert not b.is_constant()
 
 

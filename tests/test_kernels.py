@@ -114,9 +114,9 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec.ball(0, 2.0)
     # a dim-1 ball kernel is legal: it coincides with the weighted disk kernel
-    assert KernelSpec.ball(1, 2.0).space_dim == 1
+    assert KernelSpec.ball(1, 2.0).dim == 1
     spec = KernelSpec.szego()
-    assert spec.alpha == 1.0 and spec.space_dim == 1
+    assert spec.alpha == 1.0 and spec.dim == 1
 
 
 def test_kernel_spec_json_round_trip_shape():
@@ -241,7 +241,7 @@ def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
             rejects += 1
             if rejects > max_rejects:
                 raise RuntimeError("point sampling failed to fill the set")
-    return PointSet(pts, dim=dim)
+    return PointSet(pts)
 
 
 def _serial_gram_entries(spec, pts):
@@ -266,14 +266,14 @@ def _serial_gram_entries(spec, pts):
     return 0.5 * (g + g.conj().T)
 
 
-def _serial_search(spec, *, seed, radius, set_size, budget, tol_scale=100.0):
+def _serial_search(spec, *, seed, radius, set_size, budget):
     """Returns (trial, points, certificate JSON) of the first NEGATIVE trial."""
     base = seed_tuple(seed)
     for trial in range(budget):
         rng = np.random.default_rng(base + (trial,))
         pts = _serial_sample_point_set(rng, spec.dim, radius, set_size)
         g = GramMatrix(spec, pts, _serial_gram_entries(spec, pts.points))
-        cert = check_psd(g, tol_scale=tol_scale)
+        cert = check_psd(g)
         if cert.verdict == NEGATIVE:
             cert.seed = seed
             return trial, pts.points, json.dumps(cert.to_json_dict())
@@ -417,7 +417,7 @@ def test_screen_never_clears_a_negative_trial():
     assert negative
     # 12 draws hold 6 admissible candidates on average, 48 hold 24
     for draws in (12, 20, 48):
-        deferred = kernels._screen(spec, base, trials, 0.95, 8, draws, 100.0)
+        deferred = kernels._screen(spec, base, trials, 0.95, 8, draws)
         assert negative <= set(deferred)
         assert deferred == sorted(deferred)
         for t in trials:

@@ -9,8 +9,6 @@ from kernelcomp.ball import br_map
 from kernelcomp.operators import (
     SpaceSpec,
     _grlex_rank,
-    adjoint_kernel_check,
-    adjoint_mult_check,
     comp_matrix,
     grlex_monomials,
     monomial_norms,
@@ -24,9 +22,9 @@ from kernelcomp.series import (
     DiskPoly,
     SelfMapDisk,
     blaschke_factor,
-    compose,
     sup_norm_circle,
 )
+from oracles import adjoint_kernel_check, adjoint_mult_check, compose
 
 H2 = SpaceSpec(1, 1.0)
 
