@@ -30,6 +30,7 @@ from .series import BallMap, BallPoly
 __all__ = [
     "RowCheckResult",
     "BrResult",
+    "coord_mult_sections",
     "row_mult_norm",
     "inv_kernel_mult_norm",
     "br_map",
@@ -51,20 +52,33 @@ class RowCheckResult:
     margin: float
 
 
-def row_mult_norm(b: BallMap, alpha: float, w, col_degree: int) -> RowCheckResult:
-    """Certified lower bound for the row multiplier norm at w."""
+def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
+    """Multiplication sections of the coordinates of b, all with the row
+    degree col_degree + deg(b) so that they sum entry by entry."""
     space = SpaceSpec(b.dim, float(alpha))
+    row_degree = col_degree + b.degree()
+    return [mult_matrix(coord, space, col_degree, row_degree=row_degree)
+            for coord in b.coords]
+
+
+def row_mult_norm(b: BallMap, alpha: float, w, col_degree: int,
+                  coord_sections=None) -> RowCheckResult:
+    """Certified lower bound for the row multiplier norm at w.
+
+    ``coord_sections`` is ``coord_mult_sections(b, alpha, col_degree)``;
+    pass it to check many points of one map without rebuilding it.
+    """
     wv = np.atleast_1d(np.asarray(w, dtype=complex))
     if wv.size != b.dim:
         raise ValueError("w must have one coordinate per map component")
     if float(np.linalg.norm(wv)) >= 1.0:
         raise ValueError("w must lie strictly inside the ball")
     bw = np.array([c(wv) for c in b.coords], dtype=complex)
-    row_degree = col_degree + b.degree()
+    if coord_sections is None:
+        coord_sections = coord_mult_sections(b, alpha, col_degree)
     acc = None
-    for i, coord in enumerate(b.coords):
-        block = mult_matrix(coord, space, col_degree, row_degree=row_degree).entries
-        term = np.conj(bw[i]) * block
+    for i, section in enumerate(coord_sections):
+        term = np.conj(bw[i]) * section.entries
         acc = term if acc is None else acc + term
     acc = acc[np.any(acc != 0, axis=1)]
     sigma = float(np.linalg.svd(acc, compute_uv=False)[0]) if acc.size else 0.0

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .ball import br_experiment, inv_kernel_mult_norm, row_mult_norm
+from .ball import br_experiment, coord_mult_sections, inv_kernel_mult_norm, \
+    row_mult_norm
 from .dbr import (
     KernelPositivityError,
     combo_to_poly,
@@ -34,8 +35,8 @@ from .kernels import (
     gram,
     sample_point_set,
 )
-from .operators import SpaceSpec, comp_matrix, comp_norm_bound, mult_matrix, \
-    op_norm_lower, weighted_comp_matrix
+from .operators import SpaceSpec, comp_matrix, comp_norm_bound, op_norm_lower, \
+    weighted_comp_matrix
 from .sampling import (
     random_ball_row_contraction,
     random_disk_symbol,
@@ -47,6 +48,7 @@ from .series import (
     DiskPoly,
     SelfMapDisk,
     _circle_points,
+    _coeff_zeros,
     blaschke_factor,
 )
 
@@ -275,7 +277,7 @@ def poly_from_json_dict(obj: dict):
         pairs.append((tuple(m), _as_complex(c, "polynomial coefficient")))
     if dim == 1:
         deg = max((m[0] for m, _ in pairs), default=0)
-        c = np.zeros(deg + 1, dtype=complex)
+        c = _coeff_zeros(deg + 1)
         for m, v in pairs:
             c[m[0]] += v
         return DiskPoly(c)
@@ -557,23 +559,24 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
         bmap = random_ball_row_contraction(rng, dim, params["coord_degree"],
                                            params["row_target"])
         for alpha in alphas:
-            space = SpaceSpec(dim, float(alpha))
             spec = KernelSpec.ball_map(bmap, alpha)
             pts = sample_point_set(rng, dim, params["cert_radius"],
                                    params["cert_points"])
             cert = check_psd(gram(spec, pts))
             worst[(alpha, "psd")] = max(worst[(alpha, "psd")],
                                         -cert.min_eigenvalue - cert.tolerance)
+            # built once for every row point; rows past a coordinate's own
+            # degree are zero, which op_norm_lower drops before its SVD
+            sections = coord_mult_sections(bmap, alpha, n)
             coord_top = -math.inf
-            for coord in bmap.coords:
-                lo = op_norm_lower(mult_matrix(coord, space, n),
-                                   trace_degrees=[n]).lower
+            for section in sections:
+                lo = op_norm_lower(section, trace_degrees=[n]).lower
                 coord_top = max(coord_top, lo)
             worst[(alpha, "coord")] = max(worst[(alpha, "coord")], coord_top)
             min_margin = math.inf
             for _ in range(params["row_points"]):
                 wpt = sample_point_set(rng, dim, params["row_radius"], 1)
-                rc = row_mult_norm(bmap, alpha, wpt.points[0], n)
+                rc = row_mult_norm(bmap, alpha, wpt.points[0], n, sections)
                 min_margin = min(min_margin, rc.margin)
             worst[(alpha, "margin")] = max(worst[(alpha, "margin")], -min_margin)
             inv = inv_kernel_mult_norm(bmap, alpha, n,

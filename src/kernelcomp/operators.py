@@ -5,6 +5,11 @@ series spaces.  Columns are kept exact: the row degree is always large enough
 to hold the full image of every retained basis vector, so the largest singular
 value of any column-prefix block is a certified lower bound for the operator
 norm and grows monotonically with the number of columns.
+
+A section stores the rows it needs: ``rows`` lists their grlex ranks in
+ascending order and ``entries`` holds one dense row per rank.  Ball
+composition sections keep only the rows their column images reach; every
+other section keeps all rows through its row degree.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import BallMap, BallPoly, DiskPoly, SelfMapDisk, _combine, _pair_terms
+from .series import MAX_SECTION_BYTES, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
+    _combine, _pair_terms
 
 __all__ = [
     "SpaceSpec",
@@ -30,11 +36,6 @@ __all__ = [
     "comp_norm_bound",
     "MAX_SECTION_BYTES",
 ]
-
-# largest section, in bytes, that comp_matrix and mult_matrix will allocate;
-# sample_point_set holds its separation check to the same limit
-MAX_SECTION_BYTES = 2**30
-
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -129,50 +130,60 @@ def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
     return _monomial_norms(space.dim, space.alpha, max_degree).copy()
 
 
-def _section_zeros(dim: int, row_degree: int, col_degree: int) -> np.ndarray:
-    """Zero complex section, refused before allocation above MAX_SECTION_BYTES."""
+def _check_section_size(dim: int, row_degree: int, col_degree: int) -> tuple:
+    """Row and column counts of the dense section, refused before any work
+    when its entries would pass MAX_SECTION_BYTES."""
     rows = _monomial_count(dim, row_degree)
     cols = _monomial_count(dim, col_degree)
     nbytes = rows * cols * np.dtype(complex).itemsize
     if nbytes > MAX_SECTION_BYTES:
         raise ValueError(f"a {rows}x{cols} section needs {nbytes} bytes, "
                          f"above the {MAX_SECTION_BYTES}-byte limit")
-    return np.zeros((rows, cols), dtype=complex)
+    return rows, cols
 
 
-def _place(entries: np.ndarray, rows, cols, coefs, norms: np.ndarray) -> None:
-    """entries[rows, cols] = coefs * norms[rows] / norms[cols], rounded as
+def _place(entries: np.ndarray, slots, rows, cols, coefs,
+           norms: np.ndarray) -> None:
+    """entries[slots, cols] = coefs * norms[rows] / norms[cols], rounded as
     Python rounds ``c * x / y`` for a complex c and floats x, y: each float
     is promoted to a complex with zero imaginary part, which decides the
-    sign of zero results."""
+    sign of zero results.  ``slots`` are the stored-row positions of the
+    grlex ranks ``rows``."""
     x, y = norms[rows], norms[cols]
     cr, ci = coefs.real, coefs.imag
     real = cr * x - ci * 0.0
     imag = cr * 0.0 + ci * x
-    entries.real[rows, cols] = (real + imag * 0.0) / y
-    entries.imag[rows, cols] = (imag - real * 0.0) / y
+    entries.real[slots, cols] = (real + imag * 0.0) / y
+    entries.imag[slots, cols] = (imag - real * 0.0) / y
 
 
 @dataclass
 class SectionMatrix:
     """Finite section with exact columns.
 
-    ``entries[i, j]`` is the coefficient of the image of the j-th normalized
-    monomial against the i-th, with rows covering every degree the images can
-    reach.  ``kind`` tags sections that carry a closed-form norm upper bound.
+    ``rows`` holds ascending grlex ranks of normalized monomials of degree at
+    most ``row_degree``; ``entries[i, j]`` is the coefficient of the image of
+    the j-th normalized monomial against the one of rank ``rows[i]``.  Every
+    row left out is zero, so the stored rows hold each column exactly.
+    ``kind`` tags sections that carry a closed-form norm upper bound.
     """
 
     space: SpaceSpec
     col_degree: int
     row_degree: int
+    rows: np.ndarray
     entries: np.ndarray
     kind: str = "generic"
     center_modulus: float | None = None
 
     def __post_init__(self):
-        rows = _monomial_count(self.space.dim, self.row_degree)
+        count = _monomial_count(self.space.dim, self.row_degree)
         cols = _monomial_count(self.space.dim, self.col_degree)
-        assert self.entries.shape == (rows, cols), "degree bookkeeping violation"
+        assert self.entries.shape == (len(self.rows), cols), \
+            "degree bookkeeping violation"
+        ranks = np.concatenate([[-1], self.rows, [count]])
+        assert np.all(np.diff(ranks) > 0), \
+            "rows must be ascending grlex ranks within the row degree"
 
 
 def _comp_entries_disk(a: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
@@ -259,16 +270,20 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
 
     deg_b = b.degree()
     row_degree = col_degree * deg_b
-    entries = _section_zeros(space.dim, row_degree, col_degree)
+    # the limit is the dense section's, so stored rows never decide it
+    nrows, ncols = _check_section_size(space.dim, row_degree, col_degree)
     norms = _monomial_norms(space.dim, space.alpha, row_degree)
 
     if coeffs is not None:
+        rows = np.arange(nrows)
+        entries = np.zeros((nrows, ncols), dtype=complex)
         _comp_entries_disk(entries, coeffs[0], norms, col_degree)
-        return SectionMatrix(space, col_degree, row_degree, entries,
-                             kind="composition", center_modulus=center)
-
-    _place(entries, *_comp_entries_ball(b, col_degree), norms)
-    return SectionMatrix(space, col_degree, row_degree, entries,
+    else:
+        ranks, cols, coefs = _comp_entries_ball(b, col_degree)
+        rows = np.unique(ranks)
+        entries = np.zeros((len(rows), ncols), dtype=complex)
+        _place(entries, np.searchsorted(rows, ranks), ranks, cols, coefs, norms)
+    return SectionMatrix(space, col_degree, row_degree, rows, entries,
                          kind="composition", center_modulus=center)
 
 
@@ -297,13 +312,15 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
         row_degree = needed
     elif row_degree < needed:
         raise ValueError("row_degree too small to hold the columns exactly")
-    entries = _section_zeros(space.dim, row_degree, col_degree)
+    nrows, ncols = _check_section_size(space.dim, row_degree, col_degree)
+    rows = np.arange(nrows)
+    entries = np.zeros((nrows, ncols), dtype=complex)
     norms = _monomial_norms(space.dim, space.alpha, row_degree)
     col_exps = np.array(grlex_monomials(space.dim, col_degree))
-    rows = _grlex_rank(f.exps[:, None, :] + col_exps[None, :, :])
+    ranks = _grlex_rank(f.exps[:, None, :] + col_exps[None, :, :])
     cols = np.arange(len(col_exps))[None, :]
-    _place(entries, rows, cols, f.coefs[:, None], norms)
-    return SectionMatrix(space, col_degree, row_degree, entries,
+    _place(entries, ranks, ranks, cols, f.coefs[:, None], norms)
+    return SectionMatrix(space, col_degree, row_degree, rows, entries,
                          kind="multiplication")
 
 
@@ -312,8 +329,11 @@ def weighted_comp_matrix(f, comp: SectionMatrix) -> SectionMatrix:
     b: the multiplication section of f times ``comp``, with exact
     intermediate degree."""
     mult = mult_matrix(f, comp.space, comp.row_degree)
-    return SectionMatrix(comp.space, comp.col_degree, mult.row_degree,
-                         mult.entries @ comp.entries, kind="weighted")
+    left = mult.entries
+    if len(comp.rows) < left.shape[1]:
+        left = left[:, comp.rows]  # the rows comp leaves out are zero
+    return SectionMatrix(comp.space, comp.col_degree, mult.row_degree, mult.rows,
+                         left @ comp.entries, kind="weighted")
 
 
 @dataclass
@@ -355,9 +375,10 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
 
     Each prefix keeps the columns of degree <= d and all rows, so its top
     singular value is a true lower bound for the operator norm; the bounds
-    are nondecreasing in d.  All-zero rows are dropped before the SVD, which
-    leaves singular values unchanged.  Disk composition sections also carry
-    the closed-form upper bound ((1 + |b(0)|) / (1 - |b(0)|)) ** (alpha / 2).
+    are nondecreasing in d.  All-zero rows, stored or left out, are dropped
+    before the SVD, which leaves singular values unchanged.  Disk composition
+    sections also carry the closed-form upper bound
+    ((1 + |b(0)|) / (1 - |b(0)|)) ** (alpha / 2).
     """
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)

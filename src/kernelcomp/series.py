@@ -26,6 +26,19 @@ SELF_MAP_GRID = 1024
 BALL_MAP_GRID = 2048
 SELF_MAP_SLACK = 1e-12
 
+# largest complex array, in bytes, that a coefficient list or a finite section
+# may take; sample_point_set holds its separation check to the same limit
+MAX_SECTION_BYTES = 2**30
+
+
+def _coeff_zeros(count: int) -> np.ndarray:
+    """``count`` complex zeros, refused before allocation above MAX_SECTION_BYTES."""
+    nbytes = count * np.dtype(complex).itemsize
+    if nbytes > MAX_SECTION_BYTES:
+        raise ValueError(f"{count} coefficients need {nbytes} bytes, "
+                         f"above the {MAX_SECTION_BYTES}-byte limit")
+    return np.zeros(count, dtype=complex)
+
 
 class ParameterError(ValueError):
     """Sampling parameters outside their usable range."""
@@ -60,7 +73,7 @@ class DiskPoly:
     def monomial(cls, degree: int, scale: complex = 1.0) -> "DiskPoly":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        c = np.zeros(degree + 1, dtype=complex)
+        c = _coeff_zeros(degree + 1)
         c[degree] = scale
         return cls(c)
 
@@ -382,6 +395,30 @@ class BallMap:
         return f"BallMap(dim={self.dim}, degree={self.degree()})"
 
 
+def _blaschke_degree(r: float, tail_tol: float) -> int:
+    """Least T >= 1 with (1 - r^2) r^T / (1 - r) <= tail_tol, the tail sum
+    after degree T, for 0 < r < 1.
+
+    T is estimated from logarithms and then stepped to the exact least T of
+    the rounded predicate, which is monotone in T.  An estimate far past the
+    coefficient limit is refused without stepping.
+    """
+    def small(t):
+        return (1.0 - r * r) * r**t / (1.0 - r) <= tail_tol
+
+    est = (math.log(tail_tol) - math.log1p(r)) / math.log(r)
+    limit = MAX_SECTION_BYTES // np.dtype(complex).itemsize
+    if est > 2 * limit:
+        raise ValueError(f"a tail below {tail_tol} needs about {est:.3g} "
+                         f"coefficients, above the {MAX_SECTION_BYTES}-byte limit")
+    t = math.ceil(est) if est > 1 else 1  # est is -inf for tail_tol = inf
+    while not small(t):
+        t += 1
+    while t > 1 and small(t - 1):
+        t -= 1
+    return t
+
+
 def blaschke_factor(a: complex, tail_tol: float = 1e-13) -> SelfMapDisk:
     """Truncated Taylor series of (z + a) / (1 + conj(a) z) as a self-map.
 
@@ -396,11 +433,8 @@ def blaschke_factor(a: complex, tail_tol: float = 1e-13) -> SelfMapDisk:
         raise ValueError("tail_tol must be positive")
     if r == 0.0:
         return SelfMapDisk(DiskPoly.identity())
-    # tail after degree T sums to (1 - r^2) r^T / (1 - r)
-    T = 1
-    while (1.0 - r * r) * r**T / (1.0 - r) > tail_tol:
-        T += 1
-    c = np.zeros(T + 1, dtype=complex)
+    degree = _blaschke_degree(r, tail_tol)
+    c = _coeff_zeros(degree + 1)
     c[0] = a
-    c[1:] = (1.0 - r * r) * (-np.conj(a)) ** np.arange(T)
+    c[1:] = (1.0 - r * r) * (-np.conj(a)) ** np.arange(degree)
     return SelfMapDisk(DiskPoly(c))

@@ -9,6 +9,7 @@ from kernelcomp.cli import ExperimentConfig, run_experiment
 from kernelcomp.ball import (
     br_experiment,
     br_map,
+    coord_mult_sections,
     inv_kernel_mult_norm,
     row_mult_norm,
 )
@@ -37,6 +38,8 @@ def test_row_mult_norm_two_coordinates():
     out = row_mult_norm(b, 2.0, w, 8)
     assert out.bound == pytest.approx(np.linalg.norm([0.2, 0.1]), rel=1e-13)
     assert out.margin >= -1e-10
+    # sections built once give the same bytes as sections built per point
+    assert row_mult_norm(b, 2.0, w, 8, coord_mult_sections(b, 2.0, 8)) == out
 
 
 def test_row_mult_norm_rejects_outside_point():

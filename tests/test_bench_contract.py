@@ -9,25 +9,28 @@ fail here.
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
+
+import numpy as np
 
 import kernelcomp
 import kernelcomp.cli  # noqa: F401  (imports every module the spans name)
-from kernelcomp import ball, kernels, series
+from kernelcomp import ball, kernels, operators, series
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _spans():
+def _spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
 
 
 def test_every_span_resolves_in_its_owner():
     missing = []
-    for module_name, path, _ in _spans():
+    for module_name, path, _ in _spans_module().SPANS:
         owner = importlib.import_module("kernelcomp." + module_name)
         *cls_path, attr = path.split(".")
         for part in cls_path:
@@ -43,3 +46,20 @@ def test_package_root_and_rebound_names():
     assert vars(ball)["sample_point_set"] is kernels.sample_point_set
     budget = inspect.signature(kernels.find_negative_witness).parameters["budget"]
     assert budget.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_section_counters_read_the_stored_rows():
+    # the tracer counts a section by its entries array; a ball composition
+    # stores only its reachable rows, and the counters see exactly those
+    tracer = _spans_module().Tracer()
+    with tracer:
+        section = operators.comp_matrix(ball.br_map(0.5),
+                                        operators.SpaceSpec(2, 1.0), 12)
+    dense_rows = math.comb(section.row_degree + 2, 2)
+    assert section.entries.shape == (len(section.rows), math.comb(12 + 2, 2))
+    assert len(section.rows) < dense_rows
+    counts = tracer.metrics()
+    assert counts["operators.comp_matrix.calls"] == 1
+    assert counts["operators.section_entries"] == section.entries.size
+    assert counts["operators.section_nonzeros"] == np.count_nonzero(section.entries)
+    assert counts["operators.section_bytes_max"] == section.entries.nbytes

@@ -254,6 +254,28 @@ def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
     assert peak < 2**24
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "dbr", "b": {"type": "monomial", "degree": 10**12}},
+    {"kind": "dbr", "b": {"type": "blaschke", "a": [0.999999999, 0.0],
+                          "tail_tol": 1e-300}},
+    {"kind": "ball_map", "alpha": 1.0,
+     "b": {"dim": 1, "coords": [{"dim": 1, "terms": [[[10**12], [0.5, 0.0]]]}]}},
+])
+def test_oversized_coefficient_array_exits_two_before_allocating(tmp_path, capsys,
+                                                                 spec):
+    cfg = _cfg(tmp_path, "psd", params={"spec": spec, "point_count": 4})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "byte limit" in err
+    assert peak < 2**24
+
+
 def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys):
     # a radius-0.95 ball in dim 9 is too rare a draw from the polydisk
     cfg = _cfg(tmp_path, "psd", params={

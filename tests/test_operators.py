@@ -1,6 +1,7 @@
 """Finite sections, monomial norms, and certified norm traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ from kernelcomp.series import (
 from oracles import adjoint_kernel_check, adjoint_mult_check, compose
 
 H2 = SpaceSpec(1, 1.0)
+
+
+def _dense(sec):
+    # every row through the row degree, the rows left out as zeros
+    count = math.comb(sec.row_degree + sec.space.dim, sec.space.dim)
+    out = np.zeros((count, sec.entries.shape[1]), dtype=complex)
+    out[sec.rows] = sec.entries
+    return out
 
 
 def _weight_coeffs_fft(alpha, count):
@@ -116,6 +125,7 @@ def test_comp_matrix_inner_square_is_exact():
     b = SelfMapDisk(DiskPoly([0.0, 0.0, 1.0]))
     sec = comp_matrix(b, H2, 6)
     assert sec.row_degree == 12
+    assert np.array_equal(sec.rows, np.arange(13))
     expect = np.zeros((13, 7), dtype=complex)
     for j in range(7):
         expect[2 * j, j] = 1.0
@@ -159,8 +169,11 @@ def test_comp_matrix_ball_product_map_columns():
     mons_col = grlex_monomials(2, 4)
     rnorms = monomial_norms(space, sec.row_degree)
     cnorms = monomial_norms(space, 4)
+    # the powers (s z1 z2)^a and the zero power of the zero coordinate
+    assert sec.rows.tolist() == [0] + [mons_row.index((a, a)) for a in range(1, 5)]
+    dense = _dense(sec)
     for j, m in enumerate(mons_col):
-        col = sec.entries[:, j]
+        col = dense[:, j]
         if m[1] > 0:
             assert np.all(col == 0)
             continue
@@ -182,6 +195,7 @@ def test_mult_matrix_row_degree_control():
     f = DiskPoly([1.0, 2.0])
     sec = mult_matrix(f, H2, 3, row_degree=8)
     assert sec.entries.shape == (9, 4)
+    assert np.array_equal(sec.rows, np.arange(9))
     with pytest.raises(ValueError):
         mult_matrix(f, H2, 3, row_degree=3)
 
@@ -228,7 +242,8 @@ def _dict_mul(a: dict, b: dict) -> dict:
 
 def _comp_reference(b, space, col_degree):
     # oracle: the same coordinate powers, placed entry by entry through a
-    # row dict as sections were assembled before the vectorized scatter
+    # row dict into every row as sections were assembled before the
+    # vectorized scatter; also the ranks of the rows the images reach
     row_degree = col_degree * b.degree()
     cols = grlex_monomials(space.dim, col_degree)
     rows = grlex_monomials(space.dim, row_degree)
@@ -237,6 +252,7 @@ def _comp_reference(b, space, col_degree):
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
     zero = (0,) * space.dim
     powers = {zero: {zero: 1.0 + 0.0j}}
+    reached = set()
     for j, m in enumerate(cols):
         if m != zero:
             i_var = next(i for i, e in enumerate(m) if e > 0)
@@ -245,7 +261,14 @@ def _comp_reference(b, space, col_degree):
         for mi, c in powers[m].items():
             i = row_index[mi]
             entries[i, j] = c * norms[i] / norms[j]
-    return entries
+            reached.add(i)
+    return entries, sorted(reached)
+
+
+def _assert_matches_comp_reference(sec, b, space, col_degree):
+    entries, reached = _comp_reference(b, space, col_degree)
+    assert sec.rows.dtype == np.int64 and sec.rows.tolist() == reached
+    assert _dense(sec).tobytes() == entries.tobytes()
 
 
 def _random_ball_poly(rng, dim, degree, count):
@@ -294,8 +317,7 @@ def test_comp_matrix_matches_per_entry_reference(dim):
         # coefficient sums below 1 / dim keep the map inside the ball
         b = BallMap([(0.3 / dim / (sum(abs(v) for v in c.terms.values()) or 1.0))
                      * c for c in coords])
-        sec = comp_matrix(b, space, 4)
-        assert sec.entries.tobytes() == _comp_reference(b, space, 4).tobytes()
+        _assert_matches_comp_reference(comp_matrix(b, space, 4), b, space, 4)
 
 
 def test_comp_matrix_matches_reference_with_cancelling_powers():
@@ -309,9 +331,31 @@ def test_comp_matrix_matches_reference_with_cancelling_powers():
                       (br_map(0.75), 20)]:
         for alpha in (1.0, 3.5):
             space = SpaceSpec(2, alpha)
-            sec = comp_matrix(b, space, degree)
-            assert sec.entries.tobytes() == \
-                _comp_reference(b, space, degree).tobytes()
+            _assert_matches_comp_reference(comp_matrix(b, space, degree), b,
+                                           space, degree)
+
+
+def test_ball_composition_section_stays_small():
+    # the br section at r = 0.75: 61 reachable rows of 7381, 223 MB dense
+    tracemalloc.start()
+    try:
+        sec = comp_matrix(br_map(0.75), SpaceSpec(2, 1.0), 60)
+        op_norm_lower(sec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sec.entries.shape == (61, 1891)
+    assert peak < 16 * 2**20
+
+
+def test_weighted_ball_composition_matches_dense_product():
+    space = SpaceSpec(2, 2.0)
+    comp = comp_matrix(br_map(0.5), space, 6)
+    f = BallPoly(2, {(0, 0): 0.5, (1, 0): 0.25, (0, 2): -0.125j})
+    sec = weighted_comp_matrix(f, comp)
+    expect = mult_matrix(f, space, comp.row_degree).entries @ _dense(comp)
+    assert np.array_equal(sec.rows, np.arange(expect.shape[0]))
+    assert np.allclose(sec.entries, expect, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -1,5 +1,7 @@
 """Polynomial types, circle-sampling composition, and admission checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from kernelcomp.series import (
     DiskPoly,
     ParameterError,
     SelfMapDisk,
+    _blaschke_degree,
     _circle_points,
     blaschke_factor,
     sup_norm_circle,
@@ -260,6 +263,34 @@ def test_blaschke_factor_matches_rational_function():
         assert abs(b(z) - exact) <= 2e-13
     # boundary grid stays within the admission slack
     assert sup_norm_circle(b.series, 1024) <= 1.0 + SELF_MAP_SLACK
+
+
+def _blaschke_degree_loop(r, tail_tol):
+    # oracle: the one-step search that chose the truncation degree before
+    # the estimate from logarithms
+    T = 1
+    while (1.0 - r * r) * r**T / (1.0 - r) > tail_tol:
+        T += 1
+    return T
+
+
+def test_blaschke_degree_matches_stepwise_search():
+    for r in (1e-300, 1e-9, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        for tol in (1e300, 10.0, 1.0, 0.5, 1e-3, 1e-8, 1e-13, 1e-16, 1e-30,
+                    1e-100):
+            assert _blaschke_degree(r, tol) == _blaschke_degree_loop(r, tol)
+    # tails where r**T leaves the normal range of floats
+    for r in (1e-9, 0.5, 0.9):
+        for tol in (1e-300, 1e-310, 5e-324):
+            assert _blaschke_degree(r, tol) == _blaschke_degree_loop(r, tol)
+    assert _blaschke_degree(0.5, math.inf) == 1
+
+
+def test_blaschke_degree_above_the_coefficient_limit_is_refused():
+    # about 1e8 coefficients, found by stepping; about 7e11, from the estimate
+    for r in (1.0 - 7e-6, 0.999999999):
+        with pytest.raises(ValueError, match="byte limit"):
+            blaschke_factor(r, tail_tol=1e-300)
 
 
 def test_blaschke_zero_parameter_is_identity():
