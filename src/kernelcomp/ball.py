@@ -61,21 +61,21 @@ def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
             for coord in b.coords]
 
 
-def row_mult_norm(b: BallMap, alpha: float, w, col_degree: int,
-                  coord_sections=None) -> RowCheckResult:
+def row_mult_norm(b: BallMap, w, coord_sections: list) -> RowCheckResult:
     """Certified lower bound for the row multiplier norm at w.
 
-    ``coord_sections`` is ``coord_mult_sections(b, alpha, col_degree)``;
-    pass it to check many points of one map without rebuilding it.
+    ``coord_sections`` is ``coord_mult_sections(b, alpha, col_degree)``,
+    built once for every point checked on one map; it fixes alpha and the
+    column degree.
     """
     wv = np.atleast_1d(np.asarray(w, dtype=complex))
     if wv.size != b.dim:
         raise ValueError("w must have one coordinate per map component")
     if float(np.linalg.norm(wv)) >= 1.0:
         raise ValueError("w must lie strictly inside the ball")
+    if len(coord_sections) != len(b.coords):
+        raise ValueError("coord_sections must hold one section per coordinate")
     bw = np.array([c(wv) for c in b.coords], dtype=complex)
-    if coord_sections is None:
-        coord_sections = coord_mult_sections(b, alpha, col_degree)
     acc = None
     for i, section in enumerate(coord_sections):
         term = np.conj(bw[i]) * section.entries

@@ -576,7 +576,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             min_margin = math.inf
             for _ in range(params["row_points"]):
                 wpt = sample_point_set(rng, dim, params["row_radius"], 1)
-                rc = row_mult_norm(bmap, alpha, wpt.points[0], n, sections)
+                rc = row_mult_norm(bmap, wpt.points[0], sections)
                 min_margin = min(min_margin, rc.margin)
             worst[(alpha, "margin")] = max(worst[(alpha, "margin")], -min_margin)
             inv = inv_kernel_mult_norm(bmap, alpha, n,

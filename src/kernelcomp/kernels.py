@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MAX_SECTION_BYTES
-from .series import BallMap, SelfMapDisk
+from .series import BallMap, SelfMapDisk, _check_bytes
 
 __all__ = [
     "DomainError",
@@ -340,10 +339,8 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
     # PointSet checks separation on a (count, count, dim) complex tensor
-    nbytes = count * count * dim * np.dtype(complex).itemsize
-    if nbytes > MAX_SECTION_BYTES:
-        raise ValueError(f"{count} points in dim {dim} need {nbytes} bytes to "
-                         f"check, above the {MAX_SECTION_BYTES}-byte limit")
+    _check_bytes(count * count * dim * np.dtype(complex).itemsize,
+                 f"the separation check of {count} points in dim {dim}")
     pts = np.zeros((count, dim), dtype=complex)
     have = 0
     rejects = 0

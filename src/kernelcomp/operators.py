@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .series import MAX_SECTION_BYTES, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
-    _combine, _pair_terms
+    _check_bytes, _combine, _pair_terms
 
 __all__ = [
     "SpaceSpec",
@@ -135,10 +135,8 @@ def _check_section_size(dim: int, row_degree: int, col_degree: int) -> tuple:
     when its entries would pass MAX_SECTION_BYTES."""
     rows = _monomial_count(dim, row_degree)
     cols = _monomial_count(dim, col_degree)
-    nbytes = rows * cols * np.dtype(complex).itemsize
-    if nbytes > MAX_SECTION_BYTES:
-        raise ValueError(f"a {rows}x{cols} section needs {nbytes} bytes, "
-                         f"above the {MAX_SECTION_BYTES}-byte limit")
+    _check_bytes(rows * cols * np.dtype(complex).itemsize,
+                 f"a {rows}x{cols} section")
     return rows, cols
 
 

@@ -31,12 +31,16 @@ SELF_MAP_SLACK = 1e-12
 MAX_SECTION_BYTES = 2**30
 
 
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Refuse ``what`` when its ``nbytes`` pass MAX_SECTION_BYTES."""
+    if nbytes > MAX_SECTION_BYTES:
+        raise ValueError(f"{what} would take {nbytes} bytes, "
+                         f"above the {MAX_SECTION_BYTES}-byte limit")
+
+
 def _coeff_zeros(count: int) -> np.ndarray:
     """``count`` complex zeros, refused before allocation above MAX_SECTION_BYTES."""
-    nbytes = count * np.dtype(complex).itemsize
-    if nbytes > MAX_SECTION_BYTES:
-        raise ValueError(f"{count} coefficients need {nbytes} bytes, "
-                         f"above the {MAX_SECTION_BYTES}-byte limit")
+    _check_bytes(count * np.dtype(complex).itemsize, f"{count} coefficients")
     return np.zeros(count, dtype=complex)
 
 
@@ -400,18 +404,20 @@ def _blaschke_degree(r: float, tail_tol: float) -> int:
     after degree T, for 0 < r < 1.
 
     T is estimated from logarithms and then stepped to the exact least T of
-    the rounded predicate, which is monotone in T.  An estimate far past the
-    coefficient limit is refused without stepping.
+    the rounded predicate, which is monotone in T.  A T whose coefficients
+    would pass the limit is refused before stepping.
     """
     def small(t):
         return (1.0 - r * r) * r**t / (1.0 - r) <= tail_tol
 
     est = (math.log(tail_tol) - math.log1p(r)) / math.log(r)
-    limit = MAX_SECTION_BYTES // np.dtype(complex).itemsize
-    if est > 2 * limit:
-        raise ValueError(f"a tail below {tail_tol} needs about {est:.3g} "
-                         f"coefficients, above the {MAX_SECTION_BYTES}-byte limit")
-    t = math.ceil(est) if est > 1 else 1  # est is -inf for tail_tol = inf
+    t = 1  # est is -inf for tail_tol = inf
+    if est > 1:
+        # est is within one of T wherever floor(est) + 1 coefficients fit, so
+        # this refuses no T whose T + 1 coefficients fit
+        _check_bytes((math.floor(est) + 1) * np.dtype(complex).itemsize,
+                     f"the coefficients for a tail below {tail_tol}")
+        t = math.ceil(est)
     while not small(t):
         t += 1
     while t > 1 and small(t - 1):
