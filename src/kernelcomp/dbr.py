@@ -24,7 +24,7 @@ from .kernels import (
     gram,
 )
 from .operators import SpaceSpec, comp_matrix, mult_matrix, weighted_comp_matrix
-from .series import DiskPoly, SelfMapDisk
+from .series import DiskPoly, SelfMapDisk, _check_bytes
 
 __all__ = [
     "KernelPositivityError",
@@ -132,6 +132,8 @@ def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
     if abs(w) >= 1.0:
         raise ValueError("nodes must lie strictly inside the disk")
     alpha = int(alpha)
+    _check_bytes((degree + 1) * np.dtype(complex).itemsize,
+                 f"{degree + 1} coefficients")
     numer = (DiskPoly.one() + (-np.conj(b(w))) * b.series) ** alpha
     geo = DiskPoly(
         [math.comb(n + alpha - 1, n) * np.conj(w) ** n for n in range(degree + 1)]
@@ -273,7 +275,10 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None
     s = np.zeros((m_test, m_test), dtype=complex)
     # modes may have different degrees, so their sections have different row
     # counts; the accumulated action is padded to the largest possible
-    act = np.zeros((degree * b.degree() + degree + 1, m_test), dtype=complex)
+    act_rows = degree * b.degree() + degree + 1
+    _check_bytes(act_rows * m_test * np.dtype(complex).itemsize,
+                 f"a {act_rows}x{m_test} action buffer")
+    act = np.zeros((act_rows, m_test), dtype=complex)
     comp = comp_matrix(b, space, degree)
     for f in modes:
         z = weighted_comp_matrix(f, comp).entries

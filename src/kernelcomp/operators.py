@@ -8,8 +8,11 @@ norm and grows monotonically with the number of columns.
 
 A section stores the rows it needs: ``rows`` lists their grlex ranks in
 ascending order and ``entries`` holds one dense row per rank.  Ball
-composition sections keep only the rows their column images reach; every
-other section keeps all rows through its row degree.
+composition sections keep only the rows their column images reach.  Disk
+composition sections keep the rows up to the last one any column reaches:
+the Taylor coefficients of high powers underflow to exact zeros, so their
+trailing rows are empty.  Multiplication and weighted sections keep all rows
+through their row degree.
 """
 
 from __future__ import annotations
@@ -162,7 +165,9 @@ class SectionMatrix:
     ``rows`` holds ascending grlex ranks of normalized monomials of degree at
     most ``row_degree``; ``entries[i, j]`` is the coefficient of the image of
     the j-th normalized monomial against the one of rank ``rows[i]``.  Every
-    row left out is zero, so the stored rows hold each column exactly.
+    row left out is zero, so the stored rows hold each column exactly.  Ball
+    compositions store the ranks their images reach, disk compositions the
+    ranks up to the last one reached, and every other section all ranks.
     ``kind`` tags sections that carry a closed-form norm upper bound.
     """
 
@@ -184,16 +189,33 @@ class SectionMatrix:
             "rows must be ascending grlex ranks within the row degree"
 
 
-def _comp_entries_disk(a: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
-                       col_degree: int) -> None:
-    """Fill ``a`` with the Taylor coefficients of b**j, norm-corrected."""
+def _stored_length(v: np.ndarray) -> int:
+    """One past the last entry of ``v`` whose bits are not all zero: a -0
+    part counts, so cutting there drops only trailing +0 entries."""
+    bits = v.view(np.int64)
+    if bits[-2] or bits[-1]:
+        return v.size
+    nz = np.flatnonzero(bits)
+    return int(nz[-1]) // 2 + 1 if nz.size else 0
+
+
+def _comp_entries_disk(coeffs: np.ndarray, norms: np.ndarray,
+                       col_degree: int) -> np.ndarray:
+    """Taylor coefficients of b**j in column j, norm-corrected, through the
+    last row any power reaches."""
     power = np.ones(1, dtype=complex)
-    a[0, 0] = 1.0
+    columns = [power]
     for j in range(1, col_degree + 1):
         power = np.convolve(power, coeffs)
-        a[: power.size, j] = power
-    a *= norms[:, None]
+        n = _stored_length(power)
+        columns.append(power if n == power.size else power[:n].copy())
+    count = max(c.size for c in columns)
+    a = np.zeros((count, col_degree + 1), dtype=complex)
+    for j, c in enumerate(columns):
+        a[: c.size, j] = c
+    a *= norms[:count, None]
     a /= norms[: col_degree + 1][None, :]
+    return a
 
 
 def _comp_entries_ball(b: BallMap, col_degree: int):
@@ -269,13 +291,12 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
     deg_b = b.degree()
     row_degree = col_degree * deg_b
     # the limit is the dense section's, so stored rows never decide it
-    nrows, ncols = _check_section_size(space.dim, row_degree, col_degree)
+    _, ncols = _check_section_size(space.dim, row_degree, col_degree)
     norms = _monomial_norms(space.dim, space.alpha, row_degree)
 
     if coeffs is not None:
-        rows = np.arange(nrows)
-        entries = np.zeros((nrows, ncols), dtype=complex)
-        _comp_entries_disk(entries, coeffs[0], norms, col_degree)
+        entries = _comp_entries_disk(coeffs[0], norms, col_degree)
+        rows = np.arange(len(entries))
     else:
         ranks, cols, coefs = _comp_entries_ball(b, col_degree)
         rows = np.unique(ranks)
@@ -391,7 +412,10 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     trace = []
     for d in degrees:
         cols = _monomial_count(section.space.dim, d)
-        block = section.entries[first < cols, :cols]
+        keep = first < cols
+        # a prefix that keeps every stored row takes a view, not a copy
+        rows = slice(None) if keep.all() else keep
+        block = section.entries[rows, :cols]
         sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
         trace.append((d, sigma))
     upper = None

@@ -302,15 +302,19 @@ class SelfMapDisk:
 
     The boundary grid is evidence, not proof: symbols used in experiments have
     analytically known sup norms and the grid guards against gross mistakes.
+    A constructor that proves a bound on the circle passes it as
+    ``_sup_bound``; one within the slack admits the series without the grid.
     Non-constant maps must satisfy |b(0)| < 1.
     """
 
     __slots__ = ("series",)
 
-    def __init__(self, series: DiskPoly):
+    def __init__(self, series: DiskPoly, _sup_bound: float | None = None):
         if not isinstance(series, DiskPoly):
             raise TypeError("series must be a DiskPoly")
-        top = sup_norm_circle(series, SELF_MAP_GRID)
+        top = _sup_bound
+        if top is None or top > 1.0 + SELF_MAP_SLACK:
+            top = sup_norm_circle(series, SELF_MAP_GRID)
         if top > 1.0 + SELF_MAP_SLACK:
             raise ValueError(
                 f"boundary samples reach modulus {top:.6g}; not a disk self-map"
@@ -399,16 +403,22 @@ class BallMap:
         return f"BallMap(dim={self.dim}, degree={self.degree()})"
 
 
+def _blaschke_tail(r: float, t: int) -> float:
+    """(1 - r^2) r^t / (1 - r): the sum of the coefficient moduli after
+    degree t of the Blaschke factor at a point of modulus r."""
+    return (1.0 - r * r) * r**t / (1.0 - r)
+
+
 def _blaschke_degree(r: float, tail_tol: float) -> int:
-    """Least T >= 1 with (1 - r^2) r^T / (1 - r) <= tail_tol, the tail sum
-    after degree T, for 0 < r < 1.
+    """Least T >= 1 with a tail sum ``_blaschke_tail(r, T)`` <= tail_tol,
+    for 0 < r < 1.
 
     T is estimated from logarithms and then stepped to the exact least T of
     the rounded predicate, which is monotone in T.  A T whose coefficients
     would pass the limit is refused before stepping.
     """
     def small(t):
-        return (1.0 - r * r) * r**t / (1.0 - r) <= tail_tol
+        return _blaschke_tail(r, t) <= tail_tol
 
     est = (math.log(tail_tol) - math.log1p(r)) / math.log(r)
     t = 1  # est is -inf for tail_tol = inf
@@ -430,6 +440,9 @@ def blaschke_factor(a: complex, tail_tol: float = 1e-13) -> SelfMapDisk:
 
     Coefficients are a, then (-conj(a))**(n-1) * (1 - |a|^2); the truncation
     degree is chosen so the dropped tail has coefficient sum at most tail_tol.
+    The factor has modulus 1 on the circle, so the truncation has modulus at
+    most 1 + tail there; a tail within the admission slack admits it without
+    the boundary grid.
     """
     a = complex(a)
     r = abs(a)
@@ -443,4 +456,4 @@ def blaschke_factor(a: complex, tail_tol: float = 1e-13) -> SelfMapDisk:
     c = _coeff_zeros(degree + 1)
     c[0] = a
     c[1:] = (1.0 - r * r) * (-np.conj(a)) ** np.arange(degree)
-    return SelfMapDisk(DiskPoly(c))
+    return SelfMapDisk(DiskPoly(c), _sup_bound=1.0 + _blaschke_tail(r, degree))

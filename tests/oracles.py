@@ -2,8 +2,10 @@
 
 ``compose`` expands f(b(z)) by circle sampling and discrete Fourier inversion,
 a route independent of the convolution powers in the composition sections.
-The adjoint checks verify that section adjoints act on reproducing kernels as
-the theory says they must.
+``disk_comp_dense`` keeps the dense assembly of disk composition sections,
+every row through the row degree, as a byte-level reference.  The adjoint
+checks verify that section adjoints act on reproducing kernels as the theory
+says they must.
 """
 
 import numpy as np
@@ -45,6 +47,24 @@ def compose(f: DiskPoly, b: SelfMapDisk, out_degree: int,
     vals = f(b(zs))
     hat = np.fft.fft(vals) / count
     return DiskPoly(hat[: out_degree + 1] / scale)
+
+
+def disk_comp_dense(coeffs: np.ndarray, space: SpaceSpec,
+                    col_degree: int) -> np.ndarray:
+    """Dense composition section of the disk symbol with Taylor coefficients
+    ``coeffs`` (trimmed, degree >= 1): column j holds the coefficients of
+    b**j in every row through col_degree * deg(b), norm-corrected."""
+    row_degree = col_degree * (len(coeffs) - 1)
+    norms = _monomial_norms(1, space.alpha, row_degree)
+    a = np.zeros((row_degree + 1, col_degree + 1), dtype=complex)
+    power = np.ones(1, dtype=complex)
+    a[0, 0] = 1.0
+    for j in range(1, col_degree + 1):
+        power = np.convolve(power, coeffs)
+        a[: power.size, j] = power
+    a *= norms[:, None]
+    a /= norms[: col_degree + 1][None, :]
+    return a
 
 
 def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:

@@ -50,16 +50,23 @@ def test_package_root_and_rebound_names():
 
 def test_section_counters_read_the_stored_rows():
     # the tracer counts a section by its entries array; a ball composition
-    # stores only its reachable rows, and the counters see exactly those
+    # stores only its reachable rows, a disk composition its rows up to the
+    # last one reached, and the counters see exactly those
+    blaschke = series.blaschke_factor(0.5)
     tracer = _spans_module().Tracer()
     with tracer:
-        section = operators.comp_matrix(ball.br_map(0.5),
-                                        operators.SpaceSpec(2, 1.0), 12)
-    dense_rows = math.comb(section.row_degree + 2, 2)
-    assert section.entries.shape == (len(section.rows), math.comb(12 + 2, 2))
-    assert len(section.rows) < dense_rows
+        ball_sec = operators.comp_matrix(ball.br_map(0.5),
+                                         operators.SpaceSpec(2, 1.0), 12)
+        disk_sec = operators.comp_matrix(blaschke, operators.SpaceSpec(1, 1.0), 128)
+    dense_rows = math.comb(ball_sec.row_degree + 2, 2)
+    assert ball_sec.entries.shape == (len(ball_sec.rows), math.comb(12 + 2, 2))
+    assert len(ball_sec.rows) < dense_rows
+    assert disk_sec.entries.shape == (1788, 129) and disk_sec.row_degree + 1 == 5633
+    sections = (ball_sec, disk_sec)
     counts = tracer.metrics()
-    assert counts["operators.comp_matrix.calls"] == 1
-    assert counts["operators.section_entries"] == section.entries.size
-    assert counts["operators.section_nonzeros"] == np.count_nonzero(section.entries)
-    assert counts["operators.section_bytes_max"] == section.entries.nbytes
+    assert counts["operators.comp_matrix.calls"] == 2
+    assert counts["operators.section_entries"] == sum(s.entries.size for s in sections)
+    assert counts["operators.section_nonzeros"] == \
+        sum(np.count_nonzero(s.entries) for s in sections)
+    assert counts["operators.section_bytes_max"] == \
+        max(s.entries.nbytes for s in sections)

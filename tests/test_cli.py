@@ -276,6 +276,20 @@ def test_oversized_coefficient_array_exits_two_before_allocating(tmp_path, capsy
     assert peak < 2**24
 
 
+def test_oversized_combo_degree_exits_two_before_allocating(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "theorem1", params={"trials": 1, "combo_degree": 10**12})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "byte limit" in err
+    assert peak < 2**24
+
+
 def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys):
     # a radius-0.95 ball in dim 9 is too rare a draw from the polydisk
     cfg = _cfg(tmp_path, "psd", params={

@@ -10,6 +10,7 @@ from kernelcomp.ball import br_map
 from kernelcomp.operators import (
     SpaceSpec,
     _grlex_rank,
+    _stored_length,
     comp_matrix,
     grlex_monomials,
     monomial_norms,
@@ -25,7 +26,7 @@ from kernelcomp.series import (
     blaschke_factor,
     sup_norm_circle,
 )
-from oracles import adjoint_kernel_check, adjoint_mult_check, compose
+from oracles import adjoint_kernel_check, adjoint_mult_check, compose, disk_comp_dense
 
 H2 = SpaceSpec(1, 1.0)
 
@@ -157,6 +158,72 @@ def test_comp_matrix_ball_dim1_matches_disk_path():
     space = SpaceSpec(1, 2.0)
     assert np.array_equal(comp_matrix(bm, space, 7).entries,
                           comp_matrix(bd, space, 7).entries)
+
+
+def _scaled_disk_symbol(seed, degree, radius):
+    rng = np.random.default_rng(seed)
+    raw = DiskPoly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    return SelfMapDisk((radius / sup_norm_circle(raw, 1024)) * raw)
+
+
+# symbol, space, column degree, and whether the section ends in rows that no
+# column reaches
+_DISK_CASES = {
+    "blaschke-128": (lambda: blaschke_factor(0.5), H2, 128, True),
+    "blaschke-256": (lambda: blaschke_factor(0.5), H2, 256, True),
+    "blaschke-complex": (lambda: blaschke_factor(-0.3 + 0.6j), SpaceSpec(1, 2.0),
+                         96, True),
+    "random": (lambda: _scaled_disk_symbol(20, 4, 0.9), H2, 40, False),
+    "random-weighted": (lambda: _scaled_disk_symbol(21, 3, 0.95), SpaceSpec(1, 3.5),
+                        40, False),
+    # powers from b**115 on underflow to all-zero columns
+    "underflow": (lambda: SelfMapDisk(DiskPoly([0.0, 0.0, 1e-3, -5e-4j])), H2, 120,
+                  True),
+    "ball-dim1": (lambda: BallMap([BallPoly(1, {(0,): 0.1, (1,): 0.4, (3,): 0.3j})]),
+                  SpaceSpec(1, 2.0), 30, False),
+    "square": (lambda: SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), H2, 24, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_DISK_CASES))
+def test_disk_composition_matches_dense_oracle(case):
+    # the stored rows equal the dense assembly byte for byte, and every row
+    # left out is a trailing row of +0 entries there
+    make, space, degree, trimmed = _DISK_CASES[case]
+    b = make()
+    if isinstance(b, BallMap):
+        coeffs = np.zeros(b.degree() + 1, dtype=complex)
+        coeffs[b.coords[0].exps[:, 0]] = b.coords[0].coefs
+    else:
+        coeffs = b.series.trimmed()
+    sec = comp_matrix(b, space, degree)
+    dense = disk_comp_dense(coeffs, space, degree)
+    assert np.array_equal(sec.rows, np.arange(len(sec.rows)))
+    assert (len(sec.rows) < len(dense)) == trimmed
+    assert np.all(dense[len(sec.rows):] == 0)
+    assert _dense(sec).tobytes() == dense.tobytes()
+
+
+def test_stored_length_keeps_signed_zeros():
+    # a -0 part is stored, so the rows left out are +0 in the dense assembly
+    assert _stored_length(np.array([1.0, complex(-0.0, 0.0), 0.0, 0.0])) == 2
+    assert _stored_length(np.array([0.0, complex(0.0, -0.0)])) == 2
+    assert _stored_length(np.array([0.5, 0.0, 0.25j])) == 3
+    assert _stored_length(np.zeros(3, dtype=complex)) == 0
+
+
+def test_hardy_bound_section_stays_small():
+    # hardy-bound's default section: 2364 of 11265 rows reached, 46 MB dense
+    b = blaschke_factor(0.5)
+    tracemalloc.start()
+    try:
+        sec = comp_matrix(b, H2, 256)
+        op_norm_lower(sec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sec.entries.shape == (2364, 257)
+    assert peak < 24 * 2**20
 
 
 def test_comp_matrix_ball_product_map_columns():

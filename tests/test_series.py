@@ -1,14 +1,17 @@
 """Polynomial types, circle-sampling composition, and admission checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelcomp import series
 from kernelcomp.cli import ConfigError, poly_from_json_dict
 from kernelcomp.series import (
+    SELF_MAP_GRID,
     SELF_MAP_SLACK,
     BallMap,
     BallPoly,
@@ -291,6 +294,30 @@ def test_blaschke_degree_above_the_coefficient_limit_is_refused():
     for r in (1.0 - 7e-6, 0.999999999):
         with pytest.raises(ValueError, match="byte limit"):
             blaschke_factor(r, tail_tol=1e-300)
+
+
+def test_blaschke_factor_within_the_slack_skips_the_grid(monkeypatch):
+    # a tail within the slack bounds |B_T| by 1 + tail on the circle, so the
+    # O(degree) grid is skipped; a longer tail still meets the grid, which
+    # refuses this one
+    grids = []
+    sup_norm = series.sup_norm_circle
+    monkeypatch.setattr(series, "sup_norm_circle",
+                        lambda f, n: grids.append(n) or sup_norm(f, n))
+    a, tol = 0.999, 1e-300
+    start = time.perf_counter()
+    b = blaschke_factor(a, tail_tol=tol)
+    assert time.perf_counter() - start < 1.0
+    degree = _blaschke_degree(a, tol)
+    expect = np.zeros(degree + 1, dtype=complex)
+    expect[0] = a
+    expect[1:] = (1.0 - a * a) * (-np.conj(complex(a))) ** np.arange(degree)
+    assert b.series.coeffs.tobytes() == expect.tobytes()
+    blaschke_factor(0.5, tail_tol=SELF_MAP_SLACK)
+    assert grids == []
+    with pytest.raises(ValueError, match="not a disk self-map"):
+        blaschke_factor(0.5, tail_tol=1e-6)
+    assert grids == [SELF_MAP_GRID]
 
 
 def test_blaschke_zero_parameter_is_identity():
