@@ -32,8 +32,6 @@ __all__ = [
     "HbNorm",
     "OnbApprox",
     "SummationPartials",
-    "HB_COMBO",
-    "HB_DEFECT",
     "kernel_section_poly",
     "combo_to_poly",
     "hb_norm_combo",
@@ -44,8 +42,6 @@ __all__ = [
     "summation_partial",
 ]
 
-HB_COMBO = "COMBO_EXACT"
-HB_DEFECT = "DEFECT_PSEUDOINVERSE"
 # largest residual outside the numerical range of a function in the space
 RANGE_TOL = 1e-6
 
@@ -93,10 +89,9 @@ class KernelCombo:
 
 @dataclass
 class HbNorm:
-    """A norm value together with the route that produced it."""
+    """A range-space norm value with its route's diagnostics."""
 
     value: float
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -113,7 +108,7 @@ def hb_norm_combo(combo: KernelCombo) -> HbNorm:
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
     q = float(np.real(np.vdot(combo.coeffs, g.entries @ combo.coeffs)))
-    return HbNorm(value=math.sqrt(max(q, 0.0)), method=HB_COMBO)
+    return HbNorm(value=math.sqrt(max(q, 0.0)))
 
 
 def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
@@ -189,7 +184,7 @@ def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> HbNorm:
     value = math.sqrt(float(np.sum(np.abs(y[kept]) ** 2 / lam[kept]))) \
         if np.any(kept) else 0.0
     residual = float(np.linalg.norm(y[~kept]))
-    return HbNorm(value=value, method=HB_DEFECT,
+    return HbNorm(value=value,
                   diagnostics={"rank": int(np.sum(kept)), "residual": residual,
                                "in_range": bool(residual <= RANGE_TOL)})
 

@@ -27,7 +27,6 @@ __all__ = [
     "PSD",
     "NEGATIVE",
     "INCONCLUSIVE",
-    "eval_kernel",
     "gram",
     "check_psd",
     "find_negative_witness",
@@ -205,33 +204,6 @@ def gram(spec: KernelSpec, point_set: PointSet) -> "GramMatrix":
         raise DomainError("point set dimension does not match the kernel")
     return GramMatrix(spec=spec, point_set=point_set,
                       entries=_kernel_matrix(spec, point_set.points))
-
-
-def eval_kernel(spec: KernelSpec, z, w) -> complex:
-    """Kernel value at a single pair of points."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    ws = np.atleast_1d(np.asarray(w, dtype=complex))
-    if zs.size != spec.dim or ws.size != spec.dim:
-        raise DomainError("point dimension does not match the kernel")
-    if np.linalg.norm(zs) >= 1.0 or np.linalg.norm(ws) >= 1.0:
-        raise DomainError("points must lie strictly inside the ball")
-    ip = complex(np.sum(zs * ws.conj()))
-    den = 1.0 - ip
-    if spec.kind == "szego":
-        return 1.0 / den
-    if spec.kind in ("bergman", "ball"):
-        return den ** (-spec.alpha)
-    if spec.kind == "dbr":
-        return (1.0 - spec.b_disk(complex(zs[0])) * np.conj(spec.b_disk(complex(ws[0])))) / den
-    if spec.kind == "dbr_power":
-        base = (1.0 - spec.b_disk(complex(zs[0])) * np.conj(spec.b_disk(complex(ws[0])))) / den
-        return base ** int(spec.alpha)
-    bz = spec.b_ball(zs)
-    bw = spec.b_ball(ws)
-    num = 1.0 - complex(np.sum(bz * bw.conj()))
-    ratio = num / den
-    return ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
-        else ratio ** spec.alpha
 
 
 @dataclass

@@ -13,6 +13,9 @@ composition sections keep the rows up to the last one any column reaches:
 the Taylor coefficients of high powers underflow to exact zeros, so their
 trailing rows are empty.  Multiplication and weighted sections keep all rows
 through their row degree.
+
+Sections carry no bound policy: ``op_norm_lower`` gives lower bounds only,
+and a caller that knows a closed-form upper bound states it itself.
 """
 
 from __future__ import annotations
@@ -109,28 +112,24 @@ def _grlex_rank(exps) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _monomial_norms(dim: int, alpha: float, max_degree: int) -> np.ndarray:
-    mons = grlex_monomials(dim, max_degree)
-    lg_alpha = math.lgamma(alpha)
-    out = np.empty(len(mons))
-    for i, m in enumerate(mons):
-        k = sum(m)
-        log_sq = sum(math.lgamma(e + 1) for e in m)
-        log_sq -= math.lgamma(alpha + k) - lg_alpha
-        out[i] = math.exp(0.5 * log_sq)
-    out.flags.writeable = False
-    return out
-
-
 def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
     """Norms of the monomials z^m, aligned with ``grlex_monomials``.
 
     ||z^m||^2 = m! / rising(alpha, |m|) where rising is the rising factorial;
     evaluated through log-gamma so large degrees neither overflow nor lose
-    the exact value 1 when alpha = 1.  Each (dim, alpha, max_degree) is
-    computed once; the caller gets its own copy.
+    the exact value 1 when alpha = 1.  Each (space, max_degree) is computed
+    once, and every caller shares the one read-only array.
     """
-    return _monomial_norms(space.dim, space.alpha, max_degree).copy()
+    mons = grlex_monomials(space.dim, max_degree)
+    lg_alpha = math.lgamma(space.alpha)
+    out = np.empty(len(mons))
+    for i, m in enumerate(mons):
+        k = sum(m)
+        log_sq = sum(math.lgamma(e + 1) for e in m)
+        log_sq -= math.lgamma(space.alpha + k) - lg_alpha
+        out[i] = math.exp(0.5 * log_sq)
+    out.flags.writeable = False
+    return out
 
 
 def _check_section_size(dim: int, row_degree: int, col_degree: int) -> tuple:
@@ -168,7 +167,6 @@ class SectionMatrix:
     row left out is zero, so the stored rows hold each column exactly.  Ball
     compositions store the ranks their images reach, disk compositions the
     ranks up to the last one reached, and every other section all ranks.
-    ``kind`` tags sections that carry a closed-form norm upper bound.
     """
 
     space: SpaceSpec
@@ -176,8 +174,6 @@ class SectionMatrix:
     row_degree: int
     rows: np.ndarray
     entries: np.ndarray
-    kind: str = "generic"
-    center_modulus: float | None = None
 
     def __post_init__(self):
         count = _monomial_count(self.space.dim, self.row_degree)
@@ -271,13 +267,11 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         if b.is_constant():
             raise ValueError("constant symbols do not get finite sections")
         coeffs = [b.series.trimmed()]
-        center = abs(b.center)
     elif isinstance(b, BallMap):
         if space.dim != b.dim:
             raise ValueError("map and space dimensions must match")
         if b.is_constant():
             raise ValueError("constant symbols do not get finite sections")
-        center = float(np.linalg.norm(b.center))
         coeffs = None
     else:
         raise TypeError("b must be a SelfMapDisk or a BallMap")
@@ -292,7 +286,7 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
     row_degree = col_degree * deg_b
     # the limit is the dense section's, so stored rows never decide it
     _, ncols = _check_section_size(space.dim, row_degree, col_degree)
-    norms = _monomial_norms(space.dim, space.alpha, row_degree)
+    norms = monomial_norms(space, row_degree)
 
     if coeffs is not None:
         entries = _comp_entries_disk(coeffs[0], norms, col_degree)
@@ -302,8 +296,7 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         rows = np.unique(ranks)
         entries = np.zeros((len(rows), ncols), dtype=complex)
         _place(entries, np.searchsorted(rows, ranks), ranks, cols, coefs, norms)
-    return SectionMatrix(space, col_degree, row_degree, rows, entries,
-                         kind="composition", center_modulus=center)
+    return SectionMatrix(space, col_degree, row_degree, rows, entries)
 
 
 def mult_matrix(f, space: SpaceSpec, col_degree: int,
@@ -334,13 +327,12 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     nrows, ncols = _check_section_size(space.dim, row_degree, col_degree)
     rows = np.arange(nrows)
     entries = np.zeros((nrows, ncols), dtype=complex)
-    norms = _monomial_norms(space.dim, space.alpha, row_degree)
+    norms = monomial_norms(space, row_degree)
     col_exps = np.array(grlex_monomials(space.dim, col_degree))
     ranks = _grlex_rank(f.exps[:, None, :] + col_exps[None, :, :])
     cols = np.arange(len(col_exps))[None, :]
     _place(entries, ranks, ranks, cols, f.coefs[:, None], norms)
-    return SectionMatrix(space, col_degree, row_degree, rows, entries,
-                         kind="multiplication")
+    return SectionMatrix(space, col_degree, row_degree, rows, entries)
 
 
 def weighted_comp_matrix(f, comp: SectionMatrix) -> SectionMatrix:
@@ -352,7 +344,7 @@ def weighted_comp_matrix(f, comp: SectionMatrix) -> SectionMatrix:
     if len(comp.rows) < left.shape[1]:
         left = left[:, comp.rows]  # the rows comp leaves out are zero
     return SectionMatrix(comp.space, comp.col_degree, mult.row_degree, mult.rows,
-                         left @ comp.entries, kind="weighted")
+                         left @ comp.entries)
 
 
 @dataclass
@@ -360,23 +352,21 @@ class NormBound:
     """Certified norm bracket from a finite section.
 
     ``lower`` is exact-column evidence (a true lower bound up to rounding);
-    ``upper`` is a closed-form bound when one is known for the section kind.
-    ``trace`` records (column degree, lower bound) pairs for convergence plots.
+    ``upper`` is a closed-form bound, set only by a caller that knows one for
+    its operator.  ``trace`` records (column degree, lower bound) pairs for
+    convergence plots.
     """
 
     lower: float
-    upper: float | None
+    upper: float | None = None
     trace: list = field(default_factory=list)
 
-    def csv_rows(self) -> list:
-        up = self.upper if self.upper is not None else float("nan")
-        return [[n, lo, up] for n, lo in self.trace]
 
-
-def comp_norm_bound(center_modulus: float, alpha: float) -> float:
+def comp_norm_bound(c: float, alpha: float) -> float:
     """Closed-form composition norm bound ((1 + c) / (1 - c)) ** (alpha / 2)
-    for a symbol with |b(0)| = c."""
-    return float(((1.0 + center_modulus) / (1.0 - center_modulus)) ** (alpha / 2.0))
+    for a symbol with |b(0)| = c: it holds for every disk symbol, whose
+    symbol kernel is positive; a ball map must certify its kernel first."""
+    return float(((1.0 + c) / (1.0 - c)) ** (alpha / 2.0))
 
 
 def _default_trace_degrees(col_degree: int) -> list:
@@ -395,9 +385,8 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     Each prefix keeps the columns of degree <= d and all rows, so its top
     singular value is a true lower bound for the operator norm; the bounds
     are nondecreasing in d.  All-zero rows, stored or left out, are dropped
-    before the SVD, which leaves singular values unchanged.  Disk composition
-    sections also carry the closed-form upper bound
-    ((1 + |b(0)|) / (1 - |b(0)|)) ** (alpha / 2).
+    before the SVD, which leaves singular values unchanged.  The bracket's
+    ``upper`` is left unset.
     """
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)
@@ -418,10 +407,4 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
         block = section.entries[rows, :cols]
         sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
         trace.append((d, sigma))
-    upper = None
-    if (section.kind == "composition" and section.center_modulus is not None
-            and section.space.dim == 1):
-        # valid because disk symbols always have a positive symbol kernel;
-        # ball sections must certify positivity before claiming this bound
-        upper = comp_norm_bound(section.center_modulus, section.space.alpha)
-    return NormBound(lower=trace[-1][1], upper=upper, trace=trace)
+    return NormBound(lower=trace[-1][1], trace=trace)

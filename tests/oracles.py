@@ -5,16 +5,18 @@ a route independent of the convolution powers in the composition sections.
 ``disk_comp_dense`` keeps the dense assembly of disk composition sections,
 every row through the row degree, as a byte-level reference.  The adjoint
 checks verify that section adjoints act on reproducing kernels as the theory
-says they must.
+says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
+of points, apart from the stacked assembly the Gram matrices use.
 """
 
 import numpy as np
 
+from kernelcomp.kernels import DomainError, KernelSpec
 from kernelcomp.operators import (
     SpaceSpec,
-    _monomial_norms,
     comp_matrix,
     grlex_monomials,
+    monomial_norms,
     mult_matrix,
 )
 from kernelcomp.series import DiskPoly, ParameterError, SelfMapDisk
@@ -49,13 +51,40 @@ def compose(f: DiskPoly, b: SelfMapDisk, out_degree: int,
     return DiskPoly(hat[: out_degree + 1] / scale)
 
 
+def eval_kernel(spec: KernelSpec, z, w) -> complex:
+    """Kernel value at a single pair of points."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    ws = np.atleast_1d(np.asarray(w, dtype=complex))
+    if zs.size != spec.dim or ws.size != spec.dim:
+        raise DomainError("point dimension does not match the kernel")
+    if np.linalg.norm(zs) >= 1.0 or np.linalg.norm(ws) >= 1.0:
+        raise DomainError("points must lie strictly inside the ball")
+    ip = complex(np.sum(zs * ws.conj()))
+    den = 1.0 - ip
+    if spec.kind == "szego":
+        return 1.0 / den
+    if spec.kind in ("bergman", "ball"):
+        return den ** (-spec.alpha)
+    if spec.kind == "dbr":
+        return (1.0 - spec.b_disk(complex(zs[0])) * np.conj(spec.b_disk(complex(ws[0])))) / den
+    if spec.kind == "dbr_power":
+        base = (1.0 - spec.b_disk(complex(zs[0])) * np.conj(spec.b_disk(complex(ws[0])))) / den
+        return base ** int(spec.alpha)
+    bz = spec.b_ball(zs)
+    bw = spec.b_ball(ws)
+    num = 1.0 - complex(np.sum(bz * bw.conj()))
+    ratio = num / den
+    return ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+        else ratio ** spec.alpha
+
+
 def disk_comp_dense(coeffs: np.ndarray, space: SpaceSpec,
                     col_degree: int) -> np.ndarray:
     """Dense composition section of the disk symbol with Taylor coefficients
     ``coeffs`` (trimmed, degree >= 1): column j holds the coefficients of
     b**j in every row through col_degree * deg(b), norm-corrected."""
     row_degree = col_degree * (len(coeffs) - 1)
-    norms = _monomial_norms(1, space.alpha, row_degree)
+    norms = monomial_norms(space, row_degree)
     a = np.zeros((row_degree + 1, col_degree + 1), dtype=complex)
     power = np.ones(1, dtype=complex)
     a[0, 0] = 1.0
@@ -71,7 +100,7 @@ def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:
     """Coefficients of the reproducing kernel at w against the normalized
     monomials: conj(w^m) / ||z^m||, truncated at max_degree."""
     mons = grlex_monomials(space.dim, max_degree)
-    norms = _monomial_norms(space.dim, space.alpha, max_degree)
+    norms = monomial_norms(space, max_degree)
     wv = np.atleast_1d(np.asarray(w, dtype=complex))
     if wv.size != space.dim:
         raise ValueError("point dimension mismatch")

@@ -70,3 +70,15 @@ def test_section_counters_read_the_stored_rows():
         sum(np.count_nonzero(s.entries) for s in sections)
     assert counts["operators.section_bytes_max"] == \
         max(s.entries.nbytes for s in sections)
+
+
+def test_sections_read_norms_through_the_traced_name():
+    # section code calls the module's own monomial_norms, which the tracer
+    # wraps, so the span counts one call per section
+    tracer = _spans_module().Tracer()
+    with tracer:
+        operators.comp_matrix(series.blaschke_factor(0.5),
+                              operators.SpaceSpec(1, 1.0), 16)
+        operators.mult_matrix(series.DiskPoly([0.5, 0.25]),
+                              operators.SpaceSpec(1, 2.0), 16)
+    assert tracer.metrics()["operators.monomial_norms.calls"] == 2

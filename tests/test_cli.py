@@ -142,6 +142,11 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     cfg2 = _cfg(tmp_path, "psd", seed=-3, fname="c2.json")
     assert main(["run", "--config", str(cfg2)]) == 2
     capsys.readouterr()
+    # refused before any section or witness search is built
+    for params in ({"trace_step": 0}, {"trace_step": -1}, {"section_degree": 0}):
+        cfg3 = _cfg(tmp_path, "br", params=params, fname="c3.json")
+        assert main(["run", "--config", str(cfg3)]) == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 def test_run_with_no_checks_exits_two(tmp_path, capsys):
@@ -372,6 +377,15 @@ _MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
      "blaschke tail_tol must be a finite number, got True"),
     ({"kind": "dbr", "b": {"type": "blaschke", "a": [0.5, 0.0], "tail_tol": "2"}},
      "blaschke tail_tol must be a finite number, got '2'"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 2, "coords": [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]],
+                                                      [[1, 1], [0.3, 0.0]]]},
+                                 _MAP_COORDS[1]]}},
+     "multi-index [1, 1] appears more than once"),
+    ({"kind": "ball_map", "alpha": 1.0,
+      "b": {"dim": 1, "coords": [{"dim": 1, "terms": [[[1], [0.5, 0.0]],
+                                                      [[1], [0.3, 0.0]]]}]}},
+     "multi-index [1] appears more than once"),
 ])
 def test_nested_spec_values_must_be_integers(tmp_path, capsys, spec, message):
     with pytest.raises(ConfigError) as err:

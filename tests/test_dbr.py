@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from kernelcomp.dbr import (
-    HB_COMBO,
-    HB_DEFECT,
     KernelCombo,
     KernelPositivityError,
     combo_to_poly,
@@ -19,9 +17,10 @@ from kernelcomp.dbr import (
     summation_partial,
     szego_residual,
 )
-from kernelcomp.kernels import KernelSpec, PointSet, eval_kernel
+from kernelcomp.kernels import KernelSpec, PointSet
 from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
 from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor, sup_norm_circle
+from oracles import eval_kernel
 
 
 def _symbols():
@@ -39,7 +38,6 @@ def test_single_node_combo_norm_is_diagonal_kernel_value():
         for w in (0.0, 0.35 - 0.2j):
             combo = KernelCombo(b, alpha, PointSet([w]), [1.0])
             got = hb_norm_combo(combo)
-            assert got.method == HB_COMBO
             spec = KernelSpec.dbr(b) if alpha == 1 else KernelSpec.dbr_power(b, alpha)
             expect = math.sqrt(eval_kernel(spec, w, w).real)
             assert got.value == pytest.approx(expect, rel=1e-13)
@@ -122,7 +120,6 @@ def test_combo_vs_defect_norms_agree():
             direct = hb_norm_combo(combo)
             f = combo_to_poly(combo, 64)
             sec = hb_norm_defect(f, b, 64)
-            assert sec.method == HB_DEFECT
             assert sec.diagnostics["in_range"]
             assert abs(direct.value - sec.value) <= 1e-10 * max(1.0, direct.value)
 

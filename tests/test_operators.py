@@ -12,6 +12,7 @@ from kernelcomp.operators import (
     _grlex_rank,
     _stored_length,
     comp_matrix,
+    comp_norm_bound,
     grlex_monomials,
     monomial_norms,
     mult_matrix,
@@ -436,12 +437,12 @@ def test_grlex_rank_inverts_grlex_monomials(dim):
                           np.arange(2 * half).reshape(2, half))
 
 
-def test_monomial_norms_returns_a_fresh_array():
-    space = SpaceSpec(2, 2.5)
-    first = monomial_norms(space, 5)
-    expect = first.copy()
-    first[:] = -1.0
-    assert np.array_equal(monomial_norms(space, 5), expect)
+def test_monomial_norms_are_shared_and_read_only():
+    first = monomial_norms(SpaceSpec(2, 2.5), 5)
+    assert monomial_norms(SpaceSpec(2, 2.5), 5) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[:] = -1.0
 
 
 def test_sections_above_the_size_limit_are_refused():
@@ -465,8 +466,7 @@ def test_op_norm_lower_trace_monotone():
     assert degrees == sorted(degrees)
     assert all(b2 - b1 >= -1e-12 for b1, b2 in zip(values, values[1:]))
     assert bound.lower == values[-1]
-    assert bound.upper is not None
-    assert bound.lower <= bound.upper + 1e-9
+    assert bound.lower <= comp_norm_bound(abs(b.center), 1.0) + 1e-9
 
 
 def test_op_norm_lower_zero_row_drop_matches_full_svd():
@@ -477,10 +477,15 @@ def test_op_norm_lower_zero_row_drop_matches_full_svd():
     assert bound.lower == pytest.approx(full, rel=1e-13)
 
 
-def test_op_norm_lower_upper_only_for_disk_composition():
+def test_op_norm_lower_leaves_the_closed_form_bound_to_callers():
+    # ((1 + c) / (1 - c)) ** (alpha / 2) at c = |b(0)| = 0.3
+    assert comp_norm_bound(0.3, 1.0) == pytest.approx(math.sqrt(1.3 / 0.7), rel=1e-13)
+    assert comp_norm_bound(0.3, 2.0) == pytest.approx(1.3 / 0.7, rel=1e-13)
     b = SelfMapDisk(DiskPoly([0.3, 0.5]))
-    comp = op_norm_lower(comp_matrix(b, H2, 8))
-    assert comp.upper == pytest.approx(math.sqrt(1.3 / 0.7), rel=1e-13)
+    for alpha in (1.0, 2.0):
+        comp = op_norm_lower(comp_matrix(b, SpaceSpec(1, alpha), 8))
+        assert comp.upper is None
+        assert 1.0 < comp.lower <= comp_norm_bound(abs(b.center), alpha)
     mult = op_norm_lower(mult_matrix(DiskPoly([0.3, 0.5]), H2, 8))
     assert mult.upper is None
     bm = BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})])
