@@ -571,7 +571,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             worst[(alpha, "psd")] = max(worst[(alpha, "psd")],
                                         -cert.min_eigenvalue - cert.tolerance)
             # built once for every row point; rows past a coordinate's own
-            # degree are zero, which op_norm_lower drops before its SVD
+            # degree are zero and do not change op_norm_lower's bound
             sections = coord_mult_sections(bmap, alpha, n)
             coord_top = -math.inf
             for section in sections:
@@ -612,6 +612,16 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
 
 
 def run_ball_bound(params: dict, tol: dict, seed: int):
+    """Composition section lower bounds against ``comp_norm_bound``.
+
+    The closed form bounds a ball map's composition operator only once the
+    map's kernel is positive, and this runner certifies no kernel.  It rests
+    on ``ball-lemma``: at the same seed and default parameters, map ``mi`` is
+    drawn from the same substream (seed, mi) as there, where its kernel is
+    certified positive at each alpha (``tests/test_cli.py`` pins that the
+    maps are equal byte for byte).  A config that changes the map parameters
+    here alone reports the closed form for maps nothing has certified.
+    """
     dim = params["dim"]
     n = params["section_degree"]
     records = []

@@ -391,16 +391,18 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     of scheduling and restart.  Returns the first (PointSet, certificate) with
     a NEGATIVE verdict, or None when the budget is exhausted.
 
-    Trials run in chunks of up to 1024.  ``_screen`` draws a chunk's point
-    sets from the same substreams, stacks their Grams and bounds every
-    smallest eigenvalue with one batched ``eigvalsh``.  The trials it cannot
-    clear are decided again, in order, by the serial ``sample_point_set``,
-    ``gram`` and ``check_psd``, and the first NEGATIVE one is returned, so
-    the witness and its certificate are exactly those of a one-at-a-time
-    search.  Clearing a trial at -tol / 2 is safe: its screened Gram differs
-    from the serial one by a few ulps, ``eigvalsh`` is backward stable, and
-    so the two smallest eigenvalues differ by O(m * eps * ||G||), far below
-    tol / 2, which is 50 * m * eps * ||G||.
+    Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
+    witness at an early trial is found without screening a full chunk past
+    it.  ``_screen`` draws a chunk's point sets from the same substreams,
+    stacks their Grams and bounds every smallest eigenvalue with one batched
+    ``eigvalsh``.  The trials it cannot clear are decided again, in order, by
+    the serial ``sample_point_set``, ``gram`` and ``check_psd``, and the
+    first NEGATIVE one is returned, so the witness and its certificate are
+    exactly those of a one-at-a-time search.  Clearing a trial at -tol / 2
+    is safe: its screened Gram differs from the serial one by a few ulps,
+    ``eigvalsh`` is backward stable, and so the two smallest eigenvalues
+    differ by O(m * eps * ||G||), far below tol / 2, which is
+    50 * m * eps * ||G||.
     """
     base = seed_tuple(seed)
     # about twice the candidates a set needs, as a fraction 1 / dim! of the
@@ -409,9 +411,9 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     draws = min(2 * set_size * math.factorial(spec.dim) + 16,
                 set_size + MAX_REJECTS)
     per_trial = max(set_size * set_size, 2 * spec.dim * draws)
-    chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // per_trial))
-    for start in range(0, budget, chunk):
-        trials = range(start, min(start + chunk, budget))
+    cap = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // per_trial))
+    trials = range(0, min(1, budget))
+    while trials:
         for trial in _screen(spec, base, trials, radius, set_size, draws):
             rng = np.random.default_rng(base + (trial,))
             pts = sample_point_set(rng, spec.dim, radius, set_size)
@@ -419,4 +421,6 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
             if cert.verdict == NEGATIVE:
                 cert.seed = seed
                 return pts, cert
+        size = min(2 * len(trials), cap)
+        trials = range(trials.stop, min(trials.stop + size, budget))
     return None

@@ -2,9 +2,11 @@
 
 Sections are written against orthonormalized monomial bases of weighted power
 series spaces.  Columns are kept exact: the row degree is always large enough
-to hold the full image of every retained basis vector, so the largest singular
-value of any column-prefix block is a certified lower bound for the operator
-norm and grows monotonically with the number of columns.
+to hold the full image of every retained basis vector, so for any column
+prefix A_d and any test vector v, ||A_d v|| / ||v|| is a lower bound for the
+operator norm.  ``op_norm_lower`` takes v from the top eigenvector of a Gram
+of the section, which makes the bound the prefix's top singular value up to
+rounding, nondecreasing in the number of columns.
 
 A section stores the rows it needs: ``rows`` lists their grlex ranks in
 ascending order and ``entries`` holds one dense row per rank.  Ball
@@ -380,31 +382,48 @@ def _default_trace_degrees(col_degree: int) -> list:
 
 
 def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
-    """Largest singular values of column-prefix blocks of an exact section.
+    """Lower bounds ||A_d v|| / ||v|| from column-prefix blocks of an exact
+    section.
 
-    Each prefix keeps the columns of degree <= d and all rows, so its top
-    singular value is a true lower bound for the operator norm; the bounds
-    are nondecreasing in d.  All-zero rows, stored or left out, are dropped
-    before the SVD, which leaves singular values unchanged.  The bracket's
-    ``upper`` is left unset.
+    The prefix A_d keeps the columns of degree <= d.  Its columns are exact,
+    so ||A_d v|| / ||v|| <= ||A_d|| <= the operator norm for every test
+    vector v; the bound never rests on how v was found.  v is the top
+    eigenvector (``eigh``) of one Gram per section, formed on its smaller
+    side.  A tall section forms G = A^H A once and each prefix takes its
+    leading block; a wide one keeps the row Gram H = A_d A_d^H, adding each
+    prefix's new columns, and bounds A_d^H with H's top eigenvector u as
+    ||A_d^H u|| / ||u||.  Either way each bound is the prefix's top singular
+    value up to rounding, so the trace is nondecreasing in d up to rounding.
+    Rows left out, and rows a prefix does not reach, are zero and change
+    nothing.  The bracket's ``upper`` is left unset.
     """
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)
     degrees = sorted(set(int(d) for d in trace_degrees))
     if not degrees or degrees[0] < 0 or degrees[-1] > section.col_degree:
         raise ValueError("trace degrees must lie between 0 and col_degree")
-    nonzero = section.entries != 0
-    # first column each row reaches; rows reaching none fall outside every prefix
-    first = np.where(np.any(nonzero, axis=1), np.argmax(nonzero, axis=1),
-                     nonzero.shape[1])
-    del nonzero  # one byte per entry; free it before the SVDs
+    dim = section.space.dim
+    a = section.entries[:, : _monomial_count(dim, degrees[-1])]
+    tall = a.shape[0] >= a.shape[1]
+    if tall:
+        gram = a.conj().T @ a
+    else:
+        gram = np.zeros((a.shape[0], a.shape[0]), dtype=complex)
     trace = []
+    done = 0
     for d in degrees:
-        cols = _monomial_count(section.space.dim, d)
-        keep = first < cols
-        # a prefix that keeps every stored row takes a view, not a copy
-        rows = slice(None) if keep.all() else keep
-        block = section.entries[rows, :cols]
-        sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
+        cols = _monomial_count(dim, d)
+        block = a[:, :cols]
+        if not block.size:
+            sigma = 0.0
+        elif tall:
+            v = np.linalg.eigh(gram[:cols, :cols])[1][:, -1]
+            sigma = float(np.linalg.norm(block @ v) / np.linalg.norm(v))
+        else:
+            new = a[:, done:cols]
+            gram += new @ new.conj().T
+            done = cols
+            u = np.linalg.eigh(gram)[1][:, -1]
+            sigma = float(np.linalg.norm(u.conj() @ block) / np.linalg.norm(u))
         trace.append((d, sigma))
     return NormBound(lower=trace[-1][1], trace=trace)

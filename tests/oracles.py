@@ -7,13 +7,18 @@ every row through the row degree, as a byte-level reference.  The adjoint
 checks verify that section adjoints act on reproducing kernels as the theory
 says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
 of points, apart from the stacked assembly the Gram matrices use.
+``svd_trace`` takes the top singular value of every column prefix of a
+section with a full SVD, the route ``op_norm_lower`` replaced by a Gram and
+a test vector.
 """
 
 import numpy as np
 
 from kernelcomp.kernels import DomainError, KernelSpec
 from kernelcomp.operators import (
+    SectionMatrix,
     SpaceSpec,
+    _monomial_count,
     comp_matrix,
     grlex_monomials,
     monomial_norms,
@@ -141,3 +146,19 @@ def adjoint_mult_check(f, space: SpaceSpec, col_degree: int, w) -> float:
     target = np.conj(complex(fw)) * _kernel_coeff_vector(space, col_degree, wv)
     resid = section.entries.conj().T @ kv_rows - target
     return float(np.max(np.abs(resid)))
+
+
+def svd_trace(section: SectionMatrix, degrees) -> list:
+    """(degree, top singular value) of the column prefix of each degree,
+    from an SVD of the prefix's rows that are not all zero."""
+    nonzero = section.entries != 0
+    # first column each row reaches; rows reaching none fall outside every prefix
+    first = np.where(np.any(nonzero, axis=1), np.argmax(nonzero, axis=1),
+                     nonzero.shape[1])
+    out = []
+    for d in sorted(set(degrees)):
+        cols = _monomial_count(section.space.dim, d)
+        block = section.entries[first < cols, :cols]
+        sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
+        out.append((d, sigma))
+    return out

@@ -575,3 +575,35 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "hardy-bound" in proc.stdout
+
+
+def test_ball_bound_maps_are_the_ones_ball_lemma_certifies(monkeypatch):
+    # ball-bound's closed-form bound holds for a ball map only once its
+    # kernel is positive, which ball-lemma certifies for the same draws
+    seed = 3
+    certified, bounded = {}, {}
+    check_psd, comp_matrix = cli.check_psd, cli.comp_matrix
+
+    def key(b):
+        return tuple((c.exps.tobytes(), c.coefs.tobytes()) for c in b.coords)
+
+    def spy_check(g):
+        cert = check_psd(g)
+        assert cert.verdict == "PSD"
+        certified.setdefault(g.spec.alpha, []).append(key(g.spec.b_ball))
+        return cert
+
+    def spy_comp(b, space, n):
+        bounded.setdefault(space.alpha, []).append(key(b))
+        return comp_matrix(b, space, n)
+
+    monkeypatch.setattr(cli, "check_psd", spy_check)
+    monkeypatch.setattr(cli, "comp_matrix", spy_comp)
+    lemma = run_experiment(ExperimentConfig.from_dict({"name": "ball-lemma", "seed": seed}))
+    assert lemma.all_pass() and not bounded
+    bound = run_experiment(ExperimentConfig.from_dict({"name": "ball-bound", "seed": seed}))
+    assert bound.all_pass()
+    params = COMMANDS["ball-bound"].defaults
+    assert sorted(bounded) == sorted(float(a) for a in params["alphas"])
+    assert bounded == certified
+    assert all(len(maps) == params["maps"] for maps in bounded.values())

@@ -21,17 +21,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (0, 1, 2)
 
 
-def default_digests() -> dict:
-    """sha256 of each experiment's default-config JSON report, by name@seed."""
+def default_reports():
+    """(name@seed, JSON report text) of each experiment at its default
+    config, at every seed in SEEDS."""
     from kernelcomp.cli import COMMANDS, ExperimentConfig, render_report, run_experiment
 
-    out = {}
     for name in sorted(COMMANDS):
         for seed in SEEDS:
             cfg = ExperimentConfig.from_dict({"name": name, "seed": seed})
-            text = render_report(run_experiment(cfg), "json")
-            out[f"{name}@{seed}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return out
+            yield f"{name}@{seed}", render_report(run_experiment(cfg), "json")
+
+
+def default_digests() -> dict:
+    """sha256 of each experiment's default-config JSON report, by name@seed."""
+    return {key: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for key, text in default_reports()}
 
 
 def test_default_reports_match_committed_digests():

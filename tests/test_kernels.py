@@ -371,10 +371,11 @@ def test_batched_search_with_zero_budget():
                                      set_size=8, budget=0) is None
 
 
+# with a cap of 16 the chunks are trials 0, 1-2, 3-6, 7-14, 15-30, 31-46, ...
 @pytest.mark.parametrize("seed, budget, expect", [
-    (5, 40, 1),       # first chunk
-    (0, 40, 3),       # first chunk, past trial 0
-    (8, 40, 20),      # second chunk
+    (5, 40, 1),       # second chunk
+    (0, 40, 3),       # first trial of the third chunk
+    (8, 40, 20),      # first chunk at the cap
     (3, 40, 34),      # last, partial chunk
     (3, 30, None),    # budget ends inside a chunk, before the witness
 ])
@@ -384,6 +385,40 @@ def test_batched_search_across_chunk_boundaries(monkeypatch, seed, budget,
     trial = _assert_same_search(_br_spec(0.8), seed=seed, radius=0.95,
                                 set_size=8, budget=budget)
     assert trial == expect
+
+
+def _screened_chunks(monkeypatch):
+    sizes = []
+    screen = kernels._screen
+
+    def spy(spec, base, trials, *args):
+        sizes.append(len(trials))
+        return screen(spec, base, trials, *args)
+
+    monkeypatch.setattr(kernels, "_screen", spy)
+    return sizes
+
+
+def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
+    sizes = _screened_chunks(monkeypatch)
+    found = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
+                                  set_size=8, budget=1100)
+    assert found is not None and found[1].verdict == NEGATIVE
+    assert sizes == [1]
+
+
+def test_search_chunks_double_up_to_the_cap(monkeypatch):
+    sizes = _screened_chunks(monkeypatch)
+    # seed 0, r = 0.75: the witness is trial 177, in the chunk of trials
+    # 127-254; r = 0.5: no witness, so chunks reach the cap of 16
+    assert _assert_same_search(_br_spec(0.75), seed=0, radius=0.95,
+                               set_size=8, budget=1100) == 177
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128]
+    sizes.clear()
+    monkeypatch.setattr(kernels, "_CHUNK_TRIALS", 16)
+    assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
+                                 set_size=8, budget=50) is None
+    assert sizes == [1, 2, 4, 8, 16, 16, 3]
 
 
 def test_batched_search_reruns_trials_it_cannot_screen(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from kernelcomp.ball import br_map
 from kernelcomp.operators import (
+    SectionMatrix,
     SpaceSpec,
     _grlex_rank,
     _stored_length,
@@ -27,7 +28,8 @@ from kernelcomp.series import (
     blaschke_factor,
     sup_norm_circle,
 )
-from oracles import adjoint_kernel_check, adjoint_mult_check, compose, disk_comp_dense
+from oracles import adjoint_kernel_check, adjoint_mult_check, compose, \
+    disk_comp_dense, svd_trace
 
 H2 = SpaceSpec(1, 1.0)
 
@@ -499,6 +501,48 @@ def test_op_norm_lower_rejects_bad_trace():
         op_norm_lower(sec, trace_degrees=[7])
     with pytest.raises(ValueError):
         op_norm_lower(sec, trace_degrees=[])
+
+
+def _zeroed_columns():
+    # a tall disk section with every third column, and its first, zeroed
+    sec = comp_matrix(SelfMapDisk(DiskPoly([0.1, 0.7, 0.15j])), H2, 20)
+    entries = sec.entries.copy()
+    entries[:, ::3] = 0.0
+    return SectionMatrix(H2, sec.col_degree, sec.row_degree, sec.rows, entries)
+
+
+# name: (section and trace degrees, whether the section is tall)
+_ORACLE_SECTIONS = {
+    "tall-blaschke": (lambda: (comp_matrix(blaschke_factor(0.5), H2, 64), None),
+                      True),
+    "wide-br": (lambda: (comp_matrix(br_map(0.75), SpaceSpec(2, 1.0), 60),
+                         range(0, 61, 4)), False),
+    "weighted": (lambda: (weighted_comp_matrix(
+        DiskPoly([0.5, 0.25j, -0.125]),
+        comp_matrix(SelfMapDisk(DiskPoly([0.2, 0.6])), SpaceSpec(1, 2.0), 24)),
+        None), True),
+    "ball-mult": (lambda: (mult_matrix(
+        BallPoly(2, {(0, 0): 0.5, (1, 0): 0.25, (0, 2): -0.125j}),
+        SpaceSpec(2, 2.0), 10), None), True),
+    # (s z1 z2, 0): every column with a power of z2 is zero
+    "zero-columns-wide": (lambda: (comp_matrix(
+        BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})]),
+        SpaceSpec(2, 1.0), 8), None), False),
+    "zero-columns-tall": (lambda: (_zeroed_columns(), range(0, 21)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SECTIONS))
+def test_op_norm_lower_matches_the_svd_oracle(name):
+    make, tall = _ORACLE_SECTIONS[name]
+    sec, degrees = make()
+    assert (sec.entries.shape[0] >= sec.entries.shape[1]) == tall
+    bound = op_norm_lower(sec, trace_degrees=degrees)
+    expect = svd_trace(sec, [d for d, _ in bound.trace])
+    assert [d for d, _ in bound.trace] == [d for d, _ in expect]
+    for (_, lo), (_, sigma) in zip(bound.trace, expect):
+        assert abs(lo - sigma) <= 1e-13 * sigma
+        assert lo <= sigma * (1.0 + 1e-13)
 
 
 def test_adjoint_action_on_kernel_functions():
