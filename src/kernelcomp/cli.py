@@ -116,6 +116,15 @@ def make_record(description: str, anchor: str, measured: float, bound: float,
                        passed=bool(measured <= bound + tolerance))
 
 
+def _worst(values) -> float:
+    """The largest of a check's values; a check over none would pass
+    vacuously, so it is refused."""
+    worst = max(values, default=None)
+    if worst is None:
+        raise ConfigError("a check has no values with these params")
+    return worst
+
+
 @dataclass
 class Report:
     """Everything one run produced; wall time never reaches the files."""
@@ -378,7 +387,7 @@ def run_hardy_bound(params: dict, tol: dict, seed: int):
                               trace_degrees=params["trace_degrees"]).trace
         what = "certified lower bounds stay within the closed-form composition bound"
     records = [make_record(what, "hardy-composition-bound",
-                           max(lo for _, lo in pairs), bound, tol["bound_slack"])]
+                           _worst(lo for _, lo in pairs), bound, tol["bound_slack"])]
     if params["check_sharp"] and not b.is_constant():
         records.append(make_record(
             "final section closes the gap to the closed-form value",
@@ -447,33 +456,29 @@ def run_summation(params: dict, tol: dict, seed: int):
                            mode_count=params["mode_count"],
                            test_degree=params["test_degree"],
                            rank_tol=params["rank_tol"])
-    worst_drop = 0.0
-    worst_top = 0.0
+    # zero stands for no drop and no rise, so a single mode, which has no
+    # rise to measure, still runs
+    drops = [0.0]
     prev = None
     rows = []
     for k, s in enumerate(sp.partials):
         step = s if prev is None else s - prev
-        lam_step = float(np.linalg.eigvalsh(step)[0])
-        lam_top = float(np.linalg.eigvalsh(s)[-1])
-        worst_drop = max(worst_drop, -lam_step)
-        worst_top = max(worst_top, lam_top)
-        rows.append([k, lam_top, sp.defects[k]])
+        drops.append(-float(np.linalg.eigvalsh(step)[0]))
+        rows.append([k, float(np.linalg.eigvalsh(s)[-1]), sp.defects[k]])
         prev = s
-    defect_rise = 0.0
-    for a, bnext in zip(sp.defects, sp.defects[1:]):
-        defect_rise = max(defect_rise, bnext - a)
+    rises = [0.0] + [d - c for c, d in zip(sp.defects, sp.defects[1:])]
     records = [
         make_record("partial sums increase in the positive order",
-                    "partial-sum-monotone", worst_drop, 0.0,
+                    "partial-sum-monotone", _worst(drops), 0.0,
                     tol["monotone_slack"]),
         make_record("partial sums stay dominated by the identity",
-                    "partial-sum-monotone", worst_top, 1.0,
+                    "partial-sum-monotone", _worst(r[1] for r in rows), 1.0,
                     tol["upper_slack"]),
         make_record("identity defect at full mode count",
                     "partial-sum-defect", sp.defects[-1], 0.0,
                     tol["defect_max"]),
         make_record("identity defects do not increase with added modes",
-                    "partial-sum-defect", defect_rise, 0.0,
+                    "partial-sum-defect", _worst(rises), 0.0,
                     tol["defect_monotone_slack"]),
     ]
     trace = {"columns": ["modes", "lambda_max", "defect"], "rows": rows}
@@ -485,29 +490,26 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
     records = []
     rows = []
     for ai, alpha in enumerate(params["alphas"]):
-        if alpha < 1:
-            raise ConfigError("alphas must be integers at least 1")
         space = SpaceSpec(1, float(alpha))
-        worst_gap = -math.inf
-        worst_weighted = -math.inf
+        alpha_rows = []
         for t in range(params["trials"]):
             rng = np.random.default_rng((seed, ai, t))
             b = random_disk_symbol(rng, params["symbol_degree_max"],
                                    params["boundary_max"])
             comp = comp_matrix(b, space, n)
-            lower = op_norm_lower(comp, trace_degrees=[n]).lower
-            bound = comp_norm_bound(abs(b.center), space.alpha)
-            worst_gap = max(worst_gap, lower - bound)
-            lw = _weighted_lower(rng, b, alpha, comp, params)
-            worst_weighted = max(worst_weighted, lw)
-            rows.append([alpha, t, lower, bound, lw])
+            alpha_rows.append([alpha, t, op_norm_lower(comp, trace_degrees=[n]).lower,
+                               comp_norm_bound(abs(b.center), space.alpha),
+                               _weighted_lower(rng, b, alpha, comp, params)])
+        rows += alpha_rows
         records.append(make_record(
             f"composition sections respect the closed-form bound at alpha={alpha}",
-            "bergman-composition-bound", worst_gap, 0.0, tol["bound_slack"]))
+            "bergman-composition-bound",
+            _worst(lo - bound for _, _, lo, bound, _ in alpha_rows), 0.0,
+            tol["bound_slack"]))
         records.append(make_record(
             f"weighted sections stay below the unit combo norm at alpha={alpha}",
-            "bergman-weighted-contraction", worst_weighted, 1.0,
-            tol["rel_slack"]))
+            "bergman-weighted-contraction", _worst(r[4] for r in alpha_rows),
+            1.0, tol["rel_slack"]))
     trace = {"columns": ["alpha", "trial", "comp_lower", "comp_upper",
                          "weighted_lower"], "rows": rows}
     return records, trace, {}
@@ -515,8 +517,6 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
 
 def run_inf_estimate(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
-    if b.is_constant():
-        raise ConfigError("the estimate needs a non-constant symbol")
     n = params["section_degree"]
     nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=[n])
     rng = np.random.default_rng((seed, 0))
@@ -528,7 +528,6 @@ def run_inf_estimate(params: dict, tol: dict, seed: int):
     circle = _circle_points(params["grid_size"])
     bz = b(circle)
     rows = []
-    best = math.inf
     # the norm of the kernel k_w times the grid max of 1 / |k_w|: an estimate
     # of the reciprocal-weight bound, not a certificate
     for w in centers:
@@ -540,12 +539,12 @@ def run_inf_estimate(params: dict, tol: dict, seed: int):
         norm_w = math.sqrt(float(np.real(k_ww)))
         fv = (1.0 - np.conj(bw) * bz) / (1.0 - np.conj(w) * circle)
         low = float(np.min(np.abs(fv)))
-        est = norm_w / low
-        best = min(best, est)
-        rows.append([float(w.real), float(w.imag), norm_w, 1.0 / low, est])
+        rows.append([float(w.real), float(w.imag), norm_w, 1.0 / low,
+                     norm_w / low])
     records = [make_record(
         "final section lower bound stays below the best reciprocal-weight estimate",
-        "reciprocal-weight-estimate", nb.lower, best, tol["bound_slack"])]
+        "reciprocal-weight-estimate", nb.lower, min(r[4] for r in rows),
+        tol["bound_slack"])]
     trace = {"columns": ["w_re", "w_im", "weight_norm", "inv_sup", "estimate"],
              "rows": rows}
     return records, trace, {}
@@ -555,10 +554,8 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
     alphas = params["alphas"]
     dim = params["dim"]
     n = params["section_degree"]
-    records = []
     rows = []
-    worst = {(a, key): -math.inf for a in alphas
-             for key in ("psd", "coord", "margin", "inv")}
+    psd_gaps = []  # one per row: the tolerance is not a trace column
     for mi in range(params["maps"]):
         rng = np.random.default_rng((seed, mi))
         bmap = random_ball_row_contraction(rng, dim, params["coord_degree"],
@@ -568,43 +565,38 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             pts = sample_point_set(rng, dim, params["cert_radius"],
                                    params["cert_points"])
             cert = check_psd(gram(spec, pts))
-            worst[(alpha, "psd")] = max(worst[(alpha, "psd")],
-                                        -cert.min_eigenvalue - cert.tolerance)
+            psd_gaps.append(-cert.min_eigenvalue - cert.tolerance)
             # built once for every row point; rows past a coordinate's own
             # degree are zero and do not change op_norm_lower's bound
             sections = coord_mult_sections(bmap, alpha, n)
-            coord_top = -math.inf
-            for section in sections:
-                lo = op_norm_lower(section, trace_degrees=[n]).lower
-                coord_top = max(coord_top, lo)
-            worst[(alpha, "coord")] = max(worst[(alpha, "coord")], coord_top)
-            min_margin = math.inf
-            for _ in range(params["row_points"]):
-                wpt = sample_point_set(rng, dim, params["row_radius"], 1)
-                rc = row_mult_norm(bmap, wpt.points[0], sections)
-                min_margin = min(min_margin, rc.margin)
-            worst[(alpha, "margin")] = max(worst[(alpha, "margin")], -min_margin)
+            coord_top = _worst(op_norm_lower(s, trace_degrees=[n]).lower
+                               for s in sections)
+            min_margin = -_worst(
+                -row_mult_norm(bmap, sample_point_set(
+                    rng, dim, params["row_radius"], 1).points[0], sections).margin
+                for _ in range(params["row_points"]))
             inv = inv_kernel_mult_norm(bmap, alpha, n,
                                        tail_tol=params["inv_tail_tol"])
-            worst[(alpha, "inv")] = max(worst[(alpha, "inv")],
-                                        inv.lower - inv.upper)
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
                          min_margin, inv.lower, inv.upper])
+    records = []
     for alpha in alphas:
+        mine = [i for i, row in enumerate(rows) if row[1] == alpha]
         records.append(make_record(
             f"map kernels certify positive for row contractions at alpha={alpha}",
-            "kernel-positivity", worst[(alpha, "psd")], 0.0, 0.0))
+            "kernel-positivity", _worst(psd_gaps[i] for i in mine), 0.0, 0.0))
         records.append(make_record(
             f"coordinate multiplier sections are contractions at alpha={alpha}",
-            "coordinate-multiplier-contraction", worst[(alpha, "coord")], 1.0,
-            tol["coord_slack"]))
+            "coordinate-multiplier-contraction",
+            _worst(rows[i][3] for i in mine), 1.0, tol["coord_slack"]))
         records.append(make_record(
             f"row multiplier margins stay nonnegative at alpha={alpha}",
-            "row-multiplier-bound", worst[(alpha, "margin")], 0.0,
+            "row-multiplier-bound", _worst(-rows[i][4] for i in mine), 0.0,
             tol["margin_slack"]))
         records.append(make_record(
             f"inverse-kernel weight sections respect the closed form at alpha={alpha}",
-            "inverse-kernel-multiplier-bound", worst[(alpha, "inv")], 0.0,
+            "inverse-kernel-multiplier-bound",
+            _worst(rows[i][5] - rows[i][6] for i in mine), 0.0,
             tol["inv_slack"]))
     trace = {"columns": ["map", "alpha", "cert_min_eig", "coord_lower",
                          "row_margin", "inv_lower", "inv_upper"], "rows": rows}
@@ -630,18 +622,17 @@ def run_ball_bound(params: dict, tol: dict, seed: int):
                                         params["coord_degree"], params["row_target"])
             for mi in range(params["maps"])]
     for alpha in params["alphas"]:
-        worst = -math.inf
         space = SpaceSpec(dim, float(alpha))
-        for mi, bmap in enumerate(maps):
-            beta = float(np.linalg.norm(bmap.center))
-            bound = comp_norm_bound(beta, alpha)
-            lo = op_norm_lower(comp_matrix(bmap, space, n),
-                               trace_degrees=[n]).lower
-            worst = max(worst, lo - bound)
-            rows.append([alpha, mi, lo, bound])
+        alpha_rows = [[alpha, mi, op_norm_lower(comp_matrix(bmap, space, n),
+                                                trace_degrees=[n]).lower,
+                       comp_norm_bound(float(np.linalg.norm(bmap.center)), alpha)]
+                      for mi, bmap in enumerate(maps)]
+        rows += alpha_rows
         records.append(make_record(
             f"composition sections respect the closed-form bound at alpha={alpha}",
-            "ball-composition-bound", worst, 0.0, tol["bound_slack"]))
+            "ball-composition-bound",
+            _worst(lo - bound for _, _, lo, bound in alpha_rows), 0.0,
+            tol["bound_slack"]))
     trace = {"columns": ["alpha", "map", "comp_lower", "bound"], "rows": rows}
     return records, trace, {}
 
@@ -879,29 +870,28 @@ class ExperimentConfig:
                       {"params", "seed", "tolerances", "output_path"},
                       "config")
         name = obj["name"]
-        if name not in COMMANDS:
+        if not isinstance(name, str) or name not in COMMANDS:
             raise ConfigError(
                 f"unknown experiment {name!r}; see 'kernelcomp list'")
         cmd = COMMANDS[name]
-        params = dict(cmd.defaults)
-        for k, v in (obj.get("params") or {}).items():
-            if k not in cmd.defaults:
-                raise ConfigError(f"unknown parameter {k!r} for {name}")
-            params[k] = _check_type(f"{name} parameter", v, cmd.defaults[k], k)
-        tolerances = dict(cmd.tol_defaults)
-        for k, v in (obj.get("tolerances") or {}).items():
-            if k not in cmd.tol_defaults:
-                raise ConfigError(f"unknown tolerance {k!r} for {name}")
-            tolerances[k] = _check_type(f"{name} tolerance", v,
-                                        cmd.tol_defaults[k], k)
+        resolved = {}
+        for key, what, defaults in (("params", "parameter", cmd.defaults),
+                                    ("tolerances", "tolerance", cmd.tol_defaults)):
+            given = {} if obj.get(key) is None else obj[key]
+            if not isinstance(given, dict):
+                raise ConfigError(f"{key} must be a json object, got {given!r}")
+            resolved[key] = dict(defaults)
+            for k, v in given.items():
+                if k not in defaults:
+                    raise ConfigError(f"unknown {what} {k!r} for {name}")
+                resolved[key][k] = _check_type(f"{name} {what}", v, defaults[k], k)
         seed = obj.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         out = obj.get("output_path")
         if out is not None and not isinstance(out, str):
             raise ConfigError("output_path must be a string")
-        return cls(name=name, params=params, seed=seed,
-                   tolerances=tolerances, output_path=out)
+        return cls(name=name, seed=seed, output_path=out, **resolved)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -950,11 +940,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if args.seed is not None and isinstance(raw, dict):
+            raw["seed"] = args.seed
         cfg = ExperimentConfig.from_dict(raw)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a nonnegative integer")
-            cfg.seed = args.seed
         if args.out is not None:
             cfg.output_path = args.out
         report = run_experiment(cfg)

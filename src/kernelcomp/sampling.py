@@ -74,6 +74,10 @@ def random_ball_row_contraction(rng: np.random.Generator, dim: int = 2,
     most row_target < 1, which certifies positivity of the associated map
     kernels for integer exponents.
     """
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if coord_degree < 0:
+        raise ValueError("coord_degree must be nonnegative")
     if not 0.0 < row_target < 1.0:
         raise ValueError("row_target must lie strictly between 0 and 1")
     mons = grlex_monomials(dim, coord_degree)

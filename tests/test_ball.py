@@ -178,3 +178,13 @@ def test_random_ball_row_contraction_coordinate_sections():
             continue
         sec = mult_matrix(coord, space, 6)
         assert op_norm_lower(sec).lower <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dim": 0}, "dim must be at least 1"),
+    ({"dim": -1}, "dim must be at least 1"),
+    ({"coord_degree": -1}, "coord_degree must be nonnegative"),
+])
+def test_random_ball_row_contraction_rejects_bad_shape(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        random_ball_row_contraction(np.random.default_rng(0), **kwargs)

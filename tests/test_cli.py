@@ -142,6 +142,41 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     cfg2 = _cfg(tmp_path, "psd", seed=-3, fname="c2.json")
     assert main(["run", "--config", str(cfg2)]) == 2
     capsys.readouterr()
+    # config shapes and sampler arguments that raised a traceback, and
+    # values the domain refuses
+    for payload, message in (
+            ({"name": "psd", "params": [1]}, "params must be a json object"),
+            ({"name": "psd", "tolerances": 5},
+             "tolerances must be a json object"),
+            ({"name": ["psd"]}, "unknown experiment ['psd']"),
+            ({"name": "ball-lemma", "params": {"dim": 0}},
+             "dim must be at least 1"),
+            ({"name": "ball-lemma", "params": {"dim": -1}},
+             "dim must be at least 1"),
+            ({"name": "ball-bound", "params": {"dim": 0}},
+             "dim must be at least 1"),
+            ({"name": "ball-bound", "params": {"dim": -1}},
+             "dim must be at least 1"),
+            ({"name": "ball-lemma", "params": {"coord_degree": -1}},
+             "coord_degree must be nonnegative"),
+            ({"name": "ball-bound", "params": {"coord_degree": -1}},
+             "coord_degree must be nonnegative"),
+            ({"name": "bergman-bound", "params": {"alphas": [0]}},
+             "alpha must be at least 1"),
+            ({"name": "inf-estimate", "params": {"symbol": {
+                "type": "monomial", "degree": 0, "scale": [0.5, 0.0]}}},
+             "constant symbols do not get finite sections")):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    # a null params object is the defaults
+    assert ExperimentConfig.from_dict(
+        {"name": "psd", "params": None}).params == COMMANDS["psd"].defaults
+    # a seed override passes the config's seed check
+    cfg4 = _cfg(tmp_path, "psd", params={"point_count": 4}, fname="c4.json")
+    assert main(["run", "--config", str(cfg4), "--seed", "-1"]) == 2
+    assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
     # refused before any section or witness search is built
     for params in ({"trace_step": 0}, {"trace_step": -1}, {"section_degree": 0}):
         cfg3 = _cfg(tmp_path, "br", params=params, fname="c3.json")
@@ -153,6 +188,14 @@ def test_run_with_no_checks_exits_two(tmp_path, capsys):
     cfg = _cfg(tmp_path, "theorem1", params={"trials": 0})
     assert main(["run", "--config", str(cfg)]) == 2
     assert "no checks" in capsys.readouterr().err
+    # a check over no sampled values would pass with measured=-inf
+    for name, params in (("bergman-bound", {"trials": 0}),
+                         ("ball-lemma", {"maps": 0}),
+                         ("ball-lemma", {"maps": 1, "row_points": 0}),
+                         ("ball-bound", {"maps": 0})):
+        cfg = _cfg(tmp_path, name, params=params)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "error: a check has no values" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(
             {"name": "br", "params": {"r_values": []}}))
@@ -432,10 +475,15 @@ def _nodes(node, path=()):
 
 @st.composite
 def _mutated_configs(draw):
+    # a mutation site is any value of the config: its name, seed, params,
+    # tolerances and output_path, the size params, or a node of the spec
     name, key, base = draw(st.sampled_from(_FUZZ_BASES))
-    root = {key: copy.deepcopy(base)}
+    root = {"name": name, "seed": 0,
+            "params": dict(_FUZZ_SIZES[name], **{key: copy.deepcopy(base)}),
+            "tolerances": dict(COMMANDS[name].tol_defaults),
+            "output_path": None}
     for _ in range(draw(st.integers(1, 2))):
-        *parent, last = draw(st.sampled_from(list(_nodes(root[key], (key,)))))
+        *parent, last = draw(st.sampled_from(list(_nodes(root))[1:]))
         holder = root
         for k in parent:
             holder = holder[k]
@@ -450,14 +498,15 @@ def _mutated_configs(draw):
         else:
             new = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
         holder[last] = new
-    return {"name": name, "params": dict(_FUZZ_SIZES[name], **root)}
+    return root
 
 
 @settings(max_examples=150, deadline=None)
 @given(_mutated_configs())
 def test_mutated_nested_specs_never_raise(tmp_path_factory, config):
     # exit 0 or 1 for a config that still runs, 2 with a message for one
-    # that is refused; any exception escaping main fails the test
+    # that is refused; any exception escaping main fails the test.  --out
+    # replaces any output_path the mutation leaves a string
     base = tmp_path_factory.getbasetemp()
     path = base / "fuzz.json"
     path.write_text(json.dumps(config))
