@@ -10,14 +10,10 @@ observable at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import (
     KernelSpec,
-    PointSet,
-    PositivityCertificate,
     check_psd,
     find_negative_witness,
     gram,
@@ -28,28 +24,12 @@ from .operators import NormBound, SpaceSpec, comp_matrix, mult_matrix, op_norm_l
 from .series import BallMap, BallPoly
 
 __all__ = [
-    "RowCheckResult",
-    "BrResult",
     "coord_mult_sections",
     "row_mult_norm",
     "inv_kernel_mult_norm",
     "br_map",
     "br_experiment",
 ]
-
-
-@dataclass
-class RowCheckResult:
-    """Row multiplier evidence at a point w.
-
-    The row operator is sum_i conj(b_i(w)) M_{b_i}; when the map kernel is
-    positive its norm is at most |b(w)|, so the margin bound - lower must be
-    nonnegative up to rounding.
-    """
-
-    row_norm_lower: float
-    bound: float
-    margin: float
 
 
 def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
@@ -61,8 +41,12 @@ def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
             for coord in b.coords]
 
 
-def row_mult_norm(b: BallMap, w, coord_sections: list) -> RowCheckResult:
-    """Certified lower bound for the row multiplier norm at w.
+def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
+    """Certified lower bound for the row multiplier norm at w, and |b(w)|.
+
+    The row operator is sum_i conj(b_i(w)) M_{b_i}; when the map kernel is
+    positive its norm is at most |b(w)|, so the returned (lower, |b(w)|)
+    has |b(w)| - lower nonnegative up to rounding.
 
     ``coord_sections`` is ``coord_mult_sections(b, alpha, col_degree)``,
     built once for every point checked on one map; it fixes alpha and the
@@ -82,9 +66,7 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> RowCheckResult:
         acc = term if acc is None else acc + term
     acc = acc[np.any(acc != 0, axis=1)]
     sigma = float(np.linalg.svd(acc, compute_uv=False)[0]) if acc.size else 0.0
-    bound = float(np.linalg.norm(bw))
-    return RowCheckResult(row_norm_lower=sigma, bound=bound,
-                          margin=bound - sigma)
+    return sigma, float(np.linalg.norm(bw))
 
 
 def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
@@ -140,32 +122,9 @@ def br_map(r: float) -> BallMap:
     return BallMap([first, BallPoly.zero(2)])
 
 
-@dataclass
-class BrResult:
-    """Outcome of the product-map experiment at one parameter value."""
-
-    r: float
-    bracket: NormBound
-    witness: tuple[PointSet, PositivityCertificate] | None
-    probe: PositivityCertificate
-    budget: int
-
-    def verdict(self) -> str:
-        if self.witness is not None:
-            return "certified-negative"
-        return f"no-counterexample-at-budget-{self.budget}"
-
-    def min_eigenvalue(self) -> float:
-        """Witness eigenvalue when negative, else the trial-0 probe value."""
-        if self.witness is not None:
-            return self.witness[1].min_eigenvalue
-        return self.probe.min_eigenvalue
-
-
-def br_experiment(r: float, *, trace_degrees, alpha: float = 1.0,
-                  section_degree: int = 60, witness_budget: int = 10000,
-                  set_size: int = 8, radius: float = 0.95,
-                  seed=0) -> BrResult:
+def br_experiment(r: float, *, trace_degrees, alpha: float,
+                  section_degree: int, witness_budget: int, set_size: int,
+                  radius: float, seed) -> tuple:
     """Growth trace and positivity scan for the product map at parameter r.
 
     The composition section trace certifies norm growth (strictly increasing
@@ -173,6 +132,10 @@ def br_experiment(r: float, *, trace_degrees, alpha: float = 1.0,
     for a point set whose map kernel Gram fails positivity.  At r = 0 the map
     is constant and the composition operator has norm exactly 1, so the trace
     is reported flat without building sections.
+
+    Returns (bracket, cert, found): the trace's ``NormBound``, the search's
+    NEGATIVE certificate if ``found``, else that of a probe at the search's
+    trial-0 points, drawn only then.
     """
     b = br_map(r)
     alpha = float(alpha)
@@ -183,11 +146,11 @@ def br_experiment(r: float, *, trace_degrees, alpha: float = 1.0,
         section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
         bracket = op_norm_lower(section, trace_degrees=trace_degrees)
     spec = KernelSpec.ball_map(b, alpha)
-    witness = find_negative_witness(spec, seed=seed, radius=radius,
-                                    set_size=set_size, budget=witness_budget)
-    probe_rng = np.random.default_rng(seed_tuple(seed) + (0,))
-    probe_pts = sample_point_set(probe_rng, 2, radius, set_size)
-    probe = check_psd(gram(spec, probe_pts))
-    probe.seed = seed
-    return BrResult(r=float(r), bracket=bracket, witness=witness, probe=probe,
-                    budget=witness_budget)
+    cert = find_negative_witness(spec, seed=seed, radius=radius,
+                                 set_size=set_size, budget=witness_budget)
+    found = cert is not None
+    if not found:
+        rng = np.random.default_rng(seed_tuple(seed) + (0,))
+        cert = check_psd(gram(spec, sample_point_set(rng, 2, radius, set_size)))
+        cert.seed = seed
+    return bracket, cert, found

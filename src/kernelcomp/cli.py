@@ -452,21 +452,21 @@ def run_szego_identity(params: dict, tol: dict, seed: int):
 
 def run_summation(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
-    sp = summation_partial(b, params["section_degree"],
-                           mode_count=params["mode_count"],
-                           test_degree=params["test_degree"],
-                           rank_tol=params["rank_tol"])
+    partials, defects = summation_partial(b, params["section_degree"],
+                                          mode_count=params["mode_count"],
+                                          test_degree=params["test_degree"],
+                                          rank_tol=params["rank_tol"])
     # zero stands for no drop and no rise, so a single mode, which has no
     # rise to measure, still runs
     drops = [0.0]
     prev = None
     rows = []
-    for k, s in enumerate(sp.partials):
+    for k, s in enumerate(partials):
         step = s if prev is None else s - prev
         drops.append(-float(np.linalg.eigvalsh(step)[0]))
-        rows.append([k, float(np.linalg.eigvalsh(s)[-1]), sp.defects[k]])
+        rows.append([k, float(np.linalg.eigvalsh(s)[-1]), defects[k]])
         prev = s
-    rises = [0.0] + [d - c for c, d in zip(sp.defects, sp.defects[1:])]
+    rises = [0.0] + [d - c for c, d in zip(defects, defects[1:])]
     records = [
         make_record("partial sums increase in the positive order",
                     "partial-sum-monotone", _worst(drops), 0.0,
@@ -475,7 +475,7 @@ def run_summation(params: dict, tol: dict, seed: int):
                     "partial-sum-monotone", _worst(r[1] for r in rows), 1.0,
                     tol["upper_slack"]),
         make_record("identity defect at full mode count",
-                    "partial-sum-defect", sp.defects[-1], 0.0,
+                    "partial-sum-defect", defects[-1], 0.0,
                     tol["defect_max"]),
         make_record("identity defects do not increase with added modes",
                     "partial-sum-defect", _worst(rises), 0.0,
@@ -571,10 +571,12 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             sections = coord_mult_sections(bmap, alpha, n)
             coord_top = _worst(op_norm_lower(s, trace_degrees=[n]).lower
                                for s in sections)
+            # negated after the subtraction, so a zero margin keeps its sign
             min_margin = -_worst(
-                -row_mult_norm(bmap, sample_point_set(
-                    rng, dim, params["row_radius"], 1).points[0], sections).margin
-                for _ in range(params["row_points"]))
+                -(bound - lower) for lower, bound in (row_mult_norm(
+                    bmap, sample_point_set(rng, dim, params["row_radius"],
+                                           1).points[0], sections)
+                    for _ in range(params["row_points"])))
             inv = inv_kernel_mult_norm(bmap, alpha, n,
                                        tail_tol=params["inv_tail_tol"])
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
@@ -647,19 +649,20 @@ def run_br(params: dict, tol: dict, seed: int):
     rows = []
     certificates = []
     for idx, r in enumerate(params["r_values"]):
-        res = br_experiment(
+        bracket, cert, found = br_experiment(
             r, alpha=params["alpha"], section_degree=n,
             trace_degrees=degrees,
             witness_budget=params["witness_budget"],
             set_size=params["set_size"], radius=params["radius"],
             seed=(seed, idx))
-        rows.extend([[res.r, nn, lo, res.verdict(), res.min_eigenvalue(), seed]
-                     for nn, lo in res.bracket.trace])
-        cert = res.witness[1] if res.witness is not None else res.probe
+        verdict = "certified-negative" if found else \
+            f"no-counterexample-at-budget-{params['witness_budget']}"
+        rows.extend([[r, nn, lo, verdict, cert.min_eigenvalue, seed]
+                     for nn, lo in bracket.trace])
         certificates.append(cert.to_json_dict())
         if r == 1.0:
             diffs = [b2 - b1 for (_, b1), (_, b2)
-                     in zip(res.bracket.trace, res.bracket.trace[1:])]
+                     in zip(bracket.trace, bracket.trace[1:])]
             records.append(make_record(
                 "degenerate parameter: lower bounds strictly increase",
                 "product-map-unbounded-growth", -min(diffs),
@@ -667,16 +670,16 @@ def run_br(params: dict, tol: dict, seed: int):
             records.append(make_record(
                 "degenerate parameter: final lower bound beats the frozen threshold",
                 "product-map-unbounded-growth",
-                params["growth_threshold"] - res.bracket.lower, 0.0, 0.0))
+                params["growth_threshold"] - bracket.lower, 0.0, 0.0))
         else:
-            last = res.bracket.trace[-1][1]
-            prev = res.bracket.trace[-2][1]
+            last = bracket.trace[-1][1]
+            prev = bracket.trace[-2][1]
             records.append(make_record(
                 f"contractive parameter r={r}: trace saturates",
                 "product-map-saturation", abs(last - prev), 0.0,
                 tol["saturation_tol"]))
         if r >= params["negative_expect_min_r"]:
-            measured = res.witness[1].min_eigenvalue if res.witness else 1.0
+            measured = cert.min_eigenvalue if found else 1.0
             records.append(make_record(
                 f"negativity witness found at r={r}",
                 "product-map-negativity", measured,
@@ -685,7 +688,7 @@ def run_br(params: dict, tol: dict, seed: int):
             records.append(make_record(
                 f"no negativity witness within budget at r={r}",
                 "product-map-negativity",
-                0.0 if res.witness is None else 1.0, 0.0, 0.0))
+                1.0 if found else 0.0, 0.0, 0.0))
     trace = {"columns": ["r", "N", "comp_lower", "psd_verdict",
                          "min_eigenvalue", "seed"], "rows": rows}
     return records, trace, {"certificates": certificates}

@@ -12,7 +12,7 @@ truncation commutes with the defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .kernels import (
     KernelSpec,
     PointSet,
     check_psd,
+    eig_tolerance,
     gram,
 )
 from .operators import SpaceSpec, comp_matrix, mult_matrix, weighted_comp_matrix
@@ -29,9 +30,7 @@ from .series import DiskPoly, SelfMapDisk, _check_bytes
 __all__ = [
     "KernelPositivityError",
     "KernelCombo",
-    "HbNorm",
     "OnbApprox",
-    "SummationPartials",
     "kernel_section_poly",
     "combo_to_poly",
     "hb_norm_combo",
@@ -87,15 +86,7 @@ class KernelCombo:
         return KernelSpec.dbr_power(self.b, self.alpha)
 
 
-@dataclass
-class HbNorm:
-    """A range-space norm value with its route's diagnostics."""
-
-    value: float
-    diagnostics: dict = field(default_factory=dict)
-
-
-def hb_norm_combo(combo: KernelCombo) -> HbNorm:
+def hb_norm_combo(combo: KernelCombo) -> float:
     """Exact norm of a kernel combination: sqrt(c* G c) on the node Gram.
 
     The Gram must certify positive; failure is reported as a kernel
@@ -108,7 +99,7 @@ def hb_norm_combo(combo: KernelCombo) -> HbNorm:
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
     q = float(np.real(np.vdot(combo.coeffs, g.entries @ combo.coeffs)))
-    return HbNorm(value=math.sqrt(max(q, 0.0)))
+    return math.sqrt(max(q, 0.0))
 
 
 def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
@@ -163,18 +154,18 @@ def _defect_eigs(b: SelfMapDisk, degree: int, rank_tol: float | None):
     d = defect_matrix(b, degree)
     lam, u = np.linalg.eigh(d)
     if rank_tol is None:
-        rank_tol = 100.0 * (degree + 1) * float(np.max(np.abs(lam))) \
-            * float(np.finfo(float).eps)
+        rank_tol = float(eig_tolerance(lam))
     return lam, u, rank_tol
 
 
-def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> HbNorm:
+def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> tuple:
     """Range norm of a polynomial via the defect pseudoinverse.
 
     Solves the defect against f in the eigenbasis, keeping modes above the
-    rank tolerance.  The component of f outside the numerical range shows up
-    as a residual; a residual above RANGE_TOL marks f as (numerically) not in
-    the space, and the value is still reported for diagnosis.
+    rank tolerance.  Returns (value, residual): the component of f outside
+    the numerical range shows up as the residual; a residual above RANGE_TOL
+    marks f as (numerically) not in the space, and the value is still
+    reported for diagnosis.
     """
     if f.degree() > degree:
         raise ValueError("f must have degree at most the section degree")
@@ -183,10 +174,7 @@ def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> HbNorm:
     kept = lam > rank_tol
     value = math.sqrt(float(np.sum(np.abs(y[kept]) ** 2 / lam[kept]))) \
         if np.any(kept) else 0.0
-    residual = float(np.linalg.norm(y[~kept]))
-    return HbNorm(value=value,
-                  diagnostics={"rank": int(np.sum(kept)), "residual": residual,
-                               "in_range": bool(residual <= RANGE_TOL)})
+    return value, float(np.linalg.norm(y[~kept]))
 
 
 @dataclass
@@ -234,28 +222,16 @@ def szego_residual(onb: OnbApprox, test_points: PointSet) -> float:
     return float(np.max(np.abs(target - s / factor)))
 
 
-@dataclass
-class SummationPartials:
-    """Increasing partial sums of the mode-wise operator resolution.
-
-    partials[k] is the compression to low degrees of the sum over the first
-    k + 1 modes of (weighted composition) times its adjoint; defects[k] is
-    the worst distance from the identity on the monitored basis vectors.
-    """
-
-    partials: list
-    defects: list
-
-
 def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None,
                       test_degree: int = 8,
-                      rank_tol: float | None = None) -> SummationPartials:
+                      rank_tol: float | None = None) -> tuple:
     """Partial sums S_k of the resolution of the identity by the modes.
 
     Each mode contributes X X* with X the exact weighted composition section
     of the mode against b.  The partial sums increase toward the identity on
-    the monitored degrees; their compressions and identity defects are
-    returned for every k.
+    the monitored degrees.  Returns (partials, defects): for each k, the
+    compression of S_k and the worst distance of S_k from the identity on
+    the monitored basis vectors.
     """
     if test_degree > degree:
         raise ValueError("test_degree must not exceed the section degree")
@@ -284,5 +260,5 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None
         resid = -act
         resid[:m_test, :] += np.eye(m_test)
         defects.append(float(np.max(np.linalg.norm(resid, axis=0))))
-    return SummationPartials(partials=partials, defects=defects)
+    return partials, defects
 

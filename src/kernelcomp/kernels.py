@@ -29,6 +29,7 @@ __all__ = [
     "INCONCLUSIVE",
     "gram",
     "check_psd",
+    "eig_tolerance",
     "find_negative_witness",
     "sample_point_set",
 ]
@@ -263,6 +264,13 @@ class PositivityCertificate:
         }
 
 
+def eig_tolerance(lam: np.ndarray):
+    """TOL_SCALE * n * max|lambda| * eps for the ascending eigenvalues ``lam``
+    of n x n Hermitian matrices, stacked along the leading axes."""
+    nrm = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+    return TOL_SCALE * lam.shape[-1] * nrm * float(np.finfo(float).eps)
+
+
 def check_psd(g: GramMatrix) -> PositivityCertificate:
     """Eigenvalue test with a scale-aware tolerance.
 
@@ -272,8 +280,7 @@ def check_psd(g: GramMatrix) -> PositivityCertificate:
     """
     lam, vec = np.linalg.eigh(g.entries)
     lo = float(lam[0])
-    nrm = float(max(abs(lam[0]), abs(lam[-1])))
-    tol = TOL_SCALE * g.entries.shape[0] * nrm * float(np.finfo(float).eps)
+    tol = float(eig_tolerance(lam))
     if lo >= -tol:
         return PositivityCertificate(spec=g.spec, min_eigenvalue=lo,
                                      tolerance=tol, verdict=PSD)
@@ -377,9 +384,7 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
     sep2[:, np.arange(count), np.arange(count)] = np.inf
     close = np.min(sep2, axis=(1, 2)) <= (2.0 * MIN_POINT_SEPARATION) ** 2
     lam = np.linalg.eigvalsh(_kernel_matrix(spec, pts))
-    nrm = np.maximum(np.abs(lam[:, 0]), np.abs(lam[:, -1]))
-    tol = TOL_SCALE * count * nrm * float(np.finfo(float).eps)
-    defer[full] |= close | (lam[:, 0] < -tol / 2)
+    defer[full] |= close | (lam[:, 0] < -eig_tolerance(lam) / 2)
     return [t for t, d in zip(trials, defer) if d]
 
 
@@ -388,8 +393,8 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     """Randomized search for a point set whose Gram fails positivity.
 
     Trial t draws from the substream (seed, t), so the outcome is independent
-    of scheduling and restart.  Returns the first (PointSet, certificate) with
-    a NEGATIVE verdict, or None when the budget is exhausted.
+    of scheduling and restart.  Returns the first NEGATIVE certificate, with
+    the trial's points as ``witness.point_set``, or None at the budget's end.
 
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
@@ -420,7 +425,7 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
             cert = check_psd(gram(spec, pts))
             if cert.verdict == NEGATIVE:
                 cert.seed = seed
-                return pts, cert
+                return cert
         size = min(2 * len(trials), cap)
         trials = range(trials.stop, min(trials.stop + size, budget))
     return None

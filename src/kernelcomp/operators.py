@@ -400,7 +400,9 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)
     degrees = sorted(set(int(d) for d in trace_degrees))
-    if not degrees or degrees[0] < 0 or degrees[-1] > section.col_degree:
+    if not degrees:
+        raise ValueError("trace degrees must not be empty")
+    if degrees[0] < 0 or degrees[-1] > section.col_degree:
         raise ValueError("trace degrees must lie between 0 and col_degree")
     dim = section.space.dim
     a = section.entries[:, : _monomial_count(dim, degrees[-1])]

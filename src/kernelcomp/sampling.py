@@ -53,7 +53,7 @@ def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     combo = KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs)
     if normalize:
-        value = hb_norm_combo(combo).value
+        value = hb_norm_combo(combo)
         if value < 1e-8:
             raise SamplingError("degenerate combo draw; use another substream")
         combo = KernelCombo(b=b, alpha=alpha, nodes=nodes,

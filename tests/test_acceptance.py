@@ -77,18 +77,18 @@ def test_criterion_3_szego_identity_residual():
 
 
 def test_criterion_4_partial_sums_resolve_identity():
-    out = summation_partial(SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), 64,
-                            test_degree=8)
+    partials, defects = summation_partial(
+        SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), 64, test_degree=8)
     increments_ok = True
-    for prev, cur in zip(out.partials, out.partials[1:]):
+    for prev, cur in zip(partials, partials[1:]):
         lam = np.linalg.eigvalsh(cur - prev)
         increments_ok = increments_ok and lam[0] >= -1e-10
     bounded_ok = all(np.linalg.eigvalsh(p)[-1] <= 1.0 + 1e-8
-                     for p in out.partials)
-    defect_ok = out.defects[-1] <= 1e-5
+                     for p in partials)
+    defect_ok = defects[-1] <= 1e-5
     ok = _line(4, "mode-wise partial sums increase to the identity",
                increments_ok and bounded_ok and defect_ok)
-    assert ok, (increments_ok, bounded_ok, out.defects[-1])
+    assert ok, (increments_ok, bounded_ok, defects[-1])
 
 
 def test_criterion_5_bergman_bounds():
@@ -113,20 +113,22 @@ def test_criterion_6_ball_row_contractions():
 
 
 def test_criterion_7_product_map_regimes():
-    neg = br_experiment(0.95, section_degree=8, trace_degrees=range(0, 9, 4),
-                        witness_budget=10000, set_size=8, radius=0.95, seed=7)
-    witness_ok = (neg.witness is not None
-                  and neg.witness[1].min_eigenvalue < -1e-6)
+    _, neg, found = br_experiment(
+        0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
+        witness_budget=10000, set_size=8, radius=0.95, seed=7)
+    witness_ok = found and neg.min_eigenvalue < -1e-6
 
-    grow = br_experiment(1.0, section_degree=60, trace_degrees=range(0, 61, 4),
-                         witness_budget=1, set_size=4, seed=7)
-    trace = [v for _, v in grow.bracket.trace]
+    grow, _, _ = br_experiment(
+        1.0, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4),
+        witness_budget=1, set_size=4, radius=0.95, seed=7)
+    trace = [v for _, v in grow.trace]
     growth_ok = (all(b > a for a, b in zip(trace, trace[1:]))
                  and trace[-1] > 3.353367)
 
-    flat = br_experiment(0.5, section_degree=60, trace_degrees=range(0, 61, 4),
-                         witness_budget=1, set_size=4, seed=7)
-    fvals = [v for _, v in flat.bracket.trace]
+    flat, _, _ = br_experiment(
+        0.5, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4),
+        witness_budget=1, set_size=4, radius=0.95, seed=7)
+    fvals = [v for _, v in flat.trace]
     saturation_ok = abs(fvals[-1] - fvals[-2]) <= 1e-3
 
     ok = _line(7, "product map: negativity, unbounded growth, saturation",
@@ -141,9 +143,9 @@ def test_criterion_8_cross_method_norms():
         b = random_disk_symbol(rng, max_degree=4, boundary_max=0.95)
         combo = random_kernel_combo(rng, b, alpha=1, max_nodes=5,
                                     node_radius=0.6, normalize=False)
-        direct = hb_norm_combo(combo).value
-        sec = hb_norm_defect(combo_to_poly(combo, 64), b, 64)
-        worst = max(worst, abs(direct - sec.value))
+        direct = hb_norm_combo(combo)
+        sec, _ = hb_norm_defect(combo_to_poly(combo, 64), b, 64)
+        worst = max(worst, abs(direct - sec))
     ok = _line(8, "combination and defect-section norms agree", worst <= 1e-5)
     assert ok, worst
 

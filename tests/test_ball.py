@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kernelcomp.cli import ExperimentConfig, run_experiment
+from kernelcomp import ball
+from kernelcomp.cli import COMMANDS, ExperimentConfig, run_experiment
 from kernelcomp.ball import (
     br_experiment,
     br_map,
@@ -13,6 +14,7 @@ from kernelcomp.ball import (
     inv_kernel_mult_norm,
     row_mult_norm,
 )
+from kernelcomp.kernels import NEGATIVE, PSD
 from kernelcomp.operators import SpaceSpec, comp_matrix, op_norm_lower
 from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
@@ -20,14 +22,23 @@ from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
 rising = lambda a, k: math.gamma(a + k) / math.gamma(a)
 
 
+def _br(r, *, trace_degrees, seed=0, **params):
+    """br_experiment with the br command's defaults for what params omits."""
+    defaults = COMMANDS["br"].defaults
+    for key in ("alpha", "section_degree", "witness_budget", "set_size",
+                "radius"):
+        params.setdefault(key, defaults[key])
+    return br_experiment(r, trace_degrees=trace_degrees, seed=seed, **params)
+
+
 def test_row_mult_norm_identity_coordinate():
     # dim-1 map b(z) = z: the row operator at w is conj(w) times the shift,
     # whose section norm is exactly |w|
     b = BallMap([BallPoly(1, {(1,): 1.0})])
-    out = row_mult_norm(b, 0.6, coord_mult_sections(b, 1.0, 12))
-    assert out.bound == pytest.approx(0.6, abs=1e-15)
-    assert abs(out.margin) <= 1e-12
-    assert out.row_norm_lower <= out.bound + 1e-12
+    lower, bound = row_mult_norm(b, 0.6, coord_mult_sections(b, 1.0, 12))
+    assert bound == pytest.approx(0.6, abs=1e-15)
+    assert abs(bound - lower) <= 1e-12
+    assert lower <= bound + 1e-12
 
 
 def test_row_mult_norm_two_coordinates():
@@ -35,9 +46,9 @@ def test_row_mult_norm_two_coordinates():
     other = BallPoly(2, {(0, 1): 0.5})
     b = BallMap([half, other])
     w = np.array([0.4, 0.2])
-    out = row_mult_norm(b, w, coord_mult_sections(b, 2.0, 8))
-    assert out.bound == pytest.approx(np.linalg.norm([0.2, 0.1]), rel=1e-13)
-    assert out.margin >= -1e-10
+    lower, bound = row_mult_norm(b, w, coord_mult_sections(b, 2.0, 8))
+    assert bound == pytest.approx(np.linalg.norm([0.2, 0.1]), rel=1e-13)
+    assert bound - lower >= -1e-10
 
 
 def test_row_mult_norm_rejects_outside_point():
@@ -98,46 +109,84 @@ def test_br_composition_trace_matches_closed_form():
 
 
 def test_br_experiment_flat_at_zero():
-    out = br_experiment(0.0, section_degree=8, trace_degrees=range(0, 9, 4),
-                        witness_budget=5, set_size=4)
-    values = [v for _, v in out.bracket.trace]
+    bracket, cert, found = _br(0.0, section_degree=8,
+                               trace_degrees=range(0, 9, 4), witness_budget=5,
+                               set_size=4)
+    values = [v for _, v in bracket.trace]
     assert values == [1.0] * len(values)
-    assert out.verdict() == "no-counterexample-at-budget-5"
-    assert out.witness is None
-    assert out.probe is not None
+    assert not found
+    assert cert.verdict == PSD and cert.witness is None
 
 
 def test_br_experiment_saturates_below_half_root_two():
-    out = br_experiment(0.5, section_degree=24, trace_degrees=range(0, 25, 4),
-                        witness_budget=50, set_size=6, seed=3)
-    values = [v for _, v in out.bracket.trace]
+    bracket, cert, found = _br(0.5, section_degree=24,
+                               trace_degrees=range(0, 25, 4),
+                               witness_budget=50, set_size=6, seed=3)
+    values = [v for _, v in bracket.trace]
     assert abs(values[-1] - values[-2]) <= 1e-6
-    assert out.witness is None
-    assert out.min_eigenvalue() > -1e-10
+    assert not found
+    assert cert.min_eigenvalue > -1e-10
 
 
 def test_br_experiment_finds_negative_witness():
-    out = br_experiment(0.95, section_degree=8, trace_degrees=range(0, 9, 4),
-                        witness_budget=50, set_size=8, radius=0.95, seed=0)
-    assert out.verdict() == "certified-negative"
-    assert out.witness is not None
-    _, cert = out.witness
+    bracket, cert, found = _br(0.95, section_degree=8,
+                               trace_degrees=range(0, 9, 4), witness_budget=50,
+                               set_size=8, radius=0.95, seed=0)
+    assert found
+    assert cert.verdict == NEGATIVE
     assert cert.min_eigenvalue < -1e-6
-    assert out.min_eigenvalue() == cert.min_eigenvalue
+    assert len(cert.witness.point_set) == 8
+
+
+def _spy(monkeypatch, name):
+    """Record the calls br_experiment makes to ball's binding of ``name``."""
+    calls = []
+    original = getattr(ball, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ball, name, spy)
+    return calls
+
+
+def test_br_experiment_draws_no_probe_past_a_witness(monkeypatch):
+    draws = _spy(monkeypatch, "sample_point_set")
+    checks = _spy(monkeypatch, "check_psd")
+    _, cert, found = _br(0.95, section_degree=8, trace_degrees=[8],
+                         witness_budget=50)
+    assert found and cert.verdict == NEGATIVE
+    assert draws == [] and checks == []
+
+
+def test_br_experiment_found_comes_from_the_search(monkeypatch):
+    # with no trials searched, the trial-0 probe is reported, and at
+    # r = 0.95 that probe itself fails positivity: found still reads False
+    draws = _spy(monkeypatch, "sample_point_set")
+    _, cert, found = _br(0.95, section_degree=8, trace_degrees=[8],
+                         witness_budget=0)
+    assert not found
+    assert len(draws) == 1
+    assert cert.verdict == NEGATIVE
+    searched = _br(0.95, section_degree=8, trace_degrees=[8],
+                   witness_budget=1)[1]
+    assert cert.to_json_dict() == searched.to_json_dict()
 
 
 def test_br_experiment_growth_at_one():
-    out = br_experiment(1.0, section_degree=40, trace_degrees=[8, 16, 24, 32, 40],
-                        witness_budget=5, set_size=4, seed=1)
-    values = [v for _, v in out.bracket.trace]
+    bracket, _, _ = _br(1.0, section_degree=40,
+                        trace_degrees=[8, 16, 24, 32, 40], witness_budget=5,
+                        set_size=4, seed=1)
+    values = [v for _, v in bracket.trace]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] > 3.35
-    assert out.bracket.upper is None
+    assert bracket.upper is None
 
 
 def test_br_experiment_rejects_bad_r():
     with pytest.raises(ValueError):
-        br_experiment(1.5, trace_degrees=[8])
+        _br(1.5, trace_degrees=[8])
 
 
 def test_br_csv_rows_shape():
@@ -163,8 +212,8 @@ def test_random_ball_row_contraction_margins():
         assert np.sqrt(np.max(top)) <= 1.0 + 1e-9
         w = np.array([0.3, -0.25])
         for alpha in (1.0, 2.0):
-            out = row_mult_norm(b, w, coord_mult_sections(b, alpha, 8))
-            assert out.margin >= -1e-8
+            lower, bound = row_mult_norm(b, w, coord_mult_sections(b, alpha, 8))
+            assert bound - lower >= -1e-8
 
 
 def test_random_ball_row_contraction_coordinate_sections():

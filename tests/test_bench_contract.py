@@ -48,6 +48,21 @@ def test_package_root_and_rebound_names():
     assert budget.kind is inspect.Parameter.KEYWORD_ONLY
 
 
+def test_witness_counter_reads_the_search_result():
+    # the tracer counts a search whose result is not None as one witness:
+    # at r = 1 the product-map kernel fails positivity, at r = 0.5 it cannot
+    for r, found in ((1.0, 1), (0.5, 0)):
+        tracer = _spans_module().Tracer()
+        with tracer:
+            kernels.find_negative_witness(
+                kernels.KernelSpec.ball_map(ball.br_map(r), 1.0), seed=0,
+                radius=0.95, set_size=8, budget=50)
+        counts = tracer.metrics()
+        assert counts["kernels.find_negative_witness.calls"] == 1
+        assert counts["kernels.witness_budget"] == 50
+        assert counts["kernels.witness_found"] == found
+
+
 def test_section_counters_read_the_stored_rows():
     # the tracer counts a section by its entries array; a ball composition
     # stores only its reachable rows, a disk composition its rows up to the

@@ -165,7 +165,9 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "alpha must be at least 1"),
             ({"name": "inf-estimate", "params": {"symbol": {
                 "type": "monomial", "degree": 0, "scale": [0.5, 0.0]}}},
-             "constant symbols do not get finite sections")):
+             "constant symbols do not get finite sections"),
+            ({"name": "hardy-bound", "params": {"trace_degrees": []}},
+             "trace degrees must not be empty")):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path)]) == 2

@@ -170,12 +170,12 @@ def test_check_psd_accepts_near_singular_positive_gram():
 def test_check_psd_flags_indefinite_gram():
     bm = BallMap([BallPoly(2, {(1, 1): 2.0}), BallPoly(2, {})])
     spec = KernelSpec.ball_map(bm, 1)
-    found = find_negative_witness(spec, seed=0, radius=0.95, set_size=8, budget=50)
-    assert found is not None
-    pts, cert = found
+    cert = find_negative_witness(spec, seed=0, radius=0.95, set_size=8, budget=50)
+    assert cert is not None
     assert cert.verdict == NEGATIVE
     assert cert.min_eigenvalue < -1e-6
     assert cert.witness is not None
+    pts = cert.witness.point_set
 
     # recompute the quadratic form from scratch through the scalar evaluator
     v = np.asarray(cert.witness.coeffs)
@@ -281,10 +281,10 @@ def _serial_search(spec, *, seed, radius, set_size, budget):
 
 
 def _batched_search(spec, **kw):
-    found = find_negative_witness(spec, **kw)
-    if found is None:
+    cert = find_negative_witness(spec, **kw)
+    if cert is None:
         return None
-    pts, cert = found
+    pts = cert.witness.point_set
     base = seed_tuple(kw["seed"])
     trial = next(t for t in range(kw["budget"])
                  if np.array_equal(_serial_sample_point_set(
@@ -401,9 +401,9 @@ def _screened_chunks(monkeypatch):
 
 def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
     sizes = _screened_chunks(monkeypatch)
-    found = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
-                                  set_size=8, budget=1100)
-    assert found is not None and found[1].verdict == NEGATIVE
+    cert = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
+                                 set_size=8, budget=1100)
+    assert cert is not None and cert.verdict == NEGATIVE
     assert sizes == [1]
 
 
