@@ -135,7 +135,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
 
     Returns (bracket, cert, found): the trace's ``NormBound``, the search's
     NEGATIVE certificate if ``found``, else that of a probe at the search's
-    trial-0 points, drawn only then.
+    trial-0 points.  The probe is drawn either way.
     """
     b = br_map(r)
     alpha = float(alpha)
@@ -146,11 +146,10 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
         section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
         bracket = op_norm_lower(section, trace_degrees=trace_degrees)
     spec = KernelSpec.ball_map(b, alpha)
-    cert = find_negative_witness(spec, seed=seed, radius=radius,
-                                 set_size=set_size, budget=witness_budget)
-    found = cert is not None
-    if not found:
-        rng = np.random.default_rng(seed_tuple(seed) + (0,))
-        cert = check_psd(gram(spec, sample_point_set(rng, 2, radius, set_size)))
-        cert.seed = seed
-    return bracket, cert, found
+    witness = find_negative_witness(spec, seed=seed, radius=radius,
+                                    set_size=set_size, budget=witness_budget)
+    rng = np.random.default_rng(seed_tuple(seed) + (0,))
+    probe = check_psd(gram(spec, sample_point_set(rng, 2, radius, set_size)))
+    probe.seed = seed
+    found = witness is not None
+    return bracket, witness if found else probe, found

@@ -41,10 +41,6 @@ __all__ = [
     "summation_partial",
 ]
 
-# largest residual outside the numerical range of a function in the space
-RANGE_TOL = 1e-6
-
-
 class KernelPositivityError(RuntimeError):
     """A kernel Gram that must be positive failed its certificate."""
 
@@ -163,8 +159,8 @@ def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> tuple:
 
     Solves the defect against f in the eigenbasis, keeping modes above the
     rank tolerance.  Returns (value, residual): the component of f outside
-    the numerical range shows up as the residual; a residual above RANGE_TOL
-    marks f as (numerically) not in the space, and the value is still
+    the numerical range shows up as the residual; a residual above about
+    1e-6 marks f as (numerically) not in the space, and the value is still
     reported for diagnosis.
     """
     if f.degree() > degree:

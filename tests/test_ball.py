@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kernelcomp import ball
-from kernelcomp.cli import COMMANDS, ExperimentConfig, run_experiment
+from kernelcomp.cli import ExperimentConfig, run_experiment
 from kernelcomp.ball import (
     br_experiment,
     br_map,
@@ -20,15 +20,6 @@ from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
 
 rising = lambda a, k: math.gamma(a + k) / math.gamma(a)
-
-
-def _br(r, *, trace_degrees, seed=0, **params):
-    """br_experiment with the br command's defaults for what params omits."""
-    defaults = COMMANDS["br"].defaults
-    for key in ("alpha", "section_degree", "witness_budget", "set_size",
-                "radius"):
-        params.setdefault(key, defaults[key])
-    return br_experiment(r, trace_degrees=trace_degrees, seed=seed, **params)
 
 
 def test_row_mult_norm_identity_coordinate():
@@ -109,9 +100,9 @@ def test_br_composition_trace_matches_closed_form():
 
 
 def test_br_experiment_flat_at_zero():
-    bracket, cert, found = _br(0.0, section_degree=8,
-                               trace_degrees=range(0, 9, 4), witness_budget=5,
-                               set_size=4)
+    bracket, cert, found = br_experiment(
+        0.0, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
+        witness_budget=5, set_size=4, radius=0.95, seed=0)
     values = [v for _, v in bracket.trace]
     assert values == [1.0] * len(values)
     assert not found
@@ -119,9 +110,9 @@ def test_br_experiment_flat_at_zero():
 
 
 def test_br_experiment_saturates_below_half_root_two():
-    bracket, cert, found = _br(0.5, section_degree=24,
-                               trace_degrees=range(0, 25, 4),
-                               witness_budget=50, set_size=6, seed=3)
+    bracket, cert, found = br_experiment(
+        0.5, alpha=1.0, section_degree=24, trace_degrees=range(0, 25, 4),
+        witness_budget=50, set_size=6, radius=0.95, seed=3)
     values = [v for _, v in bracket.trace]
     assert abs(values[-1] - values[-2]) <= 1e-6
     assert not found
@@ -129,55 +120,40 @@ def test_br_experiment_saturates_below_half_root_two():
 
 
 def test_br_experiment_finds_negative_witness():
-    bracket, cert, found = _br(0.95, section_degree=8,
-                               trace_degrees=range(0, 9, 4), witness_budget=50,
-                               set_size=8, radius=0.95, seed=0)
+    bracket, cert, found = br_experiment(
+        0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
+        witness_budget=50, set_size=8, radius=0.95, seed=0)
     assert found
     assert cert.verdict == NEGATIVE
     assert cert.min_eigenvalue < -1e-6
     assert len(cert.witness.point_set) == 8
 
 
-def _spy(monkeypatch, name):
-    """Record the calls br_experiment makes to ball's binding of ``name``."""
-    calls = []
-    original = getattr(ball, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ball, name, spy)
-    return calls
-
-
-def test_br_experiment_draws_no_probe_past_a_witness(monkeypatch):
-    draws = _spy(monkeypatch, "sample_point_set")
-    checks = _spy(monkeypatch, "check_psd")
-    _, cert, found = _br(0.95, section_degree=8, trace_degrees=[8],
-                         witness_budget=50)
-    assert found and cert.verdict == NEGATIVE
-    assert draws == [] and checks == []
-
-
 def test_br_experiment_found_comes_from_the_search(monkeypatch):
     # with no trials searched, the trial-0 probe is reported, and at
     # r = 0.95 that probe itself fails positivity: found still reads False
-    draws = _spy(monkeypatch, "sample_point_set")
-    _, cert, found = _br(0.95, section_degree=8, trace_degrees=[8],
-                         witness_budget=0)
+    draws = []
+    original = ball.sample_point_set
+
+    def spy(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ball, "sample_point_set", spy)
+    params = dict(alpha=1.0, section_degree=8, trace_degrees=[8], set_size=8,
+                  radius=0.95, seed=0)
+    _, cert, found = br_experiment(0.95, witness_budget=0, **params)
     assert not found
     assert len(draws) == 1
     assert cert.verdict == NEGATIVE
-    searched = _br(0.95, section_degree=8, trace_degrees=[8],
-                   witness_budget=1)[1]
+    searched = br_experiment(0.95, witness_budget=1, **params)[1]
     assert cert.to_json_dict() == searched.to_json_dict()
 
 
 def test_br_experiment_growth_at_one():
-    bracket, _, _ = _br(1.0, section_degree=40,
-                        trace_degrees=[8, 16, 24, 32, 40], witness_budget=5,
-                        set_size=4, seed=1)
+    bracket, _, _ = br_experiment(
+        1.0, alpha=1.0, section_degree=40, trace_degrees=[8, 16, 24, 32, 40],
+        witness_budget=5, set_size=4, radius=0.95, seed=1)
     values = [v for _, v in bracket.trace]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] > 3.35
@@ -186,7 +162,8 @@ def test_br_experiment_growth_at_one():
 
 def test_br_experiment_rejects_bad_r():
     with pytest.raises(ValueError):
-        _br(1.5, trace_degrees=[8])
+        br_experiment(1.5, alpha=1.0, section_degree=8, trace_degrees=[8],
+                      witness_budget=5, set_size=4, radius=0.95, seed=0)
 
 
 def test_br_csv_rows_shape():
