@@ -16,7 +16,6 @@ from .kernels import (
     KernelSpec,
     check_psd,
     find_negative_witness,
-    gram,
     sample_point_set,
     seed_tuple,
 )
@@ -71,12 +70,13 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
 
 def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
                          tail_tol: float = 1e-10,
-                         max_terms: int = 2000) -> NormBound:
-    """Certified bracket for the multiplier (1 - <b(z), b(0)>) ** (-alpha).
+                         max_terms: int = 2000) -> tuple:
+    """Bracket (lower, upper) for the multiplier (1 - <b(z), b(0)>) ** (-alpha).
 
     The weight expands as sum_k rising(alpha, k) / k! * s(z)^k with
     s(z) = <b(z), b(0)>; since |s| <= |b(0)| < 1 on the ball, the series is
-    truncated once a geometric tail estimate drops below tail_tol.  The upper
+    truncated once a geometric tail estimate drops below tail_tol.  lower is
+    the certified section bound of ``op_norm_lower`` at col_degree; the upper
     bound (1 - |b(0)|) ** (-alpha) comes with kernel positivity.
     """
     alpha = float(alpha)
@@ -109,9 +109,7 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
                     "increase max_terms or loosen tail_tol"
                 )
     section = mult_matrix(weight, space, col_degree)
-    bracket = op_norm_lower(section, trace_degrees=[col_degree])
-    bracket.upper = upper
-    return bracket
+    return op_norm_lower(section, trace_degrees=[col_degree]).lower, upper
 
 
 def br_map(r: float) -> BallMap:
@@ -140,8 +138,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     b = br_map(r)
     alpha = float(alpha)
     if r == 0.0:
-        bracket = NormBound(lower=1.0, upper=1.0,
-                            trace=[(int(d), 1.0) for d in sorted(trace_degrees)])
+        bracket = NormBound(1.0, [(int(d), 1.0) for d in sorted(trace_degrees)])
     else:
         section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
         bracket = op_norm_lower(section, trace_degrees=trace_degrees)
@@ -149,7 +146,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     witness = find_negative_witness(spec, seed=seed, radius=radius,
                                     set_size=set_size, budget=witness_budget)
     rng = np.random.default_rng(seed_tuple(seed) + (0,))
-    probe = check_psd(gram(spec, sample_point_set(rng, 2, radius, set_size)))
+    probe = check_psd(spec, sample_point_set(rng, 2, radius, set_size))
     probe.seed = seed
     found = witness is not None
     return bracket, witness if found else probe, found

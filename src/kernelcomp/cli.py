@@ -31,7 +31,6 @@ from .kernels import (
     KernelSpec,
     SamplingError,
     check_psd,
-    gram,
     sample_point_set,
 )
 from .operators import SpaceSpec, comp_matrix, comp_norm_bound, op_norm_lower, \
@@ -52,7 +51,7 @@ from .series import (
 )
 
 __all__ = ["main", "run_experiment", "ExperimentConfig", "ConfigError",
-           "Report", "CheckRecord", "CLAIM_ANCHORS", "COMMANDS"]
+           "Report", "CLAIM_ANCHORS", "COMMANDS"]
 
 
 class ConfigError(Exception):
@@ -82,38 +81,19 @@ CLAIM_ANCHORS = frozenset({
 })
 
 
-@dataclass
-class CheckRecord:
-    """One pass/fail line: measured value against bound plus tolerance."""
-
-    description: str
-    paper_anchor: str
-    measured: float
-    bound: float
-    tolerance: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "paper_anchor": self.paper_anchor,
-            "measured": self.measured,
-            "bound": self.bound,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
 def make_record(description: str, anchor: str, measured: float, bound: float,
-                tolerance: float) -> CheckRecord:
+                tolerance: float) -> dict:
+    """One pass/fail line of a report, as the dict the JSON report holds:
+    measured passes when it is at most bound plus tolerance.  The keys are
+    in the column order of the CSV report."""
     if anchor not in CLAIM_ANCHORS:
         raise ValueError(f"unknown claim anchor {anchor!r}")
     measured = float(measured)
     bound = float(bound)
     tolerance = float(tolerance)
-    return CheckRecord(description=description, paper_anchor=anchor,
-                       measured=measured, bound=bound, tolerance=tolerance,
-                       passed=bool(measured <= bound + tolerance))
+    return {"description": description, "paper_anchor": anchor,
+            "measured": measured, "bound": bound, "tolerance": tolerance,
+            "pass": bool(measured <= bound + tolerance)}
 
 
 def _worst(values) -> float:
@@ -136,13 +116,13 @@ class Report:
     wall_time: float = 0.0
 
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(r["pass"] for r in self.records)
 
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
             "version": __version__,
-            "records": [r.to_json_dict() for r in self.records],
+            "records": self.records,
             "trace": self.trace,
             "extras": self.extras,
         }
@@ -206,9 +186,7 @@ def report_csv(report: Report) -> str:
     else:
         lines = ["description,paper_anchor,measured,bound,tolerance,pass"]
         for r in report.records:
-            lines.append(",".join(_csv_cell(v) for v in (
-                r.description, r.paper_anchor, r.measured, r.bound,
-                r.tolerance, r.passed)))
+            lines.append(",".join(_csv_cell(v) for v in r.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -516,6 +494,8 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
 
 
 def run_inf_estimate(params: dict, tol: dict, seed: int):
+    if params["grid_size"] < 1:
+        raise ConfigError("grid_size must be at least 1")
     b = symbol_from_json(params["symbol"])
     n = params["section_degree"]
     nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=[n])
@@ -564,7 +544,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             spec = KernelSpec.ball_map(bmap, alpha)
             pts = sample_point_set(rng, dim, params["cert_radius"],
                                    params["cert_points"])
-            cert = check_psd(gram(spec, pts))
+            cert = check_psd(spec, pts)
             psd_gaps.append(-cert.min_eigenvalue - cert.tolerance)
             # built once for every row point; rows past a coordinate's own
             # degree are zero and do not change op_norm_lower's bound
@@ -577,10 +557,10 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
                     bmap, sample_point_set(rng, dim, params["row_radius"],
                                            1).points[0], sections)
                     for _ in range(params["row_points"])))
-            inv = inv_kernel_mult_norm(bmap, alpha, n,
-                                       tail_tol=params["inv_tail_tol"])
+            inv_lower, inv_upper = inv_kernel_mult_norm(
+                bmap, alpha, n, tail_tol=params["inv_tail_tol"])
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
-                         min_margin, inv.lower, inv.upper])
+                         min_margin, inv_lower, inv_upper])
     records = []
     for alpha in alphas:
         mine = [i for i, row in enumerate(rows) if row[1] == alpha]
@@ -698,7 +678,7 @@ def run_psd(params: dict, tol: dict, seed: int):
     spec = kernel_spec_from_json(params["spec"])
     rng = np.random.default_rng((seed, 0))
     pts = sample_point_set(rng, spec.dim, params["radius"], params["point_count"])
-    cert = check_psd(gram(spec, pts))
+    cert = check_psd(spec, pts)
     cert.seed = seed
     expect = params["expect"]
     if expect == "psd":
@@ -959,11 +939,11 @@ def main(argv=None) -> int:
             sys.stdout.write(payload)
             summary_stream = sys.stderr
         for r in report.records:
-            tag = "PASS" if r.passed else "FAIL"
-            print(f"[{tag}] {r.description} "
-                  f"(measured={r.measured:.6g}, bound={r.bound:.6g}, "
-                  f"tol={r.tolerance:.3g})", file=summary_stream)
-        passed = sum(1 for r in report.records if r.passed)
+            tag = "PASS" if r["pass"] else "FAIL"
+            print(f"[{tag}] {r['description']} "
+                  f"(measured={r['measured']:.6g}, bound={r['bound']:.6g}, "
+                  f"tol={r['tolerance']:.3g})", file=summary_stream)
+        passed = sum(1 for r in report.records if r["pass"])
         print(f"{cfg.name}: {passed}/{len(report.records)} checks passed "
               f"in {report.wall_time:.2f} s", file=summary_stream)
         return 0 if report.all_pass() else 1

@@ -88,13 +88,14 @@ def hb_norm_combo(combo: KernelCombo) -> float:
     The Gram must certify positive; failure is reported as a kernel
     positivity error because it cannot happen for an admissible symbol.
     """
-    g = gram(combo.spec(), combo.nodes)
-    cert = check_psd(g)
+    spec = combo.spec()
+    cert = check_psd(spec, combo.nodes)
     if cert.verdict == NEGATIVE:
         raise KernelPositivityError(
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
-    q = float(np.real(np.vdot(combo.coeffs, g.entries @ combo.coeffs)))
+    g = gram(spec, combo.nodes)
+    q = float(np.real(np.vdot(combo.coeffs, g @ combo.coeffs)))
     return math.sqrt(max(q, 0.0))
 
 
@@ -229,8 +230,12 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None
     compression of S_k and the worst distance of S_k from the identity on
     the monitored basis vectors.
     """
+    if test_degree < 0:
+        raise ValueError("test_degree must be nonnegative")
     if test_degree > degree:
         raise ValueError("test_degree must not exceed the section degree")
+    if mode_count is not None and mode_count < 1:
+        raise ValueError("mode_count must be at least 1")
     onb = onb_defect(b, degree, rank_tol)
     modes = onb.basis if mode_count is None else onb.basis[:mode_count]
     if not modes:

@@ -21,7 +21,6 @@ __all__ = [
     "SamplingError",
     "PointSet",
     "KernelSpec",
-    "GramMatrix",
     "PositivityCertificate",
     "Witness",
     "PSD",
@@ -179,48 +178,39 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """Hermitized kernel values K(z_i, z_j) for point stacks (..., m, dim).
 
     The one place the kernel formulas live: ``gram`` passes a single (m, dim)
-    set, the witness screen a (trials, m, dim) stack.
+    set, the witness screen a (trials, m, dim) stack.  A value that overflows
+    (a large alpha on points near the boundary) is refused, not passed on as
+    inf or NaN to the eigen-solver.
     """
-    den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
-    if spec.kind == "szego":
-        g = 1.0 / den
-    elif spec.kind in ("bergman", "ball"):
-        g = den ** (-spec.alpha)
-    elif spec.kind in ("dbr", "dbr_power"):
-        bv = spec.b_disk(pts[..., 0])
-        g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
-        if spec.kind == "dbr_power":
-            g = g ** int(spec.alpha)
-    else:
-        bz = spec.b_ball(pts)
-        ratio = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
-        g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
-            else ratio ** spec.alpha
-    return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
+        if spec.kind == "szego":
+            g = 1.0 / den
+        elif spec.kind in ("bergman", "ball"):
+            g = den ** (-spec.alpha)
+        elif spec.kind in ("dbr", "dbr_power"):
+            bv = spec.b_disk(pts[..., 0])
+            g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
+            if spec.kind == "dbr_power":
+                g = g ** int(spec.alpha)
+        else:
+            bz = spec.b_ball(pts)
+            ratio = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
+            g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+                else ratio ** spec.alpha
+        g = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{spec.kind} kernel values overflow on these points")
+    return g
 
 
-def gram(spec: KernelSpec, point_set: PointSet) -> "GramMatrix":
-    """Gram matrix G[i, j] = K(w_i, w_j), hermitized on assembly."""
+def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
+    """Gram matrix G[i, j] = K(w_i, w_j), hermitized on assembly, so G
+    equals its conjugate transpose exactly.  Raises ValueError when a kernel
+    value overflows."""
     if point_set.dim != spec.dim:
         raise DomainError("point set dimension does not match the kernel")
-    return GramMatrix(spec=spec, point_set=point_set,
-                      entries=_kernel_matrix(spec, point_set.points))
-
-
-@dataclass
-class GramMatrix:
-    """Hermitian kernel matrix together with its generating data."""
-
-    spec: KernelSpec
-    point_set: PointSet
-    entries: np.ndarray
-
-    def __post_init__(self):
-        g = self.entries
-        if g.shape != (len(self.point_set),) * 2:
-            raise ValueError("entry shape does not match the point set")
-        if float(np.max(np.abs(g - g.conj().T))) > 1e-13:
-            raise ValueError("entries are not Hermitian")
+    return _kernel_matrix(spec, point_set.points)
 
 
 @dataclass
@@ -271,21 +261,22 @@ def eig_tolerance(lam: np.ndarray):
     return TOL_SCALE * lam.shape[-1] * nrm * float(np.finfo(float).eps)
 
 
-def check_psd(g: GramMatrix) -> PositivityCertificate:
-    """Eigenvalue test with a scale-aware tolerance.
+def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
+    """Eigenvalue test of ``gram(spec, point_set)`` with a scale-aware
+    tolerance.
 
     The tolerance grows with the matrix size and spectral norm so that honest
     rounding never triggers a NEGATIVE verdict; a NEGATIVE certificate carries
-    the bottom eigenvector as a witness.
+    the points and the bottom eigenvector as a witness.
     """
-    lam, vec = np.linalg.eigh(g.entries)
+    lam, vec = np.linalg.eigh(gram(spec, point_set))
     lo = float(lam[0])
     tol = float(eig_tolerance(lam))
     if lo >= -tol:
-        return PositivityCertificate(spec=g.spec, min_eigenvalue=lo,
+        return PositivityCertificate(spec=spec, min_eigenvalue=lo,
                                      tolerance=tol, verdict=PSD)
-    wit = Witness(point_set=g.point_set, coeffs=vec[:, 0])
-    return PositivityCertificate(spec=g.spec, min_eigenvalue=lo,
+    wit = Witness(point_set=point_set, coeffs=vec[:, 0])
+    return PositivityCertificate(spec=spec, min_eigenvalue=lo,
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
 
 
@@ -422,7 +413,7 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
         for trial in _screen(spec, base, trials, radius, set_size, draws):
             rng = np.random.default_rng(base + (trial,))
             pts = sample_point_set(rng, spec.dim, radius, set_size)
-            cert = check_psd(gram(spec, pts))
+            cert = check_psd(spec, pts)
             if cert.verdict == NEGATIVE:
                 cert.seed = seed
                 return cert

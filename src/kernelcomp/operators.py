@@ -23,7 +23,7 @@ and a caller that knows a closed-form upper bound states it itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -351,17 +351,15 @@ def weighted_comp_matrix(f, comp: SectionMatrix) -> SectionMatrix:
 
 @dataclass
 class NormBound:
-    """Certified norm bracket from a finite section.
+    """Certified lower norm bound from a finite section.
 
     ``lower`` is exact-column evidence (a true lower bound up to rounding);
-    ``upper`` is a closed-form bound, set only by a caller that knows one for
-    its operator.  ``trace`` records (column degree, lower bound) pairs for
-    convergence plots.
+    ``trace`` records (column degree, lower bound) pairs for convergence
+    plots.
     """
 
     lower: float
-    upper: float | None = None
-    trace: list = field(default_factory=list)
+    trace: list
 
 
 def comp_norm_bound(c: float, alpha: float) -> float:
@@ -395,7 +393,7 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     ||A_d^H u|| / ||u||.  Either way each bound is the prefix's top singular
     value up to rounding, so the trace is nondecreasing in d up to rounding.
     Rows left out, and rows a prefix does not reach, are zero and change
-    nothing.  The bracket's ``upper`` is left unset.
+    nothing.
     """
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)

@@ -51,8 +51,8 @@ def test_criterion_2_weighted_composition_contraction():
     report = run_experiment(cfg)
     assert len(report.records) == 100
     ok = _line(2, "weighted composition sections stay under the combo norm",
-               all(r.passed for r in report.records))
-    assert ok, [r.description for r in report.records if not r.passed]
+               all(r["pass"] for r in report.records))
+    assert ok, [r["description"] for r in report.records if not r["pass"]]
 
 
 def test_criterion_3_szego_identity_residual():
@@ -98,8 +98,8 @@ def test_criterion_5_bergman_bounds():
     report = run_experiment(cfg)
     assert len(report.records) == 2 * 2
     ok = _line(5, "weighted-space composition and weighted sections bounded",
-               all(r.passed for r in report.records))
-    assert ok, [r.description for r in report.records if not r.passed]
+               all(r["pass"] for r in report.records))
+    assert ok, [r["description"] for r in report.records if not r["pass"]]
 
 
 def test_criterion_6_ball_row_contractions():
@@ -108,8 +108,8 @@ def test_criterion_6_ball_row_contractions():
          "params": {"maps": 10, "alphas": [1, 2]}})
     report = run_experiment(cfg)
     ok = _line(6, "row contractions give contractive multipliers and weights",
-               all(r.passed for r in report.records))
-    assert ok, [r.description for r in report.records if not r.passed]
+               all(r["pass"] for r in report.records))
+    assert ok, [r["description"] for r in report.records if not r["pass"]]
 
 
 def test_criterion_7_product_map_regimes():

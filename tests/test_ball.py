@@ -51,20 +51,20 @@ def test_row_mult_norm_rejects_outside_point():
 def test_inv_kernel_weight_trivial_when_centered():
     # b(0) = 0 makes the weight identically one
     b = BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})])
-    out = inv_kernel_mult_norm(b, 2.0, 6)
-    assert out.lower == pytest.approx(1.0, abs=1e-12)
-    assert out.upper == pytest.approx(1.0, abs=1e-12)
+    lower, upper = inv_kernel_mult_norm(b, 2.0, 6)
+    assert lower == pytest.approx(1.0, abs=1e-12)
+    assert upper == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inv_kernel_weight_brackets_closed_form():
     # dim-1 symbol with b(0) = 1/2: closed form (1 - 1/2)^(-alpha)
     b = BallMap([BallPoly(1, {(0,): 0.5, (1,): 0.4})])
     for alpha in (1.0, 2.0):
-        out = inv_kernel_mult_norm(b, alpha, 24)
-        assert out.upper == pytest.approx(2.0**alpha, rel=1e-10)
-        assert out.lower <= out.upper + 1e-9
+        lower, upper = inv_kernel_mult_norm(b, alpha, 24)
+        assert upper == pytest.approx(2.0**alpha, rel=1e-10)
+        assert lower <= upper + 1e-9
         # the constant coefficient of the weight alone gives a lower bound
-        assert out.lower >= (1.0 - 0.25) ** (-alpha) - 1e-9
+        assert lower >= (1.0 - 0.25) ** (-alpha) - 1e-9
 
 
 def test_inv_kernel_weight_respects_term_budget():
@@ -105,6 +105,7 @@ def test_br_experiment_flat_at_zero():
         witness_budget=5, set_size=4, radius=0.95, seed=0)
     values = [v for _, v in bracket.trace]
     assert values == [1.0] * len(values)
+    assert bracket.lower == 1.0
     assert not found
     assert cert.verdict == PSD and cert.witness is None
 
@@ -157,7 +158,7 @@ def test_br_experiment_growth_at_one():
     values = [v for _, v in bracket.trace]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] > 3.35
-    assert bracket.upper is None
+    assert bracket.lower == values[-1]
 
 
 def test_br_experiment_rejects_bad_r():

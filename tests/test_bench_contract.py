@@ -63,6 +63,23 @@ def test_witness_counter_reads_the_search_result():
         assert counts["kernels.witness_found"] == found
 
 
+def test_check_psd_builds_its_gram_through_the_traced_name():
+    # check_psd calls the module's own gram, which the tracer wraps, so one
+    # certificate counts one Gram; op_norm_lower's hook counts the trace
+    pts = kernels.PointSet([0.1, 0.4j, -0.3])
+    section = operators.comp_matrix(series.blaschke_factor(0.5),
+                                    operators.SpaceSpec(1, 1.0), 16)
+    tracer = _spans_module().Tracer()
+    with tracer:
+        kernels.check_psd(kernels.KernelSpec.bergman(2.0), pts)
+        bound = operators.op_norm_lower(section, trace_degrees=[4, 8, 16])
+    counts = tracer.metrics()
+    assert counts["kernels.check_psd.calls"] == 1
+    assert counts["kernels.gram.calls"] == 1
+    assert counts["operators.op_norm_lower.calls"] == 1
+    assert counts["operators.op_norm_lower.prefixes"] == len(bound.trace) == 3
+
+
 def test_section_counters_read_the_stored_rows():
     # the tracer counts a section by its entries array; a ball composition
     # stores only its reachable rows, a disk composition its rows up to the

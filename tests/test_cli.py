@@ -130,6 +130,7 @@ def test_csv_format_br(tmp_path):
     assert float(first[0]) == 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_codes_for_config_errors(tmp_path, capsys):
     unknown = _cfg(tmp_path, "no-such-command", fname="u.json")
     assert main(["run", "--config", str(unknown)]) == 2
@@ -167,7 +168,28 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
                 "type": "monomial", "degree": 0, "scale": [0.5, 0.0]}}},
              "constant symbols do not get finite sections"),
             ({"name": "hardy-bound", "params": {"trace_degrees": []}},
-             "trace degrees must not be empty")):
+             "trace degrees must not be empty"),
+            # kernel values that overflow, in a Gram and in the witness
+            # screen, before any eigen-solver sees them
+            ({"name": "psd", "params": {"spec": {"kind": "bergman",
+                                                 "alpha": 1e308},
+                                        "point_count": 5}},
+             "bergman kernel values overflow on these points"),
+            ({"name": "psd", "params": {"spec": {
+                "kind": "dbr_power", "alpha": 100000, "b": {
+                    "type": "monomial", "degree": 1, "scale": [0.5, 0]}}}},
+             "dbr_power kernel values overflow on these points"),
+            ({"name": "br", "params": {"alpha": 1000, "r_values": [0.95],
+                                       "witness_budget": 3,
+                                       "section_degree": 4}},
+             "ball_map kernel values overflow on these points"),
+            # sizes that leave nothing to reduce over
+            ({"name": "summation", "params": {"test_degree": -1}},
+             "test_degree must be nonnegative"),
+            ({"name": "summation", "params": {"mode_count": 0}},
+             "mode_count must be at least 1"),
+            ({"name": "inf-estimate", "params": {"grid_size": 0}},
+             "grid_size must be at least 1")):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path)]) == 2
@@ -543,13 +565,18 @@ def test_stable_json_formatting():
 
 def test_make_record_validates_anchor():
     rec = make_record("demo", "kernel-positivity", 0.5, 1.0, 1e-9)
-    assert rec.passed
+    # the report dict itself, keys in the CSV column order
+    assert rec == {"description": "demo", "paper_anchor": "kernel-positivity",
+                   "measured": 0.5, "bound": 1.0, "tolerance": 1e-9,
+                   "pass": True}
+    header = "description,paper_anchor,measured,bound,tolerance,pass"
+    assert ",".join(rec) == header
     with pytest.raises(ValueError):
         make_record("demo", "not-an-anchor", 0.5, 1.0, 1e-9)
     boundary = make_record("demo", "kernel-positivity", 1.0 + 5e-10, 1.0, 1e-9)
-    assert boundary.passed
+    assert boundary["pass"]
     failing = make_record("demo", "kernel-positivity", 1.1, 1.0, 1e-9)
-    assert not failing.passed
+    assert not failing["pass"]
 
 
 def test_symbol_parsers():
@@ -598,7 +625,7 @@ def test_every_command_runs_green_at_reduced_size(tmp_path):
                                           "params": params})
         report = run_experiment(cfg)
         for rec in report.records:
-            assert rec.passed, f"{name}: {rec.description}"
+            assert rec["pass"], f"{name}: {rec['description']}"
 
 
 def test_report_csv_falls_back_to_records():
@@ -638,10 +665,10 @@ def test_ball_bound_maps_are_the_ones_ball_lemma_certifies(monkeypatch):
     def key(b):
         return tuple((c.exps.tobytes(), c.coefs.tobytes()) for c in b.coords)
 
-    def spy_check(g):
-        cert = check_psd(g)
+    def spy_check(spec, pts):
+        cert = check_psd(spec, pts)
         assert cert.verdict == "PSD"
-        certified.setdefault(g.spec.alpha, []).append(key(g.spec.b_ball))
+        certified.setdefault(spec.alpha, []).append(key(spec.b_ball))
         return cert
 
     def spy_comp(b, space, n):

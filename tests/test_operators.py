@@ -486,13 +486,14 @@ def test_op_norm_lower_leaves_the_closed_form_bound_to_callers():
     b = SelfMapDisk(DiskPoly([0.3, 0.5]))
     for alpha in (1.0, 2.0):
         comp = op_norm_lower(comp_matrix(b, SpaceSpec(1, alpha), 8))
-        assert comp.upper is None
         assert 1.0 < comp.lower <= comp_norm_bound(abs(b.center), alpha)
+    # a NormBound holds a lower bound and its trace, and nothing more
+    assert set(vars(comp)) == {"lower", "trace"}
     mult = op_norm_lower(mult_matrix(DiskPoly([0.3, 0.5]), H2, 8))
-    assert mult.upper is None
+    assert set(vars(mult)) == {"lower", "trace"}
     bm = BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})])
     ball = op_norm_lower(comp_matrix(bm, SpaceSpec(2, 1.0), 4))
-    assert ball.upper is None
+    assert set(vars(ball)) == {"lower", "trace"}
 
 
 def test_op_norm_lower_rejects_bad_trace():
