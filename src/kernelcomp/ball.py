@@ -10,6 +10,8 @@ observable at desk scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kernels import (
@@ -87,27 +89,36 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
     s = BallPoly.zero(b.dim)
     for coord, c0 in zip(b.coords, center):
         s = s + np.conj(c0) * coord
+    # the coefficients up to the truncation point, found before any
+    # polynomial is multiplied so that an overflow is refused at once
+    coeffs = []
+    coeff = 1.0
+    k = 0
+    while beta > 0.0:
+        k += 1
+        coeff *= (alpha + k - 1) / k
+        if not math.isfinite(coeff):
+            raise ValueError(
+                f"the inverse-kernel weight series overflows at "
+                f"alpha={alpha:g}: rising(alpha, k) / k! passes float "
+                f"range at k={k}")
+        coeffs.append(coeff)
+        # remaining terms are dominated by a geometric series once the
+        # term ratio beta * (alpha + k) / (k + 1) falls below 1
+        ratio = beta * (alpha + k) / (k + 1)
+        head = coeff * beta**k
+        if ratio < 1.0 and head * ratio / (1.0 - ratio) <= tail_tol:
+            break
+        if k >= max_terms:
+            raise ValueError(
+                "weight series needs more terms than allowed; "
+                "increase max_terms or loosen tail_tol"
+            )
     weight = BallPoly.constant(b.dim, 1.0)
-    if beta > 0.0:
-        term_poly = BallPoly.constant(b.dim, 1.0)
-        coeff = 1.0
-        k = 0
-        while True:
-            k += 1
-            coeff *= (alpha + k - 1) / k
-            term_poly = term_poly * s
-            weight = weight + coeff * term_poly
-            # remaining terms are dominated by a geometric series once the
-            # term ratio beta * (alpha + k) / (k + 1) falls below 1
-            ratio = beta * (alpha + k) / (k + 1)
-            head = coeff * beta**k
-            if ratio < 1.0 and head * ratio / (1.0 - ratio) <= tail_tol:
-                break
-            if k >= max_terms:
-                raise ValueError(
-                    "weight series needs more terms than allowed; "
-                    "increase max_terms or loosen tail_tol"
-                )
+    term_poly = BallPoly.constant(b.dim, 1.0)
+    for coeff in coeffs:
+        term_poly = term_poly * s
+        weight = weight + coeff * term_poly
     section = mult_matrix(weight, space, col_degree)
     return op_norm_lower(section, trace_degrees=[col_degree]).lower, upper
 

@@ -379,6 +379,8 @@ def run_hardy_bound(params: dict, tol: dict, seed: int):
 def _weighted_lower(rng, b: SelfMapDisk, alpha: int, comp, params: dict) -> float:
     """Certified lower bound for g -> f * (g o b) on the columns of ``comp``,
     the section of b, with f a unit kernel combination drawn from ``rng``."""
+    if params["node_max"] < 1:
+        raise ConfigError("node_max must be at least 1")
     combo = random_kernel_combo(rng, b, alpha=alpha,
                                 max_nodes=params["node_max"],
                                 node_radius=params["node_radius"])

@@ -342,12 +342,121 @@ def seed_tuple(seed) -> tuple:
 _CHUNK_TRIALS = 1024
 _CHUNK_VALUES = 1 << 21
 
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding
+# constants, which _substream_uniforms replays
+_MASK32 = 0xFFFFFFFF
+_SS_POOL = 4
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's running hash: each call xors in the hash constant,
+    steps it by ``mult``, multiplies and folds, on uint32 arrays."""
+    def step(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & _MASK32
+        value = value * np.uint32(h)
+        return value ^ value >> 16
+    return step
+
+
+def _pool_states(entropy: np.ndarray) -> list:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
+    a (trials, words) uint32 entropy array, as four uint64 columns."""
+    hashmix = _hasher(_SS_INIT_A, _SS_MULT_A)
+
+    def mix(x, y):
+        r = x * np.uint32(_SS_MIX_L) - y * np.uint32(_SS_MIX_R)
+        return r ^ r >> 16
+
+    width = entropy.shape[1]
+    zero = np.zeros(entropy.shape[0], np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero)
+            for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL, width):
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    out = _hasher(_SS_INIT_B, _SS_MULT_B)
+    words = [out(pool[i % _SS_POOL]).astype(np.uint64) for i in range(8)]
+    return [words[i] | words[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+
+
+def _seed_words(n: int) -> list:
+    """A nonnegative int as SeedSequence reads it: little-endian uint32
+    words, one word for zero."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _substream_uniforms(base: tuple, trials: range, n: int) -> np.ndarray:
+    """``n`` uniforms from each substream ``default_rng(base + (t,))`` for
+    the trials ``t`` of a nonempty step-1 range, as a (len(trials), n)
+    array.
+
+    Bit for bit ``np.stack([default_rng(base + (t,)).random(n) for t in
+    trials])``: SeedSequence's entropy mixing runs once over all trials
+    whose indices have the same number of uint32 words, the two PCG64
+    seeding steps run on Python ints, and one generator, the real
+    ``default_rng`` of the first trial, is reset to each trial's state
+    before its draw.  That first row is checked against the generator's
+    own seeding, so a numpy that seeds differently raises RuntimeError
+    rather than clearing trials the serial search would flag.
+    """
+    rng = np.random.default_rng(base + (trials[0],))
+    first = rng.random(n)
+    prefix = [w for s in base for w in _seed_words(s)]
+    out = np.empty((len(trials), n))
+    lo = trials.start
+    while lo < trials.stop:
+        width = len(_seed_words(lo))
+        hi = min(trials.stop, 1 << 32 * width)
+        t = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
+        entropy = np.empty((hi - lo, len(prefix) + width), np.uint32)
+        entropy[:, :len(prefix)] = prefix
+        for k in range(width):
+            word = t >> np.uint64(32 * k) & np.uint64(_MASK32)
+            entropy[:, len(prefix) + k] = word
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        for row, (s0, s1, i0, i1) in enumerate(
+                zip(*(c.tolist() for c in _pool_states(entropy))),
+                start=lo - trials.start):
+            # PCG64 seeding from the 128-bit seed s0:s1 and stream i0:i1:
+            # inc = 2 * stream + 1, state = (inc + seed) * MULT + inc
+            inc =(i0 << 65 | i1 << 1 | 1) & _MASK128
+            state["state"] = {
+                "state": ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128,
+                "inc": inc}
+            rng.bit_generator.state = state
+            rng.random(out=out[row])
+        lo = hi
+    if out[0].tobytes() != first.tobytes():
+        raise RuntimeError("the batched substream seeding does not match "
+                           "numpy's default_rng")
+    return out
+
 
 def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
             count: int, draws: int) -> list:
     """Trials of a chunk that the batched screen cannot clear, in order.
 
-    Each trial draws ``draws`` candidates from its own substream, keeps
+    Each trial draws ``draws`` candidates from its own substream (all of
+    the chunk's substreams are seeded in one pass by
+    ``_substream_uniforms``, bit-identical to ``default_rng``), keeps
     the first ``count`` inside the radius cap, and has its Gram's smallest
     eigenvalue computed in one batched ``eigvalsh``.  A trial is returned
     when that eigenvalue is below -tol / 2, when its block holds fewer than
@@ -358,8 +467,7 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
     if not 0.0 < radius < 1.0 or count < 1:
         return list(trials)  # the serial path raises the caller's error
     dim = spec.dim
-    u = np.stack([np.random.default_rng(base + (t,)).random(draws * 2 * dim)
-                  for t in trials])
+    u = _substream_uniforms(base, trials, draws * 2 * dim)
     cand = _candidates(u.reshape(len(trials), draws, 2 * dim), radius)
     norm = np.linalg.norm(cand, axis=-1)
     inside = norm < radius
@@ -390,16 +498,19 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
     it.  ``_screen`` draws a chunk's point sets from the same substreams,
-    stacks their Grams and bounds every smallest eigenvalue with one batched
-    ``eigvalsh``.  The trials it cannot clear are decided again, in order, by
-    the serial ``sample_point_set``, ``gram`` and ``check_psd``, and the
-    first NEGATIVE one is returned, so the witness and its certificate are
-    exactly those of a one-at-a-time search.  Clearing a trial at -tol / 2
+    seeded in one vectorized pass and checked against ``default_rng`` once
+    per chunk, stacks their Grams and bounds every smallest eigenvalue with
+    one batched ``eigvalsh``.  The trials it cannot clear are decided
+    again, in order, by the serial ``sample_point_set``, ``gram`` and
+    ``check_psd``, and the first NEGATIVE one is returned, so the witness
+    and its certificate are exactly those of a one-at-a-time search.  Clearing a trial at -tol / 2
     is safe: its screened Gram differs from the serial one by a few ulps,
     ``eigvalsh`` is backward stable, and so the two smallest eigenvalues
     differ by O(m * eps * ||G||), far below tol / 2, which is
-    50 * m * eps * ||G||.
+    50 * m * eps * ||G||.  A negative budget is refused with ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"witness budget must be nonnegative, got {budget}")
     base = seed_tuple(seed)
     # about twice the candidates a set needs, as a fraction 1 / dim! of the
     # polydisk draws lands inside the radius cap; a screened set never needs

@@ -370,7 +370,10 @@ def comp_norm_bound(c: float, alpha: float) -> float:
 
 
 def _default_trace_degrees(col_degree: int) -> list:
-    """Powers of two below col_degree, 3 * col_degree // 4, and col_degree."""
+    """Powers of two below col_degree, 3 * col_degree // 4, and col_degree;
+    [0] for a one-column section."""
+    if col_degree == 0:
+        return [0]
     ds = {col_degree, (3 * col_degree) // 4}
     d = 1
     while d < col_degree:

@@ -189,7 +189,21 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
             ({"name": "summation", "params": {"mode_count": 0}},
              "mode_count must be at least 1"),
             ({"name": "inf-estimate", "params": {"grid_size": 0}},
-             "grid_size must be at least 1")):
+             "grid_size must be at least 1"),
+            ({"name": "br", "params": {"r_values": [0.5],
+                                       "witness_budget": -1,
+                                       "section_degree": 2}},
+             "witness budget must be nonnegative, got -1"),
+            ({"name": "theorem1", "params": {"trials": 1, "node_max": 0}},
+             "node_max must be at least 1"),
+            ({"name": "bergman-bound", "params": {"node_max": 0}},
+             "node_max must be at least 1"),
+            # the inverse-kernel weight series, before its coefficient
+            # reaches a polynomial as inf
+            ({"name": "ball-lemma", "params": {
+                "maps": 1, "alphas": [1000], "section_degree": 2,
+                "cert_points": 5}},
+             "the inverse-kernel weight series overflows at alpha=1000")):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path)]) == 2
@@ -206,6 +220,20 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
         cfg3 = _cfg(tmp_path, "br", params=params, fname="c3.json")
         assert main(["run", "--config", str(cfg3)]) == 2
         assert "at least 1" in capsys.readouterr().err
+
+
+def test_hardy_bound_runs_a_one_column_section(tmp_path, capsys):
+    # with no trace degrees given, degree 0 is traced: C_b 1 = 1 has norm 1
+    out = tmp_path / "h.json"
+    cfg = _cfg(tmp_path, "hardy-bound",
+               params={"section_degree": 0, "check_sharp": False})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["trace"]["rows"] == [
+        [0, 1, math.sqrt(3.0)]]
+    # one column cannot close the gap to the sharp bound
+    cfg = _cfg(tmp_path, "hardy-bound", params={"section_degree": 0})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
 
 
 def test_run_with_no_checks_exits_two(tmp_path, capsys):

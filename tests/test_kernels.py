@@ -485,3 +485,39 @@ def test_batched_search_gives_up_where_the_serial_sampler_does():
     for search in (_serial_search, find_negative_witness):
         with pytest.raises(RuntimeError):
             search(spec, seed=0, radius=0.9, set_size=8, budget=3)
+
+
+# --- the one-pass substream seeder against numpy's own seeding -------------
+
+
+def _default_rng_rows(base, trials, n):
+    return np.stack([np.random.default_rng(base + (t,)).random(n)
+                     for t in trials])
+
+
+@pytest.mark.parametrize("seed", [0, 12345, (0, 1), (4, 1), (2**40, 7),
+                                  (1, 2, 3, 4, 5), (2**70, 3, 9, 2**33, 6)])
+@pytest.mark.parametrize("trials", [range(0, 1), range(1023, 2047),
+                                    range(2**32 - 5, 2**32 + 5)])
+def test_substream_uniforms_equal_default_rng(seed, trials):
+    # multi-word seeds and bases of five or more words run SeedSequence's
+    # mixing past its pool of four; trials from 2**32 on have two words
+    base = seed_tuple(seed)
+    got = kernels._substream_uniforms(base, trials, 12)
+    assert got.shape == (len(trials), 12)
+    assert got.tobytes() == _default_rng_rows(base, trials, 12).tobytes()
+
+
+def test_substream_guard_catches_a_wrong_mixing_constant():
+    base = seed_tuple((4, 1))
+    with mock.patch.object(kernels, "_SS_MIX_L", kernels._SS_MIX_L ^ 1):
+        with pytest.raises(RuntimeError, match="default_rng"):
+            kernels._substream_uniforms(base, range(3, 10), 4)
+    assert kernels._substream_uniforms(base, range(3, 10), 4).tobytes() == \
+        _default_rng_rows(base, range(3, 10), 4).tobytes()
+
+
+def test_negative_witness_budget_is_refused():
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        find_negative_witness(_br_spec(0.5), seed=0, radius=0.95, set_size=8,
+                              budget=-1)
