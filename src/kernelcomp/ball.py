@@ -19,7 +19,7 @@ from .kernels import (
     check_psd,
     find_negative_witness,
     sample_point_set,
-    seed_tuple,
+    substream,
 )
 from .operators import NormBound, SpaceSpec, comp_matrix, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly
@@ -31,6 +31,8 @@ __all__ = [
     "br_map",
     "br_experiment",
 ]
+
+MAX_WEIGHT_TERMS = 2000
 
 
 def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
@@ -71,8 +73,7 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
 
 
 def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
-                         tail_tol: float = 1e-10,
-                         max_terms: int = 2000) -> tuple:
+                         tail_tol: float) -> tuple:
     """Bracket (lower, upper) for the multiplier (1 - <b(z), b(0)>) ** (-alpha).
 
     The weight expands as sum_k rising(alpha, k) / k! * s(z)^k with
@@ -109,11 +110,9 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
         head = coeff * beta**k
         if ratio < 1.0 and head * ratio / (1.0 - ratio) <= tail_tol:
             break
-        if k >= max_terms:
-            raise ValueError(
-                "weight series needs more terms than allowed; "
-                "increase max_terms or loosen tail_tol"
-            )
+        if k >= MAX_WEIGHT_TERMS:
+            raise ValueError(f"weight series needs more than {MAX_WEIGHT_TERMS} "
+                             f"terms; loosen tail_tol")
     weight = BallPoly.constant(b.dim, 1.0)
     term_poly = BallPoly.constant(b.dim, 1.0)
     for coeff in coeffs:
@@ -156,8 +155,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     spec = KernelSpec.ball_map(b, alpha)
     witness = find_negative_witness(spec, seed=seed, radius=radius,
                                     set_size=set_size, budget=witness_budget)
-    rng = np.random.default_rng(seed_tuple(seed) + (0,))
-    probe = check_psd(spec, sample_point_set(rng, 2, radius, set_size))
-    probe.seed = seed
+    probe = check_psd(spec, sample_point_set(substream(seed, 0), 2, radius,
+                                             set_size))
     found = witness is not None
     return bracket, witness if found else probe, found

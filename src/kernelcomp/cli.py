@@ -32,6 +32,7 @@ from .kernels import (
     SamplingError,
     check_psd,
     sample_point_set,
+    substream,
 )
 from .operators import SpaceSpec, comp_matrix, comp_norm_bound, op_norm_lower, \
     weighted_comp_matrix
@@ -273,6 +274,11 @@ def poly_from_json_dict(obj: dict):
     return BallPoly(dim, pairs)
 
 
+def _optional(obj: dict, key: str, parse, what: str) -> dict:
+    # nothing when the config omits key, so the callee's own default applies
+    return {key: parse(obj[key], what)} if key in obj else {}
+
+
 def symbol_from_json(obj: dict) -> SelfMapDisk:
     """Disk symbols: explicit taylor coefficients, a disk automorphism
     factor, or a scaled monomial."""
@@ -287,14 +293,13 @@ def symbol_from_json(obj: dict) -> SelfMapDisk:
         return SelfMapDisk(DiskPoly(coeffs))
     if kind == "blaschke":
         _require_keys(obj, {"type", "a"}, {"tail_tol"}, "blaschke symbol")
-        a = _as_complex(obj["a"], "blaschke parameter")
-        return blaschke_factor(
-            a, tail_tol=_as_float(obj.get("tail_tol", 1e-13), "blaschke tail_tol"))
+        tail = _optional(obj, "tail_tol", _as_float, "blaschke tail_tol")
+        return blaschke_factor(_as_complex(obj["a"], "blaschke parameter"), **tail)
     if kind == "monomial":
         _require_keys(obj, {"type", "degree"}, {"scale"}, "monomial symbol")
-        scale = _as_complex(obj.get("scale", [1.0, 0.0]), "monomial scale")
+        scale = _optional(obj, "scale", _as_complex, "monomial scale")
         return SelfMapDisk(DiskPoly.monomial(_as_int(obj["degree"], "monomial degree"),
-                                             scale))
+                                             **scale))
     raise ConfigError(f"unknown symbol type {kind!r}")
 
 
@@ -394,7 +399,7 @@ def run_theorem1(params: dict, tol: dict, seed: int):
     records = []
     rows = []
     for t in range(params["trials"]):
-        rng = np.random.default_rng((seed, t))
+        rng = substream(seed, t)
         b = random_disk_symbol(rng, params["symbol_degree_max"],
                                params["boundary_max"])
         lower = _weighted_lower(rng, b, 1, comp_matrix(b, H2, n), params)
@@ -411,8 +416,8 @@ def run_szego_identity(params: dict, tol: dict, seed: int):
     degrees = params["degrees"]
     if len(degrees) < 2 or sorted(degrees) != degrees:
         raise ConfigError("degrees must be at least two increasing values")
-    rng = np.random.default_rng((seed, 0))
-    pts = sample_point_set(rng, 1, params["point_radius"], params["point_count"])
+    pts = sample_point_set(substream(seed, 0), 1, params["point_radius"],
+                           params["point_count"])
     residuals = []
     for d in degrees:
         onb = onb_defect(b, d, rank_tol=params["rank_tol"])
@@ -473,7 +478,7 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
         space = SpaceSpec(1, float(alpha))
         alpha_rows = []
         for t in range(params["trials"]):
-            rng = np.random.default_rng((seed, ai, t))
+            rng = substream(seed, ai, t)
             b = random_disk_symbol(rng, params["symbol_degree_max"],
                                    params["boundary_max"])
             comp = comp_matrix(b, space, n)
@@ -501,11 +506,10 @@ def run_inf_estimate(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
     n = params["section_degree"]
     nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=[n])
-    rng = np.random.default_rng((seed, 0))
     centers = [0.0 + 0.0j]
     extra = params["family_size"] - 1
     if extra > 0:
-        pts = sample_point_set(rng, 1, params["family_radius"], extra)
+        pts = sample_point_set(substream(seed, 0), 1, params["family_radius"], extra)
         centers.extend(complex(z) for z in pts.points[:, 0])
     circle = _circle_points(params["grid_size"])
     bz = b(circle)
@@ -539,7 +543,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
     rows = []
     psd_gaps = []  # one per row: the tolerance is not a trace column
     for mi in range(params["maps"]):
-        rng = np.random.default_rng((seed, mi))
+        rng = substream(seed, mi)
         bmap = random_ball_row_contraction(rng, dim, params["coord_degree"],
                                            params["row_target"])
         for alpha in alphas:
@@ -602,7 +606,7 @@ def run_ball_bound(params: dict, tol: dict, seed: int):
     n = params["section_degree"]
     records = []
     rows = []
-    maps = [random_ball_row_contraction(np.random.default_rng((seed, mi)), dim,
+    maps = [random_ball_row_contraction(substream(seed, mi), dim,
                                         params["coord_degree"], params["row_target"])
             for mi in range(params["maps"])]
     for alpha in params["alphas"]:
@@ -632,16 +636,14 @@ def run_br(params: dict, tol: dict, seed: int):
     certificates = []
     for idx, r in enumerate(params["r_values"]):
         bracket, cert, found = br_experiment(
-            r, alpha=params["alpha"], section_degree=n,
-            trace_degrees=degrees,
-            witness_budget=params["witness_budget"],
-            set_size=params["set_size"], radius=params["radius"],
-            seed=(seed, idx))
+            r, alpha=params["alpha"], section_degree=n, trace_degrees=degrees,
+            witness_budget=params["witness_budget"], set_size=params["set_size"],
+            radius=params["radius"], seed=(seed, idx))
         verdict = "certified-negative" if found else \
             f"no-counterexample-at-budget-{params['witness_budget']}"
         rows.extend([[r, nn, lo, verdict, cert.min_eigenvalue, seed]
                      for nn, lo in bracket.trace])
-        certificates.append(cert.to_json_dict())
+        certificates.append({**cert.to_json_dict(), "seed": (seed, idx)})
         if r == 1.0:
             diffs = [b2 - b1 for (_, b1), (_, b2)
                      in zip(bracket.trace, bracket.trace[1:])]
@@ -678,10 +680,8 @@ def run_br(params: dict, tol: dict, seed: int):
 
 def run_psd(params: dict, tol: dict, seed: int):
     spec = kernel_spec_from_json(params["spec"])
-    rng = np.random.default_rng((seed, 0))
-    pts = sample_point_set(rng, spec.dim, params["radius"], params["point_count"])
-    cert = check_psd(spec, pts)
-    cert.seed = seed
+    cert = check_psd(spec, sample_point_set(substream(seed, 0), spec.dim,
+                                            params["radius"], params["point_count"]))
     expect = params["expect"]
     if expect == "psd":
         records = [make_record(
@@ -697,7 +697,7 @@ def run_psd(params: dict, tol: dict, seed: int):
         records = [rec]
     else:
         raise ConfigError("expect must be one of psd, negative, any")
-    return records, None, {"certificate": cert.to_json_dict()}
+    return records, None, {"certificate": {**cert.to_json_dict(), "seed": seed}}
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +832,10 @@ def _check_type(what: str, value, default, key: str):
             return _as_float(value, f"{what} {key!r}")
         if isinstance(like, list) and like and isinstance(like[0], float):
             return [_as_float(v, f"{what} {key!r}") for v in value]
+        # no count, degree or size in any experiment is negative
+        for v in value if isinstance(like, list) else [value]:
+            if _same_type(v, 0) and v < 0:
+                raise ConfigError(f"{what} {key!r} must be nonnegative, got {v!r}")
         return value
     expect = _TYPE_NAMES[type(like)]
     if isinstance(like, list) and like:

@@ -188,8 +188,7 @@ class OnbApprox:
     basis: list
 
 
-def onb_defect(b: SelfMapDisk, degree: int,
-               rank_tol: float | None = None) -> OnbApprox:
+def onb_defect(b: SelfMapDisk, degree: int, rank_tol: float | None) -> OnbApprox:
     lam, u, rank_tol = _defect_eigs(b, degree, rank_tol)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
@@ -219,9 +218,8 @@ def szego_residual(onb: OnbApprox, test_points: PointSet) -> float:
     return float(np.max(np.abs(target - s / factor)))
 
 
-def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None = None,
-                      test_degree: int = 8,
-                      rank_tol: float | None = None) -> tuple:
+def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None,
+                      test_degree: int, rank_tol: float | None) -> tuple:
     """Partial sums S_k of the resolution of the identity by the modes.
 
     Each mode contributes X X* with X the exact weighted composition section

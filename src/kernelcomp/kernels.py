@@ -31,6 +31,7 @@ __all__ = [
     "eig_tolerance",
     "find_negative_witness",
     "sample_point_set",
+    "substream",
 ]
 
 PSD = "PSD"
@@ -241,7 +242,6 @@ class PositivityCertificate:
     tolerance: float
     verdict: str
     witness: Witness | None = None
-    seed: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,7 +250,6 @@ class PositivityCertificate:
             "tolerance": self.tolerance,
             "verdict": self.verdict,
             "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "seed": self.seed,
         }
 
 
@@ -337,6 +336,12 @@ def seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
+def substream(seed, *index) -> np.random.Generator:
+    """The generator of the substream ``seed_tuple(seed) + index``: the one
+    place a seed becomes a generator."""
+    return np.random.default_rng(seed_tuple(seed) + index)
+
+
 # Trials screened together, and a cap on the values one screened chunk holds
 # (uniforms per trial, or Gram entries per trial, times trials).
 _CHUNK_TRIALS = 1024
@@ -404,20 +409,19 @@ def _seed_words(n: int) -> list:
 
 
 def _substream_uniforms(base: tuple, trials: range, n: int) -> np.ndarray:
-    """``n`` uniforms from each substream ``default_rng(base + (t,))`` for
-    the trials ``t`` of a nonempty step-1 range, as a (len(trials), n)
-    array.
+    """``n`` uniforms from each substream ``substream(base, t)`` for the
+    trials ``t`` of a nonempty step-1 range, as a (len(trials), n) array.
 
-    Bit for bit ``np.stack([default_rng(base + (t,)).random(n) for t in
+    Bit for bit ``np.stack([substream(base, t).random(n) for t in
     trials])``: SeedSequence's entropy mixing runs once over all trials
     whose indices have the same number of uint32 words, the two PCG64
     seeding steps run on Python ints, and one generator, the real
-    ``default_rng`` of the first trial, is reset to each trial's state
+    ``substream`` of the first trial, is reset to each trial's state
     before its draw.  That first row is checked against the generator's
     own seeding, so a numpy that seeds differently raises RuntimeError
     rather than clearing trials the serial search would flag.
     """
-    rng = np.random.default_rng(base + (trials[0],))
+    rng = substream(base, trials[0])
     first = rng.random(n)
     prefix = [w for s in base for w in _seed_words(s)]
     out = np.empty((len(trials), n))
@@ -446,7 +450,7 @@ def _substream_uniforms(base: tuple, trials: range, n: int) -> np.ndarray:
         lo = hi
     if out[0].tobytes() != first.tobytes():
         raise RuntimeError("the batched substream seeding does not match "
-                           "numpy's default_rng")
+                           "numpy's own seeding")
     return out
 
 
@@ -456,7 +460,7 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
 
     Each trial draws ``draws`` candidates from its own substream (all of
     the chunk's substreams are seeded in one pass by
-    ``_substream_uniforms``, bit-identical to ``default_rng``), keeps
+    ``_substream_uniforms``, bit-identical to ``substream``), keeps
     the first ``count`` inside the radius cap, and has its Gram's smallest
     eigenvalue computed in one batched ``eigvalsh``.  A trial is returned
     when that eigenvalue is below -tol / 2, when its block holds fewer than
@@ -464,7 +468,7 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
     decide its candidates differently: a norm within a few ulps of the
     radius, or two kept points closer than 2 * MIN_POINT_SEPARATION.
     """
-    if not 0.0 < radius < 1.0 or count < 1:
+    if not 0.0 < radius < 1.0:
         return list(trials)  # the serial path raises the caller's error
     dim = spec.dim
     u = _substream_uniforms(base, trials, draws * 2 * dim)
@@ -498,7 +502,7 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
     it.  ``_screen`` draws a chunk's point sets from the same substreams,
-    seeded in one vectorized pass and checked against ``default_rng`` once
+    seeded in one vectorized pass and checked against ``substream`` once
     per chunk, stacks their Grams and bounds every smallest eigenvalue with
     one batched ``eigvalsh``.  The trials it cannot clear are decided
     again, in order, by the serial ``sample_point_set``, ``gram`` and
@@ -507,10 +511,12 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     is safe: its screened Gram differs from the serial one by a few ulps,
     ``eigvalsh`` is backward stable, and so the two smallest eigenvalues
     differ by O(m * eps * ||G||), far below tol / 2, which is
-    50 * m * eps * ||G||.  A negative budget is refused with ValueError.
+    50 * m * eps * ||G||.  A negative budget or an empty set raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"witness budget must be nonnegative, got {budget}")
+    if set_size < 1:
+        raise ValueError(f"set_size must be at least 1, got {set_size}")
     base = seed_tuple(seed)
     # about twice the candidates a set needs, as a fraction 1 / dim! of the
     # polydisk draws lands inside the radius cap; a screened set never needs
@@ -522,11 +528,9 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     trials = range(0, min(1, budget))
     while trials:
         for trial in _screen(spec, base, trials, radius, set_size, draws):
-            rng = np.random.default_rng(base + (trial,))
-            pts = sample_point_set(rng, spec.dim, radius, set_size)
+            pts = sample_point_set(substream(base, trial), spec.dim, radius, set_size)
             cert = check_psd(spec, pts)
             if cert.verdict == NEGATIVE:
-                cert.seed = seed
                 return cert
         size = min(2 * len(trials), cap)
         trials = range(trials.stop, min(trials.stop + size, budget))

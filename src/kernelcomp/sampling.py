@@ -22,8 +22,8 @@ __all__ = [
 ]
 
 
-def random_disk_symbol(rng: np.random.Generator, max_degree: int = 4,
-                       boundary_max: float = 0.95) -> SelfMapDisk:
+def random_disk_symbol(rng: np.random.Generator, max_degree: int,
+                       boundary_max: float) -> SelfMapDisk:
     """Random polynomial self-map with boundary modulus at most boundary_max.
 
     Gaussian coefficients are rescaled by the sampled boundary maximum, so
@@ -39,31 +39,25 @@ def random_disk_symbol(rng: np.random.Generator, max_degree: int = 4,
     return SelfMapDisk(scale * raw)
 
 
-def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,
-                        alpha: int = 1, max_nodes: int = 5,
-                        node_radius: float = 0.6,
-                        normalize: bool = True) -> KernelCombo:
-    """Random kernel combination on a handful of disk nodes.
-
-    With normalize=True the coefficients are rescaled to unit range norm, so
-    contraction statements read directly off the combo.
+def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk, alpha: int,
+                        max_nodes: int, node_radius: float) -> KernelCombo:
+    """Random kernel combination on a handful of disk nodes, its coefficients
+    rescaled to unit range norm, so contraction statements read directly off
+    the combo.
     """
     count = int(rng.integers(1, max_nodes + 1))
     nodes = sample_point_set(rng, 1, node_radius, count)
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    combo = KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs)
-    if normalize:
-        value = hb_norm_combo(combo)
-        if value < 1e-8:
-            raise SamplingError("degenerate combo draw; use another substream")
-        combo = KernelCombo(b=b, alpha=alpha, nodes=nodes,
-                            coeffs=coeffs / value)
-    return combo
+    value = hb_norm_combo(KernelCombo(b=b, alpha=alpha, nodes=nodes,
+                                      coeffs=coeffs))
+    if value < 1e-8:
+        raise SamplingError("degenerate combo draw; use another substream")
+    return KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs / value)
 
 
-def random_ball_row_contraction(rng: np.random.Generator, dim: int = 2,
-                                coord_degree: int = 2,
-                                row_target: float = 0.9) -> BallMap:
+def random_ball_row_contraction(rng: np.random.Generator, dim: int,
+                                coord_degree: int,
+                                row_target: float) -> BallMap:
     """Random polynomial ball map whose coordinate row is a strict multiplier
     contraction.
 

@@ -9,12 +9,14 @@ says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
 of points, apart from the stacked assembly the Gram matrices use.
 ``svd_trace`` takes the top singular value of every column prefix of a
 section with a full SVD, the route ``op_norm_lower`` replaced by a Gram and
-a test vector.
+a test vector.  ``unnormalized_kernel_combo`` draws the combination
+``random_kernel_combo`` draws, before its scaling to unit norm.
 """
 
 import numpy as np
 
-from kernelcomp.kernels import DomainError, KernelSpec
+from kernelcomp.dbr import KernelCombo
+from kernelcomp.kernels import DomainError, KernelSpec, sample_point_set
 from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
@@ -162,3 +164,14 @@ def svd_trace(section: SectionMatrix, degrees) -> list:
         sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
         out.append((d, sigma))
     return out
+
+
+def unnormalized_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,
+                              alpha: int, max_nodes: int,
+                              node_radius: float) -> KernelCombo:
+    """The combination ``random_kernel_combo`` draws from ``rng``, the same
+    draws in the same order, with its coefficients left unscaled."""
+    count = int(rng.integers(1, max_nodes + 1))
+    nodes = sample_point_set(rng, 1, node_radius, count)
+    coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs)

@@ -21,8 +21,9 @@ from kernelcomp.dbr import (
 )
 from kernelcomp.kernels import PointSet, sample_point_set
 from kernelcomp.operators import SpaceSpec, comp_matrix, op_norm_lower
-from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
+from kernelcomp.sampling import random_disk_symbol
 from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor
+from oracles import unnormalized_kernel_combo
 
 H2 = SpaceSpec(1, 1.0)
 SQRT3 = math.sqrt(3.0)
@@ -58,7 +59,7 @@ def test_criterion_2_weighted_composition_contraction():
 def test_criterion_3_szego_identity_residual():
     pts = sample_point_set(np.random.default_rng(13), 1, 0.5, 50)
     square = SelfMapDisk(DiskPoly([0.0, 0.0, 1.0]))
-    r64 = szego_residual(onb_defect(square, 64), pts)
+    r64 = szego_residual(onb_defect(square, 64, rank_tol=None), pts)
     small = r64 <= 1e-6
 
     symbols = [square,
@@ -68,8 +69,8 @@ def test_criterion_3_szego_identity_residual():
                blaschke_factor(0.3)]
     monotone = True
     for b in symbols:
-        lo = szego_residual(onb_defect(b, 16), pts)
-        hi = szego_residual(onb_defect(b, 64), pts)
+        lo = szego_residual(onb_defect(b, 16, rank_tol=None), pts)
+        hi = szego_residual(onb_defect(b, 64, rank_tol=None), pts)
         monotone = monotone and hi <= lo
     ok = _line(3, "orthonormal modes reproduce the kernel identity",
                small and monotone)
@@ -78,7 +79,8 @@ def test_criterion_3_szego_identity_residual():
 
 def test_criterion_4_partial_sums_resolve_identity():
     partials, defects = summation_partial(
-        SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), 64, test_degree=8)
+        SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), 64, mode_count=None,
+        test_degree=8, rank_tol=None)
     increments_ok = True
     for prev, cur in zip(partials, partials[1:]):
         lam = np.linalg.eigvalsh(cur - prev)
@@ -141,8 +143,8 @@ def test_criterion_8_cross_method_norms():
     worst = 0.0
     for _ in range(50):
         b = random_disk_symbol(rng, max_degree=4, boundary_max=0.95)
-        combo = random_kernel_combo(rng, b, alpha=1, max_nodes=5,
-                                    node_radius=0.6, normalize=False)
+        combo = unnormalized_kernel_combo(rng, b, alpha=1, max_nodes=5,
+                                          node_radius=0.6)
         direct = hb_norm_combo(combo)
         sec, _ = hb_norm_defect(combo_to_poly(combo, 64), b, 64)
         worst = max(worst, abs(direct - sec))

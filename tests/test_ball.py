@@ -51,7 +51,7 @@ def test_row_mult_norm_rejects_outside_point():
 def test_inv_kernel_weight_trivial_when_centered():
     # b(0) = 0 makes the weight identically one
     b = BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})])
-    lower, upper = inv_kernel_mult_norm(b, 2.0, 6)
+    lower, upper = inv_kernel_mult_norm(b, 2.0, 6, tail_tol=1e-10)
     assert lower == pytest.approx(1.0, abs=1e-12)
     assert upper == pytest.approx(1.0, abs=1e-12)
 
@@ -60,17 +60,18 @@ def test_inv_kernel_weight_brackets_closed_form():
     # dim-1 symbol with b(0) = 1/2: closed form (1 - 1/2)^(-alpha)
     b = BallMap([BallPoly(1, {(0,): 0.5, (1,): 0.4})])
     for alpha in (1.0, 2.0):
-        lower, upper = inv_kernel_mult_norm(b, alpha, 24)
+        lower, upper = inv_kernel_mult_norm(b, alpha, 24, tail_tol=1e-10)
         assert upper == pytest.approx(2.0**alpha, rel=1e-10)
         assert lower <= upper + 1e-9
         # the constant coefficient of the weight alone gives a lower bound
         assert lower >= (1.0 - 0.25) ** (-alpha) - 1e-9
 
 
-def test_inv_kernel_weight_respects_term_budget():
+def test_inv_kernel_weight_respects_term_budget(monkeypatch):
     b = BallMap([BallPoly(1, {(0,): 0.9})])
-    with pytest.raises(ValueError):
-        inv_kernel_mult_norm(b, 1.0, 4, tail_tol=1e-300, max_terms=3)
+    monkeypatch.setattr(ball, "MAX_WEIGHT_TERMS", 3)
+    with pytest.raises(ValueError, match="more than 3 terms"):
+        inv_kernel_mult_norm(b, 1.0, 4, tail_tol=1e-300)
 
 
 def test_br_map_shape_and_values():
@@ -214,4 +215,5 @@ def test_random_ball_row_contraction_coordinate_sections():
 ])
 def test_random_ball_row_contraction_rejects_bad_shape(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        random_ball_row_contraction(np.random.default_rng(0), **kwargs)
+        random_ball_row_contraction(np.random.default_rng(0), **{
+            "dim": 2, "coord_degree": 2, "row_target": 0.9, **kwargs})

@@ -153,15 +153,25 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
             ({"name": "ball-lemma", "params": {"dim": 0}},
              "dim must be at least 1"),
             ({"name": "ball-lemma", "params": {"dim": -1}},
-             "dim must be at least 1"),
+             "ball-lemma parameter 'dim' must be nonnegative, got -1"),
             ({"name": "ball-bound", "params": {"dim": 0}},
              "dim must be at least 1"),
             ({"name": "ball-bound", "params": {"dim": -1}},
-             "dim must be at least 1"),
+             "ball-bound parameter 'dim' must be nonnegative, got -1"),
             ({"name": "ball-lemma", "params": {"coord_degree": -1}},
-             "coord_degree must be nonnegative"),
+             "ball-lemma parameter 'coord_degree' must be nonnegative, got -1"),
             ({"name": "ball-bound", "params": {"coord_degree": -1}},
-             "coord_degree must be nonnegative"),
+             "ball-bound parameter 'coord_degree' must be nonnegative, got -1"),
+            # a negative count or degree names its config key
+            ({"name": "hardy-bound", "params": {"section_degree": -1}},
+             "hardy-bound parameter 'section_degree' must be nonnegative, "
+             "got -1"),
+            ({"name": "theorem1", "params": {"section_degree": -1}},
+             "theorem1 parameter 'section_degree' must be nonnegative, got -1"),
+            ({"name": "inf-estimate", "params": {"family_size": -1}},
+             "inf-estimate parameter 'family_size' must be nonnegative, got -1"),
+            ({"name": "bergman-bound", "params": {"alphas": [2, -1]}},
+             "bergman-bound parameter 'alphas' must be nonnegative, got -1"),
             ({"name": "bergman-bound", "params": {"alphas": [0]}},
              "alpha must be at least 1"),
             ({"name": "inf-estimate", "params": {"symbol": {
@@ -185,7 +195,7 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "ball_map kernel values overflow on these points"),
             # sizes that leave nothing to reduce over
             ({"name": "summation", "params": {"test_degree": -1}},
-             "test_degree must be nonnegative"),
+             "summation parameter 'test_degree' must be nonnegative, got -1"),
             ({"name": "summation", "params": {"mode_count": 0}},
              "mode_count must be at least 1"),
             ({"name": "inf-estimate", "params": {"grid_size": 0}},
@@ -193,7 +203,10 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
             ({"name": "br", "params": {"r_values": [0.5],
                                        "witness_budget": -1,
                                        "section_degree": 2}},
-             "witness budget must be nonnegative, got -1"),
+             "br parameter 'witness_budget' must be nonnegative, got -1"),
+            ({"name": "br", "params": {"set_size": 0, "section_degree": 2,
+                                       "r_values": [0.5]}},
+             "set_size must be at least 1, got 0"),
             ({"name": "theorem1", "params": {"trials": 1, "node_max": 0}},
              "node_max must be at least 1"),
             ({"name": "bergman-bound", "params": {"node_max": 0}},
@@ -216,10 +229,12 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(cfg4), "--seed", "-1"]) == 2
     assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
     # refused before any section or witness search is built
-    for params in ({"trace_step": 0}, {"trace_step": -1}, {"section_degree": 0}):
+    for params, message in (({"trace_step": 0}, "at least 1"),
+                            ({"trace_step": -1}, "must be nonnegative, got -1"),
+                            ({"section_degree": 0}, "at least 1")):
         cfg3 = _cfg(tmp_path, "br", params=params, fname="c3.json")
         assert main(["run", "--config", str(cfg3)]) == 2
-        assert "at least 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_hardy_bound_runs_a_one_column_section(tmp_path, capsys):

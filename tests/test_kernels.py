@@ -19,6 +19,7 @@ from kernelcomp.kernels import (
     gram,
     sample_point_set,
     seed_tuple,
+    substream,
 )
 from kernelcomp.series import BallMap, BallPoly, DiskPoly, SelfMapDisk, blaschke_factor
 from oracles import eval_kernel
@@ -195,7 +196,7 @@ def test_certificate_json_keys():
     cert = check_psd(KernelSpec.bergman(2.0), PointSet([0.1, 0.4j]))
     d = cert.to_json_dict()
     assert set(d) == {"spec", "min_eigenvalue", "tolerance", "verdict",
-                      "witness", "seed"}
+                      "witness"}
     assert d["verdict"] == "PSD"
     assert d["witness"] is None
 
@@ -287,7 +288,6 @@ def _serial_search(spec, *, seed, radius, set_size, budget):
             pts = _serial_sample_point_set(rng, spec.dim, radius, set_size)
             cert = check_psd(spec, pts)
             if cert.verdict == NEGATIVE:
-                cert.seed = seed
                 return trial, pts.points, json.dumps(cert.to_json_dict())
     return None
 
@@ -506,12 +506,17 @@ def test_substream_uniforms_equal_default_rng(seed, trials):
     got = kernels._substream_uniforms(base, trials, 12)
     assert got.shape == (len(trials), 12)
     assert got.tobytes() == _default_rng_rows(base, trials, 12).tobytes()
+    # the helper every run draws through: an int or a tuple seed, then the
+    # index, and no index at all
+    for index in ((trials[0],), (trials[-1],), (3, trials[-1]), ()):
+        assert substream(seed, *index).random(12).tobytes() == \
+            np.random.default_rng(base + index).random(12).tobytes()
 
 
 def test_substream_guard_catches_a_wrong_mixing_constant():
     base = seed_tuple((4, 1))
     with mock.patch.object(kernels, "_SS_MIX_L", kernels._SS_MIX_L ^ 1):
-        with pytest.raises(RuntimeError, match="default_rng"):
+        with pytest.raises(RuntimeError, match="substream seeding"):
             kernels._substream_uniforms(base, range(3, 10), 4)
     assert kernels._substream_uniforms(base, range(3, 10), 4).tobytes() == \
         _default_rng_rows(base, range(3, 10), 4).tobytes()
