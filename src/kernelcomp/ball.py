@@ -10,8 +10,6 @@ observable at desk scale.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .kernels import (
@@ -21,7 +19,8 @@ from .kernels import (
     sample_point_set,
     substream,
 )
-from .operators import NormBound, SpaceSpec, comp_matrix, mult_matrix, op_norm_lower
+from .operators import NormBound, SectionMatrix, SpaceSpec, comp_matrix, \
+    grlex_monomials, monomial_norms, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "br_map",
     "br_experiment",
 ]
-
-MAX_WEIGHT_TERMS = 2000
 
 
 def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
@@ -72,54 +69,55 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
     return sigma, float(np.linalg.norm(bw))
 
 
-def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int,
-                         tail_tol: float) -> tuple:
-    """Bracket (lower, upper) for the multiplier (1 - <b(z), b(0)>) ** (-alpha).
+def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
+    """Bracket (lower, upper) for the multiplier W = (1 - <b(z), b(0)>) ** (-alpha).
 
-    The weight expands as sum_k rising(alpha, k) / k! * s(z)^k with
-    s(z) = <b(z), b(0)>; since |s| <= |b(0)| < 1 on the ball, the series is
-    truncated once a geometric tail estimate drops below tail_tol.  lower is
-    the certified section bound of ``op_norm_lower`` at col_degree; the upper
-    bound (1 - |b(0)|) ** (-alpha) comes with kernel positivity.
+    With s(z) = <b(z), b(0)>, q = 1 - |b(0)|^2 and t = (s - |b(0)|^2) / q,
+    W = q^(-alpha) * sum_k rising(alpha, k) / k! * t^k.  t has no constant
+    term, so t^k has no monomial below degree k and W's coefficients through
+    degree D = 3 * col_degree are the finite sum over k <= D.  They come from
+    Horner's rule on T = P_D M_t P_D applied to the constant 1; T is exact
+    because t has no constant term.
+
+    lower is ``op_norm_lower``'s bound at col_degree for the rows of degree
+    <= D of the exact multiplication section of W, the section of P_D M_W.  A
+    row projection of exact columns is still a lower bound, since
+    ||P_D M_W v|| <= ||M_W v||, so lower bounds the norm of the exact weight up
+    to rounding.  The upper bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes
+    with kernel positivity.  A ValueError names alpha when the closed form or
+    the section leaves float range.
     """
     alpha = float(alpha)
     space = SpaceSpec(b.dim, alpha)
-    center = b.center
-    beta = float(np.linalg.norm(center))
-    upper = float((1.0 - beta) ** (-alpha))
     s = BallPoly.zero(b.dim)
-    for coord, c0 in zip(b.coords, center):
+    for coord, c0 in zip(b.coords, b.center):
         s = s + np.conj(c0) * coord
-    # the coefficients up to the truncation point, found before any
-    # polynomial is multiplied so that an overflow is refused at once
-    coeffs = []
-    coeff = 1.0
-    k = 0
-    while beta > 0.0:
-        k += 1
-        coeff *= (alpha + k - 1) / k
-        if not math.isfinite(coeff):
-            raise ValueError(
-                f"the inverse-kernel weight series overflows at "
-                f"alpha={alpha:g}: rising(alpha, k) / k! passes float "
-                f"range at k={k}")
-        coeffs.append(coeff)
-        # remaining terms are dominated by a geometric series once the
-        # term ratio beta * (alpha + k) / (k + 1) falls below 1
-        ratio = beta * (alpha + k) / (k + 1)
-        head = coeff * beta**k
-        if ratio < 1.0 and head * ratio / (1.0 - ratio) <= tail_tol:
-            break
-        if k >= MAX_WEIGHT_TERMS:
-            raise ValueError(f"weight series needs more than {MAX_WEIGHT_TERMS} "
-                             f"terms; loosen tail_tol")
-    weight = BallPoly.constant(b.dim, 1.0)
-    term_poly = BallPoly.constant(b.dim, 1.0)
-    for coeff in coeffs:
-        term_poly = term_poly * s
-        weight = weight + coeff * term_poly
-    section = mult_matrix(weight, space, col_degree)
-    return op_norm_lower(section, trace_degrees=[col_degree]).lower, upper
+    q = 1.0 - s.constant_term().real
+    moving = s.exps.any(axis=1)
+    t = BallPoly._of(b.dim, s.exps[moving], s.coefs[moving] / q)
+    top = 3 * col_degree
+    exps = np.array(grlex_monomials(b.dim, top))
+    count = len(exps)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            upper = (1.0 - float(np.linalg.norm(b.center))) ** (-alpha)
+            shift = mult_matrix(t, space, top).entries[:count]
+            # Horner for sum_{1 <= k <= D} rising(alpha, k) / k! * T^k e_0
+            v = np.zeros(count, dtype=complex)
+            for k in range(top, 0, -1):
+                v = (alpha + k - 1) / k * (shift @ v + shift[:, 0])
+            v[0] += 1.0
+            weight = BallPoly._of(b.dim, exps,
+                                  q ** (-alpha) * v / monomial_norms(space, top))
+            section = mult_matrix(weight, space, col_degree,
+                                  row_degree=col_degree + top)
+            projected = SectionMatrix(space, col_degree, top, section.rows[:count],
+                                      section.entries[:count])
+            lower = op_norm_lower(projected, trace_degrees=[col_degree]).lower
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"the inverse-kernel weight passes float range at "
+                         f"alpha={alpha:g}") from None
+    return lower, upper
 
 
 def br_map(r: float) -> BallMap:

@@ -563,8 +563,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
                     bmap, sample_point_set(rng, dim, params["row_radius"],
                                            1).points[0], sections)
                     for _ in range(params["row_points"])))
-            inv_lower, inv_upper = inv_kernel_mult_norm(
-                bmap, alpha, n, tail_tol=params["inv_tail_tol"])
+            inv_lower, inv_upper = inv_kernel_mult_norm(bmap, alpha, n)
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
                          min_margin, inv_lower, inv_upper])
     records = []
@@ -769,8 +768,7 @@ COMMANDS = {
             "coordinates, row margins, inverse-kernel weights",
             {"maps": 10, "alphas": [1, 2], "dim": 2, "coord_degree": 2,
              "row_target": 0.9, "section_degree": 8, "row_points": 10,
-             "row_radius": 0.6, "cert_points": 40, "cert_radius": 0.6,
-             "inv_tail_tol": 1e-10},
+             "row_radius": 0.6, "cert_points": 40, "cert_radius": 0.6},
             {"coord_slack": 1e-8, "margin_slack": 1e-8, "inv_slack": 1e-9},
             run_ball_lemma),
         Command(
@@ -803,6 +801,8 @@ COMMANDS = {
 # the documented type of each parameter whose default is None
 _NONE_DEFAULT_LIKE = {"trace_degrees": [0], "mode_count": 0, "rank_tol": 0.0}
 
+_NONZERO = {"point_count", "cert_points", "symbol_degree_max"}
+
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", dict: "a json object", list: "a list"}
 
@@ -832,10 +832,11 @@ def _check_type(what: str, value, default, key: str):
             return _as_float(value, f"{what} {key!r}")
         if isinstance(like, list) and like and isinstance(like[0], float):
             return [_as_float(v, f"{what} {key!r}") for v in value]
-        # no count, degree or size in any experiment is negative
+        # no count, degree or size is negative; no sample size or top degree is 0
+        least, need = (1, "at least 1") if key in _NONZERO else (0, "nonnegative")
         for v in value if isinstance(like, list) else [value]:
-            if _same_type(v, 0) and v < 0:
-                raise ConfigError(f"{what} {key!r} must be nonnegative, got {v!r}")
+            if _same_type(v, 0) and v < least:
+                raise ConfigError(f"{what} {key!r} must be {need}, got {v!r}")
         return value
     expect = _TYPE_NAMES[type(like)]
     if isinstance(like, list) and like:

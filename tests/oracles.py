@@ -11,7 +11,12 @@ of points, apart from the stacked assembly the Gram matrices use.
 section with a full SVD, the route ``op_norm_lower`` replaced by a Gram and
 a test vector.  ``unnormalized_kernel_combo`` draws the combination
 ``random_kernel_combo`` draws, before its scaling to unit norm.
+``exact_inv_kernel_weight`` gives the inverse-kernel weight's Taylor
+coefficients in exact rational arithmetic, from a recurrence that never
+expands in powers of s - s(0).
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -175,3 +180,43 @@ def unnormalized_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,
     nodes = sample_point_set(rng, 1, node_radius, count)
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     return KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs)
+
+
+def exact_inv_kernel_weight(b, alpha: int, top: int) -> dict:
+    """Taylor coefficients of W = (1 - s)^(-alpha), s = <b(z), b(0)>, through
+    degree ``top`` for an integer alpha, rounded once from exact rationals.
+
+    On homogeneous parts, (1 - s) R W = alpha (R s) W for the radial
+    derivative R gives (1 - s_0) j W_j = sum_{i >= 1} (j - i + alpha i)
+    s_i W_{j-i} with W_0 = (1 - s_0)^(-alpha).  Complex numbers are pairs.
+    """
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    s = {}  # degree -> {multi-index: coefficient}
+    for coord in b.coords:
+        c0 = coord.constant_term()
+        conj0 = (Fraction(c0.real), -Fraction(c0.imag))
+        for m, c in coord.terms.items():
+            term = mul(conj0, (Fraction(c.real), Fraction(c.imag)))
+            part = s.setdefault(sum(m), {})
+            old = part.get(m, (Fraction(0), Fraction(0)))
+            part[m] = (old[0] + term[0], old[1] + term[1])
+    q = 1 - s.pop(0, {}).get((0,) * b.dim, (Fraction(0), Fraction(0)))[0]
+    parts = [{(0,) * b.dim: (Fraction(1), Fraction(0))}]  # W_j / W_0
+    for j in range(1, top + 1):
+        acc = {}
+        for i, part in s.items():
+            if i > j:
+                continue
+            w = Fraction(j - i + alpha * i, j) / q
+            for m1, x in part.items():
+                for m2, y in parts[j - i].items():
+                    m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                    re, im = mul(x, y)
+                    old = acc.get(m, (Fraction(0), Fraction(0)))
+                    acc[m] = (old[0] + w * re, old[1] + w * im)
+        parts.append(acc)
+    scale = q ** -alpha
+    return {m: complex(float(scale * re), float(scale * im))
+            for part in parts for m, (re, im) in part.items()}

@@ -14,10 +14,18 @@ from kernelcomp.ball import (
     inv_kernel_mult_norm,
     row_mult_norm,
 )
-from kernelcomp.kernels import NEGATIVE, PSD
-from kernelcomp.operators import SpaceSpec, comp_matrix, op_norm_lower
+from kernelcomp.kernels import NEGATIVE, PSD, substream
+from kernelcomp.operators import (
+    SectionMatrix,
+    SpaceSpec,
+    comp_matrix,
+    grlex_monomials,
+    mult_matrix,
+    op_norm_lower,
+)
 from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
+from oracles import exact_inv_kernel_weight
 
 rising = lambda a, k: math.gamma(a + k) / math.gamma(a)
 
@@ -51,7 +59,7 @@ def test_row_mult_norm_rejects_outside_point():
 def test_inv_kernel_weight_trivial_when_centered():
     # b(0) = 0 makes the weight identically one
     b = BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})])
-    lower, upper = inv_kernel_mult_norm(b, 2.0, 6, tail_tol=1e-10)
+    lower, upper = inv_kernel_mult_norm(b, 2.0, 6)
     assert lower == pytest.approx(1.0, abs=1e-12)
     assert upper == pytest.approx(1.0, abs=1e-12)
 
@@ -60,18 +68,41 @@ def test_inv_kernel_weight_brackets_closed_form():
     # dim-1 symbol with b(0) = 1/2: closed form (1 - 1/2)^(-alpha)
     b = BallMap([BallPoly(1, {(0,): 0.5, (1,): 0.4})])
     for alpha in (1.0, 2.0):
-        lower, upper = inv_kernel_mult_norm(b, alpha, 24, tail_tol=1e-10)
+        lower, upper = inv_kernel_mult_norm(b, alpha, 24)
         assert upper == pytest.approx(2.0**alpha, rel=1e-10)
         assert lower <= upper + 1e-9
         # the constant coefficient of the weight alone gives a lower bound
         assert lower >= (1.0 - 0.25) ** (-alpha) - 1e-9
+        # on the Hardy and Bergman spaces of the disk the multiplier norm is
+        # the sup of |W| = |1 - 0.5 b(z)|^(-alpha) on the circle, at z = 1
+        sup = 0.55 ** (-alpha)
+        assert 0.95 * sup <= lower <= sup * (1.0 + 1e-12)
 
 
-def test_inv_kernel_weight_respects_term_budget(monkeypatch):
-    b = BallMap([BallPoly(1, {(0,): 0.9})])
-    monkeypatch.setattr(ball, "MAX_WEIGHT_TERMS", 3)
-    with pytest.raises(ValueError, match="more than 3 terms"):
-        inv_kernel_mult_norm(b, 1.0, 4, tail_tol=1e-300)
+def test_inv_kernel_weight_matches_exact_arithmetic():
+    # the rows of degree <= 3n of the section of W's exact coefficients,
+    # rounded once; at alpha 400 the series in s truncated at a tail
+    # estimate was 1.1e-4 off, from cancellation among its terms
+    b = random_ball_row_contraction(substream(0, 0), 2, 2, 0.9)
+    for alpha, n in ((1, 8), (2, 8), (400, 2)):
+        space, top = SpaceSpec(2, float(alpha)), 3 * n
+        weight = BallPoly(2, exact_inv_kernel_weight(b, alpha, top))
+        section = mult_matrix(weight, space, n, row_degree=n + top)
+        count = len(grlex_monomials(2, top))
+        exact = op_norm_lower(SectionMatrix(space, n, top, section.rows[:count],
+                                            section.entries[:count]),
+                              trace_degrees=[n]).lower
+        assert inv_kernel_mult_norm(b, alpha, n)[0] == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("coefs, alpha", [
+    ({(0,): 0.9, (1,): 0.05}, 2000),  # the closed form passes float range
+    ({(0,): 0.9, (1,): 0.1}, 300),  # the section's Gram passes it
+])
+def test_inv_kernel_weight_overflow_names_alpha(coefs, alpha):
+    b = BallMap([BallPoly(1, coefs)])
+    with pytest.raises(ValueError, match=f"float range at alpha={alpha}"):
+        inv_kernel_mult_norm(b, alpha, 8)
 
 
 def test_br_map_shape_and_values():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -211,12 +212,21 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "node_max must be at least 1"),
             ({"name": "bergman-bound", "params": {"node_max": 0}},
              "node_max must be at least 1"),
-            # the inverse-kernel weight series, before its coefficient
-            # reaches a polynomial as inf
-            ({"name": "ball-lemma", "params": {
-                "maps": 1, "alphas": [1000], "section_degree": 2,
-                "cert_points": 5}},
-             "the inverse-kernel weight series overflows at alpha=1000")):
+            # a zero sample size or top degree names its config key
+            ({"name": "psd", "params": {"point_count": 0}},
+             "psd parameter 'point_count' must be at least 1, got 0"),
+            ({"name": "szego-identity", "params": {"point_count": 0}},
+             "szego-identity parameter 'point_count' must be at least 1, got 0"),
+            ({"name": "ball-lemma", "params": {"cert_points": 0}},
+             "ball-lemma parameter 'cert_points' must be at least 1, got 0"),
+            ({"name": "theorem1", "params": {"symbol_degree_max": 0}},
+             "theorem1 parameter 'symbol_degree_max' must be at least 1, got 0"),
+            ({"name": "bergman-bound", "params": {"symbol_degree_max": 0}},
+             "bergman-bound parameter 'symbol_degree_max' must be at least 1, "
+             "got 0"),
+            # the inverse-kernel weight has no tail tolerance
+            ({"name": "ball-lemma", "params": {"inv_tail_tol": 1e-10}},
+             "unknown parameter 'inv_tail_tol' for ball-lemma")):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path)]) == 2
@@ -266,6 +276,20 @@ def test_run_with_no_checks_exits_two(tmp_path, capsys):
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(
             {"name": "br", "params": {"r_values": []}}))
+
+
+def test_ball_lemma_at_large_alpha_runs_quickly(tmp_path, capsys):
+    # the inverse-kernel weight is a finite sum through degree
+    # 3 * section_degree, so its cost does not grow with alpha
+    cfg = _cfg(tmp_path, "ball-lemma", params={
+        "maps": 1, "alphas": [400], "section_degree": 2, "cert_points": 5})
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - start < 5.0
+    assert code != 2
+    assert len(json.loads(out.read_text())["trace"]["rows"]) == 1
+    capsys.readouterr()
 
 
 def test_exit_one_when_a_check_fails(tmp_path, capsys):
