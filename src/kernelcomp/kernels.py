@@ -454,40 +454,65 @@ def _substream_uniforms(base: tuple, trials: range, n: int) -> np.ndarray:
     return out
 
 
+def _uncleared(g: np.ndarray) -> np.ndarray:
+    """Mask of the Hermitian stack ``g`` not cleared by ``_screen``'s shifted
+    Cholesky rule; a stack that ``np.linalg.cholesky`` refuses is bisected."""
+    m = g.shape[-1]
+    eps = float(np.finfo(float).eps)
+    a = g.copy()
+    diag = a.reshape(-1, m * m)[:, ::m + 1]  # a view of the diagonals
+    shift = TOL_SCALE * m * eps * np.max(diag.real, axis=1) / 4
+    diag += shift[:, None]
+    k = (m + 1) * eps  # gamma_{m+1} / (1 - gamma_{m+1}) = k / (1 - 2 k)
+    err = k / (1 - 2 * k) * diag.real.sum(axis=1) + eps * diag.real.max(axis=1)
+    try:
+        np.linalg.cholesky(a)
+        return err > shift
+    except np.linalg.LinAlgError:
+        half = len(g) // 2
+        return np.concatenate([_uncleared(g[:half]), _uncleared(g[half:])]) \
+            if half else np.ones(1, bool)
+
+
 def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
             count: int, draws: int) -> list:
     """Trials of a chunk that the batched screen cannot clear, in order.
 
-    Each trial draws ``draws`` candidates from its own substream (all of
-    the chunk's substreams are seeded in one pass by
-    ``_substream_uniforms``, bit-identical to ``substream``), keeps
-    the first ``count`` inside the radius cap, and has its Gram's smallest
-    eigenvalue computed in one batched ``eigvalsh``.  A trial is returned
-    when that eigenvalue is below -tol / 2, when its block holds fewer than
-    ``count`` admissible candidates, or when ``sample_point_set`` could
-    decide its candidates differently: a norm within a few ulps of the
-    radius, or two kept points closer than 2 * MIN_POINT_SEPARATION.
+    Each trial draws ``draws`` candidates from its own substream and keeps
+    the first ``count`` with radius * sqrt(sum of their radius uniforms)
+    < ``radius``; ``exp`` runs on those only.  That norm and
+    ``sample_point_set``'s are within (dim + 3) / 2 and dim + 6 unit
+    roundoffs of exact (sin and cos to one ulp), under (3 dim + 15) / 2
+    spacings of ``radius`` apart near it: the window is 4 dim + 8.  A Gram
+    G is cleared iff Cholesky of A = fl(G + s I) succeeds and its backward
+    error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
+    complex arithmetic) plus eps max_i A_ii fits in s = tol_lo / 4, where
+    tol_lo = TOL_SCALE * m * eps * max_i G_ii <= tol: then lambda_min(G) >=
+    -2 s >= -tol / 2, and the bound fits for m <= 23.  Returned are trials
+    whose Gram is not cleared, with fewer than ``count`` admissible
+    candidates, or that ``sample_point_set`` could decide differently: a
+    looked-at norm in the window, or kept points closer than
+    2 * MIN_POINT_SEPARATION.
     """
     if not 0.0 < radius < 1.0:
         return list(trials)  # the serial path raises the caller's error
-    dim = spec.dim
-    u = _substream_uniforms(base, trials, draws * 2 * dim)
-    cand = _candidates(u.reshape(len(trials), draws, 2 * dim), radius)
-    norm = np.linalg.norm(cand, axis=-1)
+    dim, n = spec.dim, 2 * spec.dim
+    u = _substream_uniforms(base, trials, draws * n).reshape(-1, draws, n)
+    norm = radius * np.sqrt(sum(u[..., k] for k in range(dim, n)))
     inside = norm < radius
     rank = np.cumsum(inside, axis=1)
     full = rank[:, -1] >= count
     looked_at = rank - inside < count
-    near = np.abs(norm - radius) <= 4.0 * np.spacing(radius)
+    near = np.abs(norm - radius) <= (4 * dim + 8) * np.spacing(radius)
     defer = ~full | np.any(near & looked_at, axis=1)
-
-    pts = cand[inside & (rank <= count) & full[:, None]].reshape(-1, count, dim)
+    pts = _candidates(u[inside & looked_at & full[:, None]], radius)
+    pts = pts.reshape(-1, count, dim)
     sep2 = sum(np.abs(pts[:, :, None, k] - pts[:, None, :, k]) ** 2
                for k in range(dim))
     sep2[:, np.arange(count), np.arange(count)] = np.inf
     close = np.min(sep2, axis=(1, 2)) <= (2.0 * MIN_POINT_SEPARATION) ** 2
-    lam = np.linalg.eigvalsh(_kernel_matrix(spec, pts))
-    defer[full] |= close | (lam[:, 0] < -eig_tolerance(lam) / 2)
+    defer[full] |= close | _uncleared(_kernel_matrix(spec, pts))
     return [t for t, d in zip(trials, defer) if d]
 
 
@@ -501,17 +526,12 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
 
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
-    it.  ``_screen`` draws a chunk's point sets from the same substreams,
-    seeded in one vectorized pass and checked against ``substream`` once
-    per chunk, stacks their Grams and bounds every smallest eigenvalue with
-    one batched ``eigvalsh``.  The trials it cannot clear are decided
-    again, in order, by the serial ``sample_point_set``, ``gram`` and
-    ``check_psd``, and the first NEGATIVE one is returned, so the witness
-    and its certificate are exactly those of a one-at-a-time search.  Clearing a trial at -tol / 2
-    is safe: its screened Gram differs from the serial one by a few ulps,
-    ``eigvalsh`` is backward stable, and so the two smallest eigenvalues
-    differ by O(m * eps * ||G||), far below tol / 2, which is
-    50 * m * eps * ||G||.  A negative budget or an empty set raises ValueError.
+    it.  ``_screen`` clears a trial only when a shifted Cholesky with a
+    backward-error bound proves lambda_min >= -tol / 2 for its Gram, which
+    differs from the serial one by a few ulps, far below the other tol / 2.
+    The rest are decided again, in order, by ``sample_point_set``, ``gram``
+    and ``check_psd``; the first NEGATIVE one is returned, as a one-at-a-time
+    search would.  A negative budget or an empty set raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"witness budget must be nonnegative, got {budget}")

@@ -8,6 +8,7 @@ on sampled boundary evidence.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -341,10 +342,15 @@ class SelfMapDisk:
         return f"SelfMapDisk(degree={self.degree()}, center={self.center:.4g})"
 
 
+@lru_cache(maxsize=None)
 def _sphere_samples(dim: int, count: int) -> np.ndarray:
+    """The fixed sphere sample that admits ball maps: drawn once per
+    (dim, count) and shared, so it is returned read-only."""
     rng = np.random.default_rng(20240814)
     x = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x.flags.writeable = False
+    return x
 
 
 class BallMap:

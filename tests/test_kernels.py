@@ -411,6 +411,18 @@ def _screened_chunks(monkeypatch):
     return sizes
 
 
+def _serial_decisions(monkeypatch):
+    calls = []
+    serial = kernels.sample_point_set
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return serial(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "sample_point_set", counted)
+    return calls
+
+
 def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
     sizes = _screened_chunks(monkeypatch)
     cert = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
@@ -437,14 +449,7 @@ def test_batched_search_reruns_trials_it_cannot_screen(monkeypatch):
     # a wide separation makes the serial sampler reject candidates that the
     # screen keeps, so most trials fall back to the serial path
     monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.3)
-    reruns = []
-    serial = kernels.sample_point_set
-
-    def counted(*args, **kwargs):
-        reruns.append(1)
-        return serial(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "sample_point_set", counted)
+    reruns = _serial_decisions(monkeypatch)
     for r in (0.5, 0.8):
         _assert_same_search(_br_spec(r), seed=2, radius=0.95, set_size=8,
                             budget=30)
@@ -485,6 +490,181 @@ def test_batched_search_gives_up_where_the_serial_sampler_does():
     for search in (_serial_search, find_negative_witness):
         with pytest.raises(RuntimeError):
             search(spec, seed=0, radius=0.9, set_size=8, budget=3)
+
+
+# --- the screen's admission window and Cholesky clearing rule --------------
+
+
+def _window(dim, radius):
+    # the admission window that _screen derives in its docstring
+    return (4 * dim + 8) * np.spacing(radius)
+
+
+def _uniform_norm(u, radius):
+    # the screen's norm: radius * sqrt(sum of the radius uniforms)
+    dim = u.shape[-1] // 2
+    return radius * np.sqrt(sum(u[..., k] for k in range(dim, 2 * dim)))
+
+
+def test_radius_uniform_norm_stays_within_half_the_window():
+    rng = np.random.default_rng(2024)
+    rows = 111_112  # nine (dim, radius) cases, over 1e6 candidates in all
+    for dim in (1, 2, 3):
+        for radius in (0.3, 0.6, 0.95):
+            u = rng.random((rows, 2 * dim))
+            cand = kernels._candidates(u, radius)
+            # the norm sample_point_set takes, float(np.linalg.norm(row)),
+            # vectorized as row-by-row dot products; checked bit for bit on
+            # the first rows
+            re, im = cand.real[:, None, :], cand.imag[:, None, :]
+            ref = np.sqrt((re @ np.swapaxes(re, 1, 2)
+                           + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
+            serial = [float(np.linalg.norm(row)) for row in cand[:2000]]
+            assert ref[:2000].tolist() == serial
+            gap = np.max(np.abs(_uniform_norm(u, radius) - ref))
+            assert gap <= _window(dim, radius) / 2, (dim, radius, gap)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0.3, 0.6, 0.95])
+def test_screen_defers_candidates_inside_the_window(monkeypatch, dim, radius):
+    # trial t: candidate 0 near the radius cap, then two well inside; count
+    # 2, so candidate 0 is always looked at and the Gram is positive
+    half = 0.5 * np.spacing(1.0)
+    firsts = []
+    for j in range(1, 400, 3):
+        firsts.append([1.0 - j * half] + [0.0] * (dim - 1))   # inside
+        if dim > 1:
+            firsts.append([0.5, 0.5 + j * half] + [0.0] * (dim - 2))
+    block = np.zeros((len(firsts), 3, 2 * dim))
+    block[:, :, :dim] = [[0.1], [0.4], [0.7]]
+    block[:, 0, dim:] = firsts
+    block[:, 1, dim:] = 0.2 / dim
+    block[:, 2, dim:] = 0.05 / dim
+    monkeypatch.setattr(kernels, "_substream_uniforms",
+                        lambda base, trials, n: block[trials.start:trials.stop]
+                        .reshape(len(trials), n))
+    spec = KernelSpec.szego() if dim == 1 else KernelSpec.ball(dim, 1.0)
+    deferred = set(kernels._screen(spec, (0,), range(len(block)), radius, 2, 3))
+    dist = np.abs(_uniform_norm(block[:, 0], radius) - radius)
+    near = dist <= _window(dim, radius) / 2
+    far = dist >= 2 * _window(dim, radius)
+    assert near.any() and far.any()
+    for t in range(len(block)):
+        if near[t]:
+            assert t in deferred
+        elif far[t]:
+            assert t not in deferred
+
+
+def _unitary(rng, m):
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _planted(rng, spectrum):
+    q = _unitary(rng, len(spectrum))
+    g = (q * spectrum) @ q.conj().T
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 24, 40])
+def test_cholesky_clears_only_what_the_eigenvalue_screen_would(m):
+    rng = np.random.default_rng(m)
+    tol = kernels.TOL_SCALE * m * np.finfo(float).eps  # lambda_max is 1
+    stack, planted = [], []
+    for lo in np.linspace(-2.0 * tol, tol, 31):
+        for _ in range(3):
+            # the other eigenvalues all 1 (max G_ii near lambda_max, so
+            # tol_lo near tol), or spread over [0, 1]
+            for rest in (np.ones(m), rng.uniform(0.0, 1.0, m)):
+                spectrum = rest.copy()
+                spectrum[-1] = 1.0
+                spectrum[0] = lo if m > 1 else lo / tol
+                stack.append(_planted(rng, spectrum))
+                planted.append(spectrum[0])
+    stack = np.array(stack)
+    cleared = ~kernels._uncleared(stack)
+    lam = np.linalg.eigvalsh(stack)
+    assert np.all(lam[cleared, 0] >= -kernels.eig_tolerance(lam[cleared]) / 2)
+    if m <= 24:
+        # not vacuous: every planted positive semidefinite matrix but the
+        # 1 x 1 zero is cleared
+        psd = np.array(planted) >= 0.0
+        assert np.all(cleared[psd] | (lam[:, -1] == 0.0)[psd])
+    else:
+        assert not cleared.any()
+
+
+def test_cholesky_bound_admits_sets_up_to_23():
+    # equal diagonals: tr(A) = m max_i A_ii, and the backward error bound
+    # fits in the shift for m <= 23 only
+    for m in (1, 2, 22, 23, 24, 25, 40):
+        got = kernels._uncleared(np.eye(m, dtype=complex)[None] * 3.0)
+        assert got.tolist() == [m > 23]
+
+
+@pytest.mark.parametrize("failing", [(), (0,), (6,), (0, 1, 2, 3, 4, 5, 6),
+                                     (1, 4, 5), (0, 2, 3, 6)])
+def test_uncleared_bisects_to_exactly_the_failing_set(failing):
+    rng = np.random.default_rng(len(failing))
+    stack = np.array([_planted(rng, [-1.0] + [1.0] * 7) if t in failing
+                      else _planted(rng, rng.uniform(0.5, 1.0, 8))
+                      for t in range(7)])
+    expect = [t in failing for t in range(7)]
+    assert kernels._uncleared(stack).tolist() == expect
+    for k in (1, 2):
+        assert kernels._uncleared(stack[:k]).tolist() == expect[:k]
+    assert kernels._uncleared(stack[:0]).shape == (0,)
+
+
+def test_search_above_the_bound_size_matches_serial(monkeypatch):
+    # m = 40 at radius 0.3: nearly equal diagonals, so the bound never fits
+    # and every trial is decided by the serial path
+    calls = _serial_decisions(monkeypatch)
+    assert _assert_same_search(_br_spec(0.5), seed=3, radius=0.3,
+                               set_size=40, budget=10) is None
+    assert len(calls) == 10
+    for set_size in (24, 30):
+        assert _assert_same_search(_br_spec(0.8), seed=1, radius=0.95,
+                                   set_size=set_size, budget=20) == 0
+
+
+def test_bounded_regime_needs_no_serial_decision(monkeypatch):
+    calls = _serial_decisions(monkeypatch)
+    assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
+                                 set_size=8, budget=10000) is None
+    assert calls == []
+
+
+def test_search_calls_no_eigenvalue_solver_in_the_screen():
+    with mock.patch.object(np.linalg, "eigvalsh",
+                           side_effect=AssertionError("eigvalsh")):
+        for r in (0.5, 0.75, 1.0):
+            find_negative_witness(_br_spec(r), seed=0, radius=0.95,
+                                  set_size=8, budget=400)
+        with mock.patch.object(np.linalg, "eigh",
+                               side_effect=AssertionError("eigh")):
+            kernels._screen(_br_spec(0.8), (6,), range(64), 0.95, 8, 48)
+
+
+def test_screen_builds_only_the_kept_candidates(monkeypatch):
+    rows = []
+    candidates = kernels._candidates
+
+    def spy(u, radius):
+        rows.append(u.size // u.shape[-1])
+        return candidates(u, radius)
+
+    monkeypatch.setattr(kernels, "_candidates", spy)
+    base, trials, count, draws = (6,), range(100, 356), 8, 20
+    kernels._screen(_br_spec(0.8), base, trials, 0.95, count, draws)
+    u = kernels._substream_uniforms(base, trials, draws * 4)
+    inside = _uniform_norm(u.reshape(len(trials), draws, 4), 0.95) < 0.95
+    full = int(np.sum(inside.sum(axis=1) >= count))
+    assert 0 < full < len(trials)
+    assert rows == [count * full]
 
 
 # --- the one-pass substream seeder against numpy's own seeding -------------

@@ -355,6 +355,21 @@ def test_ball_map_admission():
         BallMap([BallPoly(1, {(1,): 1.0}), BallPoly(1, {(1,): 1.0})])
 
 
+def test_ball_map_sphere_sample_is_cached_and_read_only():
+    # the values a fresh draw gives, bit for bit, drawn once per (dim, count)
+    for dim in (1, 2, 3):
+        rng = np.random.default_rng(20240814)
+        x = rng.standard_normal((2048, dim)) + 1j * rng.standard_normal((2048, dim))
+        fresh = x / np.linalg.norm(x, axis=1, keepdims=True)
+        pts = series._sphere_samples(dim, series.BALL_MAP_GRID)
+        assert pts.tobytes() == fresh.tobytes()
+        assert series._sphere_samples(dim, series.BALL_MAP_GRID) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+    # admission only reads the shared sample
+    BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
+
+
 def test_compose_with_identity_recovers_f():
     rng = np.random.default_rng(4)
     c = rng.standard_normal(11) + 1j * rng.standard_normal(11)
