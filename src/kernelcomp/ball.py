@@ -17,7 +17,7 @@ from .kernels import (
     check_psd,
     find_negative_witness,
     sample_point_set,
-    substream,
+    trial_stream,
 )
 from .operators import NormBound, SectionMatrix, SpaceSpec, comp_matrix, \
     grlex_monomials, monomial_norms, mult_matrix, op_norm_lower
@@ -141,7 +141,8 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
 
     Returns (bracket, cert, found): the trace's ``NormBound``, the search's
     NEGATIVE certificate if ``found``, else that of a probe at the search's
-    trial-0 points.  The probe is drawn either way.
+    trial-0 points: ``sample_point_set`` on the start of the search's
+    ``trial_stream(seed)``.  The probe is drawn either way.
     """
     b = br_map(r)
     alpha = float(alpha)
@@ -153,7 +154,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     spec = KernelSpec.ball_map(b, alpha)
     witness = find_negative_witness(spec, seed=seed, radius=radius,
                                     set_size=set_size, budget=witness_budget)
-    probe = check_psd(spec, sample_point_set(substream(seed, 0), 2, radius,
+    probe = check_psd(spec, sample_point_set(trial_stream(seed), 2, radius,
                                              set_size))
     found = witness is not None
     return bracket, witness if found else probe, found

@@ -32,6 +32,7 @@ __all__ = [
     "find_negative_witness",
     "sample_point_set",
     "substream",
+    "trial_stream",
 ]
 
 PSD = "PSD"
@@ -192,13 +193,13 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
         elif spec.kind in ("dbr", "dbr_power"):
             bv = spec.b_disk(pts[..., 0])
             g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
-            if spec.kind == "dbr_power":
-                g = g ** int(spec.alpha)
         else:
             bz = spec.b_ball(pts)
-            ratio = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
-            g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
-                else ratio ** spec.alpha
+            g = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
+        # the dbr_power and ball_map ratio's power; ratio ** 1 is the ratio
+        if spec.kind in ("dbr_power", "ball_map") and spec.alpha != 1.0:
+            g = g ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+                else g ** spec.alpha
         g = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
     if not np.all(np.isfinite(g)):
         raise ValueError(f"{spec.kind} kernel values overflow on these points")
@@ -280,14 +281,9 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
 
 
 def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
-    """Candidate points from uniforms of shape (..., 2 * dim).
-
-    A candidate takes its dim angles from its first dim uniforms and its dim
-    area-uniform radii from the last dim, the order in which
-    ``sample_point_set`` draws them.  ``Generator.uniform(0, 2 pi)`` is
-    exactly ``2 pi * random()``, so blocks drawn with ``random`` give the same
-    candidates bit for bit.
-    """
+    """Candidate points from uniforms of shape (..., 2 * dim): dim angles
+    from the first dim uniforms, dim area-uniform radii from the last dim.
+    ``sample_point_set`` and the witness screen both build theirs here."""
     dim = u.shape[-1] // 2
     theta = 2.0 * np.pi * u[..., :dim]
     rad = radius * np.sqrt(u[..., dim:])
@@ -338,120 +334,26 @@ def seed_tuple(seed) -> tuple:
 
 def substream(seed, *index) -> np.random.Generator:
     """The generator of the substream ``seed_tuple(seed) + index``: the one
-    place a seed becomes a generator."""
+    place a seed becomes a generator for an experiment's draws."""
     return np.random.default_rng(seed_tuple(seed) + index)
+
+
+def trial_stream(seed, trial: int = 0, n: int = 0) -> np.random.Generator:
+    """The witness search's generator, the one place a seed becomes one:
+    a Philox stream keyed by ``seed`` (Salmon, Moraes, Dror and Shaw,
+    "Parallel random numbers: as easy as 1, 2, 3", SC '11), advanced to the
+    block of trial ``trial``, ``trial * n`` uniforms in.  A counter step is
+    four uniforms, so a trial past 0 needs n a multiple of 4."""
+    if trial > 0 and n % 4:
+        raise ValueError(f"trial {trial} needs blocks of 4k uniforms, not {n}")
+    bits = np.random.Philox(np.random.SeedSequence(seed_tuple(seed)))
+    return np.random.Generator(bits.advance(trial * n // 4))
 
 
 # Trials screened together, and a cap on the values one screened chunk holds
 # (uniforms per trial, or Gram entries per trial, times trials).
 _CHUNK_TRIALS = 1024
 _CHUNK_VALUES = 1 << 21
-
-# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding
-# constants, which _substream_uniforms replays
-_MASK32 = 0xFFFFFFFF
-_SS_POOL = 4
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_L = 0xCA01F9DD
-_SS_MIX_R = 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's running hash: each call xors in the hash constant,
-    steps it by ``mult``, multiplies and folds, on uint32 arrays."""
-    def step(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * mult & _MASK32
-        value = value * np.uint32(h)
-        return value ^ value >> 16
-    return step
-
-
-def _pool_states(entropy: np.ndarray) -> list:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
-    a (trials, words) uint32 entropy array, as four uint64 columns."""
-    hashmix = _hasher(_SS_INIT_A, _SS_MULT_A)
-
-    def mix(x, y):
-        r = x * np.uint32(_SS_MIX_L) - y * np.uint32(_SS_MIX_R)
-        return r ^ r >> 16
-
-    width = entropy.shape[1]
-    zero = np.zeros(entropy.shape[0], np.uint32)
-    pool = [hashmix(entropy[:, i] if i < width else zero)
-            for i in range(_SS_POOL)]
-    for src in range(_SS_POOL):
-        for dst in range(_SS_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_SS_POOL, width):
-        for dst in range(_SS_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    out = _hasher(_SS_INIT_B, _SS_MULT_B)
-    words = [out(pool[i % _SS_POOL]).astype(np.uint64) for i in range(8)]
-    return [words[i] | words[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
-
-
-def _seed_words(n: int) -> list:
-    """A nonnegative int as SeedSequence reads it: little-endian uint32
-    words, one word for zero."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _substream_uniforms(base: tuple, trials: range, n: int) -> np.ndarray:
-    """``n`` uniforms from each substream ``substream(base, t)`` for the
-    trials ``t`` of a nonempty step-1 range, as a (len(trials), n) array.
-
-    Bit for bit ``np.stack([substream(base, t).random(n) for t in
-    trials])``: SeedSequence's entropy mixing runs once over all trials
-    whose indices have the same number of uint32 words, the two PCG64
-    seeding steps run on Python ints, and one generator, the real
-    ``substream`` of the first trial, is reset to each trial's state
-    before its draw.  That first row is checked against the generator's
-    own seeding, so a numpy that seeds differently raises RuntimeError
-    rather than clearing trials the serial search would flag.
-    """
-    rng = substream(base, trials[0])
-    first = rng.random(n)
-    prefix = [w for s in base for w in _seed_words(s)]
-    out = np.empty((len(trials), n))
-    lo = trials.start
-    while lo < trials.stop:
-        width = len(_seed_words(lo))
-        hi = min(trials.stop, 1 << 32 * width)
-        t = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
-        entropy = np.empty((hi - lo, len(prefix) + width), np.uint32)
-        entropy[:, :len(prefix)] = prefix
-        for k in range(width):
-            word = t >> np.uint64(32 * k) & np.uint64(_MASK32)
-            entropy[:, len(prefix) + k] = word
-        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        for row, (s0, s1, i0, i1) in enumerate(
-                zip(*(c.tolist() for c in _pool_states(entropy))),
-                start=lo - trials.start):
-            # PCG64 seeding from the 128-bit seed s0:s1 and stream i0:i1:
-            # inc = 2 * stream + 1, state = (inc + seed) * MULT + inc
-            inc =(i0 << 65 | i1 << 1 | 1) & _MASK128
-            state["state"] = {
-                "state": ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128,
-                "inc": inc}
-            rng.bit_generator.state = state
-            rng.random(out=out[row])
-        lo = hi
-    if out[0].tobytes() != first.tobytes():
-        raise RuntimeError("the batched substream seeding does not match "
-                           "numpy's own seeding")
-    return out
 
 
 def _uncleared(g: np.ndarray) -> np.ndarray:
@@ -478,9 +380,11 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
             count: int, draws: int) -> list:
     """Trials of a chunk that the batched screen cannot clear, in order.
 
-    Each trial draws ``draws`` candidates from its own substream and keeps
-    the first ``count`` with radius * sqrt(sum of their radius uniforms)
-    < ``radius``; ``exp`` runs on those only.  That norm and
+    The chunk's blocks are read by one contiguous draw from the search's
+    ``trial_stream``.  A trial's block holds ``draws`` candidates of dim
+    angle and dim radius uniforms each, and the trial keeps the first
+    ``count`` with radius * sqrt(sum of their radius uniforms) <
+    ``radius``; ``exp`` runs on those only.  That norm and
     ``sample_point_set``'s are within (dim + 3) / 2 and dim + 6 unit
     roundoffs of exact (sin and cos to one ulp), under (3 dim + 15) / 2
     spacings of ``radius`` apart near it: the window is 4 dim + 8.  A Gram
@@ -498,7 +402,8 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
     if not 0.0 < radius < 1.0:
         return list(trials)  # the serial path raises the caller's error
     dim, n = spec.dim, 2 * spec.dim
-    u = _substream_uniforms(base, trials, draws * n).reshape(-1, draws, n)
+    u = trial_stream(base, trials.start, draws * n).random(
+        (len(trials), draws, n))
     norm = radius * np.sqrt(sum(u[..., k] for k in range(dim, n)))
     inside = norm < radius
     rank = np.cumsum(inside, axis=1)
@@ -520,18 +425,23 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
                           set_size: int, budget: int):
     """Randomized search for a point set whose Gram fails positivity.
 
-    Trial t draws from the substream (seed, t), so the outcome is independent
-    of scheduling and restart.  Returns the first NEGATIVE certificate, with
-    the trial's points as ``witness.point_set``, or None at the budget's end.
+    Trial t reads its candidates from ``trial_stream(seed, t, n)``, the
+    block of n uniforms at offset t * n of one stream, so the outcome is
+    independent of scheduling and restart.  Returns the first NEGATIVE
+    certificate, with the trial's points as ``witness.point_set``, or None
+    at the budget's end.
 
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
     it.  ``_screen`` clears a trial only when a shifted Cholesky with a
     backward-error bound proves lambda_min >= -tol / 2 for its Gram, which
     differs from the serial one by a few ulps, far below the other tol / 2.
-    The rest are decided again, in order, by ``sample_point_set``, ``gram``
-    and ``check_psd``; the first NEGATIVE one is returned, as a one-at-a-time
-    search would.  A negative budget or an empty set raises ValueError.
+    The rest are decided again, in order, by ``sample_point_set`` on the
+    same block, then ``gram`` and ``check_psd``; the first NEGATIVE one is
+    returned, as a one-at-a-time search would.  A trial whose rejections
+    run past its block reads into the next block, which only correlates the
+    two trials and never affects a verdict.  A negative budget or an empty
+    set raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"witness budget must be nonnegative, got {budget}")
@@ -543,12 +453,15 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     # more rejections than sample_point_set allows
     draws = min(2 * set_size * math.factorial(spec.dim) + 16,
                 set_size + MAX_REJECTS)
-    per_trial = max(set_size * set_size, 2 * spec.dim * draws)
+    draws -= draws % 2  # a block of n = 2 dim draws uniforms, a multiple of 4
+    n = 2 * spec.dim * draws
+    per_trial = max(set_size * set_size, n)
     cap = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // per_trial))
     trials = range(0, min(1, budget))
     while trials:
         for trial in _screen(spec, base, trials, radius, set_size, draws):
-            pts = sample_point_set(substream(base, trial), spec.dim, radius, set_size)
+            pts = sample_point_set(trial_stream(base, trial, n), spec.dim,
+                                   radius, set_size)
             cert = check_psd(spec, pts)
             if cert.verdict == NEGATIVE:
                 return cert

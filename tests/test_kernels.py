@@ -20,6 +20,7 @@ from kernelcomp.kernels import (
     sample_point_set,
     seed_tuple,
     substream,
+    trial_stream,
 )
 from kernelcomp.series import BallMap, BallPoly, DiskPoly, SelfMapDisk, blaschke_factor
 from oracles import eval_kernel
@@ -224,9 +225,10 @@ def test_seed_tuple_normalization():
 
 # --- the batched witness search against the one-trial-at-a-time search ----
 #
-# The functions below are the sampler, the Gram assembly and the search loop
-# as they were before the search was batched.  They are the reference the
-# batched search must reproduce bit for bit.
+# The functions below are the sampler and the Gram assembly as they were
+# before the search was batched, and a search loop that decides one trial at
+# a time on the same trial_stream blocks.  They are the reference the batched
+# search must reproduce bit for bit.
 
 
 def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
@@ -277,14 +279,25 @@ def _serial_gram(spec, point_set):
     return _serial_gram_entries(spec, point_set.points)
 
 
+def _block(dim, set_size):
+    """Uniforms in a trial's block: 2 dim uniforms per candidate, for about
+    twice the candidates a set needs in an even count, as
+    find_negative_witness sizes it."""
+    draws = min(2 * set_size * math.factorial(dim) + 16, set_size + 10000)
+    return 2 * dim * (draws - draws % 2)
+
+
+def _trial_rng(seed, trial, dim, set_size):
+    return trial_stream(seed, trial, _block(dim, set_size))
+
+
 def _serial_search(spec, *, seed, radius, set_size, budget):
     """Returns (trial, points, certificate JSON) of the first NEGATIVE trial."""
-    base = seed_tuple(seed)
     # check_psd builds its Gram through the module's name for gram, so the
     # old assembly stands in for it
     with mock.patch.object(kernels, "gram", _serial_gram):
         for trial in range(budget):
-            rng = np.random.default_rng(base + (trial,))
+            rng = _trial_rng(seed, trial, spec.dim, set_size)
             pts = _serial_sample_point_set(rng, spec.dim, radius, set_size)
             cert = check_psd(spec, pts)
             if cert.verdict == NEGATIVE:
@@ -297,11 +310,11 @@ def _batched_search(spec, **kw):
     if cert is None:
         return None
     pts = cert.witness.point_set
-    base = seed_tuple(kw["seed"])
     trial = next(t for t in range(kw["budget"])
                  if np.array_equal(_serial_sample_point_set(
-                     np.random.default_rng(base + (t,)), spec.dim,
-                     kw["radius"], kw["set_size"]).points, pts.points))
+                     _trial_rng(kw["seed"], t, spec.dim, kw["set_size"]),
+                     spec.dim, kw["radius"], kw["set_size"]).points,
+                     pts.points))
     return trial, pts.points, json.dumps(cert.to_json_dict())
 
 
@@ -325,11 +338,15 @@ _KIND_SPECS = {
     "bergman": KernelSpec.bergman(2.5),
     "dbr": KernelSpec.dbr(_DISK_B),
     "dbr_power": KernelSpec.dbr_power(_DISK_B, 3),
+    "dbr_power_alpha_1": KernelSpec.dbr_power(_DISK_B, 1),
     "ball": KernelSpec.ball(3, 2.0),
     "ball_map": KernelSpec.ball_map(
         BallMap([BallPoly(2, {(1, 1): 2.0}), BallPoly(2, {})]), 2),
     "ball_map_fractional": KernelSpec.ball_map(
         BallMap([BallPoly(2, {(1, 1): 1.2}), BallPoly(2, {})]), 1.5),
+    # alpha 1 skips the power: ratio ** 1 has the ratio's bytes
+    "ball_map_alpha_1": KernelSpec.ball_map(
+        BallMap([BallPoly(2, {(1, 1): 1.6}), BallPoly(2, {})]), 1),
 }
 
 
@@ -369,11 +386,11 @@ def test_batched_search_matches_serial_for_every_kind(name):
 
 @pytest.mark.parametrize("r, expect", [(0.5, None), (0.75, 177), (1.0, 0)])
 def test_batched_search_matches_serial_on_the_product_map(r, expect):
-    # seed 0: no witness at r = 0.5, one in the middle of the first
-    # chunk at r = 0.75, and one at trial 0 at r = 1
+    # seed 134: no witness at r = 0.5, one in the middle of the chunk of
+    # trials 127-254 at r = 0.75, and one at trial 0 at r = 1
     budget = 200 if r == 0.5 else 1100
-    trial = _assert_same_search(_br_spec(r), seed=0, radius=0.95, set_size=8,
-                                budget=budget)
+    trial = _assert_same_search(_br_spec(r), seed=134, radius=0.95,
+                                set_size=8, budget=budget)
     assert trial == expect
 
 
@@ -385,11 +402,11 @@ def test_batched_search_with_zero_budget():
 
 # with a cap of 16 the chunks are trials 0, 1-2, 3-6, 7-14, 15-30, 31-46, ...
 @pytest.mark.parametrize("seed, budget, expect", [
-    (5, 40, 1),       # second chunk
-    (0, 40, 3),       # first trial of the third chunk
-    (8, 40, 20),      # first chunk at the cap
-    (3, 40, 34),      # last, partial chunk
-    (3, 30, None),    # budget ends inside a chunk, before the witness
+    (35, 40, 1),      # second chunk
+    (33, 40, 3),      # first trial of the third chunk
+    (60, 40, 20),     # first chunk at the cap
+    (48, 40, 34),     # last, partial chunk
+    (48, 30, None),   # budget ends inside a chunk, before the witness
 ])
 def test_batched_search_across_chunk_boundaries(monkeypatch, seed, budget,
                                                 expect):
@@ -433,9 +450,9 @@ def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
 
 def test_search_chunks_double_up_to_the_cap(monkeypatch):
     sizes = _screened_chunks(monkeypatch)
-    # seed 0, r = 0.75: the witness is trial 177, in the chunk of trials
+    # seed 134, r = 0.75: the witness is trial 177, in the chunk of trials
     # 127-254; r = 0.5: no witness, so chunks reach the cap of 16
-    assert _assert_same_search(_br_spec(0.75), seed=0, radius=0.95,
+    assert _assert_same_search(_br_spec(0.75), seed=134, radius=0.95,
                                set_size=8, budget=1100) == 177
     assert sizes == [1, 2, 4, 8, 16, 32, 64, 128]
     sizes.clear()
@@ -460,20 +477,20 @@ def test_screen_never_clears_a_negative_trial():
     spec = _br_spec(0.8)
     base = (6,)
     trials = range(64)
-    negative = set()
-    for t in trials:
-        pts = _serial_sample_point_set(np.random.default_rng(base + (t,)), 2,
-                                       0.95, 8)
-        if check_psd(spec, pts).verdict == NEGATIVE:
-            negative.add(t)
-    assert negative
     # 12 draws hold 6 admissible candidates on average, 48 hold 24
     for draws in (12, 20, 48):
+        negative = set()
+        for t in trials:
+            pts = _serial_sample_point_set(trial_stream(base, t, 4 * draws),
+                                           2, 0.95, 8)
+            if check_psd(spec, pts).verdict == NEGATIVE:
+                negative.add(t)
+        assert negative
         deferred = kernels._screen(spec, base, trials, 0.95, 8, draws)
         assert negative <= set(deferred)
         assert deferred == sorted(deferred)
         for t in trials:
-            rng = np.random.default_rng(base + (t,))
+            rng = trial_stream(base, t, 4 * draws)
             inside = 0
             for _ in range(draws):
                 theta = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -541,9 +558,9 @@ def test_screen_defers_candidates_inside_the_window(monkeypatch, dim, radius):
     block[:, 0, dim:] = firsts
     block[:, 1, dim:] = 0.2 / dim
     block[:, 2, dim:] = 0.05 / dim
-    monkeypatch.setattr(kernels, "_substream_uniforms",
-                        lambda base, trials, n: block[trials.start:trials.stop]
-                        .reshape(len(trials), n))
+    # the screen's one draw for the chunk reads these blocks
+    monkeypatch.setattr(kernels, "trial_stream", lambda base, trial, n: mock.Mock(
+        random=lambda shape: block[trial:trial + shape[0]].reshape(shape)))
     spec = KernelSpec.szego() if dim == 1 else KernelSpec.ball(dim, 1.0)
     deferred = set(kernels._screen(spec, (0,), range(len(block)), radius, 2, 3))
     dist = np.abs(_uniform_norm(block[:, 0], radius) - radius)
@@ -638,6 +655,20 @@ def test_bounded_regime_needs_no_serial_decision(monkeypatch):
     assert calls == []
 
 
+def test_search_builds_one_stream_per_chunk(monkeypatch):
+    # building a generator costs about 20 us, so one per trial would cost
+    # more than screening the trial: an exhausted search builds one Philox
+    # per screened chunk and one per serial re-decision
+    sizes = _screened_chunks(monkeypatch)
+    calls = _serial_decisions(monkeypatch)
+    with mock.patch.object(np.random, "Philox",
+                           wraps=np.random.Philox) as built:
+        assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
+                                     set_size=8, budget=10000) is None
+    assert sum(sizes) == 10000
+    assert 0 < built.call_count <= len(sizes) + len(calls)
+
+
 def test_search_calls_no_eigenvalue_solver_in_the_screen():
     with mock.patch.object(np.linalg, "eigvalsh",
                            side_effect=AssertionError("eigvalsh")):
@@ -660,19 +691,15 @@ def test_screen_builds_only_the_kept_candidates(monkeypatch):
     monkeypatch.setattr(kernels, "_candidates", spy)
     base, trials, count, draws = (6,), range(100, 356), 8, 20
     kernels._screen(_br_spec(0.8), base, trials, 0.95, count, draws)
-    u = kernels._substream_uniforms(base, trials, draws * 4)
-    inside = _uniform_norm(u.reshape(len(trials), draws, 4), 0.95) < 0.95
+    u = trial_stream(base, trials.start, draws * 4).random(
+        (len(trials), draws, 4))
+    inside = _uniform_norm(u, 0.95) < 0.95
     full = int(np.sum(inside.sum(axis=1) >= count))
     assert 0 < full < len(trials)
     assert rows == [count * full]
 
 
-# --- the one-pass substream seeder against numpy's own seeding -------------
-
-
-def _default_rng_rows(base, trials, n):
-    return np.stack([np.random.default_rng(base + (t,)).random(n)
-                     for t in trials])
+# --- the search's stream and the experiments' substreams ------------------
 
 
 @pytest.mark.parametrize("seed", [0, 12345, (0, 1), (4, 1), (2**40, 7),
@@ -680,26 +707,43 @@ def _default_rng_rows(base, trials, n):
 @pytest.mark.parametrize("trials", [range(0, 1), range(1023, 2047),
                                     range(2**32 - 5, 2**32 + 5)])
 def test_substream_uniforms_equal_default_rng(seed, trials):
-    # multi-word seeds and bases of five or more words run SeedSequence's
-    # mixing past its pool of four; trials from 2**32 on have two words
+    # the helper every experiment draws through: an int or a tuple seed,
+    # multi-word seeds and indices, then the index, and no index at all
     base = seed_tuple(seed)
-    got = kernels._substream_uniforms(base, trials, 12)
-    assert got.shape == (len(trials), 12)
-    assert got.tobytes() == _default_rng_rows(base, trials, 12).tobytes()
-    # the helper every run draws through: an int or a tuple seed, then the
-    # index, and no index at all
     for index in ((trials[0],), (trials[-1],), (3, trials[-1]), ()):
         assert substream(seed, *index).random(12).tobytes() == \
             np.random.default_rng(base + index).random(12).tobytes()
 
 
-def test_substream_guard_catches_a_wrong_mixing_constant():
-    base = seed_tuple((4, 1))
-    with mock.patch.object(kernels, "_SS_MIX_L", kernels._SS_MIX_L ^ 1):
-        with pytest.raises(RuntimeError, match="substream seeding"):
-            kernels._substream_uniforms(base, range(3, 10), 4)
-    assert kernels._substream_uniforms(base, range(3, 10), 4).tobytes() == \
-        _default_rng_rows(base, range(3, 10), 4).tobytes()
+@pytest.mark.parametrize("seed", [0, (4, 1), (2**40, 7),
+                                  (2**70, 3, 9, 2**33, 6)])
+@pytest.mark.parametrize("start, trials", [
+    (0, range(0, 9)),                  # a chunk from the stream's start
+    (5, range(5, 12)),                 # a chunk that starts mid-stream
+    (1000, range(1023, 1030)),         # a trial reached from an earlier one
+    (2**32 - 3, range(2**32 - 3, 2**32 + 3)),  # around 2**32
+])
+def test_trial_stream_blocks_are_rows_of_one_draw(seed, start, trials):
+    n = 12
+    rows = trial_stream(seed, start, n).random((trials.stop - start, n))
+    for t in trials:
+        got = trial_stream(seed, t, n).random(n)
+        assert got.tobytes() == rows[t - start].tobytes()
+    # a block read a few uniforms at a time, as sample_point_set reads it
+    rng = trial_stream(seed, trials[-1], n)
+    pieces = np.concatenate([rng.random(2) for _ in range(n // 2)])
+    assert pieces.tobytes() == rows[-1].tobytes()
+    # the bare stream is trial 0, whatever the block size
+    assert trial_stream(seed).random(n).tobytes() == \
+        trial_stream(seed, 0, 6).random(n).tobytes()
+
+
+def test_trial_stream_refuses_misaligned_trials():
+    for n in (1, 2, 6, 10):
+        with pytest.raises(ValueError, match=f"blocks of 4k uniforms, not {n}"):
+            trial_stream(0, 1, n)
+        trial_stream(0, 0, n)  # trial 0 starts at the stream's start
+    trial_stream(0, 3, 8)
 
 
 def test_negative_witness_budget_is_refused():
