@@ -801,7 +801,7 @@ COMMANDS = {
 # the documented type of each parameter whose default is None
 _NONE_DEFAULT_LIKE = {"trace_degrees": [0], "mode_count": 0, "rank_tol": 0.0}
 
-_NONZERO = {"point_count", "cert_points", "symbol_degree_max"}
+_NONZERO = {"point_count", "cert_points", "symbol_degree_max", "alphas"}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", dict: "a json object", list: "a list"}
@@ -829,10 +829,18 @@ def _check_type(what: str, value, default, key: str):
         return None
     if _same_type(value, like):
         if isinstance(like, float):
-            return _as_float(value, f"{what} {key!r}")
+            x = _as_float(value, f"{what} {key!r}")
+            # every sampling radius (radius, point_radius, ...) lies in (0, 1)
+            if key.endswith("radius") and not 0.0 < x < 1.0:
+                need = "lie strictly between 0 and 1"
+            elif key == "alpha" and not x >= 1.0:
+                need = "be at least 1"
+            else:
+                return x
+            raise ConfigError(f"{what} {key!r} must {need}, got {value!r}")
         if isinstance(like, list) and like and isinstance(like[0], float):
             return [_as_float(v, f"{what} {key!r}") for v in value]
-        # no count, degree or size is negative; no sample size or top degree is 0
+        # no count, degree or size is negative; no sample size, top degree or alpha is 0
         least, need = (1, "at least 1") if key in _NONZERO else (0, "nonnegative")
         for v in value if isinstance(like, list) else [value]:
             if _same_type(v, 0) and v < least:

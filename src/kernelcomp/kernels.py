@@ -74,12 +74,10 @@ class PointSet:
         radii = np.linalg.norm(arr, axis=1)
         if np.any(radii >= 1.0):
             raise DomainError(f"max |point| = {float(np.max(radii)):.6g}; need < 1")
-        if arr.shape[0] > 1:
-            diff = arr[:, None, :] - arr[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            dist[np.diag_indices_from(dist)] = np.inf
-            if float(np.min(dist)) <= MIN_POINT_SEPARATION:
-                raise ValueError("points must be pairwise separated by > 1e-9")
+        close = _close(arr[:, None, :], arr[None, :, :])
+        close[np.diag_indices_from(close)] = False
+        if close.any():
+            raise ValueError("points must be pairwise separated by > 1e-9")
         self.points = arr
 
     def __len__(self):
@@ -265,9 +263,11 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     """Eigenvalue test of ``gram(spec, point_set)`` with a scale-aware
     tolerance.
 
-    The tolerance grows with the matrix size and spectral norm so that honest
-    rounding never triggers a NEGATIVE verdict; a NEGATIVE certificate carries
-    the points and the bottom eigenvector as a witness.
+    The tolerance grows with the matrix size and max|lambda| so that honest
+    rounding never triggers a NEGATIVE verdict; a NEGATIVE certificate
+    carries the points and the bottom eigenvector as a witness.  A Gram whose
+    entries span more than about 1 / eps resolves no eigenvalue below that
+    tolerance, so its PSD verdict certifies little.
     """
     lam, vec = np.linalg.eigh(gram(spec, point_set))
     lo = float(lam[0])
@@ -278,6 +278,18 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     wit = Witness(point_set=point_set, coeffs=vec[:, 0])
     return PositivityCertificate(spec=spec, min_eigenvalue=lo,
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
+
+
+def _inside(u: np.ndarray, radius: float) -> np.ndarray:
+    """One admission rule: radius * sqrt(sum of radius uniforms) < radius."""
+    rad2 = sum(u[..., k] for k in range(u.shape[-1] // 2, u.shape[-1]))
+    return radius * np.sqrt(rad2) < radius
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One separation rule: sum_k |a_k - b_k|^2 <= MIN_POINT_SEPARATION^2."""
+    return sum(np.abs(a[..., k] - b[..., k]) ** 2
+               for k in range(a.shape[-1])) <= MIN_POINT_SEPARATION ** 2
 
 
 def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
@@ -294,34 +306,32 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
                      count: int) -> PointSet:
     """Draw ``count`` points from the ball of the given radius.
 
-    Each coordinate gets a uniform angle and an area-uniform radius; in
-    dimension above one, draws landing outside the radius cap are rejected.
-    Re-draws also resolve (vanishingly rare) pair collisions.  Exactly
-    2 * dim variates are consumed per candidate, so callers may share one
-    generator across draws.  A set whose separation check would need more
-    than MAX_SECTION_BYTES is refused before anything is drawn.
+    Each coordinate gets a uniform angle and an area-uniform radius.
+    ``_inside`` judges the radius cap on a candidate's radius uniforms, so a
+    point's float norm may exceed ``radius`` by a few ulps; a candidate
+    ``_close`` to a kept point is re-drawn.  Exactly 2 * dim variates are
+    consumed per candidate, so callers may share one generator across
+    draws.  A set whose separation check would need more than
+    MAX_SECTION_BYTES is refused before anything is drawn.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
-    # PointSet checks separation on a (count, count, dim) complex tensor
+    # PointSet checks separation on count x count complex differences
     _check_bytes(count * count * dim * np.dtype(complex).itemsize,
                  f"the separation check of {count} points in dim {dim}")
     pts = np.zeros((count, dim), dtype=complex)
     have = 0
     rejects = 0
     while have < count:
-        cand = _candidates(rng.random(2 * dim), radius)
-        ok = float(np.linalg.norm(cand)) < radius
-        if ok and have > 0:
-            sep = np.min(np.linalg.norm(pts[:have] - cand[None, :], axis=1))
-            ok = sep > MIN_POINT_SEPARATION
-        if ok:
-            pts[have] = cand
-            have += 1
-        else:
-            rejects += 1
-            if rejects > MAX_REJECTS:
-                raise SamplingError("point sampling failed to fill the set")
+        u = rng.random(2 * dim)
+        if _inside(u, radius):
+            pts[have] = _candidates(u, radius)
+            if not np.any(_close(pts[:have], pts[have])):
+                have += 1
+                continue
+        rejects += 1
+        if rejects > MAX_REJECTS:
+            raise SamplingError("point sampling failed to fill the set")
     return PointSet(pts)
 
 
@@ -382,42 +392,33 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
 
     The chunk's blocks are read by one contiguous draw from the search's
     ``trial_stream``.  A trial's block holds ``draws`` candidates of dim
-    angle and dim radius uniforms each, and the trial keeps the first
-    ``count`` with radius * sqrt(sum of their radius uniforms) <
-    ``radius``; ``exp`` runs on those only.  That norm and
-    ``sample_point_set``'s are within (dim + 3) / 2 and dim + 6 unit
-    roundoffs of exact (sin and cos to one ulp), under (3 dim + 15) / 2
-    spacings of ``radius`` apart near it: the window is 4 dim + 8.  A Gram
-    G is cleared iff Cholesky of A = fl(G + s I) succeeds and its backward
-    error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
+    angle and dim radius uniforms each, and the trial keeps its first
+    ``count`` ``_inside`` candidates; ``exp`` runs on those only.  These
+    are ``sample_point_set``'s points unless a pair of them is ``_close``.
+    A Gram G is cleared iff Cholesky of A = fl(G + s I) succeeds and its
+    backward error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
     complex arithmetic) plus eps max_i A_ii fits in s = tol_lo / 4, where
     tol_lo = TOL_SCALE * m * eps * max_i G_ii <= tol: then lambda_min(G) >=
     -2 s >= -tol / 2, and the bound fits for m <= 23.  Returned are trials
-    whose Gram is not cleared, with fewer than ``count`` admissible
-    candidates, or that ``sample_point_set`` could decide differently: a
-    looked-at norm in the window, or kept points closer than
-    2 * MIN_POINT_SEPARATION.
+    whose Gram is not cleared, with fewer than ``count`` admitted
+    candidates, or with a ``_close`` pair of kept points; every trial when
+    the radius is out of range or one trial's Gram passes _CHUNK_VALUES.
     """
-    if not 0.0 < radius < 1.0:
-        return list(trials)  # the serial path raises the caller's error
+    if not 0.0 < radius < 1.0 or count * count > _CHUNK_VALUES:
+        return list(trials)  # the serial path decides, or raises the error
     dim, n = spec.dim, 2 * spec.dim
     u = trial_stream(base, trials.start, draws * n).random(
         (len(trials), draws, n))
-    norm = radius * np.sqrt(sum(u[..., k] for k in range(dim, n)))
-    inside = norm < radius
+    inside = _inside(u, radius)
     rank = np.cumsum(inside, axis=1)
     full = rank[:, -1] >= count
-    looked_at = rank - inside < count
-    near = np.abs(norm - radius) <= (4 * dim + 8) * np.spacing(radius)
-    defer = ~full | np.any(near & looked_at, axis=1)
-    pts = _candidates(u[inside & looked_at & full[:, None]], radius)
+    pts = _candidates(u[inside & (rank <= count) & full[:, None]], radius)
     pts = pts.reshape(-1, count, dim)
-    sep2 = sum(np.abs(pts[:, :, None, k] - pts[:, None, :, k]) ** 2
-               for k in range(dim))
-    sep2[:, np.arange(count), np.arange(count)] = np.inf
-    close = np.min(sep2, axis=(1, 2)) <= (2.0 * MIN_POINT_SEPARATION) ** 2
-    defer[full] |= close | _uncleared(_kernel_matrix(spec, pts))
+    close = _close(pts[:, :, None], pts[:, None])
+    close[:, np.arange(count), np.arange(count)] = False
+    defer = ~full
+    defer[full] |= close.any(axis=(1, 2)) | _uncleared(_kernel_matrix(spec, pts))
     return [t for t, d in zip(trials, defer) if d]
 
 
@@ -433,15 +434,16 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
 
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
-    it.  ``_screen`` clears a trial only when a shifted Cholesky with a
-    backward-error bound proves lambda_min >= -tol / 2 for its Gram, which
-    differs from the serial one by a few ulps, far below the other tol / 2.
-    The rest are decided again, in order, by ``sample_point_set`` on the
-    same block, then ``gram`` and ``check_psd``; the first NEGATIVE one is
-    returned, as a one-at-a-time search would.  A trial whose rejections
-    run past its block reads into the next block, which only correlates the
-    two trials and never affects a verdict.  A negative budget or an empty
-    set raises ValueError.
+    it.  ``_screen``, which keeps the sampler's points by the same
+    ``_inside`` and ``_close``, clears a trial only when a shifted Cholesky
+    with a backward-error bound proves lambda_min >= -tol / 2 for its Gram,
+    which differs from the serial one by a few ulps, far below the other
+    tol / 2.  The rest are decided again, in order, by ``sample_point_set``
+    on the same block, then ``gram`` and ``check_psd``; the first NEGATIVE
+    one is returned, as a one-at-a-time search would.  A trial whose
+    rejections run past its block reads into the next block, which only
+    correlates the two trials and never affects a verdict.  A negative
+    budget or an empty set raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"witness budget must be nonnegative, got {budget}")

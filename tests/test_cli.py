@@ -172,9 +172,20 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
             ({"name": "inf-estimate", "params": {"family_size": -1}},
              "inf-estimate parameter 'family_size' must be nonnegative, got -1"),
             ({"name": "bergman-bound", "params": {"alphas": [2, -1]}},
-             "bergman-bound parameter 'alphas' must be nonnegative, got -1"),
-            ({"name": "bergman-bound", "params": {"alphas": [0]}},
-             "alpha must be at least 1"),
+             "bergman-bound parameter 'alphas' must be at least 1, got -1"),
+            # an alpha below 1 or a radius outside (0, 1) names its config key
+            *[({"name": name, "params": {key: value}},
+               f"{name} parameter '{key}' must be at least 1, got {got}")
+              for name, key, value, got in (
+                  ("bergman-bound", "alphas", [0], 0), ("br", "alpha", 0.5, 0.5),
+                  ("ball-lemma", "alphas", [0], 0), ("ball-bound", "alphas", [0], 0))],
+            *[({"name": name, "params": {key: value}}, f"{name} parameter "
+               f"'{key}' must lie strictly between 0 and 1, got {value!r}")
+              for name, key, value in (
+                  ("ball-lemma", "cert_radius", 1.0), ("ball-lemma", "row_radius", 0),
+                  ("theorem1", "node_radius", 1.0), ("br", "radius", 1),
+                  ("szego-identity", "point_radius", -0.5),
+                  ("inf-estimate", "family_radius", 1.5))],
             ({"name": "inf-estimate", "params": {"symbol": {
                 "type": "monomial", "degree": 0, "scale": [0.5, 0.0]}}},
              "constant symbols do not get finite sections"),
@@ -331,8 +342,8 @@ def test_config_rejects_float_where_an_integer_is_expected():
 
 
 def test_config_accepts_an_integer_where_a_float_is_expected():
-    cfg = _from_params("br", radius=1, r_values=[0, 0.5])
-    assert cfg.params["radius"] == 1
+    cfg = _from_params("br", alpha=2, r_values=[0, 0.5])
+    assert cfg.params["alpha"] == 2 and isinstance(cfg.params["alpha"], float)
     assert cfg.params["r_values"] == [0, 0.5]
     tol = ExperimentConfig.from_dict(
         {"name": "br", "tolerances": {"saturation_tol": 1}})

@@ -225,10 +225,16 @@ def test_seed_tuple_normalization():
 
 # --- the batched witness search against the one-trial-at-a-time search ----
 #
-# The functions below are the sampler and the Gram assembly as they were
-# before the search was batched, and a search loop that decides one trial at
-# a time on the same trial_stream blocks.  They are the reference the batched
-# search must reproduce bit for bit.
+# The functions below are the sampler, with its admission rule written out
+# independently, the Gram assembly as it was before the search was batched,
+# and a search loop that decides one trial at a time on the same
+# trial_stream blocks.  They are the reference the batched search must
+# reproduce bit for bit.
+
+
+def _admitted(rad_u, radius):
+    # radius * sqrt(sum of the radius uniforms) < radius, summed in order
+    return radius * math.sqrt(np.cumsum(rad_u)[-1]) < radius
 
 
 def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
@@ -237,9 +243,9 @@ def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
     rejects = 0
     while have < count:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-        rad = radius * np.sqrt(rng.uniform(0.0, 1.0, size=dim))
-        cand = rad * np.exp(1j * theta)
-        ok = float(np.linalg.norm(cand)) < radius
+        rad_u = rng.uniform(0.0, 1.0, size=dim)
+        cand = radius * np.sqrt(rad_u) * np.exp(1j * theta)
+        ok = _admitted(rad_u, radius)
         if ok and have > 0:
             sep = np.min(np.linalg.norm(pts[:have] - cand[None, :], axis=1))
             ok = sep > kernels.MIN_POINT_SEPARATION
@@ -416,28 +422,21 @@ def test_batched_search_across_chunk_boundaries(monkeypatch, seed, budget,
     assert trial == expect
 
 
+def _spy(monkeypatch, name, record=lambda *args: args):
+    """What ``record`` makes of the arguments of each call to kernels.<name>."""
+    seen = []
+    real = getattr(kernels, name)
+
+    def spy(*args, **kwargs):
+        seen.append(record(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, spy)
+    return seen
+
+
 def _screened_chunks(monkeypatch):
-    sizes = []
-    screen = kernels._screen
-
-    def spy(spec, base, trials, *args):
-        sizes.append(len(trials))
-        return screen(spec, base, trials, *args)
-
-    monkeypatch.setattr(kernels, "_screen", spy)
-    return sizes
-
-
-def _serial_decisions(monkeypatch):
-    calls = []
-    serial = kernels.sample_point_set
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return serial(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "sample_point_set", counted)
-    return calls
+    return _spy(monkeypatch, "_screen", lambda spec, base, trials, *_: len(trials))
 
 
 def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
@@ -463,14 +462,14 @@ def test_search_chunks_double_up_to_the_cap(monkeypatch):
 
 
 def test_batched_search_reruns_trials_it_cannot_screen(monkeypatch):
-    # a wide separation makes the serial sampler reject candidates that the
-    # screen keeps, so most trials fall back to the serial path
+    # a wide separation gives some trials a close pair, which the screen
+    # defers and the serial sampler resolves by re-drawing
     monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.3)
-    reruns = _serial_decisions(monkeypatch)
+    reruns = _spy(monkeypatch, "sample_point_set")
     for r in (0.5, 0.8):
         _assert_same_search(_br_spec(r), seed=2, radius=0.95, set_size=8,
                             budget=30)
-    assert len(reruns) > 10
+    assert len(reruns) == 10
 
 
 def test_screen_never_clears_a_negative_trial():
@@ -490,13 +489,8 @@ def test_screen_never_clears_a_negative_trial():
         assert negative <= set(deferred)
         assert deferred == sorted(deferred)
         for t in trials:
-            rng = trial_stream(base, t, 4 * draws)
-            inside = 0
-            for _ in range(draws):
-                theta = rng.uniform(0.0, 2.0 * np.pi, size=2)
-                rad = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, size=2))
-                inside += float(np.linalg.norm(rad * np.exp(1j * theta))) < 0.95
-            if inside < 8:
+            u = trial_stream(base, t, 4 * draws).random((draws, 4))
+            if sum(_admitted(row[2:], 0.95) for row in u) < 8:
                 assert t in deferred
 
 
@@ -509,69 +503,60 @@ def test_batched_search_gives_up_where_the_serial_sampler_does():
             search(spec, seed=0, radius=0.9, set_size=8, budget=3)
 
 
-# --- the screen's admission window and Cholesky clearing rule --------------
+# --- the one admission and separation rule, and the Cholesky clearing rule --
 
 
-def _window(dim, radius):
-    # the admission window that _screen derives in its docstring
-    return (4 * dim + 8) * np.spacing(radius)
-
-
-def _uniform_norm(u, radius):
-    # the screen's norm: radius * sqrt(sum of the radius uniforms)
-    dim = u.shape[-1] // 2
-    return radius * np.sqrt(sum(u[..., k] for k in range(dim, 2 * dim)))
-
-
-def test_radius_uniform_norm_stays_within_half_the_window():
-    rng = np.random.default_rng(2024)
-    rows = 111_112  # nine (dim, radius) cases, over 1e6 candidates in all
-    for dim in (1, 2, 3):
-        for radius in (0.3, 0.6, 0.95):
-            u = rng.random((rows, 2 * dim))
-            cand = kernels._candidates(u, radius)
-            # the norm sample_point_set takes, float(np.linalg.norm(row)),
-            # vectorized as row-by-row dot products; checked bit for bit on
-            # the first rows
-            re, im = cand.real[:, None, :], cand.imag[:, None, :]
-            ref = np.sqrt((re @ np.swapaxes(re, 1, 2)
-                           + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
-            serial = [float(np.linalg.norm(row)) for row in cand[:2000]]
-            assert ref[:2000].tolist() == serial
-            gap = np.max(np.abs(_uniform_norm(u, radius) - ref))
-            assert gap <= _window(dim, radius) / 2, (dim, radius, gap)
+def _screen_and_sampler(monkeypatch, block, radius, count):
+    """On planted blocks: the trials _screen defers, the points it keeps,
+    and per trial the points sample_point_set keeps from the same block."""
+    dim = block.shape[-1] // 2
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "trial_stream", lambda base, trial, n: mock.Mock(
+            random=lambda shape: block[trial:trial + shape[0]].reshape(shape)))
+        kept = _spy(mp, "_kernel_matrix", lambda spec, pts: pts)
+        deferred = kernels._screen(KernelSpec.ball(dim, 1.0), (0,), range(len(block)),
+                                   radius, count, block.shape[1])
+    serial = [sample_point_set(mock.Mock(random=mock.Mock(side_effect=list(rows))),
+                               dim, radius, count).points.tobytes()
+              for rows in block]
+    return deferred, [k.tobytes() for k in kept[0]], serial
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("radius", [0.3, 0.6, 0.95])
-def test_screen_defers_candidates_inside_the_window(monkeypatch, dim, radius):
-    # trial t: candidate 0 near the radius cap, then two well inside; count
-    # 2, so candidate 0 is always looked at and the Gram is positive
-    half = 0.5 * np.spacing(1.0)
-    firsts = []
-    for j in range(1, 400, 3):
-        firsts.append([1.0 - j * half] + [0.0] * (dim - 1))   # inside
-        if dim > 1:
-            firsts.append([0.5, 0.5 + j * half] + [0.0] * (dim - 2))
-    block = np.zeros((len(firsts), 3, 2 * dim))
-    block[:, :, :dim] = [[0.1], [0.4], [0.7]]
-    block[:, 0, dim:] = firsts
-    block[:, 1, dim:] = 0.2 / dim
-    block[:, 2, dim:] = 0.05 / dim
-    # the screen's one draw for the chunk reads these blocks
-    monkeypatch.setattr(kernels, "trial_stream", lambda base, trial, n: mock.Mock(
-        random=lambda shape: block[trial:trial + shape[0]].reshape(shape)))
-    spec = KernelSpec.szego() if dim == 1 else KernelSpec.ball(dim, 1.0)
-    deferred = set(kernels._screen(spec, (0,), range(len(block)), radius, 2, 3))
-    dist = np.abs(_uniform_norm(block[:, 0], radius) - radius)
-    near = dist <= _window(dim, radius) / 2
-    far = dist >= 2 * _window(dim, radius)
-    assert near.any() and far.any()
-    for t in range(len(block)):
-        if near[t]:
-            assert t in deferred
-        elif far[t]:
-            assert t not in deferred
+def test_screen_keeps_the_samplers_points_or_defers(monkeypatch, dim, radius):
+    # cap trials: candidate 0's radius uniforms sum to within 40 spacings of
+    # 1, the cap; pair trials: candidate 1 is candidate 0 turned to 0.5 to
+    # 1.5 MIN_POINT_SEPARATION from it.  The last two lie well inside.
+    half, rad_u = 0.5 * np.spacing(1.0), 0.25 / dim
+    caps = [[1.0 - j * half] for j in range(1, 41)] if dim == 1 else \
+        [[0.5 / (dim - 1)] * (dim - 1) + [0.5 + j * half] for j in range(-40, 41)]
+    turn = kernels.MIN_POINT_SEPARATION / (2 * np.pi * radius * math.sqrt(rad_u))
+    c0, inner = [0.1] * dim + [rad_u] * dim, \
+        [[0.4] * dim + [0.2 / dim] * dim, [0.7] * dim + [0.05 / dim] * dim]
+    cap_trials = [[[a] * dim + cap, c0] + inner
+                  for cap in caps for a in (np.arange(16) + 0.5) / 16]
+    pair_trials = [[c0, [0.1 + f * turn] + c0[1:]] + inner
+                   for f in np.linspace(0.5, 1.5, 101)]
+    block = np.array(cap_trials + pair_trials)
+    # the complex norm and the one rule disagree on some cap candidates
+    old = [np.linalg.norm(c) < radius for c in kernels._candidates(block[:, 0], radius)]
+    assert np.any(old != kernels._inside(block[:, 0], radius))
+    # the screen keeps the sampler's points at the cap, and defers exactly
+    # the pair trials in which the sampler rejects candidate 1
+    deferred, kept, serial = _screen_and_sampler(monkeypatch, block, radius, 3)
+    assert deferred == [t for t, pts in enumerate(serial) if pts != kept[t]]
+    assert len(cap_trials) <= deferred[0] and len(deferred) < len(pair_trials)
+
+
+def test_screen_hands_oversized_grams_to_the_serial_path(monkeypatch):
+    # with a cap of 64 values a 9-point Gram is too large to stack
+    monkeypatch.setattr(kernels, "_CHUNK_VALUES", 64)
+    ndims = _spy(monkeypatch, "_kernel_matrix", lambda spec, pts: pts.ndim)
+    for r in (0.5, 0.8, 0.95):
+        _assert_same_search(_br_spec(r), seed=9, radius=0.95, set_size=9,
+                            budget=30)
+    assert ndims and set(ndims) == {2}
 
 
 def _unitary(rng, m):
@@ -639,7 +624,7 @@ def test_uncleared_bisects_to_exactly_the_failing_set(failing):
 def test_search_above_the_bound_size_matches_serial(monkeypatch):
     # m = 40 at radius 0.3: nearly equal diagonals, so the bound never fits
     # and every trial is decided by the serial path
-    calls = _serial_decisions(monkeypatch)
+    calls = _spy(monkeypatch, "sample_point_set")
     assert _assert_same_search(_br_spec(0.5), seed=3, radius=0.3,
                                set_size=40, budget=10) is None
     assert len(calls) == 10
@@ -649,7 +634,7 @@ def test_search_above_the_bound_size_matches_serial(monkeypatch):
 
 
 def test_bounded_regime_needs_no_serial_decision(monkeypatch):
-    calls = _serial_decisions(monkeypatch)
+    calls = _spy(monkeypatch, "sample_point_set")
     assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
                                  set_size=8, budget=10000) is None
     assert calls == []
@@ -660,7 +645,7 @@ def test_search_builds_one_stream_per_chunk(monkeypatch):
     # more than screening the trial: an exhausted search builds one Philox
     # per screened chunk and one per serial re-decision
     sizes = _screened_chunks(monkeypatch)
-    calls = _serial_decisions(monkeypatch)
+    calls = _spy(monkeypatch, "sample_point_set")
     with mock.patch.object(np.random, "Philox",
                            wraps=np.random.Philox) as built:
         assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
@@ -681,19 +666,12 @@ def test_search_calls_no_eigenvalue_solver_in_the_screen():
 
 
 def test_screen_builds_only_the_kept_candidates(monkeypatch):
-    rows = []
-    candidates = kernels._candidates
-
-    def spy(u, radius):
-        rows.append(u.size // u.shape[-1])
-        return candidates(u, radius)
-
-    monkeypatch.setattr(kernels, "_candidates", spy)
+    rows = _spy(monkeypatch, "_candidates", lambda u, _: u.size // u.shape[-1])
     base, trials, count, draws = (6,), range(100, 356), 8, 20
     kernels._screen(_br_spec(0.8), base, trials, 0.95, count, draws)
     u = trial_stream(base, trials.start, draws * 4).random(
         (len(trials), draws, 4))
-    inside = _uniform_norm(u, 0.95) < 0.95
+    inside = kernels._inside(u, 0.95)
     full = int(np.sum(inside.sum(axis=1) >= count))
     assert 0 < full < len(trials)
     assert rows == [count * full]
