@@ -32,6 +32,7 @@ from .kernels import (
     SamplingError,
     check_psd,
     sample_point_set,
+    sample_points,
     substream,
 )
 from .operators import SpaceSpec, comp_matrix, comp_norm_bound, op_norm_lower, \
@@ -558,11 +559,9 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             coord_top = _worst(op_norm_lower(s, trace_degrees=[n]).lower
                                for s in sections)
             # negated after the subtraction, so a zero margin keeps its sign
-            min_margin = -_worst(
-                -(bound - lower) for lower, bound in (row_mult_norm(
-                    bmap, sample_point_set(rng, dim, params["row_radius"],
-                                           1).points[0], sections)
-                    for _ in range(params["row_points"])))
+            ws = sample_points(rng, dim, params["row_radius"], params["row_points"])
+            min_margin = -_worst(-(bound - lower) for lower, bound in (
+                row_mult_norm(bmap, w, sections) for w in ws))
             inv_lower, inv_upper = inv_kernel_mult_norm(bmap, alpha, n)
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
                          min_margin, inv_lower, inv_upper])

@@ -31,6 +31,7 @@ __all__ = [
     "eig_tolerance",
     "find_negative_witness",
     "sample_point_set",
+    "sample_points",
     "substream",
     "trial_stream",
 ]
@@ -44,7 +45,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MIN_POINT_SEPARATION = 1e-9
 # tolerance = TOL_SCALE * size * ||G|| * eps in every positivity verdict
 TOL_SCALE = 100.0
-# rejections after which sample_point_set gives up
+# rejections after which a point draw gives up
 MAX_REJECTS = 10000
 
 
@@ -74,9 +75,8 @@ class PointSet:
         radii = np.linalg.norm(arr, axis=1)
         if np.any(radii >= 1.0):
             raise DomainError(f"max |point| = {float(np.max(radii)):.6g}; need < 1")
-        close = _close(arr[:, None, :], arr[None, :, :])
-        close[np.diag_indices_from(close)] = False
-        if close.any():
+        # each point is _close to itself; any other close pair is refused
+        if np.count_nonzero(_close(arr[:, None, :], arr[None, :, :])) > len(arr):
             raise ValueError("points must be pairwise separated by > 1e-9")
         self.points = arr
 
@@ -302,6 +302,24 @@ def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
     return rad * np.exp(1j * theta)
 
 
+def _round(rng: np.random.Generator, dim: int, radius: float, k: int) -> tuple:
+    """``k`` candidates from one draw: indices and points of the ``_inside`` ones,
+    or None for the points when there are none."""
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie strictly between 0 and 1")
+    u = rng.random((k, 2 * dim))
+    idx = _inside(u, radius).nonzero()[0]
+    return idx, _candidates(u.take(idx, axis=0), radius) if len(idx) else None
+
+
+def _check_rejects(rejects: int, count: int, dim: int, radius: float) -> None:
+    """Give up past MAX_REJECTS rejections, naming the draw."""
+    if rejects > MAX_REJECTS:
+        raise SamplingError(
+            f"point sampling failed to fill the set: {count} points in dim {dim} "
+            f"at radius {radius:g} took over MAX_REJECTS = {MAX_REJECTS} rejections")
+
+
 def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
                      count: int) -> PointSet:
     """Draw ``count`` points from the ball of the given radius.
@@ -309,30 +327,48 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     Each coordinate gets a uniform angle and an area-uniform radius.
     ``_inside`` judges the radius cap on a candidate's radius uniforms, so a
     point's float norm may exceed ``radius`` by a few ulps; a candidate
-    ``_close`` to a kept point is re-drawn.  Exactly 2 * dim variates are
-    consumed per candidate, so callers may share one generator across
-    draws.  A set whose separation check would need more than
-    MAX_SECTION_BYTES is refused before anything is drawn.
+    ``_close`` to a kept point is rejected.  Draws come in rounds of exactly
+    the candidates still needed, 2 * dim variates each, so a shared generator
+    ends where a one-at-a-time draw leaves it.  A set whose separation check
+    needs more than MAX_SECTION_BYTES is refused before anything is drawn.
     """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie strictly between 0 and 1")
-    # PointSet checks separation on count x count complex differences
-    _check_bytes(count * count * dim * np.dtype(complex).itemsize,
-                 f"the separation check of {count} points in dim {dim}")
-    pts = np.zeros((count, dim), dtype=complex)
-    have = 0
-    rejects = 0
+    # per pair, _close holds a complex difference, its modulus, a sum and a verdict
+    _check_bytes(count * count * 33, f"separating {count} points in dim {dim}")
+    pts, have, rejects = np.zeros((count, dim), dtype=complex), 0, 0
     while have < count:
-        u = rng.random(2 * dim)
-        if _inside(u, radius):
-            pts[have] = _candidates(u, radius)
-            if not np.any(_close(pts[:have], pts[have])):
-                have += 1
-                continue
-        rejects += 1
-        if rejects > MAX_REJECTS:
-            raise SamplingError("point sampling failed to fill the set")
+        _check_rejects(rejects, count, dim, radius)
+        idx, new = _round(rng, dim, radius, count - have)
+        rejects += count - have - len(idx)
+        if new is None:
+            continue
+        # each new point is _close to itself; another close pair is walked
+        if np.count_nonzero(_close(np.concatenate([pts[:have], new])[None],
+                                   new[:, None])) == len(new):
+            pts[have:have + len(new)] = new
+            have += len(new)
+            continue
+        for p in new:  # in order, as a one-at-a-time draw
+            pts[have] = p
+            close = bool(_close(pts[:have], p).any())
+            have, rejects = have + (not close), rejects + close
     return PointSet(pts)
+
+
+def sample_points(rng: np.random.Generator, dim: int, radius: float,
+                  count: int) -> np.ndarray:
+    """``count`` draws ``sample_point_set(rng, dim, radius, 1)`` as one (count, dim)
+    array, drawn in the same rounds; each point keeps its own MAX_REJECTS."""
+    _check_bytes(count * 2 * dim * 8, f"the uniforms of {count} points in dim {dim}")
+    pts, have, drawn, last = np.zeros((count, dim), dtype=complex), 0, 0, -1
+    while have < count:
+        # a point's own draw gives up past MAX_REJECTS rejections in a row
+        _check_rejects(drawn - last - 1, count, dim, radius)
+        idx, new = _round(rng, dim, radius, count - have)
+        if new is not None:
+            _check_rejects(np.diff(idx, prepend=last - drawn).max() - 1, count, dim, radius)
+            pts[have:have + len(idx)], last = new, drawn + idx[-1]
+        drawn, have = drawn + count - have, have + len(idx)
+    return pts
 
 
 def seed_tuple(seed) -> tuple:

@@ -441,12 +441,16 @@ def test_oversized_combo_degree_exits_two_before_allocating(tmp_path, capsys):
 
 
 def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys):
-    # a radius-0.95 ball in dim 9 is too rare a draw from the polydisk
-    cfg = _cfg(tmp_path, "psd", params={
-        "spec": {"kind": "ball", "dim": 9, "alpha": 1.0}, "point_count": 40})
-    assert main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: point sampling failed to fill the set\n"
+    # a radius-0.95 ball in dim d is a draw of 1 in d! from the polydisk:
+    # too rare in dim 9 for 40 points, and in dim 7 for 5
+    for dim, count in ((9, 40), (7, 5)):
+        cfg = _cfg(tmp_path, "psd", params={
+            "spec": {"kind": "ball", "dim": dim, "alpha": 2.0}, "point_count": count})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: point sampling failed to fill the set: {count} "
+                       f"points in dim {dim} at radius 0.95 took over "
+                       "MAX_REJECTS = 10000 rejections\n")
 
 
 @pytest.mark.parametrize("exc", [

@@ -1,15 +1,17 @@
-"""Default-config digests: the JSON report of every experiment at its default
-config, at seeds 0, 1 and 2, must hash to the sha256 committed in
-tests/golden/default_digests.json.
+"""Default-config reports at seeds 0-2 must keep the sha256 digests in
+tests/golden/default_digests.json, and so must a few sampler-heavy configs.
 
 The reduced goldens of test_golden.py run at one seed, and a change in how a
 single value is rounded can show at other seeds only, so these full-size
-reports are pinned at three.  All thirty runs share one subprocess with one
-BLAS thread.  To regenerate the file after an intended change, see README.md
-("Golden reports") and say why in CHANGES.md.
+reports are pinned at three.  The sampler-heavy configs draw hundreds of
+points into one set, or row points in dim 6, where one candidate in 720 is
+admitted.  All runs share one subprocess with one BLAS thread.  To
+regenerate the file after an intended change, see README.md ("Golden
+reports") and say why in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +21,16 @@ from pathlib import Path
 DIGESTS = Path(__file__).resolve().parent / "golden" / "default_digests.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (0, 1, 2)
+# label: (experiment, params, seeds)
+SAMPLER_CONFIGS = {
+    "psd-ball2-400": ("psd", {"point_count": 400, "spec": {
+        "kind": "ball", "dim": 2, "alpha": 2.0}}, SEEDS),
+    "psd-ball3-300": ("psd", {"point_count": 300, "spec": {
+        "kind": "ball", "dim": 3, "alpha": 2.0}}, SEEDS),
+    "ball-lemma-dim6": ("ball-lemma", {"maps": 3, "dim": 6, "section_degree": 1,
+                                       "cert_points": 2, "row_points": 10}, SEEDS),
+    "ball-lemma-maps30": ("ball-lemma", {"maps": 30}, (0,)),
+}
 
 
 def default_reports():
@@ -32,10 +44,22 @@ def default_reports():
             yield f"{name}@{seed}", render_report(run_experiment(cfg), "json")
 
 
+def sampler_reports():
+    """(label@seed, JSON report text) of each of SAMPLER_CONFIGS."""
+    from kernelcomp.cli import ExperimentConfig, render_report, run_experiment
+
+    for label, (name, params, seeds) in SAMPLER_CONFIGS.items():
+        for seed in seeds:
+            cfg = ExperimentConfig.from_dict(
+                {"name": name, "params": params, "seed": seed})
+            yield f"{label}@{seed}", render_report(run_experiment(cfg), "json")
+
+
 def default_digests() -> dict:
-    """sha256 of each experiment's default-config JSON report, by name@seed."""
+    """sha256 of each JSON report of default_reports and sampler_reports,
+    by name@seed or label@seed."""
     return {key: hashlib.sha256(text.encode("utf-8")).hexdigest()
-            for key, text in default_reports()}
+            for key, text in itertools.chain(default_reports(), sampler_reports())}
 
 
 def test_default_reports_match_committed_digests():

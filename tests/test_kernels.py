@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,12 @@ from kernelcomp.kernels import (
     DomainError,
     KernelSpec,
     PointSet,
+    SamplingError,
     check_psd,
     find_negative_witness,
     gram,
     sample_point_set,
+    sample_points,
     seed_tuple,
     substream,
     trial_stream,
@@ -369,17 +372,139 @@ def test_gram_bytes_unchanged_for_every_kind(name):
     assert entries.tobytes() == _serial_gram_entries(spec, pts.points).tobytes()
 
 
+class _Rows:
+    """A generator that serves planted candidate rows in order: random(shape)
+    and uniform(low, high, size) read the next values."""
+
+    def __init__(self, rows):
+        self.values = np.asarray(rows, dtype=float).ravel()
+        self.read = 0
+
+    def random(self, shape):
+        n = int(np.prod(shape))
+        if self.read + n > len(self.values):
+            raise IndexError("the planted rows ran out")
+        self.read += n
+        return self.values[self.read - n:self.read].reshape(shape)
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
+
+
+def _same_draw(new, old, dim, radius, count, max_rejects=10000):
+    """sample_point_set on ``new`` and the serial oracle on ``old`` keep the
+    same points and leave the generators in the same state, or both give up."""
+    try:
+        got = sample_point_set(new, dim, radius, count).points
+    except SamplingError:
+        with pytest.raises(RuntimeError, match="failed to fill"):
+            _serial_sample_point_set(old, dim, radius, count, max_rejects)
+        return False
+    expect = _serial_sample_point_set(old, dim, radius, count, max_rejects).points
+    assert got.tobytes() == expect.tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+    return True
+
+
 def test_sample_point_set_consumes_the_same_draws_as_before():
-    for dim, radius, count in ((1, 0.5, 50), (2, 0.95, 8), (2, 0.3, 20),
-                               (3, 0.9, 6)):
-        new = np.random.default_rng((dim, count))
-        old = np.random.default_rng((dim, count))
-        # several sets from one shared generator, as ball-lemma draws them
-        for _ in range(4):
-            a = sample_point_set(new, dim, radius, count)
-            b = _serial_sample_point_set(old, dim, radius, count)
-            assert np.array_equal(a.points, b.points)
-        assert new.random() == old.random()
+    # several sets from one shared generator, as ball-lemma draws them, in
+    # rounds of 1 to 400 candidates
+    cases = [(1, 0.5, [50] * 4), (2, 0.95, [8] * 4), (2, 0.3, [20] * 4),
+             (3, 0.9, [6] * 4)]
+    cases += [(dim, 0.95, [1, 2, 40, 400, 2, 40, 1, 1, 2, 40]) for dim in (1, 2, 3, 4)]
+    for dim, radius, counts in cases:
+        new = np.random.default_rng((dim, counts[0]))
+        old = np.random.default_rng((dim, counts[0]))
+        for count in counts:
+            assert _same_draw(new, old, dim, radius, count)
+
+
+def _planted_rows():
+    """Candidate rows of a dim-2 draw of 5 points at radius 0.9 with
+    MIN_POINT_SEPARATION 0.05, and the indices of the rows kept."""
+    def turned(row, by=0.001):  # about 0.0025 from row
+        return [row[0] + by] + row[1:]
+
+    a, b, c = [0.1, 0.2, 0.2, 0.2], [0.4, 0.6, 0.3, 0.1], [0.7, 0.9, 0.1, 0.3]
+    d, e = [0.3, 0.5, 0.4, 0.4], [0.9, 0.1, 0.05, 0.6]
+    rows = [a, turned(a), b, c, [0.5, 0.5, 0.7, 0.5],  # round 1: an inner pair
+            turned(b), d,                              # round 2: b is kept
+            turned(d, -0.001),                         # round 3: d is kept
+            e]
+    return rows, [0, 2, 3, 6, 8]
+
+
+def test_rounds_walk_planted_close_pairs_in_order(monkeypatch):
+    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.05)
+    rows, keep = _planted_rows()
+    new, old = _Rows(rows), _Rows(rows)
+    got = sample_point_set(new, 2, 0.9, 5).points
+    assert got.tobytes() == _serial_sample_point_set(old, 2, 0.9, 5).points.tobytes()
+    assert new.read == old.read == 4 * len(rows)
+    assert got.tobytes() == kernels._candidates(np.array(rows)[keep], 0.9).tobytes()
+    # a wide separation on drawn streams: close pairs in and across rounds
+    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.3)
+    for dim in (1, 2):
+        new, old = np.random.default_rng((dim, 21)), np.random.default_rng((dim, 21))
+        for count in (2, 5, 8, 5, 2):
+            assert _same_draw(new, old, dim, 0.95, count)
+
+
+def test_rounds_give_up_where_the_serial_draw_does(monkeypatch):
+    # in dim 3 one polydisk draw in 6 is admitted: 4 points take about 20
+    # rejections, so a limit of 20 is passed on many of the seeds
+    monkeypatch.setattr(kernels, "MAX_REJECTS", 20)
+    filled = [_same_draw(np.random.default_rng(seed), np.random.default_rng(seed),
+                         3, 0.9, 4, max_rejects=20) for seed in range(120)]
+    assert 20 < sum(filled) < 100
+
+
+def _one_point_draws(rng, dim, radius, count, max_rejects=10000):
+    """The points of ``count`` serial one-point draws, as ball-lemma drew them."""
+    return np.array([_serial_sample_point_set(rng, dim, radius, 1, max_rejects).points[0]
+                     for _ in range(count)])
+
+
+def test_row_points_equal_one_point_draws():
+    for dim, count in ((1, 10), (2, 10), (3, 7), (6, 10)):
+        new, old = np.random.default_rng((dim, 22)), np.random.default_rng((dim, 22))
+        for _ in range(3):
+            got = sample_points(new, dim, 0.6, count)
+            assert got.tobytes() == _one_point_draws(old, dim, 0.6, count).tobytes()
+            assert new.bit_generator.state == old.bit_generator.state
+    assert sample_points(np.random.default_rng(0), 2, 0.6, 0).shape == (0, 2)
+
+
+def test_row_points_keep_a_limit_per_point(monkeypatch):
+    # in dim 3 a point alone passes 8 rejections 1 time in 5, so 6 points
+    # fill about 1 time in 4, and most of those take more than 8 in all
+    monkeypatch.setattr(kernels, "MAX_REJECTS", 8)
+    per_set = []
+    for seed in range(60):
+        try:
+            got = sample_points(np.random.default_rng(seed), 3, 0.6, 6)
+        except SamplingError:
+            with pytest.raises(RuntimeError, match="failed to fill"):
+                _one_point_draws(np.random.default_rng(seed), 3, 0.6, 6, 8)
+            continue
+        expect = _one_point_draws(np.random.default_rng(seed), 3, 0.6, 6, 8)
+        assert got.tobytes() == expect.tobytes()
+        per_set.append(_same_draw(np.random.default_rng(seed),
+                                  np.random.default_rng(seed), 3, 0.6, 6, 8))
+    # some draws fill every point while passing the limit in all
+    assert 5 < len(per_set) < 55 and not all(per_set)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_separation_check_stays_within_the_bytes_it_checks(monkeypatch, dim):
+    checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
+    tracemalloc.start()
+    try:
+        sample_point_set(np.random.default_rng(dim), dim, 0.95, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checked[0] / 2 < peak <= checked[0]
 
 
 @pytest.mark.parametrize("name", sorted(_KIND_SPECS))
@@ -516,8 +641,7 @@ def _screen_and_sampler(monkeypatch, block, radius, count):
         kept = _spy(mp, "_kernel_matrix", lambda spec, pts: pts)
         deferred = kernels._screen(KernelSpec.ball(dim, 1.0), (0,), range(len(block)),
                                    radius, count, block.shape[1])
-    serial = [sample_point_set(mock.Mock(random=mock.Mock(side_effect=list(rows))),
-                               dim, radius, count).points.tobytes()
+    serial = [sample_point_set(_Rows(rows), dim, radius, count).points.tobytes()
               for rows in block]
     return deferred, [k.tobytes() for k in kept[0]], serial
 
