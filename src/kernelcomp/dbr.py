@@ -2,11 +2,11 @@
 
 For a polynomial self-map b, the space in play is the range of the defect
 (I - M_b M_b*)^(1/2) inside the square-summable Taylor space, with the range
-norm.  Two independent norm routes are implemented: exact Gram algebra on
-finite kernel combinations, and the defect-matrix pseudoinverse on truncated
-coefficient vectors.  The defect matrix is exact for polynomial symbols
-because multiplication by b raises degree and its adjoint lowers it, so the
-truncation commutes with the defect.
+norm.  Finite kernel combinations get their norm from exact Gram algebra
+and their Taylor coefficients by linearity over the nodes.  The defect
+matrix's eigenbasis gives the orthonormal modes of the degree-truncated
+space; it is exact for polynomial symbols because multiplication by b raises
+degree and its adjoint lowers it, so the truncation commutes with the defect.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .kernels import (
     NEGATIVE,
     KernelSpec,
     PointSet,
-    check_psd,
+    _certificate,
     eig_tolerance,
     gram,
 )
@@ -31,11 +31,9 @@ __all__ = [
     "KernelPositivityError",
     "KernelCombo",
     "OnbApprox",
-    "kernel_section_poly",
     "combo_to_poly",
     "hb_norm_combo",
     "defect_matrix",
-    "hb_norm_defect",
     "onb_defect",
     "szego_residual",
     "summation_partial",
@@ -89,47 +87,49 @@ def hb_norm_combo(combo: KernelCombo) -> float:
     positivity error because it cannot happen for an admissible symbol.
     """
     spec = combo.spec()
-    cert = check_psd(spec, combo.nodes)
+    g = gram(spec, combo.nodes)
+    cert = _certificate(spec, combo.nodes, g)
     if cert.verdict == NEGATIVE:
         raise KernelPositivityError(
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
-    g = gram(spec, combo.nodes)
     q = float(np.real(np.vdot(combo.coeffs, g @ combo.coeffs)))
     return math.sqrt(max(q, 0.0))
 
 
-def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
-                        degree: int) -> DiskPoly:
-    """Taylor coefficients through ``degree`` of the kernel section at w.
-
-    The section is (1 - b(z) conj(b(w))) ** alpha times the alpha-weight
-    geometric factor sum_n binom(n + alpha - 1, n) conj(w)^n z^n; both factors
-    are polynomials or explicit series, so the truncation is exact through
-    the requested degree.
-    """
-    _require_nonconstant(b)
-    if int(alpha) != alpha or alpha < 1:
-        raise ValueError("alpha must be a positive integer")
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError("nodes must lie strictly inside the disk")
-    alpha = int(alpha)
-    _check_bytes((degree + 1) * np.dtype(complex).itemsize,
-                 f"{degree + 1} coefficients")
-    numer = (DiskPoly.one() + (-np.conj(b(w))) * b.series) ** alpha
-    geo = DiskPoly(
-        [math.comb(n + alpha - 1, n) * np.conj(w) ** n for n in range(degree + 1)]
-    )
-    return (numer * geo).truncated(degree)
-
-
 def combo_to_poly(combo: KernelCombo, degree: int) -> DiskPoly:
-    """Truncated Taylor form of a kernel combination."""
-    out = DiskPoly.zero()
-    for node, c in zip(combo.nodes.points[:, 0], combo.coeffs):
-        out = out + c * kernel_section_poly(combo.b, combo.alpha, node, degree)
-    return out.truncated(degree)
+    """Taylor coefficients through ``degree`` of a kernel combination.
+
+    Node k's section is (1 - beta_k b)^alpha g_k, with beta_k = conj(b(w_k))
+    and g_k the weighted geometric row binom(n + alpha - 1, n) conj(w_k)^n.
+    With 1 - beta_k b = a_k - beta_k (b - b(0)) and a_k = 1 - beta_k b(0),
+    the binomial expansion makes the combination the sum over j <= alpha of
+    (b - b(0))^j times sum_k binom(alpha, j) a_k^(alpha - j) (-beta_k)^j c_k g_k:
+    alpha + 1 weighted sums of the nodes' rows, each convolved with a power
+    of b - b(0).  Centring at b(0) leaves the cancellation in a_k to one
+    subtraction, as a product of the node's factors has it.  Every power is
+    truncated at ``degree``, as is the result, so the truncation is exact
+    through the requested degree.
+    """
+    alpha = combo.alpha
+    w = combo.nodes.points[:, 0]
+    _check_bytes(w.size * (degree + 1) * np.dtype(complex).itemsize,
+                 f"{w.size}x{degree + 1} coefficients")
+    weight = np.array([math.comb(n + alpha - 1, n) for n in range(degree + 1)],
+                      dtype=float)
+    rows = weight * np.conj(w)[:, None] ** np.arange(degree + 1)
+    beta = np.conj(combo.b(w))
+    lead = 1.0 - beta * combo.b.center
+    shift = combo.b.series.trimmed()[: degree + 1].copy()
+    shift[0] = 0.0
+    power = np.ones(1, dtype=complex)
+    out = np.zeros(degree + 1, dtype=complex)
+    for j in range(alpha + 1):
+        if j:
+            power = np.convolve(power, shift)[: degree + 1]
+        scale = math.comb(alpha, j) * lead ** (alpha - j) * (-beta) ** j
+        out += np.convolve(power, (scale * combo.coeffs) @ rows)[: degree + 1]
+    return DiskPoly(out)
 
 
 def defect_matrix(b: SelfMapDisk, degree: int) -> np.ndarray:
@@ -153,25 +153,6 @@ def _defect_eigs(b: SelfMapDisk, degree: int, rank_tol: float | None):
     if rank_tol is None:
         rank_tol = float(eig_tolerance(lam))
     return lam, u, rank_tol
-
-
-def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> tuple:
-    """Range norm of a polynomial via the defect pseudoinverse.
-
-    Solves the defect against f in the eigenbasis, keeping modes above the
-    rank tolerance.  Returns (value, residual): the component of f outside
-    the numerical range shows up as the residual; a residual above about
-    1e-6 marks f as (numerically) not in the space, and the value is still
-    reported for diagnosis.
-    """
-    if f.degree() > degree:
-        raise ValueError("f must have degree at most the section degree")
-    lam, u, rank_tol = _defect_eigs(b, degree, None)
-    y = u.conj().T @ f.padded(degree)
-    kept = lam > rank_tol
-    value = math.sqrt(float(np.sum(np.abs(y[kept]) ** 2 / lam[kept]))) \
-        if np.any(kept) else 0.0
-    return value, float(np.linalg.norm(y[~kept]))
 
 
 @dataclass

@@ -269,7 +269,14 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     entries span more than about 1 / eps resolves no eigenvalue below that
     tolerance, so its PSD verdict certifies little.
     """
-    lam, vec = np.linalg.eigh(gram(spec, point_set))
+    return _certificate(spec, point_set, gram(spec, point_set))
+
+
+def _certificate(spec: KernelSpec, point_set: PointSet,
+                 g: np.ndarray) -> PositivityCertificate:
+    """``check_psd``'s verdict on ``g``, the already built Gram of ``spec``
+    on ``point_set``."""
+    lam, vec = np.linalg.eigh(g)
     lo = float(lam[0])
     tol = float(eig_tolerance(lam))
     if lo >= -tol:

@@ -286,9 +286,14 @@ class BallPoly:
         return f"BallPoly(dim={self.dim}, terms={len(self.coefs)})"
 
 
+@lru_cache(maxsize=8)
 def _circle_points(grid_size: int) -> np.ndarray:
+    """``grid_size`` equally spaced points on the unit circle: built once per
+    size and shared, so it is returned read-only."""
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return np.exp(1j * theta)
+    out = np.exp(1j * theta)
+    out.flags.writeable = False
+    return out
 
 
 def sup_norm_circle(f: DiskPoly, grid_size: int) -> float:

@@ -13,14 +13,19 @@ a test vector.  ``unnormalized_kernel_combo`` draws the combination
 ``random_kernel_combo`` draws, before its scaling to unit norm.
 ``exact_inv_kernel_weight`` gives the inverse-kernel weight's Taylor
 coefficients in exact rational arithmetic, from a recurrence that never
-expands in powers of s - s(0).
+expands in powers of s - s(0).  ``kernel_section_poly`` expands one node's
+kernel section through ``DiskPoly`` powers and products, the per-node route
+that ``dbr.combo_to_poly`` replaced by linearity over the nodes.
+``hb_norm_defect`` takes the range norm of a polynomial from the defect
+pseudoinverse, a route independent of the node Gram in ``hb_norm_combo``.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from kernelcomp.dbr import KernelCombo
+from kernelcomp.dbr import KernelCombo, _defect_eigs, _require_nonconstant
 from kernelcomp.kernels import DomainError, KernelSpec, sample_point_set
 from kernelcomp.operators import (
     SectionMatrix,
@@ -31,7 +36,7 @@ from kernelcomp.operators import (
     monomial_norms,
     mult_matrix,
 )
-from kernelcomp.series import DiskPoly, ParameterError, SelfMapDisk
+from kernelcomp.series import DiskPoly, ParameterError, SelfMapDisk, _check_bytes
 
 
 def compose(f: DiskPoly, b: SelfMapDisk, out_degree: int,
@@ -220,3 +225,47 @@ def exact_inv_kernel_weight(b, alpha: int, top: int) -> dict:
     scale = q ** -alpha
     return {m: complex(float(scale * re), float(scale * im))
             for part in parts for m, (re, im) in part.items()}
+
+
+def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
+                        degree: int) -> DiskPoly:
+    """Taylor coefficients through ``degree`` of the kernel section at w.
+
+    The section is (1 - b(z) conj(b(w))) ** alpha times the alpha-weight
+    geometric factor sum_n binom(n + alpha - 1, n) conj(w)^n z^n; both factors
+    are polynomials or explicit series, so the truncation is exact through
+    the requested degree.
+    """
+    _require_nonconstant(b)
+    if int(alpha) != alpha or alpha < 1:
+        raise ValueError("alpha must be a positive integer")
+    w = complex(w)
+    if abs(w) >= 1.0:
+        raise ValueError("nodes must lie strictly inside the disk")
+    alpha = int(alpha)
+    _check_bytes((degree + 1) * np.dtype(complex).itemsize,
+                 f"{degree + 1} coefficients")
+    numer = (DiskPoly.one() + (-np.conj(b(w))) * b.series) ** alpha
+    geo = DiskPoly(
+        [math.comb(n + alpha - 1, n) * np.conj(w) ** n for n in range(degree + 1)]
+    )
+    return (numer * geo).truncated(degree)
+
+
+def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> tuple:
+    """Range norm of a polynomial via the defect pseudoinverse.
+
+    Solves the defect against f in the eigenbasis, keeping modes above the
+    rank tolerance.  Returns (value, residual): the component of f outside
+    the numerical range shows up as the residual; a residual above about
+    1e-6 marks f as (numerically) not in the space, and the value is still
+    reported for diagnosis.
+    """
+    if f.degree() > degree:
+        raise ValueError("f must have degree at most the section degree")
+    lam, u, rank_tol = _defect_eigs(b, degree, None)
+    y = u.conj().T @ f.padded(degree)
+    kept = lam > rank_tol
+    value = math.sqrt(float(np.sum(np.abs(y[kept]) ** 2 / lam[kept]))) \
+        if np.any(kept) else 0.0
+    return value, float(np.linalg.norm(y[~kept]))

@@ -14,7 +14,6 @@ from kernelcomp.cli import ExperimentConfig, main, run_experiment
 from kernelcomp.dbr import (
     combo_to_poly,
     hb_norm_combo,
-    hb_norm_defect,
     onb_defect,
     summation_partial,
     szego_residual,
@@ -23,7 +22,7 @@ from kernelcomp.kernels import PointSet, sample_point_set
 from kernelcomp.operators import SpaceSpec, comp_matrix, op_norm_lower
 from kernelcomp.sampling import random_disk_symbol
 from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor
-from oracles import unnormalized_kernel_combo
+from oracles import hb_norm_defect, unnormalized_kernel_combo
 
 H2 = SpaceSpec(1, 1.0)
 SQRT3 = math.sqrt(3.0)

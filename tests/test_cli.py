@@ -272,6 +272,15 @@ def test_hardy_bound_runs_a_one_column_section(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_theorem1_runs_at_combo_degree_zero(tmp_path, capsys):
+    # degree 0 keeps only f(0), so each weighted section is f(0) C_b
+    out = tmp_path / "t.json"
+    cfg = _cfg(tmp_path, "theorem1", params={"trials": 3, "combo_degree": 0})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["trace"]["rows"]) == 3
+    capsys.readouterr()
+
+
 def test_run_with_no_checks_exits_two(tmp_path, capsys):
     cfg = _cfg(tmp_path, "theorem1", params={"trials": 0})
     assert main(["run", "--config", str(cfg)]) == 2

@@ -11,16 +11,19 @@ from kernelcomp.dbr import (
     combo_to_poly,
     defect_matrix,
     hb_norm_combo,
-    hb_norm_defect,
-    kernel_section_poly,
     onb_defect,
     summation_partial,
     szego_residual,
 )
-from kernelcomp.kernels import KernelSpec, PointSet
+from kernelcomp.kernels import KernelSpec, PointSet, sample_point_set
 from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
 from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor, sup_norm_circle
-from oracles import eval_kernel, unnormalized_kernel_combo
+from oracles import (
+    eval_kernel,
+    hb_norm_defect,
+    kernel_section_poly,
+    unnormalized_kernel_combo,
+)
 
 
 def _symbols():
@@ -85,6 +88,29 @@ def test_combo_to_poly_is_linear_combination_of_sections():
     q2 = kernel_section_poly(b, 2, -0.3, 60)
     expect = q1.coeffs - 2.0 * q2.coeffs
     assert np.max(np.abs(p.coeffs - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_combo_to_poly_matches_per_node_oracle(alpha):
+    # the linear route against the per-node expansion at degrees 0, 1, one
+    # below alpha * deg b (where the powers of b get truncated) and 72, on a
+    # cubic and on a long Blaschke symbol, with one to five nodes.  The error
+    # is measured against sum_k |c_k| |section_k|, the scale rounding acts
+    # on: where the sections cancel, both routes lose the same digits.
+    rng = np.random.default_rng(40 + alpha)
+    cubic = SelfMapDisk(DiskPoly([0.1, 0.4, 0.2, 0.15]))
+    for b in (cubic, blaschke_factor(0.3)):
+        for degree in (0, 1, alpha * b.degree() - 1, 72):
+            for count in range(1, 6):
+                nodes = sample_point_set(rng, 1, 0.6, count)
+                coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+                got = combo_to_poly(KernelCombo(b, alpha, nodes, coeffs), degree)
+                sections = [kernel_section_poly(b, alpha, w, degree).coeffs
+                            for w in nodes.points[:, 0]]
+                expect = sum(c * s for c, s in zip(coeffs, sections))
+                scale = sum(abs(c) * np.linalg.norm(s) for c, s in zip(coeffs, sections))
+                assert got.coeffs.shape == (degree + 1,)
+                assert np.linalg.norm(got.coeffs - expect) <= 1e-14 * scale
 
 
 def test_defect_matrix_for_monomial_square():

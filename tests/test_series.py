@@ -355,6 +355,19 @@ def test_ball_map_admission():
         BallMap([BallPoly(1, {(1,): 1.0}), BallPoly(1, {(1,): 1.0})])
 
 
+def test_circle_grid_is_cached_bounded_and_read_only():
+    # the values a fresh grid gives, bit for bit, built once per size
+    for size in (16, 1024, 4096):
+        fresh = np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
+        pts = _circle_points(size)
+        assert pts.tobytes() == fresh.tobytes()
+        assert _circle_points(size) is pts
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
+    # inf-estimate takes its grid size from the config
+    assert _circle_points.cache_info().maxsize is not None
+
+
 def test_ball_map_sphere_sample_is_cached_and_read_only():
     # the values a fresh draw gives, bit for bit, drawn once per (dim, count)
     for dim in (1, 2, 3):
