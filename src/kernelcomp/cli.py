@@ -32,7 +32,6 @@ from .kernels import (
     SamplingError,
     check_psd,
     sample_point_set,
-    sample_points,
     substream,
 )
 from .operators import SpaceSpec, comp_matrix, comp_norm_bound, op_norm_lower, \
@@ -559,7 +558,8 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             coord_top = _worst(op_norm_lower(s, trace_degrees=[n]).lower
                                for s in sections)
             # negated after the subtraction, so a zero margin keeps its sign
-            ws = sample_points(rng, dim, params["row_radius"], params["row_points"])
+            ws = sample_point_set(rng, dim, params["row_radius"],
+                                  params["row_points"]).points
             min_margin = -_worst(-(bound - lower) for lower, bound in (
                 row_mult_norm(bmap, w, sections) for w in ws))
             inv_lower, inv_upper = inv_kernel_mult_norm(bmap, alpha, n)
@@ -800,7 +800,7 @@ COMMANDS = {
 # the documented type of each parameter whose default is None
 _NONE_DEFAULT_LIKE = {"trace_degrees": [0], "mode_count": 0, "rank_tol": 0.0}
 
-_NONZERO = {"point_count", "cert_points", "symbol_degree_max", "alphas"}
+_NONZERO = {"point_count", "cert_points", "row_points", "symbol_degree_max", "alphas"}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", dict: "a json object", list: "a list"}

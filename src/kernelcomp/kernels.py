@@ -9,7 +9,6 @@ eigenvector).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "eig_tolerance",
     "find_negative_witness",
     "sample_point_set",
-    "sample_points",
     "substream",
     "trial_stream",
 ]
@@ -45,7 +43,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MIN_POINT_SEPARATION = 1e-9
 # tolerance = TOL_SCALE * size * ||G|| * eps in every positivity verdict
 TOL_SCALE = 100.0
-# rejections after which a point draw gives up
+# separation rejections after which a point draw gives up
 MAX_REJECTS = 10000
 
 
@@ -287,12 +285,6 @@ def _certificate(spec: KernelSpec, point_set: PointSet,
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
 
 
-def _inside(u: np.ndarray, radius: float) -> np.ndarray:
-    """One admission rule: radius * sqrt(sum of radius uniforms) < radius."""
-    rad2 = sum(u[..., k] for k in range(u.shape[-1] // 2, u.shape[-1]))
-    return radius * np.sqrt(rad2) < radius
-
-
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One separation rule: sum_k |a_k - b_k|^2 <= MIN_POINT_SEPARATION^2."""
     return sum(np.abs(a[..., k] - b[..., k]) ** 2
@@ -300,82 +292,59 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
-    """Candidate points from uniforms of shape (..., 2 * dim): dim angles
-    from the first dim uniforms, dim area-uniform radii from the last dim.
-    ``sample_point_set`` and the witness screen both build theirs here."""
+    """Points of the radius ball from uniforms of shape (..., 2 * dim): dim
+    angles from the first dim uniforms, and |z_k|^2 = radius^2 s_k from the
+    spacings s_k of the last dim, sorted.  Sorted, these are uniform on
+    {0 <= x_1 <= ... <= x_dim <= 1}, which the spacings s_1 = x_1, s_k =
+    x_k - x_{k-1} map with unit Jacobian onto the solid simplex {s >= 0,
+    sum s <= 1}; as a coordinate's area element is d|z_k|^2 d(arg z_k) / 2,
+    the point is uniform on the ball (L. Devroye, Non-Uniform Random Variate
+    Generation, Springer, 1986, ch. V).  None is rejected; in dim 1 the one
+    spacing is the uniform itself.  ``sample_point_set`` and the witness
+    screen both build theirs here."""
     dim = u.shape[-1] // 2
     theta = 2.0 * np.pi * u[..., :dim]
-    rad = radius * np.sqrt(u[..., dim:])
+    rad = radius * np.sqrt(np.diff(np.sort(u[..., dim:]), prepend=0.0))
     return rad * np.exp(1j * theta)
-
-
-def _round(rng: np.random.Generator, dim: int, radius: float, k: int) -> tuple:
-    """``k`` candidates from one draw: indices and points of the ``_inside`` ones,
-    or None for the points when there are none."""
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie strictly between 0 and 1")
-    u = rng.random((k, 2 * dim))
-    idx = _inside(u, radius).nonzero()[0]
-    return idx, _candidates(u.take(idx, axis=0), radius) if len(idx) else None
-
-
-def _check_rejects(rejects: int, count: int, dim: int, radius: float) -> None:
-    """Give up past MAX_REJECTS rejections, naming the draw."""
-    if rejects > MAX_REJECTS:
-        raise SamplingError(
-            f"point sampling failed to fill the set: {count} points in dim {dim} "
-            f"at radius {radius:g} took over MAX_REJECTS = {MAX_REJECTS} rejections")
 
 
 def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
                      count: int) -> PointSet:
     """Draw ``count`` points from the ball of the given radius.
 
-    Each coordinate gets a uniform angle and an area-uniform radius.
-    ``_inside`` judges the radius cap on a candidate's radius uniforms, so a
-    point's float norm may exceed ``radius`` by a few ulps; a candidate
-    ``_close`` to a kept point is rejected.  Draws come in rounds of exactly
-    the candidates still needed, 2 * dim variates each, so a shared generator
-    ends where a one-at-a-time draw leaves it.  A set whose separation check
-    needs more than MAX_SECTION_BYTES is refused before anything is drawn.
+    Each point reads 2 * dim uniforms: dim angles, and dim radius uniforms
+    whose sorted spacings are uniform on the solid simplex, which makes the
+    point uniform on the ball (Devroye, 1986, ch. V; see ``_candidates``).
+    Its float norm may pass ``radius`` by a few ulps.  A candidate
+    ``_close`` to a kept point is rejected, and more than MAX_REJECTS such
+    rejections raise ``SamplingError``.  Draws come in rounds of exactly the
+    candidates still needed, so a shared generator ends where a
+    one-at-a-time draw leaves it.  A set whose separation check needs more
+    than MAX_SECTION_BYTES is refused before anything is drawn.
     """
     # per pair, _close holds a complex difference, its modulus, a sum and a verdict
     _check_bytes(count * count * 33, f"separating {count} points in dim {dim}")
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie strictly between 0 and 1")
     pts, have, rejects = np.zeros((count, dim), dtype=complex), 0, 0
     while have < count:
-        _check_rejects(rejects, count, dim, radius)
-        idx, new = _round(rng, dim, radius, count - have)
-        rejects += count - have - len(idx)
-        if new is None:
-            continue
+        if rejects > MAX_REJECTS:
+            raise SamplingError(
+                f"point sampling failed to fill the set: {count} points in dim "
+                f"{dim} at radius {radius:g} took over MAX_REJECTS = "
+                f"{MAX_REJECTS} separation rejections")
+        new = _candidates(rng.random((count - have, 2 * dim)), radius)
         # each new point is _close to itself; another close pair is walked
         if np.count_nonzero(_close(np.concatenate([pts[:have], new])[None],
                                    new[:, None])) == len(new):
-            pts[have:have + len(new)] = new
-            have += len(new)
+            pts[have:] = new
+            have = count
             continue
         for p in new:  # in order, as a one-at-a-time draw
             pts[have] = p
             close = bool(_close(pts[:have], p).any())
             have, rejects = have + (not close), rejects + close
     return PointSet(pts)
-
-
-def sample_points(rng: np.random.Generator, dim: int, radius: float,
-                  count: int) -> np.ndarray:
-    """``count`` draws ``sample_point_set(rng, dim, radius, 1)`` as one (count, dim)
-    array, drawn in the same rounds; each point keeps its own MAX_REJECTS."""
-    _check_bytes(count * 2 * dim * 8, f"the uniforms of {count} points in dim {dim}")
-    pts, have, drawn, last = np.zeros((count, dim), dtype=complex), 0, 0, -1
-    while have < count:
-        # a point's own draw gives up past MAX_REJECTS rejections in a row
-        _check_rejects(drawn - last - 1, count, dim, radius)
-        idx, new = _round(rng, dim, radius, count - have)
-        if new is not None:
-            _check_rejects(np.diff(idx, prepend=last - drawn).max() - 1, count, dim, radius)
-            pts[have:have + len(idx)], last = new, drawn + idx[-1]
-        drawn, have = drawn + count - have, have + len(idx)
-    return pts
 
 
 def seed_tuple(seed) -> tuple:
@@ -430,38 +399,33 @@ def _uncleared(g: np.ndarray) -> np.ndarray:
 
 
 def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
-            count: int, draws: int) -> list:
+            count: int, n: int) -> list:
     """Trials of a chunk that the batched screen cannot clear, in order.
 
-    The chunk's blocks are read by one contiguous draw from the search's
-    ``trial_stream``.  A trial's block holds ``draws`` candidates of dim
-    angle and dim radius uniforms each, and the trial keeps its first
-    ``count`` ``_inside`` candidates; ``exp`` runs on those only.  These
-    are ``sample_point_set``'s points unless a pair of them is ``_close``.
-    A Gram G is cleared iff Cholesky of A = fl(G + s I) succeeds and its
-    backward error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
-    complex arithmetic) plus eps max_i A_ii fits in s = tol_lo / 4, where
-    tol_lo = TOL_SCALE * m * eps * max_i G_ii <= tol: then lambda_min(G) >=
-    -2 s >= -tol / 2, and the bound fits for m <= 23.  Returned are trials
-    whose Gram is not cleared, with fewer than ``count`` admitted
-    candidates, or with a ``_close`` pair of kept points; every trial when
-    the radius is out of range or one trial's Gram passes _CHUNK_VALUES.
+    The chunk's blocks of ``n`` uniforms are read by one contiguous draw
+    from the search's ``trial_stream``, and a trial's points are
+    ``_candidates`` of its first ``count`` rows of 2 * dim uniforms, uniform
+    on the ball by the simplex spacings of their radius uniforms (Devroye,
+    1986, ch. V), none rejected: the points ``sample_point_set`` draws from
+    the same block unless a pair of them is ``_close``.  A Gram G is cleared
+    iff Cholesky of A = fl(G + s I) succeeds and its backward error
+    gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for complex arithmetic)
+    plus eps max_i A_ii fits in s = tol_lo / 4, where tol_lo = TOL_SCALE * m
+    * eps * max_i G_ii <= tol: then lambda_min(G) >= -2 s >= -tol / 2, and
+    the bound fits for m <= 23.
+    Returned are trials whose Gram is not cleared or whose points hold a
+    ``_close`` pair; every trial when the radius is out of range or one
+    trial's Gram passes _CHUNK_VALUES.
     """
     if not 0.0 < radius < 1.0 or count * count > _CHUNK_VALUES:
         return list(trials)  # the serial path decides, or raises the error
-    dim, n = spec.dim, 2 * spec.dim
-    u = trial_stream(base, trials.start, draws * n).random(
-        (len(trials), draws, n))
-    inside = _inside(u, radius)
-    rank = np.cumsum(inside, axis=1)
-    full = rank[:, -1] >= count
-    pts = _candidates(u[inside & (rank <= count) & full[:, None]], radius)
-    pts = pts.reshape(-1, count, dim)
+    row = 2 * spec.dim
+    u = trial_stream(base, trials.start, n).random((len(trials), n))
+    pts = _candidates(u[:, :count * row].reshape(len(trials), count, row), radius)
     close = _close(pts[:, :, None], pts[:, None])
     close[:, np.arange(count), np.arange(count)] = False
-    defer = ~full
-    defer[full] |= close.any(axis=(1, 2)) | _uncleared(_kernel_matrix(spec, pts))
+    defer = close.any(axis=(1, 2)) | _uncleared(_kernel_matrix(spec, pts))
     return [t for t, d in zip(trials, defer) if d]
 
 
@@ -469,42 +433,38 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
                           set_size: int, budget: int):
     """Randomized search for a point set whose Gram fails positivity.
 
-    Trial t reads its candidates from ``trial_stream(seed, t, n)``, the
-    block of n uniforms at offset t * n of one stream, so the outcome is
-    independent of scheduling and restart.  Returns the first NEGATIVE
-    certificate, with the trial's points as ``witness.point_set``, or None
-    at the budget's end.
+    Trial t reads its points from ``trial_stream(seed, t, n)``, the block of
+    n uniforms at offset t * n of one stream, so the outcome is independent
+    of scheduling and restart.  A block is exactly the set_size * 2 * dim
+    uniforms of the trial's points, rounded up to a multiple of 4 (the
+    counter step), as the simplex spacings of ``_candidates`` (Devroye,
+    1986, ch. V) reject none.  Returns the
+    first NEGATIVE certificate, with the trial's points as
+    ``witness.point_set``, or None at the budget's end.
 
     Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
     witness at an early trial is found without screening a full chunk past
-    it.  ``_screen``, which keeps the sampler's points by the same
-    ``_inside`` and ``_close``, clears a trial only when a shifted Cholesky
-    with a backward-error bound proves lambda_min >= -tol / 2 for its Gram,
-    which differs from the serial one by a few ulps, far below the other
-    tol / 2.  The rest are decided again, in order, by ``sample_point_set``
-    on the same block, then ``gram`` and ``check_psd``; the first NEGATIVE
-    one is returned, as a one-at-a-time search would.  A trial whose
-    rejections run past its block reads into the next block, which only
-    correlates the two trials and never affects a verdict.  A negative
-    budget or an empty set raises ValueError.
+    it.  ``_screen`` clears a trial only when a shifted Cholesky with a
+    backward-error bound proves lambda_min >= -tol / 2 for its Gram, which
+    differs from the serial one by a few ulps, far below the other tol / 2.
+    The rest are decided, in order, by ``sample_point_set`` on the same
+    block, which reads the screen's own uniforms and so draws the screen's
+    points, then ``gram`` and ``check_psd``; the first NEGATIVE one is
+    returned, as a one-at-a-time search would.  A trial with a ``_close``
+    pair re-draws a point past its block, which only correlates it with the
+    next trial and never affects a verdict.  A negative budget or an empty
+    set raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"witness budget must be nonnegative, got {budget}")
     if set_size < 1:
         raise ValueError(f"set_size must be at least 1, got {set_size}")
     base = seed_tuple(seed)
-    # about twice the candidates a set needs, as a fraction 1 / dim! of the
-    # polydisk draws lands inside the radius cap; a screened set never needs
-    # more rejections than sample_point_set allows
-    draws = min(2 * set_size * math.factorial(spec.dim) + 16,
-                set_size + MAX_REJECTS)
-    draws -= draws % 2  # a block of n = 2 dim draws uniforms, a multiple of 4
-    n = 2 * spec.dim * draws
-    per_trial = max(set_size * set_size, n)
-    cap = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // per_trial))
+    n = -(-set_size * spec.dim // 2) * 4  # set_size * 2 dim, up to a multiple of 4
+    cap = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // max(set_size * set_size, n)))
     trials = range(0, min(1, budget))
     while trials:
-        for trial in _screen(spec, base, trials, radius, set_size, draws):
+        for trial in _screen(spec, base, trials, radius, set_size, n):
             pts = sample_point_set(trial_stream(base, trial, n), spec.dim,
                                    radius, set_size)
             cert = check_psd(spec, pts)

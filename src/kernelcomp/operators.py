@@ -117,7 +117,7 @@ def _grlex_rank(exps) -> np.ndarray:
 def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
     """Norms of the monomials z^m, aligned with ``grlex_monomials``.
 
-    ||z^m||^2 = m! / rising(alpha, |m|) where rising is the rising factorial;
+    ||z^m||^2 = m! / rising(alpha, |m|) with rising(a, k) = a (a + 1) ... (a + k - 1);
     evaluated through log-gamma so large degrees neither overflow nor lose
     the exact value 1 when alpha = 1.  Each (space, max_degree) is computed
     once, and every caller shares the one read-only array.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcomp import cli
+from kernelcomp import cli, kernels
 from kernelcomp.cli import (
     CLAIM_ANCHORS,
     COMMANDS,
@@ -230,6 +230,8 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "szego-identity parameter 'point_count' must be at least 1, got 0"),
             ({"name": "ball-lemma", "params": {"cert_points": 0}},
              "ball-lemma parameter 'cert_points' must be at least 1, got 0"),
+            ({"name": "ball-lemma", "params": {"maps": 1, "row_points": 0}},
+             "ball-lemma parameter 'row_points' must be at least 1, got 0"),
             ({"name": "theorem1", "params": {"symbol_degree_max": 0}},
              "theorem1 parameter 'symbol_degree_max' must be at least 1, got 0"),
             ({"name": "bergman-bound", "params": {"symbol_degree_max": 0}},
@@ -288,7 +290,6 @@ def test_run_with_no_checks_exits_two(tmp_path, capsys):
     # a check over no sampled values would pass with measured=-inf
     for name, params in (("bergman-bound", {"trials": 0}),
                          ("ball-lemma", {"maps": 0}),
-                         ("ball-lemma", {"maps": 1, "row_points": 0}),
                          ("ball-bound", {"maps": 0})):
         cfg = _cfg(tmp_path, name, params=params)
         assert main(["run", "--config", str(cfg)]) == 2
@@ -449,17 +450,16 @@ def test_oversized_combo_degree_exits_two_before_allocating(tmp_path, capsys):
     assert peak < 2**24
 
 
-def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys):
-    # a radius-0.95 ball in dim d is a draw of 1 in d! from the polydisk:
-    # too rare in dim 9 for 40 points, and in dim 7 for 5
-    for dim, count in ((9, 40), (7, 5)):
-        cfg = _cfg(tmp_path, "psd", params={
-            "spec": {"kind": "ball", "dim": dim, "alpha": 2.0}, "point_count": count})
-        assert main(["run", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"error: point sampling failed to fill the set: {count} "
-                       f"points in dim {dim} at radius 0.95 took over "
-                       "MAX_REJECTS = 10000 rejections\n")
+def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys, monkeypatch):
+    # every candidate lies in the ball, so only separation rejects: 40
+    # points pairwise 0.5 apart do not fit in the radius-0.95 disk
+    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.5)
+    cfg = _cfg(tmp_path, "psd", params={"point_count": 40})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: point sampling failed to fill the set: 40 points in "
+                   "dim 1 at radius 0.95 took over MAX_REJECTS = 10000 "
+                   "separation rejections\n")
 
 
 @pytest.mark.parametrize("exc", [

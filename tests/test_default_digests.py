@@ -4,8 +4,8 @@ tests/golden/default_digests.json, and so must a few sampler-heavy configs.
 The reduced goldens of test_golden.py run at one seed, and a change in how a
 single value is rounded can show at other seeds only, so these full-size
 reports are pinned at three.  The sampler-heavy configs draw hundreds of
-points into one set, or row points in dim 6, where one candidate in 720 is
-admitted.  All runs share one subprocess with one BLAS thread.  To
+points into one set, row points in dim 6, or sets in the dim-7 and dim-9
+balls.  All runs share one subprocess with one BLAS thread.  To
 regenerate the file after an intended change, see README.md ("Golden
 reports") and say why in CHANGES.md.
 """
@@ -27,6 +27,10 @@ SAMPLER_CONFIGS = {
         "kind": "ball", "dim": 2, "alpha": 2.0}}, SEEDS),
     "psd-ball3-300": ("psd", {"point_count": 300, "spec": {
         "kind": "ball", "dim": 3, "alpha": 2.0}}, SEEDS),
+    "psd-ball7-5": ("psd", {"point_count": 5, "spec": {
+        "kind": "ball", "dim": 7, "alpha": 2.0}}, SEEDS),
+    "psd-ball9-40": ("psd", {"point_count": 40, "spec": {
+        "kind": "ball", "dim": 9, "alpha": 2.0}}, SEEDS),
     "ball-lemma-dim6": ("ball-lemma", {"maps": 3, "dim": 6, "section_degree": 1,
                                        "cert_points": 2, "row_points": 10}, SEEDS),
     "ball-lemma-maps30": ("ball-lemma", {"maps": 30}, (0,)),

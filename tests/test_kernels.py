@@ -20,7 +20,6 @@ from kernelcomp.kernels import (
     find_negative_witness,
     gram,
     sample_point_set,
-    sample_points,
     seed_tuple,
     substream,
     trial_stream,
@@ -228,16 +227,17 @@ def test_seed_tuple_normalization():
 
 # --- the batched witness search against the one-trial-at-a-time search ----
 #
-# The functions below are the sampler, with its admission rule written out
-# independently, the Gram assembly as it was before the search was batched,
-# and a search loop that decides one trial at a time on the same
-# trial_stream blocks.  They are the reference the batched search must
-# reproduce bit for bit.
+# The functions below are the sampler, one point at a time with its
+# spacings rule written out independently, the Gram assembly as it was
+# before the search was batched, and a search loop that decides one trial at
+# a time on the same trial_stream blocks.  They are the reference the
+# batched search must reproduce bit for bit.
 
 
-def _admitted(rad_u, radius):
-    # radius * sqrt(sum of the radius uniforms) < radius, summed in order
-    return radius * math.sqrt(np.cumsum(rad_u)[-1]) < radius
+def _spacings(rad_u):
+    # the first dim spacings of the sorted radius uniforms
+    ordered = sorted(float(x) for x in rad_u)
+    return np.array([b - a for a, b in zip([0.0] + ordered, ordered)])
 
 
 def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
@@ -247,9 +247,9 @@ def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
     while have < count:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=dim)
         rad_u = rng.uniform(0.0, 1.0, size=dim)
-        cand = radius * np.sqrt(rad_u) * np.exp(1j * theta)
-        ok = _admitted(rad_u, radius)
-        if ok and have > 0:
+        cand = radius * np.sqrt(_spacings(rad_u)) * np.exp(1j * theta)
+        ok = True
+        if have > 0:
             sep = np.min(np.linalg.norm(pts[:have] - cand[None, :], axis=1))
             ok = sep > kernels.MIN_POINT_SEPARATION
         if ok:
@@ -289,11 +289,9 @@ def _serial_gram(spec, point_set):
 
 
 def _block(dim, set_size):
-    """Uniforms in a trial's block: 2 dim uniforms per candidate, for about
-    twice the candidates a set needs in an even count, as
-    find_negative_witness sizes it."""
-    draws = min(2 * set_size * math.factorial(dim) + 16, set_size + 10000)
-    return 2 * dim * (draws - draws % 2)
+    """Uniforms in a trial's block: 2 dim per point of the set, rounded up to
+    a multiple of 4, the Philox counter step."""
+    return 4 * math.ceil(set_size * 2 * dim / 4)
 
 
 def _trial_rng(seed, trial, dim, set_size):
@@ -422,16 +420,16 @@ def test_sample_point_set_consumes_the_same_draws_as_before():
 def _planted_rows():
     """Candidate rows of a dim-2 draw of 5 points at radius 0.9 with
     MIN_POINT_SEPARATION 0.05, and the indices of the rows kept."""
-    def turned(row, by=0.001):  # about 0.0025 from row
+    def turned(row, by=0.001):  # 0.002 to 0.004 from row
         return [row[0] + by] + row[1:]
 
     a, b, c = [0.1, 0.2, 0.2, 0.2], [0.4, 0.6, 0.3, 0.1], [0.7, 0.9, 0.1, 0.3]
     d, e = [0.3, 0.5, 0.4, 0.4], [0.9, 0.1, 0.05, 0.6]
-    rows = [a, turned(a), b, c, [0.5, 0.5, 0.7, 0.5],  # round 1: an inner pair
-            turned(b), d,                              # round 2: b is kept
-            turned(d, -0.001),                         # round 3: d is kept
+    rows = [a, turned(a), b, c, d,  # round 1: an inner pair
+            turned(b),              # round 2: b is kept
+            turned(d, -0.001),      # round 3: d is kept
             e]
-    return rows, [0, 2, 3, 6, 8]
+    return rows, [0, 2, 3, 4, 7]
 
 
 def test_rounds_walk_planted_close_pairs_in_order(monkeypatch):
@@ -451,48 +449,35 @@ def test_rounds_walk_planted_close_pairs_in_order(monkeypatch):
 
 
 def test_rounds_give_up_where_the_serial_draw_does(monkeypatch):
-    # in dim 3 one polydisk draw in 6 is admitted: 4 points take about 20
-    # rejections, so a limit of 20 is passed on many of the seeds
-    monkeypatch.setattr(kernels, "MAX_REJECTS", 20)
+    # only separation rejects: at a separation of 0.5, 8 points of the
+    # radius-0.95 disk take about 40 rejections, so a limit of 40 is passed
+    # on about half of the seeds
+    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.5)
+    monkeypatch.setattr(kernels, "MAX_REJECTS", 40)
     filled = [_same_draw(np.random.default_rng(seed), np.random.default_rng(seed),
-                         3, 0.9, 4, max_rejects=20) for seed in range(120)]
+                         1, 0.95, 8, max_rejects=40) for seed in range(120)]
     assert 20 < sum(filled) < 100
 
 
-def _one_point_draws(rng, dim, radius, count, max_rejects=10000):
-    """The points of ``count`` serial one-point draws, as ball-lemma drew them."""
-    return np.array([_serial_sample_point_set(rng, dim, radius, 1, max_rejects).points[0]
-                     for _ in range(count)])
+@pytest.mark.parametrize("dim", [2, 3, 6, 8])
+def test_candidates_are_uniform_on_the_ball(dim):
+    # on the uniform ball of C^dim, |z|^2 / r^2 spreads as the sum of a
+    # point uniform on the solid simplex: E|z_1|^2 / r^2 = 1 / (dim + 1) and
+    # E|z|^2 / r^2 = dim / (dim + 1); the polydisk reads 1/2 and dim/2
+    radius = 0.9
+    z = kernels._candidates(np.random.default_rng((dim, 41)).random((200_000, 2 * dim)),
+                            radius)
+    sq = np.abs(z) ** 2 / radius ** 2
+    for x, mean in ((sq[:, 0], 1 / (dim + 1)), (sq.sum(axis=1), dim / (dim + 1))):
+        assert abs(x.mean() - mean) <= 5 * x.std() / math.sqrt(len(x))
+    eps = np.finfo(float).eps
+    assert np.all(np.linalg.norm(z, axis=1) < radius * (1 + 4 * eps * dim))
 
 
-def test_row_points_equal_one_point_draws():
-    for dim, count in ((1, 10), (2, 10), (3, 7), (6, 10)):
-        new, old = np.random.default_rng((dim, 22)), np.random.default_rng((dim, 22))
-        for _ in range(3):
-            got = sample_points(new, dim, 0.6, count)
-            assert got.tobytes() == _one_point_draws(old, dim, 0.6, count).tobytes()
-            assert new.bit_generator.state == old.bit_generator.state
-    assert sample_points(np.random.default_rng(0), 2, 0.6, 0).shape == (0, 2)
-
-
-def test_row_points_keep_a_limit_per_point(monkeypatch):
-    # in dim 3 a point alone passes 8 rejections 1 time in 5, so 6 points
-    # fill about 1 time in 4, and most of those take more than 8 in all
-    monkeypatch.setattr(kernels, "MAX_REJECTS", 8)
-    per_set = []
-    for seed in range(60):
-        try:
-            got = sample_points(np.random.default_rng(seed), 3, 0.6, 6)
-        except SamplingError:
-            with pytest.raises(RuntimeError, match="failed to fill"):
-                _one_point_draws(np.random.default_rng(seed), 3, 0.6, 6, 8)
-            continue
-        expect = _one_point_draws(np.random.default_rng(seed), 3, 0.6, 6, 8)
-        assert got.tobytes() == expect.tobytes()
-        per_set.append(_same_draw(np.random.default_rng(seed),
-                                  np.random.default_rng(seed), 3, 0.6, 6, 8))
-    # some draws fill every point while passing the limit in all
-    assert 5 < len(per_set) < 55 and not all(per_set)
+def test_candidates_in_dim_1_keep_the_disk_arithmetic():
+    u = np.random.default_rng(42).random((1000, 2))
+    expect = 0.7 * np.sqrt(u[:, 1:]) * np.exp(1j * (2.0 * np.pi * u[:, :1]))
+    assert kernels._candidates(u, 0.7).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -517,10 +502,10 @@ def test_batched_search_matches_serial_for_every_kind(name):
 
 @pytest.mark.parametrize("r, expect", [(0.5, None), (0.75, 177), (1.0, 0)])
 def test_batched_search_matches_serial_on_the_product_map(r, expect):
-    # seed 134: no witness at r = 0.5, one in the middle of the chunk of
+    # seed 3671: no witness at r = 0.5, one in the middle of the chunk of
     # trials 127-254 at r = 0.75, and one at trial 0 at r = 1
     budget = 200 if r == 0.5 else 1100
-    trial = _assert_same_search(_br_spec(r), seed=134, radius=0.95,
+    trial = _assert_same_search(_br_spec(r), seed=3671, radius=0.95,
                                 set_size=8, budget=budget)
     assert trial == expect
 
@@ -533,11 +518,11 @@ def test_batched_search_with_zero_budget():
 
 # with a cap of 16 the chunks are trials 0, 1-2, 3-6, 7-14, 15-30, 31-46, ...
 @pytest.mark.parametrize("seed, budget, expect", [
-    (35, 40, 1),      # second chunk
-    (33, 40, 3),      # first trial of the third chunk
-    (60, 40, 20),     # first chunk at the cap
-    (48, 40, 34),     # last, partial chunk
-    (48, 30, None),   # budget ends inside a chunk, before the witness
+    (49, 40, 1),      # second chunk
+    (18, 40, 3),      # first trial of the third chunk
+    (12, 40, 20),     # first chunk at the cap
+    (10, 40, 34),     # last, partial chunk
+    (10, 30, None),   # budget ends inside a chunk, before the witness
 ])
 def test_batched_search_across_chunk_boundaries(monkeypatch, seed, budget,
                                                 expect):
@@ -574,9 +559,9 @@ def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
 
 def test_search_chunks_double_up_to_the_cap(monkeypatch):
     sizes = _screened_chunks(monkeypatch)
-    # seed 134, r = 0.75: the witness is trial 177, in the chunk of trials
+    # seed 3671, r = 0.75: the witness is trial 177, in the chunk of trials
     # 127-254; r = 0.5: no witness, so chunks reach the cap of 16
-    assert _assert_same_search(_br_spec(0.75), seed=134, radius=0.95,
+    assert _assert_same_search(_br_spec(0.75), seed=3671, radius=0.95,
                                set_size=8, budget=1100) == 177
     assert sizes == [1, 2, 4, 8, 16, 32, 64, 128]
     sizes.clear()
@@ -594,41 +579,52 @@ def test_batched_search_reruns_trials_it_cannot_screen(monkeypatch):
     for r in (0.5, 0.8):
         _assert_same_search(_br_spec(r), seed=2, radius=0.95, set_size=8,
                             budget=30)
-    assert len(reruns) == 10
+    assert len(reruns) == 12
 
 
 def test_screen_never_clears_a_negative_trial():
     spec = _br_spec(0.8)
     base = (6,)
     trials = range(64)
-    # 12 draws hold 6 admissible candidates on average, 48 hold 24
-    for draws in (12, 20, 48):
+    # blocks of exactly the set's uniforms, and blocks with uniforms to spare
+    for count, n in ((8, 32), (12, 48), (8, 48)):
         negative = set()
         for t in trials:
-            pts = _serial_sample_point_set(trial_stream(base, t, 4 * draws),
-                                           2, 0.95, 8)
+            pts = _serial_sample_point_set(trial_stream(base, t, n), 2, 0.95, count)
             if check_psd(spec, pts).verdict == NEGATIVE:
                 negative.add(t)
         assert negative
-        deferred = kernels._screen(spec, base, trials, 0.95, 8, draws)
+        deferred = kernels._screen(spec, base, trials, 0.95, count, n)
         assert negative <= set(deferred)
         assert deferred == sorted(deferred)
-        for t in trials:
-            u = trial_stream(base, t, 4 * draws).random((draws, 4))
-            if sum(_admitted(row[2:], 0.95) for row in u) < 8:
-                assert t in deferred
 
 
-def test_batched_search_gives_up_where_the_serial_sampler_does():
-    # in dim 7 one polydisk draw in 5040 lands in the ball, so filling 8
-    # points takes more rejections than sample_point_set allows
-    spec = KernelSpec.ball(7, 1.0)
+def test_batched_search_gives_up_where_the_serial_sampler_does(monkeypatch):
+    # every candidate lies in the ball, so only separation gives up: 40
+    # points pairwise 0.5 apart do not fit in the radius-0.95 disk
+    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.5)
     for search in (_serial_search, find_negative_witness):
-        with pytest.raises(RuntimeError):
-            search(spec, seed=0, radius=0.9, set_size=8, budget=3)
+        with pytest.raises(RuntimeError, match="failed to fill the set"):
+            search(KernelSpec.szego(), seed=0, radius=0.95, set_size=40, budget=3)
 
 
-# --- the one admission and separation rule, and the Cholesky clearing rule --
+@pytest.mark.parametrize("dim, set_size", [(1, 5), (1, 6), (2, 3), (3, 5),
+                                           (3, 4), (6, 1)])
+def test_a_trial_block_is_the_sets_uniforms_rounded_up_to_4(monkeypatch, dim,
+                                                             set_size):
+    blocks = _spy(monkeypatch, "trial_stream", lambda base, trial, n: n)
+    find_negative_witness(KernelSpec.ball(dim, 2.0), seed=0, radius=0.9,
+                          set_size=set_size, budget=8)
+    n = set_size * 2 * dim + (set_size * dim % 2) * 2
+    assert n % 4 == 0 and blocks and set(blocks) == {n}
+    # the serial decision of trial t reads the screen's own uniforms
+    u = trial_stream(0, 5, n).random(n)
+    pts = sample_point_set(trial_stream(0, 5, n), dim, 0.9, set_size).points
+    assert pts.tobytes() == kernels._candidates(
+        u[:set_size * 2 * dim].reshape(set_size, 2 * dim), 0.9).tobytes()
+
+
+# --- the one point rule and separation rule, and the Cholesky clearing rule ---
 
 
 def _screen_and_sampler(monkeypatch, block, radius, count):
@@ -640,7 +636,7 @@ def _screen_and_sampler(monkeypatch, block, radius, count):
             random=lambda shape: block[trial:trial + shape[0]].reshape(shape)))
         kept = _spy(mp, "_kernel_matrix", lambda spec, pts: pts)
         deferred = kernels._screen(KernelSpec.ball(dim, 1.0), (0,), range(len(block)),
-                                   radius, count, block.shape[1])
+                                   radius, count, block[0].size)
     serial = [sample_point_set(_Rows(rows), dim, radius, count).points.tobytes()
               for rows in block]
     return deferred, [k.tobytes() for k in kept[0]], serial
@@ -649,28 +645,21 @@ def _screen_and_sampler(monkeypatch, block, radius, count):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("radius", [0.3, 0.6, 0.95])
 def test_screen_keeps_the_samplers_points_or_defers(monkeypatch, dim, radius):
-    # cap trials: candidate 0's radius uniforms sum to within 40 spacings of
-    # 1, the cap; pair trials: candidate 1 is candidate 0 turned to 0.5 to
-    # 1.5 MIN_POINT_SEPARATION from it.  The last two lie well inside.
-    half, rad_u = 0.5 * np.spacing(1.0), 0.25 / dim
-    caps = [[1.0 - j * half] for j in range(1, 41)] if dim == 1 else \
-        [[0.5 / (dim - 1)] * (dim - 1) + [0.5 + j * half] for j in range(-40, 41)]
+    # candidate 1 is candidate 0 turned to 0.5 to 1.5 MIN_POINT_SEPARATION
+    # from it: the smallest radius uniform, rad_u, is coordinate 0's spacing.
+    # The third candidate, and the fourth that replaces a rejected one, lie
+    # well apart from both.
+    rad_u = 0.25 / dim
     turn = kernels.MIN_POINT_SEPARATION / (2 * np.pi * radius * math.sqrt(rad_u))
-    c0, inner = [0.1] * dim + [rad_u] * dim, \
-        [[0.4] * dim + [0.2 / dim] * dim, [0.7] * dim + [0.05 / dim] * dim]
-    cap_trials = [[[a] * dim + cap, c0] + inner
-                  for cap in caps for a in (np.arange(16) + 0.5) / 16]
-    pair_trials = [[c0, [0.1 + f * turn] + c0[1:]] + inner
-                   for f in np.linspace(0.5, 1.5, 101)]
-    block = np.array(cap_trials + pair_trials)
-    # the complex norm and the one rule disagree on some cap candidates
-    old = [np.linalg.norm(c) < radius for c in kernels._candidates(block[:, 0], radius)]
-    assert np.any(old != kernels._inside(block[:, 0], radius))
-    # the screen keeps the sampler's points at the cap, and defers exactly
-    # the pair trials in which the sampler rejects candidate 1
+    c0 = [0.1] * dim + [rad_u * (k + 1) for k in range(dim)]
+    inner = [[0.4] * dim + [0.2 / dim] * dim, [0.7] * dim + [0.05 / dim] * dim]
+    block = np.array([[c0, [0.1 + f * turn] + c0[1:]] + inner
+                      for f in np.linspace(0.5, 1.5, 101)])
+    # the screen keeps the sampler's points, and defers exactly the trials
+    # in which the sampler rejects candidate 1
     deferred, kept, serial = _screen_and_sampler(monkeypatch, block, radius, 3)
     assert deferred == [t for t, pts in enumerate(serial) if pts != kept[t]]
-    assert len(cap_trials) <= deferred[0] and len(deferred) < len(pair_trials)
+    assert 0 < len(deferred) < len(block)
 
 
 def test_screen_hands_oversized_grams_to_the_serial_path(monkeypatch):
@@ -786,19 +775,15 @@ def test_search_calls_no_eigenvalue_solver_in_the_screen():
                                   set_size=8, budget=400)
         with mock.patch.object(np.linalg, "eigh",
                                side_effect=AssertionError("eigh")):
-            kernels._screen(_br_spec(0.8), (6,), range(64), 0.95, 8, 48)
+            kernels._screen(_br_spec(0.8), (6,), range(64), 0.95, 8, 32)
 
 
 def test_screen_builds_only_the_kept_candidates(monkeypatch):
-    rows = _spy(monkeypatch, "_candidates", lambda u, _: u.size // u.shape[-1])
-    base, trials, count, draws = (6,), range(100, 356), 8, 20
-    kernels._screen(_br_spec(0.8), base, trials, 0.95, count, draws)
-    u = trial_stream(base, trials.start, draws * 4).random(
-        (len(trials), draws, 4))
-    inside = kernels._inside(u, 0.95)
-    full = int(np.sum(inside.sum(axis=1) >= count))
-    assert 0 < full < len(trials)
-    assert rows == [count * full]
+    # 5 points in dim 3 read 30 uniforms of a 32-uniform block: the screen
+    # builds the 5 points of every trial and nothing from the last 2
+    shapes = _spy(monkeypatch, "_candidates", lambda u, _: u.shape)
+    kernels._screen(KernelSpec.ball(3, 2.0), (6,), range(100, 356), 0.9, 5, 32)
+    assert shapes == [(256, 5, 6)]
 
 
 # --- the search's stream and the experiments' substreams ------------------
