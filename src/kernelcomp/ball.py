@@ -59,7 +59,7 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
         raise ValueError("w must lie strictly inside the ball")
     if len(coord_sections) != len(b.coords):
         raise ValueError("coord_sections must hold one section per coordinate")
-    bw = np.array([c(wv) for c in b.coords], dtype=complex)
+    bw = b(wv)
     acc = None
     for i, section in enumerate(coord_sections):
         term = np.conj(bw[i]) * section.entries

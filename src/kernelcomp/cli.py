@@ -47,7 +47,6 @@ from .series import (
     DiskPoly,
     SelfMapDisk,
     _circle_points,
-    _coeff_zeros,
     blaschke_factor,
 )
 
@@ -240,8 +239,8 @@ def _as_float(v, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {v!r}")
 
 
-def poly_from_json_dict(obj: dict):
-    """Inverse of ``to_json_dict``; returns DiskPoly for dim 1, else BallPoly.
+def poly_from_json_dict(obj: dict) -> BallPoly:
+    """Inverse of ``to_json_dict``, as a BallPoly in every dim.
 
     ``dim`` and the exponents must be json integers (a float or a bool is
     refused, not rounded), the coefficients finite json numbers, and no
@@ -265,12 +264,6 @@ def poly_from_json_dict(obj: dict):
         if tuple(m) in pairs:
             raise ConfigError(f"multi-index {m!r} appears more than once")
         pairs[tuple(m)] = _as_complex(c, "polynomial coefficient")
-    if dim == 1:
-        deg = max((m[0] for m in pairs), default=0)
-        c = _coeff_zeros(deg + 1)
-        for m, v in pairs.items():
-            c[m[0]] += v
-        return DiskPoly(c)
     return BallPoly(dim, pairs)
 
 
@@ -311,12 +304,9 @@ def ballmap_from_json(obj: dict) -> BallMap:
     coords = []
     for c in obj["coords"]:
         try:
-            p = poly_from_json_dict(c)
+            coords.append(poly_from_json_dict(c))
         except ValueError as exc:
             raise ConfigError(f"ball map coordinate: {exc}") from exc
-        if isinstance(p, DiskPoly):
-            p = BallPoly(1, {(n,): v for n, v in enumerate(p.coeffs) if v != 0})
-        coords.append(p)
     if len(coords) != dim:
         raise ConfigError("ball map needs one coordinate polynomial per dimension")
     return BallMap(coords)
@@ -384,8 +374,6 @@ def run_hardy_bound(params: dict, tol: dict, seed: int):
 def _weighted_lower(rng, b: SelfMapDisk, alpha: int, comp, params: dict) -> float:
     """Certified lower bound for g -> f * (g o b) on the columns of ``comp``,
     the section of b, with f a unit kernel combination drawn from ``rng``."""
-    if params["node_max"] < 1:
-        raise ConfigError("node_max must be at least 1")
     combo = random_kernel_combo(rng, b, alpha=alpha,
                                 max_nodes=params["node_max"],
                                 node_radius=params["node_radius"])
@@ -501,8 +489,6 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
 
 
 def run_inf_estimate(params: dict, tol: dict, seed: int):
-    if params["grid_size"] < 1:
-        raise ConfigError("grid_size must be at least 1")
     b = symbol_from_json(params["symbol"])
     n = params["section_degree"]
     nb = op_norm_lower(comp_matrix(b, H2, n), trace_degrees=[n])
@@ -625,9 +611,9 @@ def run_ball_bound(params: dict, tol: dict, seed: int):
 
 def run_br(params: dict, tol: dict, seed: int):
     n = params["section_degree"]
-    if n < 1 or params["trace_step"] < 1:
+    if n < 1:
         # the saturation check compares the last two of at least two degrees
-        raise ConfigError("br needs section_degree and trace_step of at least 1")
+        raise ConfigError("br needs a section_degree of at least 1")
     degrees = sorted(set(range(0, n + 1, params["trace_step"])) | {n})
     records = []
     rows = []
@@ -800,7 +786,8 @@ COMMANDS = {
 # the documented type of each parameter whose default is None
 _NONE_DEFAULT_LIKE = {"trace_degrees": [0], "mode_count": 0, "rank_tol": 0.0}
 
-_NONZERO = {"point_count", "cert_points", "row_points", "symbol_degree_max", "alphas"}
+_NONZERO = {"point_count", "cert_points", "row_points", "symbol_degree_max", "alphas",
+            "node_max", "grid_size", "trace_step"}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", dict: "a json object", list: "a list"}
@@ -839,7 +826,8 @@ def _check_type(what: str, value, default, key: str):
             raise ConfigError(f"{what} {key!r} must {need}, got {value!r}")
         if isinstance(like, list) and like and isinstance(like[0], float):
             return [_as_float(v, f"{what} {key!r}") for v in value]
-        # no count, degree or size is negative; no sample size, top degree or alpha is 0
+        # no count, degree or size is negative; no sample size, node count, grid,
+        # trace step, top degree or alpha is 0
         least, need = (1, "at least 1") if key in _NONZERO else (0, "nonnegative")
         for v in value if isinstance(like, list) else [value]:
             if _same_type(v, 0) and v < least:

@@ -20,7 +20,7 @@ from .kernels import (
     NEGATIVE,
     KernelSpec,
     PointSet,
-    _certificate,
+    check_psd,
     eig_tolerance,
     gram,
 )
@@ -83,16 +83,17 @@ class KernelCombo:
 def hb_norm_combo(combo: KernelCombo) -> float:
     """Exact norm of a kernel combination: sqrt(c* G c) on the node Gram.
 
-    The Gram must certify positive; failure is reported as a kernel
-    positivity error because it cannot happen for an admissible symbol.
+    The Gram must certify positive through ``check_psd``; failure is
+    reported as a kernel positivity error because it cannot happen for an
+    admissible symbol.
     """
     spec = combo.spec()
-    g = gram(spec, combo.nodes)
-    cert = _certificate(spec, combo.nodes, g)
+    cert = check_psd(spec, combo.nodes)
     if cert.verdict == NEGATIVE:
         raise KernelPositivityError(
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
+    g = gram(spec, combo.nodes)
     q = float(np.real(np.vdot(combo.coeffs, g @ combo.coeffs)))
     return math.sqrt(max(q, 0.0))
 

@@ -24,7 +24,6 @@ __all__ = [
     "Witness",
     "PSD",
     "NEGATIVE",
-    "INCONCLUSIVE",
     "gram",
     "check_psd",
     "eig_tolerance",
@@ -36,9 +35,6 @@ __all__ = [
 
 PSD = "PSD"
 NEGATIVE = "NEGATIVE"
-# reserved verdict: the current decision rule never returns it, but consumers
-# of serialized certificates must accept it
-INCONCLUSIVE = "INCONCLUSIVE"
 
 MIN_POINT_SEPARATION = 1e-9
 # tolerance = TOL_SCALE * size * ||G|| * eps in every positivity verdict
@@ -182,9 +178,7 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
-        if spec.kind == "szego":
-            g = 1.0 / den
-        elif spec.kind in ("bergman", "ball"):
+        if spec.kind in ("szego", "bergman", "ball"):
             g = den ** (-spec.alpha)
         elif spec.kind in ("dbr", "dbr_power"):
             bv = spec.b_disk(pts[..., 0])
@@ -230,8 +224,7 @@ class PositivityCertificate:
     """Spectral verdict on a Gram matrix.
 
     verdict is PSD when the smallest eigenvalue clears -tolerance, NEGATIVE
-    otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.  INCONCLUSIVE is
-    reserved and never produced by this rule.
+    otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.
     """
 
     spec: KernelSpec
@@ -267,14 +260,7 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     entries span more than about 1 / eps resolves no eigenvalue below that
     tolerance, so its PSD verdict certifies little.
     """
-    return _certificate(spec, point_set, gram(spec, point_set))
-
-
-def _certificate(spec: KernelSpec, point_set: PointSet,
-                 g: np.ndarray) -> PositivityCertificate:
-    """``check_psd``'s verdict on ``g``, the already built Gram of ``spec``
-    on ``point_set``."""
-    lam, vec = np.linalg.eigh(g)
+    lam, vec = np.linalg.eigh(gram(spec, point_set))
     lo = float(lam[0])
     tol = float(eig_tolerance(lam))
     if lo >= -tol:

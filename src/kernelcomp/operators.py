@@ -266,32 +266,20 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
     if isinstance(b, SelfMapDisk):
         if space.dim != 1:
             raise ValueError("a disk symbol needs a dim-1 space")
-        if b.is_constant():
-            raise ValueError("constant symbols do not get finite sections")
-        coeffs = [b.series.trimmed()]
-    elif isinstance(b, BallMap):
-        if space.dim != b.dim:
-            raise ValueError("map and space dimensions must match")
-        if b.is_constant():
-            raise ValueError("constant symbols do not get finite sections")
-        coeffs = None
-    else:
+    elif not isinstance(b, BallMap):
         raise TypeError("b must be a SelfMapDisk or a BallMap")
+    elif space.dim != b.dim:
+        raise ValueError("map and space dimensions must match")
+    if b.is_constant():
+        raise ValueError("constant symbols do not get finite sections")
 
-    if isinstance(b, BallMap) and b.dim == 1:
-        # dim-1 ball maps reduce to the disk path bit for bit
-        c = np.zeros(b.degree() + 1, dtype=complex)
-        c[b.coords[0].exps[:, 0]] = b.coords[0].coefs
-        coeffs = [c]
-
-    deg_b = b.degree()
-    row_degree = col_degree * deg_b
+    row_degree = col_degree * b.degree()
     # the limit is the dense section's, so stored rows never decide it
     _, ncols = _check_section_size(space.dim, row_degree, col_degree)
     norms = monomial_norms(space, row_degree)
 
-    if coeffs is not None:
-        entries = _comp_entries_disk(coeffs[0], norms, col_degree)
+    if isinstance(b, SelfMapDisk):
+        entries = _comp_entries_disk(b.series.trimmed(), norms, col_degree)
         rows = np.arange(len(entries))
     else:
         ranks, cols, coefs = _comp_entries_ball(b, col_degree)

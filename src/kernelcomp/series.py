@@ -63,10 +63,6 @@ class DiskPoly:
         self.coeffs = arr
 
     @classmethod
-    def zero(cls) -> "DiskPoly":
-        return cls([0.0])
-
-    @classmethod
     def one(cls) -> "DiskPoly":
         return cls([1.0])
 
@@ -231,10 +227,6 @@ class BallPoly:
     def zero(cls, dim: int) -> "BallPoly":
         return cls(dim, {})
 
-    @classmethod
-    def constant(cls, dim: int, value: complex) -> "BallPoly":
-        return cls(dim, {(0,) * dim: value})
-
     @property
     def terms(self) -> MappingProxyType:
         """Read-only map from multi-index tuples to coefficients."""
@@ -252,9 +244,14 @@ class BallPoly:
         pts = np.asarray(z, dtype=complex)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
+        # one contiguous row of monomial values per term, summed in term
+        # order; 64 terms at a time, so the rows never pass 64 copies of pts
+        shape = (-1,) + (1,) * (pts.ndim - 1) + (self.dim,)
         out = np.zeros(pts.shape[:-1], dtype=complex)
-        for i, c in enumerate(self.coefs.tolist()):
-            out = out + c * np.prod(pts ** self.exps[i], axis=-1)
+        for lo in range(0, len(self.coefs), 64):
+            mons = np.prod(pts[None] ** self.exps[lo:lo + 64].reshape(shape), axis=-1)
+            for c, row in zip(self.coefs[lo:lo + 64].tolist(), mons):
+                out = out + c * row
         return out
 
     def __add__(self, other: "BallPoly") -> "BallPoly":
@@ -378,20 +375,16 @@ class BallMap:
                 raise TypeError("coordinates must be BallPoly instances")
             if c.dim != dim:
                 raise ValueError("each coordinate must be a polynomial in dim variables")
-        pts = _sphere_samples(dim, BALL_MAP_GRID)
-        total = np.zeros(BALL_MAP_GRID)
-        for c in coords:
-            total += np.abs(c(pts)) ** 2
-        top = float(np.sqrt(np.max(total)))
+        self.dim = dim
+        self.coords = coords
+        top = float(np.max(np.linalg.norm(self(_sphere_samples(dim, BALL_MAP_GRID)),
+                                          axis=-1)))
         if top > 1.0 + SELF_MAP_SLACK:
             raise ValueError(
                 f"sphere samples reach modulus {top:.6g}; not a ball self-map"
             )
-        center = np.array([c.constant_term() for c in coords])
-        if float(np.linalg.norm(center)) >= 1.0:
+        if float(np.linalg.norm(self.center)) >= 1.0:
             raise ValueError("a ball self-map needs |b(0)| < 1")
-        self.dim = dim
-        self.coords = coords
 
     @property
     def center(self) -> np.ndarray:

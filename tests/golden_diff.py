@@ -15,9 +15,11 @@ one side only).  The exit status is 1 when there is such a change and 0
 otherwise.  The CSV reports hold the same values as the JSON ones, so they
 are not read.
 
-The second form writes the JSON report of every experiment at its default
-config, at the seeds ``tests/test_default_digests.py`` pins, as
-``DIR/<name>@<seed>.json``, using whichever ``kernelcomp`` is importable.
+The second form writes every report whose digest
+``tests/test_default_digests.py`` pins: each experiment at its default
+config at the pinned seeds, as ``DIR/<name>@<seed>.json``, and each of its
+sampler-heavy configs, as ``DIR/<label>@<seed>.json``, using whichever
+``kernelcomp`` is importable.
 Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``),
 once per checkout, then compare the two directories.
 """
@@ -25,6 +27,7 @@ once per checkout, then compare the two directories.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -122,10 +125,10 @@ def diff_dirs(old_dir: Path, new_dir: Path) -> tuple:
 
 
 def write_defaults(directory: Path) -> None:
-    from test_default_digests import default_reports
+    from test_default_digests import default_reports, sampler_reports
 
     directory.mkdir(parents=True, exist_ok=True)
-    for key, text in default_reports():
+    for key, text in itertools.chain(default_reports(), sampler_reports()):
         (directory / f"{key}.json").write_text(text, encoding="utf-8")
 
 

@@ -211,7 +211,7 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
             ({"name": "summation", "params": {"mode_count": 0}},
              "mode_count must be at least 1"),
             ({"name": "inf-estimate", "params": {"grid_size": 0}},
-             "grid_size must be at least 1"),
+             "inf-estimate parameter 'grid_size' must be at least 1, got 0"),
             ({"name": "br", "params": {"r_values": [0.5],
                                        "witness_budget": -1,
                                        "section_degree": 2}},
@@ -220,9 +220,9 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
                                        "r_values": [0.5]}},
              "set_size must be at least 1, got 0"),
             ({"name": "theorem1", "params": {"trials": 1, "node_max": 0}},
-             "node_max must be at least 1"),
+             "theorem1 parameter 'node_max' must be at least 1, got 0"),
             ({"name": "bergman-bound", "params": {"node_max": 0}},
-             "node_max must be at least 1"),
+             "bergman-bound parameter 'node_max' must be at least 1, got 0"),
             # a zero sample size or top degree names its config key
             ({"name": "psd", "params": {"point_count": 0}},
              "psd parameter 'point_count' must be at least 1, got 0"),
@@ -252,9 +252,10 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(cfg4), "--seed", "-1"]) == 2
     assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
     # refused before any section or witness search is built
-    for params, message in (({"trace_step": 0}, "at least 1"),
-                            ({"trace_step": -1}, "must be nonnegative, got -1"),
-                            ({"section_degree": 0}, "at least 1")):
+    for params, message in (
+            ({"trace_step": 0}, "br parameter 'trace_step' must be at least 1, got 0"),
+            ({"trace_step": -1}, "br parameter 'trace_step' must be at least 1, got -1"),
+            ({"section_degree": 0}, "br needs a section_degree of at least 1")):
         cfg3 = _cfg(tmp_path, "br", params=params, fname="c3.json")
         assert main(["run", "--config", str(cfg3)]) == 2
         assert message in capsys.readouterr().err
@@ -430,9 +431,14 @@ def test_oversized_coefficient_array_exits_two_before_allocating(tmp_path, capsy
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "byte limit" in err
+    if spec["kind"] == "ball_map":
+        # a ball-map coordinate stays sparse in every dim, so nothing dense
+        # is allocated for its degree and the run completes
+        assert code == 0
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and "byte limit" in err
     assert peak < 2**24
 
 

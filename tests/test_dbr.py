@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kernelcomp.dbr
 from kernelcomp.dbr import (
     KernelCombo,
     KernelPositivityError,
@@ -15,7 +16,8 @@ from kernelcomp.dbr import (
     summation_partial,
     szego_residual,
 )
-from kernelcomp.kernels import KernelSpec, PointSet, sample_point_set
+from kernelcomp.kernels import NEGATIVE, KernelSpec, PositivityCertificate, PointSet, \
+    sample_point_set
 from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
 from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor, sup_norm_circle
 from oracles import (
@@ -58,6 +60,19 @@ def test_combo_norm_two_nodes_closed_form():
         for j in range(2):
             acc += (c[i] * np.conj(c[j]) * eval_kernel(spec, w[j], w[i])).real
     assert hb_norm_combo(combo) == pytest.approx(math.sqrt(acc), rel=1e-12)
+
+
+def test_combo_norm_takes_its_verdict_from_check_psd(monkeypatch):
+    # a NEGATIVE certificate from check_psd is the only way to the error
+    combo = KernelCombo(SelfMapDisk(DiskPoly([0.1, 0.6])), 1, PointSet([0.2]), [1.0])
+
+    def negative(spec, point_set):
+        return PositivityCertificate(spec=spec, min_eigenvalue=-1.0,
+                                     tolerance=0.0, verdict=NEGATIVE)
+
+    monkeypatch.setattr(kernelcomp.dbr, "check_psd", negative)
+    with pytest.raises(KernelPositivityError, match="min eigenvalue -1"):
+        hb_norm_combo(combo)
 
 
 def test_combo_rejects_bad_shapes():

@@ -3,6 +3,7 @@ reports how far the numbers moved."""
 
 import copy
 import json
+from pathlib import Path
 
 from golden_diff import diff_dirs, diff_values, main
 
@@ -85,3 +86,19 @@ def test_directories_are_compared_report_by_report(tmp_path, capsys):
     (new / "br.json").unlink()
     assert main([str(old), str(new)]) == 0
     assert "changes: 0" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_write_defaults_covers_every_pinned_report(tmp_path, monkeypatch):
+    # one file per pinned digest; the experiments themselves are stubbed out
+    import kernelcomp.cli
+
+    monkeypatch.setattr(kernelcomp.cli, "run_experiment", lambda cfg: cfg)
+    monkeypatch.setattr(kernelcomp.cli, "render_report",
+                        lambda cfg, fmt: json.dumps([cfg.name, cfg.seed]))
+    assert main(["--write-defaults", str(tmp_path)]) == 0
+    pinned = json.loads((Path(__file__).parent / "golden" /
+                         "default_digests.json").read_text())
+    written = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+    assert len(pinned) == 46 and written.keys() == pinned.keys()
+    assert written["psd@1"] == ["psd", 1]
+    assert written["ball-lemma-dim6@2"] == ["ball-lemma", 2]
