@@ -10,6 +10,8 @@ observable at desk scale.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .kernels import (
@@ -19,9 +21,10 @@ from .kernels import (
     sample_point_set,
     trial_stream,
 )
-from .operators import NormBound, SectionMatrix, SpaceSpec, comp_matrix, \
-    grlex_monomials, monomial_norms, mult_matrix, op_norm_lower
-from .series import BallMap, BallPoly
+from .operators import NormBound, SectionMatrix, SpaceSpec, _grlex_rank, \
+    _monomial_count, _place, comp_matrix, grlex_monomials, monomial_norms, \
+    mult_matrix, op_norm_lower
+from .series import BallMap, BallPoly, _check_bytes
 
 __all__ = [
     "coord_mult_sections",
@@ -69,6 +72,44 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
     return sigma, float(np.linalg.norm(bw))
 
 
+@lru_cache(maxsize=8)
+def _weight_pairs(dim: int, top: int, col_degree: int) -> np.ndarray:
+    """Rows (term, column, row rank) of the products of monomials and columns
+    that land in degree <= top: a column of degree k takes the grlex prefix
+    of degree <= top - k.  Shared per (dim, top, col_degree), so read-only."""
+    cols = np.array(grlex_monomials(dim, col_degree))
+    lengths = [_monomial_count(dim, top - k) for k in cols.sum(axis=1).tolist()]
+    _check_bytes(8 * (3 + dim) * sum(lengths), f"{sum(lengths)} weight pairs")
+    terms = np.concatenate([np.arange(n) for n in lengths])
+    columns = np.repeat(np.arange(len(cols)), lengths)
+    out = np.stack([terms, columns, _grlex_rank(
+        np.array(grlex_monomials(dim, top))[terms] + cols[columns])])
+    out.flags.writeable = False
+    return out
+
+
+def _inv_kernel_weight(b: BallMap, alpha: float, top: int) -> np.ndarray:
+    """W's grlex coefficients through degree top (``inv_kernel_mult_norm``)."""
+    s = BallPoly.zero(b.dim)
+    for coord, c0 in zip(b.coords, b.center):
+        s = s + np.conj(c0) * coord
+    q = 1.0 - s.constant_term().real
+    moving = s.exps.any(axis=1)
+    tau, exps = s.coefs[moving] / q, np.array(grlex_monomials(b.dim, top))
+    _check_bytes(8 * (3 + b.dim) * len(tau) * len(exps),
+                 f"a {len(tau)}x{len(exps)} gather")
+    # (t Q)_m = sum_j tau_j Q[m - a_j] over t's terms tau_j z^(a_j); an index
+    # outside N^dim reads the zero slot Q[-1]
+    shifted = exps - s.exps[moving][:, None, :]
+    gather = np.where(np.all(shifted >= 0, axis=-1), _grlex_rank(shifted), -1)
+    p = np.zeros(len(exps) + 1, dtype=complex)
+    for k in range(top, 0, -1):
+        p[0] += 1.0  # 1 + P
+        p[:-1] = (alpha + k - 1) / k * (tau @ p[gather])
+    p[0] += 1.0
+    return q ** (-alpha) * p[:-1]
+
+
 def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
     """Bracket (lower, upper) for the multiplier W = (1 - <b(z), b(0)>) ** (-alpha).
 
@@ -76,44 +117,35 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
     W = q^(-alpha) * sum_k rising(alpha, k) / k! * t^k.  t has no constant
     term, so t^k has no monomial below degree k and W's coefficients through
     degree D = 3 * col_degree are the finite sum over k <= D.  They come from
-    Horner's rule on T = P_D M_t P_D applied to the constant 1; T is exact
-    because t has no constant term.
+    Horner's rule in the monomial basis, P <- (alpha + k - 1) / k * t (1 + P)
+    for k = D, ..., 1 and W = q^(-alpha) (1 + P), with t (1 + P) one gather.
 
     lower is ``op_norm_lower``'s bound at col_degree for the rows of degree
-    <= D of the exact multiplication section of W, the section of P_D M_W.  A
-    row projection of exact columns is still a lower bound, since
-    ||P_D M_W v|| <= ||M_W v||, so lower bounds the norm of the exact weight up
-    to rounding.  The upper bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes
-    with kernel positivity.  A ValueError names alpha when the closed form or
+    <= D of the exact multiplication section of W, the section of P_D M_W,
+    placed from the (term, column) pairs that land there.  A row projection
+    of exact columns is still a lower bound, since ||P_D M_W v|| <= ||M_W v||,
+    so lower bounds the norm of the exact weight up to rounding.  The upper
+    bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes with kernel
+    positivity.  A ValueError names alpha when the closed form, the weight or
     the section leaves float range.
     """
     alpha = float(alpha)
-    space = SpaceSpec(b.dim, alpha)
-    s = BallPoly.zero(b.dim)
-    for coord, c0 in zip(b.coords, b.center):
-        s = s + np.conj(c0) * coord
-    q = 1.0 - s.constant_term().real
-    moving = s.exps.any(axis=1)
-    t = BallPoly._of(b.dim, s.exps[moving], s.coefs[moving] / q)
-    top = 3 * col_degree
-    exps = np.array(grlex_monomials(b.dim, top))
-    count = len(exps)
+    space, top = SpaceSpec(b.dim, alpha), 3 * col_degree
+    count, ncols = _monomial_count(b.dim, top), _monomial_count(b.dim, col_degree)
+    _check_bytes(16 * count * ncols, f"a {count}x{ncols} section")
     try:
         with np.errstate(over="raise", invalid="raise"):
             upper = (1.0 - float(np.linalg.norm(b.center))) ** (-alpha)
-            shift = mult_matrix(t, space, top).entries[:count]
-            # Horner for sum_{1 <= k <= D} rising(alpha, k) / k! * T^k e_0
-            v = np.zeros(count, dtype=complex)
-            for k in range(top, 0, -1):
-                v = (alpha + k - 1) / k * (shift @ v + shift[:, 0])
-            v[0] += 1.0
-            weight = BallPoly._of(b.dim, exps,
-                                  q ** (-alpha) * v / monomial_norms(space, top))
-            section = mult_matrix(weight, space, col_degree,
-                                  row_degree=col_degree + top)
-            projected = SectionMatrix(space, col_degree, top, section.rows[:count],
-                                      section.entries[:count])
-            lower = op_norm_lower(projected, trace_degrees=[col_degree]).lower
+            weight = _inv_kernel_weight(b, alpha, top)
+            if not np.all(np.isfinite(weight)):
+                raise OverflowError
+            terms, cols, ranks = _weight_pairs(b.dim, top, col_degree)
+            entries = np.zeros((count, ncols), dtype=complex)
+            # as mult_matrix places a BallPoly's terms, whose parts are never -0.0
+            _place(entries, ranks, ranks, cols, 0.0 + weight[terms],
+                   monomial_norms(space, top))
+            section = SectionMatrix(space, col_degree, top, np.arange(count), entries)
+            lower = op_norm_lower(section, trace_degrees=[col_degree]).lower
     except (OverflowError, FloatingPointError):
         raise ValueError(f"the inverse-kernel weight passes float range at "
                          f"alpha={alpha:g}") from None

@@ -538,6 +538,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
                                    params["cert_points"])
             cert = check_psd(spec, pts)
             psd_gaps.append(-cert.min_eigenvalue - cert.tolerance)
+            inv_lower, inv_upper = inv_kernel_mult_norm(bmap, alpha, n)
             # built once for every row point; rows past a coordinate's own
             # degree are zero and do not change op_norm_lower's bound
             sections = coord_mult_sections(bmap, alpha, n)
@@ -548,7 +549,6 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
                                   params["row_points"]).points
             min_margin = -_worst(-(bound - lower) for lower, bound in (
                 row_mult_norm(bmap, w, sections) for w in ws))
-            inv_lower, inv_upper = inv_kernel_mult_norm(bmap, alpha, n)
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
                          min_margin, inv_lower, inv_upper])
     records = []

@@ -282,7 +282,9 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         entries = _comp_entries_disk(b.series.trimmed(), norms, col_degree)
         rows = np.arange(len(entries))
     else:
-        ranks, cols, coefs = _comp_entries_ball(b, col_degree)
+        if col_degree not in b._powers:
+            b._powers[col_degree] = _comp_entries_ball(b, col_degree)
+        ranks, cols, coefs = b._powers[col_degree]
         rows = np.unique(ranks)
         entries = np.zeros((len(rows), ncols), dtype=complex)
         _place(entries, np.searchsorted(rows, ranks), ranks, cols, coefs, norms)

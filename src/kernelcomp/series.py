@@ -2,7 +2,7 @@
 
 Symbols and weights are polynomials with complex coefficients: dense arrays in
 one variable, sparse multi-index arrays in several.  Self-maps are admitted
-on sampled boundary evidence.
+by a coefficient bound or on sampled boundary evidence.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class DiskPoly:
         self.coeffs = arr
 
     @classmethod
-    def one(cls) -> "DiskPoly":
-        return cls([1.0])
-
-    @classmethod
     def identity(cls) -> "DiskPoly":
         return cls([0.0, 1.0])
 
@@ -93,9 +89,6 @@ class DiskPoly:
         take = min(degree + 1, self.coeffs.size)
         out[:take] = self.coeffs[:take]
         return out
-
-    def truncated(self, degree: int) -> "DiskPoly":
-        return DiskPoly(self.padded(degree))
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -301,13 +294,13 @@ def sup_norm_circle(f: DiskPoly, grid_size: int) -> float:
 
 
 class SelfMapDisk:
-    """Polynomial self-map of the disk, admitted on sampled boundary evidence.
+    """Polynomial self-map of the disk, admitted by a bound on the circle or
+    on sampled boundary evidence.
 
-    The boundary grid is evidence, not proof: symbols used in experiments have
-    analytically known sup norms and the grid guards against gross mistakes.
-    A constructor that proves a bound on the circle passes it as
-    ``_sup_bound``; one within the slack admits the series without the grid.
-    Non-constant maps must satisfy |b(0)| < 1.
+    The bound is ``_sup_bound`` when a constructor proves one, else the
+    coefficient absolute sum; one within the slack admits the series.  Else
+    the boundary grid decides: evidence, not proof, that guards against gross
+    mistakes.  Non-constant maps must satisfy |b(0)| < 1.
     """
 
     __slots__ = ("series",)
@@ -315,8 +308,8 @@ class SelfMapDisk:
     def __init__(self, series: DiskPoly, _sup_bound: float | None = None):
         if not isinstance(series, DiskPoly):
             raise TypeError("series must be a DiskPoly")
-        top = _sup_bound
-        if top is None or top > 1.0 + SELF_MAP_SLACK:
+        top = np.abs(series.coeffs).sum() if _sup_bound is None else _sup_bound
+        if top > 1.0 + SELF_MAP_SLACK:
             top = sup_norm_circle(series, SELF_MAP_GRID)
         if top > 1.0 + SELF_MAP_SLACK:
             raise ValueError(
@@ -356,14 +349,16 @@ def _sphere_samples(dim: int, count: int) -> np.ndarray:
 
 
 class BallMap:
-    """Polynomial self-map of the unit ball, admitted on sampled sphere evidence.
+    """Polynomial self-map of the unit ball, admitted by a coefficient bound
+    or on sampled sphere evidence.
 
-    ``coords`` holds one BallPoly per ambient coordinate.  Admission checks
-    that the squared coordinate moduli sum to at most 1 + SELF_MAP_SLACK on a
-    fixed deterministic sphere sample and that |b(0)| < 1.
+    ``coords`` holds one BallPoly per ambient coordinate.  Where the bound
+    sqrt(sum_i ||b_i||_1^2) >= sup |b| passes 1 + SELF_MAP_SLACK, the squared
+    coordinate moduli must sum to at most that on a fixed deterministic sphere
+    sample.  |b(0)| < 1.  ``_powers`` holds ``comp_matrix``'s powers of b.
     """
 
-    __slots__ = ("dim", "coords")
+    __slots__ = ("dim", "coords", "_powers")
 
     def __init__(self, coords):
         coords = list(coords)
@@ -377,8 +372,11 @@ class BallMap:
                 raise ValueError("each coordinate must be a polynomial in dim variables")
         self.dim = dim
         self.coords = coords
-        top = float(np.max(np.linalg.norm(self(_sphere_samples(dim, BALL_MAP_GRID)),
-                                          axis=-1)))
+        self._powers = {}
+        top = np.linalg.norm([np.abs(c.coefs).sum() for c in coords])
+        if top > 1.0 + SELF_MAP_SLACK:
+            top = float(np.max(np.linalg.norm(self(_sphere_samples(dim, BALL_MAP_GRID)),
+                                              axis=-1)))
         if top > 1.0 + SELF_MAP_SLACK:
             raise ValueError(
                 f"sphere samples reach modulus {top:.6g}; not a ball self-map"

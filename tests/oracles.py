@@ -245,11 +245,11 @@ def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
     alpha = int(alpha)
     _check_bytes((degree + 1) * np.dtype(complex).itemsize,
                  f"{degree + 1} coefficients")
-    numer = (DiskPoly.one() + (-np.conj(b(w))) * b.series) ** alpha
+    numer = (DiskPoly([1.0]) + (-np.conj(b(w))) * b.series) ** alpha
     geo = DiskPoly(
         [math.comb(n + alpha - 1, n) * np.conj(w) ** n for n in range(degree + 1)]
     )
-    return (numer * geo).truncated(degree)
+    return DiskPoly((numer * geo).padded(degree))
 
 
 def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> tuple:

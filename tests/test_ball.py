@@ -95,6 +95,45 @@ def test_inv_kernel_weight_matches_exact_arithmetic():
         assert inv_kernel_mult_norm(b, alpha, n)[0] == pytest.approx(exact, rel=1e-13)
 
 
+def test_inv_kernel_weight_coefficients_match_exact_arithmetic():
+    # the monomial-basis Horner against W's coefficients rounded once from
+    # exact rationals, through degree 3n
+    for seed in range(3):
+        b = random_ball_row_contraction(substream(seed, 0), 2, 2, 0.9)
+        for alpha, n in ((1, 8), (2, 8), (400, 2)):
+            exact = exact_inv_kernel_weight(b, alpha, 3 * n)
+            want = np.array([exact.get(m, 0.0) for m in grlex_monomials(2, 3 * n)])
+            got = ball._inv_kernel_weight(b, float(alpha), 3 * n)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_inv_kernel_section_is_the_mult_matrix_rows(monkeypatch):
+    # the section op_norm_lower bounds holds, byte for byte, the rows of
+    # degree <= 3n of mult_matrix's section of the same coefficients
+    sections = []
+    bound = ball.op_norm_lower
+    monkeypatch.setattr(ball, "op_norm_lower",
+                        lambda sec, **kw: sections.append(sec) or bound(sec, **kw))
+    for seed in range(3):
+        b = random_ball_row_contraction(substream(seed, 0), 2, 2, 0.9)
+        for alpha, n in ((1, 8), (2, 8), (400, 2)):
+            space, top = SpaceSpec(2, float(alpha)), 3 * n
+            inv_kernel_mult_norm(b, alpha, n)
+            exps = np.array(grlex_monomials(2, top))
+            weight = BallPoly._of(2, exps, ball._inv_kernel_weight(b, float(alpha), top))
+            full = mult_matrix(weight, space, n, row_degree=n + top)
+            got = sections.pop()
+            assert (got.col_degree, got.row_degree) == (n, top)
+            assert got.rows.tolist() == list(range(len(exps)))
+            assert got.entries.tobytes() == full.entries[:len(exps)].tobytes()
+    # the (term, column) pairs of total degree <= 24 over 45 columns, of the
+    # 325 x 45 the full product has; built once and shared read-only
+    pairs = ball._weight_pairs(2, 24, 8)
+    assert pairs.shape == (3, 9255) and not pairs.flags.writeable
+    assert ball._weight_pairs(2, 24, 8) is pairs
+    assert ball._weight_pairs.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("coefs, alpha", [
     ({(0,): 0.9, (1,): 0.05}, 2000),  # the closed form passes float range
     ({(0,): 0.9, (1,): 0.1}, 300),  # the section's Gram passes it

@@ -456,6 +456,27 @@ def test_oversized_combo_degree_exits_two_before_allocating(tmp_path, capsys):
     assert peak < 2**24
 
 
+def test_ball_lemma_above_the_weight_limit_exits_two_before_allocating(tmp_path,
+                                                                      capsys):
+    # at section_degree 66 in dim 2 the inverse-kernel weight's table of
+    # 27.8 million (term, column) pairs passes the byte limit (65 is the last
+    # degree within it); the weight's checks run before the coordinate
+    # sections are built
+    cfg = _cfg(tmp_path, "ball-lemma", params={
+        "maps": 1, "alphas": [1], "section_degree": 66, "cert_points": 2,
+        "row_points": 1})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight pairs" in err and "byte limit" in err
+    assert peak < 2**24
+
+
 def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys, monkeypatch):
     # every candidate lies in the ball, so only separation rejects: 40
     # points pairwise 0.5 apart do not fit in the radius-0.95 disk

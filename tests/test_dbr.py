@@ -179,7 +179,7 @@ def test_defect_norm_validates_inputs():
     with pytest.raises(ValueError):
         hb_norm_defect(DiskPoly.monomial(9), b, 8)
     with pytest.raises(ValueError):
-        hb_norm_defect(DiskPoly.one(), SelfMapDisk(DiskPoly([0.5])), 8)
+        hb_norm_defect(DiskPoly([1.0]), SelfMapDisk(DiskPoly([0.5])), 8)
 
 
 def test_combo_norm_power_kernel_stays_positive():

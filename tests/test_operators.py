@@ -390,6 +390,27 @@ def test_comp_matrix_matches_reference_with_cancelling_powers():
                                            space, degree)
 
 
+def test_comp_matrix_computes_a_ball_maps_powers_once(monkeypatch):
+    # the coordinate powers do not depend on alpha: one map computes them
+    # once per column degree, and its sections match a fresh map's
+    from kernelcomp import operators
+
+    calls = []
+    powers = operators._comp_entries_ball
+    monkeypatch.setattr(operators, "_comp_entries_ball",
+                        lambda b, d: calls.append(d) or powers(b, d))
+    s = 0.25
+    b = BallMap([BallPoly(2, {(1, 0): s, (0, 1): s, (2, 0): s}),
+                 BallPoly(2, {(0, 0): s, (1, 1): -s})])
+    for alpha in (1.0, 2.0, 3.5):
+        fresh = comp_matrix(BallMap(b.coords), SpaceSpec(2, alpha), 5)
+        sec = comp_matrix(b, SpaceSpec(2, alpha), 5)
+        assert sec.rows.tobytes() == fresh.rows.tobytes()
+        assert sec.entries.tobytes() == fresh.entries.tobytes()
+    comp_matrix(b, SpaceSpec(2, 1.0), 3)
+    assert calls == [5] * 4 + [3]
+
+
 def test_ball_composition_section_stays_small():
     # the br section at r = 0.75: 61 reachable rows of 7381, 223 MB dense
     tracemalloc.start()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kernelcomp import series
 from kernelcomp.cli import ConfigError, poly_from_json_dict
+from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import (
     SELF_MAP_GRID,
     SELF_MAP_SLACK,
@@ -91,13 +92,14 @@ def test_ball_poly_eval_matches_term_loop_bit_for_bit(dim):
 
 
 def test_many_term_map_admission_stays_small():
-    # 2000 terms on the 2048-point sphere sample: the term rows are stacked
-    # in blocks, not all at once (188 MB)
+    # 2000 terms on the 2048-point sphere sample (their coefficient bound is
+    # 2, so the sample decides): the term rows are stacked in blocks, not all
+    # at once (188 MB)
     import tracemalloc
 
     from kernelcomp.operators import grlex_monomials
 
-    p = BallPoly(2, {m: 1e-4 for m in grlex_monomials(2, 62)[:2000]})
+    p = BallPoly(2, {m: 1e-3 for m in grlex_monomials(2, 62)[:2000]})
     tracemalloc.start()
     try:
         BallMap([p, BallPoly(2, {})])
@@ -395,6 +397,41 @@ def test_ball_map_admission():
         BallMap([BallPoly(1, {(1,): 1.0}), BallPoly(1, {(1,): 1.0})])
 
 
+def test_self_map_admission_by_coefficient_sum(monkeypatch):
+    # a coefficient sum within the slack admits without the boundary grid;
+    # the truncated Blaschke factor's sum is about 2, so the grid decides
+    grids = []
+    sup_norm = series.sup_norm_circle
+    monkeypatch.setattr(series, "sup_norm_circle",
+                        lambda f, n: grids.append(n) or sup_norm(f, n))
+    SelfMapDisk(DiskPoly([0.0, 0.5, 0.5]))
+    assert grids == []
+    SelfMapDisk(blaschke_factor(0.5).series)
+    assert grids == [SELF_MAP_GRID]
+
+
+def test_ball_map_admission_by_coefficient_bound(monkeypatch):
+    # sqrt(sum_i ||b_i||_1^2) bounds |b| on the closed ball: within the slack
+    # it admits the map without the sphere sample
+    draws = []
+    sample = series._sphere_samples
+    monkeypatch.setattr(series, "_sphere_samples",
+                        lambda dim, n: draws.append(dim) or sample(dim, n))
+    for dim in (1, 2, 3, 6):
+        random_ball_row_contraction(np.random.default_rng(dim), dim, 2, 0.9)
+    BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
+    assert draws == []
+    # ((z1 + z2) / sqrt(2), 0) has bound sqrt(2) and sphere maximum 1
+    r = 1.0 / math.sqrt(2.0)
+    BallMap([BallPoly(2, {(1, 0): r, (0, 1): r}), BallPoly(2, {})])
+    assert draws == [2]
+    # the constant (0.8, 0.8) has bound 0.8 sqrt(2), though each coordinate's
+    # sum is 0.8: the sample refuses it before the center check does
+    with pytest.raises(ValueError, match="sphere samples reach modulus 1.13137"):
+        BallMap([BallPoly(2, {(0, 0): 0.8}), BallPoly(2, {(0, 0): 0.8})])
+    assert draws == [2, 2]
+
+
 def test_circle_grid_is_cached_bounded_and_read_only():
     # the values a fresh grid gives, bit for bit, built once per size
     for size in (16, 1024, 4096):
@@ -419,8 +456,10 @@ def test_ball_map_sphere_sample_is_cached_and_read_only():
         assert series._sphere_samples(dim, series.BALL_MAP_GRID) is pts
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0
-    # admission only reads the shared sample
-    BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
+    # admission only reads the shared sample; this map's coefficient bound
+    # is 1.7 and its sphere maximum sqrt(0.72), so the sample decides
+    BallMap([BallPoly(2, {(1, 0): 0.6, (0, 1): 0.6}),
+             BallPoly(2, {(1, 0): 0.6, (0, 1): -0.6})])
 
 
 def test_compose_with_identity_recovers_f():
