@@ -10,8 +10,6 @@ observable at desk scale.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .kernels import (
@@ -22,8 +20,7 @@ from .kernels import (
     trial_stream,
 )
 from .operators import NormBound, SectionMatrix, SpaceSpec, _grlex_rank, \
-    _monomial_count, _place, comp_matrix, grlex_monomials, monomial_norms, \
-    mult_matrix, op_norm_lower
+    comp_matrix, grlex_monomials, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly, _check_bytes
 
 __all__ = [
@@ -72,22 +69,6 @@ def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
     return sigma, float(np.linalg.norm(bw))
 
 
-@lru_cache(maxsize=8)
-def _weight_pairs(dim: int, top: int, col_degree: int) -> np.ndarray:
-    """Rows (term, column, row rank) of the products of monomials and columns
-    that land in degree <= top: a column of degree k takes the grlex prefix
-    of degree <= top - k.  Shared per (dim, top, col_degree), so read-only."""
-    cols = np.array(grlex_monomials(dim, col_degree))
-    lengths = [_monomial_count(dim, top - k) for k in cols.sum(axis=1).tolist()]
-    _check_bytes(8 * (3 + dim) * sum(lengths), f"{sum(lengths)} weight pairs")
-    terms = np.concatenate([np.arange(n) for n in lengths])
-    columns = np.repeat(np.arange(len(cols)), lengths)
-    out = np.stack([terms, columns, _grlex_rank(
-        np.array(grlex_monomials(dim, top))[terms] + cols[columns])])
-    out.flags.writeable = False
-    return out
-
-
 def _inv_kernel_weight(b: BallMap, alpha: float, top: int) -> np.ndarray:
     """W's grlex coefficients through degree top (``inv_kernel_mult_norm``)."""
     s = BallPoly.zero(b.dim)
@@ -121,31 +102,28 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
     for k = D, ..., 1 and W = q^(-alpha) (1 + P), with t (1 + P) one gather.
 
     lower is ``op_norm_lower``'s bound at col_degree for the rows of degree
-    <= D of the exact multiplication section of W, the section of P_D M_W,
-    placed from the (term, column) pairs that land there.  A row projection
-    of exact columns is still a lower bound, since ||P_D M_W v|| <= ||M_W v||,
-    so lower bounds the norm of the exact weight up to rounding.  The upper
-    bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes with kernel
-    positivity.  A ValueError names alpha when the closed form, the weight or
-    the section leaves float range.
+    <= D of the exact multiplication section of W, the section of P_D M_W.  A
+    row projection of exact columns is still a lower bound, since
+    ||P_D M_W v|| <= ||M_W v||, so lower bounds the norm of the exact weight up
+    to rounding.  The upper bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes
+    with kernel positivity.  A ValueError names alpha when the closed form,
+    the weight or the section leaves float range.
     """
     alpha = float(alpha)
     space, top = SpaceSpec(b.dim, alpha), 3 * col_degree
-    count, ncols = _monomial_count(b.dim, top), _monomial_count(b.dim, col_degree)
-    _check_bytes(16 * count * ncols, f"a {count}x{ncols} section")
+    exps = np.array(grlex_monomials(b.dim, top))
+    count = len(exps)
     try:
         with np.errstate(over="raise", invalid="raise"):
             upper = (1.0 - float(np.linalg.norm(b.center))) ** (-alpha)
             weight = _inv_kernel_weight(b, alpha, top)
             if not np.all(np.isfinite(weight)):
                 raise OverflowError
-            terms, cols, ranks = _weight_pairs(b.dim, top, col_degree)
-            entries = np.zeros((count, ncols), dtype=complex)
-            # as mult_matrix places a BallPoly's terms, whose parts are never -0.0
-            _place(entries, ranks, ranks, cols, 0.0 + weight[terms],
-                   monomial_norms(space, top))
-            section = SectionMatrix(space, col_degree, top, np.arange(count), entries)
-            lower = op_norm_lower(section, trace_degrees=[col_degree]).lower
+            section = mult_matrix(BallPoly._of(b.dim, exps, weight), space,
+                                  col_degree, row_degree=col_degree + top)
+            projected = SectionMatrix(space, col_degree, top, section.rows[:count],
+                                      section.entries[:count])
+            lower = op_norm_lower(projected, trace_degrees=[col_degree]).lower
     except (OverflowError, FloatingPointError):
         raise ValueError(f"the inverse-kernel weight passes float range at "
                          f"alpha={alpha:g}") from None

@@ -283,7 +283,10 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         rows = np.arange(len(entries))
     else:
         if col_degree not in b._powers:
-            b._powers[col_degree] = _comp_entries_ball(b, col_degree)
+            powers = _comp_entries_ball(b, col_degree)
+            for a in powers:
+                a.flags.writeable = False
+            b._powers[col_degree] = powers
         ranks, cols, coefs = b._powers[col_degree]
         rows = np.unique(ranks)
         entries = np.zeros((len(rows), ncols), dtype=complex)

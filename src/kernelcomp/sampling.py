@@ -75,8 +75,15 @@ def random_ball_row_contraction(rng: np.random.Generator, dim: int,
     if not 0.0 < row_target < 1.0:
         raise ValueError("row_target must lie strictly between 0 and 1")
     mons = grlex_monomials(dim, coord_degree)
-    coords = [BallPoly(dim, {m: complex(rng.standard_normal(), rng.standard_normal())
-                             for m in mons}) for _ in range(dim)]
-    sums = [sum(abs(c) for c in p.terms.values()) for p in coords]
-    scale = row_target / float(np.linalg.norm(sums))
+    coords = []
+    sums = []
+    for _ in range(dim):
+        terms = {}
+        for m in mons:
+            terms[m] = complex(rng.standard_normal(), rng.standard_normal())
+        p = BallPoly(dim, terms)
+        coords.append(p)
+        sums.append(sum(abs(c) for c in p.terms.values()))
+    total = float(np.linalg.norm(sums))
+    scale = row_target / total
     return BallMap([scale * p for p in coords])

@@ -126,12 +126,6 @@ def test_inv_kernel_section_is_the_mult_matrix_rows(monkeypatch):
             assert (got.col_degree, got.row_degree) == (n, top)
             assert got.rows.tolist() == list(range(len(exps)))
             assert got.entries.tobytes() == full.entries[:len(exps)].tobytes()
-    # the (term, column) pairs of total degree <= 24 over 45 columns, of the
-    # 325 x 45 the full product has; built once and shared read-only
-    pairs = ball._weight_pairs(2, 24, 8)
-    assert pairs.shape == (3, 9255) and not pairs.flags.writeable
-    assert ball._weight_pairs(2, 24, 8) is pairs
-    assert ball._weight_pairs.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("coefs, alpha", [

@@ -458,12 +458,11 @@ def test_oversized_combo_degree_exits_two_before_allocating(tmp_path, capsys):
 
 def test_ball_lemma_above_the_weight_limit_exits_two_before_allocating(tmp_path,
                                                                       capsys):
-    # at section_degree 66 in dim 2 the inverse-kernel weight's table of
-    # 27.8 million (term, column) pairs passes the byte limit (65 is the last
-    # degree within it); the weight's checks run before the coordinate
-    # sections are built
+    # at section_degree 64 in dim 2 the inverse-kernel weight's 33153x2145
+    # section passes the byte limit (63 is the last degree within it); the
+    # weight is checked before the coordinate sections are built
     cfg = _cfg(tmp_path, "ball-lemma", params={
-        "maps": 1, "alphas": [1], "section_degree": 66, "cert_points": 2,
+        "maps": 1, "alphas": [1], "section_degree": 64, "cert_points": 2,
         "row_points": 1})
     tracemalloc.start()
     try:
@@ -473,7 +472,8 @@ def test_ball_lemma_above_the_weight_limit_exits_two_before_allocating(tmp_path,
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "weight pairs" in err and "byte limit" in err
+    assert err.startswith("error: ") and "33153x2145 section" in err \
+        and "byte limit" in err
     assert peak < 2**24
 
 

@@ -409,6 +409,8 @@ def test_comp_matrix_computes_a_ball_maps_powers_once(monkeypatch):
         assert sec.entries.tobytes() == fresh.entries.tobytes()
     comp_matrix(b, SpaceSpec(2, 1.0), 3)
     assert calls == [5] * 4 + [3]
+    # every later section of the map reads them, so they are read-only
+    assert not any(a.flags.writeable for a in b._powers[5])
 
 
 def test_ball_composition_section_stays_small():
