@@ -19,7 +19,7 @@ from .kernels import (
     sample_point_set,
     trial_stream,
 )
-from .operators import NormBound, SectionMatrix, SpaceSpec, _grlex_rank, \
+from .operators import SectionMatrix, SpaceSpec, _grlex_rank, \
     comp_matrix, grlex_monomials, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly, _check_bytes
 
@@ -146,8 +146,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     The composition section trace certifies norm growth (strictly increasing
     and unbounded at r = 1, saturating for r < 1); the randomized scan hunts
     for a point set whose map kernel Gram fails positivity.  At r = 0 the map
-    is constant and the composition operator has norm exactly 1, so the trace
-    is reported flat without building sections.
+    is the constant 0, whose one-row section reads exactly 1 at every degree.
 
     Returns (bracket, cert, found): the trace's ``NormBound``, the search's
     NEGATIVE certificate if ``found``, else that of a probe at the search's
@@ -156,11 +155,8 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     """
     b = br_map(r)
     alpha = float(alpha)
-    if r == 0.0:
-        bracket = NormBound(1.0, [(int(d), 1.0) for d in sorted(trace_degrees)])
-    else:
-        section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
-        bracket = op_norm_lower(section, trace_degrees=trace_degrees)
+    section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
+    bracket = op_norm_lower(section, trace_degrees=trace_degrees)
     spec = KernelSpec.ball_map(b, alpha)
     witness = find_negative_witness(spec, seed=seed, radius=radius,
                                     set_size=set_size, budget=witness_budget)

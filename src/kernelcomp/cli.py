@@ -352,16 +352,13 @@ def run_hardy_bound(params: dict, tol: dict, seed: int):
     n = params["section_degree"]
     c = abs(b.center)
     bound = comp_norm_bound(c, 1.0)
-    if b.is_constant():
-        pairs = [(n, float((1.0 - c * c) ** -0.5))]
-        what = "rank-one composition norm stays within the closed-form bound"
-    else:
-        pairs = op_norm_lower(comp_matrix(b, H2, n),
-                              trace_degrees=params["trace_degrees"]).trace
-        what = "certified lower bounds stay within the closed-form composition bound"
-    records = [make_record(what, "hardy-composition-bound",
-                           _worst(lo for _, lo in pairs), bound, tol["bound_slack"])]
-    if params["check_sharp"] and not b.is_constant():
+    pairs = op_norm_lower(comp_matrix(b, H2, n),
+                          trace_degrees=params["trace_degrees"]).trace
+    records = [make_record(
+        "certified lower bounds stay within the closed-form composition bound",
+        "hardy-composition-bound", _worst(lo for _, lo in pairs), bound,
+        tol["bound_slack"])]
+    if params["check_sharp"]:
         records.append(make_record(
             "final section closes the gap to the closed-form value",
             "inner-symbol-sharpness", bound - pairs[-1][1], 0.0,
@@ -787,7 +784,7 @@ COMMANDS = {
 _NONE_DEFAULT_LIKE = {"trace_degrees": [0], "mode_count": 0, "rank_tol": 0.0}
 
 _NONZERO = {"point_count", "cert_points", "row_points", "symbol_degree_max", "alphas",
-            "node_max", "grid_size", "trace_step"}
+            "node_max", "grid_size", "trace_step", "family_size"}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", dict: "a json object", list: "a list"}
@@ -827,7 +824,7 @@ def _check_type(what: str, value, default, key: str):
         if isinstance(like, list) and like and isinstance(like[0], float):
             return [_as_float(v, f"{what} {key!r}") for v in value]
         # no count, degree or size is negative; no sample size, node count, grid,
-        # trace step, top degree or alpha is 0
+        # trace step, family, top degree or alpha is 0
         least, need = (1, "at least 1") if key in _NONZERO else (0, "nonnegative")
         for v in value if isinstance(like, list) else [value]:
             if _same_type(v, 0) and v < least:

@@ -43,13 +43,6 @@ class KernelPositivityError(RuntimeError):
     """A kernel Gram that must be positive failed its certificate."""
 
 
-def _require_nonconstant(b: SelfMapDisk):
-    if not isinstance(b, SelfMapDisk):
-        raise TypeError("b must be a SelfMapDisk")
-    if b.is_constant():
-        raise ValueError("constant symbols do not generate a range space here")
-
-
 @dataclass
 class KernelCombo:
     """Finite combination sum_i coeffs[i] * K(., node_i) for the symbol kernel.
@@ -64,7 +57,8 @@ class KernelCombo:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _require_nonconstant(self.b)
+        if not isinstance(self.b, SelfMapDisk):
+            raise TypeError("b must be a SelfMapDisk")
         if int(self.alpha) != self.alpha or self.alpha < 1:
             raise ValueError("alpha must be a positive integer")
         self.alpha = int(self.alpha)
@@ -140,7 +134,6 @@ def defect_matrix(b: SelfMapDisk, degree: int) -> np.ndarray:
     multiplication lowers degree, so the compression of M_b M_b* equals the
     product of the square lower-triangular section with its adjoint.
     """
-    _require_nonconstant(b)
     space = SpaceSpec(1, 1.0)
     full = mult_matrix(b.series, space, degree).entries
     square = full[: degree + 1, :]
@@ -234,7 +227,8 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None,
     comp = comp_matrix(b, space, degree)
     for f in modes:
         z = weighted_comp_matrix(f, comp).entries
-        x = z[:m_test, :]
+        x = np.zeros((m_test, z.shape[1]), dtype=complex)
+        x[: len(z)] = z[:m_test]  # a constant symbol's z stops at deg f
         s = s + x @ x.conj().T
         act[: z.shape[0], :] += z @ x.conj().T
         partials.append(0.5 * (s + s.conj().T))

@@ -257,9 +257,8 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
 
     Column j holds the expansion of the normalized monomial composed with b,
     i.e. the coordinate powers b^(m_j).  Rows run through degree
-    col_degree * deg(b), which contains those images exactly.  Constant
-    symbols are rejected: their sections collapse to rank one and the exact
-    norm is available in closed form instead.
+    col_degree * deg(b), which contains those images exactly: a constant
+    symbol c gets one row, column j holding c^(m_j) ||1|| / ||z^(m_j)||.
     """
     if col_degree < 0:
         raise ValueError("col_degree must be nonnegative")
@@ -270,13 +269,11 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         raise TypeError("b must be a SelfMapDisk or a BallMap")
     elif space.dim != b.dim:
         raise ValueError("map and space dimensions must match")
-    if b.is_constant():
-        raise ValueError("constant symbols do not get finite sections")
 
     row_degree = col_degree * b.degree()
     # the limit is the dense section's, so stored rows never decide it
     _, ncols = _check_section_size(space.dim, row_degree, col_degree)
-    norms = monomial_norms(space, row_degree)
+    norms = monomial_norms(space, max(row_degree, col_degree))
 
     if isinstance(b, SelfMapDisk):
         entries = _comp_entries_disk(b.series.trimmed(), norms, col_degree)

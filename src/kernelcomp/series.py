@@ -300,7 +300,7 @@ class SelfMapDisk:
     The bound is ``_sup_bound`` when a constructor proves one, else the
     coefficient absolute sum; one within the slack admits the series.  Else
     the boundary grid decides: evidence, not proof, that guards against gross
-    mistakes.  Non-constant maps must satisfy |b(0)| < 1.
+    mistakes.  |b(0)| < 1, constants included.
     """
 
     __slots__ = ("series",)
@@ -315,8 +315,8 @@ class SelfMapDisk:
             raise ValueError(
                 f"boundary samples reach modulus {top:.6g}; not a disk self-map"
             )
-        if series.degree() > 0 and abs(series.coeffs[0]) >= 1.0:
-            raise ValueError("a non-constant self-map needs |b(0)| < 1")
+        if abs(series.coeffs[0]) >= 1.0:
+            raise ValueError("a disk self-map needs |b(0)| < 1")
         self.series = series
 
     @property
@@ -326,9 +326,6 @@ class SelfMapDisk:
 
     def degree(self) -> int:
         return self.series.degree()
-
-    def is_constant(self) -> bool:
-        return self.series.degree() == 0
 
     def __call__(self, z):
         return self.series(z)
@@ -391,9 +388,6 @@ class BallMap:
 
     def degree(self) -> int:
         return max(c.degree() for c in self.coords)
-
-    def is_constant(self) -> bool:
-        return self.degree() == 0
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at points of shape (..., dim); returns shape (..., dim)."""

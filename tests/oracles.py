@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kernelcomp.dbr import KernelCombo, _defect_eigs, _require_nonconstant
+from kernelcomp.dbr import KernelCombo, _defect_eigs
 from kernelcomp.kernels import DomainError, KernelSpec, sample_point_set
 from kernelcomp.operators import (
     SectionMatrix,
@@ -236,7 +236,6 @@ def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
     are polynomials or explicit series, so the truncation is exact through
     the requested degree.
     """
-    _require_nonconstant(b)
     if int(alpha) != alpha or alpha < 1:
         raise ValueError("alpha must be a positive integer")
     w = complex(w)

@@ -175,6 +175,13 @@ def test_br_experiment_flat_at_zero():
     assert cert.verdict == PSD and cert.witness is None
 
 
+def test_br_zero_section_reads_one_at_every_degree():
+    # br_map(0) is the constant 0: C_b f = f(0) has norm exactly 1
+    bound = op_norm_lower(comp_matrix(br_map(0.0), SpaceSpec(2, 1.0), 60),
+                          trace_degrees=range(61))
+    assert [v for _, v in bound.trace] == [1.0] * 61
+
+
 def test_br_experiment_saturates_below_half_root_two():
     bracket, cert, found = br_experiment(
         0.5, alpha=1.0, section_degree=24, trace_degrees=range(0, 25, 4),

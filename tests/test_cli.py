@@ -170,7 +170,7 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
             ({"name": "theorem1", "params": {"section_degree": -1}},
              "theorem1 parameter 'section_degree' must be nonnegative, got -1"),
             ({"name": "inf-estimate", "params": {"family_size": -1}},
-             "inf-estimate parameter 'family_size' must be nonnegative, got -1"),
+             "inf-estimate parameter 'family_size' must be at least 1, got -1"),
             ({"name": "bergman-bound", "params": {"alphas": [2, -1]}},
              "bergman-bound parameter 'alphas' must be at least 1, got -1"),
             # an alpha below 1 or a radius outside (0, 1) names its config key
@@ -186,9 +186,14 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
                   ("theorem1", "node_radius", 1.0), ("br", "radius", 1),
                   ("szego-identity", "point_radius", -0.5),
                   ("inf-estimate", "family_radius", 1.5))],
-            ({"name": "inf-estimate", "params": {"symbol": {
-                "type": "monomial", "degree": 0, "scale": [0.5, 0.0]}}},
-             "constant symbols do not get finite sections"),
+            # a unimodular constant is no self-map of the disk, in a
+            # section and in a kernel alike
+            ({"name": "hardy-bound", "params": {"symbol": {
+                "type": "taylor", "coeffs": [[1, 0]]}}},
+             "a disk self-map needs |b(0)| < 1"),
+            ({"name": "psd", "params": {"spec": {"kind": "dbr", "b": {
+                "type": "taylor", "coeffs": [[1, 0]]}}}},
+             "a disk self-map needs |b(0)| < 1"),
             ({"name": "hardy-bound", "params": {"trace_degrees": []}},
              "trace degrees must not be empty"),
             # kernel values that overflow, in a Gram and in the witness
@@ -212,6 +217,8 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "mode_count must be at least 1"),
             ({"name": "inf-estimate", "params": {"grid_size": 0}},
              "inf-estimate parameter 'grid_size' must be at least 1, got 0"),
+            ({"name": "inf-estimate", "params": {"family_size": 0}},
+             "inf-estimate parameter 'family_size' must be at least 1, got 0"),
             ({"name": "br", "params": {"r_values": [0.5],
                                        "witness_budget": -1,
                                        "section_degree": 2}},
@@ -272,6 +279,29 @@ def test_hardy_bound_runs_a_one_column_section(tmp_path, capsys):
     # one column cannot close the gap to the sharp bound
     cfg = _cfg(tmp_path, "hardy-bound", params={"section_degree": 0})
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+
+
+def test_constant_symbols_run_as_ordinary_symbols(tmp_path, capsys):
+    # b = c has C_b f = f(c), of norm (1 - |c|^2)^(-1/2) < ((1 + c) / (1 - c))^(1/2)
+    half = {"type": "taylor", "coeffs": [[0.5, 0]]}
+    out = tmp_path / "h.json"
+    cfg = _cfg(tmp_path, "hardy-bound",
+               params={"symbol": half, "check_sharp": False})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["trace"]["rows"]
+    assert abs(rows[-1][1] - 1.0 / math.sqrt(0.75)) <= 1e-12
+    # a constant is not inner, so the sharpness record fails as it should
+    cfg = _cfg(tmp_path, "hardy-bound", params={"symbol": half})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    assert [r["pass"] for r in records] == [True, False]
+    for name, params in (("ball-bound", {"coord_degree": 0}),
+                         ("inf-estimate", {"symbol": half}),
+                         ("szego-identity", {"symbol": half}),
+                         ("summation", {"symbol": half})):
+        cfg = _cfg(tmp_path, name, params=params)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0, name
     capsys.readouterr()
 
 

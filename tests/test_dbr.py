@@ -81,8 +81,8 @@ def test_combo_rejects_bad_shapes():
         KernelCombo(b, 1, PointSet([0.1, 0.2]), [1.0])
     with pytest.raises(ValueError):
         KernelCombo(b, 0, PointSet([0.1]), [1.0])
-    with pytest.raises(ValueError):
-        KernelCombo(SelfMapDisk(DiskPoly([0.5])), 1, PointSet([0.1]), [1.0])
+    with pytest.raises(TypeError):
+        KernelCombo(DiskPoly([0.5]), 1, PointSet([0.1]), [1.0])
 
 
 def test_kernel_section_poly_matches_pointwise_kernel():
@@ -178,8 +178,6 @@ def test_defect_norm_validates_inputs():
     b = SelfMapDisk(DiskPoly([0.0, 0.5]))
     with pytest.raises(ValueError):
         hb_norm_defect(DiskPoly.monomial(9), b, 8)
-    with pytest.raises(ValueError):
-        hb_norm_defect(DiskPoly([1.0]), SelfMapDisk(DiskPoly([0.5])), 8)
 
 
 def test_combo_norm_power_kernel_stays_positive():
@@ -254,7 +252,7 @@ def test_random_disk_symbol_is_admissible():
     for _ in range(10):
         b = random_disk_symbol(rng, max_degree=5, boundary_max=0.95)
         assert sup_norm_circle(b.series, 1024) <= 0.95 + 1e-9
-        assert not b.is_constant()
+        assert b.degree() > 0
 
 
 def test_random_kernel_combo_normalization():

@@ -5,7 +5,8 @@ The reduced goldens of test_golden.py run at one seed, and a change in how a
 single value is rounded can show at other seeds only, so these full-size
 reports are pinned at three.  The sampler-heavy configs draw hundreds of
 points into one set, row points in dim 6, or sets in the dim-7 and dim-9
-balls.  All runs share one subprocess with one BLAS thread.  To
+balls; two more run constant symbols through the one-row sections every
+self-map gets.  All runs share one subprocess with one BLAS thread.  To
 regenerate the file after an intended change, see README.md ("Golden
 reports") and say why in CHANGES.md.
 """
@@ -34,6 +35,9 @@ SAMPLER_CONFIGS = {
     "ball-lemma-dim6": ("ball-lemma", {"maps": 3, "dim": 6, "section_degree": 1,
                                        "cert_points": 2, "row_points": 10}, SEEDS),
     "ball-lemma-maps30": ("ball-lemma", {"maps": 30}, (0,)),
+    "hardy-bound-const": ("hardy-bound", {"check_sharp": False, "symbol": {
+        "type": "taylor", "coeffs": [[0.5, 0]]}}, SEEDS),
+    "ball-bound-const": ("ball-bound", {"coord_degree": 0}, SEEDS),
 }
 
 

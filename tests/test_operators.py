@@ -146,12 +146,17 @@ def test_comp_matrix_weighted_space_scaling():
     assert sec.entries[6, 3] == pytest.approx(0.9**3 * norms[6] / norms[3], rel=1e-13)
 
 
-def test_comp_matrix_rejects_constant():
-    with pytest.raises(ValueError):
-        comp_matrix(SelfMapDisk(DiskPoly([0.5])), H2, 4)
+def test_comp_matrix_constant_is_one_exact_row():
+    # f o c = f(c): column j is c^(m_j) ||1|| / ||z^(m_j)||, all in row 0
+    space = SpaceSpec(1, 2.0)
+    sec = comp_matrix(SelfMapDisk(DiskPoly([0.5])), space, 6)
+    norms = monomial_norms(space, 6)
+    assert sec.row_degree == 0 and list(sec.rows) == [0]
+    np.testing.assert_allclose(sec.entries[0], 0.5 ** np.arange(7) * norms[0] / norms,
+                               rtol=1e-14)
     zero = BallPoly(2, {})
-    with pytest.raises(ValueError):
-        comp_matrix(BallMap([BallPoly(2, {(0, 0): 0.3}), zero]), SpaceSpec(2, 1.0), 4)
+    sec = comp_matrix(BallMap([BallPoly(2, {(0, 0): 0.3}), zero]), SpaceSpec(2, 1.0), 4)
+    assert sec.row_degree == 0 and list(sec.rows) == [0]
 
 
 def _scaled_disk_symbol(seed, degree, radius):

@@ -376,8 +376,10 @@ def test_self_map_admission():
         SelfMapDisk(DiskPoly([0.0, 1.2]))
     with pytest.raises(ValueError):
         SelfMapDisk(DiskPoly([2.0]))
+    with pytest.raises(ValueError, match=r"needs \|b\(0\)\| < 1"):
+        SelfMapDisk(DiskPoly([1.0]))
     const = SelfMapDisk(DiskPoly([0.5]))
-    assert const.is_constant()
+    assert const.degree() == 0
     b = SelfMapDisk(DiskPoly([0.0, 0.5, 0.5]))
     assert b.degree() == 2
     assert sup_norm_circle(b.series, 1024) <= 1.0 + SELF_MAP_SLACK
@@ -388,7 +390,7 @@ def test_ball_map_admission():
     other = BallPoly(2, {(0, 1): 0.5})
     bm = BallMap([half, other])
     assert bm.dim == 2
-    assert not bm.is_constant()
+    assert bm.degree() > 0
     with pytest.raises(ValueError):
         BallMap([BallPoly(2, {(1, 0): 1.5}), BallPoly(2, {})])
     with pytest.raises(ValueError):
