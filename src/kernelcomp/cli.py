@@ -368,15 +368,16 @@ def run_hardy_bound(params: dict, tol: dict, seed: int):
     return records, trace, {}
 
 
-def _weighted_lower(rng, b: SelfMapDisk, alpha: int, comp, params: dict) -> float:
-    """Certified lower bound for g -> f * (g o b) on the columns of ``comp``,
-    the section of b, with f a unit kernel combination drawn from ``rng``."""
+def _weighted_lower(rng, b: SelfMapDisk, alpha: int, space: SpaceSpec, n: int,
+                    params: dict) -> float:
+    """Certified lower bound for g -> f * (g o b) on the columns of degree
+    <= n, with f a unit kernel combination drawn from ``rng``."""
     combo = random_kernel_combo(rng, b, alpha=alpha,
                                 max_nodes=params["node_max"],
                                 node_radius=params["node_radius"])
     f = combo_to_poly(combo, params["combo_degree"])
-    return op_norm_lower(weighted_comp_matrix(f, comp),
-                         trace_degrees=[comp.col_degree]).lower
+    return op_norm_lower(weighted_comp_matrix(f, b, space, n),
+                         trace_degrees=[n]).lower
 
 
 def run_theorem1(params: dict, tol: dict, seed: int):
@@ -387,7 +388,7 @@ def run_theorem1(params: dict, tol: dict, seed: int):
         rng = substream(seed, t)
         b = random_disk_symbol(rng, params["symbol_degree_max"],
                                params["boundary_max"])
-        lower = _weighted_lower(rng, b, 1, comp_matrix(b, H2, n), params)
+        lower = _weighted_lower(rng, b, 1, H2, n, params)
         records.append(make_record(
             f"trial {t}: weighted section stays below the unit combo norm",
             "weighted-composition-contraction", lower, 1.0, tol["rel_slack"]))
@@ -469,7 +470,7 @@ def run_bergman_bound(params: dict, tol: dict, seed: int):
             comp = comp_matrix(b, space, n)
             alpha_rows.append([alpha, t, op_norm_lower(comp, trace_degrees=[n]).lower,
                                comp_norm_bound(abs(b.center), space.alpha),
-                               _weighted_lower(rng, b, alpha, comp, params)])
+                               _weighted_lower(rng, b, alpha, space, n, params)])
         rows += alpha_rows
         records.append(make_record(
             f"composition sections respect the closed-form bound at alpha={alpha}",

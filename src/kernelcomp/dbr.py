@@ -24,7 +24,7 @@ from .kernels import (
     eig_tolerance,
     gram,
 )
-from .operators import SpaceSpec, comp_matrix, mult_matrix, weighted_comp_matrix
+from .operators import SpaceSpec, mult_matrix, weighted_comp_matrix
 from .series import DiskPoly, SelfMapDisk, _check_bytes
 
 __all__ = [
@@ -198,10 +198,10 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None,
     """Partial sums S_k of the resolution of the identity by the modes.
 
     Each mode contributes X X* with X the exact weighted composition section
-    of the mode against b.  The partial sums increase toward the identity on
-    the monitored degrees.  Returns (partials, defects): for each k, the
-    compression of S_k and the worst distance of S_k from the identity on
-    the monitored basis vectors.
+    of the mode against b, stored through the last row it reaches.  The
+    partial sums increase toward the identity on the monitored degrees.
+    Returns (partials, defects): for each k, the compression of S_k and the
+    worst distance of S_k from the identity on the monitored basis vectors.
     """
     if test_degree < 0:
         raise ValueError("test_degree must be nonnegative")
@@ -213,22 +213,20 @@ def summation_partial(b: SelfMapDisk, degree: int, mode_count: int | None,
     modes = onb.basis if mode_count is None else onb.basis[:mode_count]
     if not modes:
         raise ValueError("no modes above the rank tolerance")
-    space = SpaceSpec(1, 1.0)
     m_test = test_degree + 1
     partials = []
     defects = []
     s = np.zeros((m_test, m_test), dtype=complex)
-    # modes may have different degrees, so their sections have different row
-    # counts; the accumulated action is padded to the largest possible
+    # sections stop at their last reached row, so their row counts differ;
+    # the accumulated action is padded to the largest possible
     act_rows = degree * b.degree() + degree + 1
     _check_bytes(act_rows * m_test * np.dtype(complex).itemsize,
                  f"a {act_rows}x{m_test} action buffer")
     act = np.zeros((act_rows, m_test), dtype=complex)
-    comp = comp_matrix(b, space, degree)
     for f in modes:
-        z = weighted_comp_matrix(f, comp).entries
+        z = weighted_comp_matrix(f, b, SpaceSpec(1, 1.0), degree).entries
         x = np.zeros((m_test, z.shape[1]), dtype=complex)
-        x[: len(z)] = z[:m_test]  # a constant symbol's z stops at deg f
+        x[: len(z)] = z[:m_test]  # z may stop before m_test rows
         s = s + x @ x.conj().T
         act[: z.shape[0], :] += z @ x.conj().T
         partials.append(0.5 * (s + s.conj().T))

@@ -9,12 +9,13 @@ of the section, which makes the bound the prefix's top singular value up to
 rounding, nondecreasing in the number of columns.
 
 A section stores the rows it needs: ``rows`` lists their grlex ranks in
-ascending order and ``entries`` holds one dense row per rank.  Ball
-composition sections keep only the rows their column images reach.  Disk
-composition sections keep the rows up to the last one any column reaches:
-the Taylor coefficients of high powers underflow to exact zeros, so their
-trailing rows are empty.  Multiplication and weighted sections keep all rows
-through their row degree.
+ascending order and ``entries`` holds one dense row per rank.  Composition
+and weighted composition sections share one builder, column j holding
+f * b^(m_j) with f = 1 or the weight.  On the disk it is a convolution
+recurrence started at f, each power cut after its last entry that is not +0
+before the next product, and keeps the rows up to the last one reached; on
+the ball, coordinate products started at f's terms, keeping only the rows
+reached.  Multiplication sections keep all rows through their row degree.
 
 Sections carry no bound policy: ``op_norm_lower`` gives lower bounds only,
 and a caller that knows a closed-form upper bound states it itself.
@@ -136,7 +137,9 @@ def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
 
 def _check_section_size(dim: int, row_degree: int, col_degree: int) -> tuple:
     """Row and column counts of the dense section, refused before any work
-    when its entries would pass MAX_SECTION_BYTES."""
+    when col_degree is negative or its entries would pass MAX_SECTION_BYTES."""
+    if col_degree < 0:
+        raise ValueError("col_degree must be nonnegative")
     rows = _monomial_count(dim, row_degree)
     cols = _monomial_count(dim, col_degree)
     _check_bytes(rows * cols * np.dtype(complex).itemsize,
@@ -166,10 +169,7 @@ class SectionMatrix:
     ``rows`` holds ascending grlex ranks of normalized monomials of degree at
     most ``row_degree``; ``entries[i, j]`` is the coefficient of the image of
     the j-th normalized monomial against the one of rank ``rows[i]``.  Every
-    row left out is zero, so the stored rows hold each column exactly.  Ball
-    compositions store the ranks their images reach, disk compositions the
-    ranks up to the last one reached, and every other section all ranks.
-    """
+    row left out is zero, so the stored rows hold each column exactly."""
 
     space: SpaceSpec
     col_degree: int
@@ -197,16 +197,19 @@ def _stored_length(v: np.ndarray) -> int:
     return int(nz[-1]) // 2 + 1 if nz.size else 0
 
 
-def _comp_entries_disk(coeffs: np.ndarray, norms: np.ndarray,
+def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
                        col_degree: int) -> np.ndarray:
-    """Taylor coefficients of b**j in column j, norm-corrected, through the
-    last row any power reaches."""
-    power = np.ones(1, dtype=complex)
+    """Taylor coefficients of start * b**j in column j, norm-corrected,
+    through the last row any column reaches.  Each power is cut after its
+    last entry that is not +0 before the next product, which changes no
+    stored bit; once a power is empty, so is every later one."""
+    power = start[: _stored_length(start)]
     columns = [power]
-    for j in range(1, col_degree + 1):
-        power = np.convolve(power, coeffs)
-        n = _stored_length(power)
-        columns.append(power if n == power.size else power[:n].copy())
+    for _ in range(col_degree):
+        if power.size:
+            power = np.convolve(power, coeffs)
+            power = power[: _stored_length(power)]
+        columns.append(power)
     count = max(c.size for c in columns)
     a = np.zeros((count, col_degree + 1), dtype=complex)
     for j, c in enumerate(columns):
@@ -216,23 +219,23 @@ def _comp_entries_disk(coeffs: np.ndarray, norms: np.ndarray,
     return a
 
 
-def _comp_entries_ball(b: BallMap, col_degree: int):
-    """Rows, columns and coefficients of the coordinate powers b^(m_j).
+def _comp_entries_ball(start: BallPoly, b: BallMap, col_degree: int):
+    """Rows, columns and coefficients of start * b^(m_j).
 
-    Column m is b^(m - e_i) * b_i for the first coordinate i with m_i > 0,
-    with like terms summed as ``BallPoly`` products sum them (power terms
-    outer, b_i terms inner) but without dropping exact zeros.  The columns of
-    one degree that share i are multiplied together: a leading exponent
-    holding the column index keeps their terms apart.
+    Column 0 is ``start``, and column m is column m - e_i times b_i for the
+    first i with m_i > 0, with like terms summed as ``BallPoly`` products sum
+    them (earlier terms outer, b_i terms inner) but without dropping exact
+    zeros.  The columns of one degree that share i are multiplied together: a
+    leading exponent holding the column index keeps their terms apart.
     """
     dim = b.dim
     mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
     lead = np.argmax(mons > 0, axis=1)
     prev = _grlex_rank(mons - np.eye(dim, dtype=np.int64)[lead])
-    factors = [(np.column_stack([np.zeros(len(c.exps), dtype=np.int64), c.exps]),
-                c.coefs) for c in b.coords]
-    # (column, exps...) rows and coefficients of the powers of one degree
-    terms, coefs = np.zeros((1, dim + 1), dtype=np.int64), np.ones(1, dtype=complex)
+    # (column, exps...) rows and coefficients: start's, each b_i's, a degree's
+    tagged = [(np.column_stack([np.zeros(len(p.exps), dtype=np.int64), p.exps]),
+               p.coefs) for p in (start, *b.coords)]
+    (terms, coefs), factors = tagged[0], tagged[1:]
     out = [(terms, coefs)]
     for k in range(1, col_degree + 1):
         lo, hi = _monomial_count(dim, k - 1), _monomial_count(dim, k)
@@ -252,16 +255,8 @@ def _comp_entries_ball(b: BallMap, col_degree: int):
     return _grlex_rank(terms[:, 1:]), terms[:, 0], np.concatenate([c for _, c in out])
 
 
-def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
-    """Section of the composition operator f -> f(b(z)).
-
-    Column j holds the expansion of the normalized monomial composed with b,
-    i.e. the coordinate powers b^(m_j).  Rows run through degree
-    col_degree * deg(b), which contains those images exactly: a constant
-    symbol c gets one row, column j holding c^(m_j) ||1|| / ||z^(m_j)||.
-    """
-    if col_degree < 0:
-        raise ValueError("col_degree must be nonnegative")
+def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
+    """Section of g -> f * (g o b), or of g -> g o b when f is None."""
     if isinstance(b, SelfMapDisk):
         if space.dim != 1:
             raise ValueError("a disk symbol needs a dim-1 space")
@@ -269,26 +264,46 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         raise TypeError("b must be a SelfMapDisk or a BallMap")
     elif space.dim != b.dim:
         raise ValueError("map and space dimensions must match")
+    kind = DiskPoly if isinstance(b, SelfMapDisk) else BallPoly
+    if f is not None and (type(f) is not kind or getattr(f, "dim", 1) != space.dim):
+        raise TypeError(f"the weight must be a {kind.__name__} in dim {space.dim}")
 
-    row_degree = col_degree * b.degree()
+    row_degree = col_degree * b.degree() + (0 if f is None else f.degree())
     # the limit is the dense section's, so stored rows never decide it
     _, ncols = _check_section_size(space.dim, row_degree, col_degree)
     norms = monomial_norms(space, max(row_degree, col_degree))
 
     if isinstance(b, SelfMapDisk):
-        entries = _comp_entries_disk(b.series.trimmed(), norms, col_degree)
+        start = np.ones(1, dtype=complex) if f is None else f.trimmed()
+        entries = _comp_entries_disk(start, b.series.trimmed(), norms, col_degree)
         rows = np.arange(len(entries))
     else:
-        if col_degree not in b._powers:
-            powers = _comp_entries_ball(b, col_degree)
+        if f is None and col_degree not in b._powers:
+            powers = _comp_entries_ball(BallPoly(b.dim, {(0,) * b.dim: 1.0}), b,
+                                        col_degree)
             for a in powers:
                 a.flags.writeable = False
             b._powers[col_degree] = powers
-        ranks, cols, coefs = b._powers[col_degree]
+        ranks, cols, coefs = b._powers[col_degree] if f is None else \
+            _comp_entries_ball(f, b, col_degree)
         rows = np.unique(ranks)
         entries = np.zeros((len(rows), ncols), dtype=complex)
         _place(entries, np.searchsorted(rows, ranks), ranks, cols, coefs, norms)
     return SectionMatrix(space, col_degree, row_degree, rows, entries)
+
+
+def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
+    """Section of the composition operator f -> f(b(z)): column j holds the
+    coordinate powers b^(m_j) through row degree col_degree * deg(b), so a
+    constant symbol c gets one row, c^(m_j) ||1|| / ||z^(m_j)||."""
+    return _section(None, b, space, col_degree)
+
+
+def weighted_comp_matrix(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
+    """Section of g -> f * (g o b): the composition section started at f, a
+    DiskPoly for a disk symbol or a BallPoly for a ball map.  Column j holds
+    f * b^(m_j) through row degree deg(f) + col_degree * deg(b)."""
+    return _section(f, b, space, col_degree)
 
 
 def mult_matrix(f, space: SpaceSpec, col_degree: int,
@@ -300,8 +315,6 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     conformable for sums.  Column m_j holds f's term c_t in row m_j + t, so
     every entry is placed in one scatter.
     """
-    if col_degree < 0:
-        raise ValueError("col_degree must be nonnegative")
     if isinstance(f, DiskPoly):
         if space.dim != 1:
             raise ValueError("a disk weight needs a dim-1 space")
@@ -325,18 +338,6 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     cols = np.arange(len(col_exps))[None, :]
     _place(entries, ranks, ranks, cols, f.coefs[:, None], norms)
     return SectionMatrix(space, col_degree, row_degree, rows, entries)
-
-
-def weighted_comp_matrix(f, comp: SectionMatrix) -> SectionMatrix:
-    """Section of g -> f * (g o b) from the composition section ``comp`` of
-    b: the multiplication section of f times ``comp``, with exact
-    intermediate degree."""
-    mult = mult_matrix(f, comp.space, comp.row_degree)
-    left = mult.entries
-    if len(comp.rows) < left.shape[1]:
-        left = left[:, comp.rows]  # the rows comp leaves out are zero
-    return SectionMatrix(comp.space, comp.col_degree, mult.row_degree, mult.rows,
-                         left @ comp.entries)
 
 
 @dataclass

@@ -3,7 +3,11 @@
 ``compose`` expands f(b(z)) by circle sampling and discrete Fourier inversion,
 a route independent of the convolution powers in the composition sections.
 ``disk_comp_dense`` keeps the dense assembly of disk composition sections,
-every row through the row degree, as a byte-level reference.  The adjoint
+every row through the row degree, as a byte-level reference.
+``uncut_disk_entries`` is the disk power loop that convolved every power at
+full length, the byte-level reference for the cut recurrence, and
+``weighted_disk_extended`` the weighted section convolved in extended
+precision.  The adjoint
 checks verify that section adjoints act on reproducing kernels as the theory
 says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
 of points, apart from the stacked assembly the Gram matrices use.
@@ -31,6 +35,7 @@ from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
     _monomial_count,
+    _stored_length,
     comp_matrix,
     grlex_monomials,
     monomial_norms,
@@ -111,6 +116,43 @@ def disk_comp_dense(coeffs: np.ndarray, space: SpaceSpec,
     a *= norms[:, None]
     a /= norms[: col_degree + 1][None, :]
     return a
+
+
+def uncut_disk_entries(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
+                       col_degree: int) -> np.ndarray:
+    """What ``operators._comp_entries_disk`` returns, with every power
+    convolved at its full length: only the stored columns are cut after their
+    last entry that is not +0."""
+    power = start
+    columns = []
+    for j in range(col_degree + 1):
+        if j:
+            power = np.convolve(power, coeffs)
+        columns.append(power[: _stored_length(power)])
+    count = max(c.size for c in columns)
+    a = np.zeros((count, col_degree + 1), dtype=complex)
+    for j, c in enumerate(columns):
+        a[: c.size, j] = c
+    a *= norms[:count, None]
+    a /= norms[: col_degree + 1][None, :]
+    return a
+
+
+def weighted_disk_extended(f: DiskPoly, b: SelfMapDisk, space: SpaceSpec,
+                           col_degree: int) -> np.ndarray:
+    """Dense weighted composition section of f and the disk symbol b, every
+    row through deg(f) + col_degree * deg(b): column j holds f * b**j,
+    convolved and norm-corrected in extended precision (``clongdouble``)."""
+    row_degree = col_degree * b.degree() + f.degree()
+    norms = monomial_norms(space, max(row_degree, col_degree)).astype(np.longdouble)
+    coeffs = b.series.trimmed().astype(np.clongdouble)
+    power = f.trimmed().astype(np.clongdouble)
+    a = np.zeros((row_degree + 1, col_degree + 1), dtype=np.clongdouble)
+    for j in range(col_degree + 1):
+        if j:
+            power = np.convolve(power, coeffs)
+        a[: power.size, j] = power
+    return a * norms[: row_degree + 1, None] / norms[: col_degree + 1][None, :]
 
 
 def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:

@@ -6,7 +6,8 @@ single value is rounded can show at other seeds only, so these full-size
 reports are pinned at three.  The sampler-heavy configs draw hundreds of
 points into one set, row points in dim 6, or sets in the dim-7 and dim-9
 balls; two more run constant symbols through the one-row sections every
-self-map gets.  All runs share one subprocess with one BLAS thread.  To
+self-map gets.  The last two are the benchmark's ``summation`` and ``br``
+configs, the two of its workload configs that no default config covers.  All runs share one subprocess with one BLAS thread.  To
 regenerate the file after an intended change, see README.md ("Golden
 reports") and say why in CHANGES.md.
 """
@@ -38,6 +39,9 @@ SAMPLER_CONFIGS = {
     "hardy-bound-const": ("hardy-bound", {"check_sharp": False, "symbol": {
         "type": "taylor", "coeffs": [[0.5, 0]]}}, SEEDS),
     "ball-bound-const": ("ball-bound", {"coord_degree": 0}, SEEDS),
+    "summation-cubic": ("summation", {"symbol": {"type": "taylor", "coeffs": [
+        [0, 0], [0.5, 0], [0, 0], [0.4, 0]]}, "section_degree": 64}, (0,)),
+    "br-four-r": ("br", {"r_values": [0.5, 0.75, 0.95, 1.0]}, (0,)),
 }
 
 

@@ -99,6 +99,6 @@ def test_write_defaults_covers_every_pinned_report(tmp_path, monkeypatch):
     pinned = json.loads((Path(__file__).parent / "golden" /
                          "default_digests.json").read_text())
     written = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
-    assert len(pinned) == 52 and written.keys() == pinned.keys()
+    assert len(pinned) == 54 and written.keys() == pinned.keys()
     assert written["psd@1"] == ["psd", 1]
     assert written["ball-lemma-dim6@2"] == ["ball-lemma", 2]

@@ -6,10 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernelcomp import series
 from kernelcomp.ball import br_map
+from kernelcomp.dbr import combo_to_poly
+from kernelcomp.kernels import substream
 from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
+    _comp_entries_disk,
     _grlex_rank,
     _stored_length,
     comp_matrix,
@@ -28,8 +32,9 @@ from kernelcomp.series import (
     blaschke_factor,
     sup_norm_circle,
 )
+from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
 from oracles import adjoint_kernel_check, adjoint_mult_check, compose, \
-    disk_comp_dense, svd_trace
+    disk_comp_dense, svd_trace, uncut_disk_entries, weighted_disk_extended
 
 H2 = SpaceSpec(1, 1.0)
 
@@ -196,6 +201,93 @@ def test_disk_composition_matches_dense_oracle(case):
     assert _dense(sec).tobytes() == dense.tobytes()
 
 
+def _random_disk_case(seed, alpha):
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    return start, random_disk_symbol(rng, 4, 0.95), SpaceSpec(1, alpha), 48
+
+
+# start, symbol, space and column degree
+_RECURRENCE_CASES = {
+    "blaschke-256": lambda: (np.ones(1, dtype=complex), blaschke_factor(0.5), H2, 256),
+    "random-1": lambda: _random_disk_case(31, 1.0),
+    "random-2": lambda: _random_disk_case(32, 2.0),
+    "random-3": lambda: _random_disk_case(33, 3.0),
+    # 0.001^j underflows from j = 108 on, so the last 13 powers are empty
+    "underflow": lambda: (np.ones(1, dtype=complex),
+                          SelfMapDisk(DiskPoly([0.0, 1e-3])), H2, 120),
+    "zero-weight": lambda: (np.zeros(1, dtype=complex), blaschke_factor(0.5), H2, 16),
+}
+
+
+@pytest.mark.parametrize("case", list(_RECURRENCE_CASES))
+def test_cut_power_recurrence_matches_the_uncut_loop(case):
+    # cutting each power before the next product changes no stored bit
+    start, b, space, degree = _RECURRENCE_CASES[case]()
+    coeffs = b.series.trimmed()
+    norms = monomial_norms(space, degree * b.degree() + len(start))
+    got = _comp_entries_disk(start, coeffs, norms, degree)
+    expect = uncut_disk_entries(start, coeffs, norms, degree)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+    if case == "underflow":
+        assert got.shape == (108, 121)
+    if case == "zero-weight":
+        sec = weighted_comp_matrix(DiskPoly([0.0]), b, space, degree)
+        assert sec.row_degree == degree * b.degree() and not sec.entries.any()
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_weighted_sections_match_extended_precision(alpha):
+    # theorem1's draws at alpha 1 and bergman-bound's at 2 and 3: f is a unit
+    # kernel combination and column j of the section holds f * b^j
+    nodes, radius, degree, index = {1: (5, 0.6, 32, ()), 2: (3, 0.5, 48, (0,)),
+                                    3: (3, 0.5, 48, (1,))}[alpha]
+    space = SpaceSpec(1, float(alpha))
+    for t in range(20):
+        rng = substream(0, *index, t)
+        b = random_disk_symbol(rng, 4, 0.95)
+        f = combo_to_poly(random_kernel_combo(rng, b, alpha=alpha, max_nodes=nodes,
+                                              node_radius=radius), 72)
+        expect = weighted_disk_extended(f, b, space, degree)
+        diff = _dense(weighted_comp_matrix(f, b, space, degree)) - expect
+        rel = np.sqrt(np.sum(np.abs(diff) ** 2, axis=0) /
+                      np.sum(np.abs(expect) ** 2, axis=0))
+        assert rel.max() <= 2e-15
+
+
+def test_weighted_section_byte_limit_counts_the_weighted_section(monkeypatch):
+    # b = 0.5 z^2 and 128 columns: a weight of degree d gives 2 * 127 + d + 1
+    # rows of 16-byte entries, 2^20 bytes at d = 257
+    monkeypatch.setattr(series, "MAX_SECTION_BYTES", 2**20)
+    b = SelfMapDisk(DiskPoly([0.0, 0.0, 0.5]))
+    over, under = DiskPoly.monomial(258, 0.5), DiskPoly.monomial(257, 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="byte limit"):
+            weighted_comp_matrix(over, b, H2, 127)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    sec = weighted_comp_matrix(under, b, H2, 127)
+    assert sec.row_degree == 511 and sec.entries.shape == (512, 128)
+    # the multiplication section of the product route, 512 x 255, is refused
+    with pytest.raises(ValueError, match="byte limit"):
+        mult_matrix(under, H2, 2 * 127)
+
+
+def test_weighted_comp_matrix_checks_its_weight():
+    # a disk symbol takes a DiskPoly weight, a ball map a BallPoly of its dim
+    disk = SelfMapDisk(DiskPoly([0.0, 0.5]))
+    ball, ball_space = br_map(0.5), SpaceSpec(2, 1.0)
+    for f, b, space in ((BallPoly(1, {(1,): 0.5}), disk, H2),
+                        (DiskPoly([0.5]), ball, ball_space),
+                        (BallPoly(3, {(0, 0, 1): 0.5}), ball, ball_space)):
+        with pytest.raises(TypeError, match="weight must be"):
+            weighted_comp_matrix(f, b, space, 4)
+
+
 def test_stored_length_keeps_signed_zeros():
     # a -0 part is stored, so the rows left out are +0 in the dense assembly
     assert _stored_length(np.array([1.0, complex(-0.0, 0.0), 0.0, 0.0])) == 2
@@ -261,8 +353,8 @@ def test_mult_matrix_row_degree_control():
 
 def test_weighted_comp_entries_for_monomial_pair():
     # f = z, b = z^2 sends e_j to e_{2j+1}
-    comp = comp_matrix(SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), H2, 5)
-    sec = weighted_comp_matrix(DiskPoly.identity(), comp)
+    sec = weighted_comp_matrix(DiskPoly.identity(),
+                               SelfMapDisk(DiskPoly([0.0, 0.0, 1.0])), H2, 5)
     expect = np.zeros((sec.row_degree + 1, 6), dtype=complex)
     for j in range(6):
         expect[2 * j + 1, j] = 1.0
@@ -403,7 +495,7 @@ def test_comp_matrix_computes_a_ball_maps_powers_once(monkeypatch):
     calls = []
     powers = operators._comp_entries_ball
     monkeypatch.setattr(operators, "_comp_entries_ball",
-                        lambda b, d: calls.append(d) or powers(b, d))
+                        lambda start, b, d: calls.append(d) or powers(start, b, d))
     s = 0.25
     b = BallMap([BallPoly(2, {(1, 0): s, (0, 1): s, (2, 0): s}),
                  BallPoly(2, {(0, 0): s, (1, 1): -s})])
@@ -435,10 +527,10 @@ def test_weighted_ball_composition_matches_dense_product():
     space = SpaceSpec(2, 2.0)
     comp = comp_matrix(br_map(0.5), space, 6)
     f = BallPoly(2, {(0, 0): 0.5, (1, 0): 0.25, (0, 2): -0.125j})
-    sec = weighted_comp_matrix(f, comp)
+    sec = weighted_comp_matrix(f, br_map(0.5), space, 6)
     expect = mult_matrix(f, space, comp.row_degree).entries @ _dense(comp)
-    assert np.array_equal(sec.rows, np.arange(expect.shape[0]))
-    assert np.allclose(sec.entries, expect, rtol=0.0, atol=1e-15)
+    assert np.array_equal(sec.rows, np.flatnonzero(np.any(expect != 0, axis=1)))
+    assert np.allclose(_dense(sec), expect, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -533,7 +625,7 @@ _ORACLE_SECTIONS = {
                          range(0, 61, 4)), False),
     "weighted": (lambda: (weighted_comp_matrix(
         DiskPoly([0.5, 0.25j, -0.125]),
-        comp_matrix(SelfMapDisk(DiskPoly([0.2, 0.6])), SpaceSpec(1, 2.0), 24)),
+        SelfMapDisk(DiskPoly([0.2, 0.6])), SpaceSpec(1, 2.0), 24),
         None), True),
     "ball-mult": (lambda: (mult_matrix(
         BallPoly(2, {(0, 0): 0.5, (1, 0): 0.25, (0, 2): -0.125j}),
