@@ -224,7 +224,8 @@ class PositivityCertificate:
     """Spectral verdict on a Gram matrix.
 
     verdict is PSD when the smallest eigenvalue clears -tolerance, NEGATIVE
-    otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.
+    otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.  A PSD verdict's
+    numbers come from ``eigvalsh``, a NEGATIVE one's from ``eigh``.
     """
 
     spec: KernelSpec
@@ -255,12 +256,17 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     tolerance.
 
     The tolerance grows with the matrix size and max|lambda| so that honest
-    rounding never triggers a NEGATIVE verdict; a NEGATIVE certificate
-    carries the points and the bottom eigenvector as a witness.  A Gram whose
-    entries span more than about 1 / eps resolves no eigenvalue below that
-    tolerance, so its PSD verdict certifies little.
+    rounding never triggers a NEGATIVE verdict.  ``eigvalsh`` supplies the
+    spectrum; a Gram it reads NEGATIVE is solved again by ``eigh``, which
+    then supplies the verdict, the numbers and the witness (the points and
+    the bottom eigenvector).  A Gram whose entries span more than about
+    1 / eps resolves no eigenvalue below that tolerance, so its PSD verdict
+    certifies little.
     """
-    lam, vec = np.linalg.eigh(gram(spec, point_set))
+    g = gram(spec, point_set)
+    lam = np.linalg.eigvalsh(g)
+    if lam[0] < -eig_tolerance(lam):
+        lam, vec = np.linalg.eigh(g)
     lo = float(lam[0])
     tol = float(eig_tolerance(lam))
     if lo >= -tol:

@@ -107,15 +107,6 @@ class DiskPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "DiskPoly":
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = np.ones(1, dtype=complex)
-        base = self.trimmed()
-        for _ in range(n):
-            out = np.convolve(out, base)
-        return DiskPoly(out)
-
     def to_json_dict(self) -> dict:
         terms = [
             [[int(n)], [float(c.real), float(c.imag)]]
@@ -349,10 +340,11 @@ class BallMap:
     """Polynomial self-map of the unit ball, admitted by a coefficient bound
     or on sampled sphere evidence.
 
-    ``coords`` holds one BallPoly per ambient coordinate.  Where the bound
-    sqrt(sum_i ||b_i||_1^2) >= sup |b| passes 1 + SELF_MAP_SLACK, the squared
-    coordinate moduli must sum to at most that on a fixed deterministic sphere
-    sample.  |b(0)| < 1.  ``_powers`` holds ``comp_matrix``'s powers of b.
+    ``coords`` holds one BallPoly per ambient coordinate.  A term c z^m has
+    sphere maximum |c| prod_k (m_k / |m|)^(m_k / 2).  Where the l2 norm over
+    coordinates of their sums passes 1 + SELF_MAP_SLACK, the squared moduli
+    must sum to at most that on a fixed deterministic sphere sample.
+    |b(0)| < 1.  ``_powers`` holds ``comp_matrix``'s powers of b.
     """
 
     __slots__ = ("dim", "coords", "_powers")
@@ -370,7 +362,9 @@ class BallMap:
         self.dim = dim
         self.coords = coords
         self._powers = {}
-        top = np.linalg.norm([np.abs(c.coefs).sum() for c in coords])
+        # sup of |z^m| on the sphere, taken at |z_k|^2 = m_k / |m|
+        top = np.linalg.norm([np.abs(c.coefs) @ np.sqrt(np.prod((c.exps / np.maximum(
+            c.exps.sum(axis=1, keepdims=True), 1)) ** c.exps, axis=1)) for c in coords])
         if top > 1.0 + SELF_MAP_SLACK:
             top = float(np.max(np.linalg.norm(self(_sphere_samples(dim, BALL_MAP_GRID)),
                                               axis=-1)))

@@ -18,10 +18,13 @@ a test vector.  ``unnormalized_kernel_combo`` draws the combination
 ``exact_inv_kernel_weight`` gives the inverse-kernel weight's Taylor
 coefficients in exact rational arithmetic, from a recurrence that never
 expands in powers of s - s(0).  ``kernel_section_poly`` expands one node's
-kernel section through ``DiskPoly`` powers and products, the per-node route
-that ``dbr.combo_to_poly`` replaced by linearity over the nodes.
-``hb_norm_defect`` takes the range norm of a polynomial from the defect
-pseudoinverse, a route independent of the node Gram in ``hb_norm_combo``.
+kernel section through ``disk_poly_power`` and ``DiskPoly`` products, the
+per-node route that ``dbr.combo_to_poly`` replaced by linearity over the
+nodes.  ``hb_norm_defect`` takes the range norm of a polynomial from the
+defect pseudoinverse, a route independent of the node Gram in
+``hb_norm_combo``.  ``eigh_check_psd`` is the positivity verdict that
+solved every Gram with eigenvectors, the byte-level reference for
+``check_psd``'s NEGATIVE certificates.
 """
 
 import math
@@ -29,8 +32,18 @@ from fractions import Fraction
 
 import numpy as np
 
+from kernelcomp import kernels
 from kernelcomp.dbr import KernelCombo, _defect_eigs
-from kernelcomp.kernels import DomainError, KernelSpec, sample_point_set
+from kernelcomp.kernels import (
+    NEGATIVE,
+    PSD,
+    DomainError,
+    KernelSpec,
+    PositivityCertificate,
+    Witness,
+    eig_tolerance,
+    sample_point_set,
+)
 from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
@@ -269,6 +282,17 @@ def exact_inv_kernel_weight(b, alpha: int, top: int) -> dict:
             for part in parts for m, (re, im) in part.items()}
 
 
+def disk_poly_power(p: DiskPoly, n: int) -> DiskPoly:
+    """p ** n by n convolutions of its trimmed coefficients."""
+    if n < 0:
+        raise ValueError("negative powers are not polynomials")
+    out = np.ones(1, dtype=complex)
+    base = p.trimmed()
+    for _ in range(n):
+        out = np.convolve(out, base)
+    return DiskPoly(out)
+
+
 def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
                         degree: int) -> DiskPoly:
     """Taylor coefficients through ``degree`` of the kernel section at w.
@@ -286,7 +310,7 @@ def kernel_section_poly(b: SelfMapDisk, alpha: int, w: complex,
     alpha = int(alpha)
     _check_bytes((degree + 1) * np.dtype(complex).itemsize,
                  f"{degree + 1} coefficients")
-    numer = (DiskPoly([1.0]) + (-np.conj(b(w))) * b.series) ** alpha
+    numer = disk_poly_power(DiskPoly([1.0]) + (-np.conj(b(w))) * b.series, alpha)
     geo = DiskPoly(
         [math.comb(n + alpha - 1, n) * np.conj(w) ** n for n in range(degree + 1)]
     )
@@ -310,3 +334,18 @@ def hb_norm_defect(f: DiskPoly, b: SelfMapDisk, degree: int) -> tuple:
     value = math.sqrt(float(np.sum(np.abs(y[kept]) ** 2 / lam[kept]))) \
         if np.any(kept) else 0.0
     return value, float(np.linalg.norm(y[~kept]))
+
+
+def eigh_check_psd(spec: KernelSpec, point_set) -> PositivityCertificate:
+    """``check_psd`` as it was when ``eigh`` solved every Gram with its
+    eigenvectors: verdict, numbers and witness all from one solve.  The Gram
+    comes through ``kernels.gram``, so a test that patches it patches both."""
+    lam, vec = np.linalg.eigh(kernels.gram(spec, point_set))
+    lo = float(lam[0])
+    tol = float(eig_tolerance(lam))
+    if lo >= -tol:
+        return PositivityCertificate(spec=spec, min_eigenvalue=lo,
+                                     tolerance=tol, verdict=PSD)
+    wit = Witness(point_set=point_set, coeffs=vec[:, 0])
+    return PositivityCertificate(spec=spec, min_eigenvalue=lo,
+                                 tolerance=tol, verdict=NEGATIVE, witness=wit)

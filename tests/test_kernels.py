@@ -8,7 +8,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kernelcomp import kernels
+from kernelcomp import ball, cli, dbr, kernels
+from kernelcomp.ball import br_experiment
+from kernelcomp.cli import ExperimentConfig, run_experiment
 from kernelcomp.kernels import (
     NEGATIVE,
     PSD,
@@ -25,7 +27,9 @@ from kernelcomp.kernels import (
     trial_stream,
 )
 from kernelcomp.series import BallMap, BallPoly, DiskPoly, SelfMapDisk, blaschke_factor
-from oracles import eval_kernel
+from oracles import eigh_check_psd, eval_kernel
+from test_default_digests import SAMPLER_CONFIGS, SEEDS
+from test_golden import GOLDEN
 
 
 def test_szego_gram_two_point_closed_form():
@@ -187,6 +191,98 @@ def test_check_psd_flags_indefinite_gram():
                     for j in range(m)] for i in range(m)])
     quad = float(np.real(v.conj() @ g2 @ v))
     assert quad <= -cert.tolerance / 2
+
+
+def _solver_calls(monkeypatch):
+    """Names of the numpy eigen-solvers called, in order."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name, real=real:
+                            calls.append(name) or real(a))
+    return calls
+
+
+def test_check_psd_solves_for_a_vector_only_on_negative(monkeypatch):
+    negative = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
+                                     set_size=8, budget=1)
+    calls = _solver_calls(monkeypatch)
+    assert check_psd(KernelSpec.bergman(2.0), PointSet([0.1, 0.4j])).verdict == PSD
+    assert calls == ["eigvalsh"]
+    calls.clear()
+    cert = check_psd(negative.spec, negative.witness.point_set)
+    assert cert.verdict == NEGATIVE
+    assert calls == ["eigvalsh", "eigh"]
+
+
+def _planted_pair(monkeypatch):
+    """A Bergman pair whose Gram, patched in with its off-diagonal tripled,
+    is indefinite: a NEGATIVE verdict on two points (a Bergman kernel with
+    alpha >= 1 is positive, so the indefinite Gram has to be planted)."""
+    spec, pts = KernelSpec.bergman(2.0), PointSet([0.1, 0.4j])
+    g = gram(spec, pts)
+    g[0, 1], g[1, 0] = 3 * g[0, 1], 3 * g[1, 0]
+    monkeypatch.setattr(kernels, "gram", lambda s, p: g.copy() if p is pts
+                        else gram(s, p))
+    return spec, pts
+
+
+def _negative_cases(monkeypatch):
+    """(label, spec, points) of NEGATIVE certificates: the planted pair,
+    then the br witnesses at r = 0.75 and 1.0 at seeds 0-2."""
+    witnesses = []
+    for r in (0.75, 1.0):
+        for seed in range(3):
+            _, cert, found = br_experiment(
+                r, trace_degrees=[2], alpha=1.0, section_degree=2,
+                witness_budget=10000, set_size=8, radius=0.95, seed=seed)
+            assert found
+            witnesses.append((f"br r={r} seed={seed}", cert.spec,
+                              cert.witness.point_set))
+    return [("planted pair", *_planted_pair(monkeypatch))] + witnesses
+
+
+def test_negative_certificates_match_the_eigh_oracle_byte_for_byte(monkeypatch):
+    # a NEGATIVE verdict takes its numbers and witness from eigh, so its
+    # certificate is the one a single eigh solve gives, byte for byte
+    for label, spec, pts in _negative_cases(monkeypatch):
+        cert, old = check_psd(spec, pts), eigh_check_psd(spec, pts)
+        assert cert.verdict == old.verdict == NEGATIVE, label
+        assert json.dumps(cert.to_json_dict()) == json.dumps(old.to_json_dict()), label
+
+
+def _pinned_configs():
+    """Every config a golden report pins that reaches check_psd: the reduced
+    goldens, the default configs at seeds 0-2, and the sampler configs."""
+    cfgs = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.config.json"))]
+    cfgs += [{"name": name, "seed": seed} for name in ("ball-lemma", "br", "psd")
+             for seed in SEEDS]
+    cfgs += [{"name": name, "params": params, "seed": seed}
+             for name, params, seeds in SAMPLER_CONFIGS.values()
+             if name in ("ball-lemma", "br", "psd") for seed in seeds]
+    return cfgs
+
+
+def test_check_psd_agrees_with_the_eigh_oracle_on_the_pinned_configs(monkeypatch):
+    # every verdict in the pinned reports: PSD ones within tol of eigh's
+    # lambda_min, NEGATIVE ones byte-identical
+    seen = []
+
+    def both(spec, pts):
+        cert, old = check_psd(spec, pts), eigh_check_psd(spec, pts)
+        assert cert.verdict == old.verdict
+        if cert.verdict == PSD:
+            assert abs(cert.min_eigenvalue - old.min_eigenvalue) <= cert.tolerance
+        else:
+            assert json.dumps(cert.to_json_dict()) == json.dumps(old.to_json_dict())
+        seen.append(cert.verdict)
+        return cert
+
+    for module in (kernels, cli, ball, dbr):
+        monkeypatch.setattr(module, "check_psd", both)
+    for cfg in _pinned_configs():
+        run_experiment(ExperimentConfig.from_dict(cfg))
+    assert seen.count(PSD) > 100 and seen.count(NEGATIVE) >= 6
 
 
 def test_find_negative_witness_none_for_psd_kernel():
@@ -767,15 +863,18 @@ def test_search_builds_one_stream_per_chunk(monkeypatch):
     assert 0 < built.call_count <= len(sizes) + len(calls)
 
 
-def test_search_calls_no_eigenvalue_solver_in_the_screen():
-    with mock.patch.object(np.linalg, "eigvalsh",
-                           side_effect=AssertionError("eigvalsh")):
-        for r in (0.5, 0.75, 1.0):
-            find_negative_witness(_br_spec(r), seed=0, radius=0.95,
-                                  set_size=8, budget=400)
-        with mock.patch.object(np.linalg, "eigh",
-                               side_effect=AssertionError("eigh")):
-            kernels._screen(_br_spec(0.8), (6,), range(64), 0.95, 8, 32)
+def test_search_calls_no_eigenvalue_solver_in_the_screen(monkeypatch):
+    # the screen decides by Cholesky alone; the search's only spectra are
+    # the ones check_psd takes of the trials the screen defers
+    certs = _spy(monkeypatch, "check_psd")
+    calls = _solver_calls(monkeypatch)
+    for r in (0.5, 0.75, 1.0):
+        find_negative_witness(_br_spec(r), seed=0, radius=0.95,
+                              set_size=8, budget=400)
+    assert calls.count("eigvalsh") == len(certs) > 0
+    calls.clear()
+    kernels._screen(_br_spec(0.8), (6,), range(64), 0.95, 8, 32)
+    assert calls == []
 
 
 def test_screen_builds_only_the_kept_candidates(monkeypatch):

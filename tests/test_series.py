@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcomp import series
+from kernelcomp.ball import br_map
 from kernelcomp.cli import ConfigError, poly_from_json_dict
 from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import (
@@ -24,7 +25,7 @@ from kernelcomp.series import (
     blaschke_factor,
     sup_norm_circle,
 )
-from oracles import compose
+from oracles import compose, disk_poly_power
 
 
 def test_disk_poly_eval_matches_term_sum():
@@ -43,7 +44,7 @@ def test_disk_poly_arithmetic_and_degree():
     assert (p + q).degree() == 2
     assert (p * q).degree() == 3
     assert (2.0 * p).coeffs[1] == 4.0
-    assert (p**3).degree() == 3
+    assert disk_poly_power(p, 3).degree() == 3
     assert DiskPoly([0.0]).degree() == 0
     assert DiskPoly([1.0, 0.0, 0.0]).degree() == 0
 
@@ -413,8 +414,8 @@ def test_self_map_admission_by_coefficient_sum(monkeypatch):
 
 
 def test_ball_map_admission_by_coefficient_bound(monkeypatch):
-    # sqrt(sum_i ||b_i||_1^2) bounds |b| on the closed ball: within the slack
-    # it admits the map without the sphere sample
+    # the coordinates' sums of term sphere maxima bound |b| on the closed
+    # ball: within the slack their l2 norm admits the map without the sample
     draws = []
     sample = series._sphere_samples
     monkeypatch.setattr(series, "_sphere_samples",
@@ -431,6 +432,27 @@ def test_ball_map_admission_by_coefficient_bound(monkeypatch):
     # sum is 0.8: the sample refuses it before the center check does
     with pytest.raises(ValueError, match="sphere samples reach modulus 1.13137"):
         BallMap([BallPoly(2, {(0, 0): 0.8}), BallPoly(2, {(0, 0): 0.8})])
+    assert draws == [2, 2]
+
+
+def test_ball_map_admission_by_monomial_sphere_maxima(monkeypatch):
+    # |2 r z1 z2| <= r on the sphere, with equality at |z1|^2 = |z2|^2 = 1/2,
+    # so every br_map(r) with r <= 1 is admitted by its bound
+    draws = []
+    sample = series._sphere_samples
+    monkeypatch.setattr(series, "_sphere_samples",
+                        lambda dim, n: draws.append(dim) or sample(dim, n))
+    for r in (0.0, 0.5, 0.75, 0.95, 1.0):
+        br_map(r)
+    assert draws == []
+    # each of z1 / sqrt(2) and z2 / sqrt(2) reaches 1 / sqrt(2): the bound is
+    # sqrt(2), and the sample admits the map at its sphere maximum 1
+    r = 1.0 / math.sqrt(2.0)
+    BallMap([BallPoly(2, {(1, 0): r, (0, 1): r}), BallPoly(2, {})])
+    assert draws == [2]
+    # 2.0001 z1 z2 has bound and sphere maximum 1.00005: the sample refuses it
+    with pytest.raises(ValueError, match="sphere samples reach modulus 1.0000"):
+        BallMap([BallPoly(2, {(1, 1): 2.0001}), BallPoly(2, {})])
     assert draws == [2, 2]
 
 
