@@ -16,6 +16,8 @@ recurrence started at f, each power cut after its last entry that is not +0
 before the next product, and keeps the rows up to the last one reached; on
 the ball, coordinate products started at f's terms, keeping only the rows
 reached.  Multiplication sections keep all rows through their row degree.
+A disk section of real data (no nonzero imaginary part in f or b) is float64
+and is built, Gram-ed and eigen-solved in real arithmetic; others are complex.
 
 Sections carry no bound policy: ``op_norm_lower`` gives lower bounds only,
 and a caller that knows a closed-form upper bound states it itself.
@@ -90,9 +92,9 @@ def _monomial_count(dim: int, max_degree: int) -> int:
 
 
 def _binom(n: np.ndarray, k: int) -> np.ndarray:
-    """C(n, k) elementwise for integer n >= 0, exact in int64."""
-    out = np.ones_like(n)
-    for t in range(1, k + 1):
+    """C(n, k) elementwise for integer n >= 0 and k >= 1, exact in int64."""
+    out = n - k + 1
+    for t in range(2, k + 1):
         out = out * (n - k + t) // t  # C(n - k + t, t), an integer
     return out
 
@@ -106,12 +108,11 @@ def _grlex_rank(exps) -> np.ndarray:
     """
     exps = np.asarray(exps, dtype=np.int64)
     d = exps.shape[-1]
-    left = exps.sum(axis=-1)
-    rank = _binom(left - 1 + d, d)
-    for i in range(d - 1):
-        rank += _binom(left - exps[..., i] - 1 + d - i - 1, d - i - 1)
-        left -= exps[..., i]
-    return rank
+    left, rank = exps[..., -1], 0  # left: the degree placed after coordinate i
+    for i in range(d - 2, -1, -1):
+        rank = rank + _binom(left - 1 + d - i - 1, d - i - 1)
+        left = left + exps[..., i]
+    return rank + _binom(left - 1 + d, d)
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +169,9 @@ class SectionMatrix:
 
     ``rows`` holds ascending grlex ranks of normalized monomials of degree at
     most ``row_degree``; ``entries[i, j]`` is the coefficient of the image of
-    the j-th normalized monomial against the one of rank ``rows[i]``.  Every
-    row left out is zero, so the stored rows hold each column exactly."""
+    the j-th normalized monomial against the one of rank ``rows[i]``, float64
+    for a disk section of real data and complex128 otherwise.  Every row left
+    out is zero, so the stored rows hold each column exactly."""
 
     space: SpaceSpec
     col_degree: int
@@ -190,11 +192,12 @@ class SectionMatrix:
 def _stored_length(v: np.ndarray) -> int:
     """One past the last entry of ``v`` whose bits are not all zero: a -0
     part counts, so cutting there drops only trailing +0 entries."""
+    per = v.itemsize // 8
     bits = v.view(np.int64)
-    if bits[-2] or bits[-1]:
+    if bits[-1] or bits[-per]:
         return v.size
     nz = np.flatnonzero(bits)
-    return int(nz[-1]) // 2 + 1 if nz.size else 0
+    return int(nz[-1]) // per + 1 if nz.size else 0
 
 
 def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
@@ -202,7 +205,8 @@ def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
     """Taylor coefficients of start * b**j in column j, norm-corrected,
     through the last row any column reaches.  Each power is cut after its
     last entry that is not +0 before the next product, which changes no
-    stored bit; once a power is empty, so is every later one."""
+    stored bit; once a power is empty, so is every later one.  The section
+    takes the inputs' dtype."""
     power = start[: _stored_length(start)]
     columns = [power]
     for _ in range(col_degree):
@@ -211,7 +215,7 @@ def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
             power = power[: _stored_length(power)]
         columns.append(power)
     count = max(c.size for c in columns)
-    a = np.zeros((count, col_degree + 1), dtype=complex)
+    a = np.zeros((count, col_degree + 1), dtype=np.result_type(start, coeffs))
     for j, c in enumerate(columns):
         a[: c.size, j] = c
     a *= norms[:count, None]
@@ -275,7 +279,10 @@ def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
 
     if isinstance(b, SelfMapDisk):
         start = np.ones(1, dtype=complex) if f is None else f.trimmed()
-        entries = _comp_entries_disk(start, b.series.trimmed(), norms, col_degree)
+        coeffs = b.series.trimmed()
+        if not (start.imag.any() or coeffs.imag.any()):  # -0.0 counts as zero
+            start, coeffs = start.real.copy(), coeffs.real.copy()
+        entries = _comp_entries_disk(start, coeffs, norms, col_degree)
         rows = np.arange(len(entries))
     else:
         if f is None and col_degree not in b._powers:
@@ -295,7 +302,8 @@ def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
 def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
     """Section of the composition operator f -> f(b(z)): column j holds the
     coordinate powers b^(m_j) through row degree col_degree * deg(b), so a
-    constant symbol c gets one row, c^(m_j) ||1|| / ||z^(m_j)||."""
+    constant symbol c gets one row, c^(m_j) ||1|| / ||z^(m_j)||.  A disk
+    symbol with real coefficients gives a float64 section."""
     return _section(None, b, space, col_degree)
 
 
@@ -402,7 +410,7 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     if tall:
         gram = a.conj().T @ a
     else:
-        gram = np.zeros((a.shape[0], a.shape[0]), dtype=complex)
+        gram = np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
     trace = []
     done = 0
     for d in degrees:

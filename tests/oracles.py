@@ -117,11 +117,12 @@ def disk_comp_dense(coeffs: np.ndarray, space: SpaceSpec,
                     col_degree: int) -> np.ndarray:
     """Dense composition section of the disk symbol with Taylor coefficients
     ``coeffs`` (trimmed, degree >= 1): column j holds the coefficients of
-    b**j in every row through col_degree * deg(b), norm-corrected."""
+    b**j in every row through col_degree * deg(b), norm-corrected, in the
+    dtype of ``coeffs``."""
     row_degree = col_degree * (len(coeffs) - 1)
     norms = monomial_norms(space, row_degree)
-    a = np.zeros((row_degree + 1, col_degree + 1), dtype=complex)
-    power = np.ones(1, dtype=complex)
+    a = np.zeros((row_degree + 1, col_degree + 1), dtype=coeffs.dtype)
+    power = np.ones(1, dtype=coeffs.dtype)
     a[0, 0] = 1.0
     for j in range(1, col_degree + 1):
         power = np.convolve(power, coeffs)
@@ -135,7 +136,7 @@ def uncut_disk_entries(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
                        col_degree: int) -> np.ndarray:
     """What ``operators._comp_entries_disk`` returns, with every power
     convolved at its full length: only the stored columns are cut after their
-    last entry that is not +0."""
+    last entry that is not +0.  The section takes the inputs' dtype."""
     power = start
     columns = []
     for j in range(col_degree + 1):
@@ -143,7 +144,7 @@ def uncut_disk_entries(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
             power = np.convolve(power, coeffs)
         columns.append(power[: _stored_length(power)])
     count = max(c.size for c in columns)
-    a = np.zeros((count, col_degree + 1), dtype=complex)
+    a = np.zeros((count, col_degree + 1), dtype=np.result_type(start, coeffs))
     for j, c in enumerate(columns):
         a[: c.size, j] = c
     a *= norms[:count, None]

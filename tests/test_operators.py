@@ -42,7 +42,7 @@ H2 = SpaceSpec(1, 1.0)
 def _dense(sec):
     # every row through the row degree, the rows left out as zeros
     count = math.comb(sec.row_degree + sec.space.dim, sec.space.dim)
-    out = np.zeros((count, sec.entries.shape[1]), dtype=complex)
+    out = np.zeros((count, sec.entries.shape[1]), dtype=sec.entries.dtype)
     out[sec.rows] = sec.entries
     return out
 
@@ -190,11 +190,16 @@ _DISK_CASES = {
 @pytest.mark.parametrize("case", list(_DISK_CASES))
 def test_disk_composition_matches_dense_oracle(case):
     # the stored rows equal the dense assembly byte for byte, and every row
-    # left out is a trailing row of +0 entries there
+    # left out is a trailing row of +0 entries there; a real symbol is
+    # compared in float64, a complex one in complex128
     make, space, degree, trimmed = _DISK_CASES[case]
     b = make()
     sec = comp_matrix(b, space, degree)
-    dense = disk_comp_dense(b.series.trimmed(), space, degree)
+    coeffs = b.series.trimmed()
+    if not coeffs.imag.any():
+        coeffs = coeffs.real.copy()
+    dense = disk_comp_dense(coeffs, space, degree)
+    assert sec.entries.dtype == dense.dtype
     assert np.array_equal(sec.rows, np.arange(len(sec.rows)))
     assert (len(sec.rows) < len(dense)) == trimmed
     assert np.all(dense[len(sec.rows):] == 0)
@@ -210,12 +215,16 @@ def _random_disk_case(seed, alpha):
 # start, symbol, space and column degree
 _RECURRENCE_CASES = {
     "blaschke-256": lambda: (np.ones(1, dtype=complex), blaschke_factor(0.5), H2, 256),
+    # a float64 start takes b's real coefficients, as real data is built
+    "blaschke-256-real": lambda: (np.ones(1), blaschke_factor(0.5), H2, 256),
     "random-1": lambda: _random_disk_case(31, 1.0),
     "random-2": lambda: _random_disk_case(32, 2.0),
     "random-3": lambda: _random_disk_case(33, 3.0),
     # 0.001^j underflows from j = 108 on, so the last 13 powers are empty
     "underflow": lambda: (np.ones(1, dtype=complex),
                           SelfMapDisk(DiskPoly([0.0, 1e-3])), H2, 120),
+    "underflow-real": lambda: (np.ones(1), SelfMapDisk(DiskPoly([0.0, 1e-3])), H2,
+                               120),
     "zero-weight": lambda: (np.zeros(1, dtype=complex), blaschke_factor(0.5), H2, 16),
 }
 
@@ -225,12 +234,14 @@ def test_cut_power_recurrence_matches_the_uncut_loop(case):
     # cutting each power before the next product changes no stored bit
     start, b, space, degree = _RECURRENCE_CASES[case]()
     coeffs = b.series.trimmed()
+    if start.dtype == np.float64:
+        coeffs = coeffs.real.copy()
     norms = monomial_norms(space, degree * b.degree() + len(start))
     got = _comp_entries_disk(start, coeffs, norms, degree)
     expect = uncut_disk_entries(start, coeffs, norms, degree)
-    assert got.shape == expect.shape
+    assert got.shape == expect.shape and got.dtype == start.dtype
     assert got.tobytes() == expect.tobytes()
-    if case == "underflow":
+    if case.startswith("underflow"):
         assert got.shape == (108, 121)
     if case == "zero-weight":
         sec = weighted_comp_matrix(DiskPoly([0.0]), b, space, degree)
@@ -294,6 +305,103 @@ def test_stored_length_keeps_signed_zeros():
     assert _stored_length(np.array([0.0, complex(0.0, -0.0)])) == 2
     assert _stored_length(np.array([0.5, 0.0, 0.25j])) == 3
     assert _stored_length(np.zeros(3, dtype=complex)) == 0
+    # float64 entries are read 8 bytes at a time, and a -0 entry counts too
+    assert _stored_length(np.array([1.0, -0.0, 0.0, 0.0])) == 2
+    assert _stored_length(np.array([0.0, 0.5])) == 2
+    assert _stored_length(np.array([-0.0])) == 1
+    assert _stored_length(np.zeros(3)) == 0
+
+
+def _complex_route(f, b, space, degree):
+    # the section built in complex arithmetic, whatever its data
+    start = np.ones(1, dtype=complex) if f is None else f.trimmed()
+    norms = monomial_norms(space, degree * b.degree() + len(start))
+    entries = uncut_disk_entries(start, b.series.trimmed(), norms, degree)
+    return SectionMatrix(space, degree, degree * b.degree() + len(start) - 1,
+                         np.arange(len(entries)), entries)
+
+
+def _section_of(f, b, space, degree):
+    return comp_matrix(b, space, degree) if f is None else \
+        weighted_comp_matrix(f, b, space, degree)
+
+
+def _column_error(got, expect):
+    # largest relative l2 error of any column
+    return float(np.max(np.sqrt(np.sum(np.abs(got - expect) ** 2, axis=0) /
+                                np.sum(np.abs(expect) ** 2, axis=0))))
+
+
+def test_real_disk_data_gives_float64_sections():
+    # a Blaschke factor at a real point, alone or with a real weight, and
+    # coefficients whose imaginary parts are -0.0
+    b = blaschke_factor(0.5)
+    assert comp_matrix(b, H2, 64).entries.dtype == np.float64
+    f = DiskPoly([0.5, -0.25, 0.125])
+    assert weighted_comp_matrix(f, b, SpaceSpec(1, 2.0), 48).entries.dtype == np.float64
+    signed = SelfMapDisk(DiskPoly([complex(0.25, -0.0), complex(0.5, -0.0)]))
+    g = DiskPoly([complex(1.0, -0.0), complex(-0.5, -0.0)])
+    assert np.signbit(signed.series.coeffs.imag).all()
+    for sec in (comp_matrix(signed, H2, 16), weighted_comp_matrix(g, signed, H2, 16)):
+        assert sec.entries.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", ["tiny-imaginary", "complex-weight"])
+def test_complex_disk_data_keeps_the_complex_route(name):
+    # any nonzero imaginary part, in b or in the weight alone, keeps the
+    # section complex128 and byte for byte the complex recurrence
+    f, b = {"tiny-imaginary": (None, SelfMapDisk(DiskPoly([0.25, 0.5, 1e-300j]))),
+            "complex-weight": (DiskPoly([0.5, 0.25j]), blaschke_factor(0.5))}[name]
+    space = SpaceSpec(1, 2.0)
+    sec = _section_of(f, b, space, 32)
+    expect = _complex_route(f, b, space, 32)
+    assert sec.entries.dtype == np.complex128
+    assert sec.entries.tobytes() == expect.entries.tobytes()
+
+
+@pytest.mark.parametrize("alpha, degree", [(1.0, 128), (2.0, 96)])
+def test_real_and_complex_routes_agree(alpha, degree):
+    # hardy-bound's symbol, alone and with a real weight: the float64 and the
+    # complex128 section each hold the extended-precision columns to the
+    # 2e-15 of the weighted sections, and differ from each other by no more
+    # (their rounding errors, about 7.5e-16 each at degree 128, are
+    # independent, so they differ by 1.1e-15 there)
+    b, space = blaschke_factor(0.5), SpaceSpec(1, alpha)
+    for f in (None, DiskPoly([0.5, -0.25, 0.125])):
+        real = _dense(_section_of(f, b, space, degree))
+        cplx = _dense(_complex_route(f, b, space, degree))
+        expect = weighted_disk_extended(DiskPoly([1.0]) if f is None else f, b,
+                                        space, degree)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert _column_error(real, cplx) <= 2e-15
+        assert _column_error(real, expect) <= 2e-15
+        assert _column_error(cplx, expect) <= 2e-15
+
+
+@pytest.mark.parametrize("name", ["tall", "wide"])
+def test_op_norm_lower_runs_real_sections_in_real_arithmetic(name, monkeypatch):
+    # a tall Blaschke section and a wide one whose powers underflow (108 of
+    # 121 rows): every Gram is float64, and the bounds are the complex
+    # route's to 1e-15, nondecreasing in the degree
+    b, degree = {"tall": (blaschke_factor(0.5), 128),
+                 "wide": (SelfMapDisk(DiskPoly([0.0, 1e-3])), 120)}[name]
+    sec = comp_matrix(b, H2, degree)
+    assert (sec.entries.shape[0] < sec.entries.shape[1]) == (name == "wide")
+    expect = op_norm_lower(_complex_route(None, b, H2, degree)).trace
+    grams, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        grams.append(a.dtype)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    trace = op_norm_lower(sec).trace
+    assert grams and set(grams) == {np.dtype(np.float64)}
+    assert [d for d, _ in trace] == [d for d, _ in expect]
+    for (_, lo), (_, ref) in zip(trace, expect):
+        assert abs(lo - ref) <= 1e-15 * ref
+    values = [v for _, v in trace]
+    assert all(v2 - v1 >= -1e-15 * v2 for v1, v2 in zip(values, values[1:]))
 
 
 def test_hardy_bound_section_stays_small():
@@ -533,7 +641,7 @@ def test_weighted_ball_composition_matches_dense_product():
     assert np.allclose(_dense(sec), expect, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", range(1, 10))
 def test_grlex_rank_inverts_grlex_monomials(dim):
     mons = grlex_monomials(dim, 7)
     assert np.array_equal(_grlex_rank(np.array(mons)), np.arange(len(mons)))
@@ -542,6 +650,24 @@ def test_grlex_rank_inverts_grlex_monomials(dim):
     stack = np.array(mons[: 2 * half]).reshape(2, half, dim)
     assert np.array_equal(_grlex_rank(stack),
                           np.arange(2 * half).reshape(2, half))
+
+
+def test_grlex_rank_at_large_degree_matches_math_comb():
+    # degree 200 in dim 9: the nine factors of C(208, 9) multiplied before
+    # one division by 9! would overflow int64 (208^9 > 2^63); the exact
+    # division at each step does not
+    d, k = 9, 200
+    first = math.comb(k - 1 + d, d)  # monomials of lower degree
+    exps = np.zeros((5, d), dtype=np.int64)
+    exps[0, 0] = k  # first of its degree
+    exps[1, [0, 1]] = k - 1, 1  # then the one moving a unit to z2
+    exps[2, [0, d - 1]] = k - 1, 1  # the last with m_1 = k - 1
+    exps[3, 1] = k  # the first with m_1 = 0
+    exps[4, d - 1] = k  # last of its degree
+    expect = [first, first + 1, first + d - 1,
+              math.comb(k + d, d) - math.comb(k + d - 2, d - 2),
+              math.comb(k + d, d) - 1]
+    assert _grlex_rank(exps).tolist() == expect
 
 
 def test_monomial_norms_are_shared_and_read_only():
