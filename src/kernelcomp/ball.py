@@ -19,8 +19,8 @@ from .kernels import (
     sample_point_set,
     trial_stream,
 )
-from .operators import SectionMatrix, SpaceSpec, _grlex_rank, \
-    comp_matrix, grlex_monomials, mult_matrix, op_norm_lower
+from .operators import SpaceSpec, _grlex_rank, comp_matrix, grlex_monomials, \
+    mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly, _check_bytes
 
 __all__ = [
@@ -101,18 +101,16 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
     Horner's rule in the monomial basis, P <- (alpha + k - 1) / k * t (1 + P)
     for k = D, ..., 1 and W = q^(-alpha) (1 + P), with t (1 + P) one gather.
 
-    lower is ``op_norm_lower``'s bound at col_degree for the rows of degree
-    <= D of the exact multiplication section of W, the section of P_D M_W.  A
-    row projection of exact columns is still a lower bound, since
-    ||P_D M_W v|| <= ||M_W v||, so lower bounds the norm of the exact weight up
-    to rounding.  The upper bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes
+    lower is ``op_norm_lower``'s bound at col_degree on W's ``mult_matrix``
+    section cut at row degree D, the section of P_D M_W, so it bounds the
+    norm of the exact weight up to rounding (||P_D M_W v|| <= ||M_W v||).
+    The upper bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes
     with kernel positivity.  A ValueError names alpha when the closed form,
     the weight or the section leaves float range.
     """
     alpha = float(alpha)
     space, top = SpaceSpec(b.dim, alpha), 3 * col_degree
     exps = np.array(grlex_monomials(b.dim, top))
-    count = len(exps)
     try:
         with np.errstate(over="raise", invalid="raise"):
             upper = (1.0 - float(np.linalg.norm(b.center))) ** (-alpha)
@@ -120,10 +118,8 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
             if not np.all(np.isfinite(weight)):
                 raise OverflowError
             section = mult_matrix(BallPoly._of(b.dim, exps, weight), space,
-                                  col_degree, row_degree=col_degree + top)
-            projected = SectionMatrix(space, col_degree, top, section.rows[:count],
-                                      section.entries[:count])
-            lower = op_norm_lower(projected, trace_degrees=[col_degree]).lower
+                                  col_degree, row_degree=top)
+            lower = op_norm_lower(section, trace_degrees=[col_degree]).lower
     except (OverflowError, FloatingPointError):
         raise ValueError(f"the inverse-kernel weight passes float range at "
                          f"alpha={alpha:g}") from None

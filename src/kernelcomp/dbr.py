@@ -135,8 +135,7 @@ def defect_matrix(b: SelfMapDisk, degree: int) -> np.ndarray:
     product of the square lower-triangular section with its adjoint.
     """
     space = SpaceSpec(1, 1.0)
-    full = mult_matrix(b.series, space, degree).entries
-    square = full[: degree + 1, :]
+    square = mult_matrix(b.series, space, degree, row_degree=degree).entries
     d = np.eye(degree + 1, dtype=complex) - square @ square.conj().T
     return 0.5 * (d + d.conj().T)
 

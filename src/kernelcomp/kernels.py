@@ -172,25 +172,32 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """Hermitized kernel values K(z_i, z_j) for point stacks (..., m, dim).
 
     The one place the kernel formulas live: ``gram`` passes a single (m, dim)
-    set, the witness screen a (trials, m, dim) stack.  A value that overflows
-    (a large alpha on points near the boundary) is refused, not passed on as
+    set, the witness screen a (trials, m, dim) stack.  At most two arrays of
+    the result's shape are alive at once: only the power, whose ``**`` has
+    scalar fast paths, is formed out of place.  A value that overflows (a
+    large alpha on points near the boundary) is refused, not passed on as
     inf or NaN to the eigen-solver.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
         if spec.kind in ("szego", "bergman", "ball"):
             g = den ** (-spec.alpha)
-        elif spec.kind in ("dbr", "dbr_power"):
-            bv = spec.b_disk(pts[..., 0])
-            g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
-        else:
-            bz = spec.b_ball(pts)
-            g = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
+        else:  # the ratio, in place
+            if spec.kind in ("dbr", "dbr_power"):
+                bv = spec.b_disk(pts[..., 0])
+                g = bv[..., :, None] * bv.conj()[..., None, :]
+            else:
+                bz = spec.b_ball(pts)
+                g = bz @ np.swapaxes(bz.conj(), -1, -2)
+            np.subtract(1.0, g, out=g)
+            g /= den
+        del den
         # the dbr_power and ball_map ratio's power; ratio ** 1 is the ratio
         if spec.kind in ("dbr_power", "ball_map") and spec.alpha != 1.0:
             g = g ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
                 else g ** spec.alpha
-        g = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+        g += np.swapaxes(g.conj(), -1, -2)
+        g *= 0.5
     if not np.all(np.isfinite(g)):
         raise ValueError(f"{spec.kind} kernel values overflow on these points")
     return g
@@ -199,9 +206,11 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
 def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
     """Gram matrix G[i, j] = K(w_i, w_j), hermitized on assembly, so G
     equals its conjugate transpose exactly.  Raises ValueError when a kernel
-    value overflows."""
+    value overflows or the two m x m arrays it holds pass MAX_SECTION_BYTES."""
     if point_set.dim != spec.dim:
         raise DomainError("point set dimension does not match the kernel")
+    m = len(point_set)
+    _check_bytes(2 * m * m * np.dtype(complex).itemsize, f"a {m}x{m} Gram")
     return _kernel_matrix(spec, point_set.points)
 
 
@@ -371,22 +380,26 @@ _CHUNK_VALUES = 1 << 21
 
 
 def _uncleared(g: np.ndarray) -> np.ndarray:
-    """Mask of the Hermitian stack ``g`` not cleared by ``_screen``'s shifted
-    Cholesky rule; a stack that ``np.linalg.cholesky`` refuses is bisected."""
+    """Mask of the C-contiguous Hermitian stack ``g`` not cleared by
+    ``_screen``'s shifted Cholesky rule; ``g`` is shifted in place, once."""
     m = g.shape[-1]
     eps = float(np.finfo(float).eps)
-    a = g.copy()
-    diag = a.reshape(-1, m * m)[:, ::m + 1]  # a view of the diagonals
+    diag = g.reshape(-1, m * m)[:, ::m + 1]  # a view of the diagonals
     shift = TOL_SCALE * m * eps * np.max(diag.real, axis=1) / 4
     diag += shift[:, None]
     k = (m + 1) * eps  # gamma_{m+1} / (1 - gamma_{m+1}) = k / (1 - 2 k)
     err = k / (1 - 2 * k) * diag.real.sum(axis=1) + eps * diag.real.max(axis=1)
+    return (err > shift) | _refused(g)
+
+
+def _refused(a: np.ndarray) -> np.ndarray:
+    """Mask of ``a`` that ``np.linalg.cholesky`` refuses, found by bisection."""
     try:
         np.linalg.cholesky(a)
-        return err > shift
+        return np.zeros(len(a), bool)
     except np.linalg.LinAlgError:
-        half = len(g) // 2
-        return np.concatenate([_uncleared(g[:half]), _uncleared(g[half:])]) \
+        half = len(a) // 2
+        return np.concatenate([_refused(a[:half]), _refused(a[half:])]) \
             if half else np.ones(1, bool)
 
 

@@ -1,8 +1,9 @@
 """Finite sections of composition and multiplication operators.
 
 Sections are written against orthonormalized monomial bases of weighted power
-series spaces.  Columns are kept exact: the row degree is always large enough
-to hold the full image of every retained basis vector, so for any column
+series spaces.  Columns are kept exact: the row degree holds the full image
+of every retained basis vector (a multiplication section cut at row degree D
+keeps its rows of degree <= D, and ||P_D A v|| <= ||A v||), so for any column
 prefix A_d and any test vector v, ||A_d v|| / ||v|| is a lower bound for the
 operator norm.  ``op_norm_lower`` takes v from the top eigenvector of a Gram
 of the section, which makes the bound the prefix's top singular value up to
@@ -136,6 +137,10 @@ def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
     return out
 
 
+# (term, column) pairs that ``mult_matrix`` places at a time
+_PAIR_BLOCK = 1 << 14
+
+
 def _check_section_size(dim: int, row_degree: int, col_degree: int) -> tuple:
     """Row and column counts of the dense section, refused before any work
     when col_degree is negative or its entries would pass MAX_SECTION_BYTES."""
@@ -171,7 +176,9 @@ class SectionMatrix:
     most ``row_degree``; ``entries[i, j]`` is the coefficient of the image of
     the j-th normalized monomial against the one of rank ``rows[i]``, float64
     for a disk section of real data and complex128 otherwise.  Every row left
-    out is zero, so the stored rows hold each column exactly."""
+    out is zero, so the stored rows hold each column exactly, except in a
+    ``mult_matrix`` section cut at row degree D: that is the row projection
+    P_D of exact columns, and ||P_D A v|| / ||v|| is still a lower bound."""
 
     space: SpaceSpec
     col_degree: int
@@ -320,8 +327,12 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
 
     Rows default to col_degree + deg(f), which holds every column exactly; a
     larger row_degree may be passed so sections of different symbols become
-    conformable for sums.  Column m_j holds f's term c_t in row m_j + t, so
-    every entry is placed in one scatter.
+    conformable for sums.  A smaller one D keeps the exact section's rows of
+    degree <= D, the section of P_D M_f: a row projection of exact columns,
+    so ||P_D M_f v|| / ||v|| is still a lower bound for the norm.  The byte
+    limit counts the uncut section either way.  Column m_j holds f's term c_t
+    in row m_j + t; the (term, column) pairs are placed in scatters of about
+    _PAIR_BLOCK, so beyond its entries the section's build holds O(_PAIR_BLOCK).
     """
     if isinstance(f, DiskPoly):
         if space.dim != 1:
@@ -333,19 +344,26 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     if f.dim != space.dim:
         raise ValueError("weight and space dimensions must match")
     needed = col_degree + f.degree()
-    if row_degree is None:
-        row_degree = needed
-    elif row_degree < needed:
-        raise ValueError("row_degree too small to hold the columns exactly")
-    nrows, ncols = _check_section_size(space.dim, row_degree, col_degree)
-    rows = np.arange(nrows)
+    row_degree = needed if row_degree is None else row_degree
+    _, ncols = _check_section_size(space.dim, max(row_degree, needed), col_degree)
+    nrows = _monomial_count(space.dim, row_degree)
     entries = np.zeros((nrows, ncols), dtype=complex)
-    norms = monomial_norms(space, row_degree)
+    norms = monomial_norms(space, max(row_degree, col_degree))
     col_exps = np.array(grlex_monomials(space.dim, col_degree))
-    ranks = _grlex_rank(f.exps[:, None, :] + col_exps[None, :, :])
-    cols = np.arange(len(col_exps))[None, :]
-    _place(entries, ranks, ranks, cols, f.coefs[:, None], norms)
-    return SectionMatrix(space, col_degree, row_degree, rows, entries)
+    # term t pairs with the columns of degree <= row_degree - deg(t), a prefix;
+    # runs of terms with about _PAIR_BLOCK pairs bound the pairs' temporaries
+    span = np.searchsorted(col_exps.sum(axis=1), row_degree - f.exps.sum(axis=1),
+                           side="right")
+    cuts = np.searchsorted(np.cumsum(span), np.arange(_PAIR_BLOCK, span.sum(),
+                                                      _PAIR_BLOCK)).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(span)]):
+        run = span[lo:hi]
+        terms = np.repeat(np.arange(lo, hi), run)
+        cols = np.arange(len(terms)) - np.repeat(np.cumsum(run) - run, run)
+        ranks = _grlex_rank(np.take(f.exps, terms, axis=0)
+                            + np.take(col_exps, cols, axis=0))
+        _place(entries, ranks, ranks, cols, f.coefs[terms], norms)
+    return SectionMatrix(space, col_degree, row_degree, np.arange(nrows), entries)
 
 
 @dataclass
@@ -395,7 +413,8 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     ||A_d^H u|| / ||u||.  Either way each bound is the prefix's top singular
     value up to rounding, so the trace is nondecreasing in d up to rounding.
     Rows left out, and rows a prefix does not reach, are zero and change
-    nothing.
+    nothing; the rows a cut section drops make each bound ||P_D A_d v|| / ||v||,
+    which is at most ||A_d v|| / ||v||, so still a lower bound.
     """
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)

@@ -24,10 +24,15 @@ nodes.  ``hb_norm_defect`` takes the range norm of a polynomial from the
 defect pseudoinverse, a route independent of the node Gram in
 ``hb_norm_combo``.  ``eigh_check_psd`` is the positivity verdict that
 solved every Gram with eigenvectors, the byte-level reference for
-``check_psd``'s NEGATIVE certificates.
+``check_psd``'s NEGATIVE certificates.  ``out_of_place_kernel_matrix``
+and ``copying_uncleared`` are the Gram assembly and the screen's Cholesky
+rule as they were when each step allocated a fresh array, the byte-level
+references for the in-place builders.  ``traced_peak`` runs a call under
+``tracemalloc`` and returns its result with the peak bytes traced.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -350,3 +355,57 @@ def eigh_check_psd(spec: KernelSpec, point_set) -> PositivityCertificate:
     wit = Witness(point_set=point_set, coeffs=vec[:, 0])
     return PositivityCertificate(spec=spec, min_eigenvalue=lo,
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
+
+
+def out_of_place_kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """``kernels._kernel_matrix`` as it was with a fresh array per step: up to
+    four arrays of the result's shape alive at once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
+        if spec.kind in ("szego", "bergman", "ball"):
+            g = den ** (-spec.alpha)
+        elif spec.kind in ("dbr", "dbr_power"):
+            bv = spec.b_disk(pts[..., 0])
+            g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
+        else:
+            bz = spec.b_ball(pts)
+            g = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
+        if spec.kind in ("dbr_power", "ball_map") and spec.alpha != 1.0:
+            g = g ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+                else g ** spec.alpha
+        g = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{spec.kind} kernel values overflow on these points")
+    return g
+
+
+def copying_uncleared(g: np.ndarray) -> np.ndarray:
+    """``kernels._uncleared`` as it was when it shifted a copy of each stack
+    it tried, bisected halves included; ``g`` is left as it was."""
+    m = g.shape[-1]
+    eps = float(np.finfo(float).eps)
+    a = g.copy()
+    diag = a.reshape(-1, m * m)[:, ::m + 1]
+    shift = kernels.TOL_SCALE * m * eps * np.max(diag.real, axis=1) / 4
+    diag += shift[:, None]
+    k = (m + 1) * eps
+    err = k / (1 - 2 * k) * diag.real.sum(axis=1) + eps * diag.real.max(axis=1)
+    try:
+        np.linalg.cholesky(a)
+        return err > shift
+    except np.linalg.LinAlgError:
+        half = len(g) // 2
+        return np.concatenate([copying_uncleared(g[:half]),
+                               copying_uncleared(g[half:])]) \
+            if half else np.ones(1, bool)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the peak bytes ``tracemalloc`` traced while ``fn``
+    ran, counted from zero at its start."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from kernelcomp.cli import (
     stable_json,
     symbol_from_json,
 )
+from oracles import traced_peak
 
 
 def _cfg(tmp_path, name, params=None, seed=0, tolerances=None, fname="c.json"):
@@ -421,12 +421,7 @@ def test_config_none_default_accepts_none_or_its_documented_type():
 
 def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
     cfg = _cfg(tmp_path, "hardy-bound", params={"section_degree": 100000})
-    tracemalloc.start()
-    try:
-        code = main(["run", "--config", str(cfg)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
     assert code == 2
     assert "byte limit" in capsys.readouterr().err
     assert peak < 2**24
@@ -434,12 +429,7 @@ def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
 
 def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
     cfg = _cfg(tmp_path, "psd", params={"point_count": 100000})
-    tracemalloc.start()
-    try:
-        code = main(["run", "--config", str(cfg)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
     assert code == 2
     assert "byte limit" in capsys.readouterr().err
     assert peak < 2**24
@@ -455,12 +445,7 @@ def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
 def test_oversized_coefficient_array_exits_two_before_allocating(tmp_path, capsys,
                                                                  spec):
     cfg = _cfg(tmp_path, "psd", params={"spec": spec, "point_count": 4})
-    tracemalloc.start()
-    try:
-        code = main(["run", "--config", str(cfg)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
     err = capsys.readouterr().err
     if spec["kind"] == "ball_map":
         # a ball-map coordinate stays sparse in every dim, so nothing dense
@@ -474,12 +459,7 @@ def test_oversized_coefficient_array_exits_two_before_allocating(tmp_path, capsy
 
 def test_oversized_combo_degree_exits_two_before_allocating(tmp_path, capsys):
     cfg = _cfg(tmp_path, "theorem1", params={"trials": 1, "combo_degree": 10**12})
-    tracemalloc.start()
-    try:
-        code = main(["run", "--config", str(cfg)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "byte limit" in err
@@ -494,12 +474,7 @@ def test_ball_lemma_above_the_weight_limit_exits_two_before_allocating(tmp_path,
     cfg = _cfg(tmp_path, "ball-lemma", params={
         "maps": 1, "alphas": [1], "section_degree": 64, "cert_points": 2,
         "row_points": 1})
-    tracemalloc.start()
-    try:
-        code = main(["run", "--config", str(cfg)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "33153x2145 section" in err \

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +26,13 @@ from kernelcomp.kernels import (
     trial_stream,
 )
 from kernelcomp.series import BallMap, BallPoly, DiskPoly, SelfMapDisk, blaschke_factor
-from oracles import eigh_check_psd, eval_kernel
+from oracles import (
+    copying_uncleared,
+    eigh_check_psd,
+    eval_kernel,
+    out_of_place_kernel_matrix,
+    traced_peak,
+)
 from test_default_digests import SAMPLER_CONFIGS, SEEDS
 from test_golden import GOLDEN
 
@@ -466,6 +471,52 @@ def test_gram_bytes_unchanged_for_every_kind(name):
     assert entries.tobytes() == _serial_gram_entries(spec, pts.points).tobytes()
 
 
+_IN_PLACE_SPECS = {
+    "szego": KernelSpec.szego(),
+    "bergman-2": KernelSpec.bergman(2.0),
+    "ball-2": KernelSpec.ball(2, 2.0),
+    "ball-1.5": KernelSpec.ball(2, 1.5),
+    "dbr": KernelSpec.dbr(_DISK_B),
+    "dbr_power-3": KernelSpec.dbr_power(_DISK_B, 3),
+    "ball_map-1": _br_spec(0.8, 1.0),
+    "ball_map-2": _br_spec(0.8, 2.0),
+    "ball_map-2.5": _br_spec(0.8, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IN_PLACE_SPECS))
+def test_in_place_kernel_matrix_matches_the_out_of_place_one(name):
+    # a 40-point set as gram passes it, and a 16 x 8 stack as the screen does
+    spec = _IN_PLACE_SPECS[name]
+    rng = np.random.default_rng(40)
+    single = sample_point_set(rng, spec.dim, 0.95, 40).points
+    stack = kernels._candidates(rng.random((16, 8, 2 * spec.dim)), 0.95)
+    for pts in (single, stack):
+        assert kernels._kernel_matrix(spec, pts).tobytes() == \
+            out_of_place_kernel_matrix(spec, pts).tobytes()
+
+
+def test_in_place_kernel_matrix_still_refuses_overflow():
+    # the map ratio ** 1000 overflows on a stack near the boundary
+    spec = _br_spec(0.95, alpha=1000.0)
+    pts = kernels._candidates(np.random.default_rng(1).random((16, 8, 4)), 0.95)
+    for build in (kernels._kernel_matrix, out_of_place_kernel_matrix):
+        with pytest.raises(ValueError, match="ball_map kernel values overflow"):
+            build(spec, pts)
+
+
+@pytest.mark.parametrize("m", [200, 400])
+def test_gram_holds_two_arrays_of_its_size(monkeypatch, m):
+    # the check counts the two m x m arrays the assembly holds; beyond them
+    # only numpy's ufunc buffer (getbufsize() elements, used when the
+    # hermitization adds a transposed view) and O(m dim) values for the points
+    pts = sample_point_set(np.random.default_rng(m), 2, 0.95, m)
+    checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
+    g, peak = traced_peak(lambda: gram(KernelSpec.ball(2, 2.0), pts))
+    assert checked == [2 * g.nbytes]
+    assert checked[0] / 2 < peak <= checked[0] + 16 * np.getbufsize() + 64 * m * 2
+
+
 class _Rows:
     """A generator that serves planted candidate rows in order: random(shape)
     and uniform(low, high, size) read the next values."""
@@ -579,12 +630,8 @@ def test_candidates_in_dim_1_keep_the_disk_arithmetic():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_separation_check_stays_within_the_bytes_it_checks(monkeypatch, dim):
     checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
-    tracemalloc.start()
-    try:
-        sample_point_set(np.random.default_rng(dim), dim, 0.95, 1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: sample_point_set(np.random.default_rng(dim), dim,
+                                                   0.95, 1000))
     assert checked[0] / 2 < peak <= checked[0]
 
 
@@ -796,7 +843,7 @@ def test_cholesky_clears_only_what_the_eigenvalue_screen_would(m):
                 stack.append(_planted(rng, spectrum))
                 planted.append(spectrum[0])
     stack = np.array(stack)
-    cleared = ~kernels._uncleared(stack)
+    cleared = ~kernels._uncleared(stack.copy())  # it shifts what it is given
     lam = np.linalg.eigvalsh(stack)
     assert np.all(lam[cleared, 0] >= -kernels.eig_tolerance(lam[cleared]) / 2)
     if m <= 24:
@@ -824,10 +871,47 @@ def test_uncleared_bisects_to_exactly_the_failing_set(failing):
                       else _planted(rng, rng.uniform(0.5, 1.0, 8))
                       for t in range(7)])
     expect = [t in failing for t in range(7)]
-    assert kernels._uncleared(stack).tolist() == expect
+    assert kernels._uncleared(stack.copy()).tolist() == expect
     for k in (1, 2):
-        assert kernels._uncleared(stack[:k]).tolist() == expect[:k]
+        assert kernels._uncleared(stack[:k].copy()).tolist() == expect[:k]
     assert kernels._uncleared(stack[:0]).shape == (0,)
+
+
+def test_screen_with_a_planted_cholesky_failure_keeps_the_copying_mask(monkeypatch):
+    # trial 5's Gram has lambda_min = -1.5 s for its own shift s: shifted
+    # once it keeps -0.5 s, which Cholesky refuses, so the chunk is bisected
+    # down to it; shifted twice it would be cleared
+    spec, m = _br_spec(0.5), 8
+    rng = np.random.default_rng(5)
+    g0 = _planted(rng, [0.0] + list(rng.uniform(0.5, 1.0, m - 1)))
+    s = kernels.TOL_SCALE * m * np.finfo(float).eps * np.max(np.diag(g0).real) / 4
+    planted = g0 - 1.5 * s * np.eye(m)
+    build = kernels._kernel_matrix
+
+    def planting(spec, pts):
+        g = build(spec, pts)
+        g[5] = planted
+        return g
+
+    monkeypatch.setattr(kernels, "_kernel_matrix", planting)
+    masks = []
+    for rule in (kernels._uncleared, copying_uncleared):
+        monkeypatch.setattr(kernels, "_uncleared", rule)
+        masks.append(kernels._screen(spec, (0,), range(16, 32), 0.95, m, _block(2, m)))
+    assert masks[0] == masks[1] == [21]
+
+
+def test_screen_chunk_holds_its_gram_stack_and_the_factor():
+    # a 1024-trial chunk of 16-point sets in dim 2: beyond the Gram stack and
+    # Cholesky's factor it holds O(trials m dim) values (the uniforms, the
+    # points and the map's values at them) and numpy's ufunc buffer
+    spec, trials, m = _br_spec(0.5), range(1024, 2048), 16
+    n = _block(2, m)
+    kernels._screen(spec, (0,), trials, 0.95, m, n)  # lazy set-up off the count
+    deferred, peak = traced_peak(lambda: kernels._screen(spec, (0,), trials, 0.95, m, n))
+    stack = len(trials) * m * m * 16
+    assert deferred == []
+    assert peak <= 2 * stack + 6 * len(trials) * m * 2 * 16 + 16 * np.getbufsize()
 
 
 def test_search_above_the_bound_size_matches_serial(monkeypatch):

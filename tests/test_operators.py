@@ -1,12 +1,11 @@
 """Finite sections, monomial norms, and certified norm traces."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from kernelcomp import series
+from kernelcomp import operators, series
 from kernelcomp.ball import br_map
 from kernelcomp.dbr import combo_to_poly
 from kernelcomp.kernels import substream
@@ -34,7 +33,8 @@ from kernelcomp.series import (
 )
 from kernelcomp.sampling import random_disk_symbol, random_kernel_combo
 from oracles import adjoint_kernel_check, adjoint_mult_check, compose, \
-    disk_comp_dense, svd_trace, uncut_disk_entries, weighted_disk_extended
+    disk_comp_dense, svd_trace, traced_peak, uncut_disk_entries, \
+    weighted_disk_extended
 
 H2 = SpaceSpec(1, 1.0)
 
@@ -273,13 +273,11 @@ def test_weighted_section_byte_limit_counts_the_weighted_section(monkeypatch):
     monkeypatch.setattr(series, "MAX_SECTION_BYTES", 2**20)
     b = SelfMapDisk(DiskPoly([0.0, 0.0, 0.5]))
     over, under = DiskPoly.monomial(258, 0.5), DiskPoly.monomial(257, 0.5)
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match="byte limit"):
             weighted_comp_matrix(over, b, H2, 127)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 2**20
     sec = weighted_comp_matrix(under, b, H2, 127)
     assert sec.row_degree == 511 and sec.entries.shape == (512, 128)
@@ -404,16 +402,16 @@ def test_op_norm_lower_runs_real_sections_in_real_arithmetic(name, monkeypatch):
     assert all(v2 - v1 >= -1e-15 * v2 for v1, v2 in zip(values, values[1:]))
 
 
+def _bounded(sec):
+    # the section after op_norm_lower has run on it, so a traced peak holds both
+    op_norm_lower(sec)
+    return sec
+
+
 def test_hardy_bound_section_stays_small():
     # hardy-bound's default section: 2364 of 11265 rows reached, 46 MB dense
     b = blaschke_factor(0.5)
-    tracemalloc.start()
-    try:
-        sec = comp_matrix(b, H2, 256)
-        op_norm_lower(sec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sec, peak = traced_peak(lambda: _bounded(comp_matrix(b, H2, 256)))
     assert sec.entries.shape == (2364, 257)
     assert peak < 24 * 2**20
 
@@ -455,8 +453,48 @@ def test_mult_matrix_row_degree_control():
     sec = mult_matrix(f, H2, 3, row_degree=8)
     assert sec.entries.shape == (9, 4)
     assert np.array_equal(sec.rows, np.arange(9))
-    with pytest.raises(ValueError):
-        mult_matrix(f, H2, 3, row_degree=3)
+    # a row degree below col_degree + deg(f) keeps the leading rows
+    cut = mult_matrix(f, H2, 3, row_degree=3)
+    assert cut.row_degree == 3 and np.array_equal(cut.rows, np.arange(4))
+    assert cut.entries.tobytes() == mult_matrix(f, H2, 3).entries[:4].tobytes()
+
+
+@pytest.mark.parametrize("f", [
+    DiskPoly([0.3, -0.5 + 0.25j, 0.0, 1e-3j, -2.0]),
+    BallPoly(2, {(0, 0): 0.5, (1, 0): -0.25j, (0, 2): 1.5, (3, 1): 0.75 - 0.5j}),
+], ids=["disk", "ball"])
+def test_mult_matrix_row_cut_keeps_the_leading_rows_of_the_uncut_section(
+        monkeypatch, f):
+    # row degrees 0, below col_degree and col_degree + deg(f) - 1; the byte
+    # limit counts the uncut section, so the cut never decides admission
+    dim = getattr(f, "dim", 1)
+    space, col_degree = SpaceSpec(dim, 2.0), 6
+    full = mult_matrix(f, space, col_degree)
+    checked = []
+    monkeypatch.setattr(operators, "_check_bytes",
+                        lambda nbytes, what: checked.append(nbytes))
+    for row_degree in (0, col_degree - 2, col_degree + f.degree() - 1):
+        cut = mult_matrix(f, space, col_degree, row_degree=row_degree)
+        count = math.comb(row_degree + dim, dim)
+        assert (cut.col_degree, cut.row_degree) == (col_degree, row_degree)
+        assert cut.rows.tolist() == list(range(count))
+        assert cut.entries.tobytes() == full.entries[:count].tobytes()
+        assert checked.pop() == full.entries.nbytes
+
+
+@pytest.mark.parametrize("col_degree", [16, 24])
+def test_mult_matrix_holds_its_entries_and_one_block_of_pairs(col_degree):
+    # a dense weight through degree 3 col_degree, cut there as the inverse-
+    # kernel weight is: its pairs pass _PAIR_BLOCK, so they are placed in
+    # runs, each holding about 90 bytes of index and rounding values per pair
+    top, rng = 3 * col_degree, np.random.default_rng(col_degree)
+    exps = np.array(grlex_monomials(2, top))
+    f = BallPoly._of(2, exps, rng.standard_normal(len(exps)) + 0j)
+    build = lambda: mult_matrix(f, SpaceSpec(2, 2.0), col_degree, row_degree=top)
+    build()  # fills the monomial norm and grlex caches off the count
+    sec, peak = traced_peak(build)
+    pairs = operators._PAIR_BLOCK + sec.entries.shape[1]
+    assert sec.entries.nbytes < peak <= sec.entries.nbytes + 128 * pairs
 
 
 def test_weighted_comp_entries_for_monomial_pair():
@@ -620,13 +658,8 @@ def test_comp_matrix_computes_a_ball_maps_powers_once(monkeypatch):
 
 def test_ball_composition_section_stays_small():
     # the br section at r = 0.75: 61 reachable rows of 7381, 223 MB dense
-    tracemalloc.start()
-    try:
-        sec = comp_matrix(br_map(0.75), SpaceSpec(2, 1.0), 60)
-        op_norm_lower(sec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sec, peak = traced_peak(
+        lambda: _bounded(comp_matrix(br_map(0.75), SpaceSpec(2, 1.0), 60)))
     assert sec.entries.shape == (61, 1891)
     assert peak < 16 * 2**20
 

@@ -25,7 +25,7 @@ from kernelcomp.series import (
     blaschke_factor,
     sup_norm_circle,
 )
-from oracles import compose, disk_poly_power
+from oracles import compose, disk_poly_power, traced_peak
 
 
 def test_disk_poly_eval_matches_term_sum():
@@ -96,17 +96,10 @@ def test_many_term_map_admission_stays_small():
     # 2000 terms on the 2048-point sphere sample (their coefficient bound is
     # 2, so the sample decides): the term rows are stacked in blocks, not all
     # at once (188 MB)
-    import tracemalloc
-
     from kernelcomp.operators import grlex_monomials
 
     p = BallPoly(2, {m: 1e-3 for m in grlex_monomials(2, 62)[:2000]})
-    tracemalloc.start()
-    try:
-        BallMap([p, BallPoly(2, {})])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: BallMap([p, BallPoly(2, {})]))
     assert peak < 16 * 2**20
 
 
