@@ -34,39 +34,59 @@ __all__ = [
 
 def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
     """Multiplication sections of the coordinates of b, all with the row
-    degree col_degree + deg(b) so that they sum entry by entry."""
+    degree col_degree + deg(b) so that their cross Grams are defined."""
     space = SpaceSpec(b.dim, float(alpha))
     row_degree = col_degree + b.degree()
     return [mult_matrix(coord, space, col_degree, row_degree=row_degree)
             for coord in b.coords]
 
 
-def row_mult_norm(b: BallMap, w, coord_sections: list) -> tuple:
-    """Certified lower bound for the row multiplier norm at w, and |b(w)|.
+# bytes of the Gram stack that ``row_mult_norm`` eigen-solves at once
+_ROW_STACK_BYTES = 1 << 22
 
-    The row operator is sum_i conj(b_i(w)) M_{b_i}; when the map kernel is
-    positive its norm is at most |b(w)|, so the returned (lower, |b(w)|)
-    has |b(w)| - lower nonnegative up to rounding.
 
-    ``coord_sections`` is ``coord_mult_sections(b, alpha, col_degree)``,
-    built once for every point checked on one map; it fixes alpha and the
-    column degree.
+def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
+    """Certified lower bounds for the row multiplier norms at the rows of the
+    (P, dim) array ws, and the values |b(w)|, as two arrays of length P.
+
+    The row operator at w is A_w = sum_i conj(b_i(w)) S_i over the sections
+    S_i of ``coord_mult_sections(b, alpha, col_degree)``; when the map kernel
+    is positive its norm is at most |b(w)|, so each |b(w)| - lower is
+    nonnegative up to rounding.  lower is the root of the top eigenvalue of
+    A_w^H A_w = sum_ij b_i(w) conj(b_j(w)) C_ij, from the cross Grams
+    C_ij = S_i^H S_j (multiplied for i <= j, mirrored for i > j) formed once
+    per call; points are eigen-solved in blocks of _ROW_STACK_BYTES of Grams.
     """
-    wv = np.atleast_1d(np.asarray(w, dtype=complex))
-    if wv.size != b.dim:
-        raise ValueError("w must have one coordinate per map component")
-    if float(np.linalg.norm(wv)) >= 1.0:
-        raise ValueError("w must lie strictly inside the ball")
+    wv = np.asarray(ws, dtype=complex)
+    if wv.ndim != 2 or wv.shape[1] != b.dim:
+        raise ValueError("ws must hold one row of b.dim coordinates per point")
+    if np.any(np.linalg.norm(wv, axis=1) >= 1.0):
+        raise ValueError("every point must lie strictly inside the ball")
     if len(coord_sections) != len(b.coords):
         raise ValueError("coord_sections must hold one section per coordinate")
+    (rows, n), d, count = coord_sections[0].entries.shape, len(b.coords), len(wv)
+    block = max(1, min(count, _ROW_STACK_BYTES // (16 * n * n)))
+    # complex values held at once: the cross Grams, a conjugated section, a
+    # block's Grams and eigenvalues, and per point b(w), d * d weights, results
+    _check_bytes(16 * ((d * d + block) * n * n + (rows + block) * n
+                       + count * (d * d + d + 1)),
+                 f"row multiplier Grams of {count} points at {n} columns")
     bw = b(wv)
-    acc = None
-    for i, section in enumerate(coord_sections):
-        term = np.conj(bw[i]) * section.entries
-        acc = term if acc is None else acc + term
-    acc = acc[np.any(acc != 0, axis=1)]
-    sigma = float(np.linalg.svd(acc, compute_uv=False)[0]) if acc.size else 0.0
-    return sigma, float(np.linalg.norm(bw))
+    lower, bounds = np.empty(count), np.linalg.norm(bw, axis=1)
+    cross = np.empty((d, d, n, n), dtype=complex)
+    for i, j in zip(*np.triu_indices(d)):
+        np.matmul(coord_sections[i].entries.conj().T, coord_sections[j].entries,
+                  out=cross[i, j])
+        if j > i:
+            cross[j, i] = cross[i, j].conj().T
+    weights = (bw[:, :, None] * bw[:, None, :].conj()).reshape(count, d * d)
+    grams = np.empty((block, n * n), dtype=complex)
+    for lo in range(0, count, block):
+        part = weights[lo:lo + block]
+        np.matmul(part, cross.reshape(d * d, n * n), out=grams[:len(part)])
+        top = np.linalg.eigvalsh(grams[:len(part)].reshape(-1, n, n))[:, -1]
+        lower[lo:lo + block] = np.sqrt(np.maximum(top, 0.0))
+    return lower, bounds
 
 
 def _inv_kernel_weight(b: BallMap, alpha: float, top: int) -> np.ndarray:

@@ -542,11 +542,11 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             sections = coord_mult_sections(bmap, alpha, n)
             coord_top = _worst(op_norm_lower(s, trace_degrees=[n]).lower
                                for s in sections)
-            # negated after the subtraction, so a zero margin keeps its sign
             ws = sample_point_set(rng, dim, params["row_radius"],
                                   params["row_points"]).points
-            min_margin = -_worst(-(bound - lower) for lower, bound in (
-                row_mult_norm(bmap, w, sections) for w in ws))
+            lower, bound = row_mult_norm(bmap, ws, sections)
+            # negated after the subtraction, so a zero margin keeps its sign
+            min_margin = -_worst((-(bound - lower)).tolist())
             rows.append([mi, alpha, cert.min_eigenvalue, coord_top,
                          min_margin, inv_lower, inv_upper])
     records = []

@@ -29,6 +29,9 @@ and ``copying_uncleared`` are the Gram assembly and the screen's Cholesky
 rule as they were when each step allocated a fresh array, the byte-level
 references for the in-place builders.  ``traced_peak`` runs a call under
 ``tracemalloc`` and returns its result with the peak bytes traced.
+``svd_row_mult_norm`` takes each row point's multiplier bound from a full
+SVD of the assembled row section, the route ``ball.row_mult_norm`` replaced
+by cross Grams and one stacked ``eigvalsh``.
 """
 
 import math
@@ -409,3 +412,13 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def svd_row_mult_norm(b, ws, coord_sections) -> np.ndarray:
+    """Top singular value of sum_i conj(b_i(w)) S_i at each row w of ws."""
+    out = []
+    for w in np.asarray(ws, dtype=complex):
+        bw = b(w)
+        row = sum(np.conj(bw[i]) * s.entries for i, s in enumerate(coord_sections))
+        out.append(np.linalg.svd(row, compute_uv=False)[0])
+    return np.array(out)

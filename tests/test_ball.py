@@ -14,7 +14,7 @@ from kernelcomp.ball import (
     inv_kernel_mult_norm,
     row_mult_norm,
 )
-from kernelcomp.kernels import NEGATIVE, PSD, substream
+from kernelcomp.kernels import NEGATIVE, PSD, sample_point_set, substream
 from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
@@ -25,7 +25,7 @@ from kernelcomp.operators import (
 )
 from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
-from oracles import exact_inv_kernel_weight
+from oracles import exact_inv_kernel_weight, svd_row_mult_norm, traced_peak
 
 rising = lambda a, k: math.gamma(a + k) / math.gamma(a)
 
@@ -34,26 +34,80 @@ def test_row_mult_norm_identity_coordinate():
     # dim-1 map b(z) = z: the row operator at w is conj(w) times the shift,
     # whose section norm is exactly |w|
     b = BallMap([BallPoly(1, {(1,): 1.0})])
-    lower, bound = row_mult_norm(b, 0.6, coord_mult_sections(b, 1.0, 12))
-    assert bound == pytest.approx(0.6, abs=1e-15)
-    assert abs(bound - lower) <= 1e-12
-    assert lower <= bound + 1e-12
+    ws = np.array([[0.6], [0.3j], [-0.2 + 0.1j]])
+    lower, bound = row_mult_norm(b, ws, coord_mult_sections(b, 1.0, 12))
+    assert lower.shape == bound.shape == (3,)
+    assert bound == pytest.approx(np.abs(ws[:, 0]), abs=1e-15)
+    assert np.all(np.abs(bound - lower) <= 1e-12)
 
 
 def test_row_mult_norm_two_coordinates():
     half = BallPoly(2, {(1, 0): 0.5})
     other = BallPoly(2, {(0, 1): 0.5})
     b = BallMap([half, other])
-    w = np.array([0.4, 0.2])
-    lower, bound = row_mult_norm(b, w, coord_mult_sections(b, 2.0, 8))
-    assert bound == pytest.approx(np.linalg.norm([0.2, 0.1]), rel=1e-13)
-    assert bound - lower >= -1e-10
+    ws = np.array([[0.4, 0.2], [0.0, 0.0], [-0.1j, 0.5]])
+    lower, bound = row_mult_norm(b, ws, coord_mult_sections(b, 2.0, 8))
+    assert bound == pytest.approx(0.5 * np.linalg.norm(ws, axis=1), rel=1e-13)
+    assert lower[1] == bound[1] == 0.0
+    assert np.all(bound - lower >= -1e-10)
 
 
 def test_row_mult_norm_rejects_outside_point():
     b = BallMap([BallPoly(1, {(1,): 0.5})])
-    with pytest.raises(ValueError):
-        row_mult_norm(b, 1.2, coord_mult_sections(b, 1.0, 8))
+    with pytest.raises(ValueError, match="strictly inside"):
+        row_mult_norm(b, [[1.2]], coord_mult_sections(b, 1.0, 8))
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, -1.0j], [0.9, 0.9]],
+                         ids=["on-real", "on-imag", "outside"])
+def test_row_mult_norm_rejects_a_batch_with_one_point_off_the_ball(bad):
+    b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
+    ws = np.array([[0.1, 0.2], bad, [0.3, -0.1]])
+    with pytest.raises(ValueError, match="strictly inside"):
+        row_mult_norm(b, ws, coord_mult_sections(b, 1.0, 4))
+
+
+def test_row_mult_norm_rejects_points_of_the_wrong_shape():
+    b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
+    sections = coord_mult_sections(b, 1.0, 4)
+    for ws in ([0.1, 0.2], [[0.1, 0.2, 0.0]]):
+        with pytest.raises(ValueError, match="one row of b.dim coordinates"):
+            row_mult_norm(b, ws, sections)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_row_mult_norm_matches_the_svd_of_each_row_section(dim, alpha):
+    rng = np.random.default_rng(100 + dim)
+    b = random_ball_row_contraction(rng, dim=dim, coord_degree=2, row_target=0.9)
+    sections = coord_mult_sections(b, alpha, 6)
+    ws = sample_point_set(rng, dim, 0.8, 12).points
+    lower, bound = row_mult_norm(b, ws, sections)
+    expect = svd_row_mult_norm(b, ws, sections)
+    assert np.max(np.abs(lower - expect) / expect) <= 1e-13
+    assert bound == pytest.approx([np.linalg.norm(b(w)) for w in ws], rel=1e-15)
+    assert np.all(bound - lower >= -1e-10)
+
+
+@pytest.mark.parametrize("count", [40, 400])
+def test_row_mult_norm_stays_within_the_bytes_it_checks(monkeypatch, count):
+    # 400 points at 45 columns pass one _ROW_STACK_BYTES block, so the
+    # Grams are eigen-solved in several blocks; the check counts one of them
+    rng = np.random.default_rng(count)
+    b = random_ball_row_contraction(rng, dim=2, coord_degree=2, row_target=0.9)
+    sections = coord_mult_sections(b, 2.0, 8)
+    ws = sample_point_set(rng, 2, 0.8, count).points
+    checked, real = [], ball._check_bytes
+
+    def spy(nbytes, what):
+        checked.append(nbytes)
+        real(nbytes, what)
+
+    monkeypatch.setattr(ball, "_check_bytes", spy)
+    b(ws)  # fills the map's caches off the count
+    (lower, _), peak = traced_peak(lambda: row_mult_norm(b, ws, sections))
+    assert len(checked) == 1 and len(lower) == count
+    assert checked[0] / 2 < peak <= checked[0]
 
 
 def test_inv_kernel_weight_trivial_when_centered():
@@ -262,8 +316,8 @@ def test_random_ball_row_contraction_margins():
         assert np.sqrt(np.max(top)) <= 1.0 + 1e-9
         w = np.array([0.3, -0.25])
         for alpha in (1.0, 2.0):
-            lower, bound = row_mult_norm(b, w, coord_mult_sections(b, alpha, 8))
-            assert bound - lower >= -1e-8
+            lower, bound = row_mult_norm(b, [w], coord_mult_sections(b, alpha, 8))
+            assert bound[0] - lower[0] >= -1e-8
 
 
 def test_random_ball_row_contraction_coordinate_sections():
