@@ -29,7 +29,6 @@ from .dbr import (
 )
 from .kernels import (
     KernelSpec,
-    SamplingError,
     check_psd,
     sample_point_set,
     substream,
@@ -948,6 +947,6 @@ def main(argv=None) -> int:
               f"in {report.wall_time:.2f} s", file=summary_stream)
         return 0 if report.all_pass() else 1
     except (ConfigError, OSError, json.JSONDecodeError, ValueError, OverflowError,
-            SamplingError, KernelPositivityError, np.linalg.LinAlgError) as exc:
+            KernelPositivityError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from .series import BallMap, SelfMapDisk, _check_bytes
 
 __all__ = [
     "DomainError",
-    "SamplingError",
     "PointSet",
     "KernelSpec",
     "PositivityCertificate",
@@ -36,26 +35,21 @@ __all__ = [
 PSD = "PSD"
 NEGATIVE = "NEGATIVE"
 
-MIN_POINT_SEPARATION = 1e-9
 # tolerance = TOL_SCALE * size * ||G|| * eps in every positivity verdict
 TOL_SCALE = 100.0
-# separation rejections after which a point draw gives up
-MAX_REJECTS = 10000
 
 
 class DomainError(ValueError):
     """Points outside the open unit ball (or disk)."""
 
 
-class SamplingError(RuntimeError):
-    """A random draw could not produce a usable input."""
-
-
 class PointSet:
-    """Finite set of pairwise-distinct points strictly inside the unit ball.
+    """Finite set of points strictly inside the unit ball.
 
     Stored as an (m, dim) complex array; dim-1 sets may be built from a plain
-    sequence of complex numbers.
+    sequence of complex numbers.  Points may repeat: a Gram with two equal
+    rows is still a Gram, positive semidefinite exactly when the kernel is on
+    the set without the repeats.
     """
 
     __slots__ = ("points",)
@@ -69,9 +63,6 @@ class PointSet:
         radii = np.linalg.norm(arr, axis=1)
         if np.any(radii >= 1.0):
             raise DomainError(f"max |point| = {float(np.max(radii)):.6g}; need < 1")
-        # each point is _close to itself; any other close pair is refused
-        if np.count_nonzero(_close(arr[:, None, :], arr[None, :, :])) > len(arr):
-            raise ValueError("points must be pairwise separated by > 1e-9")
         self.points = arr
 
     def __len__(self):
@@ -286,12 +277,6 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
                                  tolerance=tol, verdict=NEGATIVE, witness=wit)
 
 
-def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One separation rule: sum_k |a_k - b_k|^2 <= MIN_POINT_SEPARATION^2."""
-    return sum(np.abs(a[..., k] - b[..., k]) ** 2
-               for k in range(a.shape[-1])) <= MIN_POINT_SEPARATION ** 2
-
-
 def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
     """Points of the radius ball from uniforms of shape (..., 2 * dim): dim
     angles from the first dim uniforms, and |z_k|^2 = radius^2 s_k from the
@@ -316,36 +301,19 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     Each point reads 2 * dim uniforms: dim angles, and dim radius uniforms
     whose sorted spacings are uniform on the solid simplex, which makes the
     point uniform on the ball (Devroye, 1986, ch. V; see ``_candidates``).
-    Its float norm may pass ``radius`` by a few ulps.  A candidate
-    ``_close`` to a kept point is rejected, and more than MAX_REJECTS such
-    rejections raise ``SamplingError``.  Draws come in rounds of exactly the
-    candidates still needed, so a shared generator ends where a
-    one-at-a-time draw leaves it.  A set whose separation check needs more
-    than MAX_SECTION_BYTES is refused before anything is drawn.
+    Its float norm may pass ``radius`` by a few ulps.  None is rejected, so
+    the draw reads exactly count * 2 * dim uniforms in one call, and the
+    witness screen's ``_candidates`` of the same uniforms are these points.
+    A set whose draw needs more than MAX_SECTION_BYTES is refused before
+    anything is drawn.
     """
-    # per pair, _close holds a complex difference, its modulus, a sum and a verdict
-    _check_bytes(count * count * 33, f"separating {count} points in dim {dim}")
+    # per coordinate 2 uniforms, an angle and a radius (8 bytes each), the
+    # exponential, the point and the product's cast buffer (16 bytes each);
+    # 8 KiB for the arrays' headers and numpy's small temporaries
+    _check_bytes(80 * count * dim + 8192, f"drawing {count} points in dim {dim}")
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
-    pts, have, rejects = np.zeros((count, dim), dtype=complex), 0, 0
-    while have < count:
-        if rejects > MAX_REJECTS:
-            raise SamplingError(
-                f"point sampling failed to fill the set: {count} points in dim "
-                f"{dim} at radius {radius:g} took over MAX_REJECTS = "
-                f"{MAX_REJECTS} separation rejections")
-        new = _candidates(rng.random((count - have, 2 * dim)), radius)
-        # each new point is _close to itself; another close pair is walked
-        if np.count_nonzero(_close(np.concatenate([pts[:have], new])[None],
-                                   new[:, None])) == len(new):
-            pts[have:] = new
-            have = count
-            continue
-        for p in new:  # in order, as a one-at-a-time draw
-            pts[have] = p
-            close = bool(_close(pts[:have], p).any())
-            have, rejects = have + (not close), rejects + close
-    return PointSet(pts)
+    return PointSet(_candidates(rng.random((count, 2 * dim)), radius))
 
 
 def seed_tuple(seed) -> tuple:
@@ -411,26 +379,22 @@ def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
     from the search's ``trial_stream``, and a trial's points are
     ``_candidates`` of its first ``count`` rows of 2 * dim uniforms, uniform
     on the ball by the simplex spacings of their radius uniforms (Devroye,
-    1986, ch. V), none rejected: the points ``sample_point_set`` draws from
-    the same block unless a pair of them is ``_close``.  A Gram G is cleared
-    iff Cholesky of A = fl(G + s I) succeeds and its backward error
-    gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for complex arithmetic)
-    plus eps max_i A_ii fits in s = tol_lo / 4, where tol_lo = TOL_SCALE * m
-    * eps * max_i G_ii <= tol: then lambda_min(G) >= -2 s >= -tol / 2, and
-    the bound fits for m <= 23.
-    Returned are trials whose Gram is not cleared or whose points hold a
-    ``_close`` pair; every trial when the radius is out of range or one
-    trial's Gram passes _CHUNK_VALUES.
+    1986, ch. V): the points ``sample_point_set`` draws from the same block.
+    A Gram G is cleared iff Cholesky of A = fl(G + s I) succeeds and its
+    backward error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
+    complex arithmetic) plus eps max_i A_ii fits in s = tol_lo / 4, where
+    tol_lo = TOL_SCALE * m * eps * max_i G_ii <= tol: then lambda_min(G) >=
+    -2 s >= -tol / 2, and the bound fits for m <= 23.
+    Returned are the trials whose Gram is not cleared; every trial when the
+    radius is out of range or one trial's Gram passes _CHUNK_VALUES.
     """
     if not 0.0 < radius < 1.0 or count * count > _CHUNK_VALUES:
         return list(trials)  # the serial path decides, or raises the error
     row = 2 * spec.dim
     u = trial_stream(base, trials.start, n).random((len(trials), n))
     pts = _candidates(u[:, :count * row].reshape(len(trials), count, row), radius)
-    close = _close(pts[:, :, None], pts[:, None])
-    close[:, np.arange(count), np.arange(count)] = False
-    defer = close.any(axis=(1, 2)) | _uncleared(_kernel_matrix(spec, pts))
+    defer = _uncleared(_kernel_matrix(spec, pts))
     return [t for t, d in zip(trials, defer) if d]
 
 
@@ -455,10 +419,8 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     The rest are decided, in order, by ``sample_point_set`` on the same
     block, which reads the screen's own uniforms and so draws the screen's
     points, then ``gram`` and ``check_psd``; the first NEGATIVE one is
-    returned, as a one-at-a-time search would.  A trial with a ``_close``
-    pair re-draws a point past its block, which only correlates it with the
-    next trial and never affects a verdict.  A negative budget or an empty
-    set raises ValueError.
+    returned, as a one-at-a-time search would.  A negative budget or an
+    empty set raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"witness budget must be nonnegative, got {budget}")

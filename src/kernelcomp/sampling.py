@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dbr import KernelCombo, hb_norm_combo
-from .kernels import SamplingError, sample_point_set
+from .kernels import sample_point_set
 from .operators import grlex_monomials
 from .series import SELF_MAP_GRID, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
     sup_norm_circle
@@ -51,7 +51,7 @@ def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk, alpha: int,
     value = hb_norm_combo(KernelCombo(b=b, alpha=alpha, nodes=nodes,
                                       coeffs=coeffs))
     if value < 1e-8:
-        raise SamplingError("degenerate combo draw; use another substream")
+        raise ValueError("degenerate combo draw; use another substream")
     return KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs / value)
 
 

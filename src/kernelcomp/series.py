@@ -28,7 +28,7 @@ BALL_MAP_GRID = 2048
 SELF_MAP_SLACK = 1e-12
 
 # largest complex array, in bytes, that a coefficient list or a finite section
-# may take; sample_point_set holds its separation check to the same limit
+# may take; sample_point_set holds its draw to the same limit
 MAX_SECTION_BYTES = 2**30
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcomp import cli, kernels
+from kernelcomp import cli, sampling
 from kernelcomp.cli import (
     CLAIM_ANCHORS,
     COMMANDS,
@@ -482,20 +482,25 @@ def test_ball_lemma_above_the_weight_limit_exits_two_before_allocating(tmp_path,
     assert peak < 2**24
 
 
-def test_sampler_give_up_exits_two_with_a_message(tmp_path, capsys, monkeypatch):
-    # every candidate lies in the ball, so only separation rejects: 40
-    # points pairwise 0.5 apart do not fit in the radius-0.95 disk
-    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.5)
-    cfg = _cfg(tmp_path, "psd", params={"point_count": 40})
+def test_tiny_radius_draws_near_equal_points_and_passes(tmp_path, capsys):
+    # 50 points within 1e-9 of 0, so near-equal: the Gram is all but the
+    # all-ones matrix, PSD within its tolerance
+    cfg = _cfg(tmp_path, "psd", params={"radius": 1e-9, "point_count": 50,
+                                        "spec": {"kind": "bergman", "alpha": 3}})
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert "[PASS]" in capsys.readouterr().err
+
+
+def test_degenerate_combo_draw_exits_two_with_a_message(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(sampling, "hb_norm_combo", lambda combo: 0.0)
+    cfg = _cfg(tmp_path, "theorem1", params={"trials": 1})
     assert main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: point sampling failed to fill the set: 40 points in "
-                   "dim 1 at radius 0.95 took over MAX_REJECTS = 10000 "
-                   "separation rejections\n")
+    assert capsys.readouterr().err == \
+        "error: degenerate combo draw; use another substream\n"
 
 
 @pytest.mark.parametrize("exc", [
-    cli.SamplingError("degenerate combo draw; use another substream"),
     cli.KernelPositivityError("defect is not positive"),
     np.linalg.LinAlgError("SVD did not converge"),
 ])

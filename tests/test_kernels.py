@@ -16,7 +16,6 @@ from kernelcomp.kernels import (
     DomainError,
     KernelSpec,
     PointSet,
-    SamplingError,
     check_psd,
     find_negative_witness,
     gram,
@@ -145,10 +144,6 @@ def test_kernel_spec_json_round_trip_shape():
 def test_point_set_validation():
     with pytest.raises(DomainError):
         PointSet([0.5, 1.0])
-    with pytest.raises(ValueError):
-        PointSet([0.5, 0.5])
-    with pytest.raises(ValueError):
-        PointSet([0.5, 0.5 + 1e-12])
     with pytest.raises(DomainError):
         PointSet(np.array([[0.8, 0.7]]))
     ps = PointSet([0.5, -0.5])
@@ -341,25 +336,12 @@ def _spacings(rad_u):
     return np.array([b - a for a, b in zip([0.0] + ordered, ordered)])
 
 
-def _serial_sample_point_set(rng, dim, radius, count, max_rejects=10000):
+def _serial_sample_point_set(rng, dim, radius, count):
     pts = np.zeros((count, dim), dtype=complex)
-    have = 0
-    rejects = 0
-    while have < count:
+    for have in range(count):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=dim)
         rad_u = rng.uniform(0.0, 1.0, size=dim)
-        cand = radius * np.sqrt(_spacings(rad_u)) * np.exp(1j * theta)
-        ok = True
-        if have > 0:
-            sep = np.min(np.linalg.norm(pts[:have] - cand[None, :], axis=1))
-            ok = sep > kernels.MIN_POINT_SEPARATION
-        if ok:
-            pts[have] = cand
-            have += 1
-        else:
-            rejects += 1
-            if rejects > max_rejects:
-                raise RuntimeError("point sampling failed to fill the set")
+        pts[have] = radius * np.sqrt(_spacings(rad_u)) * np.exp(1j * theta)
     return PointSet(pts)
 
 
@@ -471,6 +453,25 @@ def test_gram_bytes_unchanged_for_every_kind(name):
     assert entries.tobytes() == _serial_gram_entries(spec, pts.points).tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(_KIND_SPECS))
+def test_repeated_points_are_admitted_and_read_psd(name):
+    # a Gram with two equal rows is the Gram of the set without the repeat
+    # with that row and column copied: PSD exactly when that one is, and
+    # singular up to rounding
+    spec = _KIND_SPECS[name]
+    pts = sample_point_set(np.random.default_rng(32), spec.dim, 0.9, 6).points
+    cert = check_psd(spec, PointSet(pts[[0, 1, 2, 3, 4, 5, 2, 0]]))
+    assert cert.verdict == check_psd(spec, PointSet(pts)).verdict == PSD
+    assert abs(cert.min_eigenvalue) <= cert.tolerance and cert.witness is None
+
+
+def test_repeated_points_keep_a_negative_verdict():
+    spec = _br_spec(1.0)
+    cert = find_negative_witness(spec, seed=0, radius=0.95, set_size=8, budget=1)
+    pts = cert.witness.point_set.points
+    assert check_psd(spec, PointSet(np.concatenate([pts, pts[:2]]))).verdict == NEGATIVE
+
+
 _IN_PLACE_SPECS = {
     "szego": KernelSpec.szego(),
     "bergman-2": KernelSpec.bergman(2.0),
@@ -517,93 +518,33 @@ def test_gram_holds_two_arrays_of_its_size(monkeypatch, m):
     assert checked[0] / 2 < peak <= checked[0] + 16 * np.getbufsize() + 64 * m * 2
 
 
-class _Rows:
-    """A generator that serves planted candidate rows in order: random(shape)
-    and uniform(low, high, size) read the next values."""
-
-    def __init__(self, rows):
-        self.values = np.asarray(rows, dtype=float).ravel()
-        self.read = 0
-
-    def random(self, shape):
-        n = int(np.prod(shape))
-        if self.read + n > len(self.values):
-            raise IndexError("the planted rows ran out")
-        self.read += n
-        return self.values[self.read - n:self.read].reshape(shape)
-
-    def uniform(self, low, high, size):
-        return low + (high - low) * self.random(size)
-
-
-def _same_draw(new, old, dim, radius, count, max_rejects=10000):
-    """sample_point_set on ``new`` and the serial oracle on ``old`` keep the
-    same points and leave the generators in the same state, or both give up."""
-    try:
-        got = sample_point_set(new, dim, radius, count).points
-    except SamplingError:
-        with pytest.raises(RuntimeError, match="failed to fill"):
-            _serial_sample_point_set(old, dim, radius, count, max_rejects)
-        return False
-    expect = _serial_sample_point_set(old, dim, radius, count, max_rejects).points
-    assert got.tobytes() == expect.tobytes()
-    assert new.bit_generator.state == old.bit_generator.state
-    return True
-
-
-def test_sample_point_set_consumes_the_same_draws_as_before():
-    # several sets from one shared generator, as ball-lemma draws them, in
-    # rounds of 1 to 400 candidates
+def test_sample_point_set_consumes_the_same_draws_as_before(monkeypatch):
+    # several sets from one shared generator, as ball-lemma draws them, of
+    # 1 to 400 points: the serial oracle's points, and the generator left
+    # where one draw of exactly count * 2 * dim uniforms leaves it
     cases = [(1, 0.5, [50] * 4), (2, 0.95, [8] * 4), (2, 0.3, [20] * 4),
              (3, 0.9, [6] * 4)]
     cases += [(dim, 0.95, [1, 2, 40, 400, 2, 40, 1, 1, 2, 40]) for dim in (1, 2, 3, 4)]
     for dim, radius, counts in cases:
         new = np.random.default_rng((dim, counts[0]))
         old = np.random.default_rng((dim, counts[0]))
+        bare = np.random.default_rng((dim, counts[0]))
         for count in counts:
-            assert _same_draw(new, old, dim, radius, count)
-
-
-def _planted_rows():
-    """Candidate rows of a dim-2 draw of 5 points at radius 0.9 with
-    MIN_POINT_SEPARATION 0.05, and the indices of the rows kept."""
-    def turned(row, by=0.001):  # 0.002 to 0.004 from row
-        return [row[0] + by] + row[1:]
-
-    a, b, c = [0.1, 0.2, 0.2, 0.2], [0.4, 0.6, 0.3, 0.1], [0.7, 0.9, 0.1, 0.3]
-    d, e = [0.3, 0.5, 0.4, 0.4], [0.9, 0.1, 0.05, 0.6]
-    rows = [a, turned(a), b, c, d,  # round 1: an inner pair
-            turned(b),              # round 2: b is kept
-            turned(d, -0.001),      # round 3: d is kept
-            e]
-    return rows, [0, 2, 3, 4, 7]
-
-
-def test_rounds_walk_planted_close_pairs_in_order(monkeypatch):
-    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.05)
-    rows, keep = _planted_rows()
-    new, old = _Rows(rows), _Rows(rows)
-    got = sample_point_set(new, 2, 0.9, 5).points
-    assert got.tobytes() == _serial_sample_point_set(old, 2, 0.9, 5).points.tobytes()
-    assert new.read == old.read == 4 * len(rows)
-    assert got.tobytes() == kernels._candidates(np.array(rows)[keep], 0.9).tobytes()
-    # a wide separation on drawn streams: close pairs in and across rounds
-    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.3)
-    for dim in (1, 2):
-        new, old = np.random.default_rng((dim, 21)), np.random.default_rng((dim, 21))
-        for count in (2, 5, 8, 5, 2):
-            assert _same_draw(new, old, dim, 0.95, count)
-
-
-def test_rounds_give_up_where_the_serial_draw_does(monkeypatch):
-    # only separation rejects: at a separation of 0.5, 8 points of the
-    # radius-0.95 disk take about 40 rejections, so a limit of 40 is passed
-    # on about half of the seeds
-    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.5)
-    monkeypatch.setattr(kernels, "MAX_REJECTS", 40)
-    filled = [_same_draw(np.random.default_rng(seed), np.random.default_rng(seed),
-                         1, 0.95, 8, max_rejects=40) for seed in range(120)]
-    assert 20 < sum(filled) < 100
+            got = sample_point_set(new, dim, radius, count).points
+            expect = _serial_sample_point_set(old, dim, radius, count).points
+            assert got.tobytes() == expect.tobytes()
+            bare.random((count, 2 * dim))
+            assert new.bit_generator.state == old.bit_generator.state \
+                == bare.bit_generator.state
+    # on the search's blocks, each trial's points are the screen's own
+    for dim, count in ((1, 5), (2, 8), (3, 5)):
+        n = _block(dim, count)
+        stacks = _spy(monkeypatch, "_kernel_matrix", lambda spec, pts: pts)
+        kernels._screen(KernelSpec.ball(dim, 2.0), (7,), range(3, 35), 0.9, count, n)
+        monkeypatch.undo()
+        for t, screened in zip(range(3, 35), stacks[0]):
+            drawn = sample_point_set(trial_stream((7,), t, n), dim, 0.9, count)
+            assert drawn.points.tobytes() == screened.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6, 8])
@@ -628,11 +569,15 @@ def test_candidates_in_dim_1_keep_the_disk_arithmetic():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_separation_check_stays_within_the_bytes_it_checks(monkeypatch, dim):
+def test_point_draw_stays_within_the_bytes_it_checks(monkeypatch, dim):
+    # 1000 points build every array out of place; at 1e5 numpy reuses the
+    # exponential's buffer for the product
     checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
-    _, peak = traced_peak(lambda: sample_point_set(np.random.default_rng(dim), dim,
-                                                   0.95, 1000))
-    assert checked[0] / 2 < peak <= checked[0]
+    for count in (1000, 100_000):
+        rng = np.random.default_rng(dim)
+        _, peak = traced_peak(lambda: sample_point_set(rng, dim, 0.95, count))
+        assert checked[-1] / 2 < peak <= checked[-1]
+    assert len(checked) == 2
 
 
 @pytest.mark.parametrize("name", sorted(_KIND_SPECS))
@@ -714,17 +659,6 @@ def test_search_chunks_double_up_to_the_cap(monkeypatch):
     assert sizes == [1, 2, 4, 8, 16, 16, 3]
 
 
-def test_batched_search_reruns_trials_it_cannot_screen(monkeypatch):
-    # a wide separation gives some trials a close pair, which the screen
-    # defers and the serial sampler resolves by re-drawing
-    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.3)
-    reruns = _spy(monkeypatch, "sample_point_set")
-    for r in (0.5, 0.8):
-        _assert_same_search(_br_spec(r), seed=2, radius=0.95, set_size=8,
-                            budget=30)
-    assert len(reruns) == 12
-
-
 def test_screen_never_clears_a_negative_trial():
     spec = _br_spec(0.8)
     base = (6,)
@@ -740,15 +674,6 @@ def test_screen_never_clears_a_negative_trial():
         deferred = kernels._screen(spec, base, trials, 0.95, count, n)
         assert negative <= set(deferred)
         assert deferred == sorted(deferred)
-
-
-def test_batched_search_gives_up_where_the_serial_sampler_does(monkeypatch):
-    # every candidate lies in the ball, so only separation gives up: 40
-    # points pairwise 0.5 apart do not fit in the radius-0.95 disk
-    monkeypatch.setattr(kernels, "MIN_POINT_SEPARATION", 0.5)
-    for search in (_serial_search, find_negative_witness):
-        with pytest.raises(RuntimeError, match="failed to fill the set"):
-            search(KernelSpec.szego(), seed=0, radius=0.95, set_size=40, budget=3)
 
 
 @pytest.mark.parametrize("dim, set_size", [(1, 5), (1, 6), (2, 3), (3, 5),
@@ -767,42 +692,7 @@ def test_a_trial_block_is_the_sets_uniforms_rounded_up_to_4(monkeypatch, dim,
         u[:set_size * 2 * dim].reshape(set_size, 2 * dim), 0.9).tobytes()
 
 
-# --- the one point rule and separation rule, and the Cholesky clearing rule ---
-
-
-def _screen_and_sampler(monkeypatch, block, radius, count):
-    """On planted blocks: the trials _screen defers, the points it keeps,
-    and per trial the points sample_point_set keeps from the same block."""
-    dim = block.shape[-1] // 2
-    with monkeypatch.context() as mp:
-        mp.setattr(kernels, "trial_stream", lambda base, trial, n: mock.Mock(
-            random=lambda shape: block[trial:trial + shape[0]].reshape(shape)))
-        kept = _spy(mp, "_kernel_matrix", lambda spec, pts: pts)
-        deferred = kernels._screen(KernelSpec.ball(dim, 1.0), (0,), range(len(block)),
-                                   radius, count, block[0].size)
-    serial = [sample_point_set(_Rows(rows), dim, radius, count).points.tobytes()
-              for rows in block]
-    return deferred, [k.tobytes() for k in kept[0]], serial
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("radius", [0.3, 0.6, 0.95])
-def test_screen_keeps_the_samplers_points_or_defers(monkeypatch, dim, radius):
-    # candidate 1 is candidate 0 turned to 0.5 to 1.5 MIN_POINT_SEPARATION
-    # from it: the smallest radius uniform, rad_u, is coordinate 0's spacing.
-    # The third candidate, and the fourth that replaces a rejected one, lie
-    # well apart from both.
-    rad_u = 0.25 / dim
-    turn = kernels.MIN_POINT_SEPARATION / (2 * np.pi * radius * math.sqrt(rad_u))
-    c0 = [0.1] * dim + [rad_u * (k + 1) for k in range(dim)]
-    inner = [[0.4] * dim + [0.2 / dim] * dim, [0.7] * dim + [0.05 / dim] * dim]
-    block = np.array([[c0, [0.1 + f * turn] + c0[1:]] + inner
-                      for f in np.linspace(0.5, 1.5, 101)])
-    # the screen keeps the sampler's points, and defers exactly the trials
-    # in which the sampler rejects candidate 1
-    deferred, kept, serial = _screen_and_sampler(monkeypatch, block, radius, 3)
-    assert deferred == [t for t, pts in enumerate(serial) if pts != kept[t]]
-    assert 0 < len(deferred) < len(block)
+# --- the Cholesky clearing rule ---------------------------------------------
 
 
 def test_screen_hands_oversized_grams_to_the_serial_path(monkeypatch):
