@@ -501,6 +501,7 @@ def test_degenerate_combo_draw_exits_two_with_a_message(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("exc", [
+    ValueError("degenerate combo draw; use another substream"),
     cli.KernelPositivityError("defect is not positive"),
     np.linalg.LinAlgError("SVD did not converge"),
 ])
