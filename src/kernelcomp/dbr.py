@@ -177,13 +177,19 @@ def szego_residual(onb: OnbApprox, test_points: PointSet) -> float:
 
     Checks sum_m conj(f_m(z)) f_m(w) * (1 - b(z) conj(b(w))) against the
     unweighted kernel 1 / (1 - conj(z) w); pairs use points of modulus at
-    most 0.7 so the geometric factors stay well conditioned.
+    most 0.7 so the geometric factors stay well conditioned.  A set whose
+    arrays would pass MAX_SECTION_BYTES is refused before they are built.
     """
     if test_points.dim != 1:
         raise ValueError("test points live on the disk")
     pts = test_points.points[:, 0]
     if float(np.max(np.abs(pts))) > 0.7:
         raise ValueError("test points must satisfy |z| <= 0.7")
+    m, k = len(pts), len(onb.basis)
+    # at the peak: s, target, factor, s / factor and the difference, m x m
+    # each, beside the k x m mode values and the m values of b
+    _check_bytes(16 * (5 * m * m + (k + 1) * m) + 8192,
+                 f"a {m}-point kernel identity check")
     vals = np.array([p(pts) for p in onb.basis])
     s = vals.conj().T @ vals
     bv = onb.b(pts)

@@ -428,11 +428,12 @@ def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
 
 
 def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
-    cfg = _cfg(tmp_path, "psd", params={"point_count": 100000})
-    code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
-    assert code == 2
-    assert "byte limit" in capsys.readouterr().err
-    assert peak < 2**24
+    for name in ("psd", "szego-identity"):
+        cfg = _cfg(tmp_path, name, params={"point_count": 100000})
+        code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
+        assert code == 2
+        assert "byte limit" in capsys.readouterr().err
+        assert peak < 2**24
 
 
 @pytest.mark.parametrize("spec", [

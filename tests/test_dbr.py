@@ -24,6 +24,7 @@ from oracles import (
     eval_kernel,
     hb_norm_defect,
     kernel_section_poly,
+    traced_peak,
     unnormalized_kernel_combo,
 )
 
@@ -213,6 +214,20 @@ def test_szego_residual_rejects_large_points():
     b = SelfMapDisk(DiskPoly([0.0, 0.5]))
     with pytest.raises(ValueError):
         szego_residual(onb_defect(b, 16, rank_tol=None), PointSet([0.8]))
+
+
+def test_szego_residual_stays_within_the_bytes_it_checks(monkeypatch):
+    checked = []
+    real = kernelcomp.dbr._check_bytes
+    monkeypatch.setattr(kernelcomp.dbr, "_check_bytes",
+                        lambda nbytes, what: checked.append(nbytes) or real(nbytes, what))
+    onb = onb_defect(_symbols()[0], 16, rank_tol=None)
+    szego_residual(onb, PointSet([0.1, 0.2]))  # its first call imports lazily
+    for count in (200, 1000):
+        pts = sample_point_set(np.random.default_rng(count), 1, 0.7, count)
+        _, peak = traced_peak(lambda: szego_residual(onb, pts))
+        assert checked[-1] / 2 < peak <= checked[-1]
+    assert len(checked) == 3
 
 
 def test_summation_partial_monomial_square_exact():
