@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .series import MAX_SECTION_BYTES, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
-    _check_bytes, _combine, _pair_terms
+    _check_bytes, _combine, _is_natural, _pair_terms
 
 __all__ = [
     "SpaceSpec",
@@ -237,7 +237,9 @@ def _comp_entries_ball(start: BallPoly, b: BallMap, col_degree: int):
     first i with m_i > 0, with like terms summed as ``BallPoly`` products sum
     them (earlier terms outer, b_i terms inner) but without dropping exact
     zeros.  The columns of one degree that share i are multiplied together: a
-    leading exponent holding the column index keeps their terms apart.
+    leading exponent holding the column index keeps their terms apart.  A
+    coordinate with no terms is skipped, so the columns it leads stay empty,
+    and a degree holding one term passes through ``_combine`` unsorted.
     """
     dim = b.dim
     mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
@@ -250,8 +252,10 @@ def _comp_entries_ball(start: BallPoly, b: BallMap, col_degree: int):
     out = [(terms, coefs)]
     for k in range(1, col_degree + 1):
         lo, hi = _monomial_count(dim, k - 1), _monomial_count(dim, k)
-        parts = []
+        parts = [(terms[:0], coefs[:0])]  # defined when every b_i = 0
         for i, factor in enumerate(factors):
+            if not factor[1].size:
+                continue  # b_i = 0: the columns led by i stay empty
             cols = lo + np.flatnonzero(lead[lo:hi] == i)
             dest = np.full(lo, -1)
             dest[prev[cols]] = cols
@@ -327,12 +331,13 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
 
     Rows default to col_degree + deg(f), which holds every column exactly; a
     larger row_degree may be passed so sections of different symbols become
-    conformable for sums.  A smaller one D keeps the exact section's rows of
-    degree <= D, the section of P_D M_f: a row projection of exact columns,
-    so ||P_D M_f v|| / ||v|| is still a lower bound for the norm.  The byte
-    limit counts the uncut section either way.  Column m_j holds f's term c_t
-    in row m_j + t; the (term, column) pairs are placed in scatters of about
-    _PAIR_BLOCK, so beyond its entries the section's build holds O(_PAIR_BLOCK).
+    conformable for sums.  A smaller one D >= 0 keeps the exact section's
+    rows of degree <= D, the section of P_D M_f: a row projection of exact
+    columns, so ||P_D M_f v|| / ||v|| is still a lower bound for the norm;
+    a negative one is refused.  The byte limit counts the uncut section
+    either way.  Column m_j holds f's term c_t in row m_j + t; the (term,
+    column) pairs are placed in scatters of about _PAIR_BLOCK, so beyond its
+    entries the section's build holds O(_PAIR_BLOCK).
     """
     if isinstance(f, DiskPoly):
         if space.dim != 1:
@@ -343,6 +348,8 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
         raise TypeError("f must be a DiskPoly or a BallPoly")
     if f.dim != space.dim:
         raise ValueError("weight and space dimensions must match")
+    if row_degree is not None and row_degree < 0:
+        raise ValueError("row_degree must be nonnegative")
     needed = col_degree + f.degree()
     row_degree = needed if row_degree is None else row_degree
     _, ncols = _check_section_size(space.dim, max(row_degree, needed), col_degree)
@@ -407,7 +414,11 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     so ||A_d v|| / ||v|| <= ||A_d|| <= the operator norm for every test
     vector v; the bound never rests on how v was found.  v is the top
     eigenvector (``eigh``) of one Gram per section, formed on its smaller
-    side.  A tall section forms G = A^H A once and each prefix takes its
+    side.  A wide section (fewer stored rows than columns) first drops its
+    all-zero columns, which change neither ||A_d v|| nor any entry of the
+    Gram of the rest, and each prefix takes the nonzero columns of degree
+    <= d; so a Gram holds at most min(rows, nonzero columns)^2 entries.
+    Then a tall section forms G = A^H A once and each prefix takes its
     leading block; a wide one keeps the row Gram H = A_d A_d^H, adding each
     prefix's new columns, and bounds A_d^H with H's top eigenvector u as
     ||A_d^H u|| / ||u||.  Either way each bound is the prefix's top singular
@@ -418,13 +429,20 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
     """
     if trace_degrees is None:
         trace_degrees = _default_trace_degrees(section.col_degree)
-    degrees = sorted(set(int(d) for d in trace_degrees))
+    degrees = list(trace_degrees)
     if not degrees:
         raise ValueError("trace degrees must not be empty")
-    if degrees[0] < 0 or degrees[-1] > section.col_degree:
-        raise ValueError("trace degrees must lie between 0 and col_degree")
+    if not all(_is_natural(d) and d <= section.col_degree for d in degrees):
+        raise ValueError("trace degrees must be integers between 0 and col_degree")
+    degrees = sorted({int(d) for d in degrees})
     dim = section.space.dim
-    a = section.entries[:, : _monomial_count(dim, degrees[-1])]
+    ends = [_monomial_count(dim, d) for d in degrees]
+    a = section.entries[:, : ends[-1]]
+    if a.shape[0] < a.shape[1]:
+        kept = np.flatnonzero(a.any(axis=0))
+        if kept.size < a.shape[1]:
+            a = a[:, kept]
+            ends = np.searchsorted(kept, ends).tolist()
     tall = a.shape[0] >= a.shape[1]
     if tall:
         gram = a.conj().T @ a
@@ -432,8 +450,7 @@ def op_norm_lower(section: SectionMatrix, trace_degrees=None) -> NormBound:
         gram = np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
     trace = []
     done = 0
-    for d in degrees:
-        cols = _monomial_count(dim, d)
+    for d, cols in zip(degrees, ends):
         block = a[:, :cols]
         if not block.size:
             sigma = 0.0

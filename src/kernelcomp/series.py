@@ -135,8 +135,11 @@ def _combine(exps: np.ndarray, coefs: np.ndarray):
     Returns the distinct multi-indices in order of first appearance and their
     sums, each rounded exactly as ``acc[m] = acc.get(m, 0.0) + c`` run term by
     term: ``np.add.at`` adds in input order, where ``sum`` and ``reduceat``
-    would add pairwise.
+    would add pairwise.  A lone term is its own sum: ``0.0 + c`` holds the
+    bits ``np.add.at`` into zeros gives, -0.0 parts turned to +0.0.
     """
+    if len(coefs) == 1:
+        return exps, 0.0 + coefs
     base = exps.max(axis=0, initial=0) + 1
     if math.prod(base.tolist()) < 2**63:
         # mixed-radix key, one integer per multi-index

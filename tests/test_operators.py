@@ -457,6 +457,11 @@ def test_mult_matrix_row_degree_control():
     cut = mult_matrix(f, H2, 3, row_degree=3)
     assert cut.row_degree == 3 and np.array_equal(cut.rows, np.arange(4))
     assert cut.entries.tobytes() == mult_matrix(f, H2, 3).entries[:4].tobytes()
+    # a negative one is refused, not read as a section with no rows
+    for dim, row_degree in [(1, -1), (2, -1), (2, -2), (2, -5)]:
+        with pytest.raises(ValueError, match="row_degree must be nonnegative"):
+            mult_matrix(BallPoly(dim, {(1,) * dim: 0.5}), SpaceSpec(dim, 1.0), 3,
+                        row_degree=row_degree)
 
 
 @pytest.mark.parametrize("f", [
@@ -537,18 +542,19 @@ def _dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _comp_reference(b, space, col_degree):
-    # oracle: the same coordinate powers, placed entry by entry through a
-    # row dict into every row as sections were assembled before the
-    # vectorized scatter; also the ranks of the rows the images reach
-    row_degree = col_degree * b.degree()
+def _comp_reference(b, space, col_degree, f=None):
+    # oracle: the same coordinate powers, started at 1 or at the weight f,
+    # placed entry by entry through a row dict into every row as sections
+    # were assembled before the vectorized scatter; also the ranks of the
+    # rows the images reach
+    row_degree = col_degree * b.degree() + (0 if f is None else f.degree())
     cols = grlex_monomials(space.dim, col_degree)
     rows = grlex_monomials(space.dim, row_degree)
     row_index = {m: i for i, m in enumerate(rows)}
     norms = monomial_norms(space, row_degree)
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
     zero = (0,) * space.dim
-    powers = {zero: {zero: 1.0 + 0.0j}}
+    powers = {zero: {zero: 1.0 + 0.0j} if f is None else f.terms}
     reached = set()
     for j, m in enumerate(cols):
         if m != zero:
@@ -562,8 +568,8 @@ def _comp_reference(b, space, col_degree):
     return entries, sorted(reached)
 
 
-def _assert_matches_comp_reference(sec, b, space, col_degree):
-    entries, reached = _comp_reference(b, space, col_degree)
+def _assert_matches_comp_reference(sec, b, space, col_degree, f=None):
+    entries, reached = _comp_reference(b, space, col_degree, f)
     assert sec.rows.dtype == np.int64 and sec.rows.tolist() == reached
     assert _dense(sec).tobytes() == entries.tobytes()
 
@@ -631,6 +637,23 @@ def test_comp_matrix_matches_reference_with_cancelling_powers():
             space = SpaceSpec(2, alpha)
             _assert_matches_comp_reference(comp_matrix(b, space, degree), b,
                                            space, degree)
+
+
+@pytest.mark.parametrize("empty", [[0], [1], [0, 2]])
+def test_ball_sections_skip_an_empty_coordinate_with_the_same_bytes(empty):
+    # the columns an empty coordinate leads stay empty, and those of the
+    # others keep their bytes, started at 1 or at a weight with -0.0 parts
+    rng = np.random.default_rng(len(empty) + 3 * empty[0])
+    space = SpaceSpec(3, 2.0)
+    coords = [_random_ball_poly(rng, 3, 2, 3) for _ in range(3)]
+    b = BallMap([BallPoly(3, {}) if i in empty else
+                 (0.1 / sum(abs(v) for v in c.terms.values())) * c
+                 for i, c in enumerate(coords)])
+    f = BallPoly(3, {(0, 0, 0): complex(0.5, -0.0), (1, 0, 1): complex(-0.0, 0.25),
+                     (0, 2, 0): -0.125})
+    _assert_matches_comp_reference(comp_matrix(b, space, 4), b, space, 4)
+    _assert_matches_comp_reference(weighted_comp_matrix(f, b, space, 4), b,
+                                   space, 4, f)
 
 
 def test_comp_matrix_computes_a_ball_maps_powers_once(monkeypatch):
@@ -766,6 +789,37 @@ def test_op_norm_lower_rejects_bad_trace():
         op_norm_lower(sec, trace_degrees=[7])
     with pytest.raises(ValueError):
         op_norm_lower(sec, trace_degrees=[])
+    # a bool or a float is not a degree, as in the CLI; numpy integers are
+    for degrees in ([1.7], [True], [2.0], [np.float64(3.0)], [2, False]):
+        with pytest.raises(ValueError, match="must be integers"):
+            op_norm_lower(sec, trace_degrees=degrees)
+    got = op_norm_lower(sec, trace_degrees=np.array([1, 4, 6]))
+    assert got.trace == op_norm_lower(sec, trace_degrees=[1, 4, 6]).trace
+    assert all(type(d) is int for d, _ in got.trace)
+
+
+def test_wide_section_solves_on_its_nonzero_columns(monkeypatch):
+    # br's section at r = 1 is 61 x 1891 with nonzero columns only at
+    # z1^k, k <= 60: prefix d holds d + 1 of them, so its solve is at
+    # most (d + 1) x (d + 1)
+    sec = comp_matrix(br_map(1.0), SpaceSpec(2, 1.0), 60)
+    degrees = list(range(0, 61, 4))
+    kept = np.flatnonzero(sec.entries.any(axis=0))
+    assert sec.entries.shape == (61, 1891) and kept.size == 61
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda g: shapes.append(g.shape) or eigh(g))
+    bound = op_norm_lower(sec, degrees)
+    monkeypatch.undo()
+    assert len(shapes) == len(degrees)
+    for d, shape in zip(degrees, shapes):
+        assert shape[0] == shape[1] <= d + 1
+    # the columns of z1^k are the columns of a dim-1 section of degree 60
+    # in order, so deleting the rest by hand gives the same prefixes
+    hand = SectionMatrix(H2, 60, 60, np.arange(61), sec.entries[:, kept])
+    expect = op_norm_lower(hand, degrees)
+    assert np.array(bound.trace).tobytes() == np.array(expect.trace).tobytes()
 
 
 def _zeroed_columns():
@@ -794,6 +848,13 @@ _ORACLE_SECTIONS = {
         BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})]),
         SpaceSpec(2, 1.0), 8), None), False),
     "zero-columns-tall": (lambda: (_zeroed_columns(), range(0, 21)), True),
+    # a constant map: one row, wide before and after its zero columns drop
+    "constant-wide": (lambda: (comp_matrix(
+        BallMap([BallPoly(2, {(0, 0): 0.5}), BallPoly(2, {})]),
+        SpaceSpec(2, 2.0), 8), range(0, 9)), False),
+    "constant-wide-dense": (lambda: (comp_matrix(
+        BallMap([BallPoly(2, {(0, 0): 0.5}), BallPoly(2, {(0, 0): 0.25j})]),
+        SpaceSpec(2, 2.0), 8), range(0, 9)), False),
 }
 
 

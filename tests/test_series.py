@@ -229,6 +229,23 @@ def test_ball_poly_sums_that_cancel_drop_the_terms():
     assert not np.signbit(flipped.coefs.real[0])
 
 
+@pytest.mark.parametrize("c", [complex(-0.0, -0.0), complex(-0.0, 1.5),
+                               complex(2.0, -0.0), complex(-1.0, 0.0), 0j])
+def test_combine_passes_a_lone_term_with_the_bits_of_the_general_path(c):
+    # the general path's first sum is np.add.at into zeros; a second,
+    # distinct term sends the input there
+    exps = np.array([[1, 2]])
+    one_exps, one = series._combine(exps, np.array([c]))
+    both_exps, both = series._combine(np.array([[1, 2], [0, 1]]),
+                                      np.array([c, 1.0 + 0j]))
+    assert one_exps.tolist() == both_exps[:1].tolist() == [[1, 2]]
+    assert one.dtype == np.complex128
+    assert one.tobytes() == both[:1].tobytes()
+    # -0.0 parts come out +0.0, as the first addition to 0.0 gives them
+    assert np.signbit([one.real[0], one.imag[0]]).tolist() == [c.real < 0,
+                                                               c.imag < 0]
+
+
 def test_ball_poly_huge_exponents_match_dict_reference():
     # exponent ranges whose mixed-radix key would not fit in 64 bits
     big = 2**20
