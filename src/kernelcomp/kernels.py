@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import BallMap, SelfMapDisk, _check_bytes
+from .series import BallMap, SelfMapDisk, _check_bytes, _is_natural
 
 __all__ = [
     "DomainError",
@@ -200,9 +200,13 @@ def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
     value overflows or the two m x m arrays it holds pass MAX_SECTION_BYTES."""
     if point_set.dim != spec.dim:
         raise DomainError("point set dimension does not match the kernel")
-    m = len(point_set)
-    _check_bytes(2 * m * m * np.dtype(complex).itemsize, f"a {m}x{m} Gram")
+    _check_gram_bytes(len(point_set))
     return _kernel_matrix(spec, point_set.points)
+
+
+def _check_gram_bytes(m: int) -> None:
+    """Refuse an m-point Gram whose two m x m arrays pass MAX_SECTION_BYTES."""
+    _check_bytes(2 * m * m * np.dtype(complex).itemsize, f"a {m}x{m} Gram")
 
 
 @dataclass
@@ -287,7 +291,7 @@ def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
     the point is uniform on the ball (L. Devroye, Non-Uniform Random Variate
     Generation, Springer, 1986, ch. V).  None is rejected; in dim 1 the one
     spacing is the uniform itself.  ``sample_point_set`` and the witness
-    screen both build theirs here."""
+    search both build theirs here."""
     dim = u.shape[-1] // 2
     theta = 2.0 * np.pi * u[..., :dim]
     rad = radius * np.sqrt(np.diff(np.sort(u[..., dim:]), prepend=0.0))
@@ -303,7 +307,7 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     point uniform on the ball (Devroye, 1986, ch. V; see ``_candidates``).
     Its float norm may pass ``radius`` by a few ulps.  None is rejected, so
     the draw reads exactly count * 2 * dim uniforms in one call, and the
-    witness screen's ``_candidates`` of the same uniforms are these points.
+    witness search's ``_candidates`` of the same uniforms are these points.
     A set whose draw needs more than MAX_SECTION_BYTES is refused before
     anything is drawn.
     """
@@ -324,21 +328,17 @@ def seed_tuple(seed) -> tuple:
 
 
 def substream(seed, *index) -> np.random.Generator:
-    """The generator of the substream ``seed_tuple(seed) + index``: the one
-    place a seed becomes a generator for an experiment's draws."""
+    """The generator of the substream ``seed_tuple(seed) + index``, from
+    which every experiment's draws come, apart from the witness search's."""
     return np.random.default_rng(seed_tuple(seed) + index)
 
 
-def trial_stream(seed, trial: int = 0, n: int = 0) -> np.random.Generator:
-    """The witness search's generator, the one place a seed becomes one:
-    a Philox stream keyed by ``seed`` (Salmon, Moraes, Dror and Shaw,
-    "Parallel random numbers: as easy as 1, 2, 3", SC '11), advanced to the
-    block of trial ``trial``, ``trial * n`` uniforms in.  A counter step is
-    four uniforms, so a trial past 0 needs n a multiple of 4."""
-    if trial > 0 and n % 4:
-        raise ValueError(f"trial {trial} needs blocks of 4k uniforms, not {n}")
-    bits = np.random.Philox(np.random.SeedSequence(seed_tuple(seed)))
-    return np.random.Generator(bits.advance(trial * n // 4))
+def trial_stream(seed) -> np.random.Generator:
+    """The witness search's generator: a Philox stream keyed by ``seed``
+    (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as
+    1, 2, 3", SC '11), read in order, so trial t's points come from the
+    set_size * 2 * dim uniforms at offset t * set_size * 2 * dim."""
+    return np.random.Generator(np.random.Philox(seed_tuple(seed)))
 
 
 # Trials screened together, and a cap on the values one screened chunk holds
@@ -371,72 +371,57 @@ def _refused(a: np.ndarray) -> np.ndarray:
             if half else np.ones(1, bool)
 
 
-def _screen(spec: KernelSpec, base: tuple, trials: range, radius: float,
-            count: int, n: int) -> list:
-    """Trials of a chunk that the batched screen cannot clear, in order.
+def _screen(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """The sets of the (trials, m, dim) stack ``pts`` not cleared, in order.
 
-    The chunk's blocks of ``n`` uniforms are read by one contiguous draw
-    from the search's ``trial_stream``, and a trial's points are
-    ``_candidates`` of its first ``count`` rows of 2 * dim uniforms, uniform
-    on the ball by the simplex spacings of their radius uniforms (Devroye,
-    1986, ch. V): the points ``sample_point_set`` draws from the same block.
     A Gram G is cleared iff Cholesky of A = fl(G + s I) succeeds and its
     backward error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
     complex arithmetic) plus eps max_i A_ii fits in s = tol_lo / 4, where
     tol_lo = TOL_SCALE * m * eps * max_i G_ii <= tol: then lambda_min(G) >=
-    -2 s >= -tol / 2, and the bound fits for m <= 23.
-    Returned are the trials whose Gram is not cleared; every trial when the
-    radius is out of range or one trial's Gram passes _CHUNK_VALUES.
+    -2 s >= -tol / 2, and the bound fits for m <= 23.  Every set is
+    returned, unscreened, when one Gram passes _CHUNK_VALUES.
     """
-    if not 0.0 < radius < 1.0 or count * count > _CHUNK_VALUES:
-        return list(trials)  # the serial path decides, or raises the error
-    row = 2 * spec.dim
-    u = trial_stream(base, trials.start, n).random((len(trials), n))
-    pts = _candidates(u[:, :count * row].reshape(len(trials), count, row), radius)
-    defer = _uncleared(_kernel_matrix(spec, pts))
-    return [t for t, d in zip(trials, defer) if d]
+    if pts.shape[1] ** 2 > _CHUNK_VALUES:
+        return pts
+    return pts[_uncleared(_kernel_matrix(spec, pts))]
 
 
 def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
                           set_size: int, budget: int):
     """Randomized search for a point set whose Gram fails positivity.
 
-    Trial t reads its points from ``trial_stream(seed, t, n)``, the block of
-    n uniforms at offset t * n of one stream, so the outcome is independent
-    of scheduling and restart.  A block is exactly the set_size * 2 * dim
-    uniforms of the trial's points, rounded up to a multiple of 4 (the
-    counter step), as the simplex spacings of ``_candidates`` (Devroye,
-    1986, ch. V) reject none.  Returns the
-    first NEGATIVE certificate, with the trial's points as
-    ``witness.point_set``, or None at the budget's end.
-
-    Trials run in chunks of 1, 2, 4, ... trials, doubling up to 1024, so a
-    witness at an early trial is found without screening a full chunk past
-    it.  ``_screen`` clears a trial only when a shifted Cholesky with a
-    backward-error bound proves lambda_min >= -tol / 2 for its Gram, which
-    differs from the serial one by a few ulps, far below the other tol / 2.
-    The rest are decided, in order, by ``sample_point_set`` on the same
-    block, which reads the screen's own uniforms and so draws the screen's
-    points, then ``gram`` and ``check_psd``; the first NEGATIVE one is
-    returned, as a one-at-a-time search would.  A negative budget or an
-    empty set raises ValueError.
+    One ``trial_stream(seed)`` is read in order: trial t's points are
+    ``_candidates`` of the set_size * 2 * dim uniforms at offset
+    t * set_size * 2 * dim, in chunks of 1, 2, 4, ... trials, doubling up
+    to 1024, so a witness at an early trial is found without screening a
+    full chunk past it.  ``_screen`` clears a set only when a shifted
+    Cholesky proves lambda_min >= -tol / 2 for its Gram, which differs from
+    ``gram``'s by a few ulps, far below the other tol / 2; ``check_psd``
+    decides the rest, in order, on the screen's own points.  Returns the
+    first NEGATIVE certificate, as a one-at-a-time search would, or None at
+    the budget's end.  A budget or set_size that is not an integer, a
+    negative budget, an empty set, a radius outside (0, 1) or a set whose
+    Gram passes MAX_SECTION_BYTES raises ValueError before anything is drawn.
     """
-    if budget < 0:
-        raise ValueError(f"witness budget must be nonnegative, got {budget}")
+    if not _is_natural(budget):
+        raise ValueError(f"witness budget must be a nonnegative integer, got {budget!r}")
+    if not _is_natural(set_size):
+        raise ValueError(f"set_size must be a positive integer, got {set_size!r}")
     if set_size < 1:
         raise ValueError(f"set_size must be at least 1, got {set_size}")
-    base = seed_tuple(seed)
-    n = -(-set_size * spec.dim // 2) * 4  # set_size * 2 dim, up to a multiple of 4
-    cap = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // max(set_size * set_size, n)))
-    trials = range(0, min(1, budget))
-    while trials:
-        for trial in _screen(spec, base, trials, radius, set_size, n):
-            pts = sample_point_set(trial_stream(base, trial, n), spec.dim,
-                                   radius, set_size)
-            cert = check_psd(spec, pts)
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie strictly between 0 and 1")
+    _check_gram_bytes(set_size)
+    row = 2 * spec.dim  # uniforms per point
+    cap = max(1, min(_CHUNK_TRIALS, _CHUNK_VALUES // (set_size * max(set_size, row))))
+    rng, done, size = trial_stream(seed), 0, 1
+    while done < budget:
+        size = min(size, budget - done)
+        pts = _candidates(rng.random((size, set_size, row)), radius)
+        for p in _screen(spec, pts):
+            cert = check_psd(spec, PointSet(p))
             if cert.verdict == NEGATIVE:
                 return cert
-        size = min(2 * len(trials), cap)
-        trials = range(trials.stop, min(trials.stop + size, budget))
+        done, size = done + size, min(2 * size, cap)
     return None

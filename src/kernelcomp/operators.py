@@ -230,6 +230,17 @@ def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
     return a
 
 
+@lru_cache(maxsize=None)
+def _column_parents(dim: int, col_degree: int) -> tuple:
+    """Each column m's first i with m_i > 0 and the column of m - e_i, built
+    once per (dim, col_degree) and shared read-only."""
+    mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
+    lead = np.argmax(mons > 0, axis=1)
+    prev = _grlex_rank(mons - np.eye(dim, dtype=np.int64)[lead])
+    lead.flags.writeable = prev.flags.writeable = False
+    return lead, prev
+
+
 def _comp_entries_ball(start: BallPoly, b: BallMap, col_degree: int):
     """Rows, columns and coefficients of start * b^(m_j).
 
@@ -241,17 +252,14 @@ def _comp_entries_ball(start: BallPoly, b: BallMap, col_degree: int):
     coordinate with no terms is skipped, so the columns it leads stay empty,
     and a degree holding one term passes through ``_combine`` unsorted.
     """
-    dim = b.dim
-    mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
-    lead = np.argmax(mons > 0, axis=1)
-    prev = _grlex_rank(mons - np.eye(dim, dtype=np.int64)[lead])
+    lead, prev = _column_parents(b.dim, col_degree)
     # (column, exps...) rows and coefficients: start's, each b_i's, a degree's
     tagged = [(np.column_stack([np.zeros(len(p.exps), dtype=np.int64), p.exps]),
                p.coefs) for p in (start, *b.coords)]
     (terms, coefs), factors = tagged[0], tagged[1:]
     out = [(terms, coefs)]
     for k in range(1, col_degree + 1):
-        lo, hi = _monomial_count(dim, k - 1), _monomial_count(dim, k)
+        lo, hi = _monomial_count(b.dim, k - 1), _monomial_count(b.dim, k)
         parts = [(terms[:0], coefs[:0])]  # defined when every b_i = 0
         for i, factor in enumerate(factors):
             if not factor[1].size:

@@ -1,6 +1,7 @@
 """Command-line interface: configs, reports, determinism, exit codes."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -428,12 +429,16 @@ def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
 
 
 def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
-    for name in ("psd", "szego-identity"):
-        cfg = _cfg(tmp_path, name, params={"point_count": 100000})
+    # the witness search refuses br's set by its Gram before it draws it:
+    # drawing 100000 points in dim 2 takes up to 80 bytes a coordinate, 16e6
+    for name, params, bound in (("psd", {"point_count": 100000}, 2**24),
+                                ("szego-identity", {"point_count": 100000}, 2**24),
+                                ("br", {"set_size": 100000}, 2**23)):
+        cfg = _cfg(tmp_path, name, params=params)
         code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
         assert code == 2
         assert "byte limit" in capsys.readouterr().err
-        assert peak < 2**24
+        assert peak < bound
 
 
 @pytest.mark.parametrize("spec", [
@@ -783,6 +788,43 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "hardy-bound" in proc.stdout
+
+
+def _thread_env(**threads):
+    """The environment without either BLAS thread variable, plus ``threads``,
+    with the checkout's src on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return dict(env, **threads)
+
+
+def test_reports_keep_their_digests_with_the_thread_count_unset(tmp_path):
+    # the three default reports whose bytes follow the BLAS thread count, run
+    # with neither variable set: the package sets one thread before numpy is
+    # imported.  This only bites on 2 or more cores, where OpenBLAS would
+    # otherwise start more threads.
+    pinned = json.loads((Path(__file__).resolve().parent / "golden"
+                         / "default_digests.json").read_text())
+    for name in ("hardy-bound", "inf-estimate", "ball-lemma"):
+        cfg = _cfg(tmp_path, name, fname=f"{name}.json")
+        out = tmp_path / f"{name}.out.json"
+        proc = subprocess.run([sys.executable, "-m", "kernelcomp", "run", "--config",
+                               str(cfg), "--out", str(out)], capture_output=True,
+                              text=True, env=_thread_env())
+        assert proc.returncode in (0, 1), proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[f"{name}@0"]
+
+
+def test_an_explicit_thread_count_is_left_as_set():
+    code = ("import os, kernelcomp; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "os.environ['OMP_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_thread_env(OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1"]
 
 
 def test_ball_bound_maps_are_the_ones_ball_lemma_certifies(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -326,8 +327,8 @@ def test_seed_tuple_normalization():
 # The functions below are the sampler, one point at a time with its
 # spacings rule written out independently, the Gram assembly as it was
 # before the search was batched, and a search loop that decides one trial at
-# a time on the same trial_stream blocks.  They are the reference the
-# batched search must reproduce bit for bit.
+# a time on a stream positioned at the trial's points.  They are the
+# reference the batched search must reproduce bit for bit.
 
 
 def _spacings(rad_u):
@@ -371,14 +372,15 @@ def _serial_gram(spec, point_set):
     return _serial_gram_entries(spec, point_set.points)
 
 
-def _block(dim, set_size):
-    """Uniforms in a trial's block: 2 dim per point of the set, rounded up to
-    a multiple of 4, the Philox counter step."""
-    return 4 * math.ceil(set_size * 2 * dim / 4)
-
-
 def _trial_rng(seed, trial, dim, set_size):
-    return trial_stream(seed, trial, _block(dim, set_size))
+    """The search's Philox stream positioned at trial ``trial``'s points,
+    trial * set_size * 2 dim uniforms in: whole counter steps of 4 uniforms
+    by ``advance``, the rest drawn and discarded."""
+    offset = trial * set_size * 2 * dim
+    bits = np.random.Philox(np.random.SeedSequence(seed_tuple(seed)))
+    rng = np.random.Generator(bits.advance(offset // 4))
+    rng.random(offset % 4)
+    return rng
 
 
 def _serial_search(spec, *, seed, radius, set_size, budget):
@@ -536,15 +538,19 @@ def test_sample_point_set_consumes_the_same_draws_as_before(monkeypatch):
             bare.random((count, 2 * dim))
             assert new.bit_generator.state == old.bit_generator.state \
                 == bare.bit_generator.state
-    # on the search's blocks, each trial's points are the screen's own
+    # each trial's points in the search are the sampler's on a stream
+    # positioned at the trial, also when a trial's uniforms are not a whole
+    # number of Philox counter steps (5 points in dims 1 and 3)
     for dim, count in ((1, 5), (2, 8), (3, 5)):
-        n = _block(dim, count)
-        stacks = _spy(monkeypatch, "_kernel_matrix", lambda spec, pts: pts)
-        kernels._screen(KernelSpec.ball(dim, 2.0), (7,), range(3, 35), 0.9, count, n)
+        stacks = _spy(monkeypatch, "_screen", lambda spec, pts: pts)
+        find_negative_witness(KernelSpec.ball(dim, 2.0), seed=7, radius=0.9,
+                              set_size=count, budget=35)
         monkeypatch.undo()
-        for t, screened in zip(range(3, 35), stacks[0]):
-            drawn = sample_point_set(trial_stream((7,), t, n), dim, 0.9, count)
-            assert drawn.points.tobytes() == screened.tobytes()
+        screened = np.concatenate(stacks)
+        assert len(screened) == 35
+        for t, pts in enumerate(screened):
+            drawn = sample_point_set(_trial_rng(7, t, dim, count), dim, 0.9, count)
+            assert drawn.points.tobytes() == pts.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6, 8])
@@ -634,7 +640,13 @@ def _spy(monkeypatch, name, record=lambda *args: args):
 
 
 def _screened_chunks(monkeypatch):
-    return _spy(monkeypatch, "_screen", lambda spec, base, trials, *_: len(trials))
+    return _spy(monkeypatch, "_screen", lambda spec, pts: len(pts))
+
+
+def _stack(seed, trials, count, radius=0.95, dim=2):
+    """The points of the search's first ``trials`` trials of ``count`` points."""
+    u = trial_stream(seed).random((trials, count, 2 * dim))
+    return kernels._candidates(u, radius)
 
 
 def test_witness_at_trial_zero_screens_one_trial(monkeypatch):
@@ -661,42 +673,27 @@ def test_search_chunks_double_up_to_the_cap(monkeypatch):
 
 def test_screen_never_clears_a_negative_trial():
     spec = _br_spec(0.8)
-    base = (6,)
-    trials = range(64)
-    # blocks of exactly the set's uniforms, and blocks with uniforms to spare
-    for count, n in ((8, 32), (12, 48), (8, 48)):
+    for count in (8, 12):
+        stack = _stack(6, 64, count)
         negative = set()
-        for t in trials:
-            pts = _serial_sample_point_set(trial_stream(base, t, n), 2, 0.95, count)
+        for t in range(64):
+            pts = _serial_sample_point_set(_trial_rng(6, t, 2, count), 2, 0.95, count)
+            assert pts.points.tobytes() == stack[t].tobytes()
             if check_psd(spec, pts).verdict == NEGATIVE:
                 negative.add(t)
         assert negative
-        deferred = kernels._screen(spec, base, trials, 0.95, count, n)
+        rows = {p.tobytes(): t for t, p in enumerate(stack)}
+        deferred = [rows[p.tobytes()] for p in kernels._screen(spec, stack)]
         assert negative <= set(deferred)
         assert deferred == sorted(deferred)
-
-
-@pytest.mark.parametrize("dim, set_size", [(1, 5), (1, 6), (2, 3), (3, 5),
-                                           (3, 4), (6, 1)])
-def test_a_trial_block_is_the_sets_uniforms_rounded_up_to_4(monkeypatch, dim,
-                                                             set_size):
-    blocks = _spy(monkeypatch, "trial_stream", lambda base, trial, n: n)
-    find_negative_witness(KernelSpec.ball(dim, 2.0), seed=0, radius=0.9,
-                          set_size=set_size, budget=8)
-    n = set_size * 2 * dim + (set_size * dim % 2) * 2
-    assert n % 4 == 0 and blocks and set(blocks) == {n}
-    # the serial decision of trial t reads the screen's own uniforms
-    u = trial_stream(0, 5, n).random(n)
-    pts = sample_point_set(trial_stream(0, 5, n), dim, 0.9, set_size).points
-    assert pts.tobytes() == kernels._candidates(
-        u[:set_size * 2 * dim].reshape(set_size, 2 * dim), 0.9).tobytes()
 
 
 # --- the Cholesky clearing rule ---------------------------------------------
 
 
 def test_screen_hands_oversized_grams_to_the_serial_path(monkeypatch):
-    # with a cap of 64 values a 9-point Gram is too large to stack
+    # with a cap of 64 values a 9-point Gram is too large to stack, so every
+    # set goes unscreened to check_psd, one Gram at a time
     monkeypatch.setattr(kernels, "_CHUNK_VALUES", 64)
     ndims = _spy(monkeypatch, "_kernel_matrix", lambda spec, pts: pts.ndim)
     for r in (0.5, 0.8, 0.95):
@@ -784,30 +781,29 @@ def test_screen_with_a_planted_cholesky_failure_keeps_the_copying_mask(monkeypat
         return g
 
     monkeypatch.setattr(kernels, "_kernel_matrix", planting)
-    masks = []
+    pts = _stack(0, 32, m)[16:]
     for rule in (kernels._uncleared, copying_uncleared):
         monkeypatch.setattr(kernels, "_uncleared", rule)
-        masks.append(kernels._screen(spec, (0,), range(16, 32), 0.95, m, _block(2, m)))
-    assert masks[0] == masks[1] == [21]
+        assert kernels._screen(spec, pts).tobytes() == pts[5:6].tobytes()
 
 
 def test_screen_chunk_holds_its_gram_stack_and_the_factor():
     # a 1024-trial chunk of 16-point sets in dim 2: beyond the Gram stack and
-    # Cholesky's factor it holds O(trials m dim) values (the uniforms, the
-    # points and the map's values at them) and numpy's ufunc buffer
-    spec, trials, m = _br_spec(0.5), range(1024, 2048), 16
-    n = _block(2, m)
-    kernels._screen(spec, (0,), trials, 0.95, m, n)  # lazy set-up off the count
-    deferred, peak = traced_peak(lambda: kernels._screen(spec, (0,), trials, 0.95, m, n))
-    stack = len(trials) * m * m * 16
-    assert deferred == []
-    assert peak <= 2 * stack + 6 * len(trials) * m * 2 * 16 + 16 * np.getbufsize()
+    # Cholesky's factor it holds O(trials m dim) values (the map's values at
+    # the points) and numpy's ufunc buffer
+    spec, trials, m = _br_spec(0.5), 1024, 16
+    pts = _stack(0, 2 * trials, m)[trials:]
+    kernels._screen(spec, pts)  # lazy set-up off the count
+    deferred, peak = traced_peak(lambda: kernels._screen(spec, pts))
+    stack = trials * m * m * 16
+    assert deferred.shape == (0, m, 2)
+    assert peak <= 2 * stack + 6 * trials * m * 2 * 16 + 16 * np.getbufsize()
 
 
 def test_search_above_the_bound_size_matches_serial(monkeypatch):
     # m = 40 at radius 0.3: nearly equal diagonals, so the bound never fits
-    # and every trial is decided by the serial path
-    calls = _spy(monkeypatch, "sample_point_set")
+    # and every trial is decided by check_psd
+    calls = _spy(monkeypatch, "check_psd")
     assert _assert_same_search(_br_spec(0.5), seed=3, radius=0.3,
                                set_size=40, budget=10) is None
     assert len(calls) == 10
@@ -817,24 +813,83 @@ def test_search_above_the_bound_size_matches_serial(monkeypatch):
 
 
 def test_bounded_regime_needs_no_serial_decision(monkeypatch):
-    calls = _spy(monkeypatch, "sample_point_set")
+    calls = _spy(monkeypatch, "check_psd")
     assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
                                  set_size=8, budget=10000) is None
     assert calls == []
 
 
-def test_search_builds_one_stream_per_chunk(monkeypatch):
-    # building a generator costs about 20 us, so one per trial would cost
-    # more than screening the trial: an exhausted search builds one Philox
-    # per screened chunk and one per serial re-decision
+# the product map at r = 0.75 (witness at trial 177), at r = 0.5 (none), and
+# a dim-3 map whose 5-point trials read 30 uniforms each, not a whole number
+# of Philox counter steps (witness at trial 52)
+_SEARCHES = [
+    (_br_spec(0.75), dict(seed=3671, radius=0.95, set_size=8, budget=200)),
+    (_br_spec(0.5), dict(seed=0, radius=0.95, set_size=8, budget=50)),
+    (KernelSpec.ball_map(BallMap([BallPoly(3, {(1, 1, 0): 2.0}), BallPoly(3, {}),
+                                  BallPoly(3, {})]), 1.0),
+     dict(seed=2, radius=0.95, set_size=5, budget=60)),
+]
+
+
+def _certificates():
+    return [json.dumps(None if cert is None else cert.to_json_dict())
+            for cert in (find_negative_witness(spec, **kw) for spec, kw in _SEARCHES)]
+
+
+@pytest.mark.parametrize("cap", [1, 3, 16])
+def test_certificate_bytes_do_not_depend_on_the_chunk_cap(monkeypatch, cap):
+    expect = _certificates()
+    assert [e != "null" for e in expect] == [True, False, True]
+    monkeypatch.setattr(kernels, "_CHUNK_TRIALS", cap)
+    assert _certificates() == expect
+
+
+def test_dim_3_search_matches_serial_past_whole_counter_steps():
+    spec, kw = _SEARCHES[2]
+    assert _assert_same_search(spec, **kw) == 52
+
+
+def test_search_builds_one_stream_and_draws_no_point_set(monkeypatch):
+    # building a generator costs about 20 us: an exhausted 10000-trial search
+    # builds one Philox and reads it in order, and no trial is drawn again
     sizes = _screened_chunks(monkeypatch)
     calls = _spy(monkeypatch, "sample_point_set")
     with mock.patch.object(np.random, "Philox",
                            wraps=np.random.Philox) as built:
         assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
                                      set_size=8, budget=10000) is None
-    assert sum(sizes) == 10000
-    assert 0 < built.call_count <= len(sizes) + len(calls)
+        assert built.call_count == 1
+        assert sum(sizes) == 10000 and len(sizes) == 19
+        for spec, kw in _SEARCHES:
+            find_negative_witness(spec, **kw)
+        assert built.call_count == 1 + len(_SEARCHES)
+    assert calls == []
+
+
+def test_check_psd_decides_exactly_the_deferred_sets(monkeypatch):
+    # check_psd runs once per set the screen defers, on the screen's own
+    # points, in order, until the first NEGATIVE one
+    real, deferred = kernels._screen, []
+
+    def screen(spec, pts):
+        out = real(spec, pts)
+        deferred.extend(p.tobytes() for p in out)
+        return out
+
+    monkeypatch.setattr(kernels, "_screen", screen)
+    decided = _spy(monkeypatch, "check_psd", lambda spec, pts: pts.points.tobytes())
+    cases = _SEARCHES + [(_br_spec(0.5), dict(seed=3, radius=0.3, set_size=40,
+                                              budget=10))]
+    for spec, kw in cases:
+        deferred.clear()
+        decided.clear()
+        cert = find_negative_witness(spec, **kw)
+        assert decided == deferred[:len(decided)]
+        if cert is None:
+            assert len(decided) == len(deferred)
+        else:
+            assert decided[-1] == cert.witness.point_set.points.tobytes()
+    assert len(decided) == 10
 
 
 def test_search_calls_no_eigenvalue_solver_in_the_screen(monkeypatch):
@@ -847,16 +902,18 @@ def test_search_calls_no_eigenvalue_solver_in_the_screen(monkeypatch):
                               set_size=8, budget=400)
     assert calls.count("eigvalsh") == len(certs) > 0
     calls.clear()
-    kernels._screen(_br_spec(0.8), (6,), range(64), 0.95, 8, 32)
+    kernels._screen(_br_spec(0.8), _stack(6, 64, 8))
     assert calls == []
 
 
 def test_screen_builds_only_the_kept_candidates(monkeypatch):
-    # 5 points in dim 3 read 30 uniforms of a 32-uniform block: the screen
-    # builds the 5 points of every trial and nothing from the last 2
+    # 5 points in dim 3 read 30 uniforms a trial: the search builds each
+    # chunk's points once, from exactly its trials' uniforms, and check_psd
+    # decides on those points, drawing none again
     shapes = _spy(monkeypatch, "_candidates", lambda u, _: u.shape)
-    kernels._screen(KernelSpec.ball(3, 2.0), (6,), range(100, 356), 0.9, 5, 32)
-    assert shapes == [(256, 5, 6)]
+    find_negative_witness(KernelSpec.ball(3, 2.0), seed=6, radius=0.9,
+                          set_size=5, budget=100)
+    assert shapes == [(k, 5, 6) for k in (1, 2, 4, 8, 16, 32, 37)]
 
 
 # --- the search's stream and the experiments' substreams ------------------
@@ -875,38 +932,31 @@ def test_substream_uniforms_equal_default_rng(seed, trials):
             np.random.default_rng(base + index).random(12).tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, (4, 1), (2**40, 7),
-                                  (2**70, 3, 9, 2**33, 6)])
-@pytest.mark.parametrize("start, trials", [
-    (0, range(0, 9)),                  # a chunk from the stream's start
-    (5, range(5, 12)),                 # a chunk that starts mid-stream
-    (1000, range(1023, 1030)),         # a trial reached from an earlier one
-    (2**32 - 3, range(2**32 - 3, 2**32 + 3)),  # around 2**32
-])
-def test_trial_stream_blocks_are_rows_of_one_draw(seed, start, trials):
-    n = 12
-    rows = trial_stream(seed, start, n).random((trials.stop - start, n))
-    for t in trials:
-        got = trial_stream(seed, t, n).random(n)
-        assert got.tobytes() == rows[t - start].tobytes()
-    # a block read a few uniforms at a time, as sample_point_set reads it
-    rng = trial_stream(seed, trials[-1], n)
-    pieces = np.concatenate([rng.random(2) for _ in range(n // 2)])
-    assert pieces.tobytes() == rows[-1].tobytes()
-    # the bare stream is trial 0, whatever the block size
-    assert trial_stream(seed).random(n).tobytes() == \
-        trial_stream(seed, 0, 6).random(n).tobytes()
-
-
-def test_trial_stream_refuses_misaligned_trials():
-    for n in (1, 2, 6, 10):
-        with pytest.raises(ValueError, match=f"blocks of 4k uniforms, not {n}"):
-            trial_stream(0, 1, n)
-        trial_stream(0, 0, n)  # trial 0 starts at the stream's start
-    trial_stream(0, 3, 8)
-
-
-def test_negative_witness_budget_is_refused():
-    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
-        find_negative_witness(_br_spec(0.5), seed=0, radius=0.95, set_size=8,
-                              budget=-1)
+def test_negative_witness_budget_is_refused(monkeypatch):
+    # the series._is_natural rule: a bool or a float is not an integer, a
+    # numpy integer is; each is refused before anything is drawn
+    draws = _spy(monkeypatch, "trial_stream")
+    for budget in (-1, True, 2.5, 3.0, np.float64(2.0), None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"witness budget must be a nonnegative integer, got {budget!r}")):
+            find_negative_witness(_br_spec(0.5), seed=0, radius=0.95, set_size=8,
+                                  budget=budget)
+    for set_size in (True, False, 8.0, -1, np.float64(8.0), "8"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"set_size must be a positive integer, got {set_size!r}")):
+            find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
+                                  set_size=set_size, budget=3)
+    with pytest.raises(ValueError, match="set_size must be at least 1, got 0"):
+        find_negative_witness(_br_spec(0.5), seed=0, radius=0.95, set_size=0, budget=3)
+    for radius in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="radius must lie strictly between 0 and 1"):
+            find_negative_witness(_br_spec(0.5), seed=0, radius=radius, set_size=8,
+                                  budget=3)
+    with pytest.raises(ValueError, match="a 100000x100000 Gram would take"):
+        find_negative_witness(_br_spec(0.5), seed=0, radius=0.95, set_size=100000,
+                              budget=3)
+    assert draws == []
+    for budget, set_size in ((np.int64(3), 8), (3, np.int32(8)), (0, 8)):
+        assert find_negative_witness(_br_spec(0.5), seed=0, radius=0.95,
+                                     set_size=set_size, budget=budget) is None
+    assert len(draws) == 3

@@ -734,6 +734,24 @@ def test_monomial_norms_are_shared_and_read_only():
         first[:] = -1.0
 
 
+def test_column_parents_are_shared_and_read_only():
+    # each column's leading coordinate and parent column depend only on
+    # (dim, col_degree): built once, and every ball section shares them
+    lead, prev = operators._column_parents(3, 6)
+    again = operators._column_parents(3, 6)
+    assert again[0] is lead and again[1] is prev
+    assert not lead.flags.writeable and not prev.flags.writeable
+    with pytest.raises(ValueError):
+        prev[:] = 0
+    mons = grlex_monomials(3, 6)
+    for j in range(1, len(mons)):
+        i = lead[j]
+        assert mons[j][:i] == (0,) * i and mons[j][i] > 0
+        parent = list(mons[j])
+        parent[i] -= 1
+        assert mons[prev[j]] == tuple(parent)
+
+
 def test_sections_above_the_size_limit_are_refused():
     with pytest.raises(ValueError, match="byte limit"):
         mult_matrix(DiskPoly.identity(), H2, 2**20)
