@@ -19,8 +19,8 @@ from .kernels import (
     sample_point_set,
     trial_stream,
 )
-from .operators import SpaceSpec, _grlex_rank, comp_matrix, grlex_monomials, \
-    mult_matrix, op_norm_lower
+from .operators import SpaceSpec, _grlex_rank, _monomial_count, _plan, comp_matrix, \
+    grlex_monomials, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly, _check_bytes
 
 __all__ = [
@@ -89,6 +89,13 @@ def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
     return lower, bounds
 
 
+def _shifted_ranks(shifts: np.ndarray, dim: int, top: int) -> np.ndarray:
+    """Gather of (t Q)_m = sum_j tau_j Q[m - a_j] over t's terms tau_j z^(a_j):
+    the rank of m less each shift a_j, or -1 (Q's zero slot) outside N^dim."""
+    shifted = np.array(grlex_monomials(dim, top)) - shifts[:, None, :]
+    return np.where(np.all(shifted >= 0, axis=-1), _grlex_rank(shifted), -1)
+
+
 def _inv_kernel_weight(b: BallMap, alpha: float, top: int) -> np.ndarray:
     """W's grlex coefficients through degree top (``inv_kernel_mult_norm``)."""
     s = BallPoly.zero(b.dim)
@@ -96,14 +103,10 @@ def _inv_kernel_weight(b: BallMap, alpha: float, top: int) -> np.ndarray:
         s = s + np.conj(c0) * coord
     q = 1.0 - s.constant_term().real
     moving = s.exps.any(axis=1)
-    tau, exps = s.coefs[moving] / q, np.array(grlex_monomials(b.dim, top))
-    _check_bytes(8 * (3 + b.dim) * len(tau) * len(exps),
-                 f"a {len(tau)}x{len(exps)} gather")
-    # (t Q)_m = sum_j tau_j Q[m - a_j] over t's terms tau_j z^(a_j); an index
-    # outside N^dim reads the zero slot Q[-1]
-    shifted = exps - s.exps[moving][:, None, :]
-    gather = np.where(np.all(shifted >= 0, axis=-1), _grlex_rank(shifted), -1)
-    p = np.zeros(len(exps) + 1, dtype=complex)
+    tau, count = s.coefs[moving] / q, _monomial_count(b.dim, top)
+    _check_bytes(8 * (3 + b.dim) * len(tau) * count, f"a {len(tau)}x{count} gather")
+    gather = _plan(_shifted_ranks, s.exps[moving], b.dim, top)
+    p = np.zeros(count + 1, dtype=complex)
     for k in range(top, 0, -1):
         p[0] += 1.0  # 1 + P
         p[:-1] = (alpha + k - 1) / k * (tau @ p[gather])

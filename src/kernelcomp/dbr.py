@@ -22,7 +22,6 @@ from .kernels import (
     PointSet,
     check_psd,
     eig_tolerance,
-    gram,
 )
 from .operators import SpaceSpec, mult_matrix, weighted_comp_matrix
 from .series import DiskPoly, SelfMapDisk, _check_bytes
@@ -77,18 +76,16 @@ class KernelCombo:
 def hb_norm_combo(combo: KernelCombo) -> float:
     """Exact norm of a kernel combination: sqrt(c* G c) on the node Gram.
 
-    The Gram must certify positive through ``check_psd``; failure is
-    reported as a kernel positivity error because it cannot happen for an
-    admissible symbol.
+    The Gram must certify positive through ``check_psd``, whose Gram G is
+    the one used; failure is reported as a kernel positivity error because
+    it cannot happen for an admissible symbol.
     """
-    spec = combo.spec()
-    cert = check_psd(spec, combo.nodes)
+    cert = check_psd(combo.spec(), combo.nodes)
     if cert.verdict == NEGATIVE:
         raise KernelPositivityError(
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
         )
-    g = gram(spec, combo.nodes)
-    q = float(np.real(np.vdot(combo.coeffs, g @ combo.coeffs)))
+    q = float(np.real(np.vdot(combo.coeffs, cert.gram @ combo.coeffs)))
     return math.sqrt(max(q, 0.0))
 
 

@@ -9,7 +9,7 @@ eigenvector).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -230,6 +230,7 @@ class PositivityCertificate:
     verdict is PSD when the smallest eigenvalue clears -tolerance, NEGATIVE
     otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.  A PSD verdict's
     numbers come from ``eigvalsh``, a NEGATIVE one's from ``eigh``.
+    ``gram`` is the Gram decided on, kept out of the JSON.
     """
 
     spec: KernelSpec
@@ -237,6 +238,7 @@ class PositivityCertificate:
     tolerance: float
     verdict: str
     witness: Witness | None = None
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,10 +277,10 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     tol = float(eig_tolerance(lam))
     if lo >= -tol:
         return PositivityCertificate(spec=spec, min_eigenvalue=lo,
-                                     tolerance=tol, verdict=PSD)
+                                     tolerance=tol, verdict=PSD, gram=g)
     wit = Witness(point_set=point_set, coeffs=vec[:, 0])
-    return PositivityCertificate(spec=spec, min_eigenvalue=lo,
-                                 tolerance=tol, verdict=NEGATIVE, witness=wit)
+    return PositivityCertificate(spec=spec, min_eigenvalue=lo, tolerance=tol,
+                                 verdict=NEGATIVE, witness=wit, gram=g)
 
 
 def _candidates(u: np.ndarray, radius: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .series import MAX_SECTION_BYTES, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
-    _check_bytes, _combine, _is_natural, _pair_terms
+    _check_bytes, _cmul, _combine_index, _is_natural, _sum_terms
 
 __all__ = [
     "SpaceSpec",
@@ -140,6 +140,37 @@ def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
 # (term, column) pairs that ``mult_matrix`` places at a time
 _PAIR_BLOCK = 1 << 14
 
+# index plans kept for reuse: at most _PLAN_COUNT, whose arrays and key bytes
+# take at most _PLAN_BYTES together; key -> (plan, bytes), least recent first
+_PLAN_COUNT, _PLAN_BYTES = 32, 1 << 21
+_plans: dict = {}
+
+
+def _freeze(plan) -> int:
+    """Make the arrays of a nested tuple read-only; returns their bytes."""
+    if isinstance(plan, np.ndarray):
+        plan.flags.writeable = False
+        return plan.nbytes
+    return sum(map(_freeze, plan)) if isinstance(plan, tuple) else 0
+
+
+def _plan(build, *args):
+    """``build(*args)``, an index plan: a nested tuple of arrays that depends
+    on ``args`` alone, ints and exponent arrays.  Cached by their bytes, and
+    kept read-only unless it and its key pass _PLAN_BYTES; an iterator that
+    ``build`` returns is used once, never kept."""
+    key = (build, *(a.tobytes() if isinstance(a, np.ndarray) else a for a in args))
+    hit = _plans.pop(key, None)
+    if hit is None:
+        plan = build(*args)
+        hit = plan, _freeze(plan) + sum(len(k) for k in key if isinstance(k, bytes))
+        if not isinstance(plan, (tuple, np.ndarray)) or hit[1] > _PLAN_BYTES:
+            return plan
+    _plans[key] = hit
+    while len(_plans) > _PLAN_COUNT or sum(n for _, n in _plans.values()) > _PLAN_BYTES:
+        del _plans[next(iter(_plans))]
+    return hit[0]
+
 
 def _check_section_size(dim: int, row_degree: int, col_degree: int) -> tuple:
     """Row and column counts of the dense section, refused before any work
@@ -230,52 +261,35 @@ def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
     return a
 
 
-@lru_cache(maxsize=None)
-def _column_parents(dim: int, col_degree: int) -> tuple:
-    """Each column m's first i with m_i > 0 and the column of m - e_i, built
-    once per (dim, col_degree) and shared read-only."""
+def _comp_plan(dim: int, col_degree: int, start_exps, *factor_exps) -> tuple:
+    """Plan of the ball section of start * b^(m_j) from the exponents of start
+    and of b: column 0 is start, and column m is column m - e_i times b_i for
+    the first i with m_i > 0, like terms summed as ``BallPoly`` products sum
+    them, exact zeros kept.  Per degree, its terms' (column, exps...) rows come
+    from the products coefs[left] * (b's coefficients)[right] summed by target
+    (``_sum_terms``); then the rows kept, each term's slot, rank and column."""
     mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
-    lead = np.argmax(mons > 0, axis=1)
-    prev = _grlex_rank(mons - np.eye(dim, dtype=np.int64)[lead])
-    lead.flags.writeable = prev.flags.writeable = False
-    return lead, prev
-
-
-def _comp_entries_ball(start: BallPoly, b: BallMap, col_degree: int):
-    """Rows, columns and coefficients of start * b^(m_j).
-
-    Column 0 is ``start``, and column m is column m - e_i times b_i for the
-    first i with m_i > 0, with like terms summed as ``BallPoly`` products sum
-    them (earlier terms outer, b_i terms inner) but without dropping exact
-    zeros.  The columns of one degree that share i are multiplied together: a
-    leading exponent holding the column index keeps their terms apart.  A
-    coordinate with no terms is skipped, so the columns it leads stay empty,
-    and a degree holding one term passes through ``_combine`` unsorted.
-    """
-    lead, prev = _column_parents(b.dim, col_degree)
-    # (column, exps...) rows and coefficients: start's, each b_i's, a degree's
-    tagged = [(np.column_stack([np.zeros(len(p.exps), dtype=np.int64), p.exps]),
-               p.coefs) for p in (start, *b.coords)]
-    (terms, coefs), factors = tagged[0], tagged[1:]
-    out = [(terms, coefs)]
-    for k in range(1, col_degree + 1):
-        lo, hi = _monomial_count(b.dim, k - 1), _monomial_count(b.dim, k)
-        parts = [(terms[:0], coefs[:0])]  # defined when every b_i = 0
-        for i, factor in enumerate(factors):
-            if not factor[1].size:
-                continue  # b_i = 0: the columns led by i stay empty
-            cols = lo + np.flatnonzero(lead[lo:hi] == i)
-            dest = np.full(lo, -1)
-            dest[prev[cols]] = cols
-            to = dest[terms[:, 0]]
-            keep = to >= 0
-            parts.append(_pair_terms(np.column_stack([to[keep], terms[keep, 1:]]),
-                                     coefs[keep], *factor))
-        terms, coefs = _combine(np.concatenate([p[0] for p in parts]),
-                                np.concatenate([p[1] for p in parts]))
-        out.append((terms, coefs))
-    terms = np.concatenate([t for t, _ in out])
-    return _grlex_rank(terms[:, 1:]), terms[:, 0], np.concatenate([c for _, c in out])
+    # column p is the parent of p + e_i for each i up to its first p_i > 0
+    lead = np.where(mons.any(axis=1), np.argmax(mons > 0, axis=1), dim - 1)
+    exps = np.concatenate(factor_exps)
+    coord = np.repeat(np.arange(dim), [len(e) for e in factor_exps])  # b_i's i
+    terms = np.column_stack([np.zeros(len(start_exps), dtype=np.int64), start_exps])
+    out, steps = [terms], []
+    for _ in range(col_degree):
+        # coordinate i outermost, then the earlier degree's terms, then b_i's
+        left, right = np.nonzero(lead[terms[:, 0], None] >= coord)
+        order = np.lexsort((right, left, coord[right]))
+        left, right = left[order], right[order]
+        child = mons[terms[left, 0]] + np.eye(dim, dtype=np.int64)[coord[right]]
+        paired = np.column_stack([_grlex_rank(child), terms[left, 1:] + exps[right]])
+        first, target = _combine_index(paired)
+        terms = paired[first]
+        steps.append((left, right, target, len(first)))
+        out.append(terms)
+    terms = np.concatenate(out)
+    ranks = _grlex_rank(terms[:, 1:])
+    rows = np.unique(ranks)
+    return tuple(steps), rows, np.searchsorted(rows, ranks), ranks, terms[:, 0].copy()
 
 
 def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
@@ -304,17 +318,15 @@ def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
         entries = _comp_entries_disk(start, coeffs, norms, col_degree)
         rows = np.arange(len(entries))
     else:
-        if f is None and col_degree not in b._powers:
-            powers = _comp_entries_ball(BallPoly(b.dim, {(0,) * b.dim: 1.0}), b,
-                                        col_degree)
-            for a in powers:
-                a.flags.writeable = False
-            b._powers[col_degree] = powers
-        ranks, cols, coefs = b._powers[col_degree] if f is None else \
-            _comp_entries_ball(f, b, col_degree)
-        rows = np.unique(ranks)
+        start = BallPoly(b.dim, {(0,) * b.dim: 1.0}) if f is None else f
+        steps, rows, slots, ranks, cols = _plan(
+            _comp_plan, b.dim, col_degree, start.exps, *(c.exps for c in b.coords))
+        factors, coefs = np.concatenate([c.coefs for c in b.coords]), [start.coefs]
+        for left, right, target, count in steps:  # each map's values, in plan order
+            prods = _cmul(coefs[-1][left], factors[right])
+            coefs.append(_sum_terms(target, prods, count))
         entries = np.zeros((len(rows), ncols), dtype=complex)
-        _place(entries, np.searchsorted(rows, ranks), ranks, cols, coefs, norms)
+        _place(entries, slots, ranks, cols, np.concatenate(coefs), norms)
     return SectionMatrix(space, col_degree, row_degree, rows, entries)
 
 
@@ -333,6 +345,27 @@ def weighted_comp_matrix(f, b, space: SpaceSpec, col_degree: int) -> SectionMatr
     return _section(f, b, space, col_degree)
 
 
+def _mult_plan(exps: np.ndarray, dim: int, col_degree: int, row_degree: int):
+    """``mult_matrix``'s pairs as runs of (terms, columns, row ranks): a tuple
+    if they fit _PLAN_BYTES at 24 bytes a pair, else an iterator of runs."""
+    col_exps = np.array(grlex_monomials(dim, col_degree))
+    # term t pairs with the columns of degree <= row_degree - deg(t), a prefix;
+    # runs of terms with about _PAIR_BLOCK pairs bound the pairs' temporaries
+    span = np.searchsorted(col_exps.sum(axis=1), row_degree - exps.sum(axis=1),
+                           side="right")
+    cuts = np.searchsorted(np.cumsum(span), np.arange(_PAIR_BLOCK, span.sum(),
+                                                      _PAIR_BLOCK)).tolist()
+
+    def runs():
+        for lo, hi in zip([0] + cuts, cuts + [len(span)]):
+            run = span[lo:hi]
+            terms = np.repeat(np.arange(lo, hi), run)
+            cols = np.arange(len(terms)) - np.repeat(np.cumsum(run) - run, run)
+            yield terms, cols, _grlex_rank(np.take(exps, terms, axis=0)
+                                           + np.take(col_exps, cols, axis=0))
+    return tuple(runs()) if 24 * span.sum() <= _PLAN_BYTES else runs()
+
+
 def mult_matrix(f, space: SpaceSpec, col_degree: int,
                 row_degree: int | None = None) -> SectionMatrix:
     """Section of the multiplication operator g -> f * g.
@@ -344,8 +377,9 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     columns, so ||P_D M_f v|| / ||v|| is still a lower bound for the norm;
     a negative one is refused.  The byte limit counts the uncut section
     either way.  Column m_j holds f's term c_t in row m_j + t; the (term,
-    column) pairs are placed in scatters of about _PAIR_BLOCK, so beyond its
-    entries the section's build holds O(_PAIR_BLOCK).
+    column) pairs, planned once per support of f (``_plan``), are placed in
+    scatters of about _PAIR_BLOCK, so beyond its entries and a kept plan the
+    section's build holds O(_PAIR_BLOCK).
     """
     if isinstance(f, DiskPoly):
         if space.dim != 1:
@@ -364,19 +398,8 @@ def mult_matrix(f, space: SpaceSpec, col_degree: int,
     nrows = _monomial_count(space.dim, row_degree)
     entries = np.zeros((nrows, ncols), dtype=complex)
     norms = monomial_norms(space, max(row_degree, col_degree))
-    col_exps = np.array(grlex_monomials(space.dim, col_degree))
-    # term t pairs with the columns of degree <= row_degree - deg(t), a prefix;
-    # runs of terms with about _PAIR_BLOCK pairs bound the pairs' temporaries
-    span = np.searchsorted(col_exps.sum(axis=1), row_degree - f.exps.sum(axis=1),
-                           side="right")
-    cuts = np.searchsorted(np.cumsum(span), np.arange(_PAIR_BLOCK, span.sum(),
-                                                      _PAIR_BLOCK)).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(span)]):
-        run = span[lo:hi]
-        terms = np.repeat(np.arange(lo, hi), run)
-        cols = np.arange(len(terms)) - np.repeat(np.cumsum(run) - run, run)
-        ranks = _grlex_rank(np.take(f.exps, terms, axis=0)
-                            + np.take(col_exps, cols, axis=0))
+    for terms, cols, ranks in _plan(_mult_plan, f.exps, space.dim, col_degree,
+                                    row_degree):
         _place(entries, ranks, ranks, cols, f.coefs[terms], norms)
     return SectionMatrix(space, col_degree, row_degree, np.arange(nrows), entries)
 

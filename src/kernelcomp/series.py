@@ -129,17 +129,9 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _combine(exps: np.ndarray, coefs: np.ndarray):
-    """Sum the coefficients of equal multi-indices (rows of ``exps``).
-
-    Returns the distinct multi-indices in order of first appearance and their
-    sums, each rounded exactly as ``acc[m] = acc.get(m, 0.0) + c`` run term by
-    term: ``np.add.at`` adds in input order, where ``sum`` and ``reduceat``
-    would add pairwise.  A lone term is its own sum: ``0.0 + c`` holds the
-    bits ``np.add.at`` into zeros gives, -0.0 parts turned to +0.0.
-    """
-    if len(coefs) == 1:
-        return exps, 0.0 + coefs
+def _combine_index(exps: np.ndarray):
+    """The index step of ``_combine``: each distinct multi-index's first row,
+    in order of first appearance, and each row's target among them."""
     base = exps.max(axis=0, initial=0) + 1
     if math.prod(base.tolist()) < 2**63:
         # mixed-radix key, one integer per multi-index
@@ -149,17 +141,25 @@ def _combine(exps: np.ndarray, coefs: np.ndarray):
         _, first, inverse = np.unique(exps, axis=0, return_index=True,
                                       return_inverse=True)
     order = np.argsort(first)  # distinct multi-indices by first appearance
-    sums = np.zeros(order.size, dtype=complex)
-    np.add.at(sums, np.argsort(order)[inverse.reshape(-1)], coefs)
-    return exps[first[order]], sums
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
-def _pair_terms(exps_a, coefs_a, exps_b, coefs_b):
-    """Every term of a product before like terms are combined: the terms of
-    ``a`` are the outer loop and those of ``b`` the inner one."""
-    exps = exps_a[:, None, :] + exps_b[None, :, :]
-    coefs = _cmul(coefs_a[:, None], coefs_b[None, :])
-    return exps.reshape(-1, exps_a.shape[1]), coefs.reshape(-1)
+def _sum_terms(target: np.ndarray, coefs: np.ndarray, count: int) -> np.ndarray:
+    """The value step of ``_combine``: ``count`` sums of ``coefs`` by target,
+    each rounded as ``acc[m] = acc.get(m, 0.0) + c`` term by term, since
+    ``np.add.at`` adds in input order.  A lone term's ``0.0 + c`` has the
+    bits ``np.add.at`` into zeros gives, -0.0 parts turned to +0.0."""
+    if len(coefs) == 1:
+        return 0.0 + coefs
+    sums = np.zeros(count, dtype=complex)
+    np.add.at(sums, target, coefs)
+    return sums
+
+
+def _combine(exps: np.ndarray, coefs: np.ndarray):
+    """Distinct multi-indices (rows of ``exps``) and their coefficient sums."""
+    first, target = _combine_index(exps)
+    return exps[first], _sum_terms(target, coefs, len(first))
 
 
 def _is_natural(v) -> bool:
@@ -228,6 +228,9 @@ class BallPoly:
         return complex(self.coefs[hit[0]]) if hit.size else 0.0 + 0.0j
 
     def __call__(self, z):
+        """Values at points (..., dim).  One point may round otherwise than a
+        stack in the last bit: each ``c * row`` multiplies numpy scalars, not
+        numpy's array loop, so compare values taken from one stack."""
         pts = np.asarray(z, dtype=complex)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
@@ -252,8 +255,10 @@ class BallPoly:
         if isinstance(other, BallPoly):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            return BallPoly._of(self.dim, *_combine(*_pair_terms(
-                self.exps, self.coefs, other.exps, other.coefs)))
+            # every term pair, self's terms outer and other's inner
+            exps = (self.exps[:, None] + other.exps[None]).reshape(-1, self.dim)
+            coefs = _cmul(self.coefs[:, None], other.coefs[None]).reshape(-1)
+            return BallPoly._of(self.dim, *_combine(exps, coefs))
         return BallPoly._of(self.dim, self.exps, _cmul(self.coefs, complex(other)))
 
     __rmul__ = __mul__
@@ -347,10 +352,10 @@ class BallMap:
     sphere maximum |c| prod_k (m_k / |m|)^(m_k / 2).  Where the l2 norm over
     coordinates of their sums passes 1 + SELF_MAP_SLACK, the squared moduli
     must sum to at most that on a fixed deterministic sphere sample.
-    |b(0)| < 1.  ``_powers`` holds ``comp_matrix``'s powers of b.
+    |b(0)| < 1.
     """
 
-    __slots__ = ("dim", "coords", "_powers")
+    __slots__ = ("dim", "coords")
 
     def __init__(self, coords):
         coords = list(coords)
@@ -364,7 +369,6 @@ class BallMap:
                 raise ValueError("each coordinate must be a polynomial in dim variables")
         self.dim = dim
         self.coords = coords
-        self._powers = {}
         # sup of |z^m| on the sphere, taken at |z_k|^2 = m_k / |m|
         top = np.linalg.norm([np.abs(c.coefs) @ np.sqrt(np.prod((c.exps / np.maximum(
             c.exps.sum(axis=1, keepdims=True), 1)) ** c.exps, axis=1)) for c in coords])

@@ -161,6 +161,21 @@ def test_inv_kernel_weight_coefficients_match_exact_arithmetic():
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_inv_kernel_gather_is_one_plan_per_support(monkeypatch):
+    # the ten default ball-lemma maps share one shift support: one gather
+    # plan serves all of them, and each weight keeps the bits of a build
+    # from an empty cache
+    from kernelcomp import operators
+
+    monkeypatch.setattr(operators, "_plans", {})
+    maps = [random_ball_row_contraction(substream(0, mi), 2, 2, 0.9) for mi in range(10)]
+    weights = [ball._inv_kernel_weight(b, 2.0, 24) for b in maps]
+    assert [key[0] for key in operators._plans] == [ball._shifted_ranks]
+    for b, w in zip(maps, weights):
+        monkeypatch.setattr(operators, "_plans", {})
+        assert ball._inv_kernel_weight(b, 2.0, 24).tobytes() == w.tobytes()
+
+
 def test_inv_kernel_section_is_the_mult_matrix_rows(monkeypatch):
     # the section op_norm_lower bounds holds, byte for byte, the rows of
     # degree <= 3n of mult_matrix's section of the same coefficients

@@ -1,6 +1,7 @@
 """Finite sections, monomial norms, and certified norm traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,27 +657,84 @@ def test_ball_sections_skip_an_empty_coordinate_with_the_same_bytes(empty):
                                    space, 4, f)
 
 
-def test_comp_matrix_computes_a_ball_maps_powers_once(monkeypatch):
-    # the coordinate powers do not depend on alpha: one map computes them
-    # once per column degree, and its sections match a fresh map's
-    from kernelcomp import operators
+def _plan_arrays(plan):
+    # every array of a nested plan tuple
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    return [a for part in plan if isinstance(part, (tuple, np.ndarray))
+            for a in _plan_arrays(part)]
 
-    calls = []
-    powers = operators._comp_entries_ball
-    monkeypatch.setattr(operators, "_comp_entries_ball",
-                        lambda start, b, d: calls.append(d) or powers(start, b, d))
+
+def _count_plans(monkeypatch, name):
+    # record the arguments each fresh plan of ``operators.name`` is built from
+    calls, build = [], getattr(operators, name)
+    monkeypatch.setattr(operators, name,
+                        lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(operators, "_plans", {})
+    return calls
+
+
+def test_comp_matrix_builds_one_plan_per_support(monkeypatch):
+    # the plan depends on the exponents alone: two maps with one support, at
+    # three alphas, build it once per column degree, and each section keeps
+    # the bytes of the per-entry reference
+    calls = _count_plans(monkeypatch, "_comp_plan")
     s = 0.25
-    b = BallMap([BallPoly(2, {(1, 0): s, (0, 1): s, (2, 0): s}),
-                 BallPoly(2, {(0, 0): s, (1, 1): -s})])
+    support = [{(1, 0): s, (0, 1): s, (2, 0): s}, {(0, 0): s, (1, 1): -s}]
+    maps = [BallMap([BallPoly(2, {m: c * scale for m, c in terms.items()})
+                     for terms in support]) for scale in (1.0, -0.5 + 0.25j)]
     for alpha in (1.0, 2.0, 3.5):
-        fresh = comp_matrix(BallMap(b.coords), SpaceSpec(2, alpha), 5)
-        sec = comp_matrix(b, SpaceSpec(2, alpha), 5)
-        assert sec.rows.tobytes() == fresh.rows.tobytes()
-        assert sec.entries.tobytes() == fresh.entries.tobytes()
-    comp_matrix(b, SpaceSpec(2, 1.0), 3)
-    assert calls == [5] * 4 + [3]
-    # every later section of the map reads them, so they are read-only
-    assert not any(a.flags.writeable for a in b._powers[5])
+        space = SpaceSpec(2, alpha)
+        for b in maps:
+            _assert_matches_comp_reference(comp_matrix(b, space, 5), b, space, 5)
+    _assert_matches_comp_reference(comp_matrix(maps[0], SpaceSpec(2, 1.0), 3),
+                                   maps[0], SpaceSpec(2, 1.0), 3)
+    assert [args[1] for args in calls] == [5, 3]
+
+
+def test_mult_matrix_builds_one_plan_per_support(monkeypatch):
+    # two weights with one support share the (term, column, rank) runs; the
+    # sections keep the per-entry reference's bytes at two row degrees, the
+    # second above the exact one
+    calls = _count_plans(monkeypatch, "_mult_plan")
+    rng = np.random.default_rng(5)
+    f = _random_ball_poly(rng, 2, 4, 7)
+    g = BallPoly._of(2, f.exps, rng.standard_normal(len(f.coefs)) * (1 - 2j))
+    space = SpaceSpec(2, 2.0)
+    for weight in (f, g, f):
+        for rows in (None, 12):
+            assert mult_matrix(weight, space, 6, row_degree=rows).entries.tobytes() \
+                == _mult_reference(weight, space, 6, rows).tobytes()
+    assert [args[2:] for args in calls] == [(6, 10), (6, 12)]
+
+
+@pytest.mark.parametrize("change", ["zero", "empty"])
+def test_a_changed_support_builds_its_own_plan(monkeypatch, change):
+    # an exactly zero coefficient is no term, and an empty coordinate keeps
+    # its columns empty: either changes the support, so the map gets its own
+    # plan, and its section still matches the reference
+    calls = _count_plans(monkeypatch, "_comp_plan")
+    s, space = 0.2, SpaceSpec(2, 2.0)
+    terms = [{(1, 0): s, (0, 1): s, (1, 1): s}, {(0, 0): s, (0, 1): -s}]
+    other = [dict(terms[0]), {} if change == "empty" else dict(terms[1])]
+    if change == "zero":
+        other[0][(0, 1)] = 0.0
+    for coords in (terms, other, terms):
+        b = BallMap([BallPoly(2, t) for t in coords])
+        _assert_matches_comp_reference(comp_matrix(b, space, 4), b, space, 4)
+    assert len(calls) == 2 and len(operators._plans) == 2
+
+
+def test_product_map_lone_terms_replay_bit_for_bit(monkeypatch):
+    # each degree of br's powers holds one term, which ``_sum_terms`` passes
+    # as 0.0 + c; the plan built at r = 0.75 replays every r bit for bit
+    calls = _count_plans(monkeypatch, "_comp_plan")
+    for r in (0.75, 0.5, 1.0, 0.3):
+        b, space = br_map(r), SpaceSpec(2, 1.0 + r)
+        _assert_matches_comp_reference(comp_matrix(b, space, 20), b, space, 20)
+    assert len(calls) == 1
+    (steps, *_), _ = next(iter(operators._plans.values()))
+    assert [count for *_, count in steps] == [1] * 20
 
 
 def test_ball_composition_section_stays_small():
@@ -734,22 +792,59 @@ def test_monomial_norms_are_shared_and_read_only():
         first[:] = -1.0
 
 
-def test_column_parents_are_shared_and_read_only():
-    # each column's leading coordinate and parent column depend only on
-    # (dim, col_degree): built once, and every ball section shares them
-    lead, prev = operators._column_parents(3, 6)
-    again = operators._column_parents(3, 6)
-    assert again[0] is lead and again[1] is prev
-    assert not lead.flags.writeable and not prev.flags.writeable
+def test_plans_are_shared_read_only_and_own_their_bytes(monkeypatch):
+    # a replay returns the cached plan itself; its arrays are read-only and
+    # own their data, so the bytes the cache counts are the bytes it holds
+    monkeypatch.setattr(operators, "_plans", {})
+    b = BallMap([BallPoly(2, {(1, 0): 0.3, (0, 2): 0.2j}), BallPoly(2, {(1, 1): 0.4})])
+    comp_matrix(b, SpaceSpec(2, 1.0), 6)
+    mult_matrix(b.coords[0], SpaceSpec(2, 1.0), 6)
+    first = {key: plan for key, (plan, _) in operators._plans.items()}
+    comp_matrix(b, SpaceSpec(2, 3.0), 6)
+    mult_matrix(b.coords[0], SpaceSpec(2, 2.0), 6)
+    assert len(first) == 2
+    for key, (plan, nbytes) in operators._plans.items():
+        assert plan is first[key]
+        arrays = _plan_arrays(plan)
+        assert all(a.base is None and not a.flags.writeable for a in arrays)
+        assert nbytes == sum(a.nbytes for a in arrays) + \
+            sum(len(k) for k in key if isinstance(k, bytes))
     with pytest.raises(ValueError):
-        prev[:] = 0
-    mons = grlex_monomials(3, 6)
-    for j in range(1, len(mons)):
-        i = lead[j]
-        assert mons[j][:i] == (0,) * i and mons[j][i] > 0
-        parent = list(mons[j])
-        parent[i] -= 1
-        assert mons[prev[j]] == tuple(parent)
+        arrays[0][:] = 0
+
+
+def test_plan_cache_keeps_at_most_its_budget(monkeypatch):
+    # a weight whose runs pass the budget is placed run by run and not kept;
+    # the plans that are kept, and their keys, stay within _PLAN_BYTES, and
+    # the oldest are dropped for new ones
+    small = BallPoly(2, {(1, 0): 0.5, (0, 1): 0.25})
+    top = 72  # inv_kernel_mult_norm's cut at col_degree 24
+    exps = np.array(grlex_monomials(2, top))
+    big = BallPoly._of(2, exps, np.linspace(1.0, 2.0, len(exps)) + 0j)
+    space = SpaceSpec(2, 2.0)
+    build = lambda: [mult_matrix(small, space, d) for d in range(40)] + \
+        [mult_matrix(big, space, 24, row_degree=top)]
+    build()  # fills the monomial norm and grlex caches off the count
+    monkeypatch.setattr(operators, "_plans", {})
+    tracemalloc.start()
+    try:
+        sections = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = sum(s.entries.nbytes + s.rows.nbytes for s in sections)
+    assert not isinstance(operators._mult_plan(big.exps, 2, 24, top), tuple)
+    assert len(operators._plans) == operators._PLAN_COUNT
+    assert (operators._mult_plan, big.exps.tobytes(), 2, 24, top) not in operators._plans
+    assert sum(n for _, n in operators._plans.values()) <= operators._PLAN_BYTES
+    assert held - entries <= operators._PLAN_BYTES
+    # a smaller budget evicts by bytes before the count is reached, and keeps
+    # the newest plans
+    monkeypatch.setattr(operators, "_PLAN_BYTES", 1 << 18)
+    build()
+    assert len(operators._plans) < operators._PLAN_COUNT
+    assert sum(n for _, n in operators._plans.values()) <= 1 << 18
+    assert (operators._mult_plan, small.exps.tobytes(), 2, 39, 40) in operators._plans
 
 
 def test_sections_above_the_size_limit_are_refused():
