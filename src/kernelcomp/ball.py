@@ -19,8 +19,8 @@ from .kernels import (
     sample_point_set,
     trial_stream,
 )
-from .operators import SpaceSpec, _grlex_rank, _monomial_count, _plan, comp_matrix, \
-    grlex_monomials, mult_matrix, op_norm_lower
+from .operators import SpaceSpec, _check_section_size, _grlex_rank, _monomial_count, \
+    _plan, comp_matrix, grlex_monomials, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly, _check_bytes
 
 __all__ = [
@@ -89,10 +89,15 @@ def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
     return lower, bounds
 
 
+def _grlex_exps(dim: int, top: int) -> np.ndarray:
+    """``grlex_monomials(dim, top)`` as an (n, dim) array."""
+    return np.array(grlex_monomials(dim, top))
+
+
 def _shifted_ranks(shifts: np.ndarray, dim: int, top: int) -> np.ndarray:
     """Gather of (t Q)_m = sum_j tau_j Q[m - a_j] over t's terms tau_j z^(a_j):
     the rank of m less each shift a_j, or -1 (Q's zero slot) outside N^dim."""
-    shifted = np.array(grlex_monomials(dim, top)) - shifts[:, None, :]
+    shifted = _grlex_exps(dim, top) - shifts[:, None, :]
     return np.where(np.all(shifted >= 0, axis=-1), _grlex_rank(shifted), -1)
 
 
@@ -129,11 +134,14 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
     norm of the exact weight up to rounding (||P_D M_W v|| <= ||M_W v||).
     The upper bound (1 - |b(0)|) ** (-alpha) >= q^(-alpha) comes
     with kernel positivity.  A ValueError names alpha when the closed form,
-    the weight or the section leaves float range.
+    the weight or the section leaves float range.  A cut section past
+    MAX_SECTION_BYTES, which ``mult_matrix`` would refuse, is refused before
+    the weight is computed.
     """
     alpha = float(alpha)
     space, top = SpaceSpec(b.dim, alpha), 3 * col_degree
-    exps = np.array(grlex_monomials(b.dim, top))
+    _check_section_size(b.dim, top, col_degree)
+    exps = _plan(_grlex_exps, b.dim, top)
     try:
         with np.errstate(over="raise", invalid="raise"):
             upper = (1.0 - float(np.linalg.norm(b.center))) ** (-alpha)
@@ -176,7 +184,7 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     alpha = float(alpha)
     section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
     bracket = op_norm_lower(section, trace_degrees=trace_degrees)
-    spec = KernelSpec.ball_map(b, alpha)
+    spec = KernelSpec("ball_map", alpha, b)
     witness = find_negative_witness(spec, seed=seed, radius=radius,
                                     set_size=set_size, budget=witness_budget)
     probe = check_psd(spec, sample_point_set(trial_stream(seed), 2, radius,

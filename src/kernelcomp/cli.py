@@ -28,6 +28,7 @@ from .dbr import (
     szego_residual,
 )
 from .kernels import (
+    _KINDS,
     KernelSpec,
     check_psd,
     sample_point_set,
@@ -45,6 +46,7 @@ from .series import (
     BallMap,
     DiskPoly,
     SelfMapDisk,
+    _check_bytes,
     _circle_points,
     blaschke_factor,
 )
@@ -311,32 +313,24 @@ def ballmap_from_json(obj: dict) -> BallMap:
     return BallMap(coords)
 
 
+# the parser of each type a kernel spec key takes
+_FROM_JSON = {int: _as_int, float: _as_float,
+              SelfMapDisk: lambda v, what: symbol_from_json(v),
+              BallMap: lambda v, what: ballmap_from_json(v)}
+
+
 def kernel_spec_from_json(obj: dict) -> KernelSpec:
+    """A kernel spec from json holding ``kind`` and the keys that
+    ``_KINDS[kind]`` names, parsed in its order."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("kernel spec must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind == "szego":
-        _require_keys(obj, {"kind"}, set(), "szego spec")
-        return KernelSpec.szego()
-    if kind == "bergman":
-        _require_keys(obj, {"kind", "alpha"}, set(), "bergman spec")
-        return KernelSpec.bergman(_as_float(obj["alpha"], "bergman alpha"))
-    if kind == "dbr":
-        _require_keys(obj, {"kind", "b"}, set(), "dbr spec")
-        return KernelSpec.dbr(symbol_from_json(obj["b"]))
-    if kind == "dbr_power":
-        _require_keys(obj, {"kind", "b", "alpha"}, set(), "dbr_power spec")
-        return KernelSpec.dbr_power(symbol_from_json(obj["b"]),
-                                    _as_int(obj["alpha"], "dbr_power alpha"))
-    if kind == "ball":
-        _require_keys(obj, {"kind", "dim", "alpha"}, set(), "ball spec")
-        return KernelSpec.ball(_as_int(obj["dim"], "ball spec dim"),
-                               _as_float(obj["alpha"], "ball spec alpha"))
-    if kind == "ball_map":
-        _require_keys(obj, {"kind", "b", "alpha"}, set(), "ball_map spec")
-        return KernelSpec.ball_map(ballmap_from_json(obj["b"]),
-                                   _as_float(obj["alpha"], "ball_map alpha"))
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown kernel kind {kind!r}")
+    takes = _KINDS[kind]
+    _require_keys(obj, {"kind", *takes}, set(), f"{kind} spec")
+    return KernelSpec(kind, **{key: _FROM_JSON[typ](obj[key], f"{kind} {key}")
+                               for key, typ in takes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +488,10 @@ def run_inf_estimate(params: dict, tol: dict, seed: int):
     if extra > 0:
         pts = sample_point_set(substream(seed, 0), 1, params["family_radius"], extra)
         centers.extend(complex(z) for z in pts.points[:, 0])
-    circle = _circle_points(params["grid_size"])
+    grid = params["grid_size"]
+    # the circle, b on it and the weight's temporaries: six complex values a point
+    _check_bytes(96 * grid, f"a {grid}-point circle grid")
+    circle = _circle_points(grid)
     bz = b(circle)
     rows = []
     # the norm of the kernel k_w times the grid max of 1 / |k_w|: an estimate
@@ -530,7 +527,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
         bmap = random_ball_row_contraction(rng, dim, params["coord_degree"],
                                            params["row_target"])
         for alpha in alphas:
-            spec = KernelSpec.ball_map(bmap, alpha)
+            spec = KernelSpec("ball_map", alpha, bmap)
             pts = sample_point_set(rng, dim, params["cert_radius"],
                                    params["cert_points"])
             cert = check_psd(spec, pts)

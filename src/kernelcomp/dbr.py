@@ -68,9 +68,8 @@ class KernelCombo:
             raise ValueError("one coefficient per node")
 
     def spec(self) -> KernelSpec:
-        if self.alpha == 1:
-            return KernelSpec.dbr(self.b)
-        return KernelSpec.dbr_power(self.b, self.alpha)
+        # dbr_power at alpha 1 builds dbr's Gram, bit for bit
+        return KernelSpec("dbr_power", self.alpha, self.b)
 
 
 def hb_norm_combo(combo: KernelCombo) -> float:

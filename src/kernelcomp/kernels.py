@@ -81,81 +81,63 @@ class PointSet:
         return f"PointSet(count={len(self)}, dim={self.dim})"
 
 
-_KINDS = ("szego", "bergman", "dbr", "dbr_power", "ball", "ball_map")
+# Each kind's json keys beside "kind", in parse order, with the type each
+# takes: a symbol b, a dim (1 on the disk or the map's dim, unless given) and
+# an alpha >= 1, an int or a real (fixed at 1 unless taken).  KernelSpec and
+# the json parser read the rules here and nowhere else.
+_KINDS = {
+    "szego": {},  # 1 / (1 - z conj(w)) on the disk
+    "bergman": {"alpha": float},  # (1 - z conj(w)) ** (-alpha) on the disk
+    "dbr": {"b": SelfMapDisk},  # (1 - b(z) conj(b(w))) / (1 - z conj(w))
+    "dbr_power": {"b": SelfMapDisk, "alpha": int},  # the dbr ratio ** alpha
+    "ball": {"dim": int, "alpha": float},  # (1 - <z, w>) ** (-alpha) on the ball
+    "ball_map": {"b": BallMap, "alpha": float},  # the family's own formula
+}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One of the kernels under test.
-
-    kind: szego      1 / (1 - z conj(w)) on the disk
-          bergman    (1 - z conj(w)) ** (-alpha) on the disk
-          dbr        (1 - b(z) conj(b(w))) / (1 - z conj(w))
-          dbr_power  the dbr ratio raised to an integer alpha
-          ball       (1 - <z, w>) ** (-alpha) on the dim-ball
-          ball_map   ((1 - <b(z), b(w)>) / (1 - <z, w>)) ** alpha
-    """
+    """One member of ((1 - <b(z), b(w)>) / (1 - <z, w>)) ** alpha, the
+    kernel of the kind ``kind`` in ``_KINDS``, whose rules a spec must keep;
+    alpha is kept as a float, and dim as the kind's."""
 
     kind: str
     alpha: float = 1.0
-    dim: int = 1
-    b_disk: SelfMapDisk | None = None
-    b_ball: BallMap | None = None
+    b: SelfMapDisk | BallMap | None = None
+    dim: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.alpha >= 1.0:
+        takes = _KINDS[self.kind]
+        symbol = takes.get("b")
+        if not (isinstance(self.b, symbol) if symbol else self.b is None):
+            raise ValueError(f"{self.kind} takes "
+                             + (f"a {symbol.__name__}" if symbol else "no symbol"))
+        alpha = float(self.alpha)
+        if not alpha >= 1.0:
             raise ValueError("alpha must be at least 1")
-        if self.kind in ("szego", "bergman", "dbr", "dbr_power") and self.dim != 1:
-            raise ValueError(f"kind {self.kind} lives on the disk")
-        if self.kind in ("dbr", "dbr_power") and self.b_disk is None:
-            raise ValueError(f"kind {self.kind} needs a disk symbol")
-        if self.kind == "dbr_power" and self.alpha != int(self.alpha):
-            raise ValueError("dbr_power is restricted to integer alpha")
-        if self.kind == "szego" and self.alpha != 1.0:
-            raise ValueError("szego fixes alpha = 1")
-        if self.kind == "ball_map":
-            if self.b_ball is None:
-                raise ValueError("ball_map needs a BallMap")
-            if self.b_ball.dim != self.dim:
-                raise ValueError("map and spec dimensions must match")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-
-    @classmethod
-    def szego(cls) -> "KernelSpec":
-        return cls(kind="szego")
-
-    @classmethod
-    def bergman(cls, alpha: float) -> "KernelSpec":
-        return cls(kind="bergman", alpha=float(alpha))
-
-    @classmethod
-    def dbr(cls, b: SelfMapDisk) -> "KernelSpec":
-        return cls(kind="dbr", b_disk=b)
-
-    @classmethod
-    def dbr_power(cls, b: SelfMapDisk, alpha: int) -> "KernelSpec":
-        return cls(kind="dbr_power", alpha=float(alpha), b_disk=b)
-
-    @classmethod
-    def ball(cls, dim: int, alpha: float) -> "KernelSpec":
-        return cls(kind="ball", dim=int(dim), alpha=float(alpha))
-
-    @classmethod
-    def ball_map(cls, b: BallMap, alpha: float) -> "KernelSpec":
-        return cls(kind="ball_map", dim=b.dim, alpha=float(alpha), b_ball=b)
+        if alpha != 1.0 and "alpha" not in takes:
+            raise ValueError(f"{self.kind} fixes alpha = 1")
+        if takes.get("alpha") is int and not alpha.is_integer():
+            raise ValueError(f"{self.kind} is restricted to integer alpha")
+        dim = self.b.dim if isinstance(self.b, BallMap) else 1
+        if "dim" in takes:
+            if not (_is_natural(self.dim) and self.dim >= 1):
+                raise ValueError(f"{self.kind} dim must be at least 1, got {self.dim!r}")
+            dim = int(self.dim)
+        elif self.dim not in (None, dim):
+            raise ValueError(f"{self.kind} has dim {dim}, not {self.dim!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "dim", dim)
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "alpha": float(self.alpha), "dim": self.dim}
-        if self.b_disk is not None:
-            out["b"] = self.b_disk.series.to_json_dict()
-        if self.b_ball is not None:
-            out["b"] = {
-                "dim": self.b_ball.dim,
-                "coords": [c.to_json_dict() for c in self.b_ball.coords],
-            }
+        out: dict = {"kind": self.kind, "alpha": self.alpha, "dim": self.dim}
+        if isinstance(self.b, SelfMapDisk):
+            out["b"] = self.b.series.to_json_dict()
+        elif self.b is not None:
+            out["b"] = {"dim": self.b.dim,
+                        "coords": [c.to_json_dict() for c in self.b.coords]}
         return out
 
 
@@ -171,21 +153,21 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
-        if spec.kind in ("szego", "bergman", "ball"):
+        if spec.b is None:
             g = den ** (-spec.alpha)
         else:  # the ratio, in place
-            if spec.kind in ("dbr", "dbr_power"):
-                bv = spec.b_disk(pts[..., 0])
+            if isinstance(spec.b, SelfMapDisk):
+                bv = spec.b(pts[..., 0])
                 g = bv[..., :, None] * bv.conj()[..., None, :]
             else:
-                bz = spec.b_ball(pts)
+                bz = spec.b(pts)
                 g = bz @ np.swapaxes(bz.conj(), -1, -2)
             np.subtract(1.0, g, out=g)
             g /= den
         del den
-        # the dbr_power and ball_map ratio's power; ratio ** 1 is the ratio
-        if spec.kind in ("dbr_power", "ball_map") and spec.alpha != 1.0:
-            g = g ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
+        # the ratio's power; ratio ** 1 is the ratio
+        if spec.b is not None and spec.alpha != 1.0:
+            g = g ** int(spec.alpha) if spec.alpha.is_integer() \
                 else g ** spec.alpha
         g += np.swapaxes(g.conj(), -1, -2)
         g *= 0.5

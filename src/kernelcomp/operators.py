@@ -264,7 +264,7 @@ def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
 def _comp_plan(dim: int, col_degree: int, start_exps, *factor_exps) -> tuple:
     """Plan of the ball section of start * b^(m_j) from the exponents of start
     and of b: column 0 is start, and column m is column m - e_i times b_i for
-    the first i with m_i > 0, like terms summed as ``BallPoly`` products sum
+    the first i with m_i > 0, like terms summed as a term-by-term loop sums
     them, exact zeros kept.  Per degree, its terms' (column, exps...) rows come
     from the products coefs[left] * (b's coefficients)[right] summed by target
     (``_sum_terms``); then the rows kept, each term's slot, rank and column."""

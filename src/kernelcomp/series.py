@@ -172,9 +172,9 @@ class BallPoly:
 
     Stored as two read-only arrays in order of first appearance: ``exps``, an
     (n, dim) int64 array of distinct multi-indices, and ``coefs``, their n
-    nonzero complex coefficients.  Sums and products add like terms one at a
-    time, in the order a term-by-term dict accumulation would, so they round
-    exactly as that loop does.
+    nonzero complex coefficients.  Sums add like terms one at a time, in the
+    order a term-by-term dict accumulation would, so they round exactly as
+    that loop does.
     """
 
     __slots__ = ("dim", "exps", "coefs")
@@ -252,13 +252,7 @@ class BallPoly:
             np.concatenate([self.coefs, other.coefs])))
 
     def __mul__(self, other):
-        if isinstance(other, BallPoly):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            # every term pair, self's terms outer and other's inner
-            exps = (self.exps[:, None] + other.exps[None]).reshape(-1, self.dim)
-            coefs = _cmul(self.coefs[:, None], other.coefs[None]).reshape(-1)
-            return BallPoly._of(self.dim, *_combine(exps, coefs))
+        """Scalar multiple; a product of polynomials is not supported."""
         return BallPoly._of(self.dim, self.exps, _cmul(self.coefs, complex(other)))
 
     __rmul__ = __mul__

@@ -109,12 +109,12 @@ def eval_kernel(spec: KernelSpec, z, w) -> complex:
     if spec.kind in ("bergman", "ball"):
         return den ** (-spec.alpha)
     if spec.kind == "dbr":
-        return (1.0 - spec.b_disk(complex(zs[0])) * np.conj(spec.b_disk(complex(ws[0])))) / den
+        return (1.0 - spec.b(complex(zs[0])) * np.conj(spec.b(complex(ws[0])))) / den
     if spec.kind == "dbr_power":
-        base = (1.0 - spec.b_disk(complex(zs[0])) * np.conj(spec.b_disk(complex(ws[0])))) / den
+        base = (1.0 - spec.b(complex(zs[0])) * np.conj(spec.b(complex(ws[0])))) / den
         return base ** int(spec.alpha)
-    bz = spec.b_ball(zs)
-    bw = spec.b_ball(ws)
+    bz = spec.b(zs)
+    bw = spec.b(ws)
     num = 1.0 - complex(np.sum(bz * bw.conj()))
     ratio = num / den
     return ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
@@ -368,10 +368,10 @@ def out_of_place_kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
         if spec.kind in ("szego", "bergman", "ball"):
             g = den ** (-spec.alpha)
         elif spec.kind in ("dbr", "dbr_power"):
-            bv = spec.b_disk(pts[..., 0])
+            bv = spec.b(pts[..., 0])
             g = (1.0 - bv[..., :, None] * bv.conj()[..., None, :]) / den
         else:
-            bz = spec.b_ball(pts)
+            bz = spec.b(pts)
             g = (1.0 - bz @ np.swapaxes(bz.conj(), -1, -2)) / den
         if spec.kind in ("dbr_power", "ball_map") and spec.alpha != 1.0:
             g = g ** int(spec.alpha) if spec.alpha == int(spec.alpha) \

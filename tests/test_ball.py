@@ -176,6 +176,37 @@ def test_inv_kernel_gather_is_one_plan_per_support(monkeypatch):
         assert ball._inv_kernel_weight(b, 2.0, 24).tobytes() == w.tobytes()
 
 
+def test_inv_kernel_exponents_are_one_plan_per_degree(monkeypatch):
+    # the weight's grlex exponents come from the plan cache, read-only: one
+    # build for them and one for the gather serve every later call
+    from kernelcomp import operators
+
+    monkeypatch.setattr(operators, "_plans", {})
+    built, grlex = [], ball._grlex_exps
+    monkeypatch.setattr(ball, "_grlex_exps",
+                        lambda dim, top: built.append((dim, top)) or grlex(dim, top))
+    b = random_ball_row_contraction(substream(0, 0), 2, 2, 0.9)
+    for alpha in (1.0, 2.0, 1.0):
+        inv_kernel_mult_norm(b, alpha, 8)
+    assert built == [(2, 24), (2, 24)]
+    (exps, _), = [hit for key, hit in operators._plans.items()
+                  if key[0] is ball._grlex_exps]
+    assert exps.tolist() == [list(m) for m in grlex_monomials(2, 24)]
+    assert not exps.flags.writeable
+
+
+def test_inv_kernel_refuses_an_oversized_section_before_the_weight(monkeypatch):
+    # the cut section of degree 3n, which mult_matrix refuses too, is
+    # refused before the weight's recurrence runs
+    def weight(*args):
+        raise AssertionError("the weight was computed")
+
+    monkeypatch.setattr(ball, "_inv_kernel_weight", weight)
+    b = random_ball_row_contraction(substream(0, 0), 2, 2, 0.9)
+    with pytest.raises(ValueError, match="a 1127251x125751 section would take"):
+        inv_kernel_mult_norm(b, 1.0, 500)
+
+
 def test_inv_kernel_section_is_the_mult_matrix_rows(monkeypatch):
     # the section op_norm_lower bounds holds, byte for byte, the rows of
     # degree <= 3n of mult_matrix's section of the same coefficients

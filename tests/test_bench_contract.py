@@ -55,7 +55,7 @@ def test_witness_counter_reads_the_search_result():
         tracer = _spans_module().Tracer()
         with tracer:
             kernels.find_negative_witness(
-                kernels.KernelSpec.ball_map(ball.br_map(r), 1.0), seed=0,
+                kernels.KernelSpec("ball_map", 1.0, ball.br_map(r)), seed=0,
                 radius=0.95, set_size=8, budget=50)
         counts = tracer.metrics()
         assert counts["kernels.find_negative_witness.calls"] == 1
@@ -71,7 +71,7 @@ def test_check_psd_builds_its_gram_through_the_traced_name():
                                     operators.SpaceSpec(1, 1.0), 16)
     tracer = _spans_module().Tracer()
     with tracer:
-        kernels.check_psd(kernels.KernelSpec.bergman(2.0), pts)
+        kernels.check_psd(kernels.KernelSpec("bergman", 2.0), pts)
         bound = operators.op_norm_lower(section, trace_degrees=[4, 8, 16])
     counts = tracer.metrics()
     assert counts["kernels.check_psd.calls"] == 1

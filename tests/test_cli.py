@@ -521,6 +521,27 @@ def test_numerical_failures_exit_two_with_a_message(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+def test_an_oversized_inverse_kernel_section_exits_two_at_once(tmp_path, capsys):
+    # refused before the weight's recurrence, which took over a minute and
+    # hundreds of MB at this degree
+    cfg = _cfg(tmp_path, "ball-lemma", params={
+        "maps": 1, "alphas": [1], "cert_points": 2, "row_points": 1,
+        "section_degree": 500})
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "error: a 1127251x125751 section would take" in capsys.readouterr().err
+
+
+def test_an_oversized_circle_grid_exits_two_with_a_message(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "inf-estimate", params={"grid_size": 2**40,
+                                                 "section_degree": 4})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a {2**40}-point circle grid would take {96 * 2**40} bytes, "
+        f"above the {2**30}-byte limit\n")
+
+
 _MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
                {"dim": 2, "terms": []}]
 
@@ -531,9 +552,9 @@ _MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
     ({"kind": "dbr", "b": {"type": "monomial", "degree": True}},
      "monomial degree must be an integer, got True"),
     ({"kind": "ball", "dim": 2.9, "alpha": 1.0},
-     "ball spec dim must be an integer, got 2.9"),
+     "ball dim must be an integer, got 2.9"),
     ({"kind": "ball", "dim": True, "alpha": 1.0},
-     "ball spec dim must be an integer, got True"),
+     "ball dim must be an integer, got True"),
     ({"kind": "dbr_power", "alpha": 2.5,
       "b": {"type": "monomial", "degree": 1, "scale": [0.5, 0.0]}},
      "dbr_power alpha must be an integer, got 2.5"),
@@ -572,7 +593,7 @@ _MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
     ({"kind": "bergman", "alpha": False},
      "bergman alpha must be a finite number, got False"),
     ({"kind": "ball", "dim": 2, "alpha": "2"},
-     "ball spec alpha must be a finite number, got '2'"),
+     "ball alpha must be a finite number, got '2'"),
     ({"kind": "ball_map", "alpha": True, "b": {"dim": 2, "coords": _MAP_COORDS}},
      "ball_map alpha must be a finite number, got True"),
     ({"kind": "dbr", "b": {"type": "blaschke", "a": [0.5, 0.0], "tail_tol": True}},
@@ -840,7 +861,7 @@ def test_ball_bound_maps_are_the_ones_ball_lemma_certifies(monkeypatch):
     def spy_check(spec, pts):
         cert = check_psd(spec, pts)
         assert cert.verdict == "PSD"
-        certified.setdefault(spec.alpha, []).append(key(spec.b_ball))
+        certified.setdefault(spec.alpha, []).append(key(spec.b))
         return cert
 
     def spy_comp(b, space, n):

@@ -44,7 +44,8 @@ def test_single_node_combo_norm_is_diagonal_kernel_value():
         for w in (0.0, 0.35 - 0.2j):
             combo = KernelCombo(b, alpha, PointSet([w]), [1.0])
             got = hb_norm_combo(combo)
-            spec = KernelSpec.dbr(b) if alpha == 1 else KernelSpec.dbr_power(b, alpha)
+            spec = KernelSpec("dbr", b=b) if alpha == 1 else \
+                KernelSpec("dbr_power", alpha, b)
             expect = math.sqrt(eval_kernel(spec, w, w).real)
             assert got == pytest.approx(expect, rel=1e-13)
 
@@ -55,7 +56,7 @@ def test_combo_norm_two_nodes_closed_form():
     w = [0.25, -0.3j]
     c = [1.0, 2.0 - 1.0j]
     combo = KernelCombo(b, 1, PointSet(w), c)
-    spec = KernelSpec.dbr(b)
+    spec = KernelSpec("dbr", b=b)
     acc = 0.0
     for i in range(2):
         for j in range(2):
@@ -112,7 +113,8 @@ def test_kernel_section_poly_matches_pointwise_kernel():
     for alpha in (1, 2):
         w = 0.3 + 0.25j
         p = kernel_section_poly(b, alpha, w, 120)
-        spec = KernelSpec.dbr(b) if alpha == 1 else KernelSpec.dbr_power(b, alpha)
+        spec = KernelSpec("dbr", b=b) if alpha == 1 else \
+            KernelSpec("dbr_power", alpha, b)
         for z in (0.0, 0.4, -0.45j, 0.3 + 0.3j):
             assert abs(p(z) - eval_kernel(spec, z, w)) <= 1e-11
 

@@ -40,7 +40,7 @@ from test_golden import GOLDEN
 def test_szego_gram_two_point_closed_form():
     # points 0 and 1/2 give [[1, 1], [1, 4/3]]; smallest eigenvalue of that
     # matrix is (7 - sqrt(37)) / 6
-    g = gram(KernelSpec.szego(), PointSet([0.0, 0.5]))
+    g = gram(KernelSpec("szego"), PointSet([0.0, 0.5]))
     expect = np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]])
     assert np.max(np.abs(g - expect)) <= 1e-15
     lam = np.linalg.eigvalsh(g)[0]
@@ -52,10 +52,10 @@ def test_gram_is_hermitian_with_real_diagonal():
     pts = sample_point_set(rng, 1, 0.8, 6)
     b = SelfMapDisk(DiskPoly([0.1, 0.3, 0.2]))
     specs = [
-        KernelSpec.szego(),
-        KernelSpec.bergman(3.0),
-        KernelSpec.dbr(b),
-        KernelSpec.dbr_power(b, 2),
+        KernelSpec("szego"),
+        KernelSpec("bergman", 3.0),
+        KernelSpec("dbr", b=b),
+        KernelSpec("dbr_power", 2, b),
     ]
     for spec in specs:
         g = gram(spec, pts)
@@ -65,7 +65,7 @@ def test_gram_is_hermitian_with_real_diagonal():
 
 def test_eval_kernel_matches_gram_and_conjugate_symmetry():
     b = SelfMapDisk(DiskPoly([0.2, 0.4]))
-    spec = KernelSpec.dbr_power(b, 3)
+    spec = KernelSpec("dbr_power", 3, b)
     pts = PointSet([0.3 + 0.2j, -0.1j, 0.5])
     g = gram(spec, pts)
     raw = pts.points[:, 0]
@@ -79,7 +79,7 @@ def test_eval_kernel_matches_gram_and_conjugate_symmetry():
 def test_dbr_gram_matches_direct_formula():
     b = blaschke_factor(0.3)
     pts = PointSet([0.25, -0.4j])
-    g = gram(KernelSpec.dbr(b), pts)
+    g = gram(KernelSpec("dbr", b=b), pts)
     z = pts.points[:, 0]
     bv = b.series(z)
     expect = (1.0 - np.outer(bv, bv.conj())) / (1.0 - np.outer(z, z.conj()))
@@ -90,14 +90,14 @@ def test_dbr_power_is_entrywise_power():
     b = SelfMapDisk(DiskPoly([0.0, 0.6, 0.2]))
     rng = np.random.default_rng(22)
     pts = sample_point_set(rng, 1, 0.7, 5)
-    base = gram(KernelSpec.dbr(b), pts)
+    base = gram(KernelSpec("dbr", b=b), pts)
     for alpha in (2, 3):
-        powered = gram(KernelSpec.dbr_power(b, alpha), pts)
+        powered = gram(KernelSpec("dbr_power", alpha, b), pts)
         assert np.max(np.abs(powered - base**alpha)) <= 1e-13
 
 
 def test_ball_kernel_value():
-    spec = KernelSpec.ball(2, 2.0)
+    spec = KernelSpec("ball", 2.0, dim=2)
     z = np.array([0.3, 0.1j])
     w = np.array([0.2, 0.5])
     ip = z[0] * np.conj(w[0]) + z[1] * np.conj(w[1])
@@ -107,7 +107,7 @@ def test_ball_kernel_value():
 def test_ball_map_kernel_against_direct_formula():
     r = 1.0
     bm = BallMap([BallPoly(2, {(1, 1): 2 * r}), BallPoly(2, {})])
-    spec = KernelSpec.ball_map(bm, 1)
+    spec = KernelSpec("ball_map", 1, bm)
     rng = np.random.default_rng(23)
     pts = sample_point_set(rng, 2, 0.9, 4)
     g = gram(spec, pts)
@@ -120,25 +120,25 @@ def test_ball_map_kernel_against_direct_formula():
 
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
-        KernelSpec.bergman(0.5)
+        KernelSpec("bergman", 0.5)
     b = SelfMapDisk(DiskPoly([0.0, 0.5]))
     with pytest.raises(ValueError):
-        KernelSpec.dbr_power(b, 0)
+        KernelSpec("dbr_power", 0, b)
     with pytest.raises(ValueError):
-        KernelSpec.ball(0, 2.0)
+        KernelSpec("ball", 2.0, dim=0)
     # a dim-1 ball kernel is legal: it coincides with the weighted disk kernel
-    assert KernelSpec.ball(1, 2.0).dim == 1
-    spec = KernelSpec.szego()
+    assert KernelSpec("ball", 2.0, dim=1).dim == 1
+    spec = KernelSpec("szego")
     assert spec.alpha == 1.0 and spec.dim == 1
 
 
 def test_kernel_spec_json_round_trip_shape():
     b = SelfMapDisk(DiskPoly([0.0, 0.5]))
-    d = KernelSpec.dbr_power(b, 2).to_json_dict()
+    d = KernelSpec("dbr_power", 2, b).to_json_dict()
     assert d["kind"] == "dbr_power"
     assert d["alpha"] == 2.0
     assert d["b"]["dim"] == 1
-    d2 = KernelSpec.szego().to_json_dict()
+    d2 = KernelSpec("szego").to_json_dict()
     assert d2 == {"kind": "szego", "alpha": 1.0, "dim": 1}
 
 
@@ -154,7 +154,7 @@ def test_point_set_validation():
 
 def test_eval_kernel_rejects_boundary_point():
     with pytest.raises(DomainError):
-        eval_kernel(KernelSpec.szego(), 1.0, 0.0)
+        eval_kernel(KernelSpec("szego"), 1.0, 0.0)
 
 
 def test_sample_point_set_deterministic_and_bounded():
@@ -169,7 +169,7 @@ def test_sample_point_set_deterministic_and_bounded():
 def test_check_psd_accepts_near_singular_positive_gram():
     # two nearly equal points give an almost rank-one matrix whose smallest
     # eigenvalue can round below zero; the size-scaled tolerance absorbs it
-    cert = check_psd(KernelSpec.szego(), PointSet([0.3, 0.3 + 2e-6]))
+    cert = check_psd(KernelSpec("szego"), PointSet([0.3, 0.3 + 2e-6]))
     assert cert.verdict == PSD
     assert cert.witness is None
     assert cert.tolerance > 0
@@ -177,7 +177,7 @@ def test_check_psd_accepts_near_singular_positive_gram():
 
 def test_check_psd_flags_indefinite_gram():
     bm = BallMap([BallPoly(2, {(1, 1): 2.0}), BallPoly(2, {})])
-    spec = KernelSpec.ball_map(bm, 1)
+    spec = KernelSpec("ball_map", 1, bm)
     cert = find_negative_witness(spec, seed=0, radius=0.95, set_size=8, budget=50)
     assert cert is not None
     assert cert.verdict == NEGATIVE
@@ -208,7 +208,7 @@ def test_check_psd_solves_for_a_vector_only_on_negative(monkeypatch):
     negative = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
                                      set_size=8, budget=1)
     calls = _solver_calls(monkeypatch)
-    assert check_psd(KernelSpec.bergman(2.0), PointSet([0.1, 0.4j])).verdict == PSD
+    assert check_psd(KernelSpec("bergman", 2.0), PointSet([0.1, 0.4j])).verdict == PSD
     assert calls == ["eigvalsh"]
     calls.clear()
     cert = check_psd(negative.spec, negative.witness.point_set)
@@ -220,7 +220,7 @@ def _planted_pair(monkeypatch):
     """A Bergman pair whose Gram, patched in with its off-diagonal tripled,
     is indefinite: a NEGATIVE verdict on two points (a Bergman kernel with
     alpha >= 1 is positive, so the indefinite Gram has to be planted)."""
-    spec, pts = KernelSpec.bergman(2.0), PointSet([0.1, 0.4j])
+    spec, pts = KernelSpec("bergman", 2.0), PointSet([0.1, 0.4j])
     g = gram(spec, pts)
     g[0, 1], g[1, 0] = 3 * g[0, 1], 3 * g[1, 0]
     monkeypatch.setattr(kernels, "gram", lambda s, p: g.copy() if p is pts
@@ -287,13 +287,13 @@ def test_check_psd_agrees_with_the_eigh_oracle_on_the_pinned_configs(monkeypatch
 
 
 def test_find_negative_witness_none_for_psd_kernel():
-    out = find_negative_witness(KernelSpec.szego(), seed=1, radius=0.9,
+    out = find_negative_witness(KernelSpec("szego"), seed=1, radius=0.9,
                                 set_size=6, budget=20)
     assert out is None
 
 
 def test_certificate_json_keys():
-    cert = check_psd(KernelSpec.bergman(2.0), PointSet([0.1, 0.4j]))
+    cert = check_psd(KernelSpec("bergman", 2.0), PointSet([0.1, 0.4j]))
     d = cert.to_json_dict()
     assert set(d) == {"spec", "min_eigenvalue", "tolerance", "verdict",
                       "witness"}
@@ -307,9 +307,9 @@ def test_overflowing_kernel_values_are_refused():
     pts = sample_point_set(np.random.default_rng(0), 1, 0.95, 5)
     message = "kernel values overflow on these points"
     with pytest.raises(ValueError, match="bergman " + message):
-        gram(KernelSpec.bergman(1e308), pts)
+        gram(KernelSpec("bergman", 1e308), pts)
     with pytest.raises(ValueError, match="bergman " + message):
-        check_psd(KernelSpec.bergman(1e308), pts)
+        check_psd(KernelSpec("bergman", 1e308), pts)
     with pytest.raises(ValueError, match="ball_map " + message):
         find_negative_witness(_br_spec(0.95, alpha=1000.0), seed=0,
                               radius=0.95, set_size=8, budget=3)
@@ -354,13 +354,13 @@ def _serial_gram_entries(spec, pts):
     elif spec.kind in ("bergman", "ball"):
         g = den ** (-spec.alpha)
     elif spec.kind == "dbr":
-        bv = spec.b_disk(pts[:, 0])
+        bv = spec.b(pts[:, 0])
         g = (1.0 - np.outer(bv, bv.conj())) / den
     elif spec.kind == "dbr_power":
-        bv = spec.b_disk(pts[:, 0])
+        bv = spec.b(pts[:, 0])
         g = ((1.0 - np.outer(bv, bv.conj())) / den) ** int(spec.alpha)
     else:
-        bz = spec.b_ball(pts)
+        bz = spec.b(pts)
         num = 1.0 - bz @ bz.conj().T
         ratio = num / den
         g = ratio ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
@@ -426,25 +426,25 @@ def _assert_same_search(spec, **kw):
 _DISK_B = SelfMapDisk(DiskPoly([0.1, 0.5, 0.3]))
 
 _KIND_SPECS = {
-    "szego": KernelSpec.szego(),
-    "bergman": KernelSpec.bergman(2.5),
-    "dbr": KernelSpec.dbr(_DISK_B),
-    "dbr_power": KernelSpec.dbr_power(_DISK_B, 3),
-    "dbr_power_alpha_1": KernelSpec.dbr_power(_DISK_B, 1),
-    "ball": KernelSpec.ball(3, 2.0),
-    "ball_map": KernelSpec.ball_map(
-        BallMap([BallPoly(2, {(1, 1): 2.0}), BallPoly(2, {})]), 2),
-    "ball_map_fractional": KernelSpec.ball_map(
-        BallMap([BallPoly(2, {(1, 1): 1.2}), BallPoly(2, {})]), 1.5),
+    "szego": KernelSpec("szego"),
+    "bergman": KernelSpec("bergman", 2.5),
+    "dbr": KernelSpec("dbr", b=_DISK_B),
+    "dbr_power": KernelSpec("dbr_power", 3, _DISK_B),
+    "dbr_power_alpha_1": KernelSpec("dbr_power", 1, _DISK_B),
+    "ball": KernelSpec("ball", 2.0, dim=3),
+    "ball_map": KernelSpec(
+        "ball_map", 2, BallMap([BallPoly(2, {(1, 1): 2.0}), BallPoly(2, {})])),
+    "ball_map_fractional": KernelSpec(
+        "ball_map", 1.5, BallMap([BallPoly(2, {(1, 1): 1.2}), BallPoly(2, {})])),
     # alpha 1 skips the power: ratio ** 1 has the ratio's bytes
-    "ball_map_alpha_1": KernelSpec.ball_map(
-        BallMap([BallPoly(2, {(1, 1): 1.6}), BallPoly(2, {})]), 1),
+    "ball_map_alpha_1": KernelSpec(
+        "ball_map", 1, BallMap([BallPoly(2, {(1, 1): 1.6}), BallPoly(2, {})])),
 }
 
 
 def _br_spec(r, alpha=1.0):
-    return KernelSpec.ball_map(
-        BallMap([BallPoly(2, {(1, 1): 2.0 * r}), BallPoly(2, {})]), alpha)
+    return KernelSpec(
+        "ball_map", alpha, BallMap([BallPoly(2, {(1, 1): 2.0 * r}), BallPoly(2, {})]))
 
 
 @pytest.mark.parametrize("name", sorted(_KIND_SPECS))
@@ -475,12 +475,12 @@ def test_repeated_points_keep_a_negative_verdict():
 
 
 _IN_PLACE_SPECS = {
-    "szego": KernelSpec.szego(),
-    "bergman-2": KernelSpec.bergman(2.0),
-    "ball-2": KernelSpec.ball(2, 2.0),
-    "ball-1.5": KernelSpec.ball(2, 1.5),
-    "dbr": KernelSpec.dbr(_DISK_B),
-    "dbr_power-3": KernelSpec.dbr_power(_DISK_B, 3),
+    "szego": KernelSpec("szego"),
+    "bergman-2": KernelSpec("bergman", 2.0),
+    "ball-2": KernelSpec("ball", 2.0, dim=2),
+    "ball-1.5": KernelSpec("ball", 1.5, dim=2),
+    "dbr": KernelSpec("dbr", b=_DISK_B),
+    "dbr_power-3": KernelSpec("dbr_power", 3, _DISK_B),
     "ball_map-1": _br_spec(0.8, 1.0),
     "ball_map-2": _br_spec(0.8, 2.0),
     "ball_map-2.5": _br_spec(0.8, 2.5),
@@ -515,7 +515,7 @@ def test_gram_holds_two_arrays_of_its_size(monkeypatch, m):
     # hermitization adds a transposed view) and O(m dim) values for the points
     pts = sample_point_set(np.random.default_rng(m), 2, 0.95, m)
     checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
-    g, peak = traced_peak(lambda: gram(KernelSpec.ball(2, 2.0), pts))
+    g, peak = traced_peak(lambda: gram(KernelSpec("ball", 2.0, dim=2), pts))
     assert checked == [2 * g.nbytes]
     assert checked[0] / 2 < peak <= checked[0] + 16 * np.getbufsize() + 64 * m * 2
 
@@ -543,8 +543,8 @@ def test_sample_point_set_consumes_the_same_draws_as_before(monkeypatch):
     # number of Philox counter steps (5 points in dims 1 and 3)
     for dim, count in ((1, 5), (2, 8), (3, 5)):
         stacks = _spy(monkeypatch, "_screen", lambda spec, pts: pts)
-        find_negative_witness(KernelSpec.ball(dim, 2.0), seed=7, radius=0.9,
-                              set_size=count, budget=35)
+        find_negative_witness(KernelSpec("ball", 2.0, dim=dim), seed=7,
+                              radius=0.9, set_size=count, budget=35)
         monkeypatch.undo()
         screened = np.concatenate(stacks)
         assert len(screened) == 35
@@ -825,8 +825,8 @@ def test_bounded_regime_needs_no_serial_decision(monkeypatch):
 _SEARCHES = [
     (_br_spec(0.75), dict(seed=3671, radius=0.95, set_size=8, budget=200)),
     (_br_spec(0.5), dict(seed=0, radius=0.95, set_size=8, budget=50)),
-    (KernelSpec.ball_map(BallMap([BallPoly(3, {(1, 1, 0): 2.0}), BallPoly(3, {}),
-                                  BallPoly(3, {})]), 1.0),
+    (KernelSpec("ball_map", 1.0, BallMap([BallPoly(3, {(1, 1, 0): 2.0}),
+                                          BallPoly(3, {}), BallPoly(3, {})])),
      dict(seed=2, radius=0.95, set_size=5, budget=60)),
 ]
 
@@ -911,7 +911,7 @@ def test_screen_builds_only_the_kept_candidates(monkeypatch):
     # chunk's points once, from exactly its trials' uniforms, and check_psd
     # decides on those points, drawing none again
     shapes = _spy(monkeypatch, "_candidates", lambda u, _: u.shape)
-    find_negative_witness(KernelSpec.ball(3, 2.0), seed=6, radius=0.9,
+    find_negative_witness(KernelSpec("ball", 2.0, dim=3), seed=6, radius=0.9,
                           set_size=5, budget=100)
     assert shapes == [(k, 5, 6) for k in (1, 2, 4, 8, 16, 32, 37)]
 

@@ -153,15 +153,6 @@ def _ref_add(p: dict, q: dict) -> dict:
     return _ref_poly(acc)
 
 
-def _ref_mul(p: dict, q: dict) -> dict:
-    acc: dict = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            acc[key] = acc.get(key, 0.0) + ca * cb
-    return _ref_poly(acc)
-
-
 def _ref_scale(p: dict, s) -> dict:
     return _ref_poly({m: c * complex(s) for m, c in p.items()})
 
@@ -205,23 +196,16 @@ def test_ball_poly_arithmetic_matches_dict_reference(dim):
         ra, rb = _ref_poly(a), _ref_poly(b)
         _assert_matches(p + q, _ref_add(ra, rb))
         _assert_matches(q + p, _ref_add(rb, ra))
-        _assert_matches(p * q, _ref_mul(ra, rb))
-        _assert_matches(q * p, _ref_mul(rb, ra))
-        _assert_matches(p * q * p, _ref_mul(_ref_mul(ra, rb), ra))
         for s in scalars:
             _assert_matches(p * s, _ref_scale(ra, s))
             _assert_matches(s * p, _ref_scale(ra, s))
 
 
 def test_ball_poly_sums_that_cancel_drop_the_terms():
-    x, y = BallPoly(2, {(1, 0): 1.0}), BallPoly(2, {(0, 1): 1.0})
-    diff = (x + y) * (x + (-1.0) * y)
-    _assert_matches(diff, {(2, 0): 1.0 + 0j, (0, 2): -1.0 + 0j})
     p = BallPoly(3, _random_terms(np.random.default_rng(11), 3, 20, 4))
     gone = p + (-1) * p
     assert gone.exps.shape == (0, 3) and gone.coefs.shape == (0,)
     assert gone.degree() == 0 and gone.constant_term() == 0
-    _assert_matches(gone * p, {})
     # Python's 1j * -1 is (-0.0, -1.0); the dict constructor's 0.0 + c
     # stored its real part as +0.0
     flipped = BallPoly(1, {(1,): 1j}) * -1
@@ -254,13 +238,10 @@ def test_ball_poly_huge_exponents_match_dict_reference():
     b = {(big, big, 0, 0): 2.0, (1, 1, 1, 1): 1.0, (0, 0, 0, 0): 3 - 1j}
     p, q = BallPoly(4, a), BallPoly(4, b)
     _assert_matches(p + q, _ref_add(_ref_poly(a), _ref_poly(b)))
-    _assert_matches(p * q, _ref_mul(_ref_poly(a), _ref_poly(b)))
 
 
 def test_ball_poly_overflow_to_inf_raises():
     big = BallPoly(2, {(1, 0): 1e300, (0, 1): 1.0})
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        big * BallPoly(2, {(0, 1): 1e300})
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         big * 1e10
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
