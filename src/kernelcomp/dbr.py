@@ -12,7 +12,7 @@ degree and its adjoint lowers it, so the truncation commutes with the defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,13 +54,13 @@ class KernelCombo:
     alpha: int
     nodes: PointSet
     coeffs: np.ndarray
+    _spec: KernelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.b, SelfMapDisk):
-            raise TypeError("b must be a SelfMapDisk")
-        if int(self.alpha) != self.alpha or self.alpha < 1:
-            raise ValueError("alpha must be a positive integer")
-        self.alpha = int(self.alpha)
+        # dbr_power's rules check b and alpha; at alpha 1 its Gram is dbr's,
+        # bit for bit
+        self._spec = KernelSpec("dbr_power", self.alpha, self.b)
+        self.alpha = int(self._spec.alpha)
         if self.nodes.dim != 1:
             raise ValueError("nodes live on the disk")
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -68,8 +68,7 @@ class KernelCombo:
             raise ValueError("one coefficient per node")
 
     def spec(self) -> KernelSpec:
-        # dbr_power at alpha 1 builds dbr's Gram, bit for bit
-        return KernelSpec("dbr_power", self.alpha, self.b)
+        return self._spec
 
 
 def hb_norm_combo(combo: KernelCombo) -> float:

@@ -13,10 +13,11 @@ A section stores the rows it needs: ``rows`` lists their grlex ranks in
 ascending order and ``entries`` holds one dense row per rank.  Composition
 and weighted composition sections share one builder, column j holding
 f * b^(m_j) with f = 1 or the weight.  On the disk it is a convolution
-recurrence started at f, each power cut after its last entry that is not +0
-before the next product, and keeps the rows up to the last one reached; on
-the ball, coordinate products started at f's terms, keeping only the rows
-reached.  Multiplication sections keep all rows through their row degree.
+recurrence started at f, f and each power cut after its last part of
+magnitude >= 2^-511 before the next product (``_comp_entries_disk`` bounds
+the drop), keeping the rows up to the last one reached; on the ball,
+coordinate products started at f's terms, keeping only the rows reached.
+Multiplication sections keep all rows through their row degree.
 A disk section of real data (no nonzero imaginary part in f or b) is float64
 and is built, Gram-ed and eigen-solved in real arithmetic; others are complex.
 
@@ -139,6 +140,8 @@ def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
 
 # (term, column) pairs that ``mult_matrix`` places at a time
 _PAIR_BLOCK = 1 << 14
+# a disk power ends at its last part >= this, the sqrt of the least normal float64
+_FLOOR = 2.0 ** -511
 
 # index plans kept for reuse: at most _PLAN_COUNT, whose arrays and key bytes
 # take at most _PLAN_BYTES together; key -> (plan, bytes), least recent first
@@ -227,31 +230,29 @@ class SectionMatrix:
             "rows must be ascending grlex ranks within the row degree"
 
 
-def _stored_length(v: np.ndarray) -> int:
-    """One past the last entry of ``v`` whose bits are not all zero: a -0
-    part counts, so cutting there drops only trailing +0 entries."""
-    per = v.itemsize // 8
-    bits = v.view(np.int64)
-    if bits[-1] or bits[-per]:
-        return v.size
-    nz = np.flatnonzero(bits)
-    return int(nz[-1]) // per + 1 if nz.size else 0
+def _floor_cut(v: np.ndarray) -> np.ndarray:
+    """``v`` through its last entry with a part >= _FLOOR in magnitude or NaN."""
+    parts, per = v.view(np.float64), v.itemsize // 8
+    if abs(parts[-1]) >= _FLOOR or abs(parts[-per]) >= _FLOOR:  # most powers
+        return v
+    big = np.flatnonzero(~(np.abs(parts) < _FLOOR))
+    return v[: int(big[-1]) // per + 1 if big.size else 0]
 
 
 def _comp_entries_disk(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
                        col_degree: int) -> np.ndarray:
-    """Taylor coefficients of start * b**j in column j, norm-corrected,
-    through the last row any column reaches.  Each power is cut after its
-    last entry that is not +0 before the next product, which changes no
-    stored bit; once a power is empty, so is every later one.  The section
-    takes the inputs' dtype."""
-    power = start[: _stored_length(start)]
-    columns = [power]
-    for _ in range(col_degree):
-        if power.size:
-            power = np.convolve(power, coeffs)
-            power = power[: _stored_length(power)]
-        columns.append(power)
+    """Taylor coefficients of start * b**j in column j, norm-corrected, through
+    the last row any column reaches, in the inputs' dtype.  Start and powers
+    are cut after their last part >= _FLOOR in magnitude, so their long tails
+    into slow subnormal arithmetic reach neither the convolutions nor the Gram.
+    A cut drops at most d = 2^-511 sqrt(2 (R + 1)) in l2 (R the row degree) and
+    sup|b| <= 1, so the floor adds d per power to column j's error bound e_j,
+    (j + 1) d in all before the norm correction (5.8e-150 at ``hardy-bound``'s
+    column 256); it may also flip a kept entry's rounding, within e_j."""
+    columns = [_floor_cut(start)]
+    for _ in range(col_degree):  # once a power is empty, so is every later one
+        power = columns[-1]
+        columns.append(_floor_cut(np.convolve(power, coeffs)) if power.size else power)
     count = max(c.size for c in columns)
     a = np.zeros((count, col_degree + 1), dtype=np.result_type(start, coeffs))
     for j, c in enumerate(columns):

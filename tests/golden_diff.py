@@ -1,7 +1,7 @@
 """Drift ledger: how far two sets of JSON reports differ.
 
     python tests/golden_diff.py OLD_DIR NEW_DIR
-    PYTHONPATH=src python tests/golden_diff.py --write-defaults DIR
+    PYTHONPATH=src python tests/golden_diff.py --write-defaults DIR [--seeds A-B]
 
 The first form reads every report ``*.json`` in both directories (configs
 ``*.config.json`` and files without a ``records`` list are skipped) and
@@ -19,7 +19,9 @@ The second form writes every report whose digest
 ``tests/test_default_digests.py`` pins: each experiment at its default
 config at the pinned seeds, as ``DIR/<name>@<seed>.json``, and each of its
 sampler-heavy configs, as ``DIR/<label>@<seed>.json``, using whichever
-``kernelcomp`` is importable.
+``kernelcomp`` is importable.  ``--seeds A-B`` writes every one of those
+configs at each seed from A to B instead, a wider sweep than the digests
+pin.
 Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``),
 once per checkout, then compare the two directories.
 """
@@ -124,11 +126,20 @@ def diff_dirs(old_dir: Path, new_dir: Path) -> tuple:
     return lines, flagged
 
 
-def write_defaults(directory: Path) -> None:
-    from test_default_digests import default_reports, sampler_reports
+def seed_range(text: str) -> range:
+    """The seeds A to B of ``A-B``."""
+    match = re.fullmatch(r"(\d+)-(\d+)", text)
+    if not match or int(match[2]) < int(match[1]):
+        raise argparse.ArgumentTypeError(f"seeds must read A-B with A <= B, got {text!r}")
+    return range(int(match[1]), int(match[2]) + 1)
+
+
+def write_defaults(directory: Path, seeds=None) -> None:
+    from test_default_digests import SEEDS, default_reports, sampler_reports
 
     directory.mkdir(parents=True, exist_ok=True)
-    for key, text in itertools.chain(default_reports(), sampler_reports()):
+    for key, text in itertools.chain(default_reports(seeds or SEEDS),
+                                     sampler_reports(seeds)):
         (directory / f"{key}.json").write_text(text, encoding="utf-8")
 
 
@@ -137,12 +148,14 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("dirs", nargs="*", type=Path, metavar="DIR")
     ap.add_argument("--write-defaults", type=Path, metavar="DIR")
+    ap.add_argument("--seeds", type=seed_range, metavar="A-B")
     args = ap.parse_args(argv)
     if args.write_defaults is not None and not args.dirs:
-        write_defaults(args.write_defaults)
+        write_defaults(args.write_defaults, args.seeds)
         return 0
-    if args.write_defaults is not None or len(args.dirs) != 2:
-        ap.error("give OLD_DIR NEW_DIR, or --write-defaults DIR alone")
+    if args.write_defaults is not None or len(args.dirs) != 2 \
+            or args.seeds is not None:
+        ap.error("give OLD_DIR NEW_DIR, or --write-defaults DIR [--seeds A-B] alone")
     lines, flagged = diff_dirs(*args.dirs)
     print("\n".join(lines))
     return 1 if flagged else 0

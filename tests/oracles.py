@@ -5,8 +5,10 @@ a route independent of the convolution powers in the composition sections.
 ``disk_comp_dense`` keeps the dense assembly of disk composition sections,
 every row through the row degree, as a byte-level reference.
 ``uncut_disk_entries`` is the disk power loop that convolved every power at
-full length, the byte-level reference for the cut recurrence, and
-``weighted_disk_extended`` the weighted section convolved in extended
+full length, cutting only trailing +0 entries (``_stored_length``): the
+byte-level reference for sections whose parts never fall below
+``operators._FLOOR``, and the reference the floor's drop is measured
+against otherwise.  ``weighted_disk_extended`` the weighted section convolved in extended
 precision.  The adjoint
 checks verify that section adjoints act on reproducing kernels as the theory
 says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
@@ -56,7 +58,6 @@ from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
     _monomial_count,
-    _stored_length,
     comp_matrix,
     grlex_monomials,
     monomial_norms,
@@ -140,11 +141,23 @@ def disk_comp_dense(coeffs: np.ndarray, space: SpaceSpec,
     return a
 
 
+def _stored_length(v: np.ndarray) -> int:
+    """One past the last entry of ``v`` whose bits are not all zero: a -0
+    part counts, so cutting there drops only trailing +0 entries."""
+    per = v.itemsize // 8
+    bits = v.view(np.int64)
+    if bits[-1] or bits[-per]:
+        return v.size
+    nz = np.flatnonzero(bits)
+    return int(nz[-1]) // per + 1 if nz.size else 0
+
+
 def uncut_disk_entries(start: np.ndarray, coeffs: np.ndarray, norms: np.ndarray,
                        col_degree: int) -> np.ndarray:
-    """What ``operators._comp_entries_disk`` returns, with every power
-    convolved at its full length: only the stored columns are cut after their
-    last entry that is not +0.  The section takes the inputs' dtype."""
+    """What ``operators._comp_entries_disk`` returns without its floor, with
+    every power convolved at its full length: only the stored columns are cut
+    after their last entry that is not +0.  The section takes the inputs'
+    dtype."""
     power = start
     columns = []
     for j in range(col_degree + 1):

@@ -83,7 +83,8 @@ def test_check_psd_builds_its_gram_through_the_traced_name():
 def test_section_counters_read_the_stored_rows():
     # the tracer counts a section by its entries array; a ball composition
     # stores only its reachable rows, a disk composition its rows up to the
-    # last one reached, and the counters see exactly those
+    # last one its powers reach above the floor, and the counters see exactly
+    # those
     blaschke = series.blaschke_factor(0.5)
     tracer = _spans_module().Tracer()
     with tracer:
@@ -93,7 +94,7 @@ def test_section_counters_read_the_stored_rows():
     dense_rows = math.comb(ball_sec.row_degree + 2, 2)
     assert ball_sec.entries.shape == (len(ball_sec.rows), math.comb(12 + 2, 2))
     assert len(ball_sec.rows) < dense_rows
-    assert disk_sec.entries.shape == (1788, 129) and disk_sec.row_degree + 1 == 5633
+    assert disk_sec.entries.shape == (1148, 129) and disk_sec.row_degree + 1 == 5633
     sections = (ball_sec, disk_sec)
     counts = tracer.metrics()
     assert counts["operators.comp_matrix.calls"] == 2

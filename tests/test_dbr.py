@@ -104,8 +104,23 @@ def test_combo_rejects_bad_shapes():
         KernelCombo(b, 1, PointSet([0.1, 0.2]), [1.0])
     with pytest.raises(ValueError):
         KernelCombo(b, 0, PointSet([0.1]), [1.0])
-    with pytest.raises(TypeError):
+    # b and alpha are checked by the dbr_power spec's rules, as every spec is
+    with pytest.raises(ValueError, match="dbr_power takes a SelfMapDisk"):
         KernelCombo(DiskPoly([0.5]), 1, PointSet([0.1]), [1.0])
+    with pytest.raises(ValueError, match="integer alpha"):
+        KernelCombo(b, 1.5, PointSet([0.1]), [1.0])
+
+
+def test_combo_builds_its_spec_once(monkeypatch):
+    # the spec checked at construction is the one every hb_norm_combo reads
+    b = SelfMapDisk(DiskPoly([0.1, 0.5]))
+    combo = KernelCombo(b, 2.0, PointSet([0.2, -0.3]), [1.0, -2.0])
+    assert combo.alpha == 2 and type(combo.alpha) is int
+    assert combo.spec() is combo.spec() and combo.spec() == KernelSpec("dbr_power", 2, b)
+    expect = hb_norm_combo(combo)
+    built = []
+    monkeypatch.setattr(KernelSpec, "__post_init__", lambda spec: built.append(spec))
+    assert hb_norm_combo(combo) == expect and built == []
 
 
 def test_kernel_section_poly_matches_pointwise_kernel():

@@ -45,23 +45,24 @@ SAMPLER_CONFIGS = {
 }
 
 
-def default_reports():
+def default_reports(seeds=SEEDS):
     """(name@seed, JSON report text) of each experiment at its default
-    config, at every seed in SEEDS."""
+    config, at every seed in ``seeds``."""
     from kernelcomp.cli import COMMANDS, ExperimentConfig, render_report, run_experiment
 
     for name in sorted(COMMANDS):
-        for seed in SEEDS:
+        for seed in seeds:
             cfg = ExperimentConfig.from_dict({"name": name, "seed": seed})
             yield f"{name}@{seed}", render_report(run_experiment(cfg), "json")
 
 
-def sampler_reports():
-    """(label@seed, JSON report text) of each of SAMPLER_CONFIGS."""
+def sampler_reports(seeds=None):
+    """(label@seed, JSON report text) of each of SAMPLER_CONFIGS, at its own
+    seeds or at every seed in ``seeds``."""
     from kernelcomp.cli import ExperimentConfig, render_report, run_experiment
 
-    for label, (name, params, seeds) in SAMPLER_CONFIGS.items():
-        for seed in seeds:
+    for label, (name, params, own) in SAMPLER_CONFIGS.items():
+        for seed in own if seeds is None else seeds:
             cfg = ExperimentConfig.from_dict(
                 {"name": name, "params": params, "seed": seed})
             yield f"{label}@{seed}", render_report(run_experiment(cfg), "json")

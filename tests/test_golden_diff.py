@@ -5,6 +5,8 @@ import copy
 import json
 from pathlib import Path
 
+import pytest
+
 from golden_diff import diff_dirs, diff_values, main
 
 REPORT = {
@@ -102,3 +104,23 @@ def test_write_defaults_covers_every_pinned_report(tmp_path, monkeypatch):
     assert len(pinned) == 54 and written.keys() == pinned.keys()
     assert written["psd@1"] == ["psd", 1]
     assert written["ball-lemma-dim6@2"] == ["ball-lemma", 2]
+
+
+def test_write_defaults_takes_a_seed_range(tmp_path, monkeypatch):
+    # every default and sampler-heavy config at each seed of the range
+    import kernelcomp.cli
+    from test_default_digests import SAMPLER_CONFIGS
+
+    monkeypatch.setattr(kernelcomp.cli, "run_experiment", lambda cfg: cfg)
+    monkeypatch.setattr(kernelcomp.cli, "render_report",
+                        lambda cfg, fmt: json.dumps([cfg.name, cfg.seed]))
+    assert main(["--write-defaults", str(tmp_path), "--seeds", "3-5"]) == 0
+    written = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+    labels = sorted(kernelcomp.cli.COMMANDS) + list(SAMPLER_CONFIGS)
+    assert written.keys() == {f"{k}@{s}" for k in labels for s in (3, 4, 5)}
+    assert written["summation-cubic@4"] == ["summation", 4]
+    for bad in (["--seeds", "5-3"], ["--seeds", "7"], ["--seeds", "1-2", "a", "b"]):
+        args = bad if len(bad) > 2 else ["--write-defaults", str(tmp_path)] + bad
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2

@@ -15,7 +15,7 @@ from kernelcomp.operators import (
     SpaceSpec,
     _comp_entries_disk,
     _grlex_rank,
-    _stored_length,
+    _floor_cut,
     comp_matrix,
     comp_norm_bound,
     grlex_monomials,
@@ -188,10 +188,31 @@ _DISK_CASES = {
 }
 
 
+def _column_distance(got, expect):
+    # largest l2 distance of any column, the shorter array padded with zero rows
+    rows = max(len(got), len(expect))
+    pad = [np.pad(a, ((0, rows - len(a)), (0, 0))) for a in (got, expect)]
+    return float(np.max(np.sqrt(np.sum(np.abs(pad[0] - pad[1]) ** 2, axis=0))))
+
+
+def _assert_floor_cut(got, expect, start, coeffs, degree):
+    # a case whose powers fall below the floor: every column is within 1e-140
+    # in l2 of the uncut reference, and every stored power (the section
+    # before its norm correction) ends on a part of magnitude >= 2^-511
+    assert _column_distance(got, expect) <= 1e-140
+    powers = _comp_entries_disk(start, coeffs, np.ones(max(len(got), degree + 1)),
+                                degree)
+    parts = np.abs(powers.view(np.float64)).reshape(len(powers), degree + 1, -1)
+    for col in parts.max(axis=2).T:
+        last = np.flatnonzero(col)
+        assert not last.size or col[last[-1]] >= 2.0 ** -511
+
+
 @pytest.mark.parametrize("case", list(_DISK_CASES))
 def test_disk_composition_matches_dense_oracle(case):
     # the stored rows equal the dense assembly byte for byte, and every row
-    # left out is a trailing row of +0 entries there; a real symbol is
+    # left out is a trailing row of +0 entries there, unless the powers fall
+    # below the floor (the blaschke and underflow cases); a real symbol is
     # compared in float64, a complex one in complex128
     make, space, degree, trimmed = _DISK_CASES[case]
     b = make()
@@ -203,8 +224,12 @@ def test_disk_composition_matches_dense_oracle(case):
     assert sec.entries.dtype == dense.dtype
     assert np.array_equal(sec.rows, np.arange(len(sec.rows)))
     assert (len(sec.rows) < len(dense)) == trimmed
-    assert np.all(dense[len(sec.rows):] == 0)
-    assert _dense(sec).tobytes() == dense.tobytes()
+    if case.startswith(("blaschke", "underflow")):
+        _assert_floor_cut(sec.entries, dense, np.ones(1, dtype=coeffs.dtype), coeffs,
+                          degree)
+    else:
+        assert np.all(dense[len(sec.rows):] == 0)
+        assert _dense(sec).tobytes() == dense.tobytes()
 
 
 def _random_disk_case(seed, alpha):
@@ -232,7 +257,8 @@ _RECURRENCE_CASES = {
 
 @pytest.mark.parametrize("case", list(_RECURRENCE_CASES))
 def test_cut_power_recurrence_matches_the_uncut_loop(case):
-    # cutting each power before the next product changes no stored bit
+    # cutting each power before the next product changes no stored bit until
+    # a power falls below the floor, and then moves no column by 1e-140
     start, b, space, degree = _RECURRENCE_CASES[case]()
     coeffs = b.series.trimmed()
     if start.dtype == np.float64:
@@ -240,13 +266,27 @@ def test_cut_power_recurrence_matches_the_uncut_loop(case):
     norms = monomial_norms(space, degree * b.degree() + len(start))
     got = _comp_entries_disk(start, coeffs, norms, degree)
     expect = uncut_disk_entries(start, coeffs, norms, degree)
-    assert got.shape == expect.shape and got.dtype == start.dtype
-    assert got.tobytes() == expect.tobytes()
+    assert got.dtype == start.dtype
+    if case.startswith(("blaschke", "underflow")):
+        _assert_floor_cut(got, expect, start, coeffs, degree)
+    else:
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
     if case.startswith("underflow"):
-        assert got.shape == (108, 121)
+        # 0.001^51 >= 2^-511 > 0.001^52: the last 69 powers are empty
+        assert expect.shape == (108, 121) and got.shape == (52, 121)
     if case == "zero-weight":
         sec = weighted_comp_matrix(DiskPoly([0.0]), b, space, degree)
         assert sec.row_degree == degree * b.degree() and not sec.entries.any()
+
+
+def test_the_floor_bound_fails_at_a_coarse_floor(monkeypatch):
+    # at 2^-60 the cut drops parts near 1e-18, far past the 1e-140 bound
+    b, degree = blaschke_factor(0.5), 256
+    coeffs = b.series.trimmed().real.copy()
+    dense = disk_comp_dense(coeffs, H2, degree)
+    assert _column_distance(comp_matrix(b, H2, degree).entries, dense) <= 1e-140
+    monkeypatch.setattr(operators, "_FLOOR", 2.0 ** -60)
+    assert _column_distance(comp_matrix(b, H2, degree).entries, dense) > 1e-140
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -298,17 +338,28 @@ def test_weighted_comp_matrix_checks_its_weight():
             weighted_comp_matrix(f, b, space, 4)
 
 
-def test_stored_length_keeps_signed_zeros():
-    # a -0 part is stored, so the rows left out are +0 in the dense assembly
-    assert _stored_length(np.array([1.0, complex(-0.0, 0.0), 0.0, 0.0])) == 2
-    assert _stored_length(np.array([0.0, complex(0.0, -0.0)])) == 2
-    assert _stored_length(np.array([0.5, 0.0, 0.25j])) == 3
-    assert _stored_length(np.zeros(3, dtype=complex)) == 0
-    # float64 entries are read 8 bytes at a time, and a -0 entry counts too
-    assert _stored_length(np.array([1.0, -0.0, 0.0, 0.0])) == 2
-    assert _stored_length(np.array([0.0, 0.5])) == 2
-    assert _stored_length(np.array([-0.0])) == 1
-    assert _stored_length(np.zeros(3)) == 0
+def test_floor_cut_drops_signed_zeros_and_tiny_parts():
+    # the cut keeps through the last part of magnitude >= 2^-511, real or
+    # imaginary: a trailing -0 is cut like +0, and so is a trailing 1e-200
+    floor = 2.0 ** -511
+
+    def kept(v):
+        out = _floor_cut(np.array(v))
+        assert out.dtype == np.array(v).dtype
+        return out.size
+
+    assert kept([1.0, complex(-0.0, 0.0), 0.0, 0.0]) == 1
+    assert kept([1.0, complex(0.0, -0.0), 1e-200j]) == 1
+    assert kept([0.5, 0.0, 0.25j]) == 3
+    assert kept([0.5, 1e-300, complex(1e-200, floor)]) == 3
+    assert kept(np.zeros(3, dtype=complex)) == 0
+    # float64 entries are read 8 bytes at a time
+    assert kept([1.0, -0.0, 1e-200, 0.0]) == 1
+    assert kept([0.0, floor]) == 2
+    assert kept([0.0, -floor]) == 2
+    assert kept([0.0, np.nextafter(floor, 0.0)]) == 0
+    assert kept([-0.0]) == 0
+    assert kept([1.0, np.nan, 0.0]) == 2
 
 
 def _complex_route(f, b, space, degree):
@@ -348,14 +399,17 @@ def test_real_disk_data_gives_float64_sections():
 @pytest.mark.parametrize("name", ["tiny-imaginary", "complex-weight"])
 def test_complex_disk_data_keeps_the_complex_route(name):
     # any nonzero imaginary part, in b or in the weight alone, keeps the
-    # section complex128 and byte for byte the complex recurrence
+    # section complex128 and within the floor's bound of the complex
+    # recurrence
     f, b = {"tiny-imaginary": (None, SelfMapDisk(DiskPoly([0.25, 0.5, 1e-300j]))),
             "complex-weight": (DiskPoly([0.5, 0.25j]), blaschke_factor(0.5))}[name]
     space = SpaceSpec(1, 2.0)
     sec = _section_of(f, b, space, 32)
     expect = _complex_route(f, b, space, 32)
     assert sec.entries.dtype == np.complex128
-    assert sec.entries.tobytes() == expect.entries.tobytes()
+    # both symbols' powers fall below the floor, the imaginary 1e-300 at once
+    start = np.ones(1, dtype=complex) if f is None else f.trimmed()
+    _assert_floor_cut(sec.entries, expect.entries, start, b.series.trimmed(), 32)
 
 
 @pytest.mark.parametrize("alpha, degree", [(1.0, 128), (2.0, 96)])
@@ -410,11 +464,12 @@ def _bounded(sec):
 
 
 def test_hardy_bound_section_stays_small():
-    # hardy-bound's default section: 2364 of 11265 rows reached, 46 MB dense
+    # hardy-bound's default section: 1657 of 11265 rows reach the floor, 46 MB
+    # dense; its build and its bounds trace about 5.6 MiB at their peak
     b = blaschke_factor(0.5)
     sec, peak = traced_peak(lambda: _bounded(comp_matrix(b, H2, 256)))
-    assert sec.entries.shape == (2364, 257)
-    assert peak < 24 * 2**20
+    assert sec.entries.shape == (1657, 257)
+    assert peak < 8 * 2**20
 
 
 def test_comp_matrix_ball_product_map_columns():
