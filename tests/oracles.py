@@ -8,10 +8,9 @@ every row through the row degree, as a byte-level reference.
 full length, cutting only trailing +0 entries (``_stored_length``): the
 byte-level reference for sections whose parts never fall below
 ``operators._FLOOR``, and the reference the floor's drop is measured
-against otherwise.  ``weighted_disk_extended`` the weighted section convolved in extended
-precision.  The adjoint
-checks verify that section adjoints act on reproducing kernels as the theory
-says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
+against otherwise.  ``weighted_disk_extended`` is the weighted section
+convolved in extended precision.  The adjoint checks verify that section
+adjoints act on reproducing kernels as the theory says they must.  ``eval_kernel`` evaluates each kernel formula at one pair
 of points, apart from the stacked assembly the Gram matrices use.
 ``svd_trace`` takes the top singular value of every column prefix of a
 section with a full SVD, the route ``op_norm_lower`` replaced by a Gram and

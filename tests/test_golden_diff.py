@@ -119,8 +119,10 @@ def test_write_defaults_takes_a_seed_range(tmp_path, monkeypatch):
     labels = sorted(kernelcomp.cli.COMMANDS) + list(SAMPLER_CONFIGS)
     assert written.keys() == {f"{k}@{s}" for k in labels for s in (3, 4, 5)}
     assert written["summation-cubic@4"] == ["summation", 4]
-    for bad in (["--seeds", "5-3"], ["--seeds", "7"], ["--seeds", "1-2", "a", "b"]):
-        args = bad if len(bad) > 2 else ["--write-defaults", str(tmp_path)] + bad
+    out = str(tmp_path)
+    for args in (["--write-defaults", out, "--seeds", "5-3"],
+                 ["--write-defaults", out, "--seeds", "7"],
+                 ["--seeds", "1-2", out, out]):
         with pytest.raises(SystemExit) as exit_info:
             main(args)
         assert exit_info.value.code == 2
