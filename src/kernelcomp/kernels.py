@@ -142,14 +142,14 @@ class KernelSpec:
 
 
 def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    """Hermitized kernel values K(z_i, z_j) for point stacks (..., m, dim).
+    """Raw kernel values K(z_i, z_j) for point stacks (..., m, dim).
 
     The one place the kernel formulas live: ``gram`` passes a single (m, dim)
-    set, the witness screen a (trials, m, dim) stack.  At most two arrays of
-    the result's shape are alive at once: only the power, whose ``**`` has
-    scalar fast paths, is formed out of place.  A value that overflows (a
-    large alpha on points near the boundary) is refused, not passed on as
-    inf or NaN to the eigen-solver.
+    set and hermitizes it, the witness screen a (trials, m, dim) stack.  At
+    most two arrays of the result's shape are alive at once: only the power,
+    whose ``**`` has scalar fast paths, is formed out of place.  Values that
+    overflow, or whose hermitization would (a large alpha near the boundary;
+    no part above half the float range can), are refused, not passed on.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
@@ -169,10 +169,10 @@ def _kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
         if spec.b is not None and spec.alpha != 1.0:
             g = g ** int(spec.alpha) if spec.alpha.is_integer() \
                 else g ** spec.alpha
-        g += np.swapaxes(g.conj(), -1, -2)
-        g *= 0.5
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"{spec.kind} kernel values overflow on these points")
+        half, parts = np.finfo(float).max / 2, g.view(float)
+        if not (-half <= parts.min() and parts.max() <= half) and not np.all(
+                np.isfinite(g + np.swapaxes(g.conj(), -1, -2))):
+            raise ValueError(f"{spec.kind} kernel values overflow on these points")
     return g
 
 
@@ -183,7 +183,9 @@ def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
     if point_set.dim != spec.dim:
         raise DomainError("point set dimension does not match the kernel")
     _check_gram_bytes(len(point_set))
-    return _kernel_matrix(spec, point_set.points)
+    g = _kernel_matrix(spec, point_set.points)
+    g += g.conj().T
+    return np.multiply(g, 0.5, out=g)
 
 
 def _check_gram_bytes(m: int) -> None:
@@ -275,11 +277,20 @@ def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
     the point is uniform on the ball (L. Devroye, Non-Uniform Random Variate
     Generation, Springer, 1986, ch. V).  None is rejected; in dim 1 the one
     spacing is the uniform itself.  ``sample_point_set`` and the witness
-    search both build theirs here."""
+    search both build theirs here, consuming ``u``: dim odd-even phases of
+    min/max compare-exchanges (Knuth, TAOCP Vol. 3, 5.3.4) sort it in place,
+    as np.sort does bit for bit, and the spacings replace it, last first."""
     dim = u.shape[-1] // 2
-    theta = 2.0 * np.pi * u[..., :dim]
-    rad = radius * np.sqrt(np.diff(np.sort(u[..., dim:]), prepend=0.0))
-    return rad * np.exp(1j * theta)
+    x = u[..., dim:]
+    for p in range(dim):
+        lo, hi = x[..., p % 2:dim - 1:2], x[..., p % 2 + 1::2]
+        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    for k in range(dim - 1, 0, -1):
+        x[..., k] -= x[..., k - 1]
+    z = 1j * np.multiply(u[..., :dim], 2.0 * np.pi, out=u[..., :dim])
+    np.exp(z, out=z)
+    z *= np.multiply(np.sqrt(x, out=x), radius, out=x)
+    return z
 
 
 def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
@@ -295,10 +306,9 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     A set whose draw needs more than MAX_SECTION_BYTES is refused before
     anything is drawn.
     """
-    # per coordinate 2 uniforms, an angle and a radius (8 bytes each), the
-    # exponential, the point and the product's cast buffer (16 bytes each);
-    # 8 KiB for the arrays' headers and numpy's small temporaries
-    _check_bytes(80 * count * dim + 8192, f"drawing {count} points in dim {dim}")
+    # per coordinate 3 x 16 bytes (2 uniforms, the point and a cast buffer, or
+    # the point and its norm's conjugate and product), 8 KiB for small arrays
+    _check_bytes(48 * count * dim + 8192, f"drawing {count} points in dim {dim}")
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
     return PointSet(_candidates(rng.random((count, 2 * dim)), radius))
@@ -332,8 +342,8 @@ _CHUNK_VALUES = 1 << 21
 
 
 def _uncleared(g: np.ndarray) -> np.ndarray:
-    """Mask of the C-contiguous Hermitian stack ``g`` not cleared by
-    ``_screen``'s shifted Cholesky rule; ``g`` is shifted in place, once."""
+    """Mask of the C-contiguous stack ``g`` of raw kernel values not cleared
+    by ``_screen``'s shifted Cholesky rule; ``g`` is shifted in place, once."""
     m = g.shape[-1]
     eps = float(np.finfo(float).eps)
     diag = g.reshape(-1, m * m)[:, ::m + 1]  # a view of the diagonals
@@ -358,13 +368,15 @@ def _refused(a: np.ndarray) -> np.ndarray:
 def _screen(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """The sets of the (trials, m, dim) stack ``pts`` not cleared, in order.
 
-    A Gram G is cleared iff Cholesky of A = fl(G + s I) succeeds and its
-    backward error gamma_{m+1} tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5, u = eps for
-    complex arithmetic) plus eps max_i A_ii fits in s = tol_lo / 4, where
-    tol_lo = TOL_SCALE * m * eps * max_i G_ii <= tol: then lambda_min(G) >=
-    -2 s >= -tol / 2, and the bound fits for m <= 23.  Every set is
-    returned, unscreened, when one Gram passes _CHUNK_VALUES.
+    Cholesky reads only the raw values' real diagonal and lower triangle,
+    whose Hermitian H is a few ulps from ``gram``'s G.  H is cleared iff
+    Cholesky of A = fl(H + s I) succeeds and its backward error gamma_{m+1}
+    tr(A) / (1 - gamma_{m+1}) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.5, u = eps for complex arithmetic) plus eps
+    max_i A_ii fits in s = tol_lo / 4, tol_lo = TOL_SCALE * m * eps * max_i
+    G_ii <= tol: then lambda_min(H) >= -2 s >= -tol / 2 (for m <= 23), and
+    ||G - H|| is far inside the other tol / 2.  Every set is returned,
+    unscreened, when one Gram passes _CHUNK_VALUES.
     """
     if pts.shape[1] ** 2 > _CHUNK_VALUES:
         return pts
@@ -380,11 +392,11 @@ def find_negative_witness(spec: KernelSpec, *, seed, radius: float,
     t * set_size * 2 * dim, in chunks of 1, 2, 4, ... trials, doubling up
     to 1024, so a witness at an early trial is found without screening a
     full chunk past it.  ``_screen`` clears a set only when a shifted
-    Cholesky proves lambda_min >= -tol / 2 for its Gram, which differs from
-    ``gram``'s by a few ulps, far below the other tol / 2; ``check_psd``
-    decides the rest, in order, on the screen's own points.  Returns the
-    first NEGATIVE certificate, as a one-at-a-time search would, or None at
-    the budget's end.  A budget or set_size that is not an integer, a
+    Cholesky of its raw kernel values proves lambda_min >= -tol / 2 for a
+    matrix a few ulps from ``gram``'s, far below the other tol / 2;
+    ``check_psd`` decides the rest, in order, on the screen's own points.
+    Returns the first NEGATIVE certificate, as a one-at-a-time search would,
+    or None at the budget's end.  A non-integer budget or set_size, a
     negative budget, an empty set, a radius outside (0, 1) or a set whose
     Gram passes MAX_SECTION_BYTES raises ValueError before anything is drawn.
     """

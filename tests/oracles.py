@@ -26,9 +26,11 @@ defect pseudoinverse, a route independent of the node Gram in
 ``hb_norm_combo``.  ``eigh_check_psd`` is the positivity verdict that
 solved every Gram with eigenvectors, the byte-level reference for
 ``check_psd``'s NEGATIVE certificates.  ``out_of_place_kernel_matrix``
-and ``copying_uncleared`` are the Gram assembly and the screen's Cholesky
-rule as they were when each step allocated a fresh array, the byte-level
-references for the in-place builders.  ``traced_peak`` runs a call under
+and ``copying_uncleared`` are the kernel-value assembly and the screen's
+Cholesky rule as they were when each step allocated a fresh array, the
+byte-level references for the in-place builders.  ``sorted_spacing_candidates``
+draws the search's points with ``np.sort`` and ``np.diff``, the byte-level
+reference for the in-place compare-exchange draw.  ``traced_peak`` runs a call under
 ``tracemalloc`` and returns its result with the peak bytes traced.
 ``svd_row_mult_norm`` takes each row point's multiplier bound from a full
 SVD of the assembled row section, the route ``ball.row_mult_norm`` replaced
@@ -374,7 +376,8 @@ def eigh_check_psd(spec: KernelSpec, point_set) -> PositivityCertificate:
 
 def out_of_place_kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """``kernels._kernel_matrix`` as it was with a fresh array per step: up to
-    four arrays of the result's shape alive at once."""
+    four arrays of the result's shape alive at once.  The raw values, refused
+    when their hermitization 0.5 (g + g^H), ``gram``'s Gram, overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         den = 1.0 - pts @ np.swapaxes(pts.conj(), -1, -2)
         if spec.kind in ("szego", "bergman", "ball"):
@@ -388,10 +391,20 @@ def out_of_place_kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
         if spec.kind in ("dbr_power", "ball_map") and spec.alpha != 1.0:
             g = g ** int(spec.alpha) if spec.alpha == int(spec.alpha) \
                 else g ** spec.alpha
-        g = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
-    if not np.all(np.isfinite(g)):
+        h = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+    if not np.all(np.isfinite(h)):
         raise ValueError(f"{spec.kind} kernel values overflow on these points")
     return g
+
+
+def sorted_spacing_candidates(u: np.ndarray, radius: float) -> np.ndarray:
+    """``kernels._candidates`` as it was with ``np.sort`` of the radius
+    uniforms and ``np.diff(..., prepend=0.0)`` of their spacings; ``u`` is
+    left as it was."""
+    dim = u.shape[-1] // 2
+    theta = 2.0 * np.pi * u[..., :dim]
+    rad = radius * np.sqrt(np.diff(np.sort(u[..., dim:]), prepend=0.0))
+    return rad * np.exp(1j * theta)
 
 
 def copying_uncleared(g: np.ndarray) -> np.ndarray:

@@ -383,6 +383,10 @@ def test_random_ball_row_contraction_coordinate_sections():
     ({"dim": 0}, "dim must be at least 1"),
     ({"dim": -1}, "dim must be at least 1"),
     ({"coord_degree": -1}, "coord_degree must be nonnegative"),
+], ids=[  # fixed: a message's wording can change without renaming its test
+    "kwargs0-dim must be at least 1",
+    "kwargs1-dim must be at least 1",
+    "kwargs2-coord_degree must be nonnegative",
 ])
 def test_random_ball_row_contraction_rejects_bad_shape(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -609,6 +609,28 @@ _MAP_COORDS = [{"dim": 2, "terms": [[[1, 1], [0.5, 0.0]]]},
       "b": {"dim": 1, "coords": [{"dim": 1, "terms": [[[1], [0.5, 0.0]],
                                                       [[1], [0.3, 0.0]]]}]}},
      "multi-index [1] appears more than once"),
+], ids=[  # fixed: a message's wording can change without renaming its test
+    "spec0-monomial degree must be an integer, got 2.7",
+    "spec1-monomial degree must be an integer, got True",
+    "spec2-ball dim must be an integer, got 2.9",
+    "spec3-ball dim must be an integer, got True",
+    "spec4-dbr_power alpha must be an integer, got 2.5",
+    "spec5-ball map dim must be an integer, got 2.0",
+    "spec6-polynomial dim must be an integer, got 2.0",
+    "spec7-must hold 2 nonnegative integers, got [1.5, 1]",
+    "spec8-must hold 2 nonnegative integers, got [1, False]",
+    "spec9-must hold 2 nonnegative integers, got 1",
+    "spec10-exponents must be below 2**63",
+    "spec11-polynomial coefficient must be a finite number, got True",
+    "spec12-polynomial coefficient must be a finite number, got '2'",
+    "spec13-taylor coefficients must be a list",
+    "spec14-bergman alpha must be a finite number, got False",
+    "spec15-ball alpha must be a finite number, got '2'",
+    "spec16-ball_map alpha must be a finite number, got True",
+    "spec17-blaschke tail_tol must be a finite number, got True",
+    "spec18-blaschke tail_tol must be a finite number, got '2'",
+    "spec19-multi-index [1, 1] appears more than once",
+    "spec20-multi-index [1] appears more than once",
 ])
 def test_nested_spec_values_must_be_integers(tmp_path, capsys, spec, message):
     with pytest.raises(ConfigError) as err:

@@ -78,12 +78,12 @@ def test_combo_norm_takes_its_verdict_from_check_psd(monkeypatch):
 
 
 def test_combo_norm_builds_its_node_gram_once(monkeypatch):
-    # check_psd's Gram is the one cᴴGc is taken on: one kernel matrix per
-    # norm, and the value of a second, separately built Gram bit for bit
+    # check_psd's Gram is the one cᴴGc is taken on: one Gram per norm, and
+    # the value of a second, separately built Gram bit for bit
     import kernelcomp.kernels as kernels
 
-    calls, build = [], kernels._kernel_matrix
-    monkeypatch.setattr(kernels, "_kernel_matrix",
+    calls, build = [], kernels.gram
+    monkeypatch.setattr(kernels, "gram",
                         lambda spec, pts: calls.append(len(pts)) or build(spec, pts))
     rng = np.random.default_rng(7)
     for alpha in (1, 2, 3):
@@ -92,7 +92,7 @@ def test_combo_norm_builds_its_node_gram_once(monkeypatch):
         combo = KernelCombo(b, alpha, nodes, rng.standard_normal(5) + 1j)
         got = hb_norm_combo(combo)
         assert calls == [len(combo.nodes)]
-        g = build(combo.spec(), combo.nodes.points)
+        g = build(combo.spec(), combo.nodes)
         q = float(np.real(np.vdot(combo.coeffs, g @ combo.coeffs)))
         assert np.float64(got).tobytes() == np.float64(math.sqrt(max(q, 0.0))).tobytes()
         calls.clear()

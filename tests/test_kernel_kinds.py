@@ -80,6 +80,20 @@ _MAP = BallMap([BallPoly(2, {(1, 1): 0.5}), BallPoly(2, {})])
     (("dbr_power", 2.5), {"b": _DISK}, "dbr_power is restricted to integer alpha"),
     (("bergman", 0.5), {}, "alpha must be at least 1"),
     ((["dbr"],), {}, "unknown kernel kind ['dbr']"),
+], ids=[  # fixed: a message's wording can change without renaming its test
+    "args0-kwargs0-dbr fixes alpha = 1",
+    "args1-kwargs1-szego takes no symbol",
+    "args2-kwargs2-ball takes no symbol",
+    "args3-kwargs3-dbr takes a SelfMapDisk",
+    "args4-kwargs4-ball_map takes a BallMap",
+    "args5-kwargs5-ball_map has dim 2, not 3",
+    "args6-kwargs6-bergman has dim 1, not 2",
+    "args7-kwargs7-ball dim must be at least 1, got 0",
+    "args8-kwargs8-ball dim must be at least 1, got 2.0",
+    "args9-kwargs9-ball dim must be at least 1, got None",
+    "args10-kwargs10-dbr_power is restricted to integer alpha",
+    "args11-kwargs11-alpha must be at least 1",
+    "args12-kwargs12-unknown kernel kind ['dbr']",
 ])
 def test_a_spec_that_breaks_its_kind_is_refused(args, kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -107,6 +121,16 @@ def test_a_spec_keeps_alpha_as_a_float_and_the_dim_of_its_kind():
     ({"kind": "dbr_power", "b": _DISK_JSON}, "dbr_power spec is missing keys ['alpha']"),
     ({"kind": "dbr", "b": _MAP_JSON}, "symbol must be an object with a 'type' key"),
     ({"kind": ["dbr"]}, "unknown kernel kind ['dbr']"),
+], ids=[  # fixed: a message's wording can change without renaming its test
+    "spec0-ball dim must be at least 1, got 0",
+    "spec1-ball dim must be at least 1, got -2",
+    "spec2-dbr spec has unknown keys ['alpha']",
+    "spec3-szego spec has unknown keys ['b']",
+    "spec4-ball spec has unknown keys ['b']",
+    "spec5-ball_map spec has unknown keys ['dim']",
+    "spec6-dbr_power spec is missing keys ['alpha']",
+    "spec7-symbol must be an object with a 'type' key",
+    "spec8-unknown kernel kind ['dbr']",
 ])
 def test_a_refused_spec_exits_two_before_any_gram(tmp_path, capsys, monkeypatch,
                                                   spec, message):

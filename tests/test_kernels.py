@@ -31,6 +31,7 @@ from oracles import (
     eigh_check_psd,
     eval_kernel,
     out_of_place_kernel_matrix,
+    sorted_spacing_candidates,
     traced_peak,
 )
 from test_default_digests import SAMPLER_CONFIGS, SEEDS
@@ -315,6 +316,52 @@ def test_overflowing_kernel_values_are_refused():
                               radius=0.95, set_size=8, budget=3)
 
 
+def test_values_whose_hermitization_overflows_are_refused():
+    # at z = 1/2 the Bergman value (3/4) ** -2466 = 1.26e308 is finite, but
+    # its hermitized diagonal (g + conj(g)) / 2 overflows, so gram refuses
+    # it and the screen refuses a stack holding it; (3/4) ** -2462 = 3.97e307
+    # is below half the float range, and both pass it
+    pts = PointSet([0.5])
+    stack = np.stack([0.2 * pts.points, pts.points])
+    half = np.finfo(float).max / 2
+    for alpha, refused in ((2466.0, True), (2462.0, False)):
+        spec = KernelSpec("bergman", alpha)
+        assert (0.75 ** -alpha > half) == refused and math.isfinite(0.75 ** -alpha)
+        if refused:
+            for call in (lambda: gram(spec, pts), lambda: kernels._screen(spec, stack)):
+                with pytest.raises(ValueError, match="bergman kernel values overflow"):
+                    call()
+        else:
+            assert np.isfinite(gram(spec, pts)).all()
+            kernels._screen(spec, stack)
+
+
+def test_an_overflowing_chunk_is_refused_before_its_negative_trial(monkeypatch):
+    # at alpha 24 the map kernel is NEGATIVE on trial 0 of seed 0's 12-point
+    # sets (lambda_min -3.9e5) and overflows at the point (1 - 1e-14, 0).
+    # Planted as trials 1 and 2, behind a trial near zero, they share the
+    # search's second chunk, which is refused before check_psd decides
+    # trial 1, so no certificate returns
+    spec = _br_spec(1.0, alpha=24.0)
+    negative = _stack(0, 1, 12)[0]
+    assert check_psd(spec, PointSet(negative)).verdict == NEGATIVE
+    overflowing = negative.copy()
+    overflowing[0] = [1.0 - 1e-14, 0.0]
+    trials = np.stack([0.1 * negative, negative, overflowing])
+    drawn = []
+
+    def canned(u, radius):
+        drawn.append(len(u))
+        return trials[sum(drawn) - len(u):sum(drawn)]
+
+    monkeypatch.setattr(kernels, "_candidates", canned)
+    decided = _spy(monkeypatch, "check_psd", lambda spec, pts: pts.points.tobytes())
+    with pytest.raises(ValueError, match="ball_map kernel values overflow"):
+        find_negative_witness(spec, seed=0, radius=0.95, set_size=12, budget=3)
+    assert drawn == [1, 2]
+    assert negative.tobytes() not in decided
+
+
 def test_seed_tuple_normalization():
     assert seed_tuple(5) == (5,)
     assert seed_tuple((2, 3)) == (2, 3)
@@ -489,14 +536,17 @@ _IN_PLACE_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(_IN_PLACE_SPECS))
 def test_in_place_kernel_matrix_matches_the_out_of_place_one(name):
-    # a 40-point set as gram passes it, and a 16 x 8 stack as the screen does
+    # a 40-point set as gram passes it, and a 16 x 8 stack as the screen
+    # does: the raw values, and gram's Gram their hermitization
     spec = _IN_PLACE_SPECS[name]
     rng = np.random.default_rng(40)
-    single = sample_point_set(rng, spec.dim, 0.95, 40).points
+    single = sample_point_set(rng, spec.dim, 0.95, 40)
     stack = kernels._candidates(rng.random((16, 8, 2 * spec.dim)), 0.95)
-    for pts in (single, stack):
+    for pts in (single.points, stack):
         assert kernels._kernel_matrix(spec, pts).tobytes() == \
             out_of_place_kernel_matrix(spec, pts).tobytes()
+    raw = out_of_place_kernel_matrix(spec, single.points)
+    assert gram(spec, single).tobytes() == (0.5 * (raw + raw.conj().T)).tobytes()
 
 
 def test_in_place_kernel_matrix_still_refuses_overflow():
@@ -568,6 +618,23 @@ def test_candidates_are_uniform_on_the_ball(dim):
     assert np.all(np.linalg.norm(z, axis=1) < radius * (1 + 4 * eps * dim))
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("rows", [40, 8192])
+def test_compare_exchange_draw_matches_the_sorted_spacings(dim, rows):
+    # random uniforms, uniforms with ties (quarters) and uniforms with exact
+    # zeros, also in the angles: every point bit for bit as np.sort and
+    # np.diff make it
+    rng = np.random.default_rng((dim, rows))
+    u = rng.random((rows, 2 * dim))
+    ties = np.floor(4.0 * u) / 4.0
+    zeros = np.where(rng.random(u.shape) < 0.3, 0.0, u)
+    assert (zeros[:, dim:] == 0.0).any()
+    assert dim == 1 or (np.diff(np.sort(ties[:, dim:]), axis=-1) == 0.0).any()
+    for v in (u, ties, zeros, u.reshape(rows // 8, 8, 2 * dim)):
+        expect = sorted_spacing_candidates(v, 0.95)
+        assert kernels._candidates(v.copy(), 0.95).tobytes() == expect.tobytes()
+
+
 def test_candidates_in_dim_1_keep_the_disk_arithmetic():
     u = np.random.default_rng(42).random((1000, 2))
     expect = 0.7 * np.sqrt(u[:, 1:]) * np.exp(1j * (2.0 * np.pi * u[:, :1]))
@@ -576,8 +643,8 @@ def test_candidates_in_dim_1_keep_the_disk_arithmetic():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_point_draw_stays_within_the_bytes_it_checks(monkeypatch, dim):
-    # 1000 points build every array out of place; at 1e5 numpy reuses the
-    # exponential's buffer for the product
+    # at 1000 points numpy's cast buffer in the draw is as large as the
+    # points; at 1e5 it stops at 8192 values, and the peak is PointSet's norm
     checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
     for count in (1000, 100_000):
         rng = np.random.default_rng(dim)
@@ -785,6 +852,26 @@ def test_screen_with_a_planted_cholesky_failure_keeps_the_copying_mask(monkeypat
     for rule in (kernels._uncleared, copying_uncleared):
         monkeypatch.setattr(kernels, "_uncleared", rule)
         assert kernels._screen(spec, pts).tobytes() == pts[5:6].tobytes()
+
+
+def test_screen_reads_only_the_lower_triangle_and_the_real_diagonal(monkeypatch):
+    # the raw stack of 64 trials, some cleared and some not: other finite
+    # values in every strict upper triangle and diagonal imaginary part
+    # leave the mask, and the sets the screen keeps, as they were
+    spec, m = _br_spec(0.8), 8
+    pts = _stack(6, 64, m)
+    raw = kernels._kernel_matrix(spec, pts)
+    expect = kernels._uncleared(raw.copy())
+    assert expect.any() and not expect.all()
+    rng = np.random.default_rng(64)
+    planted = raw.copy()
+    upper = np.triu_indices(m, 1)
+    planted[:, upper[0], upper[1]] = 1e3 * (rng.standard_normal((64, len(upper[0])))
+                                            + 1j * rng.standard_normal((64, len(upper[0]))))
+    planted[:, range(m), range(m)] += 1j * rng.standard_normal((64, m))
+    assert kernels._uncleared(planted.copy()).tolist() == expect.tolist()
+    monkeypatch.setattr(kernels, "_kernel_matrix", lambda spec, pts: planted.copy())
+    assert kernels._screen(spec, pts).tobytes() == pts[expect].tobytes()
 
 
 def test_screen_chunk_holds_its_gram_stack_and_the_factor():
