@@ -60,8 +60,9 @@ def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
     wv = np.asarray(ws, dtype=complex)
     if wv.ndim != 2 or wv.shape[1] != b.dim:
         raise ValueError("ws must hold one row of b.dim coordinates per point")
-    if np.any(np.linalg.norm(wv, axis=1) >= 1.0):
-        raise ValueError("every point must lie strictly inside the ball")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+        if not np.all(np.linalg.norm(wv, axis=1) < 1.0):
+            raise ValueError("every point must lie strictly inside the ball")
     if len(coord_sections) != len(b.coords):
         raise ValueError("coord_sections must hold one section per coordinate")
     (rows, n), d, count = coord_sections[0].entries.shape, len(b.coords), len(wv)
@@ -89,15 +90,10 @@ def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
     return lower, bounds
 
 
-def _grlex_exps(dim: int, top: int) -> np.ndarray:
-    """``grlex_monomials(dim, top)`` as an (n, dim) array."""
-    return np.array(grlex_monomials(dim, top))
-
-
 def _shifted_ranks(shifts: np.ndarray, dim: int, top: int) -> np.ndarray:
     """Gather of (t Q)_m = sum_j tau_j Q[m - a_j] over t's terms tau_j z^(a_j):
     the rank of m less each shift a_j, or -1 (Q's zero slot) outside N^dim."""
-    shifted = _grlex_exps(dim, top) - shifts[:, None, :]
+    shifted = grlex_monomials(dim, top) - shifts[:, None, :]
     return np.where(np.all(shifted >= 0, axis=-1), _grlex_rank(shifted), -1)
 
 
@@ -141,15 +137,14 @@ def inv_kernel_mult_norm(b: BallMap, alpha: float, col_degree: int) -> tuple:
     alpha = float(alpha)
     space, top = SpaceSpec(b.dim, alpha), 3 * col_degree
     _check_section_size(b.dim, top, col_degree)
-    exps = _plan(_grlex_exps, b.dim, top)
     try:
         with np.errstate(over="raise", invalid="raise"):
             upper = (1.0 - float(np.linalg.norm(b.center))) ** (-alpha)
             weight = _inv_kernel_weight(b, alpha, top)
             if not np.all(np.isfinite(weight)):
                 raise OverflowError
-            section = mult_matrix(BallPoly._of(b.dim, exps, weight), space,
-                                  col_degree, row_degree=top)
+            f = BallPoly._of(b.dim, grlex_monomials(b.dim, top), weight)
+            section = mult_matrix(f, space, col_degree, row_degree=top)
             lower = op_norm_lower(section, trace_degrees=[col_degree]).lower
     except (OverflowError, FloatingPointError):
         raise ValueError(f"the inverse-kernel weight passes float range at "

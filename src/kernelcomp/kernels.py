@@ -40,7 +40,7 @@ TOL_SCALE = 100.0
 
 
 class DomainError(ValueError):
-    """Points outside the open unit ball (or disk)."""
+    """Points whose modulus is not < 1, or whose dimension is not the kernel's."""
 
 
 class PointSet:
@@ -60,8 +60,9 @@ class PointSet:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("points must form a nonempty (m, dim) array")
-        radii = np.linalg.norm(arr, axis=1)
-        if np.any(radii >= 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+            radii = np.linalg.norm(arr, axis=1)
+        if not np.all(radii < 1.0):
             raise DomainError(f"max |point| = {float(np.max(radii)):.6g}; need < 1")
         self.points = arr
 

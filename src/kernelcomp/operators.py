@@ -69,26 +69,6 @@ class SpaceSpec:
             raise ValueError("alpha must be at least 1")
 
 
-@lru_cache(maxsize=None)
-def _degree_block(total: int, dim: int) -> tuple:
-    if dim == 1:
-        return ((total,),)
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _degree_block(total - first, dim - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def grlex_monomials(dim: int, max_degree: int) -> tuple:
-    """Multi-indices of total degree <= max_degree, graded lexicographic."""
-    out = []
-    for total in range(max_degree + 1):
-        out.extend(_degree_block(total, dim))
-    return tuple(out)
-
-
 def _monomial_count(dim: int, max_degree: int) -> int:
     return math.comb(max_degree + dim, dim)
 
@@ -102,7 +82,7 @@ def _binom(n: np.ndarray, k: int) -> np.ndarray:
 
 
 def _grlex_rank(exps) -> np.ndarray:
-    """Position of each multi-index (last axis) in ``grlex_monomials`` order.
+    """Graded-lex rank of each multi-index (last axis), the one definition of the order.
 
     The C(k - 1 + d, d) monomials of lower degree come first; within degree
     k, coordinate i with r_i of the degree left to place passes over the
@@ -117,16 +97,30 @@ def _grlex_rank(exps) -> np.ndarray:
     return rank + _binom(left - 1 + d, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def grlex_monomials(dim: int, max_degree: int) -> np.ndarray:
+    """Multi-indices of total degree <= max_degree: a shared, read-only (n, dim)
+    int64 array, row i of grlex rank i; the 64 most recently used are kept."""
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dim):  # extend each multi-index by each exponent it has room for
+        room = np.arange(max_degree + 1) <= max_degree - exps.sum(axis=1)[:, None]
+        prev, last = np.nonzero(room)
+        exps = np.column_stack([exps[prev], last])
+    exps[_grlex_rank(exps)] = exps  # each row to its rank
+    exps.flags.writeable = False
+    return exps
+
+
+@lru_cache(maxsize=64)
 def monomial_norms(space: SpaceSpec, max_degree: int) -> np.ndarray:
-    """Norms of the monomials z^m, aligned with ``grlex_monomials``.
+    """Norms of the monomials z^m, one per row of ``grlex_monomials``.
 
     ||z^m||^2 = m! / rising(alpha, |m|) with rising(a, k) = a (a + 1) ... (a + k - 1);
     evaluated through log-gamma so large degrees neither overflow nor lose
     the exact value 1 when alpha = 1.  Each (space, max_degree) is computed
-    once, and every caller shares the one read-only array.
+    once and shared read-only; the 64 most recently used are kept.
     """
-    mons = grlex_monomials(space.dim, max_degree)
+    mons = grlex_monomials(space.dim, max_degree).tolist()
     lg_alpha = math.lgamma(space.alpha)
     out = np.empty(len(mons))
     for i, m in enumerate(mons):
@@ -269,7 +263,7 @@ def _comp_plan(dim: int, col_degree: int, start_exps, *factor_exps) -> tuple:
     them, exact zeros kept.  Per degree, its terms' (column, exps...) rows come
     from the products coefs[left] * (b's coefficients)[right] summed by target
     (``_sum_terms``); then the rows kept, each term's slot, rank and column."""
-    mons = np.array(grlex_monomials(dim, col_degree)).reshape(-1, dim)
+    mons = grlex_monomials(dim, col_degree)
     # column p is the parent of p + e_i for each i up to its first p_i > 0
     lead = np.where(mons.any(axis=1), np.argmax(mons > 0, axis=1), dim - 1)
     exps = np.concatenate(factor_exps)
@@ -294,7 +288,7 @@ def _comp_plan(dim: int, col_degree: int, start_exps, *factor_exps) -> tuple:
 
 
 def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
-    """Section of g -> f * (g o b), or of g -> g o b when f is None."""
+    """Section of g -> f * (g o b)."""
     if isinstance(b, SelfMapDisk):
         if space.dim != 1:
             raise ValueError("a disk symbol needs a dim-1 space")
@@ -303,26 +297,25 @@ def _section(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
     elif space.dim != b.dim:
         raise ValueError("map and space dimensions must match")
     kind = DiskPoly if isinstance(b, SelfMapDisk) else BallPoly
-    if f is not None and (type(f) is not kind or getattr(f, "dim", 1) != space.dim):
+    if type(f) is not kind or getattr(f, "dim", 1) != space.dim:
         raise TypeError(f"the weight must be a {kind.__name__} in dim {space.dim}")
 
-    row_degree = col_degree * b.degree() + (0 if f is None else f.degree())
+    row_degree = col_degree * b.degree() + f.degree()
     # the limit is the dense section's, so stored rows never decide it
     _, ncols = _check_section_size(space.dim, row_degree, col_degree)
     norms = monomial_norms(space, max(row_degree, col_degree))
 
     if isinstance(b, SelfMapDisk):
-        start = np.ones(1, dtype=complex) if f is None else f.trimmed()
+        start = f.trimmed()
         coeffs = b.series.trimmed()
         if not (start.imag.any() or coeffs.imag.any()):  # -0.0 counts as zero
             start, coeffs = start.real.copy(), coeffs.real.copy()
         entries = _comp_entries_disk(start, coeffs, norms, col_degree)
         rows = np.arange(len(entries))
     else:
-        start = BallPoly(b.dim, {(0,) * b.dim: 1.0}) if f is None else f
         steps, rows, slots, ranks, cols = _plan(
-            _comp_plan, b.dim, col_degree, start.exps, *(c.exps for c in b.coords))
-        factors, coefs = np.concatenate([c.coefs for c in b.coords]), [start.coefs]
+            _comp_plan, b.dim, col_degree, f.exps, *(c.exps for c in b.coords))
+        factors, coefs = np.concatenate([c.coefs for c in b.coords]), [f.coefs]
         for left, right, target, count in steps:  # each map's values, in plan order
             prods = _cmul(coefs[-1][left], factors[right])
             coefs.append(_sum_terms(target, prods, count))
@@ -336,7 +329,8 @@ def comp_matrix(b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
     coordinate powers b^(m_j) through row degree col_degree * deg(b), so a
     constant symbol c gets one row, c^(m_j) ||1|| / ||z^(m_j)||.  A disk
     symbol with real coefficients gives a float64 section."""
-    return _section(None, b, space, col_degree)
+    one = BallPoly(b.dim, {(0,) * b.dim: 1}) if isinstance(b, BallMap) else DiskPoly([1])
+    return _section(one, b, space, col_degree)
 
 
 def weighted_comp_matrix(f, b, space: SpaceSpec, col_degree: int) -> SectionMatrix:
@@ -349,7 +343,7 @@ def weighted_comp_matrix(f, b, space: SpaceSpec, col_degree: int) -> SectionMatr
 def _mult_plan(exps: np.ndarray, dim: int, col_degree: int, row_degree: int):
     """``mult_matrix``'s pairs as runs of (terms, columns, row ranks): a tuple
     if they fit _PLAN_BYTES at 24 bytes a pair, else an iterator of runs."""
-    col_exps = np.array(grlex_monomials(dim, col_degree))
+    col_exps = grlex_monomials(dim, col_degree)
     # term t pairs with the columns of degree <= row_degree - deg(t), a prefix;
     # runs of terms with about _PAIR_BLOCK pairs bound the pairs' temporaries
     span = np.searchsorted(col_exps.sum(axis=1), row_degree - exps.sum(axis=1),

@@ -75,15 +75,10 @@ def random_ball_row_contraction(rng: np.random.Generator, dim: int,
     if not 0.0 < row_target < 1.0:
         raise ValueError("row_target must lie strictly between 0 and 1")
     mons = grlex_monomials(dim, coord_degree)
-    coords = []
-    sums = []
-    for _ in range(dim):
-        terms = {}
-        for m in mons:
-            terms[m] = complex(rng.standard_normal(), rng.standard_normal())
-        p = BallPoly(dim, terms)
-        coords.append(p)
-        sums.append(sum(abs(c) for c in p.terms.values()))
+    # coordinate by coordinate, each coefficient's real then imaginary part
+    draws = rng.standard_normal((dim, len(mons), 2)).view(complex)[..., 0]
+    coords = [BallPoly._of(dim, mons, row) for row in draws]
+    sums = [sum(abs(c) for c in p.coefs.tolist()) for p in coords]
     total = float(np.linalg.norm(sums))
     scale = row_target / total
     return BallMap([scale * p for p in coords])

@@ -194,7 +194,7 @@ def weighted_disk_extended(f: DiskPoly, b: SelfMapDisk, space: SpaceSpec,
 def _kernel_coeff_vector(space: SpaceSpec, max_degree: int, w) -> np.ndarray:
     """Coefficients of the reproducing kernel at w against the normalized
     monomials: conj(w^m) / ||z^m||, truncated at max_degree."""
-    mons = grlex_monomials(space.dim, max_degree)
+    mons = grlex_monomials(space.dim, max_degree).tolist()
     norms = monomial_norms(space, max_degree)
     wv = np.atleast_1d(np.asarray(w, dtype=complex))
     if wv.size != space.dim:

@@ -58,8 +58,11 @@ def test_row_mult_norm_rejects_outside_point():
         row_mult_norm(b, [[1.2]], coord_mult_sections(b, 1.0, 8))
 
 
-@pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, -1.0j], [0.9, 0.9]],
-                         ids=["on-real", "on-imag", "outside"])
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, -1.0j], [0.9, 0.9],
+                                 [np.nan, 0.0], [0.0, complex(0.0, np.nan)],
+                                 [np.inf, 0.1], [0.1, -np.inf]],
+                         ids=["on-real", "on-imag", "outside", "nan",
+                              "nan-imag", "inf", "minus-inf"])
 def test_row_mult_norm_rejects_a_batch_with_one_point_off_the_ball(bad):
     b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
     ws = np.array([[0.1, 0.2], bad, [0.3, -0.1]])
@@ -156,7 +159,8 @@ def test_inv_kernel_weight_coefficients_match_exact_arithmetic():
         b = random_ball_row_contraction(substream(seed, 0), 2, 2, 0.9)
         for alpha, n in ((1, 8), (2, 8), (400, 2)):
             exact = exact_inv_kernel_weight(b, alpha, 3 * n)
-            want = np.array([exact.get(m, 0.0) for m in grlex_monomials(2, 3 * n)])
+            want = np.array([exact.get(m, 0.0)
+                             for m in map(tuple, grlex_monomials(2, 3 * n).tolist())])
             got = ball._inv_kernel_weight(b, float(alpha), 3 * n)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -177,22 +181,21 @@ def test_inv_kernel_gather_is_one_plan_per_support(monkeypatch):
 
 
 def test_inv_kernel_exponents_are_one_plan_per_degree(monkeypatch):
-    # the weight's grlex exponents come from the plan cache, read-only: one
-    # build for them and one for the gather serve every later call
+    # the weight's grlex exponents are the shared read-only table, which the
+    # gather's plan reads too: one build of each table and one gather plan
+    # serve every later call, and the plan cache keeps no table
     from kernelcomp import operators
 
     monkeypatch.setattr(operators, "_plans", {})
-    built, grlex = [], ball._grlex_exps
-    monkeypatch.setattr(ball, "_grlex_exps",
-                        lambda dim, top: built.append((dim, top)) or grlex(dim, top))
+    grlex_monomials.cache_clear()
     b = random_ball_row_contraction(substream(0, 0), 2, 2, 0.9)
     for alpha in (1.0, 2.0, 1.0):
         inv_kernel_mult_norm(b, alpha, 8)
-    assert built == [(2, 24), (2, 24)]
-    (exps, _), = [hit for key, hit in operators._plans.items()
-                  if key[0] is ball._grlex_exps]
-    assert exps.tolist() == [list(m) for m in grlex_monomials(2, 24)]
-    assert not exps.flags.writeable
+    built = grlex_monomials.cache_info()
+    assert built.misses == built.currsize
+    assert [key[0] for key in operators._plans] == [ball._shifted_ranks,
+                                                     operators._mult_plan]
+    assert not grlex_monomials(2, 24).flags.writeable
 
 
 def test_inv_kernel_refuses_an_oversized_section_before_the_weight(monkeypatch):
@@ -219,7 +222,7 @@ def test_inv_kernel_section_is_the_mult_matrix_rows(monkeypatch):
         for alpha, n in ((1, 8), (2, 8), (400, 2)):
             space, top = SpaceSpec(2, float(alpha)), 3 * n
             inv_kernel_mult_norm(b, alpha, n)
-            exps = np.array(grlex_monomials(2, top))
+            exps = grlex_monomials(2, top)
             weight = BallPoly._of(2, exps, ball._inv_kernel_weight(b, float(alpha), top))
             full = mult_matrix(weight, space, n, row_degree=n + top)
             got = sections.pop()

@@ -148,6 +148,11 @@ def test_point_set_validation():
         PointSet([0.5, 1.0])
     with pytest.raises(DomainError):
         PointSet(np.array([[0.8, 0.7]]))
+    # a modulus that is not < 1 fails, NaN's included, with no warning first
+    for bad in ([np.nan], [0.3, np.inf], [0.3, -np.inf], [complex(0.1, np.nan)],
+                [[0.1, np.nan]], [[np.inf, 0.0]], [1e200]):
+        with pytest.raises(DomainError, match="need < 1"):
+            PointSet(bad)
     ps = PointSet([0.5, -0.5])
     assert ps.dim == 1 and ps.points.shape == (2, 1)
     assert ps.to_json_list() == [[[0.5, 0.0]], [[-0.5, 0.0]]]

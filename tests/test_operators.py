@@ -1,5 +1,6 @@
 """Finite sections, monomial norms, and certified norm traces."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -59,13 +60,34 @@ def _weight_coeffs_fft(alpha, count):
 
 
 def test_grlex_order_dim2():
-    mons = grlex_monomials(2, 2)
-    assert mons == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    assert grlex_monomials(1, 3) == ((0,), (1,), (2,), (3,))
+    mons = grlex_monomials(2, 2).tolist()
+    assert mons == [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
+    assert grlex_monomials(1, 3).tolist() == [[0], [1], [2], [3]]
+
+
+def _grlex_reference(dim, degree):
+    # oracle: every exponent tuple up to the degree, kept by total degree and
+    # sorted by degree, then by exponents descending
+    mons = [m for m in itertools.product(range(degree + 1), repeat=dim)
+            if sum(m) <= degree]
+    return [list(m) for m in sorted(mons, key=lambda m: (sum(m), [-e for e in m]))]
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_grlex_monomials_match_a_brute_force_order(dim):
+    for degree in range(7):
+        mons = grlex_monomials(dim, degree)
+        assert mons.tolist() == _grlex_reference(dim, degree)
+        assert mons.dtype == np.int64
+        assert mons.shape == (math.comb(degree + dim, dim), dim)
+        assert not mons.flags.writeable
+        assert grlex_monomials(dim, degree) is mons
+    with pytest.raises(ValueError):
+        mons[0, 0] = 1
 
 
 def test_grlex_counts_dim3():
-    mons = grlex_monomials(3, 4)
+    mons = list(map(tuple, grlex_monomials(3, 4).tolist()))
     assert len(mons) == math.comb(4 + 3, 3)
     degrees = [sum(m) for m in mons]
     assert degrees == sorted(degrees)
@@ -86,7 +108,7 @@ def test_monomial_norms_weighted_disk():
 
 def test_monomial_norms_ball_small_cases():
     norms = monomial_norms(SpaceSpec(2, 1.0), 2)
-    mons = grlex_monomials(2, 2)
+    mons = list(map(tuple, grlex_monomials(2, 2).tolist()))
     idx = mons.index((1, 1))
     assert norms[idx] == pytest.approx(math.sqrt(0.5), abs=1e-15)
     idx2 = mons.index((2, 0))
@@ -478,8 +500,8 @@ def test_comp_matrix_ball_product_map_columns():
     bm = BallMap([BallPoly(2, {(1, 1): s}), BallPoly(2, {})])
     space = SpaceSpec(2, 1.0)
     sec = comp_matrix(bm, space, 4)
-    mons_row = grlex_monomials(2, sec.row_degree)
-    mons_col = grlex_monomials(2, 4)
+    mons_row = list(map(tuple, grlex_monomials(2, sec.row_degree).tolist()))
+    mons_col = grlex_monomials(2, 4).tolist()
     rnorms = monomial_norms(space, sec.row_degree)
     cnorms = monomial_norms(space, 4)
     # the powers (s z1 z2)^a and the zero power of the zero coordinate
@@ -549,7 +571,7 @@ def test_mult_matrix_holds_its_entries_and_one_block_of_pairs(col_degree):
     # kernel weight is: its pairs pass _PAIR_BLOCK, so they are placed in
     # runs, each holding about 90 bytes of index and rounding values per pair
     top, rng = 3 * col_degree, np.random.default_rng(col_degree)
-    exps = np.array(grlex_monomials(2, top))
+    exps = grlex_monomials(2, top)
     f = BallPoly._of(2, exps, rng.standard_normal(len(exps)) + 0j)
     build = lambda: mult_matrix(f, SpaceSpec(2, 2.0), col_degree, row_degree=top)
     build()  # fills the monomial norm and grlex caches off the count
@@ -575,8 +597,8 @@ def _mult_reference(f, space, col_degree, row_degree=None):
         f = BallPoly(1, {(n,): c for n, c in enumerate(f.coeffs) if c != 0})
     if row_degree is None:
         row_degree = col_degree + f.degree()
-    cols = grlex_monomials(space.dim, col_degree)
-    rows = grlex_monomials(space.dim, row_degree)
+    cols = grlex_monomials(space.dim, col_degree).tolist()
+    rows = list(map(tuple, grlex_monomials(space.dim, row_degree).tolist()))
     row_index = {m: i for i, m in enumerate(rows)}
     norms = monomial_norms(space, row_degree)
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -604,8 +626,8 @@ def _comp_reference(b, space, col_degree, f=None):
     # were assembled before the vectorized scatter; also the ranks of the
     # rows the images reach
     row_degree = col_degree * b.degree() + (0 if f is None else f.degree())
-    cols = grlex_monomials(space.dim, col_degree)
-    rows = grlex_monomials(space.dim, row_degree)
+    cols = list(map(tuple, grlex_monomials(space.dim, col_degree).tolist()))
+    rows = list(map(tuple, grlex_monomials(space.dim, row_degree).tolist()))
     row_index = {m: i for i, m in enumerate(rows)}
     norms = monomial_norms(space, row_degree)
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -631,7 +653,7 @@ def _assert_matches_comp_reference(sec, b, space, col_degree, f=None):
 
 
 def _random_ball_poly(rng, dim, degree, count):
-    mons = grlex_monomials(dim, degree)
+    mons = list(map(tuple, grlex_monomials(dim, degree).tolist()))
     picks = rng.choice(len(mons), size=min(count, len(mons)), replace=False)
     return BallPoly(dim, {mons[k]: complex(*rng.standard_normal(2))
                           for k in picks})
@@ -813,10 +835,10 @@ def test_weighted_ball_composition_matches_dense_product():
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_grlex_rank_inverts_grlex_monomials(dim):
     mons = grlex_monomials(dim, 7)
-    assert np.array_equal(_grlex_rank(np.array(mons)), np.arange(len(mons)))
+    assert np.array_equal(_grlex_rank(mons), np.arange(len(mons)))
     # any leading shape: rank a (2, n/2, dim) stack
     half = len(mons) // 2
-    stack = np.array(mons[: 2 * half]).reshape(2, half, dim)
+    stack = mons[: 2 * half].reshape(2, half, dim)
     assert np.array_equal(_grlex_rank(stack),
                           np.arange(2 * half).reshape(2, half))
 
@@ -874,7 +896,7 @@ def test_plan_cache_keeps_at_most_its_budget(monkeypatch):
     # the oldest are dropped for new ones
     small = BallPoly(2, {(1, 0): 0.5, (0, 1): 0.25})
     top = 72  # inv_kernel_mult_norm's cut at col_degree 24
-    exps = np.array(grlex_monomials(2, top))
+    exps = grlex_monomials(2, top)
     big = BallPoly._of(2, exps, np.linspace(1.0, 2.0, len(exps)) + 0j)
     space = SpaceSpec(2, 2.0)
     build = lambda: [mult_matrix(small, space, d) for d in range(40)] + \

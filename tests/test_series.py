@@ -98,7 +98,8 @@ def test_many_term_map_admission_stays_small():
     # at once (188 MB)
     from kernelcomp.operators import grlex_monomials
 
-    p = BallPoly(2, {m: 1e-3 for m in grlex_monomials(2, 62)[:2000]})
+    mons = map(tuple, grlex_monomials(2, 62)[:2000].tolist())
+    p = BallPoly(2, {m: 1e-3 for m in mons})
     _, peak = traced_peak(lambda: BallMap([p, BallPoly(2, {})]))
     assert peak < 16 * 2**20
 
