@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import (
+    DomainError,
     KernelSpec,
+    PointSet,
     check_psd,
     find_negative_witness,
     sample_point_set,
@@ -45,9 +47,9 @@ def coord_mult_sections(b: BallMap, alpha: float, col_degree: int) -> list:
 _ROW_STACK_BYTES = 1 << 22
 
 
-def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
-    """Certified lower bounds for the row multiplier norms at the rows of the
-    (P, dim) array ws, and the values |b(w)|, as two arrays of length P.
+def row_mult_norm(b: BallMap, point_set: PointSet, coord_sections: list) -> tuple:
+    """Certified lower bounds for the row multiplier norms at the points of
+    ``point_set``, and the values |b(w)|, as two arrays of length P.
 
     The row operator at w is A_w = sum_i conj(b_i(w)) S_i over the sections
     S_i of ``coord_mult_sections(b, alpha, col_degree)``; when the map kernel
@@ -56,23 +58,20 @@ def row_mult_norm(b: BallMap, ws, coord_sections: list) -> tuple:
     A_w^H A_w = sum_ij b_i(w) conj(b_j(w)) C_ij, from the cross Grams
     C_ij = S_i^H S_j (multiplied for i <= j, mirrored for i > j) formed once
     per call; points are eigen-solved in blocks of _ROW_STACK_BYTES of Grams.
+    A set whose dim is not b's raises DomainError, as in ``gram``.
     """
-    wv = np.asarray(ws, dtype=complex)
-    if wv.ndim != 2 or wv.shape[1] != b.dim:
-        raise ValueError("ws must hold one row of b.dim coordinates per point")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-        if not np.all(np.linalg.norm(wv, axis=1) < 1.0):
-            raise ValueError("every point must lie strictly inside the ball")
+    if point_set.dim != b.dim:
+        raise DomainError("point set dimension does not match the map")
     if len(coord_sections) != len(b.coords):
         raise ValueError("coord_sections must hold one section per coordinate")
-    (rows, n), d, count = coord_sections[0].entries.shape, len(b.coords), len(wv)
+    (rows, n), d, count = coord_sections[0].entries.shape, len(b.coords), len(point_set)
     block = max(1, min(count, _ROW_STACK_BYTES // (16 * n * n)))
     # complex values held at once: the cross Grams, a conjugated section, a
     # block's Grams and eigenvalues, and per point b(w), d * d weights, results
     _check_bytes(16 * ((d * d + block) * n * n + (rows + block) * n
                        + count * (d * d + d + 1)),
                  f"row multiplier Grams of {count} points at {n} columns")
-    bw = b(wv)
+    bw = b(point_set.points)
     lower, bounds = np.empty(count), np.linalg.norm(bw, axis=1)
     cross = np.empty((d, d, n, n), dtype=complex)
     for i, j in zip(*np.triu_indices(d)):
@@ -170,10 +169,11 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
     for a point set whose map kernel Gram fails positivity.  At r = 0 the map
     is the constant 0, whose one-row section reads exactly 1 at every degree.
 
-    Returns (bracket, cert, found): the trace's ``NormBound``, the search's
-    NEGATIVE certificate if ``found``, else that of a probe at the search's
-    trial-0 points: ``sample_point_set`` on the start of the search's
-    ``trial_stream(seed)``.  The probe is drawn either way.
+    Returns (bracket, cert): the trace's ``NormBound``, and the search's
+    NEGATIVE certificate, else that of a probe at the search's trial-0
+    points: ``sample_point_set`` on the start of the search's
+    ``trial_stream(seed)``, drawn either way.  Past a zero budget the
+    search has decided the probe, so cert is NEGATIVE iff it found one.
     """
     b = br_map(r)
     alpha = float(alpha)
@@ -184,5 +184,4 @@ def br_experiment(r: float, *, trace_degrees, alpha: float,
                                     set_size=set_size, budget=witness_budget)
     probe = check_psd(spec, sample_point_set(trial_stream(seed), 2, radius,
                                              set_size))
-    found = witness is not None
-    return bracket, witness if found else probe, found
+    return bracket, probe if witness is None else witness

@@ -29,6 +29,7 @@ from .dbr import (
 )
 from .kernels import (
     _KINDS,
+    NEGATIVE,
     KernelSpec,
     check_psd,
     sample_point_set,
@@ -393,7 +394,7 @@ def run_theorem1(params: dict, tol: dict, seed: int):
 def run_szego_identity(params: dict, tol: dict, seed: int):
     b = symbol_from_json(params["symbol"])
     degrees = params["degrees"]
-    if len(degrees) < 2 or sorted(degrees) != degrees:
+    if len(degrees) < 2 or any(a >= b for a, b in zip(degrees, degrees[1:])):
         raise ConfigError("degrees must be at least two increasing values")
     pts = sample_point_set(substream(seed, 0), 1, params["point_radius"],
                            params["point_count"])
@@ -539,7 +540,7 @@ def run_ball_lemma(params: dict, tol: dict, seed: int):
             coord_top = _worst(op_norm_lower(s, trace_degrees=[n]).lower
                                for s in sections)
             ws = sample_point_set(rng, dim, params["row_radius"],
-                                  params["row_points"]).points
+                                  params["row_points"])
             lower, bound = row_mult_norm(bmap, ws, sections)
             # negated after the subtraction, so a zero margin keeps its sign
             min_margin = -_worst((-(bound - lower)).tolist())
@@ -613,10 +614,11 @@ def run_br(params: dict, tol: dict, seed: int):
     rows = []
     certificates = []
     for idx, r in enumerate(params["r_values"]):
-        bracket, cert, found = br_experiment(
+        bracket, cert = br_experiment(
             r, alpha=params["alpha"], section_degree=n, trace_degrees=degrees,
             witness_budget=params["witness_budget"], set_size=params["set_size"],
             radius=params["radius"], seed=(seed, idx))
+        found = cert.verdict == NEGATIVE
         verdict = "certified-negative" if found else \
             f"no-counterexample-at-budget-{params['witness_budget']}"
         rows.extend([[r, nn, lo, verdict, cert.min_eigenvalue, seed]
@@ -658,9 +660,11 @@ def run_br(params: dict, tol: dict, seed: int):
 
 def run_psd(params: dict, tol: dict, seed: int):
     spec = kernel_spec_from_json(params["spec"])
+    expect = params["expect"]
+    if expect not in ("psd", "negative", "any"):
+        raise ConfigError("expect must be one of psd, negative, any")
     cert = check_psd(spec, sample_point_set(substream(seed, 0), spec.dim,
                                             params["radius"], params["point_count"]))
-    expect = params["expect"]
     if expect == "psd":
         records = [make_record(
             "sampled Gram certifies positive semidefinite",
@@ -669,12 +673,10 @@ def run_psd(params: dict, tol: dict, seed: int):
         records = [make_record(
             "sampled Gram certifies negative",
             "kernel-positivity", cert.min_eigenvalue, -cert.tolerance, 0.0)]
-    elif expect == "any":
+    else:
         rec = make_record("sampled Gram verdict recorded", "kernel-positivity",
                           cert.min_eigenvalue, cert.min_eigenvalue, 0.0)
         records = [rec]
-    else:
-        raise ConfigError("expect must be one of psd, negative, any")
     return records, None, {"certificate": {**cert.to_json_dict(), "seed": seed}}
 
 

@@ -12,7 +12,7 @@ degree and its adjoint lowers it, so the truncation commutes with the defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +44,24 @@ class KernelPositivityError(RuntimeError):
 
 @dataclass
 class KernelCombo:
-    """Finite combination sum_i coeffs[i] * K(., node_i) for the symbol kernel.
-
-    alpha = 1 uses the plain symbol kernel; integer alpha > 1 uses its
-    alpha-fold entrywise power.
+    """Finite combination sum_i coeffs[i] * K(., node_i) for the kernel of a
+    ``dbr_power`` spec, the one source of the symbol b and the integer alpha:
+    alpha = 1 is the plain symbol kernel, with dbr's Gram bit for bit, and
+    alpha > 1 its alpha-fold entrywise power.
     """
 
-    b: SelfMapDisk
-    alpha: int
+    spec: KernelSpec
     nodes: PointSet
     coeffs: np.ndarray
-    _spec: KernelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # dbr_power's rules check b and alpha; at alpha 1 its Gram is dbr's,
-        # bit for bit
-        self._spec = KernelSpec("dbr_power", self.alpha, self.b)
-        self.alpha = int(self._spec.alpha)
+        if not isinstance(self.spec, KernelSpec) or self.spec.kind != "dbr_power":
+            raise ValueError("a kernel combination takes a dbr_power spec")
         if self.nodes.dim != 1:
             raise ValueError("nodes live on the disk")
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (len(self.nodes),):
             raise ValueError("one coefficient per node")
-
-    def spec(self) -> KernelSpec:
-        return self._spec
 
 
 def hb_norm_combo(combo: KernelCombo) -> float:
@@ -78,7 +71,7 @@ def hb_norm_combo(combo: KernelCombo) -> float:
     the one used; failure is reported as a kernel positivity error because
     it cannot happen for an admissible symbol.
     """
-    cert = check_psd(combo.spec(), combo.nodes)
+    cert = check_psd(combo.spec, combo.nodes)
     if cert.verdict == NEGATIVE:
         raise KernelPositivityError(
             f"node Gram failed positivity: min eigenvalue {cert.min_eigenvalue:.3g}"
@@ -101,16 +94,16 @@ def combo_to_poly(combo: KernelCombo, degree: int) -> DiskPoly:
     truncated at ``degree``, as is the result, so the truncation is exact
     through the requested degree.
     """
-    alpha = combo.alpha
+    b, alpha = combo.spec.b, int(combo.spec.alpha)
     w = combo.nodes.points[:, 0]
     _check_bytes(w.size * (degree + 1) * np.dtype(complex).itemsize,
                  f"{w.size}x{degree + 1} coefficients")
     weight = np.array([math.comb(n + alpha - 1, n) for n in range(degree + 1)],
                       dtype=float)
     rows = weight * np.conj(w)[:, None] ** np.arange(degree + 1)
-    beta = np.conj(combo.b(w))
-    lead = 1.0 - beta * combo.b.center
-    shift = combo.b.series.trimmed()[: degree + 1].copy()
+    beta = np.conj(b(w))
+    lead = 1.0 - beta * b.center
+    shift = b.series.trimmed()[: degree + 1].copy()
     shift[0] = 0.0
     power = np.ones(1, dtype=complex)
     out = np.zeros(degree + 1, dtype=complex)

@@ -2,9 +2,9 @@
 
 A kernel spec names one of the generalized kernels the experiments use; Gram
 matrices over admissible point sets are hermitized on assembly; positivity is
-decided by the spectrum against a size- and scale-aware tolerance, and failed
-positivity comes with a reusable witness (the points plus the offending
-eigenvector).
+decided by the spectrum against a size- and scale-aware tolerance.  A
+certificate holds the whole verdict: the points it decided on, their Gram,
+and, when positivity fails, the offending eigenvector.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "PointSet",
     "KernelSpec",
     "PositivityCertificate",
-    "Witness",
     "PSD",
     "NEGATIVE",
     "gram",
@@ -60,10 +59,12 @@ class PointSet:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("points must form a nonempty (m, dim) array")
+        # |z|^2 from the parts; as sqrt rounds correctly, |z| < 1 iff |z|^2 < 1
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-            radii = np.linalg.norm(arr, axis=1)
-        if not np.all(radii < 1.0):
-            raise DomainError(f"max |point| = {float(np.max(radii)):.6g}; need < 1")
+            sq = np.einsum("ij,ij->i", arr.real, arr.real)
+            sq += np.einsum("ij,ij->i", arr.imag, arr.imag)
+        if not np.all(sq < 1.0):
+            raise DomainError(f"max |point| = {float(np.sqrt(np.max(sq))):.6g}; need < 1")
         self.points = arr
 
     def __len__(self):
@@ -195,34 +196,23 @@ def _check_gram_bytes(m: int) -> None:
 
 
 @dataclass
-class Witness:
-    """Points and coefficients exhibiting a negative kernel quadratic form."""
-
-    point_set: PointSet
-    coeffs: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.point_set.to_json_list(),
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
-
-@dataclass
 class PositivityCertificate:
-    """Spectral verdict on a Gram matrix.
+    """Spectral verdict on the Gram of ``points``.
 
     verdict is PSD when the smallest eigenvalue clears -tolerance, NEGATIVE
     otherwise; tolerance = TOL_SCALE * size * ||G|| * eps.  A PSD verdict's
-    numbers come from ``eigvalsh``, a NEGATIVE one's from ``eigh``.
-    ``gram`` is the Gram decided on, kept out of the JSON.
+    numbers come from ``eigvalsh``, a NEGATIVE one's from ``eigh``, whose
+    bottom eigenvector is ``coeffs``, set for a NEGATIVE verdict only.
+    ``gram`` is the Gram decided on.  The JSON writes points and coeffs as
+    the witness of a NEGATIVE verdict, and keeps the Gram out.
     """
 
     spec: KernelSpec
     min_eigenvalue: float
     tolerance: float
     verdict: str
-    witness: Witness | None = None
+    points: PointSet = field(compare=False)
+    coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -231,7 +221,9 @@ class PositivityCertificate:
             "min_eigenvalue": self.min_eigenvalue,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
+            "witness": None if self.coeffs is None else {
+                "points": self.points.to_json_list(),
+                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]},
         }
 
 
@@ -249,10 +241,10 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
     The tolerance grows with the matrix size and max|lambda| so that honest
     rounding never triggers a NEGATIVE verdict.  ``eigvalsh`` supplies the
     spectrum; a Gram it reads NEGATIVE is solved again by ``eigh``, which
-    then supplies the verdict, the numbers and the witness (the points and
-    the bottom eigenvector).  A Gram whose entries span more than about
-    1 / eps resolves no eigenvalue below that tolerance, so its PSD verdict
-    certifies little.
+    then supplies the verdict, the numbers and, as ``coeffs``, the bottom
+    eigenvector.  Either verdict holds ``point_set`` and its Gram.  A Gram
+    whose entries span more than about 1 / eps resolves no eigenvalue below
+    that tolerance, so its PSD verdict certifies little.
     """
     g = gram(spec, point_set)
     lam = np.linalg.eigvalsh(g)
@@ -260,12 +252,11 @@ def check_psd(spec: KernelSpec, point_set: PointSet) -> PositivityCertificate:
         lam, vec = np.linalg.eigh(g)
     lo = float(lam[0])
     tol = float(eig_tolerance(lam))
-    if lo >= -tol:
-        return PositivityCertificate(spec=spec, min_eigenvalue=lo,
-                                     tolerance=tol, verdict=PSD, gram=g)
-    wit = Witness(point_set=point_set, coeffs=vec[:, 0])
+    negative = lo < -tol
     return PositivityCertificate(spec=spec, min_eigenvalue=lo, tolerance=tol,
-                                 verdict=NEGATIVE, witness=wit, gram=g)
+                                 verdict=NEGATIVE if negative else PSD,
+                                 points=point_set,
+                                 coeffs=vec[:, 0] if negative else None, gram=g)
 
 
 def _candidates(u: np.ndarray, radius: float) -> np.ndarray:
@@ -307,8 +298,8 @@ def sample_point_set(rng: np.random.Generator, dim: int, radius: float,
     A set whose draw needs more than MAX_SECTION_BYTES is refused before
     anything is drawn.
     """
-    # per coordinate 3 x 16 bytes (2 uniforms, the point and a cast buffer, or
-    # the point and its norm's conjugate and product), 8 KiB for small arrays
+    # per coordinate 3 x 16 bytes (2 uniforms, the point and a cast buffer;
+    # PointSet's modulus test holds at most 16 more), 8 KiB for small arrays
     _check_bytes(48 * count * dim + 8192, f"drawing {count} points in dim {dim}")
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dbr import KernelCombo, hb_norm_combo
-from .kernels import sample_point_set
+from .kernels import KernelSpec, sample_point_set
 from .operators import grlex_monomials
 from .series import SELF_MAP_GRID, BallMap, BallPoly, DiskPoly, SelfMapDisk, \
     sup_norm_circle
@@ -45,14 +45,14 @@ def random_kernel_combo(rng: np.random.Generator, b: SelfMapDisk, alpha: int,
     rescaled to unit range norm, so contraction statements read directly off
     the combo.
     """
+    spec = KernelSpec("dbr_power", alpha, b)
     count = int(rng.integers(1, max_nodes + 1))
     nodes = sample_point_set(rng, 1, node_radius, count)
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    value = hb_norm_combo(KernelCombo(b=b, alpha=alpha, nodes=nodes,
-                                      coeffs=coeffs))
+    value = hb_norm_combo(KernelCombo(spec, nodes, coeffs))
     if value < 1e-8:
         raise ValueError("degenerate combo draw; use another substream")
-    return KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs / value)
+    return KernelCombo(spec, nodes, coeffs / value)
 
 
 def random_ball_row_contraction(rng: np.random.Generator, dim: int,

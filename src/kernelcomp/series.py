@@ -258,8 +258,10 @@ class BallPoly:
     __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
-        # graded lexicographic: degree first, then exponents descending,
-        # so (2,0) comes before (1,1) before (0,2)
+        # graded lexicographic: degree first, then exponents descending, so
+        # (2,0) comes before (1,1) before (0,2); lexsort, not operators' rank:
+        # json exponents up to 2^63 - 1 wrap an int64 rank, and series cannot
+        # import operators
         order = np.lexsort(np.vstack([-self.exps[:, ::-1].T, self.exps.sum(axis=1)]))
         terms = [[m, [c.real, c.imag]] for m, c in
                  zip(self.exps[order].tolist(), self.coefs[order].tolist())]

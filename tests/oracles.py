@@ -51,7 +51,6 @@ from kernelcomp.kernels import (
     DomainError,
     KernelSpec,
     PositivityCertificate,
-    Witness,
     eig_tolerance,
     sample_point_set,
 )
@@ -262,7 +261,7 @@ def unnormalized_kernel_combo(rng: np.random.Generator, b: SelfMapDisk,
     count = int(rng.integers(1, max_nodes + 1))
     nodes = sample_point_set(rng, 1, node_radius, count)
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return KernelCombo(b=b, alpha=alpha, nodes=nodes, coeffs=coeffs)
+    return KernelCombo(KernelSpec("dbr_power", alpha, b), nodes, coeffs)
 
 
 def exact_inv_kernel_weight(b, alpha: int, top: int) -> dict:
@@ -368,10 +367,10 @@ def eigh_check_psd(spec: KernelSpec, point_set) -> PositivityCertificate:
     tol = float(eig_tolerance(lam))
     if lo >= -tol:
         return PositivityCertificate(spec=spec, min_eigenvalue=lo,
-                                     tolerance=tol, verdict=PSD)
-    wit = Witness(point_set=point_set, coeffs=vec[:, 0])
-    return PositivityCertificate(spec=spec, min_eigenvalue=lo,
-                                 tolerance=tol, verdict=NEGATIVE, witness=wit)
+                                     tolerance=tol, verdict=PSD, points=point_set)
+    return PositivityCertificate(spec=spec, min_eigenvalue=lo, tolerance=tol,
+                                 verdict=NEGATIVE, points=point_set,
+                                 coeffs=vec[:, 0])
 
 
 def out_of_place_kernel_matrix(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:

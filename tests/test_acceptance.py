@@ -18,7 +18,7 @@ from kernelcomp.dbr import (
     summation_partial,
     szego_residual,
 )
-from kernelcomp.kernels import PointSet, sample_point_set
+from kernelcomp.kernels import NEGATIVE, sample_point_set
 from kernelcomp.operators import SpaceSpec, comp_matrix, op_norm_lower
 from kernelcomp.sampling import random_disk_symbol
 from kernelcomp.series import DiskPoly, SelfMapDisk, blaschke_factor
@@ -114,19 +114,19 @@ def test_criterion_6_ball_row_contractions():
 
 
 def test_criterion_7_product_map_regimes():
-    _, neg, found = br_experiment(
+    _, neg = br_experiment(
         0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
         witness_budget=10000, set_size=8, radius=0.95, seed=7)
-    witness_ok = found and neg.min_eigenvalue < -1e-6
+    witness_ok = neg.verdict == NEGATIVE and neg.min_eigenvalue < -1e-6
 
-    grow, _, _ = br_experiment(
+    grow, _ = br_experiment(
         1.0, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4),
         witness_budget=1, set_size=4, radius=0.95, seed=7)
     trace = [v for _, v in grow.trace]
     growth_ok = (all(b > a for a, b in zip(trace, trace[1:]))
                  and trace[-1] > 3.353367)
 
-    flat, _, _ = br_experiment(
+    flat, _ = br_experiment(
         0.5, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4),
         witness_budget=1, set_size=4, radius=0.95, seed=7)
     fvals = [v for _, v in flat.trace]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelcomp import ball
+from kernelcomp import ball, cli
 from kernelcomp.cli import ExperimentConfig, run_experiment
 from kernelcomp.ball import (
     br_experiment,
@@ -14,7 +14,8 @@ from kernelcomp.ball import (
     inv_kernel_mult_norm,
     row_mult_norm,
 )
-from kernelcomp.kernels import NEGATIVE, PSD, sample_point_set, substream
+from kernelcomp.kernels import NEGATIVE, PSD, DomainError, PointSet, sample_point_set, \
+    substream
 from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
@@ -35,7 +36,7 @@ def test_row_mult_norm_identity_coordinate():
     # whose section norm is exactly |w|
     b = BallMap([BallPoly(1, {(1,): 1.0})])
     ws = np.array([[0.6], [0.3j], [-0.2 + 0.1j]])
-    lower, bound = row_mult_norm(b, ws, coord_mult_sections(b, 1.0, 12))
+    lower, bound = row_mult_norm(b, PointSet(ws), coord_mult_sections(b, 1.0, 12))
     assert lower.shape == bound.shape == (3,)
     assert bound == pytest.approx(np.abs(ws[:, 0]), abs=1e-15)
     assert np.all(np.abs(bound - lower) <= 1e-12)
@@ -46,16 +47,17 @@ def test_row_mult_norm_two_coordinates():
     other = BallPoly(2, {(0, 1): 0.5})
     b = BallMap([half, other])
     ws = np.array([[0.4, 0.2], [0.0, 0.0], [-0.1j, 0.5]])
-    lower, bound = row_mult_norm(b, ws, coord_mult_sections(b, 2.0, 8))
+    lower, bound = row_mult_norm(b, PointSet(ws), coord_mult_sections(b, 2.0, 8))
     assert bound == pytest.approx(0.5 * np.linalg.norm(ws, axis=1), rel=1e-13)
     assert lower[1] == bound[1] == 0.0
     assert np.all(bound - lower >= -1e-10)
 
 
 def test_row_mult_norm_rejects_outside_point():
+    # row points come as a PointSet, which refuses a point off the ball
     b = BallMap([BallPoly(1, {(1,): 0.5})])
-    with pytest.raises(ValueError, match="strictly inside"):
-        row_mult_norm(b, [[1.2]], coord_mult_sections(b, 1.0, 8))
+    with pytest.raises(DomainError, match="need < 1"):
+        row_mult_norm(b, PointSet([[1.2]]), coord_mult_sections(b, 1.0, 8))
 
 
 @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, -1.0j], [0.9, 0.9],
@@ -66,16 +68,16 @@ def test_row_mult_norm_rejects_outside_point():
 def test_row_mult_norm_rejects_a_batch_with_one_point_off_the_ball(bad):
     b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
     ws = np.array([[0.1, 0.2], bad, [0.3, -0.1]])
-    with pytest.raises(ValueError, match="strictly inside"):
-        row_mult_norm(b, ws, coord_mult_sections(b, 1.0, 4))
+    with pytest.raises(DomainError, match="need < 1"):
+        row_mult_norm(b, PointSet(ws), coord_mult_sections(b, 1.0, 4))
 
 
 def test_row_mult_norm_rejects_points_of_the_wrong_shape():
     b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
     sections = coord_mult_sections(b, 1.0, 4)
     for ws in ([0.1, 0.2], [[0.1, 0.2, 0.0]]):
-        with pytest.raises(ValueError, match="one row of b.dim coordinates"):
-            row_mult_norm(b, ws, sections)
+        with pytest.raises(DomainError, match="dimension does not match the map"):
+            row_mult_norm(b, PointSet(ws), sections)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -84,11 +86,11 @@ def test_row_mult_norm_matches_the_svd_of_each_row_section(dim, alpha):
     rng = np.random.default_rng(100 + dim)
     b = random_ball_row_contraction(rng, dim=dim, coord_degree=2, row_target=0.9)
     sections = coord_mult_sections(b, alpha, 6)
-    ws = sample_point_set(rng, dim, 0.8, 12).points
+    ws = sample_point_set(rng, dim, 0.8, 12)
     lower, bound = row_mult_norm(b, ws, sections)
-    expect = svd_row_mult_norm(b, ws, sections)
+    expect = svd_row_mult_norm(b, ws.points, sections)
     assert np.max(np.abs(lower - expect) / expect) <= 1e-13
-    assert bound == pytest.approx([np.linalg.norm(b(w)) for w in ws], rel=1e-15)
+    assert bound == pytest.approx([np.linalg.norm(b(w)) for w in ws.points], rel=1e-15)
     assert np.all(bound - lower >= -1e-10)
 
 
@@ -99,7 +101,7 @@ def test_row_mult_norm_stays_within_the_bytes_it_checks(monkeypatch, count):
     rng = np.random.default_rng(count)
     b = random_ball_row_contraction(rng, dim=2, coord_degree=2, row_target=0.9)
     sections = coord_mult_sections(b, 2.0, 8)
-    ws = sample_point_set(rng, 2, 0.8, count).points
+    ws = sample_point_set(rng, 2, 0.8, count)
     checked, real = [], ball._check_bytes
 
     def spy(nbytes, what):
@@ -107,7 +109,7 @@ def test_row_mult_norm_stays_within_the_bytes_it_checks(monkeypatch, count):
         real(nbytes, what)
 
     monkeypatch.setattr(ball, "_check_bytes", spy)
-    b(ws)  # fills the map's caches off the count
+    b(ws.points)  # fills the map's caches off the count
     (lower, _), peak = traced_peak(lambda: row_mult_norm(b, ws, sections))
     assert len(checked) == 1 and len(lower) == count
     assert checked[0] / 2 < peak <= checked[0]
@@ -268,14 +270,14 @@ def test_br_composition_trace_matches_closed_form():
 
 
 def test_br_experiment_flat_at_zero():
-    bracket, cert, found = br_experiment(
+    bracket, cert = br_experiment(
         0.0, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
         witness_budget=5, set_size=4, radius=0.95, seed=0)
     values = [v for _, v in bracket.trace]
     assert values == [1.0] * len(values)
     assert bracket.lower == 1.0
-    assert not found
-    assert cert.verdict == PSD and cert.witness is None
+    assert cert.verdict == PSD and cert.coeffs is None
+    assert len(cert.points) == 4
 
 
 def test_br_zero_section_reads_one_at_every_degree():
@@ -286,28 +288,28 @@ def test_br_zero_section_reads_one_at_every_degree():
 
 
 def test_br_experiment_saturates_below_half_root_two():
-    bracket, cert, found = br_experiment(
+    bracket, cert = br_experiment(
         0.5, alpha=1.0, section_degree=24, trace_degrees=range(0, 25, 4),
         witness_budget=50, set_size=6, radius=0.95, seed=3)
     values = [v for _, v in bracket.trace]
     assert abs(values[-1] - values[-2]) <= 1e-6
-    assert not found
+    assert cert.verdict == PSD
     assert cert.min_eigenvalue > -1e-10
 
 
 def test_br_experiment_finds_negative_witness():
-    bracket, cert, found = br_experiment(
+    bracket, cert = br_experiment(
         0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
         witness_budget=50, set_size=8, radius=0.95, seed=0)
-    assert found
     assert cert.verdict == NEGATIVE
     assert cert.min_eigenvalue < -1e-6
-    assert len(cert.witness.point_set) == 8
+    assert len(cert.points) == 8 and cert.coeffs.shape == (8,)
 
 
-def test_br_experiment_found_comes_from_the_search(monkeypatch):
-    # with no trials searched, the trial-0 probe is reported, and at
-    # r = 0.95 that probe itself fails positivity: found still reads False
+def test_br_experiment_probe_is_the_search_trial_zero(monkeypatch):
+    # with no trials searched, only the trial-0 probe is drawn and it alone
+    # decides: at r = 0.95 it fails positivity, and it is the certificate a
+    # one-trial search returns
     draws = []
     original = ball.sample_point_set
 
@@ -318,8 +320,7 @@ def test_br_experiment_found_comes_from_the_search(monkeypatch):
     monkeypatch.setattr(ball, "sample_point_set", spy)
     params = dict(alpha=1.0, section_degree=8, trace_degrees=[8], set_size=8,
                   radius=0.95, seed=0)
-    _, cert, found = br_experiment(0.95, witness_budget=0, **params)
-    assert not found
+    _, cert = br_experiment(0.95, witness_budget=0, **params)
     assert len(draws) == 1
     assert cert.verdict == NEGATIVE
     searched = br_experiment(0.95, witness_budget=1, **params)[1]
@@ -327,7 +328,7 @@ def test_br_experiment_found_comes_from_the_search(monkeypatch):
 
 
 def test_br_experiment_growth_at_one():
-    bracket, _, _ = br_experiment(
+    bracket, _ = br_experiment(
         1.0, alpha=1.0, section_degree=40, trace_degrees=[8, 16, 24, 32, 40],
         witness_budget=5, set_size=4, radius=0.95, seed=1)
     values = [v for _, v in bracket.trace]
@@ -355,6 +356,30 @@ def test_br_csv_rows_shape():
     assert rows[0][5] == 7
 
 
+def test_run_br_verdict_column_follows_the_certificate(monkeypatch):
+    # the verdict column, the negativity records and the certificates all
+    # read cert.verdict; at budget 0 the trial-0 probe alone decides, and at
+    # r = 0.95 it is NEGATIVE
+    verdicts, real = [], cli.br_experiment
+
+    def spy(r, **kwargs):
+        bracket, cert = real(r, **kwargs)
+        verdicts.append(cert.verdict)
+        return bracket, cert
+
+    monkeypatch.setattr(cli, "br_experiment", spy)
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"name": "br", "params": {"r_values": [0.5, 0.95], "section_degree": 4,
+                                  "witness_budget": 0, "set_size": 8}}))
+    assert verdicts == [PSD, NEGATIVE]
+    assert {row[0]: row[3] for row in report.trace["rows"]} == {
+        0.5: "no-counterexample-at-budget-0", 0.95: "certified-negative"}
+    assert [c["verdict"] for c in report.extras["certificates"]] == verdicts
+    negativity = [r for r in report.records
+                  if r["paper_anchor"] == "product-map-negativity"]
+    assert len(negativity) == 2 and all(r["pass"] for r in negativity)
+
+
 def test_random_ball_row_contraction_margins():
     rng = np.random.default_rng(41)
     for _ in range(5):
@@ -365,7 +390,8 @@ def test_random_ball_row_contraction_margins():
         assert np.sqrt(np.max(top)) <= 1.0 + 1e-9
         w = np.array([0.3, -0.25])
         for alpha in (1.0, 2.0):
-            lower, bound = row_mult_norm(b, [w], coord_mult_sections(b, alpha, 8))
+            lower, bound = row_mult_norm(b, PointSet([w]),
+                                         coord_mult_sections(b, alpha, 8))
             assert bound[0] - lower[0] >= -1e-8
 
 

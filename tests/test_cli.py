@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcomp import cli, sampling
+from kernelcomp import cli, kernels, sampling
 from kernelcomp.cli import (
     CLAIM_ANCHORS,
     COMMANDS,
@@ -247,7 +247,12 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "got 0"),
             # the inverse-kernel weight has no tail tolerance
             ({"name": "ball-lemma", "params": {"inv_tail_tol": 1e-10}},
-             "unknown parameter 'inv_tail_tol' for ball-lemma")):
+             "unknown parameter 'inv_tail_tol' for ball-lemma"),
+            # section degrees strictly increase: a repeated degree would
+            # measure its residual against itself
+            *[({"name": "szego-identity", "params": {"degrees": degrees}},
+               "degrees must be at least two increasing values")
+              for degrees in ([16], [64, 16], [16, 16], [8, 16, 16])]):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path)]) == 2
@@ -350,6 +355,22 @@ def test_exit_one_when_a_check_fails(tmp_path, capsys):
     cfg = _cfg(tmp_path, "psd", params={"expect": "negative",
                                         "point_count": 8})
     assert main(["run", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+
+
+def test_psd_refuses_an_unknown_expect_before_it_builds_a_gram(tmp_path, capsys,
+                                                              monkeypatch):
+    grams, real = [], kernels.gram
+    monkeypatch.setattr(kernels, "gram",
+                        lambda spec, pts: grams.append(len(pts)) or real(spec, pts))
+    cfg = _cfg(tmp_path, "psd", params={"expect": "PSD", "point_count": 2000})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "error: expect must be one of psd, negative, any" in capsys.readouterr().err
+    assert grams == []
+    # the spy sees the one Gram a known expect builds
+    cfg = _cfg(tmp_path, "psd", params={"expect": "psd", "point_count": 4})
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert grams == [4]
     capsys.readouterr()
 
 

@@ -42,7 +42,7 @@ def test_single_node_combo_norm_is_diagonal_kernel_value():
     b = SelfMapDisk(DiskPoly([0.1, 0.6]))
     for alpha in (1, 2):
         for w in (0.0, 0.35 - 0.2j):
-            combo = KernelCombo(b, alpha, PointSet([w]), [1.0])
+            combo = KernelCombo(KernelSpec("dbr_power", alpha, b), PointSet([w]), [1.0])
             got = hb_norm_combo(combo)
             spec = KernelSpec("dbr", b=b) if alpha == 1 else \
                 KernelSpec("dbr_power", alpha, b)
@@ -55,7 +55,7 @@ def test_combo_norm_two_nodes_closed_form():
     b = SelfMapDisk(DiskPoly([0.0, 0.0, 1.0]))
     w = [0.25, -0.3j]
     c = [1.0, 2.0 - 1.0j]
-    combo = KernelCombo(b, 1, PointSet(w), c)
+    combo = KernelCombo(KernelSpec("dbr_power", 1, b), PointSet(w), c)
     spec = KernelSpec("dbr", b=b)
     acc = 0.0
     for i in range(2):
@@ -66,11 +66,13 @@ def test_combo_norm_two_nodes_closed_form():
 
 def test_combo_norm_takes_its_verdict_from_check_psd(monkeypatch):
     # a NEGATIVE certificate from check_psd is the only way to the error
-    combo = KernelCombo(SelfMapDisk(DiskPoly([0.1, 0.6])), 1, PointSet([0.2]), [1.0])
+    spec = KernelSpec("dbr_power", 1, SelfMapDisk(DiskPoly([0.1, 0.6])))
+    combo = KernelCombo(spec, PointSet([0.2]), [1.0])
 
     def negative(spec, point_set):
-        return PositivityCertificate(spec=spec, min_eigenvalue=-1.0,
-                                     tolerance=0.0, verdict=NEGATIVE)
+        return PositivityCertificate(spec=spec, min_eigenvalue=-1.0, tolerance=0.0,
+                                     verdict=NEGATIVE, points=point_set,
+                                     coeffs=np.ones(1, dtype=complex))
 
     monkeypatch.setattr(kernelcomp.dbr, "check_psd", negative)
     with pytest.raises(KernelPositivityError, match="min eigenvalue -1"):
@@ -89,10 +91,11 @@ def test_combo_norm_builds_its_node_gram_once(monkeypatch):
     for alpha in (1, 2, 3):
         b = random_disk_symbol(rng, 4, 0.9)
         nodes = PointSet(0.8 * rng.random(5) * np.exp(2j * np.pi * rng.random(5)))
-        combo = KernelCombo(b, alpha, nodes, rng.standard_normal(5) + 1j)
+        combo = KernelCombo(KernelSpec("dbr_power", alpha, b), nodes,
+                            rng.standard_normal(5) + 1j)
         got = hb_norm_combo(combo)
         assert calls == [len(combo.nodes)]
-        g = build(combo.spec(), combo.nodes)
+        g = build(combo.spec, combo.nodes)
         q = float(np.real(np.vdot(combo.coeffs, g @ combo.coeffs)))
         assert np.float64(got).tobytes() == np.float64(math.sqrt(max(q, 0.0))).tobytes()
         calls.clear()
@@ -100,23 +103,32 @@ def test_combo_norm_builds_its_node_gram_once(monkeypatch):
 
 def test_combo_rejects_bad_shapes():
     b = SelfMapDisk(DiskPoly([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        KernelCombo(b, 1, PointSet([0.1, 0.2]), [1.0])
-    with pytest.raises(ValueError):
-        KernelCombo(b, 0, PointSet([0.1]), [1.0])
+    spec = KernelSpec("dbr_power", 1, b)
+    with pytest.raises(ValueError, match="one coefficient per node"):
+        KernelCombo(spec, PointSet([0.1, 0.2]), [1.0])
+    with pytest.raises(ValueError, match="nodes live on the disk"):
+        KernelCombo(spec, PointSet([[0.1, 0.2]]), [1.0])
     # b and alpha are checked by the dbr_power spec's rules, as every spec is
+    with pytest.raises(ValueError, match="alpha must be at least 1"):
+        KernelSpec("dbr_power", 0, b)
     with pytest.raises(ValueError, match="dbr_power takes a SelfMapDisk"):
-        KernelCombo(DiskPoly([0.5]), 1, PointSet([0.1]), [1.0])
+        KernelSpec("dbr_power", 1, DiskPoly([0.5]))
     with pytest.raises(ValueError, match="integer alpha"):
-        KernelCombo(b, 1.5, PointSet([0.1]), [1.0])
+        KernelSpec("dbr_power", 1.5, b)
+    # and a combination takes no other kind of spec, nor anything else
+    for other in (KernelSpec("dbr", b=b), KernelSpec("szego"), b):
+        with pytest.raises(ValueError, match="takes a dbr_power spec"):
+            KernelCombo(other, PointSet([0.1]), [1.0])
 
 
 def test_combo_builds_its_spec_once(monkeypatch):
-    # the spec checked at construction is the one every hb_norm_combo reads
+    # the spec a combination holds is the one every hb_norm_combo reads, and
+    # its one source of b and alpha: neither is held beside it
     b = SelfMapDisk(DiskPoly([0.1, 0.5]))
-    combo = KernelCombo(b, 2.0, PointSet([0.2, -0.3]), [1.0, -2.0])
-    assert combo.alpha == 2 and type(combo.alpha) is int
-    assert combo.spec() is combo.spec() and combo.spec() == KernelSpec("dbr_power", 2, b)
+    spec = KernelSpec("dbr_power", 2.0, b)
+    combo = KernelCombo(spec, PointSet([0.2, -0.3]), [1.0, -2.0])
+    assert combo.spec is spec and spec.b is b and spec.alpha == 2.0
+    assert not hasattr(combo, "b") and not hasattr(combo, "alpha")
     expect = hb_norm_combo(combo)
     built = []
     monkeypatch.setattr(KernelSpec, "__post_init__", lambda spec: built.append(spec))
@@ -136,7 +148,8 @@ def test_kernel_section_poly_matches_pointwise_kernel():
 
 def test_combo_to_poly_is_linear_combination_of_sections():
     b = SelfMapDisk(DiskPoly([0.0, 0.5, 0.25]))
-    combo = KernelCombo(b, 2, PointSet([0.2, -0.3]), [1.0, -2.0])
+    combo = KernelCombo(KernelSpec("dbr_power", 2, b), PointSet([0.2, -0.3]),
+                        [1.0, -2.0])
     p = combo_to_poly(combo, 60)
     q1 = kernel_section_poly(b, 2, 0.2, 60)
     q2 = kernel_section_poly(b, 2, -0.3, 60)
@@ -158,7 +171,8 @@ def test_combo_to_poly_matches_per_node_oracle(alpha):
             for count in range(1, 6):
                 nodes = sample_point_set(rng, 1, 0.6, count)
                 coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-                got = combo_to_poly(KernelCombo(b, alpha, nodes, coeffs), degree)
+                got = combo_to_poly(
+                    KernelCombo(KernelSpec("dbr_power", alpha, b), nodes, coeffs), degree)
                 sections = [kernel_section_poly(b, alpha, w, degree).coeffs
                             for w in nodes.points[:, 0]]
                 expect = sum(c * s for c, s in zip(coeffs, sections))
@@ -223,7 +237,8 @@ def test_combo_norm_power_kernel_stays_positive():
     # entrywise powers of a positive disk-symbol kernel stay positive, so the
     # norm routine must not raise on them
     b = blaschke_factor(0.4)
-    combo = KernelCombo(b, 3, PointSet([0.1, 0.2, 0.3j]), [1.0, 1.0, 1.0])
+    combo = KernelCombo(KernelSpec("dbr_power", 3, b), PointSet([0.1, 0.2, 0.3j]),
+                        [1.0, 1.0, 1.0])
     assert hb_norm_combo(combo) >= 0.0
 
 

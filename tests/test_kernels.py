@@ -158,6 +158,18 @@ def test_point_set_validation():
     assert ps.to_json_list() == [[[0.5, 0.0]], [[-0.5, 0.0]]]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_set_checks_the_modulus_in_two_floats_a_point(dim):
+    # |z|^2 is summed from the real and imaginary parts: beside the points,
+    # PointSet holds two float arrays of one value a point, and no conjugate
+    # or product of the points
+    count = 100_000
+    pts = sample_point_set(np.random.default_rng(dim), dim, 0.9, count).points
+    point_set, peak = traced_peak(lambda: PointSet(pts))
+    assert point_set.points is pts
+    assert peak <= 16 * count + 8192
+
+
 def test_eval_kernel_rejects_boundary_point():
     with pytest.raises(DomainError):
         eval_kernel(KernelSpec("szego"), 1.0, 0.0)
@@ -177,7 +189,7 @@ def test_check_psd_accepts_near_singular_positive_gram():
     # eigenvalue can round below zero; the size-scaled tolerance absorbs it
     cert = check_psd(KernelSpec("szego"), PointSet([0.3, 0.3 + 2e-6]))
     assert cert.verdict == PSD
-    assert cert.witness is None
+    assert cert.coeffs is None
     assert cert.tolerance > 0
 
 
@@ -188,11 +200,11 @@ def test_check_psd_flags_indefinite_gram():
     assert cert is not None
     assert cert.verdict == NEGATIVE
     assert cert.min_eigenvalue < -1e-6
-    assert cert.witness is not None
-    pts = cert.witness.point_set
+    assert cert.coeffs is not None
+    pts = cert.points
 
     # recompute the quadratic form from scratch through the scalar evaluator
-    v = np.asarray(cert.witness.coeffs)
+    v = np.asarray(cert.coeffs)
     m = pts.points.shape[0]
     g2 = np.array([[eval_kernel(spec, pts.points[i], pts.points[j])
                     for j in range(m)] for i in range(m)])
@@ -217,9 +229,28 @@ def test_check_psd_solves_for_a_vector_only_on_negative(monkeypatch):
     assert check_psd(KernelSpec("bergman", 2.0), PointSet([0.1, 0.4j])).verdict == PSD
     assert calls == ["eigvalsh"]
     calls.clear()
-    cert = check_psd(negative.spec, negative.witness.point_set)
+    cert = check_psd(negative.spec, negative.points)
     assert cert.verdict == NEGATIVE
     assert calls == ["eigvalsh", "eigh"]
+
+
+def test_both_verdicts_hold_their_points_and_only_negative_a_vector():
+    pts = PointSet([0.1, 0.4j])
+    cert = check_psd(KernelSpec("bergman", 2.0), pts)
+    assert cert.verdict == PSD and cert.points is pts and cert.coeffs is None
+    assert cert.to_json_dict()["witness"] is None
+    found = find_negative_witness(_br_spec(1.0), seed=0, radius=0.95,
+                                  set_size=8, budget=1)
+    neg = check_psd(found.spec, found.points)
+    assert neg.verdict == NEGATIVE and neg.points is found.points
+    # coeffs is the Gram's bottom eigenvector, and the JSON witness is the
+    # points and vector the certificate holds
+    v = neg.coeffs
+    assert v.shape == (8,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(neg.gram @ v - neg.min_eigenvalue * v) <= neg.tolerance
+    assert neg.to_json_dict()["witness"] == {
+        "points": found.points.to_json_list(),
+        "coeffs": [[c.real, c.imag] for c in v.tolist()]}
 
 
 def _planted_pair(monkeypatch):
@@ -240,12 +271,11 @@ def _negative_cases(monkeypatch):
     witnesses = []
     for r in (0.75, 1.0):
         for seed in range(3):
-            _, cert, found = br_experiment(
+            _, cert = br_experiment(
                 r, trace_degrees=[2], alpha=1.0, section_degree=2,
                 witness_budget=10000, set_size=8, radius=0.95, seed=seed)
-            assert found
-            witnesses.append((f"br r={r} seed={seed}", cert.spec,
-                              cert.witness.point_set))
+            assert cert.verdict == NEGATIVE
+            witnesses.append((f"br r={r} seed={seed}", cert.spec, cert.points))
     return [("planted pair", *_planted_pair(monkeypatch))] + witnesses
 
 
@@ -453,7 +483,7 @@ def _batched_search(spec, **kw):
     cert = find_negative_witness(spec, **kw)
     if cert is None:
         return None
-    pts = cert.witness.point_set
+    pts = cert.points
     trial = next(t for t in range(kw["budget"])
                  if np.array_equal(_serial_sample_point_set(
                      _trial_rng(kw["seed"], t, spec.dim, kw["set_size"]),
@@ -516,13 +546,13 @@ def test_repeated_points_are_admitted_and_read_psd(name):
     pts = sample_point_set(np.random.default_rng(32), spec.dim, 0.9, 6).points
     cert = check_psd(spec, PointSet(pts[[0, 1, 2, 3, 4, 5, 2, 0]]))
     assert cert.verdict == check_psd(spec, PointSet(pts)).verdict == PSD
-    assert abs(cert.min_eigenvalue) <= cert.tolerance and cert.witness is None
+    assert abs(cert.min_eigenvalue) <= cert.tolerance and cert.coeffs is None
 
 
 def test_repeated_points_keep_a_negative_verdict():
     spec = _br_spec(1.0)
     cert = find_negative_witness(spec, seed=0, radius=0.95, set_size=8, budget=1)
-    pts = cert.witness.point_set.points
+    pts = cert.points.points
     assert check_psd(spec, PointSet(np.concatenate([pts, pts[:2]]))).verdict == NEGATIVE
 
 
@@ -649,7 +679,8 @@ def test_candidates_in_dim_1_keep_the_disk_arithmetic():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_point_draw_stays_within_the_bytes_it_checks(monkeypatch, dim):
     # at 1000 points numpy's cast buffer in the draw is as large as the
-    # points; at 1e5 it stops at 8192 values, and the peak is PointSet's norm
+    # points; at 1e5 it stops at 8192 values, and the peak is the uniforms
+    # beside the points
     checked = _spy(monkeypatch, "_check_bytes", lambda nbytes, what: nbytes)
     for count in (1000, 100_000):
         rng = np.random.default_rng(dim)
@@ -980,7 +1011,7 @@ def test_check_psd_decides_exactly_the_deferred_sets(monkeypatch):
         if cert is None:
             assert len(decided) == len(deferred)
         else:
-            assert decided[-1] == cert.witness.point_set.points.tobytes()
+            assert decided[-1] == cert.points.points.tobytes()
     assert len(decided) == 10
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kernelcomp import series
 from kernelcomp.ball import br_map
 from kernelcomp.cli import ConfigError, poly_from_json_dict
+from kernelcomp.operators import _grlex_rank, grlex_monomials
 from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import (
     SELF_MAP_GRID,
@@ -275,6 +276,17 @@ def test_poly_json_round_trip_and_golden_shape():
     assert [t[0] for t in d2["terms"]] == [[2, 0], [1, 1], [0, 2]]
     bq = poly_from_json_dict(d2)
     assert bq.terms == bp.terms
+    # the json term order is the grlex rank the sections index by
+    rng = np.random.default_rng(5)
+    for dim in range(1, 5):
+        for degree in range(6):
+            mons = grlex_monomials(dim, degree)
+            order = rng.permutation(len(mons))
+            shuffled = BallPoly._of(dim, mons[order], 1.0 + order.astype(complex))
+            terms = shuffled.to_json_dict()["terms"]
+            assert [m for m, _ in terms] == mons.tolist()
+            assert _grlex_rank([m for m, _ in terms]).tolist() == list(range(len(mons)))
+            assert [c for _, c in terms] == [[1.0 + i, 0.0] for i in range(len(mons))]
 
 
 def test_sup_and_inf_modulus_on_circle():
