@@ -2,25 +2,20 @@
 degenerate product map.
 
 The product map (z1, z2) -> (2 r z1 z2, 0) is the boundary case of the theory:
-its composition sections stay bounded for r < 1 and blow up at r = 1, and the
-associated kernel loses positivity once r exceeds the multiplier norm
-threshold of z1 z2, so both certified growth and certified negativity are
-observable at desk scale.
+its composition operator is bounded for r < 1 and unbounded at r = 1, and its
+kernel is not PSD once 4 r^2 > alpha + 1, though C_b stays bounded below
+r = 1.  Its section norms and positivity verdicts follow from closed forms in
+r and alpha; nothing is sampled.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from .kernels import (
-    DomainError,
-    KernelSpec,
-    PointSet,
-    check_psd,
-    find_negative_witness,
-    sample_point_set,
-    trial_stream,
-)
+from .kernels import TOL_SCALE, DomainError, KernelSpec, PointSet, check_psd
 from .operators import SpaceSpec, _check_section_size, _grlex_rank, _monomial_count, \
     _plan, comp_matrix, grlex_monomials, mult_matrix, op_norm_lower
 from .series import BallMap, BallPoly, _check_bytes
@@ -30,6 +25,9 @@ __all__ = [
     "row_mult_norm",
     "inv_kernel_mult_norm",
     "br_map",
+    "br_norms",
+    "br_rise_limit",
+    "br_witness",
     "br_experiment",
 ]
 
@@ -159,29 +157,111 @@ def br_map(r: float) -> BallMap:
     return BallMap([first, BallPoly.zero(2)])
 
 
+def br_norms(r: float, alpha: float, degrees) -> list:
+    """(L_d, rose) at each ascending degree d: L_d = max_{k <= d} w_k, the
+    norm of the product map's section at column degree d, and whether it
+    passes the L before it (the first does).  C_b sends z1^k to (2r z1 z2)^k
+    and every other monomial but 1 to 0, so the images are orthogonal and
+    w_k^2 = (2r)^(2k) k! Gamma(alpha + k) / Gamma(alpha + 2k).  Each w_k^2 is
+    an exact ratio of integers: comparisons are exact, L_d within 1 ulp."""
+    (m, d), (p, q) = (2.0 * r).as_integer_ratio(), float(alpha).as_integer_ratio()
+    num = den = 1
+    best, out, k = (1, 1), [], 0
+    for top in degrees:
+        rose = not out
+        while k < top:
+            num *= m * m * (k + 1) * (p + k * q) * q
+            den *= d * d * (p + 2 * k * q) * (p + (2 * k + 1) * q)
+            k += 1
+            if num * best[1] > best[0] * den:
+                best, rose = (num, den), True
+        out.append((math.sqrt(best[0] / best[1]), rose))
+    return out
+
+
+def br_rise_limit(r: float) -> int:
+    """An index past which w_k never rises, for r < 1: w_(k+1)^2 / w_k^2 =
+    4 r^2 (k + 1)(alpha + k) / ((alpha + 2k)(alpha + 2k + 1)) <= r^2 (1 + 9 /
+    (8 (2k + 1))) at every alpha >= 1, so it is at most 1 once 2k + 1 >=
+    9 r^2 / (8 (1 - r^2)).  Exact in r."""
+    r2 = Fraction(r) ** 2
+    return max(0, math.ceil((9 * r2 / (8 * (1 - r2)) - 1) / 2))
+
+
+# the four points eps (+-1, +-1) on which br decides the map kernel
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def br_witness(r: float, alpha: float, eps: float | None = None):
+    """Four points eps (+-1, +-1) on which the map kernel sum_a k_a z^a
+    conj(w)^a is not PSD, or None when k_11 = alpha (alpha + 1 - 4 r^2) >= 0
+    (its sign is exact).  With coefficients s1 s2 they keep the modes with a1,
+    a2 odd: c^H G c = 16 sum k_a eps^(2|a|).  As |C(alpha, j)| <= rising(alpha,
+    j) / j!, sum_a |k_a| 4^-|a| <= M = (2 / (1 - r^2 / 4))^alpha, so the terms
+    |a| >= 4 take at most 256 M eps^8: each eps^4 < -k_11 / (256 M) gives
+    lambda_min <= c^H G c / 4 < 0.  eps defaults to half that bound in eps^4;
+    one at or past it raises ValueError."""
+    a = Fraction(alpha)
+    k11 = float(a * (a + 1 - 4 * Fraction(r) ** 2))
+    if k11 >= 0.0:
+        return None
+    limit = -k11 / (256.0 * (2.0 / (1.0 - r * r / 4.0)) ** alpha)
+    eps = (limit / 2.0) ** 0.25 if eps is None else eps
+    if not 0.0 < eps ** 4 < limit:
+        raise ValueError(f"eps={eps:g} needs 0 < eps^4 < {limit:.6g}, the witness bound")
+    return PointSet(eps * _SIGNS)
+
+
+def _br_scan(r: float, alpha: float, top: int) -> tuple:
+    """("negative" or "unproved", least) from the map kernel's coefficients
+    k_a, a1 + a2 <= top, each over its positive r = 0 value: a sum of t_j,
+    t_0 = 1, t_(j+1) / t_j = -4r^2 (alpha - j)(a1 - j)(a2 - j) / ((j + 1)
+    (alpha + |a| - 2j - 1)(alpha + |a| - 2j - 2)).  A ratio takes at most 12
+    roundings, so a float sum is within gamma_(7 top) sum_j |t_j| of its value;
+    it counts as negative only below TOL_SCALE * top * eps times that.  A PSD
+    kernel has no negative k_a: averaging K(rho zeta, rho eta) against
+    conj(zeta)^a eta^a over the torus gives k_a rho^(2|a|).  least is the
+    least sum."""
+    a1, a2 = np.triu_indices(top + 1)
+    keep = a1 + a2 <= top
+    a1, a2 = a1[keep].astype(float), a2[keep].astype(float)
+    m = alpha + a1 + a2
+    t, k, size = np.ones(len(a1)), np.ones(len(a1)), np.ones(len(a1))
+    live = np.arange(len(a1))
+    for j in range(top // 2):
+        live = live[a1[live] > j]
+        x, y, n = a1[live] - j, a2[live] - j, m[live] - 2 * j
+        t[live] *= -4.0 * r * r * (alpha - j) * x * y / ((j + 1) * (n - 1) * (n - 2))
+        k[live] += t[live]
+        size[live] += np.abs(t[live])
+    negative = k < -TOL_SCALE * top * float(np.finfo(float).eps) * size
+    return "negative" if negative.any() else "unproved", float(k.min())
+
+
 def br_experiment(r: float, *, trace_degrees, alpha: float,
-                  section_degree: int, witness_budget: int, set_size: int,
-                  radius: float, seed) -> tuple:
-    """Growth trace and positivity scan for the product map at parameter r.
+                  section_degree: int) -> tuple:
+    """Section trace and positivity verdict for the product map at r; the
+    verdict follows from r and alpha alone.
 
-    The composition section trace certifies norm growth (strictly increasing
-    and unbounded at r = 1, saturating for r < 1); the randomized scan hunts
-    for a point set whose map kernel Gram fails positivity.  At r = 0 the map
-    is the constant 0, whose one-row section reads exactly 1 at every degree.
-
-    Returns (bracket, cert): the trace's ``NormBound``, and the search's
-    NEGATIVE certificate, else that of a probe at the search's trial-0
-    points: ``sample_point_set`` on the start of the search's
-    ``trial_stream(seed)``, drawn either way.  Past a zero budget the
-    search has decided the probe, so cert is NEGATIVE iff it found one.
+    Returns (bracket, verdict, cert, least): the trace's ``NormBound``;
+    "negative", "psd" or "unproved"; ``check_psd`` on four points eps
+    (+-1, +-1); and the least scanned coefficient, or None.  The verdict is
+    "negative" on ``br_witness``'s points when k_11 < 0.  Else, at integer
+    alpha with r^2 <= 1/2, it is "psd": at alpha 1 each k_a = |a|!/a! (1 - 4
+    r^2 a1 a2 / (|a| (|a| - 1))) >= 0, and integer powers are Schur products.
+    Else ``_br_scan`` reads the coefficients through degree 2 * section_degree.
+    Those two take eps = 1/2.  At r = 0 the map is the constant 0, whose
+    one-row section reads exactly 1 at every degree.
     """
     b = br_map(r)
     alpha = float(alpha)
     section = comp_matrix(b, SpaceSpec(2, alpha), section_degree)
     bracket = op_norm_lower(section, trace_degrees=trace_degrees)
-    spec = KernelSpec("ball_map", alpha, b)
-    witness = find_negative_witness(spec, seed=seed, radius=radius,
-                                    set_size=set_size, budget=witness_budget)
-    probe = check_psd(spec, sample_point_set(trial_stream(seed), 2, radius,
-                                             set_size))
-    return bracket, probe if witness is None else witness
+    points, verdict, least = br_witness(r, alpha), "negative", None
+    if points is None:
+        points = PointSet(0.5 * _SIGNS)
+        if alpha.is_integer() and 2 * Fraction(r) ** 2 <= 1:
+            verdict = "psd"
+        else:
+            verdict, least = _br_scan(r, alpha, 2 * section_degree)
+    return bracket, verdict, check_psd(KernelSpec("ball_map", alpha, b), points), least

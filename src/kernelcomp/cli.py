@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .ball import br_experiment, coord_mult_sections, inv_kernel_mult_norm, \
-    row_mult_norm
+from .ball import br_experiment, br_norms, br_rise_limit, coord_mult_sections, \
+    inv_kernel_mult_norm, row_mult_norm
 from .dbr import (
     KernelPositivityError,
     combo_to_poly,
@@ -29,7 +29,6 @@ from .dbr import (
 )
 from .kernels import (
     _KINDS,
-    NEGATIVE,
     KernelSpec,
     check_psd,
     sample_point_set,
@@ -605,56 +604,53 @@ def run_ball_bound(params: dict, tol: dict, seed: int):
 
 
 def run_br(params: dict, tol: dict, seed: int):
-    n = params["section_degree"]
+    """Product-map records from ``br_experiment`` and the closed forms of
+    ``br_norms`` and ``br_rise_limit``; nothing is drawn."""
+    n, alpha = params["section_degree"], params["alpha"]
     if n < 1:
-        # the saturation check compares the last two of at least two degrees
+        # growth is read between at least two trace degrees
         raise ConfigError("br needs a section_degree of at least 1")
     degrees = sorted(set(range(0, n + 1, params["trace_step"])) | {n})
-    records = []
-    rows = []
-    certificates = []
-    for idx, r in enumerate(params["r_values"]):
-        bracket, cert = br_experiment(
-            r, alpha=params["alpha"], section_degree=n, trace_degrees=degrees,
-            witness_budget=params["witness_budget"], set_size=params["set_size"],
-            radius=params["radius"], seed=(seed, idx))
-        found = cert.verdict == NEGATIVE
-        verdict = "certified-negative" if found else \
-            f"no-counterexample-at-budget-{params['witness_budget']}"
-        rows.extend([[r, nn, lo, verdict, cert.min_eigenvalue, seed]
-                     for nn, lo in bracket.trace])
-        certificates.append({**cert.to_json_dict(), "seed": (seed, idx)})
-        if r == 1.0:
-            diffs = [b2 - b1 for (_, b1), (_, b2)
-                     in zip(bracket.trace, bracket.trace[1:])]
+    # an entry is (2r)^k times a ratio of two norms, each exp of half a sum of
+    # four log-gamma values no larger than lgamma(alpha + 2n + 1); a few ulps
+    # of each, and of the k products, bound its relative rounding
+    rounding = 16 * float(np.finfo(float).eps) * (n + 1 + math.lgamma(alpha + 2 * n + 1))
+    records, rows, certificates = [], [], []
+    for r in params["r_values"]:
+        bracket, verdict, cert, least = br_experiment(
+            r, alpha=alpha, section_degree=n, trace_degrees=degrees)
+        closed = br_norms(r, alpha, degrees)
+        rows.extend([[r, d, lo, verdict, cert.min_eigenvalue] for d, lo in bracket.trace])
+        certificates.append(cert.to_json_dict())
+        anchor = "product-map-unbounded-growth" if r == 1.0 else "product-map-saturation"
+        records.append(make_record(
+            f"section trace matches the closed form L_N at r={r}", anchor,
+            max(abs(lo - big) / big for (_, lo), (big, _) in zip(bracket.trace, closed)),
+            0.0, rounding))
+        if r == 1.0:  # w_k^2 grows like sqrt(k): C_b is unbounded
             records.append(make_record(
-                "degenerate parameter: lower bounds strictly increase",
-                "product-map-unbounded-growth", -min(diffs),
-                -params["strict_increase_min"], 0.0))
-            records.append(make_record(
-                "degenerate parameter: final lower bound beats the frozen threshold",
-                "product-map-unbounded-growth",
-                params["growth_threshold"] - bracket.lower, 0.0, 0.0))
-        else:
-            last = bracket.trace[-1][1]
-            prev = bracket.trace[-2][1]
-            records.append(make_record(
-                f"contractive parameter r={r}: trace saturates",
-                "product-map-saturation", abs(last - prev), 0.0,
-                tol["saturation_tol"]))
-        if r >= params["negative_expect_min_r"]:
-            measured = cert.min_eigenvalue if found else 1.0
-            records.append(make_record(
-                f"negativity witness found at r={r}",
-                "product-map-negativity", measured,
-                -tol["witness_level"], 0.0))
+                "degenerate parameter: L_N rises at every trace degree", anchor,
+                sum(not rose for _, rose in closed[1:]), 0.0, 0.0))
         else:
             records.append(make_record(
-                f"no negativity witness within budget at r={r}",
-                "product-map-negativity",
-                1.0 if found else 0.0, 0.0, 0.0))
-    trace = {"columns": ["r", "N", "comp_lower", "psd_verdict",
-                         "min_eigenvalue", "seed"], "rows": rows}
+                f"contractive parameter r={r}: w_k rises at no index past N, "
+                "so L_N = ||C_b||", anchor, br_rise_limit(r), n, 0.0))
+        if least is not None:
+            records.append(make_record(
+                f"normalized diagonal coefficients through degree {2 * n} at "
+                f"r={r}: positivity {verdict}", "product-map-negativity",
+                least, least, 0.0))
+        elif verdict == "negative":
+            records.append(make_record(
+                f"k_11 < 0 at r={r}: the four-point Gram certifies negativity",
+                "product-map-negativity", cert.min_eigenvalue, -cert.tolerance, 0.0))
+        else:
+            records.append(make_record(
+                f"closed form proves the map kernel PSD at r={r}; the four-point "
+                "Gram agrees", "kernel-positivity", -cert.min_eigenvalue, 0.0,
+                cert.tolerance))
+    trace = {"columns": ["r", "N", "comp_lower", "psd_verdict", "min_eigenvalue"],
+             "rows": rows}
     return records, trace, {"certificates": certificates}
 
 
@@ -761,12 +757,10 @@ COMMANDS = {
             run_ball_bound),
         Command(
             "br",
-            "product-map experiment: growth traces and positivity scans",
+            "product-map experiment: closed-form section norms and positivity",
             {"r_values": [0.5, 0.95, 1.0], "alpha": 1.0,
-             "section_degree": 60, "trace_step": 4, "witness_budget": 10000,
-             "set_size": 8, "radius": 0.95, "growth_threshold": 3.353367,
-             "negative_expect_min_r": 0.75, "strict_increase_min": 1e-12},
-            {"witness_level": 1e-6, "saturation_tol": 1e-3},
+             "section_degree": 60, "trace_step": 4},
+            {},
             run_br),
         Command(
             "psd",

@@ -34,7 +34,9 @@ reference for the in-place compare-exchange draw.  ``traced_peak`` runs a call u
 ``tracemalloc`` and returns its result with the peak bytes traced.
 ``svd_row_mult_norm`` takes each row point's multiplier bound from a full
 SVD of the assembled row section, the route ``ball.row_mult_norm`` replaced
-by cross Grams and one stacked ``eigvalsh``.
+by cross Grams and one stacked ``eigvalsh``.  ``exact_br_coefficient`` gives
+a diagonal coefficient of the product-map kernel in exact rational
+arithmetic, from its defining sum, apart from ``ball._br_scan``'s ratios.
 """
 
 import math
@@ -446,3 +448,18 @@ def svd_row_mult_norm(b, ws, coord_sections) -> np.ndarray:
         row = sum(np.conj(bw[i]) * s.entries for i, s in enumerate(coord_sections))
         out.append(np.linalg.svd(row, compute_uv=False)[0])
     return np.array(out)
+
+
+def exact_br_coefficient(r: float, alpha: float, a1: int, a2: int) -> Fraction:
+    """The coefficient of z^a conj(w)^a in ((1 - 4r^2 z1 z2 conj(w1 w2)) /
+    (1 - <z, w>))^alpha: sum_j C(alpha, j) (-4r^2)^j rising(alpha, |a| - 2j)
+    / ((a1 - j)! (a2 - j)!)."""
+    al, s, total = Fraction(alpha), 4 * Fraction(r) ** 2, Fraction(0)
+    for j in range(min(a1, a2) + 1):
+        term = (-s) ** j / math.factorial(j) / math.factorial(a1 - j) / math.factorial(a2 - j)
+        for i in range(j):
+            term *= al - i
+        for i in range(a1 + a2 - 2 * j):
+            term *= al + i
+        total += term
+    return total

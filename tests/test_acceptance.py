@@ -114,21 +114,19 @@ def test_criterion_6_ball_row_contractions():
 
 
 def test_criterion_7_product_map_regimes():
-    _, neg = br_experiment(
-        0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
-        witness_budget=10000, set_size=8, radius=0.95, seed=7)
-    witness_ok = neg.verdict == NEGATIVE and neg.min_eigenvalue < -1e-6
+    _, verdict, neg, _ = br_experiment(
+        0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4))
+    witness_ok = (verdict == "negative" and neg.verdict == NEGATIVE
+                  and neg.min_eigenvalue < -neg.tolerance)
 
-    grow, _ = br_experiment(
-        1.0, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4),
-        witness_budget=1, set_size=4, radius=0.95, seed=7)
+    grow, *_ = br_experiment(
+        1.0, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4))
     trace = [v for _, v in grow.trace]
     growth_ok = (all(b > a for a, b in zip(trace, trace[1:]))
                  and trace[-1] > 3.353367)
 
-    flat, _ = br_experiment(
-        0.5, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4),
-        witness_budget=1, set_size=4, radius=0.95, seed=7)
+    flat, *_ = br_experiment(
+        0.5, alpha=1.0, section_degree=60, trace_degrees=range(0, 61, 4))
     fvals = [v for _, v in flat.trace]
     saturation_ok = abs(fvals[-1] - fvals[-2]) <= 1e-3
 
@@ -164,8 +162,7 @@ def test_criterion_9_reports_are_deterministic(tmp_path):
         "ball-lemma": {"maps": 2, "alphas": [1], "section_degree": 4,
                        "cert_points": 10},
         "ball-bound": {"maps": 2, "alphas": [1], "section_degree": 4},
-        "br": {"r_values": [0.0, 0.5], "section_degree": 8,
-               "witness_budget": 3, "set_size": 4},
+        "br": {"r_values": [0.0, 0.5], "section_degree": 8},
         "psd": {"point_count": 6},
     }
     stable = True

@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from kernelcomp import ball, cli
+from kernelcomp import ball, cli, kernels
 from kernelcomp.cli import ExperimentConfig, run_experiment
 from kernelcomp.ball import (
     br_experiment,
     br_map,
+    br_norms,
+    br_rise_limit,
+    br_witness,
     coord_mult_sections,
     inv_kernel_mult_norm,
     row_mult_norm,
 )
-from kernelcomp.kernels import NEGATIVE, PSD, DomainError, PointSet, sample_point_set, \
-    substream
+from kernelcomp.kernels import NEGATIVE, PSD, DomainError, KernelSpec, PointSet, \
+    check_psd, sample_point_set, substream
 from kernelcomp.operators import (
     SectionMatrix,
     SpaceSpec,
@@ -26,7 +29,8 @@ from kernelcomp.operators import (
 )
 from kernelcomp.sampling import random_ball_row_contraction
 from kernelcomp.series import BALL_MAP_GRID, BallMap, BallPoly, _sphere_samples
-from oracles import exact_inv_kernel_weight, svd_row_mult_norm, traced_peak
+from oracles import exact_br_coefficient, exact_inv_kernel_weight, svd_row_mult_norm, \
+    traced_peak
 
 rising = lambda a, k: math.gamma(a + k) / math.gamma(a)
 
@@ -51,25 +55,6 @@ def test_row_mult_norm_two_coordinates():
     assert bound == pytest.approx(0.5 * np.linalg.norm(ws, axis=1), rel=1e-13)
     assert lower[1] == bound[1] == 0.0
     assert np.all(bound - lower >= -1e-10)
-
-
-def test_row_mult_norm_rejects_outside_point():
-    # row points come as a PointSet, which refuses a point off the ball
-    b = BallMap([BallPoly(1, {(1,): 0.5})])
-    with pytest.raises(DomainError, match="need < 1"):
-        row_mult_norm(b, PointSet([[1.2]]), coord_mult_sections(b, 1.0, 8))
-
-
-@pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, -1.0j], [0.9, 0.9],
-                                 [np.nan, 0.0], [0.0, complex(0.0, np.nan)],
-                                 [np.inf, 0.1], [0.1, -np.inf]],
-                         ids=["on-real", "on-imag", "outside", "nan",
-                              "nan-imag", "inf", "minus-inf"])
-def test_row_mult_norm_rejects_a_batch_with_one_point_off_the_ball(bad):
-    b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
-    ws = np.array([[0.1, 0.2], bad, [0.3, -0.1]])
-    with pytest.raises(DomainError, match="need < 1"):
-        row_mult_norm(b, PointSet(ws), coord_mult_sections(b, 1.0, 4))
 
 
 def test_row_mult_norm_rejects_points_of_the_wrong_shape():
@@ -270,12 +255,12 @@ def test_br_composition_trace_matches_closed_form():
 
 
 def test_br_experiment_flat_at_zero():
-    bracket, cert = br_experiment(
-        0.0, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
-        witness_budget=5, set_size=4, radius=0.95, seed=0)
+    bracket, verdict, cert, least = br_experiment(
+        0.0, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4))
     values = [v for _, v in bracket.trace]
     assert values == [1.0] * len(values)
     assert bracket.lower == 1.0
+    assert verdict == "psd" and least is None
     assert cert.verdict == PSD and cert.coeffs is None
     assert len(cert.points) == 4
 
@@ -288,49 +273,43 @@ def test_br_zero_section_reads_one_at_every_degree():
 
 
 def test_br_experiment_saturates_below_half_root_two():
-    bracket, cert = br_experiment(
-        0.5, alpha=1.0, section_degree=24, trace_degrees=range(0, 25, 4),
-        witness_budget=50, set_size=6, radius=0.95, seed=3)
+    bracket, verdict, cert, _ = br_experiment(
+        0.5, alpha=1.0, section_degree=24, trace_degrees=range(0, 25, 4))
     values = [v for _, v in bracket.trace]
     assert abs(values[-1] - values[-2]) <= 1e-6
+    assert verdict == "psd"
     assert cert.verdict == PSD
     assert cert.min_eigenvalue > -1e-10
 
 
 def test_br_experiment_finds_negative_witness():
-    bracket, cert = br_experiment(
-        0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4),
-        witness_budget=50, set_size=8, radius=0.95, seed=0)
+    _, verdict, cert, least = br_experiment(
+        0.95, alpha=1.0, section_degree=8, trace_degrees=range(0, 9, 4))
+    assert verdict == "negative" and least is None
     assert cert.verdict == NEGATIVE
-    assert cert.min_eigenvalue < -1e-6
-    assert len(cert.points) == 8 and cert.coeffs.shape == (8,)
+    assert cert.min_eigenvalue < -cert.tolerance
+    # the bottom eigenvector is the sign pattern s1 s2 the witness predicts
+    assert len(cert.points) == 4 and cert.coeffs.shape == (4,)
+    signs = np.array([1, -1, -1, 1]) * np.sign(cert.coeffs[0].real)
+    assert np.allclose(cert.coeffs, signs / 2, atol=1e-6)
 
 
-def test_br_experiment_probe_is_the_search_trial_zero(monkeypatch):
-    # with no trials searched, only the trial-0 probe is drawn and it alone
-    # decides: at r = 0.95 it fails positivity, and it is the certificate a
-    # one-trial search returns
-    draws = []
-    original = ball.sample_point_set
+def test_br_experiment_draws_no_points(monkeypatch):
+    # the verdict follows from r and alpha alone: no sampler, no search
+    def refuse(*args, **kwargs):
+        raise AssertionError("br_experiment drew points")
 
-    def spy(*args, **kwargs):
-        draws.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ball, "sample_point_set", spy)
-    params = dict(alpha=1.0, section_degree=8, trace_degrees=[8], set_size=8,
-                  radius=0.95, seed=0)
-    _, cert = br_experiment(0.95, witness_budget=0, **params)
-    assert len(draws) == 1
-    assert cert.verdict == NEGATIVE
-    searched = br_experiment(0.95, witness_budget=1, **params)[1]
-    assert cert.to_json_dict() == searched.to_json_dict()
+    drawers = {"sample_point_set", "find_negative_witness", "trial_stream", "substream"}
+    assert not drawers & set(vars(ball))
+    for name in drawers:
+        monkeypatch.setattr(kernels, name, refuse)
+    for r in (0.5, 0.75, 1.0):
+        br_experiment(r, alpha=1.0, section_degree=4, trace_degrees=[4])
 
 
 def test_br_experiment_growth_at_one():
-    bracket, _ = br_experiment(
-        1.0, alpha=1.0, section_degree=40, trace_degrees=[8, 16, 24, 32, 40],
-        witness_budget=5, set_size=4, radius=0.95, seed=1)
+    bracket, *_ = br_experiment(
+        1.0, alpha=1.0, section_degree=40, trace_degrees=[8, 16, 24, 32, 40])
     values = [v for _, v in bracket.trace]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] > 3.35
@@ -339,45 +318,150 @@ def test_br_experiment_growth_at_one():
 
 def test_br_experiment_rejects_bad_r():
     with pytest.raises(ValueError):
-        br_experiment(1.5, alpha=1.0, section_degree=8, trace_degrees=[8],
-                      witness_budget=5, set_size=4, radius=0.95, seed=0)
+        br_experiment(1.5, alpha=1.0, section_degree=8, trace_degrees=[8])
+
+
+@pytest.mark.parametrize("r", [0.70, 0.7071])
+def test_br_positivity_is_proved_at_alpha_one_up_to_half_root_two(r):
+    # 4 r^2 <= 2 keeps every coefficient nonnegative; the Gram agrees
+    _, verdict, cert, least = br_experiment(r, alpha=1.0, section_degree=4,
+                                            trace_degrees=[4])
+    assert verdict == "psd" and least is None and cert.verdict == PSD
+    assert br_witness(r, 1.0) is None
+
+
+def test_br_witness_at_r_071_clears_the_gram_tolerance():
+    # k_11 = 2 - 4 (0.71)^2 < 0, but only just: a fixed eps is not enough
+    spec = KernelSpec("ball_map", 1.0, br_map(0.71))
+    _, verdict, cert, _ = br_experiment(0.71, alpha=1.0, section_degree=4,
+                                        trace_degrees=[4])
+    assert verdict == "negative" and cert.verdict == NEGATIVE
+    assert cert.min_eigenvalue < -cert.tolerance
+    assert cert.min_eigenvalue < -8e-7
+    with pytest.raises(ValueError, match="the witness bound"):
+        br_witness(0.71, 1.0, eps=0.3)
+    # at eps 0.3 the set reads PSD, and at 0.05 a level of 1e-6 misses it
+    assert check_psd(spec, PointSet(0.3 * ball._SIGNS)).min_eigenvalue == \
+        pytest.approx(5.45e-4, rel=1e-3)
+    small = check_psd(spec, br_witness(0.71, 1.0, eps=0.05))
+    assert small.verdict == NEGATIVE
+    assert -1e-6 < small.min_eigenvalue == pytest.approx(-4.09e-7, rel=1e-3)
+
+
+@pytest.mark.parametrize("r,alpha", [(0.75, 1.0), (0.95, 1.0), (1.0, 1.0),
+                                     (0.9, 2.0), (1.0, 2.5)])
+def test_br_witness_refuses_an_eps_past_its_bound(r, alpha):
+    pts = br_witness(r, alpha)
+    eps = pts.points[0, 0].real
+    # the default is half the bound in eps^4, so 1.2 eps passes it
+    with pytest.raises(ValueError, match="the witness bound"):
+        br_witness(r, alpha, eps=1.2 * eps)
+    for bad in (0.0, 2.0):
+        with pytest.raises(ValueError, match="the witness bound"):
+            br_witness(r, alpha, eps=bad)
+    cert = check_psd(KernelSpec("ball_map", alpha, br_map(r)), pts)
+    assert cert.verdict == NEGATIVE
+
+
+def test_br_witness_never_yields_a_silent_psd():
+    # just past 1/sqrt(2) the closed form is negative, but the four-point
+    # Gram cannot resolve it: the record fails instead of passing as PSD
+    r = 0.7071068
+    assert br_witness(r, 1.0) is not None
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"name": "br", "params": {"r_values": [r], "section_degree": 4}}))
+    assert report.trace["rows"][0][3] == "negative"
+    negativity = [rec for rec in report.records
+                  if rec["paper_anchor"] == "product-map-negativity"]
+    assert len(negativity) == 1 and not negativity[0]["pass"]
+    assert report.extras["certificates"][0]["verdict"] == PSD
+
+
+@pytest.mark.parametrize("r,alpha,verdict", [(0.8, 2.0, "unproved"), (0.9, 2.5, "negative"),
+                                             (0.95, 3.0, "negative"), (0.5, 1.5, "unproved"),
+                                             (0.0, 1.5, "unproved")])
+def test_br_scan_reads_the_exact_coefficient_signs(r, alpha, verdict):
+    top = 12
+    exact = [exact_br_coefficient(r, alpha, a1, a2)
+             for a1 in range(top + 1) for a2 in range(a1, top + 1 - a1)]
+    assert (min(exact) < 0) == (verdict == "negative")
+    _, got, cert, least = br_experiment(r, alpha=alpha, section_degree=top // 2,
+                                        trace_degrees=[top // 2])
+    assert got == verdict and (least < 0) == (verdict == "negative")
+    assert cert.points.points[0, 0] == 0.5
+
+
+def test_br_norms_match_the_exact_closed_form():
+    # at alpha 1, w_k^2 = (2r)^(2k) k!^2 / (2k)!; at r = 1 it rises for ever
+    degrees = list(range(0, 41, 4))
+    got = br_norms(1.0, 1.0, degrees)
+    assert [v for v, _ in got] == [math.sqrt(4 ** d / math.comb(2 * d, d)) for d in degrees]
+    assert all(rose for _, rose in got)
+    bracket, *_ = br_experiment(1.0, alpha=1.0, section_degree=40, trace_degrees=degrees)
+    for (_, lo), (big, _) in zip(bracket.trace, got):
+        assert abs(lo - big) <= 1e-13 * big
+    # at r = 0.5 the peak is w_0 = 1, and nothing rises after the first
+    assert br_norms(0.5, 1.0, [0, 4, 8]) == [(1.0, True), (1.0, False), (1.0, False)]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 2.5, 4.0, 7.3])
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.75, 0.9, 0.95, 0.99])
+def test_br_rise_limit_bounds_the_last_rise(r, alpha):
+    limit = br_rise_limit(r)
+    norms = br_norms(r, alpha, range(limit + 200))
+    assert not any(rose for _, rose in norms[limit + 1:])
+    assert norms[-1][0] == norms[limit][0]
+
+
+def test_br_rise_limit_values():
+    assert [br_rise_limit(r) for r in (0.0, 0.5, 0.75, 0.95, 0.99)] == [0, 0, 1, 5, 28]
 
 
 def test_br_csv_rows_shape():
     cfg = ExperimentConfig.from_dict(
-        {"name": "br", "seed": 7,
-         "params": {"r_values": [0.5], "section_degree": 8, "witness_budget": 5,
-                    "set_size": 4}})
+        {"name": "br", "seed": 7, "params": {"r_values": [0.5], "section_degree": 8}})
     rows = run_experiment(cfg).trace["rows"]
-    assert all(len(row) == 6 for row in rows)
+    assert all(len(row) == 5 for row in rows)
     assert rows[0][0] == 0.5
     assert rows[-1][1] == 8
-    assert rows[0][3] == "no-counterexample-at-budget-5"
-    assert rows[0][5] == 7
+    assert rows[0][3] == "psd"
 
 
 def test_run_br_verdict_column_follows_the_certificate(monkeypatch):
-    # the verdict column, the negativity records and the certificates all
-    # read cert.verdict; at budget 0 the trial-0 probe alone decides, and at
-    # r = 0.95 it is NEGATIVE
+    # the verdict column and the positivity records read br_experiment's
+    # verdict, and the certificates are its four-point Grams
     verdicts, real = [], cli.br_experiment
 
     def spy(r, **kwargs):
-        bracket, cert = real(r, **kwargs)
-        verdicts.append(cert.verdict)
-        return bracket, cert
+        out = real(r, **kwargs)
+        verdicts.append((out[1], out[2].verdict))
+        return out
 
     monkeypatch.setattr(cli, "br_experiment", spy)
     report = run_experiment(ExperimentConfig.from_dict(
-        {"name": "br", "params": {"r_values": [0.5, 0.95], "section_degree": 4,
-                                  "witness_budget": 0, "set_size": 8}}))
-    assert verdicts == [PSD, NEGATIVE]
+        {"name": "br", "params": {"r_values": [0.5, 0.95], "section_degree": 8}}))
+    assert verdicts == [("psd", PSD), ("negative", NEGATIVE)]
     assert {row[0]: row[3] for row in report.trace["rows"]} == {
-        0.5: "no-counterexample-at-budget-0", 0.95: "certified-negative"}
-    assert [c["verdict"] for c in report.extras["certificates"]] == verdicts
-    negativity = [r for r in report.records
-                  if r["paper_anchor"] == "product-map-negativity"]
-    assert len(negativity) == 2 and all(r["pass"] for r in negativity)
+        0.5: "psd", 0.95: "negative"}
+    assert [c["verdict"] for c in report.extras["certificates"]] == [PSD, NEGATIVE]
+    anchors = [r["paper_anchor"] for r in report.records]
+    assert anchors.count("kernel-positivity") == anchors.count("product-map-negativity") == 1
+    assert all(r["pass"] for r in report.records)
+
+
+@pytest.mark.parametrize("seed", [0, 6209])
+def test_br_passes_at_the_benchmark_config_whatever_the_seed(seed):
+    # the benchmark's positivity config; the random search FAILed at 6209
+    params = {"r_values": [0.5, 0.75, 0.95, 1.0]}
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"name": "br", "seed": seed, "params": params}))
+    assert all(r["pass"] for r in report.records)
+    assert [row[3] for row in report.trace["rows"][::16]] == [
+        "psd", "negative", "negative", "negative"]
+    other = run_experiment(ExperimentConfig.from_dict(
+        {"name": "br", "seed": 6209 - seed, "params": params}))
+    assert other.trace == report.trace and other.records == report.records
+
 
 
 def test_random_ball_row_contraction_margins():

@@ -42,8 +42,6 @@ def test_every_span_resolves_in_its_owner():
 
 def test_package_root_and_rebound_names():
     assert kernelcomp.BallPoly is series.BallPoly
-    # the probe in br_experiment draws through ball's own binding
-    assert vars(ball)["sample_point_set"] is kernels.sample_point_set
     budget = inspect.signature(kernels.find_negative_witness).parameters["budget"]
     assert budget.kind is inspect.Parameter.KEYWORD_ONLY
 

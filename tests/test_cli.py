@@ -119,14 +119,12 @@ def test_csv_format_hardy(tmp_path):
 
 def test_csv_format_br(tmp_path):
     cfg = _cfg(tmp_path, "br", params={"r_values": [0.5],
-                                       "section_degree": 8,
-                                       "witness_budget": 5,
-                                       "set_size": 4})
+                                       "section_degree": 8})
     out_path = tmp_path / "br.csv"
     assert main(["run", "--config", str(cfg), "--format", "csv",
                  "--out", str(out_path)]) == 0
     lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "r,N,comp_lower,psd_verdict,min_eigenvalue,seed"
+    assert lines[0] == "r,N,comp_lower,psd_verdict,min_eigenvalue"
     assert len(lines) > 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.5
@@ -184,7 +182,7 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
                f"'{key}' must lie strictly between 0 and 1, got {value!r}")
               for name, key, value in (
                   ("ball-lemma", "cert_radius", 1.0), ("ball-lemma", "row_radius", 0),
-                  ("theorem1", "node_radius", 1.0), ("br", "radius", 1),
+                  ("theorem1", "node_radius", 1.0), ("psd", "radius", 1),
                   ("szego-identity", "point_radius", -0.5),
                   ("inf-estimate", "family_radius", 1.5))],
             # a unimodular constant is no self-map of the disk, in a
@@ -197,8 +195,8 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "a disk self-map needs |b(0)| < 1"),
             ({"name": "hardy-bound", "params": {"trace_degrees": []}},
              "trace degrees must not be empty"),
-            # kernel values that overflow, in a Gram and in the witness
-            # screen, before any eigen-solver sees them
+            # kernel values that overflow, in a Gram, before any eigen-solver
+            # sees them
             ({"name": "psd", "params": {"spec": {"kind": "bergman",
                                                  "alpha": 1e308},
                                         "point_count": 5}},
@@ -207,8 +205,7 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
                 "kind": "dbr_power", "alpha": 100000, "b": {
                     "type": "monomial", "degree": 1, "scale": [0.5, 0]}}}},
              "dbr_power kernel values overflow on these points"),
-            ({"name": "br", "params": {"alpha": 1000, "r_values": [0.95],
-                                       "witness_budget": 3,
+            ({"name": "br", "params": {"alpha": 100000, "r_values": [0.95],
                                        "section_degree": 4}},
              "ball_map kernel values overflow on these points"),
             # sizes that leave nothing to reduce over
@@ -220,13 +217,14 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
              "inf-estimate parameter 'grid_size' must be at least 1, got 0"),
             ({"name": "inf-estimate", "params": {"family_size": 0}},
              "inf-estimate parameter 'family_size' must be at least 1, got 0"),
-            ({"name": "br", "params": {"r_values": [0.5],
-                                       "witness_budget": -1,
-                                       "section_degree": 2}},
-             "br parameter 'witness_budget' must be nonnegative, got -1"),
-            ({"name": "br", "params": {"set_size": 0, "section_degree": 2,
-                                       "r_values": [0.5]}},
-             "set_size must be at least 1, got 0"),
+            # br's verdicts follow from r and alpha: the search's keys are gone
+            *[({"name": "br", key: {name: 1}}, f"unknown {what} '{name}' for br")
+              for key, what, names in (
+                  ("params", "parameter", ("witness_budget", "set_size", "radius",
+                                           "negative_expect_min_r", "growth_threshold",
+                                           "strict_increase_min")),
+                  ("tolerances", "tolerance", ("witness_level", "saturation_tol")))
+              for name in names],
             ({"name": "theorem1", "params": {"trials": 1, "node_max": 0}},
              "theorem1 parameter 'node_max' must be at least 1, got 0"),
             ({"name": "bergman-bound", "params": {"node_max": 0}},
@@ -264,7 +262,7 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     cfg4 = _cfg(tmp_path, "psd", params={"point_count": 4}, fname="c4.json")
     assert main(["run", "--config", str(cfg4), "--seed", "-1"]) == 2
     assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
-    # refused before any section or witness search is built
+    # refused before any section is built
     for params, message in (
             ({"trace_step": 0}, "br parameter 'trace_step' must be at least 1, got 0"),
             ({"trace_step": -1}, "br parameter 'trace_step' must be at least 1, got -1"),
@@ -409,11 +407,11 @@ def test_config_accepts_an_integer_where_a_float_is_expected():
     assert cfg.params["alpha"] == 2 and isinstance(cfg.params["alpha"], float)
     assert cfg.params["r_values"] == [0, 0.5]
     tol = ExperimentConfig.from_dict(
-        {"name": "br", "tolerances": {"saturation_tol": 1}})
-    assert tol.tolerances["saturation_tol"] == 1.0
-    with pytest.raises(ConfigError, match="'saturation_tol' must be a number"):
+        {"name": "theorem1", "tolerances": {"rel_slack": 1}})
+    assert tol.tolerances["rel_slack"] == 1.0
+    with pytest.raises(ConfigError, match="'rel_slack' must be a number"):
         ExperimentConfig.from_dict(
-            {"name": "br", "tolerances": {"saturation_tol": True}})
+            {"name": "theorem1", "tolerances": {"rel_slack": True}})
 
 
 def test_config_rejects_numbers_too_large_for_a_float(tmp_path, capsys):
@@ -450,11 +448,8 @@ def test_oversized_section_exits_two_before_allocating(tmp_path, capsys):
 
 
 def test_oversized_point_set_exits_two_before_allocating(tmp_path, capsys):
-    # the witness search refuses br's set by its Gram before it draws it:
-    # drawing 100000 points in dim 2 takes up to 80 bytes a coordinate, 16e6
     for name, params, bound in (("psd", {"point_count": 100000}, 2**24),
-                                ("szego-identity", {"point_count": 100000}, 2**24),
-                                ("br", {"set_size": 100000}, 2**23)):
+                                ("szego-identity", {"point_count": 100000}, 2**24)):
         cfg = _cfg(tmp_path, name, params=params)
         code, peak = traced_peak(lambda: main(["run", "--config", str(cfg)]))
         assert code == 2
@@ -815,8 +810,7 @@ def test_every_command_runs_green_at_reduced_size(tmp_path):
         "ball-lemma": {"maps": 2, "alphas": [1], "section_degree": 4,
                        "cert_points": 10},
         "ball-bound": {"maps": 2, "alphas": [1], "section_degree": 4},
-        "br": {"r_values": [0.0, 0.5], "section_degree": 8,
-               "witness_budget": 3, "set_size": 4},
+        "br": {"r_values": [0.0, 0.5], "section_degree": 8},
         "psd": {"point_count": 6},
     }
     for name, params in quick.items():

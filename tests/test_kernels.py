@@ -150,9 +150,15 @@ def test_point_set_validation():
         PointSet(np.array([[0.8, 0.7]]))
     # a modulus that is not < 1 fails, NaN's included, with no warning first
     for bad in ([np.nan], [0.3, np.inf], [0.3, -np.inf], [complex(0.1, np.nan)],
-                [[0.1, np.nan]], [[np.inf, 0.0]], [1e200]):
+                [[0.1, np.nan]], [[np.inf, 0.0]], [1e200], [1.2]):
         with pytest.raises(DomainError, match="need < 1"):
             PointSet(bad)
+    # and one such point refuses a dim-2 batch: on the sphere by a real or an
+    # imaginary part, outside it, NaN in either part, or +-inf
+    for bad in ([1.0, 0.0], [0.0, -1.0j], [0.9, 0.9], [np.nan, 0.0],
+                [0.0, complex(0.0, np.nan)], [np.inf, 0.1], [0.1, -np.inf]):
+        with pytest.raises(DomainError, match="need < 1"):
+            PointSet(np.array([[0.1, 0.2], bad, [0.3, -0.1]]))
     ps = PointSet([0.5, -0.5])
     assert ps.dim == 1 and ps.points.shape == (2, 1)
     assert ps.to_json_list() == [[[0.5, 0.0]], [[-0.5, 0.0]]]
@@ -267,15 +273,19 @@ def _planted_pair(monkeypatch):
 
 def _negative_cases(monkeypatch):
     """(label, spec, points) of NEGATIVE certificates: the planted pair,
-    then the br witnesses at r = 0.75 and 1.0 at seeds 0-2."""
+    then the searched product-map witnesses at r = 0.75 and 1.0 at seeds
+    0-2, and br_experiment's four-point witnesses at r = 0.71, 0.75 and 1."""
     witnesses = []
     for r in (0.75, 1.0):
         for seed in range(3):
-            _, cert = br_experiment(
-                r, trace_degrees=[2], alpha=1.0, section_degree=2,
-                witness_budget=10000, set_size=8, radius=0.95, seed=seed)
+            cert = find_negative_witness(_br_spec(r), seed=seed, radius=0.95,
+                                         set_size=8, budget=10000)
             assert cert.verdict == NEGATIVE
             witnesses.append((f"br r={r} seed={seed}", cert.spec, cert.points))
+    for r in (0.71, 0.75, 1.0):
+        cert = br_experiment(r, trace_degrees=[2], alpha=1.0, section_degree=2)[2]
+        assert cert.verdict == NEGATIVE
+        witnesses.append((f"br four points r={r}", cert.spec, cert.points))
     return [("planted pair", *_planted_pair(monkeypatch))] + witnesses
 
 
