@@ -57,6 +57,25 @@ def test_row_mult_norm_two_coordinates():
     assert np.all(bound - lower >= -1e-10)
 
 
+def test_row_mult_norm_rejects_outside_point():
+    # row points come as a PointSet, which refuses a point off the ball
+    b = BallMap([BallPoly(1, {(1,): 0.5})])
+    with pytest.raises(DomainError, match="need < 1"):
+        row_mult_norm(b, PointSet([[1.2]]), coord_mult_sections(b, 1.0, 8))
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, -1.0j], [0.9, 0.9],
+                                 [np.nan, 0.0], [0.0, complex(0.0, np.nan)],
+                                 [np.inf, 0.1], [0.1, -np.inf]],
+                         ids=["on-real", "on-imag", "outside", "nan",
+                              "nan-imag", "inf", "minus-inf"])
+def test_row_mult_norm_rejects_a_batch_with_one_point_off_the_ball(bad):
+    b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
+    ws = np.array([[0.1, 0.2], bad, [0.3, -0.1]])
+    with pytest.raises(DomainError, match="need < 1"):
+        row_mult_norm(b, PointSet(ws), coord_mult_sections(b, 1.0, 4))
+
+
 def test_row_mult_norm_rejects_points_of_the_wrong_shape():
     b = BallMap([BallPoly(2, {(1, 0): 0.5}), BallPoly(2, {(0, 1): 0.5})])
     sections = coord_mult_sections(b, 1.0, 4)
